@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
     const wfm::WorkloadStats stats = wfm::WorkloadStats::From(*workload);
     const wfm::OptimizedMechanism mech(stats, eps,
                                        wfm::bench::BenchOptimizerConfig(flags));
-    const wfm::FactorizationAnalysis fa = mech.AnalyzeFactorization(stats);
+    const wfm::ReportDecoder decoder =
+        wfm::ReportDecoder::FromAnalysis(mech.AnalyzeFactorization(stats));
     const wfm::Vector truth = workload->Apply(data.histogram);
 
     wfm::Rng rng(77);
@@ -55,9 +56,9 @@ int main(int argc, char** argv) {
       const wfm::Vector y =
           wfm::SimulateResponseHistogram(mech.strategy(), data.histogram, rng);
       const auto unbiased = wfm::EstimateWorkloadAnswers(
-          fa, *workload, y, wfm::EstimatorKind::kUnbiased);
+          decoder, *workload, y, num_users, wfm::EstimatorKind::kUnbiased);
       const auto consistent = wfm::EstimateWorkloadAnswers(
-          fa, *workload, y, wfm::EstimatorKind::kWnnls);
+          decoder, *workload, y, num_users, wfm::EstimatorKind::kWnnls);
       for (std::size_t i = 0; i < truth.size(); ++i) {
         err_default += std::pow(unbiased.query_answers[i] - truth[i], 2);
         err_wnnls += std::pow(consistent.query_answers[i] - truth[i], 2);

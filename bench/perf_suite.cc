@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
     for (double& v : rhs) v += rng.Normal(0.0, 0.01);
     wfm::WnnlsOptions options;
     const double t = TimeBest(reps, [&] {
-      sink += wfm::SolveWnnlsFromGram(stats.gram, rhs, options).objective;
+      sink += wfm::SolveWnnls({&stats.gram}, rhs, options).objective;
     });
     record("wnnls_decode", "n=" + std::to_string(n), t, 0.0, 0.0);
   }

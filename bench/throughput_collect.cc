@@ -49,11 +49,11 @@ namespace {
 // One timed trial: T threads stream disjoint slices of `reports` into a
 // fresh session, then the epoch is sealed and one estimate is served.
 // Returns ingest seconds (seal/serve excluded from the rate).
-double RunTrial(const wfm::FactorizationAnalysis& analysis,
+double RunTrial(const wfm::ReportDecoder& decoder,
                 std::shared_ptr<const wfm::Workload> workload,
                 const std::vector<int>& reports, int threads, int shards,
                 int batch) {
-  wfm::CollectionSession session(analysis, std::move(workload), shards);
+  wfm::CollectionSession session(decoder, std::move(workload), shards);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   wfm::Stopwatch timer;
@@ -78,7 +78,7 @@ double RunTrial(const wfm::FactorizationAnalysis& analysis,
   const wfm::WorkloadEstimate estimate =
       server.Serve(wfm::EstimatorKind::kUnbiased).value();
   WFM_CHECK_EQ(static_cast<std::int64_t>(estimate.query_answers.size()),
-               static_cast<std::int64_t>(analysis.n()));
+               static_cast<std::int64_t>(decoder.n()));
   WFM_CHECK_EQ(session.total_responses(),
                static_cast<std::int64_t>(reports.size()));
   return ingest_seconds;
@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
   // Pre-randomize the report stream once through the real client path.
   const wfm::Matrix q = wfm::RandomizedResponseMechanism::BuildStrategy(n, eps);
   auto workload = std::make_shared<const wfm::HistogramWorkload>(n);
-  const wfm::FactorizationAnalysis analysis(
-      q, wfm::WorkloadStats::From(*workload));
+  const wfm::ReportDecoder decoder = wfm::ReportDecoder::FromAnalysis(
+      wfm::FactorizationAnalysis(q, wfm::WorkloadStats::From(*workload)));
   const wfm::LocalRandomizer randomizer(q);
   wfm::Rng rng(7);
   std::vector<int> reports(num_reports);
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
     double best_rate = 0.0;
     for (int trial = 0; trial < trials; ++trial) {
       const double seconds =
-          RunTrial(analysis, workload, reports, threads, shards, batch);
+          RunTrial(decoder, workload, reports, threads, shards, batch);
       best_rate = std::max(best_rate, num_reports / seconds);
     }
     if (base_rate == 0.0) base_rate = best_rate;  // First row is the base.

@@ -1,72 +1,18 @@
 #include "adaptive/drift_detector.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <string>
 
 namespace wfm {
-namespace {
-
-/// Per-coordinate variance of the normalized estimate x_hat / N for one
-/// epoch, from the decode family's closed form (see the header comment).
-/// The plug-in response distribution pi = y / N is clamped to [0, 1] so a
-/// histogram whose entries drifted slightly outside the simplex (dense
-/// additive reports) cannot produce a negative variance.
-StatusOr<Vector> NormalizedEstimateVariance(const ReportDecoder& decoder,
-                                            const EpochSnapshot& epoch) {
-  const int m = decoder.m();
-  if (static_cast<int>(epoch.histogram.size()) != m) {
-    return Status::InvalidArgument(
-        "epoch histogram has dimension " +
-        std::to_string(epoch.histogram.size()) + ", decoder expects m = " +
-        std::to_string(m));
-  }
-  if (epoch.count <= 0) {
-    return Status::InvalidArgument(
-        "epoch has no reports to score drift from");
-  }
-  const double count = static_cast<double>(epoch.count);
-  const int n = decoder.n();
-  Vector variance(n, 0.0);
-  if (decoder.needs_report_count()) {
-    // Affine debias: coordinate i of the aggregate is Binomial(N, r_i).
-    const AffineDebias& debias = decoder.affine_debias();
-    const double gap = debias.p - debias.q;
-    for (int i = 0; i < n; ++i) {
-      const double r = std::clamp(epoch.histogram[i] / count, 0.0, 1.0);
-      variance[i] = r * (1.0 - r) / (count * gap * gap);
-    }
-    return variance;
-  }
-  // Linear decode x_hat = B y with y a histogram of N categorical draws:
-  // Var(x_hat_i) = N [ sum_o B_io^2 pi_o − ((B pi)_i)^2 ].
-  const Matrix& b = decoder.b();
-  Vector pi(m, 0.0);
-  for (int o = 0; o < m; ++o) {
-    pi[o] = std::clamp(epoch.histogram[o] / count, 0.0, 1.0);
-  }
-  for (int i = 0; i < n; ++i) {
-    const double* row = b.RowPtr(i);
-    double second_moment = 0.0;
-    double mean = 0.0;
-    for (int o = 0; o < m; ++o) {
-      second_moment += row[o] * row[o] * pi[o];
-      mean += row[o] * pi[o];
-    }
-    variance[i] = std::max(0.0, second_moment - mean * mean) / count;
-  }
-  return variance;
-}
-
-}  // namespace
 
 StatusOr<DriftScore> DriftDetector::Score(const ReportDecoder& decoder,
                                           const EpochSnapshot& baseline,
                                           const EpochSnapshot& current) const {
-  StatusOr<Vector> baseline_var = NormalizedEstimateVariance(decoder, baseline);
+  StatusOr<Vector> baseline_var =
+      decoder.EstimateVariance(baseline.histogram, baseline.count);
   if (!baseline_var.ok()) return baseline_var.status();
-  StatusOr<Vector> current_var = NormalizedEstimateVariance(decoder, current);
+  StatusOr<Vector> current_var =
+      decoder.EstimateVariance(current.histogram, current.count);
   if (!current_var.ok()) return current_var.status();
 
   const Vector a = decoder.EstimateDataVector(baseline.histogram,

@@ -12,7 +12,8 @@
 //
 // Under "no drift" both normalized estimates share a mean, so D^2 is a sum
 // of n squared zero-mean differences whose per-coordinate variances the
-// decode family gives in closed form:
+// decoder gives in closed form (ReportDecoder::EstimateVariance, for dense,
+// Kronecker and affine decoders alike):
 //
 //   linear (x_hat = B y):    Var(x_hat_i / N) =
 //       [ sum_o B_io^2 pi_o − ((B pi)_i)^2 ] / N     with pi = y / N

@@ -49,13 +49,6 @@ CollectionSession::CollectionSession(ReportDecoder decoder,
   decoders_.push_back(std::make_shared<const ReportDecoder>(decoder_));
 }
 
-CollectionSession::CollectionSession(const FactorizationAnalysis& analysis,
-                                     std::shared_ptr<const Workload> workload,
-                                     int num_shards)
-    : CollectionSession(ReportDecoder::FromAnalysis(analysis),
-                        std::move(workload), num_shards,
-                        ReportKind::kCategorical) {}
-
 void CollectionSession::Accept(int shard, std::span<const int> responses) {
   std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
   active_->AddBatch(shard, responses);

@@ -53,7 +53,6 @@
 
 #include "collect/sharded_aggregator.h"
 #include "common/status.h"
-#include "core/factorization.h"
 #include "estimation/decoder.h"
 #include "ldp/reporter.h"
 #include "linalg/matrix.h"
@@ -80,11 +79,6 @@ class CollectionSession {
   CollectionSession(ReportDecoder decoder,
                     std::shared_ptr<const Workload> workload, int num_shards,
                     ReportKind report_kind = ReportKind::kCategorical);
-
-  /// Strategy-mechanism convenience: decodes through the factorization's
-  /// optimal reconstruction; ingests categorical responses.
-  CollectionSession(const FactorizationAnalysis& analysis,
-                    std::shared_ptr<const Workload> workload, int num_shards);
 
   /// The session's initial (version 0) decoder. After a roll, per-version
   /// decode goes through DecoderForVersion(); this accessor stays pinned to

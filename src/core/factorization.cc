@@ -131,10 +131,4 @@ Matrix FactorizationAnalysis::OptimalV(const Matrix& w_explicit) const {
   return Multiply(w_explicit, b_);
 }
 
-Vector FactorizationAnalysis::EstimateDataVector(
-    const Vector& response_histogram) const {
-  WFM_CHECK_EQ(static_cast<int>(response_histogram.size()), q_.rows());
-  return MultiplyVec(b_, response_histogram);
-}
-
 }  // namespace wfm

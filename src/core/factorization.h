@@ -91,14 +91,12 @@ class FactorizationAnalysis {
   double SampleComplexityOnData(const Vector& x, double alpha) const;
 
   /// Reconstruction factor B (n x m): V = W B, and the unbiased data-vector
-  /// estimate from a response histogram y is x_hat = B y.
+  /// estimate from a response histogram y is x_hat = B y
+  /// (ReportDecoder::FromAnalysis decodes with it).
   const Matrix& ReconstructionB() const { return b_; }
 
   /// Explicit V = W B for workloads small enough to materialize.
   Matrix OptimalV(const Matrix& w_explicit) const;
-
-  /// Unbiased estimate of the data vector from the response histogram.
-  Vector EstimateDataVector(const Vector& response_histogram) const;
 
   /// Relative residual of the factorization constraint W = (WB)Q, measured
   /// Gram-side as ||G B Q - G||_max / ||G||_max. Large values mean W is not

@@ -1,31 +1,36 @@
 // The server half of a deployed mechanism: reconstruct the data vector from
 // the m-dimensional aggregate of all reports.
 //
-// Two decode families cover every deployable mechanism in this library:
+// Every linear mechanism is a factorization pair (Q, B) and decodes as
+// x_hat = B y, where y sums the reports (response histogram for categorical
+// mechanisms, coordinatewise sum for additive ones). The decoder holds B as
+// a list of factors, B = B_0 ⊗ ... ⊗ B_{k-1}:
 //
-//   * linear — the unbiased estimate is x_hat = B y, where y sums the
-//     reports (response histogram for categorical mechanisms, coordinatewise
-//     sum for additive ones) and B is the mechanism's n x m reconstruction
-//     factor: Theorem 3.10's optimal B = (Qᵀ D_Q⁻¹ Q)† Qᵀ D_Q⁻¹ for strategy
-//     mechanisms, the pseudo-inverse A† for the distributed Matrix
-//     Mechanism;
-//   * affine — unary-encoding frequency oracles (RAPPOR, OUE) report n-bit
-//     vectors whose per-coordinate debiasing needs the report count N:
-//     x_hat = (y - N q 1) / (p - q), with p = P(bit = 1 | true bit = 1) and
-//     q = P(bit = 1 | true bit = 0). The map is affine in y, not linear, so
-//     the decoder carries (p, q) and callers supply N at decode time
-//     (EpochSnapshot::count / PlanServer::num_reports()).
+//   * k = 1 is the dense case {B}: Theorem 3.10's optimal
+//     B = (Qᵀ D_Q⁻¹ Q)† Qᵀ D_Q⁻¹ for strategy mechanisms, the pseudo-inverse
+//     A† for the distributed Matrix Mechanism;
+//   * k > 1 is a Kronecker deployment over a product domain, {B_i} with one
+//     n_i x m_i factor per workload factor; no n x m matrix ever exists.
 //
-// The WNNLS consistent estimate (Appendix A) additionally needs only the
-// workload Gram matrix, so (decode factor, WorkloadStats) is the complete
-// server-side description of any deployment and is what
-// collect/CollectionSession carries.
+// The matching Gram factors — {G} for k = 1, {G_i} for k > 1, with
+// G = ⊗ G_i — drive consistent (WNNLS) estimation, so (decode factors,
+// WorkloadStats) is the complete server-side description of a deployment
+// and is what collect/CollectionSession carries. Decode and the WNNLS
+// iteration both run through linalg/kron.h, whose one-factor case is the
+// pooled dense matvec.
+//
+// Unary-encoding frequency oracles (RAPPOR, OUE) have no decode factors.
+// Their n-bit reports debias affinely, x_hat = (y - N q 1) / (p - q), with
+// p = P(bit = 1 | true bit = 1) and q = P(bit = 1 | true bit = 0); the
+// decoder carries (p, q) and callers supply the report count N at decode
+// time (EpochSnapshot::count / PlanServer::num_reports()).
 
 #ifndef WFM_ESTIMATION_DECODER_H_
 #define WFM_ESTIMATION_DECODER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -45,54 +50,40 @@ struct AffineDebias {
 
 class ReportDecoder {
  public:
-  /// Linear decoder: `b` is the n x m decode factor; `stats` supplies the
-  /// Gram matrix for consistent (WNNLS) estimation on the same workload.
-  ReportDecoder(Matrix b, WorkloadStats stats);
-
-  /// Affine decoder (m = n = stats.n): debiases n-bit-vector aggregates as
-  /// x_hat = (y - N q 1)/(p - q). Decoding requires the report count N, so
-  /// callers must use the count-taking EstimateDataVector overload.
-  ReportDecoder(AffineDebias debias, WorkloadStats stats);
-
-  /// Factored (Kronecker) decoder: per-factor reconstruction factors B_i
-  /// (n_i x m_i, factor order matching stats.factors), decoding
-  /// x̂ = (⊗ B_i) y mode-wise — no composed n x m matrix exists. `stats`
-  /// must be factored; m is Π m_i.
+  /// Linear decoder x_hat = (B_0 ⊗ ... ⊗ B_{k-1}) y. One factor {B} is the
+  /// dense n x m decode factor. More factors need Kronecker-structured
+  /// `stats` with as many factors, B_i being n_i x m_i in factor order;
+  /// m is Π m_i. `stats` supplies the Gram factors for WNNLS estimation.
   ReportDecoder(std::vector<Matrix> b_factors, WorkloadStats stats);
 
-  // Copies and moves carry the cached Lipschitz constant along (the atomic
-  // member deletes the defaults).
-  ReportDecoder(const ReportDecoder& other);
-  ReportDecoder& operator=(const ReportDecoder& other);
-  ReportDecoder(ReportDecoder&& other) noexcept;
-  ReportDecoder& operator=(ReportDecoder&& other) noexcept;
+  /// Affine decoder (m = n = stats.n): debiases n-bit-vector aggregates as
+  /// x_hat = (y - N q 1)/(p - q), so decoding needs the true report count N.
+  ReportDecoder(AffineDebias debias, WorkloadStats stats);
 
-  /// Decoder of a strategy factorization: B = analysis.ReconstructionB().
-  /// Bit-identical to estimating through the analysis directly.
+  /// Decoder of a strategy factorization: {analysis.ReconstructionB()}.
   static ReportDecoder FromAnalysis(const FactorizationAnalysis& analysis);
 
   int n() const { return stats_.n; }
   int m() const { return m_; }
-  /// Linear decode factor; empty for affine and factored decoders.
-  const Matrix& b() const { return b_; }
-  /// True when the decode factor is held in Kronecker form.
-  bool factored() const { return factored_mode_; }
-  /// Per-factor decode factors; empty unless factored().
+  /// Decode factors {B} or {B_i}; empty for affine decoders.
   const std::vector<Matrix>& b_factors() const { return b_factors_; }
+  /// Gram factors matching the decode: the per-factor {G_i} of a Kronecker
+  /// decode, {G} otherwise. Pointers into workload_stats().
+  std::vector<const Matrix*> gram_factors() const;
   const WorkloadStats& workload_stats() const { return stats_; }
 
   /// True when this decoder debiases affinely and therefore needs the report
   /// count N alongside the aggregate.
-  bool needs_report_count() const { return affine_mode_; }
+  bool needs_report_count() const { return affine_.has_value(); }
   /// The affine parameters; call only when needs_report_count() is true.
   const AffineDebias& affine_debias() const;
 
-  /// Unbiased estimate of the data vector from the aggregate: B y for linear
-  /// decoders, (y - N q 1)/(p - q) for affine ones. `num_reports` is the
-  /// report count N behind the aggregate; linear decoders ignore it, affine
-  /// decoders require the true count (deliberately no default — an affine
-  /// decode without its N would compile and silently return estimates
-  /// shifted by N q/(p - q)). Aborts on dimension mismatch — use
+  /// Unbiased estimate of the data vector from the aggregate: (⊗ B_i) y for
+  /// linear decoders, (y - N q 1)/(p - q) for affine ones. `num_reports` is
+  /// the report count N behind the aggregate; linear decoders ignore it,
+  /// affine decoders require the true count (deliberately no default — an
+  /// affine decode without its N would compile and silently return
+  /// estimates shifted by N q/(p - q)). Aborts on dimension mismatch — use
   /// TryEstimateDataVector where the aggregate arrives from an untrusted
   /// source.
   Vector EstimateDataVector(const Vector& aggregate,
@@ -105,24 +96,51 @@ class ReportDecoder {
   StatusOr<Vector> TryEstimateDataVector(const Vector& aggregate,
                                          std::int64_t num_reports) const;
 
-  /// 2·λ_max(G): the Lipschitz constant of the WNNLS gradient for this
-  /// deployment's workload. Computed by power iteration on first use and
-  /// cached, so repeated consistent decodes (one per served estimate) pay
-  /// for it once. For factored decoders λ_max(⊗ G_i) = Π λ_max(G_i), so the
-  /// power iteration runs per factor. Thread-safe; a racing first call
+  /// Plug-in per-coordinate variance of the normalized estimate x_hat / N,
+  /// evaluated at the observed response distribution pi = y / N (clamped to
+  /// [0, 1], so a histogram slightly outside the simplex cannot produce a
+  /// negative variance):
+  ///   * linear: y is a histogram of N categorical draws, so
+  ///     Var_i = [Σ_o B_io² pi_o − ((B pi)_i)²] / N, with
+  ///     Σ_o B_io² pi_o = ((⊗ (B_i ∘ B_i)) pi)_i and B pi = (⊗ B_i) pi;
+  ///   * affine: coordinate i of y is Binomial(N, pi_i), so
+  ///     Var_i = pi_i (1 − pi_i) / (N (p − q)²).
+  /// kInvalidArgument when the aggregate's dimension does not match m or
+  /// the report count is not positive.
+  StatusOr<Vector> EstimateVariance(const Vector& aggregate,
+                                    std::int64_t num_reports) const;
+
+  /// WnnlsLipschitz(gram_factors()) = 2·Π λ_max(G_i): the Lipschitz constant
+  /// of the WNNLS gradient for this deployment's workload. Computed by power
+  /// iteration on first use and cached, so repeated consistent decodes (one
+  /// per served estimate) pay for it once. Thread-safe; a racing first call
   /// recomputes the same value.
   double GramLipschitz() const;
 
  private:
-  Matrix b_;  ///< Empty in affine and factored modes.
-  std::vector<Matrix> b_factors_;  ///< Non-empty only in factored mode.
+  std::vector<const Matrix*> DecodeFactors() const;
+
+  std::vector<Matrix> b_factors_;  ///< Empty for affine decoders.
   WorkloadStats stats_;
   int m_ = 0;
-  bool affine_mode_ = false;
-  bool factored_mode_ = false;
-  AffineDebias affine_;
-  /// Negative means "not computed yet".
-  mutable std::atomic<double> gram_lipschitz_{-1.0};
+  std::optional<AffineDebias> affine_;
+
+  /// The lazily computed GramLipschitz(); negative means "not computed yet".
+  /// std::atomic is not copyable, so copies take a snapshot of the value.
+  /// Held inline rather than behind a shared_ptr: a heap allocation per
+  /// decoder measurably slows repeated Plan::Build.
+  struct LipschitzCache {
+    LipschitzCache() = default;
+    LipschitzCache(const LipschitzCache& other) noexcept
+        : value(other.value.load(std::memory_order_relaxed)) {}
+    LipschitzCache& operator=(const LipschitzCache& other) noexcept {
+      value.store(other.value.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+      return *this;
+    }
+    std::atomic<double> value{-1.0};
+  };
+  mutable LipschitzCache gram_lipschitz_;
 };
 
 }  // namespace wfm

@@ -21,22 +21,4 @@ WorkloadEstimate EstimateWorkloadAnswers(const ReportDecoder& decoder,
   return out;
 }
 
-WorkloadEstimate EstimateWorkloadAnswers(const ReportDecoder& decoder,
-                                         const Workload& workload,
-                                         const Vector& aggregate,
-                                         EstimatorKind kind) {
-  WFM_CHECK(!decoder.needs_report_count())
-      << "affine decoder: use the overload taking the report count";
-  return EstimateWorkloadAnswers(decoder, workload, aggregate,
-                                 /*num_reports=*/0, kind);
-}
-
-WorkloadEstimate EstimateWorkloadAnswers(const FactorizationAnalysis& analysis,
-                                         const Workload& workload,
-                                         const Vector& response_histogram,
-                                         EstimatorKind kind) {
-  return EstimateWorkloadAnswers(ReportDecoder::FromAnalysis(analysis),
-                                 workload, response_histogram, kind);
-}
-
 }  // namespace wfm

@@ -1,20 +1,20 @@
 // End-to-end estimation pipeline: report aggregate -> data-vector estimate
-// -> workload answers. Bundles the unbiased path (V y = W (B y)) and the
-// consistent WNNLS path behind one call used by the examples and Figure 4.
+// -> workload answers. Bundles the unbiased path (x_hat = (⊗ B_i) y) and the
+// consistent WNNLS path (over the matching Gram factors ⊗ G_i) behind one
+// call used by every serving path (PlanServer, EstimateServer), the
+// examples, and Figure 4.
 //
-// The ReportDecoder overload is the general entry point (any deployable
-// mechanism, see estimation/decoder.h); the FactorizationAnalysis overload
-// is the strategy-mechanism special case and produces bit-identical output.
-// Affine decoders (RAPPOR/OUE bit-vector deployments) debias against the
-// report count N, so the count-taking overload is the one every serving path
-// (PlanServer, EstimateServer) routes through.
+// There is one entry point: a ReportDecoder (estimation/decoder.h) plus the
+// report count N behind the aggregate. Dense and Kronecker deployments are
+// both factor lists, and affine decoders (RAPPOR/OUE bit vectors) need N to
+// debias. A strategy factorization enters through
+// ReportDecoder::FromAnalysis.
 
 #ifndef WFM_ESTIMATION_ESTIMATOR_H_
 #define WFM_ESTIMATION_ESTIMATOR_H_
 
 #include <cstdint>
 
-#include "core/factorization.h"
 #include "estimation/decoder.h"
 #include "estimation/wnnls.h"
 #include "workload/workload.h"
@@ -38,20 +38,6 @@ WorkloadEstimate EstimateWorkloadAnswers(const ReportDecoder& decoder,
                                          const Workload& workload,
                                          const Vector& aggregate,
                                          std::int64_t num_reports,
-                                         EstimatorKind kind);
-
-/// Count-free convenience for linear decoders; aborts on an affine decoder,
-/// whose debiasing would silently be wrong without N.
-WorkloadEstimate EstimateWorkloadAnswers(const ReportDecoder& decoder,
-                                         const Workload& workload,
-                                         const Vector& aggregate,
-                                         EstimatorKind kind);
-
-/// Strategy-mechanism convenience: decodes through the factorization's
-/// optimal reconstruction B (Theorem 3.10).
-WorkloadEstimate EstimateWorkloadAnswers(const FactorizationAnalysis& analysis,
-                                         const Workload& workload,
-                                         const Vector& response_histogram,
                                          EstimatorKind kind);
 
 }  // namespace wfm

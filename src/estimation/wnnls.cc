@@ -27,18 +27,38 @@ double KktResidual(const Vector& x, const Vector& grad) {
 
 }  // namespace
 
-WnnlsResult SolveWnnls(const GramOperator& gram_op, std::int64_t n64,
+double WnnlsLipschitz(const std::vector<const Matrix*>& gram_factors) {
+  double lambda = 1.0;
+  for (const Matrix* g : gram_factors) {
+    lambda *= PowerIterationLargestEigenvalue(*g);
+  }
+  return 2.0 * lambda;
+}
+
+WnnlsResult SolveWnnls(const std::vector<const Matrix*>& gram_factors,
                        const Vector& rhs, const WnnlsOptions& options,
                        const Vector* warm_start) {
-  const std::size_t n = static_cast<std::size_t>(n64);
-  WFM_CHECK_GE(n64, 0);
+  WFM_CHECK_GT(gram_factors.size(), 0u) << "WNNLS needs a Gram factor";
+  for (const Matrix* g : gram_factors) {
+    WFM_CHECK(g != nullptr);
+    WFM_CHECK_EQ(g->rows(), g->cols());
+  }
+  const std::size_t n = static_cast<std::size_t>(KroneckerCols(gram_factors));
   WFM_CHECK_EQ(rhs.size(), n);
-  WFM_CHECK_GT(options.lipschitz, 0.0)
-      << "operator-form WNNLS needs an explicit Lipschitz constant "
-         "(2 λ_max(G)); ReportDecoder::GramLipschitz() provides it";
-  const double step = 1.0 / options.lipschitz;
 
+  // Callers with a cached Lipschitz constant (ReportDecoder) pass it in and
+  // skip the power iteration.
+  const double lip = options.lipschitz > 0.0 ? options.lipschitz
+                                             : WnnlsLipschitz(gram_factors);
   WnnlsResult result;
+  if (lip <= 0.0) {
+    // G = 0: any non-negative x is optimal.
+    result.x.assign(n, 0.0);
+    result.converged = true;
+    return result;
+  }
+  const double step = 1.0 / lip;
+
   Vector x(n, 0.0);
   if (warm_start != nullptr) {
     WFM_CHECK_EQ(warm_start->size(), n);
@@ -50,9 +70,11 @@ WnnlsResult SolveWnnls(const GramOperator& gram_op, std::int64_t n64,
   // Tolerance scaled to the problem: gradient entries are O(||r||_inf).
   const double tol = options.tolerance * std::max(1.0, MaxAbsVec(rhs));
 
-  // Iteration buffers, hoisted so the loop reuses them (the dense operator
-  // uses the pooled matvec kernel for large grams).
-  Vector grad(n), x_next(n), gx(n);
+  // Iteration buffers, hoisted so the loop reuses them.
+  Vector grad(n), x_next(n), gx(n), scratch;
+  auto gram_op = [&gram_factors, &scratch](const Vector& v, Vector& out) {
+    KroneckerMatVecInto(gram_factors, v, out, scratch);
+  };
   for (int it = 0; it < options.max_iterations; ++it) {
     // Gradient step at the extrapolated point.
     gram_op(momentum, grad);
@@ -99,71 +121,16 @@ WnnlsResult SolveWnnls(const GramOperator& gram_op, std::int64_t n64,
   return result;
 }
 
-WnnlsResult SolveWnnlsFromGram(const Matrix& gram, const Vector& rhs,
-                               const WnnlsOptions& options,
-                               const Vector* warm_start) {
-  const int n = gram.rows();
-  WFM_CHECK_EQ(gram.cols(), n);
-  WFM_CHECK_EQ(static_cast<int>(rhs.size()), n);
-
-  // Lipschitz constant of the gradient: 2 λ_max(G). Callers with a cached
-  // value (ReportDecoder) pass it in and skip the power iteration.
-  const double lip = options.lipschitz > 0.0
-                         ? options.lipschitz
-                         : 2.0 * PowerIterationLargestEigenvalue(gram);
-  if (lip <= 0.0) {
-    // G = 0: any non-negative x is optimal.
-    WnnlsResult result;
-    result.x.assign(n, 0.0);
-    result.converged = true;
-    return result;
-  }
-  WnnlsOptions opts = options;
-  opts.lipschitz = lip;
-  return SolveWnnls(
-      [&gram](const Vector& v, Vector& out) { MultiplyVecInto(gram, v, out); },
-      n, rhs, opts, warm_start);
-}
-
 WnnlsResult WnnlsEstimate(const ReportDecoder& decoder, const Vector& aggregate,
                           std::int64_t num_reports,
                           const WnnlsOptions& options) {
   const Vector unbiased = decoder.EstimateDataVector(aggregate, num_reports);
+  const std::vector<const Matrix*> grams = decoder.gram_factors();
   WnnlsOptions opts = options;
   if (opts.lipschitz <= 0.0) opts.lipschitz = decoder.GramLipschitz();
-  if (decoder.factored()) {
-    // G = ⊗ G_i exists only as an operator; both the rhs and the iteration
-    // run through the Kronecker vec-trick.
-    std::vector<const Matrix*> grams;
-    grams.reserve(decoder.workload_stats().factors.size());
-    for (const WorkloadStats& f : decoder.workload_stats().factors) {
-      grams.push_back(&f.gram);
-    }
-    Vector scratch;
-    Vector rhs;
-    KroneckerMatVecInto(grams, unbiased, rhs, scratch);
-    auto op = [&grams, &scratch](const Vector& v, Vector& out) {
-      KroneckerMatVecInto(grams, v, out, scratch);
-    };
-    return SolveWnnls(op, decoder.n(), rhs, opts, &unbiased);
-  }
-  const Matrix& gram = decoder.workload_stats().gram;
-  const Vector rhs = MultiplyVec(gram, unbiased);
-  return SolveWnnlsFromGram(gram, rhs, opts, &unbiased);
-}
-
-WnnlsResult WnnlsEstimate(const ReportDecoder& decoder, const Vector& aggregate,
-                          const WnnlsOptions& options) {
-  WFM_CHECK(!decoder.needs_report_count())
-      << "affine decoder: use the overload taking the report count";
-  return WnnlsEstimate(decoder, aggregate, /*num_reports=*/0, options);
-}
-
-WnnlsResult WnnlsEstimate(const FactorizationAnalysis& analysis,
-                          const Vector& response_histogram,
-                          const WnnlsOptions& options) {
-  return WnnlsEstimate(ReportDecoder::FromAnalysis(analysis),
-                       response_histogram, options);
+  Vector rhs, scratch;
+  KroneckerMatVecInto(grams, unbiased, rhs, scratch);
+  return SolveWnnls(grams, rhs, opts, &unbiased);
 }
 
 }  // namespace wfm

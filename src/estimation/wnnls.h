@@ -6,7 +6,11 @@
 //
 // and answering W x_hat. The quadratic depends on W only through the Gram
 // matrix: f(x) = xᵀ G x - 2 rᵀ x + const with r = Wᵀ(V y) = G (B y), so the
-// solver is Gram-based like everything else.
+// solver is Gram-based like everything else. G is passed as a list of
+// factors, G = G_0 ⊗ ... ⊗ G_{k-1}, matching ReportDecoder::gram_factors():
+// {G} for a dense deployment, {G_i} for a Kronecker one. Every G x runs
+// through KroneckerMatVecInto, whose one-factor case is the pooled dense
+// matvec, so there is one solver for both.
 //
 // The paper uses scipy's L-BFGS-B here; we implement FISTA (accelerated
 // projected gradient with adaptive restart) with the KKT conditions
@@ -18,9 +22,8 @@
 #define WFM_ESTIMATION_WNNLS_H_
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
-#include "core/factorization.h"
 #include "estimation/decoder.h"
 #include "linalg/matrix.h"
 
@@ -44,42 +47,27 @@ struct WnnlsResult {
   double kkt_residual = 0.0;
 };
 
-/// Solves min_{x>=0} xᵀ G x - 2 rᵀ x. `warm_start` (optional) seeds the
-/// iteration, e.g. with the clipped unbiased estimate.
-WnnlsResult SolveWnnlsFromGram(const Matrix& gram, const Vector& rhs,
-                               const WnnlsOptions& options = {},
-                               const Vector* warm_start = nullptr);
+/// 2·λ_max(G) = 2·Π λ_max(G_i) for G = ⊗ gram_factors: the Lipschitz
+/// constant of the WNNLS gradient (eigenvalues of a Kronecker product are
+/// the products of factor eigenvalues), by power iteration per factor.
+double WnnlsLipschitz(const std::vector<const Matrix*>& gram_factors);
 
-/// y = G x as a callable: out receives G x (resized by the callee). Lets the
-/// solver run against Gram matrices that exist only as operators — the
-/// Kronecker vec-trick on structured domains.
-using GramOperator = std::function<void(const Vector& x, Vector& out)>;
-
-/// Operator form of the same solve over an n-dimensional domain. The
-/// Lipschitz constant cannot be estimated from an operator cheaply, so
-/// options.lipschitz must be positive (ReportDecoder::GramLipschitz supplies
-/// it for factored deployments).
-WnnlsResult SolveWnnls(const GramOperator& gram_op, std::int64_t n,
-                       const Vector& rhs, const WnnlsOptions& options,
+/// Solves min_{x>=0} xᵀ G x - 2 rᵀ x with G = ⊗ gram_factors (each square;
+/// at least one). `warm_start` (optional) seeds the iteration, e.g. with the
+/// clipped unbiased estimate. When options.lipschitz is not positive, the
+/// step size comes from WnnlsLipschitz; G = 0 returns x = 0, converged.
+WnnlsResult SolveWnnls(const std::vector<const Matrix*>& gram_factors,
+                       const Vector& rhs, const WnnlsOptions& options = {},
                        const Vector* warm_start = nullptr);
 
-/// Convenience: consistent data-vector estimate from a report aggregate,
-/// r = G x_hat with x_hat the decoder's unbiased estimate, warm-started at
-/// clip(x_hat, 0, inf). Works for any deployable mechanism's decoder
-/// (estimation/decoder.h); `num_reports` is the report count N behind the
-/// aggregate, which affine decoders (RAPPOR/OUE) need to debias.
+/// Consistent data-vector estimate from a report aggregate: r = G x_hat with
+/// x_hat the decoder's unbiased estimate, solved over the decoder's Gram
+/// factors and warm-started at clip(x_hat, 0, inf). Works for any deployable
+/// mechanism's decoder (estimation/decoder.h); `num_reports` is the report
+/// count N behind the aggregate, which affine decoders (RAPPOR/OUE) need to
+/// debias and linear ones ignore.
 WnnlsResult WnnlsEstimate(const ReportDecoder& decoder, const Vector& aggregate,
                           std::int64_t num_reports,
-                          const WnnlsOptions& options = {});
-
-/// Count-free convenience for linear decoders (aborts on an affine one).
-WnnlsResult WnnlsEstimate(const ReportDecoder& decoder, const Vector& aggregate,
-                          const WnnlsOptions& options = {});
-
-/// Strategy-factorization special case; identical to estimating through
-/// ReportDecoder::FromAnalysis.
-WnnlsResult WnnlsEstimate(const FactorizationAnalysis& analysis,
-                          const Vector& response_histogram,
                           const WnnlsOptions& options = {});
 
 }  // namespace wfm

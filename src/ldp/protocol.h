@@ -8,9 +8,10 @@
 //      ShardedAggregator fans ingestion across workers and
 //      CollectionSession::Seal() cuts the stream into immutable epoch
 //      snapshots, each one instance of the paper's one-round protocol);
-//   4. the server reconstructs: x_hat = B y (unbiased, Theorem 3.10) or the
-//      WNNLS consistent estimate (Appendix A), then answers W x_hat
-//      (collect/EstimateServer caches this step per sealed epoch).
+//   4. the server reconstructs through a ReportDecoder and the report count
+//      N: x_hat = B y (unbiased, Theorem 3.10; B = ⊗ B_i on Kronecker
+//      domains) or the WNNLS consistent estimate (Appendix A), then answers
+//      W x_hat (collect/EstimateServer caches this step per sealed epoch).
 //
 // Unary-encoding frequency oracles (RAPPOR, OUE) follow the same four steps
 // with one twist in step 4: their n-bit reports debias *affinely*, not
@@ -26,8 +27,8 @@
 // f = 1/(1+e^{ε/2}); OUE: p = 1/2, q = 1/(e^ε+1)); it reduces to the linear
 // x_hat = B y when q = 0. Because N enters the decode, the server must track
 // report counts alongside aggregates — EpochSnapshot::count and
-// PlanServer::num_reports() carry exactly that, and ReportDecoder's
-// AffineDebias mode consumes it (estimation/decoder.h).
+// PlanServer::num_reports() carry exactly that, and an affine ReportDecoder
+// consumes it (estimation/decoder.h).
 //
 // api/plan.h is the front door over this whole pipeline: Plan::For(workload)
 // .Epsilon(eps).Mechanism(name).Build() performs step 1 and hands out

@@ -50,6 +50,17 @@ void MatVecImpl(const std::vector<const Matrix*>& factors, bool transpose,
   WFM_CHECK_EQ(static_cast<std::int64_t>(x.size()), in_dim)
       << "Kronecker operand length mismatch";
 
+  // One factor is a plain dense matvec: the pooled row-parallel kernels are
+  // several times faster than a single serial mode contraction.
+  if (k == 1) {
+    if (transpose) {
+      MultiplyTVecInto(*factors[0], x, y);
+    } else {
+      MultiplyVecInto(*factors[0], x, y);
+    }
+    return;
+  }
+
   // Ping-pong between y and scratch; the first contraction reads x directly.
   const double* src = x.data();
   Vector* dst = &y;

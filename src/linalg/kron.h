@@ -14,6 +14,9 @@
 // factors this is O(max(m, n)) where m = Π m_i, n = Π n_i, versus the
 // O(m·n) an explicit product would need. Cost is Σ_i left_i·m_i·n_i·right_i
 // flops, e.g. O(n · Σ m_i) for equal square factors instead of O(n·m).
+// A single factor is an ordinary dense matrix: the one-factor case runs the
+// pooled MultiplyVecInto / MultiplyTVecInto kernels, so dense callers pay
+// nothing for going through the Kronecker interface.
 
 #ifndef WFM_LINALG_KRON_H_
 #define WFM_LINALG_KRON_H_

@@ -181,7 +181,7 @@ StatusOr<Deployment> MatrixMechanism::Deploy(const WorkloadStats& workload) cons
   const double noise_scale = type_ == NoiseType::kLaplaceL1
                                  ? std::sqrt(variance / 2.0)
                                  : std::sqrt(variance);
-  ReportDecoder decoder(PseudoInverse(choice.a), workload);
+  ReportDecoder decoder({PseudoInverse(choice.a)}, workload);
   ErrorProfile profile;  // Additive noise: constant over user types.
   profile.phi.assign(n_, choice.unit_variance);
   profile.num_queries = workload.p;

@@ -1,9 +1,12 @@
 // Tests for src/adaptive: the noise-aware drift detector (including its
-// statistical false-positive conformance under a driftless stream), the
+// statistical false-positive conformance under a driftless stream and its
+// factor-wise variance on Kronecker decoders), the
 // budget planner's epsilon arithmetic and gauges, strategy rollover
 // bit-identity guarantees, and the end-to-end controller loop.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -16,9 +19,11 @@
 #include "core/factorization.h"
 #include "estimation/estimator.h"
 #include "ldp/local_randomizer.h"
+#include "linalg/kron.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
 #include "obs/metrics.h"
+#include "workload/kronecker.h"
 #include "workload/prefix.h"
 
 namespace wfm {
@@ -154,6 +159,61 @@ TEST_F(DriftDetectorTest, RejectsEmptyEpochsAndWrongDimensions) {
   narrow.histogram.resize(kN - 1);
   EXPECT_EQ(detector.Score(decoder_, narrow, good).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// A Kronecker decoder carries no composed B, so its plug-in variance is
+// computed factor-wise: Σ_o B_io² π_o = ((⊗ (B_i ∘ B_i)) π)_i. It must match
+// the same decoder built from the explicit KroneckerProduct, and the drift
+// detector must score factored deployments like dense ones.
+TEST(DriftDetectorKroneckerTest, FactoredVarianceMatchesComposedDecoder) {
+  const WorkloadStats stats =
+      WorkloadStats::From(*ParseWorkload("Prefix(3)xPrefix(4)"));
+  Rng rng(29);
+  Matrix b0(3, 5);
+  Matrix b1(4, 2);
+  for (Matrix* b : {&b0, &b1}) {
+    for (int r = 0; r < b->rows(); ++r) {
+      for (int c = 0; c < b->cols(); ++c) (*b)(r, c) = rng.Uniform(-2.0, 2.0);
+    }
+  }
+  const ReportDecoder factored({b0, b1}, stats);
+  const ReportDecoder composed({KroneckerProduct(b0, b1)}, stats);
+  ASSERT_EQ(factored.m(), composed.m());
+
+  auto make_epoch = [&](int epoch_id) {
+    EpochSnapshot epoch;
+    epoch.epoch_id = epoch_id;
+    epoch.histogram.assign(factored.m(), 0.0);
+    for (double& h : epoch.histogram) {
+      h = static_cast<double>(rng.UniformInt(400));
+      epoch.count += static_cast<std::int64_t>(h);
+    }
+    return epoch;
+  };
+  const EpochSnapshot baseline = make_epoch(0);
+  const EpochSnapshot current = make_epoch(1);
+
+  const StatusOr<Vector> got =
+      factored.EstimateVariance(current.histogram, current.count);
+  const StatusOr<Vector> want =
+      composed.EstimateVariance(current.histogram, current.count);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  ASSERT_EQ(got.value().size(), want.value().size());
+  for (std::size_t i = 0; i < want.value().size(); ++i) {
+    const double tol = 1e-12 * std::abs(want.value()[i]);
+    EXPECT_NEAR(got.value()[i], want.value()[i], tol) << "coordinate " << i;
+  }
+
+  const DriftDetector detector;
+  const StatusOr<DriftScore> score =
+      detector.Score(factored, baseline, current);
+  ASSERT_TRUE(score.ok()) << score.status().message();
+  const StatusOr<DriftScore> reference =
+      detector.Score(composed, baseline, current);
+  ASSERT_TRUE(reference.ok()) << reference.status().message();
+  EXPECT_NEAR(score.value().sigmas, reference.value().sigmas,
+              1e-9 * std::max(1.0, std::abs(reference.value().sigmas)));
 }
 
 TEST(BudgetPlannerTest, SplitsSpendsAndExposesGauges) {

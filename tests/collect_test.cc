@@ -64,8 +64,9 @@ Report BitsReport(std::vector<std::uint8_t> bits) {
 std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
-  FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  return std::make_unique<CollectionSession>(std::move(analysis),
+  ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(*workload)));
+  return std::make_unique<CollectionSession>(std::move(decoder),
                                              std::move(workload), num_shards);
 }
 
@@ -311,8 +312,9 @@ TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const PrefixWorkload>(n);
-  FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  CollectionSession session(analysis, workload, /*num_shards=*/2);
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(*workload)));
+  CollectionSession session(decoder, workload, /*num_shards=*/2);
 
   const std::vector<int> reports = MakeReports(n, 20000, /*seed=*/77);
   session.Accept(0, std::span<const int>(reports.data(), reports.size()));
@@ -323,7 +325,8 @@ TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
        {EstimatorKind::kUnbiased, EstimatorKind::kWnnls}) {
     const WorkloadEstimate served = server.Serve(kind).value();
     const WorkloadEstimate direct = EstimateWorkloadAnswers(
-        analysis, *workload, session.LatestSnapshot()->histogram, kind);
+        decoder, *workload, session.LatestSnapshot()->histogram,
+        session.LatestSnapshot()->count, kind);
     EXPECT_EQ(served.data_vector, direct.data_vector);
     EXPECT_EQ(served.query_answers, direct.query_answers);
   }
@@ -360,7 +363,8 @@ TEST(EstimateServerTest, CachesPerEpochAndInvalidatesOnSeal) {
   // The fresh epoch's estimate reflects only the new epoch's reports.
   const WorkloadEstimate direct = EstimateWorkloadAnswers(
       session->decoder(), session->workload(),
-      session->LatestSnapshot()->histogram, EstimatorKind::kUnbiased);
+      session->LatestSnapshot()->histogram, session->LatestSnapshot()->count,
+      EstimatorKind::kUnbiased);
   EXPECT_EQ(c.query_answers, direct.query_answers);
 }
 
@@ -537,7 +541,6 @@ TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
   const int n = 5;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
-  FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
   const LocalRandomizer randomizer(q);
 
   Rng rng(2026);
@@ -549,7 +552,9 @@ TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
     }
   }
 
-  CollectionSession session(analysis, workload, kIngestThreads);
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(*workload)));
+  CollectionSession session(decoder, workload, kIngestThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kIngestThreads; ++t) {
     threads.emplace_back([&, t] {

@@ -18,11 +18,13 @@ TEST(EstimatorTest, ShapesMatchWorkload) {
   const int n = 6;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   const PrefixWorkload workload(n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(workload)));
   Rng rng(161);
   const Vector y = SimulateResponseHistogram(q, {10, 20, 5, 0, 3, 2}, rng);
   for (auto kind : {EstimatorKind::kUnbiased, EstimatorKind::kWnnls}) {
-    const WorkloadEstimate est = EstimateWorkloadAnswers(fa, workload, y, kind);
+    const WorkloadEstimate est = EstimateWorkloadAnswers(
+        decoder, workload, y, static_cast<std::int64_t>(Sum(y)), kind);
     EXPECT_EQ(static_cast<int>(est.data_vector.size()), n);
     EXPECT_EQ(est.query_answers.size(),
               static_cast<std::size_t>(workload.num_queries()));
@@ -35,12 +37,14 @@ TEST(EstimatorTest, WnnlsAnswersAreConsistent) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 0.5);
   const PrefixWorkload workload(n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(workload)));
   Rng rng(162);
   for (int trial = 0; trial < 10; ++trial) {
     const Vector y = SimulateResponseHistogram(q, {5, 0, 0, 3, 0, 0, 0, 2}, rng);
-    const WorkloadEstimate est =
-        EstimateWorkloadAnswers(fa, workload, y, EstimatorKind::kWnnls);
+    const WorkloadEstimate est = EstimateWorkloadAnswers(
+        decoder, workload, y, static_cast<std::int64_t>(Sum(y)),
+        EstimatorKind::kWnnls);
     for (double v : est.data_vector) EXPECT_GE(v, -1e-9);
     for (int i = 1; i < n; ++i) {
       EXPECT_GE(est.query_answers[i], est.query_answers[i - 1] - 1e-9);
@@ -55,13 +59,15 @@ TEST(EstimatorTest, UnbiasedAnswersCanBeInconsistent) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 0.5);
   const HistogramWorkload workload(n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(workload)));
   Rng rng(163);
   bool saw_negative = false;
   for (int trial = 0; trial < 50 && !saw_negative; ++trial) {
     const Vector y = SimulateResponseHistogram(q, {9, 1, 0, 0, 0, 0, 0, 0}, rng);
-    const WorkloadEstimate est =
-        EstimateWorkloadAnswers(fa, workload, y, EstimatorKind::kUnbiased);
+    const WorkloadEstimate est = EstimateWorkloadAnswers(
+        decoder, workload, y, static_cast<std::int64_t>(Sum(y)),
+        EstimatorKind::kUnbiased);
     for (double v : est.data_vector) {
       if (v < 0) saw_negative = true;
     }
@@ -71,10 +77,12 @@ TEST(EstimatorTest, UnbiasedAnswersCanBeInconsistent) {
 
 TEST(EstimatorDeathTest, WorkloadDomainMismatch) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(4, 1.0);
-  FactorizationAnalysis fa(q, WorkloadStats::From(HistogramWorkload(4)));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(HistogramWorkload(4))));
   const PrefixWorkload other(5);
+  const Vector y(4, 1.0);
   EXPECT_DEATH(
-      EstimateWorkloadAnswers(fa, other, Vector(4, 1.0), EstimatorKind::kUnbiased),
+      EstimateWorkloadAnswers(decoder, other, y, 4, EstimatorKind::kUnbiased),
       "WFM_CHECK");
 }
 

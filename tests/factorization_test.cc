@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/projection.h"
+#include "estimation/decoder.h"
 #include "linalg/cholesky.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
@@ -204,9 +205,10 @@ TEST(FactorizationTest, EstimateDataVectorIsUnbiasedMap) {
   const int n = 5;
   const Matrix q = RandomStrategy(20, n, 1.0, rng);
   FactorizationAnalysis fa(q, WorkloadStats::From(HistogramWorkload(n)));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
   const Vector x{1, 2, 3, 4, 5};
   const Vector y = MultiplyVec(q, x);  // Expected response histogram.
-  const Vector x_hat = fa.EstimateDataVector(y);
+  const Vector x_hat = decoder.EstimateDataVector(y, /*num_reports=*/15);
   for (int u = 0; u < n; ++u) EXPECT_NEAR(x_hat[u], x[u], 1e-8);
 }
 

@@ -34,6 +34,7 @@ TEST(IntegrationTest, OptimizeSimulateEstimatePrefix) {
 
   const OptimizedMechanism mech(stats, eps, TestConfig());
   const FactorizationAnalysis fa = mech.AnalyzeFactorization(stats);
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
 
   const Dataset data = MakeSyntheticDataset("HEPTH", n, 20000);
   const Vector truth = workload->Apply(data.histogram);
@@ -44,8 +45,9 @@ TEST(IntegrationTest, OptimizeSimulateEstimatePrefix) {
   double total_sq = 0.0;
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(mech.strategy(), data.histogram, rng);
-    const WorkloadEstimate est =
-        EstimateWorkloadAnswers(fa, *workload, y, EstimatorKind::kUnbiased);
+    const WorkloadEstimate est = EstimateWorkloadAnswers(
+        decoder, *workload, y, static_cast<std::int64_t>(Sum(y)),
+        EstimatorKind::kUnbiased);
     for (std::size_t i = 0; i < truth.size(); ++i) {
       total_sq += std::pow(est.query_answers[i] - truth[i], 2);
     }
@@ -139,6 +141,7 @@ TEST(IntegrationTest, WnnlsNeverIncreasesErrorMuchAndHelpsWhenSparse) {
   const WorkloadStats stats = WorkloadStats::From(*workload);
   const OptimizedMechanism mech(stats, eps, TestConfig());
   const FactorizationAnalysis fa = mech.AnalyzeFactorization(stats);
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
 
   // Sparse low-N data: the regime where consistency helps (Figure 4).
   const Dataset data = SampleUsers(MakeSyntheticDataset("HEPTH", n, 100000), 500, 9);
@@ -149,10 +152,11 @@ TEST(IntegrationTest, WnnlsNeverIncreasesErrorMuchAndHelpsWhenSparse) {
   const int trials = 120;
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(mech.strategy(), data.histogram, rng);
-    const auto unbiased =
-        EstimateWorkloadAnswers(fa, *workload, y, EstimatorKind::kUnbiased);
-    const auto consistent =
-        EstimateWorkloadAnswers(fa, *workload, y, EstimatorKind::kWnnls);
+    const std::int64_t count = static_cast<std::int64_t>(Sum(y));
+    const auto unbiased = EstimateWorkloadAnswers(
+        decoder, *workload, y, count, EstimatorKind::kUnbiased);
+    const auto consistent = EstimateWorkloadAnswers(
+        decoder, *workload, y, count, EstimatorKind::kWnnls);
     for (std::size_t i = 0; i < truth.size(); ++i) {
       err_unbiased += std::pow(unbiased.query_answers[i] - truth[i], 2);
       err_wnnls += std::pow(consistent.query_answers[i] - truth[i], 2);

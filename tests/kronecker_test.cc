@@ -50,6 +50,11 @@ Matrix RandomMatrix(int rows, int cols, Rng& rng) {
 
 // --- linalg/kron.h kernels ------------------------------------------------
 
+// One-factor operands, ragged shapes included: row and column vectors, wide
+// and tall matrices.
+constexpr std::pair<int, int> kOneFactorShapes[] = {
+    {1, 7}, {7, 1}, {5, 3}, {3, 9}, {64, 17}};
+
 TEST(KronKernels, MatVecMatchesDenseKronecker) {
   Rng rng(11);
   const Matrix a = RandomMatrix(3, 4, rng);
@@ -67,6 +72,18 @@ TEST(KronKernels, MatVecMatchesDenseKronecker) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(fast[i], ref[i], 1e-9) << "row " << i;
   }
+
+  // One factor is the dense case: it must be exactly the dense kernel,
+  // ragged shapes included, through both the allocating and Into forms.
+  for (const auto& [rows, cols] : kOneFactorShapes) {
+    const Matrix single = RandomMatrix(rows, cols, rng);
+    const Vector v = RandomData(cols, rng);
+    const Vector expected = MultiplyVec(single, v);
+    EXPECT_EQ(KroneckerMatVec({&single}, v), expected) << rows << "x" << cols;
+    Vector into, scratch;
+    KroneckerMatVecInto({&single}, v, into, scratch);
+    EXPECT_EQ(into, expected) << rows << "x" << cols;
+  }
 }
 
 TEST(KronKernels, MatTVecMatchesDenseTranspose) {
@@ -82,6 +99,16 @@ TEST(KronKernels, MatTVecMatchesDenseTranspose) {
   ASSERT_EQ(fast.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(fast[i], ref[i], 1e-9) << "row " << i;
+  }
+
+  for (const auto& [rows, cols] : kOneFactorShapes) {
+    const Matrix single = RandomMatrix(rows, cols, rng);
+    const Vector v = RandomData(rows, rng);
+    const Vector expected = MultiplyTVec(single, v);
+    EXPECT_EQ(KroneckerMatTVec({&single}, v), expected) << rows << "x" << cols;
+    Vector into, scratch;
+    KroneckerMatTVecInto({&single}, v, into, scratch);
+    EXPECT_EQ(into, expected) << rows << "x" << cols;
   }
 }
 
@@ -414,9 +441,9 @@ TEST(StructuredPlanTest, MillionDomainDeploysAndDecodes) {
 
 TEST(StructuredPlanTest, FactoredWnnlsMatchesDenseSolve) {
   // The factored decode feeds WNNLS the same least-squares problem as the
-  // dense path, just through the Kronecker mat-vec operator and a product
-  // Lipschitz bound. On a domain where both paths run, the FISTA iterates
-  // must agree to floating-point noise.
+  // dense path, just as Gram factors {G0, G1} instead of {G0 ⊗ G1}. On a
+  // domain where both run, the FISTA iterates must agree to floating-point
+  // noise.
   const auto workload = ParseWorkload("Histogram(8)xPrefix(8)");
   const WorkloadStats stats = WorkloadStats::From(*workload);
   const int n = stats.n;
@@ -436,20 +463,11 @@ TEST(StructuredPlanTest, FactoredWnnlsMatchesDenseSolve) {
     ASSERT_NEAR(rhs_factored[i], rhs_dense[i], 1e-9 * std::abs(rhs_dense[i]));
   }
 
-  const WnnlsOptions dense_options;
-  const WnnlsResult dense =
-      SolveWnnlsFromGram(g_dense, rhs_dense, dense_options, &xhat);
-
-  WnnlsOptions factored_options;
-  // λmax(G0 ⊗ G1) = λmax(G0)·λmax(G1); the gradient operator is 2G.
-  factored_options.lipschitz = 2.0 * PowerIterationLargestEigenvalue(g0) *
-                               PowerIterationLargestEigenvalue(g1);
-  Vector op_scratch;
-  const auto gram_op = [&grams, &op_scratch](const Vector& v, Vector& out) {
-    KroneckerMatVecInto(grams, v, out, op_scratch);
-  };
-  const WnnlsResult factored =
-      SolveWnnls(gram_op, n, rhs_factored, factored_options, &xhat);
+  // One solver for both: with options.lipschitz unset it estimates the step
+  // as 2·λmax(G) on the dense side and 2·λmax(G0)·λmax(G1) on the factored
+  // side, which agree because eigenvalues multiply across a Kronecker product.
+  const WnnlsResult dense = SolveWnnls({&g_dense}, rhs_dense, {}, &xhat);
+  const WnnlsResult factored = SolveWnnls(grams, rhs_factored, {}, &xhat);
 
   EXPECT_TRUE(dense.converged);
   EXPECT_TRUE(factored.converged);

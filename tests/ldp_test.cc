@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/factorization.h"
+#include "estimation/decoder.h"
 #include "ldp/local_randomizer.h"
 #include "ldp/protocol.h"
 #include "linalg/rng.h"
@@ -117,6 +118,7 @@ TEST(ProtocolTest, UnbiasedWorkloadEstimates) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   const PrefixWorkload workload(n);
   FactorizationAnalysis fa(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
   const Vector x{40, 10, 25, 5, 20};
   const Vector truth = workload.Apply(x);
 
@@ -124,7 +126,8 @@ TEST(ProtocolTest, UnbiasedWorkloadEstimates) {
   Vector mean(n, 0.0);
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(q, x, rng);
-    const Vector answers = workload.Apply(fa.EstimateDataVector(y));
+    const Vector answers =
+        workload.Apply(decoder.EstimateDataVector(y, /*num_reports=*/100));
     for (int i = 0; i < n; ++i) mean[i] += answers[i] / trials;
   }
   const double var = fa.DataVariance(x);
@@ -142,6 +145,7 @@ TEST(ProtocolTest, EmpiricalVarianceMatchesTheorem34) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, eps);
   const HistogramWorkload workload(n);
   FactorizationAnalysis fa(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
   const Vector x{30, 50, 10, 10};
   const Vector truth = workload.Apply(x);
   const double analytic = fa.DataVariance(x);
@@ -150,7 +154,8 @@ TEST(ProtocolTest, EmpiricalVarianceMatchesTheorem34) {
   double total_sq_error = 0.0;
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(q, x, rng);
-    const Vector answers = workload.Apply(fa.EstimateDataVector(y));
+    const Vector answers =
+        workload.Apply(decoder.EstimateDataVector(y, /*num_reports=*/100));
     for (int i = 0; i < n; ++i) {
       const double d = answers[i] - truth[i];
       total_sq_error += d * d;

@@ -325,7 +325,7 @@ TEST(AffineDebiasPropertyTest, DecoderRejectsMalformedInputsAsStatus) {
 
   // The same dimension check holds for linear decoders.
   const Matrix q = Matrix::Identity(4);
-  const ReportDecoder linear(q, WorkloadStats::From(HistogramWorkload(4)));
+  const ReportDecoder linear({q}, WorkloadStats::From(HistogramWorkload(4)));
   EXPECT_EQ(linear.TryEstimateDataVector(Vector(3, 0.0), /*num_reports=*/0)
                 .status()
                 .code(),

@@ -76,8 +76,10 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
       aggregator.Add(randomizer.Respond(u, manual_rng));
     }
   }
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(analysis);
   const WorkloadEstimate manual = EstimateWorkloadAnswers(
-      analysis, *workload, aggregator.histogram(), EstimatorKind::kWnnls);
+      decoder, *workload, aggregator.histogram(), aggregator.num_responses(),
+      EstimatorKind::kWnnls);
 
   // --- Plan path, same pinned seeds. --------------------------------------
   const StatusOr<Plan> built = Plan::For(workload)
@@ -121,7 +123,8 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
 
   // The unbiased estimator kind agrees as well.
   const WorkloadEstimate manual_unbiased = EstimateWorkloadAnswers(
-      analysis, *workload, aggregator.histogram(), EstimatorKind::kUnbiased);
+      decoder, *workload, aggregator.histogram(), aggregator.num_responses(),
+      EstimatorKind::kUnbiased);
   EXPECT_EQ(server.Estimate(EstimatorKind::kUnbiased).data_vector,
             manual_unbiased.data_vector);
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/factorization.h"
+#include "estimation/decoder.h"
 #include "ldp/protocol.h"
 #include "linalg/rng.h"
 #include "mechanisms/fourier.h"
@@ -108,6 +109,7 @@ TEST(VariancePropertiesTest, HierarchicalSimulationUnbiased) {
   const Matrix q = HierarchicalMechanism::BuildStrategy(n, 1.0, 2);
   const PrefixWorkload workload(n);
   FactorizationAnalysis fa(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
   const Vector x{20, 10, 5, 15, 0, 30, 10, 10};
   const Vector truth = workload.Apply(x);
   Rng rng(171);
@@ -115,7 +117,8 @@ TEST(VariancePropertiesTest, HierarchicalSimulationUnbiased) {
   Vector mean(n, 0.0);
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(q, x, rng);
-    const Vector answers = workload.Apply(fa.EstimateDataVector(y));
+    const Vector answers =
+        workload.Apply(decoder.EstimateDataVector(y, /*num_reports=*/100));
     for (int i = 0; i < n; ++i) mean[i] += answers[i] / trials;
   }
   const double band = 5.0 * std::sqrt(fa.DataVariance(x) / trials);
@@ -127,6 +130,7 @@ TEST(VariancePropertiesTest, FourierSimulationUnbiased) {
   const Matrix q = FourierMechanism::BuildStrategy(n, 1.0, -1);
   const auto workload = CreateWorkload("AllMarginals", n);
   FactorizationAnalysis fa(q, WorkloadStats::From(*workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
   const Vector x{10, 20, 5, 0, 0, 15, 25, 25};
   const Vector truth = workload->Apply(x);
   Rng rng(172);
@@ -134,7 +138,8 @@ TEST(VariancePropertiesTest, FourierSimulationUnbiased) {
   Vector mean(truth.size(), 0.0);
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(q, x, rng);
-    const Vector answers = workload->Apply(fa.EstimateDataVector(y));
+    const Vector answers =
+        workload->Apply(decoder.EstimateDataVector(y, /*num_reports=*/100));
     for (std::size_t i = 0; i < truth.size(); ++i) mean[i] += answers[i] / trials;
   }
   const double band = 5.0 * std::sqrt(fa.DataVariance(x) / trials);
@@ -151,6 +156,7 @@ TEST(VariancePropertiesTest, EmpiricalVarianceMatchesAnalyticForHadamard) {
   ASSERT_NE(strat, nullptr);
   const auto workload = CreateWorkload("Histogram", n);
   FactorizationAnalysis fa(strat->strategy(), WorkloadStats::From(*workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
   const Vector x{20, 30, 10, 15, 15, 10};
   const Vector truth = workload->Apply(x);
   Rng rng(173);
@@ -158,7 +164,8 @@ TEST(VariancePropertiesTest, EmpiricalVarianceMatchesAnalyticForHadamard) {
   double total_sq = 0.0;
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(strat->strategy(), x, rng);
-    const Vector answers = workload->Apply(fa.EstimateDataVector(y));
+    const Vector answers =
+        workload->Apply(decoder.EstimateDataVector(y, /*num_reports=*/100));
     for (int i = 0; i < n; ++i) {
       total_sq += std::pow(answers[i] - truth[i], 2);
     }

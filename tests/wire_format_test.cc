@@ -380,8 +380,9 @@ TEST(WireEstimateTest, RoundTripsBitForBit) {
 std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
-  FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  return std::make_unique<CollectionSession>(std::move(analysis),
+  ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(*workload)));
+  return std::make_unique<CollectionSession>(std::move(decoder),
                                              std::move(workload), num_shards);
 }
 

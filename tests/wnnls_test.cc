@@ -3,6 +3,7 @@
 #include "estimation/wnnls.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,7 @@ namespace {
 TEST(WnnlsTest, UnconstrainedOptimumWhenInteriorIsFeasible) {
   // G = I, r = (1, 2, 3): minimum of xᵀx - 2rᵀx is x = r (all positive).
   const Matrix g = Matrix::Identity(3);
-  const WnnlsResult res = SolveWnnlsFromGram(g, {1, 2, 3});
+  const WnnlsResult res = SolveWnnls({&g}, {1, 2, 3});
   ASSERT_TRUE(res.converged);
   EXPECT_NEAR(res.x[0], 1.0, 1e-6);
   EXPECT_NEAR(res.x[1], 2.0, 1e-6);
@@ -29,7 +30,8 @@ TEST(WnnlsTest, UnconstrainedOptimumWhenInteriorIsFeasible) {
 
 TEST(WnnlsTest, ClampsNegativeComponents) {
   // G = I, r = (-1, 2): optimum is (0, 2).
-  const WnnlsResult res = SolveWnnlsFromGram(Matrix::Identity(2), {-1, 2});
+  const Matrix g = Matrix::Identity(2);
+  const WnnlsResult res = SolveWnnls({&g}, {-1, 2});
   ASSERT_TRUE(res.converged);
   EXPECT_NEAR(res.x[0], 0.0, 1e-8);
   EXPECT_NEAR(res.x[1], 2.0, 1e-6);
@@ -48,7 +50,7 @@ TEST(WnnlsTest, KktConditionsAtSolution) {
   Vector rhs(n);
   for (double& v : rhs) v = rng.Uniform(-2, 2);
 
-  const WnnlsResult res = SolveWnnlsFromGram(g, rhs);
+  const WnnlsResult res = SolveWnnls({&g}, rhs);
   ASSERT_TRUE(res.converged);
   // Verify the KKT conditions directly.
   Vector grad = MultiplyVec(g, res.x);
@@ -95,7 +97,7 @@ TEST(WnnlsTest, MatchesActiveSetEnumerationOnTinyProblem) {
       const double x1 = rhs[1] / g(1, 1);
       if (x1 >= 0) best = std::min(best, objective(0, x1));
     }
-    const WnnlsResult res = SolveWnnlsFromGram(g, rhs);
+    const WnnlsResult res = SolveWnnls({&g}, rhs);
     EXPECT_NEAR(res.objective, best, 1e-5 + 1e-4 * std::abs(best))
         << "trial " << trial;
   }
@@ -105,7 +107,7 @@ TEST(WnnlsTest, WarmStartConverges) {
   const Matrix g = Matrix::Identity(4);
   const Vector rhs{1, -1, 2, 0.5};
   const Vector warm{0.9, 0.2, 1.8, 0.6};
-  const WnnlsResult res = SolveWnnlsFromGram(g, rhs, {}, &warm);
+  const WnnlsResult res = SolveWnnls({&g}, rhs, {}, &warm);
   ASSERT_TRUE(res.converged);
   EXPECT_NEAR(res.x[0], 1.0, 1e-6);
   EXPECT_NEAR(res.x[1], 0.0, 1e-8);
@@ -113,7 +115,7 @@ TEST(WnnlsTest, WarmStartConverges) {
 
 TEST(WnnlsTest, ZeroGramReturnsZero) {
   const Matrix g(3, 3);
-  const WnnlsResult res = SolveWnnlsFromGram(g, {0, 0, 0});
+  const WnnlsResult res = SolveWnnls({&g}, {0, 0, 0});
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.x, (Vector{0, 0, 0}));
 }
@@ -127,7 +129,8 @@ TEST(WnnlsEstimateTest, ReducesErrorInLowSampleRegime) {
   const double eps = 0.5;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, eps);
   const PrefixWorkload workload(n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(workload)));
   const Vector x{40, 0, 0, 30, 0, 20, 0, 10};  // N = 100.
   const Vector truth = workload.Apply(x);
 
@@ -135,10 +138,10 @@ TEST(WnnlsEstimateTest, ReducesErrorInLowSampleRegime) {
   const int trials = 150;
   for (int t = 0; t < trials; ++t) {
     const Vector y = SimulateResponseHistogram(q, x, rng);
-    const WorkloadEstimate unbiased =
-        EstimateWorkloadAnswers(fa, workload, y, EstimatorKind::kUnbiased);
-    const WorkloadEstimate consistent =
-        EstimateWorkloadAnswers(fa, workload, y, EstimatorKind::kWnnls);
+    const WorkloadEstimate unbiased = EstimateWorkloadAnswers(
+        decoder, workload, y, /*num_reports=*/100, EstimatorKind::kUnbiased);
+    const WorkloadEstimate consistent = EstimateWorkloadAnswers(
+        decoder, workload, y, /*num_reports=*/100, EstimatorKind::kWnnls);
     for (int i = 0; i < n; ++i) {
       err_default += std::pow(unbiased.query_answers[i] - truth[i], 2);
       err_wnnls += std::pow(consistent.query_answers[i] - truth[i], 2);
@@ -156,14 +159,16 @@ TEST(WnnlsEstimateTest, NoopWhenUnbiasedEstimateAlreadyFeasible) {
   const int n = 4;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 3.0);
   const HistogramWorkload workload(n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
+      FactorizationAnalysis(q, WorkloadStats::From(workload)));
   const Vector x{50000, 80000, 30000, 40000};
+  const std::int64_t count = 200000;
   const Vector y = SimulateResponseHistogram(q, x, rng);
-  const Vector unbiased = fa.EstimateDataVector(y);
+  const Vector unbiased = decoder.EstimateDataVector(y, count);
   bool all_nonneg = true;
   for (double v : unbiased) all_nonneg &= v >= 0;
   ASSERT_TRUE(all_nonneg) << "draw unexpectedly produced negative estimates";
-  const WnnlsResult res = WnnlsEstimate(fa, y);
+  const WnnlsResult res = WnnlsEstimate(decoder, y, count);
   for (int u = 0; u < n; ++u) {
     EXPECT_NEAR(res.x[u], unbiased[u], 1e-4 * std::abs(unbiased[u]) + 1e-6);
   }
