@@ -1,8 +1,11 @@
 #include "common/flags.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <system_error>
 
 #include "common/check.h"
 
@@ -11,6 +14,42 @@ namespace {
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
+}
+
+/// Parses all of `text` as a finite T, or prints why it is not one and
+/// exits with status 2: a bad value must never reach the program as 0.
+template <typename T>
+T ParseNumberOrExit(const std::string& name, const std::string& text) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  const char* problem = nullptr;
+  if (ec == std::errc::result_out_of_range) {
+    problem = "is out of range";
+  } else if (ec != std::errc() || ptr != last) {
+    problem = "is not a number";
+  } else if (!std::isfinite(static_cast<double>(value))) {
+    problem = "is not a finite number";
+  }
+  if (problem != nullptr) {
+    std::fprintf(stderr, "flag --%s: '%s' %s\n", name.c_str(), text.c_str(),
+                 problem);
+    std::exit(2);
+  }
+  return value;
+}
+
+/// Comma-separated list of T; empty items are skipped.
+template <typename T>
+std::vector<T> ParseListOrExit(const std::string& name,
+                               const std::string& text) {
+  std::vector<T> out;
+  std::stringstream ss(text);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (!item.empty()) out.push_back(ParseNumberOrExit<T>(name, item));
+  }
+  return out;
 }
 
 }  // namespace
@@ -48,14 +87,14 @@ int FlagParser::GetInt(const std::string& name, int def) const {
   queried_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::atoi(it->second.c_str());
+  return ParseNumberOrExit<int>(name, it->second);
 }
 
 double FlagParser::GetDouble(const std::string& name, double def) const {
   queried_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  return std::atof(it->second.c_str());
+  return ParseNumberOrExit<double>(name, it->second);
 }
 
 bool FlagParser::GetBool(const std::string& name, bool def) const {
@@ -71,13 +110,7 @@ std::vector<double> FlagParser::GetDoubleList(
   queried_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  std::vector<double> out;
-  std::stringstream ss(it->second);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::atof(item.c_str()));
-  }
-  return out;
+  return ParseListOrExit<double>(name, it->second);
 }
 
 std::vector<int> FlagParser::GetIntList(const std::string& name,
@@ -85,13 +118,7 @@ std::vector<int> FlagParser::GetIntList(const std::string& name,
   queried_[name] = true;
   auto it = values_.find(name);
   if (it == values_.end()) return def;
-  std::vector<int> out;
-  std::stringstream ss(it->second);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::atoi(item.c_str()));
-  }
-  return out;
+  return ParseListOrExit<int>(name, it->second);
 }
 
 std::vector<std::string> FlagParser::UnusedFlags() const {

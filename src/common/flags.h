@@ -1,6 +1,9 @@
 // Minimal command-line flag parser for benches and examples.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name` forms.
+// Numeric getters accept only a whole, finite, in-range value (decimal for
+// ints); anything else, e.g. `--eps=banana`, prints
+// `flag --eps: 'banana' is not a number` and exits with status 2.
 //
 //   FlagParser flags(argc, argv);
 //   int n = flags.GetInt("n", 64);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <utility>
 
 #include "core/objective.h"
 #include "linalg/thread_pool.h"
@@ -14,8 +16,9 @@ namespace {
 
 // Optimizer telemetry, recorded per PGD run (never per iteration, so the
 // allocation-free inner loop stays untouched): run/iteration/failure
-// totals, full Optimize() spans, the probe-iteration span behind the
-// Figure 3c scalability bench, and the last converged objective.
+// totals, backtracked steps and iterations cut by the replay exit, full
+// Optimize() spans, the probe-iteration span behind the Figure 3c
+// scalability bench, and the last converged objective.
 Counter& OptimizerRuns() {
   static Counter& counter =
       MetricsRegistry::Global().GetCounter("wfm_optimizer_runs_total");
@@ -31,6 +34,18 @@ Counter& OptimizerIterations() {
 Counter& OptimizerCholeskyFailures() {
   static Counter& counter = MetricsRegistry::Global().GetCounter(
       "wfm_optimizer_cholesky_failures_total");
+  return counter;
+}
+
+Counter& OptimizerFailedSteps() {
+  static Counter& counter =
+      MetricsRegistry::Global().GetCounter("wfm_optimizer_failed_steps_total");
+  return counter;
+}
+
+Counter& OptimizerSkippedIterations() {
+  static Counter& counter = MetricsRegistry::Global().GetCounter(
+      "wfm_optimizer_skipped_iterations_total");
   return counter;
 }
 
@@ -129,10 +144,10 @@ struct InitialPoint {
   Vector z;
 };
 
-/// Every buffer the PGD loop touches, allocated once per OptimizeStrategy
-/// call and reused across iterations, restarts, and the step-size search.
-/// After the first iteration at a given (m, n) warms the buffers, the loop
-/// body performs no heap allocation on the Cholesky path.
+/// Every buffer the PGD loop touches, allocated once per run and reused
+/// across its iterations. After the first iteration at a given (m, n) warms
+/// the buffers, the loop body performs no heap allocation on the Cholesky
+/// path.
 struct PgdWorkspace {
   ObjectiveWorkspace obj;
   ProjectionWorkspace proj_ws;
@@ -140,7 +155,12 @@ struct PgdWorkspace {
   Matrix r;   ///< Pre-projection gradient step Q - β∇.
   Vector z;
   Vector gz;  ///< Backpropagated ∇_z.
+  Vector failed_z;  ///< z of the previous failed step (replay exit).
 };
+
+bool BitwiseEqual(const double* a, const double* b, std::size_t count) {
+  return std::memcmp(a, b, count * sizeof(double)) == 0;
+}
 
 RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
                   int m, double step, int iterations, Rng& rng,
@@ -170,6 +190,9 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
   const double scale_up = std::exp(eps);
   const double alpha_ratio = 1.0 / (n * scale_up);  // α = β/(n e^ε).
   double beta = step;
+  bool previous_failed = false;
+  int failed_steps = 0;
+  int skipped_iterations = 0;
 
   for (int t = 0; t < iterations; ++t) {
     if (!eval.used_cholesky) ++run.cholesky_failures;
@@ -190,13 +213,34 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
 
     eval = EvalObjectiveAndGradient(proj.q, gram, config.population, ws.obj);
     if (!std::isfinite(eval.value)) {
+      ++failed_steps;
+      // Replay exit. The previous step failed too, so this one started from
+      // the best iterate with every entry kFree: ∇z was 0 and z only went
+      // through the repair. If the repair left z bitwise unchanged and the
+      // Q step left the best iterate bitwise unchanged, every later
+      // iteration recomputes this same failed projection (a halved β
+      // cannot move Q either, because rounding is monotone), so the rest
+      // of the run could only add the fallback count below.
+      const bool replay =
+          previous_failed &&
+          BitwiseEqual(ws.r.data(), run.q.data(),
+                       static_cast<std::size_t>(m) * n) &&
+          BitwiseEqual(z.data(), ws.failed_z.data(), z.size());
       // Step too aggressive: halve and restart from the best iterate.
       beta *= 0.5;
       proj.q = run.q;
       std::fill(proj.pattern.begin(), proj.pattern.end(), ClipState::kFree);
       eval = EvalObjectiveAndGradient(proj.q, gram, config.population, ws.obj);
+      if (replay) {
+        skipped_iterations = iterations - t - 1;
+        if (!eval.used_cholesky) run.cholesky_failures += skipped_iterations;
+        break;
+      }
+      ws.failed_z = z;
+      previous_failed = true;
       continue;
     }
+    previous_failed = false;
     if (eval.value < run.objective) {
       run.objective = eval.value;
       run.q = proj.q;
@@ -208,7 +252,42 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
   OptimizerRuns().Increment();
   OptimizerIterations().Add(iterations);
   OptimizerCholeskyFailures().Add(run.cholesky_failures);
+  OptimizerFailedSteps().Add(failed_steps);
+  OptimizerSkippedIterations().Add(skipped_iterations);
   return run;
+}
+
+/// Runs `count` independent PGD runs concurrently on the global pool. Each
+/// run gets a private workspace, and run(i, ws)'s result lands in slot i, so
+/// the output is the same at every thread count. Kernels inside a run
+/// execute inline while the pool is busy with the runs themselves.
+template <typename Fn>
+auto RunConcurrently(int count, Fn&& run) {
+  using Result = decltype(run(0, std::declval<PgdWorkspace&>()));
+  std::vector<Result> results(count);
+  ThreadPool::Global().ParallelFor(count, [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      PgdWorkspace ws;
+      results[i] = run(i, ws);
+    }
+  });
+  return results;
+}
+
+/// Warm start from a caller-provided seed strategy (Section 4's "initialize
+/// with an existing mechanism" option). For a valid ε-LDP seed, z = row
+/// minima automatically satisfies both projection feasibility conditions:
+/// sum_o min_u Q_ou <= sum_o Q_ou = 1 and e^ε sum_o z_o >= sum_o Q_ou = 1.
+InitialPoint SeedInitialPoint(const Matrix& seed_q) {
+  InitialPoint init;
+  init.q = seed_q;
+  init.z.resize(seed_q.rows());
+  for (int o = 0; o < seed_q.rows(); ++o) {
+    double lo = seed_q(o, 0);
+    for (int u = 1; u < seed_q.cols(); ++u) lo = std::min(lo, seed_q(o, u));
+    init.z[o] = std::max(0.0, lo);
+  }
+  return init;
 }
 
 }  // namespace
@@ -252,39 +331,41 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
 
   Rng rng(config.seed);
 
-  // One workspace serves the probe, the step search, and every restart; its
-  // buffers are the reason the PGD loop below never allocates.
-  PgdWorkspace ws;
-
   // Normalize step candidates by the RMS gradient magnitude at a fresh
   // initialization so the candidates are problem-scale free.
   double grad_rms = 1.0;
   {
     Rng probe = rng.Fork();
     ProjectionResult proj = RandomInitialStrategy(m, n, eps, probe, nullptr);
-    EvalObjectiveAndGradient(proj.q, gram, config.population, ws.obj);
-    grad_rms = std::sqrt(ws.obj.gradient.FrobeniusNormSq() /
+    ObjectiveWorkspace probe_ws;
+    EvalObjectiveAndGradient(proj.q, gram, config.population, probe_ws);
+    grad_rms = std::sqrt(probe_ws.gradient.FrobeniusNormSq() /
                          (static_cast<double>(m) * n));
     if (!(grad_rms > 0.0) || !std::isfinite(grad_rms)) grad_rms = 1.0;
   }
 
   double step = config.step_size;
   if (step <= 0.0) {
+    const Rng search_rng = rng.Fork();
+    const int num_candidates = static_cast<int>(config.step_candidates.size());
+    const std::vector<double> trials =
+        RunConcurrently(num_candidates, [&](int i, PgdWorkspace& ws) {
+          Rng trial_rng = search_rng;  // Same seed for all candidates.
+          return RunOnce(gram, eps, config, m,
+                         config.step_candidates[i] / grad_rms,
+                         config.step_search_iterations, trial_rng,
+                         /*record_history=*/false, ws)
+              .objective;
+        });
     double best_obj = std::numeric_limits<double>::infinity();
-    Rng search_rng = rng.Fork();
-    for (double candidate : config.step_candidates) {
-      Rng trial_rng = search_rng;  // Same seed for all candidates.
-      const double beta = candidate / grad_rms;
-      RunResult run = RunOnce(gram, eps, config, m, beta,
-                              config.step_search_iterations, trial_rng,
-                              /*record_history=*/false, ws);
+    for (int i = 0; i < num_candidates; ++i) {
       if (config.verbose) {
         std::printf("  [step search] candidate %.1e -> objective %.6g\n",
-                    candidate, run.objective);
+                    config.step_candidates[i], trials[i]);
       }
-      if (std::isfinite(run.objective) && run.objective < best_obj) {
-        best_obj = run.objective;
-        step = beta;
+      if (std::isfinite(trials[i]) && trials[i] < best_obj) {
+        best_obj = trials[i];
+        step = config.step_candidates[i] / grad_rms;
       }
     }
     if (step <= 0.0) {
@@ -294,13 +375,46 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
     }
   }
 
+  const int num_restarts = config.num_restarts;
+  const int num_runs =
+      num_restarts + static_cast<int>(config.seed_strategies.size());
+  WFM_CHECK(num_runs > 0)
+      << "need at least one random restart or seed strategy";
+  for (const Matrix& seed_q : config.seed_strategies) {
+    WFM_CHECK_EQ(seed_q.cols(), n) << "seed strategy domain mismatch";
+  }
+  // Random restarts, then one warm start per seed strategy. Their RNGs are
+  // forked serially in index order before any run starts, so the stream
+  // each run sees is a function of (seed, index) alone, never of
+  // scheduling.
+  std::vector<Rng> run_rngs;
+  run_rngs.reserve(num_runs);
+  for (int i = 0; i < num_runs; ++i) run_rngs.push_back(rng.Fork());
+  std::vector<RunResult> runs =
+      RunConcurrently(num_runs, [&](int i, PgdWorkspace& ws) {
+        if (i < num_restarts) {
+          return RunOnce(gram, eps, config, m, step, config.iterations,
+                         run_rngs[i], /*record_history=*/true, ws);
+        }
+        const InitialPoint init =
+            SeedInitialPoint(config.seed_strategies[i - num_restarts]);
+        return RunOnce(gram, eps, config, m, step, config.iterations,
+                       run_rngs[i], /*record_history=*/true, ws, &init);
+      });
+
+  // The winner is chosen after the barrier in index order, so ties break to
+  // the lowest index at every thread count.
   OptimizerResult out;
   out.step_size_used = step;
   out.objective = std::numeric_limits<double>::infinity();
-  auto consider = [&](RunResult run, const char* label, int index) {
+  for (int i = 0; i < num_runs; ++i) {
+    RunResult& run = runs[i];
     if (config.verbose) {
-      std::printf("  [%s %d] objective %.6g (initial %.6g)\n", label, index,
-                  run.objective, run.initial_objective);
+      const bool restart = i < num_restarts;
+      std::printf("  [%s %d] objective %.6g (initial %.6g)\n",
+                  restart ? "restart" : "seed",
+                  restart ? i : i - num_restarts, run.objective,
+                  run.initial_objective);
     }
     if (run.objective < out.objective) {
       out.objective = run.objective;
@@ -310,66 +424,6 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
       out.history = std::move(run.history);
       out.cholesky_failures = run.cholesky_failures;
     }
-  };
-
-  WFM_CHECK(config.num_restarts > 0 || !config.seed_strategies.empty())
-      << "need at least one random restart or seed strategy";
-  // Restart RNGs are forked serially in index order before any run starts,
-  // so the stream each restart sees is a function of (seed, index) alone —
-  // never of scheduling.
-  std::vector<Rng> restart_rngs;
-  restart_rngs.reserve(config.num_restarts);
-  for (int restart = 0; restart < config.num_restarts; ++restart) {
-    restart_rngs.push_back(rng.Fork());
-  }
-  if (config.num_restarts <= 1) {
-    // Single restart stays on the shared workspace inline: this is the
-    // allocation-count-stable path optimizer_alloc_test pins.
-    for (int restart = 0; restart < config.num_restarts; ++restart) {
-      consider(RunOnce(gram, eps, config, m, step, config.iterations,
-                       restart_rngs[restart], /*record_history=*/true, ws),
-               "restart", restart);
-    }
-  } else {
-    // Best-of-K restarts are embarrassingly parallel: each gets a private
-    // workspace, and the winner is chosen after the barrier in index order,
-    // so ties break identically at every thread count.
-    std::vector<RunResult> runs(config.num_restarts);
-    ThreadPool::Global().ParallelFor(
-        config.num_restarts, [&](int begin, int end) {
-          for (int restart = begin; restart < end; ++restart) {
-            PgdWorkspace restart_ws;
-            runs[restart] =
-                RunOnce(gram, eps, config, m, step, config.iterations,
-                        restart_rngs[restart], /*record_history=*/true,
-                        restart_ws);
-          }
-        });
-    for (int restart = 0; restart < config.num_restarts; ++restart) {
-      consider(std::move(runs[restart]), "restart", restart);
-    }
-  }
-
-  // Warm-started runs from caller-provided seed strategies (Section 4's
-  // "initialize with an existing mechanism" option). For a valid ε-LDP seed,
-  // z = row minima automatically satisfies both projection feasibility
-  // conditions: sum_o min_u Q_ou <= sum_o Q_ou = 1 and
-  // e^ε sum_o z_o >= sum_o Q_ou = 1.
-  for (std::size_t i = 0; i < config.seed_strategies.size(); ++i) {
-    const Matrix& seed_q = config.seed_strategies[i];
-    WFM_CHECK_EQ(seed_q.cols(), n) << "seed strategy domain mismatch";
-    InitialPoint init;
-    init.q = seed_q;
-    init.z.resize(seed_q.rows());
-    for (int o = 0; o < seed_q.rows(); ++o) {
-      double lo = seed_q(o, 0);
-      for (int u = 1; u < n; ++u) lo = std::min(lo, seed_q(o, u));
-      init.z[o] = std::max(0.0, lo);
-    }
-    Rng run_rng = rng.Fork();
-    consider(RunOnce(gram, eps, config, m, step, config.iterations, run_rng,
-                     /*record_history=*/true, ws, &init),
-             "seed", static_cast<int>(i));
   }
   LastObjective().Set(out.objective);
   return out;

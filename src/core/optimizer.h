@@ -12,6 +12,15 @@
 // parameter search (the paper does the same), and the best-objective iterate
 // is returned — no privacy budget is consumed by any of this because the
 // objective is evaluated analytically.
+//
+// A step whose objective is not finite is backtracked: Q returns to the best
+// iterate with every entry marked free (so ∇_z = 0 and z holds still) and β
+// halves. A run ends early once two failed steps in a row leave z bitwise
+// unchanged and Q − β∇ bitwise equal to the best iterate. From there every
+// later iteration would replay the same failed projection, since rounding
+// is monotone and a smaller β cannot move Q either. This replay exit is
+// exact: it only adds the skipped iterations' pseudo-inverse fallbacks to
+// cholesky_failures, and every returned field is what the full loop gives.
 
 #ifndef WFM_CORE_OPTIMIZER_H_
 #define WFM_CORE_OPTIMIZER_H_
@@ -43,10 +52,7 @@ struct OptimizerConfig {
   double step_decay = 1.0;
   /// Independent random restarts; the best strategy wins (ties break to the
   /// lowest restart index). May be 0 when seed_strategies is non-empty
-  /// (warm-start-only runs). Restarts beyond the first run embarrassingly
-  /// parallel over the linalg ThreadPool; results are deterministic for a
-  /// fixed seed regardless of thread count because each restart owns its RNG
-  /// (pre-forked serially in index order) and its workspace.
+  /// (warm-start-only runs).
   int num_restarts = 1;
   /// Additional warm-start strategies (e.g. the Table 1 baselines). Each
   /// seed gets its own PGD run starting from the seed with z set to its row
@@ -54,6 +60,12 @@ struct OptimizerConfig {
   /// worse (in objective) than the best seed. This is the initialization
   /// option the paper discusses in Section 4; OptimizedMechanism fills it
   /// with the standard baselines by default.
+  ///
+  /// Every independent PGD run is concurrent on the linalg ThreadPool: one
+  /// fork-join over the step-search candidates, then one over the restarts
+  /// followed by the seed runs. Results are bit-identical at any thread
+  /// count: each run owns its workspace and its RNG (pre-forked serially in
+  /// index order), and the winner is picked in index order after the join.
   std::vector<Matrix> seed_strategies;
   /// Optional population weight vector x̃ (length n, non-negative, not all
   /// zero; overall scale is irrelevant). When non-empty the objective's

@@ -66,6 +66,64 @@ TEST(FlagParserTest, IntList) {
   EXPECT_EQ(flags.GetIntList("domains", {}), (std::vector<int>{8, 16, 32}));
 }
 
+TEST(FlagParserTest, ParsesSignedAndExponentValues) {
+  std::vector<std::string> args{"prog", "--n=-3", "--eps=2.5e-1",
+                                "--big=2147483647", "--sizes=-1,0,7,",
+                                "--grid=1e3,0.25"};
+  auto argv = MakeArgv(args);
+  FlagParser flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(flags.GetInt("n", 0), -3);
+  EXPECT_EQ(flags.GetDouble("eps", 0.0), 0.25);
+  EXPECT_EQ(flags.GetInt("big", 0), 2147483647);
+  EXPECT_EQ(flags.GetIntList("sizes", {}), (std::vector<int>{-1, 0, 7}));
+  EXPECT_EQ(flags.GetDoubleList("grid", {}), (std::vector<double>{1e3, 0.25}));
+}
+
+// Parses one flag from a single `--name=value` argument.
+template <typename Get>
+void ParseOne(const std::string& arg, Get get) {
+  std::vector<std::string> args{"prog", arg};
+  auto argv = MakeArgv(args);
+  const FlagParser flags(static_cast<int>(argv.size()), argv.data());
+  get(flags);
+}
+
+TEST(FlagParserDeathTest, MalformedNumbersExitWithStatus2) {
+  const auto exit2 = ::testing::ExitedWithCode(2);
+  auto get_double = [](const FlagParser& f) { f.GetDouble("eps", 1.0); };
+  auto get_int = [](const FlagParser& f) { f.GetInt("n", 1); };
+  EXPECT_EXIT(ParseOne("--eps=banana", get_double), exit2,
+              "flag --eps: 'banana' is not a number");
+  EXPECT_EXIT(ParseOne("--eps=1.5x", get_double), exit2,
+              "flag --eps: '1.5x' is not a number");
+  EXPECT_EXIT(ParseOne("--eps=", get_double), exit2,
+              "flag --eps: '' is not a number");
+  EXPECT_EXIT(ParseOne("--eps=1e999", get_double), exit2,
+              "flag --eps: '1e999' is out of range");
+  EXPECT_EXIT(ParseOne("--eps=inf", get_double), exit2,
+              "flag --eps: 'inf' is not a finite number");
+  EXPECT_EXIT(ParseOne("--n=12abc", get_int), exit2,
+              "flag --n: '12abc' is not a number");
+  EXPECT_EXIT(ParseOne("--n=2.5", get_int), exit2,
+              "flag --n: '2.5' is not a number");
+  EXPECT_EXIT(ParseOne("--n=", get_int), exit2, "flag --n: '' is not a number");
+  EXPECT_EXIT(ParseOne("--n=99999999999", get_int), exit2,
+              "flag --n: '99999999999' is out of range");
+}
+
+TEST(FlagParserDeathTest, MalformedListItemExitsWithStatus2) {
+  const auto exit2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(ParseOne("--eps=0.5,banana,2",
+                       [](const FlagParser& f) { f.GetDoubleList("eps", {}); }),
+              exit2, "flag --eps: 'banana' is not a number");
+  EXPECT_EXIT(ParseOne("--domains=8,16x",
+                       [](const FlagParser& f) { f.GetIntList("domains", {}); }),
+              exit2, "flag --domains: '16x' is not a number");
+  EXPECT_EXIT(ParseOne("--domains=8,4294967296",
+                       [](const FlagParser& f) { f.GetIntList("domains", {}); }),
+              exit2, "flag --domains: '4294967296' is out of range");
+}
+
 TEST(FlagParserTest, UnusedFlagsTracked) {
   std::vector<std::string> args{"prog", "--used=1", "--typo=2"};
   auto argv = MakeArgv(args);

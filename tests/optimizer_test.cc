@@ -3,6 +3,8 @@
 #include "core/optimizer.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,9 @@
 #include "core/objective.h"
 #include "core/strategy.h"
 #include "linalg/thread_pool.h"
+#include "mechanisms/optimized.h"
 #include "mechanisms/randomized_response.h"
+#include "obs/metrics.h"
 #include "workload/workload.h"
 
 namespace wfm {
@@ -23,6 +27,14 @@ OptimizerConfig FastConfig() {
   config.step_search_iterations = 25;
   config.seed = 5;
   return config;
+}
+
+std::int64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name).value();
+}
+
+std::vector<double> Entries(const Matrix& m) {
+  return std::vector<double>(m.data(), m.data() + m.size());
 }
 
 TEST(OptimizerTest, RandomInitializationIsFeasible) {
@@ -140,6 +152,49 @@ TEST(OptimizerTest, ParallelRestartsAreDeterministicAcrossThreadCounts) {
   EXPECT_EQ(one_thread.objective, four_threads.objective);
   EXPECT_TRUE(one_thread.q.ApproxEquals(four_threads.q, 0.0));
   EXPECT_EQ(one_thread.history, four_threads.history);
+}
+
+TEST(OptimizerTest, ConcurrentRunsAreDeterministicAcrossThreadCounts) {
+  // Every independent PGD run (the step-search candidates, the random
+  // restart and the baseline warm starts) runs concurrently on the
+  // ThreadPool. Prefix(32) at eps = 0.5 also ends several warm starts
+  // through the replay exit, so both the exit and the index-ordered winner
+  // must give bit-identical results at every pool size.
+  const WorkloadStats stats = WorkloadStats::From(*CreateWorkload("Prefix", 32));
+  std::vector<OptimizerResult> results;
+  std::vector<std::int64_t> skipped;
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    ThreadPool::SetGlobal(&pool);
+    const std::int64_t before =
+        CounterValue("wfm_optimizer_skipped_iterations_total");
+    results.push_back(OptimizedMechanism(stats, 0.5).optimizer_result());
+    skipped.push_back(CounterValue("wfm_optimizer_skipped_iterations_total") -
+                      before);
+    ThreadPool::SetGlobal(nullptr);
+  }
+  EXPECT_GT(skipped[0], 0) << "test premise: the replay exit fires";
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_EQ(Entries(results[0].q), Entries(results[i].q)) << "pool " << i;
+    EXPECT_EQ(results[0].z, results[i].z);
+    EXPECT_EQ(results[0].objective, results[i].objective);
+    EXPECT_EQ(results[0].initial_objective, results[i].initial_objective);
+    EXPECT_EQ(results[0].history, results[i].history);
+    EXPECT_EQ(results[0].step_size_used, results[i].step_size_used);
+    EXPECT_EQ(results[0].cholesky_failures, results[i].cholesky_failures);
+    EXPECT_EQ(skipped[0], skipped[i]);
+  }
+}
+
+TEST(OptimizerTest, ReplayExitSkipsNothingWithoutFailedSteps) {
+  const auto w = CreateWorkload("Prefix", 8);
+  const std::int64_t failed = CounterValue("wfm_optimizer_failed_steps_total");
+  const std::int64_t skipped =
+      CounterValue("wfm_optimizer_skipped_iterations_total");
+  OptimizeStrategy(w->Gram(), 1.0, FastConfig());
+  EXPECT_EQ(CounterValue("wfm_optimizer_failed_steps_total"), failed)
+      << "test premise: no step fails";
+  EXPECT_EQ(CounterValue("wfm_optimizer_skipped_iterations_total"), skipped);
 }
 
 TEST(OptimizerTest, FixedStepSkipsSearch) {
