@@ -442,8 +442,9 @@ TEST(StructuredPlanTest, MillionDomainDeploysAndDecodes) {
 TEST(StructuredPlanTest, FactoredWnnlsMatchesDenseSolve) {
   // The factored decode feeds WNNLS the same least-squares problem as the
   // dense path, just as Gram factors {G0, G1} instead of {G0 ⊗ G1}. On a
-  // domain where both run, the FISTA iterates must agree to floating-point
-  // noise.
+  // domain where both run, the projected-Newton iterates must agree to
+  // floating-point noise: both form each free block G_FF from the same
+  // products of factor entries.
   const auto workload = ParseWorkload("Histogram(8)xPrefix(8)");
   const WorkloadStats stats = WorkloadStats::From(*workload);
   const int n = stats.n;
@@ -463,9 +464,9 @@ TEST(StructuredPlanTest, FactoredWnnlsMatchesDenseSolve) {
     ASSERT_NEAR(rhs_factored[i], rhs_dense[i], 1e-9 * std::abs(rhs_dense[i]));
   }
 
-  // One solver for both: with options.lipschitz unset it estimates the step
-  // as 2·λmax(G) on the dense side and 2·λmax(G0)·λmax(G1) on the factored
-  // side, which agree because eigenvalues multiply across a Kronecker product.
+  // One solver for both: n = 64 is within the dense Gram limit, so both
+  // sides take Newton steps on the free block, and only the gradients
+  // (dense matvec vs mode contraction) differ in rounding.
   const WnnlsResult dense = SolveWnnls({&g_dense}, rhs_dense, {}, &xhat);
   const WnnlsResult factored = SolveWnnls(grams, rhs_factored, {}, &xhat);
 

@@ -2,21 +2,58 @@
 
 #include "estimation/wnnls.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/projection.h"
 #include "estimation/estimator.h"
 #include "ldp/protocol.h"
+#include "linalg/kron.h"
 #include "linalg/rng.h"
+#include "linalg/thread_pool.h"
 #include "mechanisms/randomized_response.h"
+#include "obs/metrics.h"
 #include "workload/histogram.h"
 #include "workload/prefix.h"
+#include "workload/workload.h"
 
 namespace wfm {
 namespace {
+
+std::int64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name).value();
+}
+
+/// A noisy unbiased estimate of a sparse histogram over `n` types: a few
+/// planted counts under noise large enough that about half of the
+/// coordinates come out negative, as in a low-ε decode.
+Vector NoisyUnbiasedEstimate(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  Vector xhat(n);
+  for (double& v : xhat) v = rng.Normal(0.0, 20.0);
+  for (int spike = 0; spike < 8; ++spike) xhat[rng.UniformInt(n)] += 400.0;
+  return xhat;
+}
+
+/// Asserts x >= 0, g_i = 0 where x_i > 0 and g_i >= 0 where x_i = 0, for
+/// g = 2(Gx - r), up to `tol`.
+void ExpectKkt(const Matrix& g, const Vector& rhs, const Vector& x,
+               double tol) {
+  Vector grad = MultiplyVec(g, x);
+  for (std::size_t i = 0; i < x.size(); ++i) grad[i] = 2.0 * (grad[i] - rhs[i]);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_GE(x[i], 0.0);
+    if (x[i] > 0.0) {
+      EXPECT_NEAR(grad[i], 0.0, tol) << "free coordinate " << i;
+    } else {
+      EXPECT_GE(grad[i], -tol) << "clamped coordinate " << i;
+    }
+  }
+}
 
 TEST(WnnlsTest, UnconstrainedOptimumWhenInteriorIsFeasible) {
   // G = I, r = (1, 2, 3): minimum of xᵀx - 2rᵀx is x = r (all positive).
@@ -118,6 +155,111 @@ TEST(WnnlsTest, ZeroGramReturnsZero) {
   const WnnlsResult res = SolveWnnls({&g}, {0, 0, 0});
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.x, (Vector{0, 0, 0}));
+}
+
+TEST(WnnlsTest, NewtonConvergesOnIllConditionedPrefix) {
+  // Prefix(512)'s Gram has a condition number on the order of n², which
+  // holds first-order FISTA at its iteration cap. Newton on the free block
+  // does not depend on conditioning and must reach the KKT certificate in a
+  // few dozen steps from a warm start with about half its entries negative.
+  const Matrix g = PrefixWorkload(512).Gram();
+  const Vector xhat = NoisyUnbiasedEstimate(512, 151);
+  int negative = 0;
+  for (double v : xhat) negative += v < 0.0;
+  ASSERT_GT(negative, 200) << "test premise: about half negative";
+  ASSERT_LT(negative, 312) << "test premise: about half negative";
+  const Vector rhs = MultiplyVec(g, xhat);
+
+  const std::int64_t newton_before =
+      CounterValue("wfm_wnnls_newton_steps_total");
+  const std::int64_t fista_before =
+      CounterValue("wfm_wnnls_fista_iterations_total");
+  const WnnlsResult res = SolveWnnls({&g}, rhs, {}, &xhat);
+  ASSERT_TRUE(res.converged);
+  EXPECT_LE(res.iterations, 50);
+  EXPECT_EQ(CounterValue("wfm_wnnls_newton_steps_total") - newton_before,
+            res.iterations);
+  EXPECT_EQ(CounterValue("wfm_wnnls_fista_iterations_total"), fista_before);
+  const double tol = WnnlsOptions{}.tolerance * MaxAbsVec(rhs);
+  EXPECT_LE(res.kkt_residual, tol);
+  ExpectKkt(g, rhs, res.x, tol);
+}
+
+TEST(WnnlsTest, SingularGramConvergesThroughFistaFallback) {
+  // 3WayMarginals(256) has WᵀW of rank 93 < 256: the free block does not
+  // factor, so FISTA finishes the solve from the Newton iterate.
+  const Matrix g = CreateWorkload("3WayMarginals", 256)->Gram();
+  const Vector xhat = NoisyUnbiasedEstimate(256, 152);
+  const Vector rhs = MultiplyVec(g, xhat);
+
+  const std::int64_t fallbacks = CounterValue("wfm_wnnls_fallback_total");
+  const std::int64_t fista_before =
+      CounterValue("wfm_wnnls_fista_iterations_total");
+  const WnnlsResult res = SolveWnnls({&g}, rhs, {}, &xhat);
+  ASSERT_TRUE(res.converged);
+  EXPECT_EQ(CounterValue("wfm_wnnls_fallback_total"), fallbacks + 1);
+  EXPECT_GT(CounterValue("wfm_wnnls_fista_iterations_total"), fista_before);
+  const double tol = WnnlsOptions{}.tolerance * MaxAbsVec(rhs);
+  EXPECT_LE(res.kkt_residual, tol);
+  ExpectKkt(g, rhs, res.x, tol);
+}
+
+TEST(WnnlsTest, BitIdenticalAcrossThreadCounts) {
+  // Served answers and the in-process replay must agree bit for bit, so the
+  // solve may not depend on the pool size. n = 2048 is past the pool's flop
+  // threshold for the G x product. Prefix runs the Newton path. The Gram of
+  // 3WayMarginals(256) ⊗ Histogram(8) has rank 93 · 8 = 744, so its free
+  // block does not factor and FISTA runs. Bounded budgets keep Debug builds
+  // fast; bit identity does not need convergence.
+  const Matrix prefix = PrefixWorkload(2048).Gram();
+  const Matrix singular =
+      KroneckerProduct(CreateWorkload("3WayMarginals", 256)->Gram(),
+                       HistogramWorkload(8).Gram());
+  const std::int64_t fallbacks = CounterValue("wfm_wnnls_fallback_total");
+  for (const Matrix* g : {&prefix, &singular}) {
+    Vector xhat = NoisyUnbiasedEstimate(2048, 153);
+    // A smaller free set makes Prefix's Newton steps cheap.
+    if (g == &prefix) {
+      for (double& v : xhat) v -= 15.0;
+    }
+    const Vector rhs = MultiplyVec(*g, xhat);
+    WnnlsOptions options;
+    options.max_iterations = 4;
+    std::vector<WnnlsResult> results;
+    for (const int threads : {1, 4}) {
+      ThreadPool pool(threads);
+      ThreadPool::SetGlobal(&pool);
+      const std::int64_t dispatches = CounterValue("wfm_pool_dispatches_total");
+      results.push_back(SolveWnnls({g}, rhs, options, &xhat));
+      ThreadPool::SetGlobal(nullptr);
+      if (threads > 1) {
+        EXPECT_GT(CounterValue("wfm_pool_dispatches_total"), dispatches)
+            << "test premise: the solve runs on the pool";
+      }
+    }
+    EXPECT_EQ(results[0].x, results[1].x);
+    EXPECT_EQ(results[0].iterations, results[1].iterations);
+    EXPECT_EQ(results[0].converged, results[1].converged);
+    EXPECT_EQ(results[0].objective, results[1].objective);
+    EXPECT_EQ(results[0].kkt_residual, results[1].kkt_residual);
+  }
+  EXPECT_EQ(CounterValue("wfm_wnnls_fallback_total"), fallbacks + 2)
+      << "test premise: the singular case takes the FISTA fallback";
+}
+
+TEST(WnnlsTest, ZeroIterationBudgetReturnsClippedWarmStart) {
+  const Matrix g = PrefixWorkload(16).Gram();
+  const Vector xhat = NoisyUnbiasedEstimate(16, 154);
+  const Vector rhs = MultiplyVec(g, xhat);
+  WnnlsOptions options;
+  options.max_iterations = 0;
+  const WnnlsResult res = SolveWnnls({&g}, rhs, options, &xhat);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, 0);
+  ASSERT_EQ(res.x.size(), xhat.size());
+  for (std::size_t i = 0; i < xhat.size(); ++i) {
+    EXPECT_EQ(res.x[i], std::max(0.0, xhat[i])) << "coordinate " << i;
+  }
 }
 
 TEST(WnnlsEstimateTest, ReducesErrorInLowSampleRegime) {
