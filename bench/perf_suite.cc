@@ -1,7 +1,8 @@
 // Performance-trajectory suite: times the dense kernels (tiled/pooled vs the
-// retained pre-PR reference), one objective+gradient evaluation, a full
-// Optimize() run, and a WNNLS decode, then writes the measurements to a JSON
-// file so CI can accumulate a per-commit perf trajectory.
+// retained pre-PR reference), one objective+gradient evaluation, one
+// Algorithm 1 projection, a full Optimize() run, and a WNNLS decode, then
+// writes the measurements to a JSON file so CI can accumulate a per-commit
+// perf trajectory.
 //
 // Output schema (BENCH_perf.json): a JSON array of
 //   {"kernel": <name>, "shape": <"MxKxN" or parameter string>,
@@ -22,6 +23,7 @@
 #include "common/timer.h"
 #include "core/objective.h"
 #include "core/optimizer.h"
+#include "core/projection.h"
 #include "estimation/wnnls.h"
 #include "linalg/matrix.h"
 #include "linalg/reference_kernels.h"
@@ -192,6 +194,38 @@ int main(int argc, char** argv) {
       sink += wfm::EvalObjectiveAndGradient(proj.q, gram, ws).value;
     });
     record("objective_eval", ShapeString(m, n, n), t, 0.0, 0.0);
+  }
+
+  // --- One Algorithm 1 projection at the dense-prefix restart shape --------
+  // m = 256, n = 64 is Prefix(64)'s PGD shape. The input is a feasible
+  // strategy plus N(0, 1e-3) noise, about a fifth of an interval width, so
+  // every column needs a fresh shift and mixes clipped and free entries.
+  {
+    const int m = 256, n = 64;
+    const double eps = 1.0;
+    wfm::Rng init_rng(11);
+    wfm::Vector z;
+    const wfm::ProjectionResult start =
+        wfm::RandomInitialStrategy(m, n, eps, init_rng, &z);
+    wfm::Matrix r = start.q;
+    for (int o = 0; o < m; ++o) {
+      double* row = r.RowPtr(o);
+      for (int u = 0; u < n; ++u) row[u] += init_rng.Normal(0.0, 1e-3);
+    }
+    wfm::ProjectionWorkspace ws;
+    wfm::ProjectionResult out;
+    wfm::ProjectOntoLdpPolytope(r, z, eps, ws, out);  // Warm the buffers.
+    // One projection is sub-millisecond; batch 20 per timed op.
+    const int batch = 20;
+    const double t = TimeBest(reps, [&] {
+                       for (int i = 0; i < batch; ++i) {
+                         wfm::ProjectOntoLdpPolytope(r, z, eps, ws, out);
+                         sink += out.q(0, 0);
+                       }
+                     }) /
+                     batch;
+    const std::string shape = std::to_string(m) + "x" + std::to_string(n);
+    record("project", shape, t, 0.0, 0.0);
   }
 
   // --- Full Optimize() run (the ablation_optimizer end-to-end path) --------

@@ -119,7 +119,12 @@ void RepairZFeasibility(Vector& z, double eps, int m) {
       z.assign(m, init);
       return;
     }
-    const double f = kHighMargin / (scale_up * s);
+    // Below ε = ln 1.02, raising e^ε Σz to the high margin would push Σz
+    // past 1; aim Σz at the middle of [e^-ε, 1] instead, the canonical
+    // initialization's Σz.
+    const double f = scale_up >= kHighMargin
+                         ? kHighMargin / (scale_up * s)
+                         : 0.5 * (1.0 + 1.0 / scale_up) / s;
     for (double& v : z) v = std::min(v * f, 1.0);
     if (scale_up * Sum(z) < 1.0) {
       const double init = (1.0 + std::exp(-eps)) / (2.0 * m);

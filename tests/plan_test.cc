@@ -23,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include "api/plan.h"
+#include "core/factored.h"
+#include "core/strategy.h"
 #include "estimation/estimator.h"
 #include "ldp/local_randomizer.h"
 #include "ldp/protocol.h"
@@ -31,6 +33,7 @@
 #include "mechanisms/randomized_response.h"
 #include "mechanisms/registry.h"
 #include "workload/histogram.h"
+#include "workload/kronecker.h"
 #include "workload/workload.h"
 
 namespace wfm {
@@ -404,6 +407,42 @@ TEST(PlanBuilderTest, RequiresPositiveEpsilonAndAWorkload) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Plan::For(nullptr).Epsilon(1.0).Build().status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(PlanBuilderTest, OptimizedBuildsBelowTheRepairMargin) {
+  // Below ε = ln 1.02 the optimizer's z repair used to raise e^ε Σz to 1.02
+  // and so push Σz past 1; the next projection then aborted. Dense plans,
+  // and the per-factor budgets of the factored optimizer.
+  for (const char* spec : {"Prefix(8)", "Prefix(8)xPrefix(8)"}) {
+    for (double eps : {1e-3, 0.01, 0.019}) {
+      const StatusOr<Plan> built = Plan::For(ParseWorkload(spec))
+                                       .Epsilon(eps)
+                                       .Mechanism("Optimized")
+                                       .Optimizer(SmallConfig(5))
+                                       .Build();
+      ASSERT_TRUE(built.ok()) << spec << " eps " << eps << ": "
+                              << built.status().ToString();
+      const Matrix* q = built.value().DeployedStrategy();
+      ASSERT_NE(q, nullptr);
+      EXPECT_TRUE(ValidateStrategy(*q, eps, 1e-8).valid)
+          << spec << " eps " << eps;
+    }
+  }
+  const WorkloadStats stats =
+      WorkloadStats::From(*ParseWorkload("Prefix(8)xPrefix(8)"));
+  FactoredOptimizerConfig config;
+  config.factor_config = SmallConfig(5);
+  for (double eps : {1e-3, 0.01, 0.019}) {
+    const FactoredOptimizerResult result =
+        OptimizeFactoredStrategy(stats, eps, config);
+    const FactoredStrategy& strategy = result.strategy;
+    ASSERT_EQ(strategy.factors.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const StrategyValidation check =
+          ValidateStrategy(strategy.factors[i], strategy.epsilons[i], 1e-8);
+      EXPECT_TRUE(check.valid) << "eps " << eps << " factor " << i;
+    }
+  }
 }
 
 TEST(PlanBuilderTest, FixedStrategyDeploysAndValidatesShape) {

@@ -2,12 +2,16 @@
 
 #include "core/projection.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/strategy.h"
 #include "linalg/rng.h"
+#include "obs/metrics.h"
 
 namespace wfm {
 namespace {
@@ -18,6 +22,123 @@ Matrix RandomMatrix(int m, int n, Rng& rng, double lo, double hi) {
     for (int u = 0; u < n; ++u) r(o, u) = rng.Uniform(lo, hi);
   }
   return r;
+}
+
+struct Breakpoint {
+  double lambda;
+  int index;
+  bool activate;  // true: entry leaves its lower bound; false: reaches upper.
+};
+
+/// Reference for ProjectionShift: the paper's sorted sweep over the 2m clip
+/// breakpoints, O(m log m). Returns λ with Σ clip(r + λ, z, ub) = 1.
+double SortedSweepShift(const double* r, const Vector& z, const Vector& ub) {
+  const int m = static_cast<int>(z.size());
+  std::vector<Breakpoint> events;
+  for (int o = 0; o < m; ++o) {
+    events.push_back({z[o] - r[o], o, true});
+    events.push_back({ub[o] - r[o], o, false});
+  }
+  std::sort(events.begin(), events.end(),
+            [](const Breakpoint& a, const Breakpoint& b) {
+              if (a.lambda != b.lambda) return a.lambda < b.lambda;
+              // Activate before deactivate so zero-width intervals
+              // (z_o == ub_o) pass through harmlessly.
+              return a.activate && !b.activate;
+            });
+
+  // f(λ) = base + free_r_sum + free_count * λ, starting with every entry at
+  // its lower bound.
+  double base = 0.0;
+  for (int o = 0; o < m; ++o) base += z[o];
+  double free_r_sum = 0.0;
+  int free_count = 0;
+
+  double prev_lambda = -std::numeric_limits<double>::infinity();
+  for (const Breakpoint& bp : events) {
+    // Try to solve inside the segment [prev_lambda, bp.lambda).
+    if (free_count > 0 && bp.lambda > prev_lambda) {
+      const double lambda = (1.0 - base - free_r_sum) / free_count;
+      if (lambda >= prev_lambda - 1e-12 && lambda <= bp.lambda + 1e-12) {
+        return lambda;
+      }
+    } else if (free_count == 0) {
+      // Flat segment; if f already equals 1 any λ here works.
+      if (std::abs(base - 1.0) <= 1e-12) return bp.lambda;
+    }
+    if (bp.activate) {
+      base -= z[bp.index];
+      free_r_sum += r[bp.index];
+      ++free_count;
+    } else {
+      base += ub[bp.index];
+      free_r_sum -= r[bp.index];
+      --free_count;
+    }
+    prev_lambda = bp.lambda;
+  }
+  // Past the last breakpoint every entry sits at its upper bound.
+  return prev_lambda;
+}
+
+/// clip(raw, lo, ub) and its state, with the projection's rule that an entry
+/// on a bound is clipped.
+double ClipEntry(double raw, double lo, double ub, ClipState* state) {
+  *state = ClipState::kFree;
+  if (raw <= lo) {
+    *state = ClipState::kAtLower;
+    return lo;
+  }
+  if (raw >= ub) {
+    *state = ClipState::kAtUpper;
+    return ub;
+  }
+  return raw;
+}
+
+/// Checks ProjectionShift against the sorted sweep on one column: λ within
+/// 1e-12 relative, the clipped column and its pattern equal up to the
+/// resolution of r + λ (an entry that lands on a bound may be reported at
+/// the bound or free; its value is the same), and at most 2m + 1 sweeps.
+void ExpectShiftMatchesSortedSweep(const Vector& r, const Vector& lo,
+                                   const Vector& ub) {
+  const int m = static_cast<int>(r.size());
+  int passes = 0;
+  const double lambda = ProjectionShift(r.data(), lo, ub, &passes);
+  const double reference = SortedSweepShift(r.data(), lo, ub);
+  EXPECT_LE(passes, 2 * m + 1);
+  EXPECT_NEAR(lambda, reference, 1e-12 * std::max(1.0, std::abs(reference)));
+
+  double scale = std::max(1.0, std::abs(reference));
+  for (double v : r) scale = std::max(scale, std::abs(v));
+  const double tol = 1e-12 * scale;
+  double sum = 0.0;
+  for (int o = 0; o < m; ++o) {
+    ClipState state = ClipState::kFree;
+    ClipState ref_state = ClipState::kFree;
+    const double q = ClipEntry(r[o] + lambda, lo[o], ub[o], &state);
+    const double q_ref = ClipEntry(r[o] + reference, lo[o], ub[o], &ref_state);
+    sum += q;
+    EXPECT_NEAR(q, q_ref, tol) << "entry " << o;
+    const double raw = r[o] + reference;
+    const bool on_bound =
+        std::abs(raw - lo[o]) <= tol || std::abs(raw - ub[o]) <= tol;
+    if (!on_bound) {
+      EXPECT_EQ(state, ref_state) << "entry " << o;
+    }
+  }
+  EXPECT_NEAR(sum, 1.0, 1e-9 * scale);
+}
+
+/// Bounds [z, e^ε z] for a random nonuniform z with Σz <= 1 <= e^ε Σz.
+void RandomBounds(int m, double eps, Rng& rng, Vector& lo, Vector& ub) {
+  lo.resize(m);
+  for (double& v : lo) v = rng.Uniform(0.0, 1.0);
+  const double target = rng.Uniform(std::exp(-eps), 1.0);
+  const double s = Sum(lo);
+  for (double& v : lo) v *= target / s;
+  ub.resize(m);
+  for (int o = 0; o < m; ++o) ub[o] = std::exp(eps) * lo[o];
 }
 
 struct ProjCase {
@@ -182,6 +303,181 @@ TEST(ProjectionTest, FeasibilityPredicate) {
   Vector z(10, 0.05);
   z[0] = -0.01;
   EXPECT_FALSE(ProjectionFeasible(z, eps));
+}
+
+TEST(ProjectionShiftTest, MatchesSortedSweepOnRandomColumns) {
+  Rng rng(301);
+  for (int m : {2, 3, 8, 64, 256}) {
+    for (double eps : {0.05, 1.0, 4.0}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        Vector lo, ub;
+        RandomBounds(m, eps, rng, lo, ub);
+        const double spread = trial % 2 == 0 ? 1.0 / m : 1.0;
+        Vector r(m);
+        for (double& v : r) v = rng.Uniform(-spread, 2.0 * spread);
+        ExpectShiftMatchesSortedSweep(r, lo, ub);
+      }
+    }
+  }
+}
+
+TEST(ProjectionShiftTest, MatchesSortedSweepWithTies) {
+  // Randomized Response's seed: one entry e^ε / (e^ε + m - 1), the others
+  // equal, so most breakpoints coincide; with and without a shift, and
+  // after a step that keeps the ties.
+  for (int m : {2, 5, 64}) {
+    for (double eps : {0.5, 2.0}) {
+      const double denom = std::exp(eps) + m - 1;
+      const Vector lo(m, 1.0 / denom);
+      const Vector ub(m, std::exp(eps) / denom);
+      for (double shift : {0.0, 0.3, -0.01}) {
+        Vector r(m, 1.0 / denom + shift);
+        r[0] = std::exp(eps) / denom + shift;
+        ExpectShiftMatchesSortedSweep(r, lo, ub);
+        for (int o = 1; o < m; o += 2) r[o] -= 0.5 / denom;
+        ExpectShiftMatchesSortedSweep(r, lo, ub);
+      }
+    }
+  }
+  // Entries drawn from a three-value set under nonuniform bounds.
+  Rng rng(302);
+  for (int trial = 0; trial < 50; ++trial) {
+    const int m = 16;
+    Vector lo, ub;
+    RandomBounds(m, 1.0, rng, lo, ub);
+    Vector r(m);
+    for (double& v : r) v = 0.05 * static_cast<int>(rng.Uniform(0.0, 3.0));
+    ExpectShiftMatchesSortedSweep(r, lo, ub);
+  }
+}
+
+TEST(ProjectionShiftTest, MatchesSortedSweepWithZeroWidthIntervals) {
+  Rng rng(303);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int m = 12;
+    Vector lo, ub;
+    RandomBounds(m, 1.5, rng, lo, ub);
+    // Zero a third of z, then rescale the rest back to the same Σz.
+    const double sum = Sum(lo);
+    for (int o = trial % 3; o < m; o += 3) lo[o] = 0.0;
+    const double rescale = sum / Sum(lo);
+    for (int o = 0; o < m; ++o) {
+      lo[o] *= rescale;
+      ub[o] = std::exp(1.5) * lo[o];
+    }
+    Vector r(m);
+    for (double& v : r) v = rng.Uniform(-0.5, 1.0);
+    ExpectShiftMatchesSortedSweep(r, lo, ub);
+  }
+}
+
+TEST(ProjectionShiftTest, MatchesSortedSweepFromEveryEntryAtOneBound) {
+  Rng rng(304);
+  for (int trial = 0; trial < 30; ++trial) {
+    const int m = 1 + trial;
+    Vector lo, ub;
+    RandomBounds(m, 1.0, rng, lo, ub);
+    const double offset = rng.Uniform(-2.0, 2.0);
+    Vector at_lower(m), at_upper(m);
+    for (int o = 0; o < m; ++o) {
+      at_lower[o] = lo[o] + offset;
+      at_upper[o] = ub[o] + offset;
+    }
+    ExpectShiftMatchesSortedSweep(lo, lo, ub);
+    ExpectShiftMatchesSortedSweep(ub, lo, ub);
+    ExpectShiftMatchesSortedSweep(at_lower, lo, ub);
+    ExpectShiftMatchesSortedSweep(at_upper, lo, ub);
+
+    // Σz = 1 or e^ε Σz = 1 pins every entry of the projection at one bound.
+    Vector r(m);
+    for (double& v : r) v = rng.Uniform(-1.0, 1.0);
+    const double lo_sum = Sum(lo), ub_sum = Sum(ub);
+    Vector unit_lo(m), unit_ub(m);
+    for (int o = 0; o < m; ++o) {
+      unit_lo[o] = lo[o] / lo_sum;
+      unit_ub[o] = ub[o] / lo_sum;
+    }
+    ExpectShiftMatchesSortedSweep(r, unit_lo, unit_ub);
+    for (int o = 0; o < m; ++o) {
+      unit_lo[o] = lo[o] / ub_sum;
+      unit_ub[o] = ub[o] / ub_sum;
+    }
+    ExpectShiftMatchesSortedSweep(r, unit_lo, unit_ub);
+  }
+}
+
+TEST(ProjectionShiftTest, MatchesSortedSweepFromFlatPieces) {
+  // Entries split far below and far above, so at the first guess
+  // (1 - Σr)/m every entry is clipped and the piece is flat.
+  Rng rng(305);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int m = 2 + trial % 9;
+    Vector lo, ub;
+    RandomBounds(m, 1.0, rng, lo, ub);
+    Vector r(m);
+    for (int o = 0; o < m; ++o) {
+      r[o] = (o % 2 == 0 ? -10.0 : 10.0) + rng.Uniform(-1.0, 1.0);
+    }
+    ExpectShiftMatchesSortedSweep(r, lo, ub);
+  }
+  // A flat piece at height exactly one: entry 1 at its upper bound 0.75 and
+  // entry 0 at its lower bound 0.25 for every λ in [-9.25, 0.25].
+  const Vector lo = {0.25, 0.25};
+  const Vector ub = {0.75, 0.75};
+  ExpectShiftMatchesSortedSweep({0.0, 10.0}, lo, ub);
+  ExpectShiftMatchesSortedSweep({0.0, 0.5}, lo, ub);
+}
+
+TEST(ProjectionShiftTest, MatchesSortedSweepOnOneRow) {
+  Rng rng(306);
+  for (int trial = 0; trial < 20; ++trial) {
+    const double z = rng.Uniform(0.3, 1.0);
+    const Vector lo = {z};
+    const Vector ub = {std::max(1.0, z * std::exp(1.0))};
+    ExpectShiftMatchesSortedSweep({rng.Uniform(-5.0, 5.0)}, lo, ub);
+  }
+}
+
+TEST(ProjectionShiftTest, MatchesSortedSweepOnDivergedColumns) {
+  // |r| ~ 1e9, as after a failed PGD step.
+  Rng rng(307);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int m = 64;
+    Vector lo, ub;
+    RandomBounds(m, 1.0, rng, lo, ub);
+    Vector r(m);
+    for (double& v : r) v = rng.Normal(0.0, 1e9);
+    ExpectShiftMatchesSortedSweep(r, lo, ub);
+  }
+}
+
+TEST(ProjectionShiftTest, PolishCounterCountsOnlyPolishedColumns) {
+  Counter& polishes =
+      MetricsRegistry::Global().GetCounter("wfm_projection_polish_total");
+  Rng rng(308);
+  const int m = 64, n = 32;
+  const double eps = 1.0;
+  const Vector z(m, (1.0 + std::exp(-eps)) / (2.0 * m));
+  const std::int64_t before = polishes.value();
+  ProjectOntoLdpPolytope(RandomMatrix(m, n, rng, -1.0, 2.0), z, eps);
+  EXPECT_EQ(polishes.value(), before);
+
+  // At |r| ~ 1e16 the spacing of r + λ is about 2, so no shift brings a
+  // column with a free entry to sum 1 within 1e-9: every such column is
+  // polished, and still lands on the polytope.
+  Matrix r(m, n);
+  for (int o = 0; o < m; ++o) {
+    for (int u = 0; u < n; ++u) r(o, u) = rng.Normal(0.0, 1e16);
+  }
+  const ProjectionResult res = ProjectOntoLdpPolytope(r, z, eps);
+  EXPECT_GT(polishes.value(), before);
+  EXPECT_LE(polishes.value(), before + n);
+  for (int o = 0; o < m; ++o) {
+    for (int u = 0; u < n; ++u) {
+      EXPECT_GE(res.q(o, u), z[o]);
+      EXPECT_LE(res.q(o, u), std::exp(eps) * z[o]);
+    }
+  }
 }
 
 TEST(ProjectionDeathTest, InfeasibleZAborts) {
