@@ -14,10 +14,10 @@
 //   --reports=8000000 --threads=1,2,4,8 --batch=4096 --n=256 --trials=5
 // Shard count follows the thread count unless --shards is given.
 //
-// A second table covers the bit-vector (RAPPOR/OUE) ingest paths: per-report
-// Accept (m atomic adds per report) against the batched AcceptBitsBatch
-// scratch-count path (the whole batch folds into private integers, then one
-// atomic add per touched counter) — the server-side half of the wire
+// A second table covers bit-vector (RAPPOR/OUE) ingest of packed reports:
+// per-report Accept (a batch of one) against ShardedAggregator::AcceptBatch
+// (the whole batch counts eight bits at a time into private integers, then
+// one atomic add per touched counter) — the server-side half of the wire
 // format's packed reports. Disable with --bits=false.
 //
 // --out=path (default BENCH_throughput.json) writes every best-of-trials
@@ -84,15 +84,12 @@ double RunTrial(const wfm::ReportDecoder& decoder,
   return ingest_seconds;
 }
 
-// One timed bit-vector trial: T threads stream disjoint slices of a
-// concatenated k x m bit stream into a fresh aggregator, per-report or
-// batched. `reports` carries the same stream pre-split into Report objects
-// (built outside the timed region) so the per-report path measures pure
-// ingest through the kind-dispatched Accept. Returns reports/sec.
-double RunBitsTrial(const std::vector<std::uint8_t>& stream,
-                    const std::vector<wfm::Report>& reports, int m,
+// One timed bit-vector trial: T threads stream disjoint slices of
+// pre-built packed reports into a fresh aggregator, one Accept per report or
+// one AcceptBatch per `batch` reports. Returns reports/sec.
+double RunBitsTrial(const std::vector<wfm::Report>& reports, int m,
                     int threads, int batch, bool batched) {
-  const int total_reports = static_cast<int>(stream.size()) / m;
+  const int total_reports = static_cast<int>(reports.size());
   wfm::ShardedAggregator agg(m, threads, wfm::ReportKind::kBitVector);
   std::vector<std::thread> workers;
   workers.reserve(threads);
@@ -103,11 +100,8 @@ double RunBitsTrial(const std::vector<std::uint8_t>& stream,
       const int end = total_reports * (t + 1) / threads;
       for (int pos = begin; pos < end; pos += batch) {
         const int k = std::min(batch, end - pos);
-        const std::span<const std::uint8_t> slice(
-            stream.data() + static_cast<std::size_t>(pos) * m,
-            static_cast<std::size_t>(k) * m);
         if (batched) {
-          agg.AddBitsBatch(t, slice);
+          agg.AcceptBatch(t, std::span<const wfm::Report>(&reports[pos], k));
         } else {
           for (int i = 0; i < k; ++i) agg.Accept(t, reports[pos + i]);
         }
@@ -224,33 +218,29 @@ int main(int argc, char** argv) {
     // path, at the same report volume over an m = n unary encoding.
     const int bit_reports = std::max(1, num_reports / 8);
     wfm::bench::PrintHeader(
-        "Bit-vector ingest: per-report Accept vs batched AddBitsBatch",
-        "one atomic per set bit vs one atomic per touched counter per batch",
+        "Bit-vector ingest: per-report Accept vs batched AcceptBatch",
+        "packed reports; one atomic per touched counter per call",
         "m = " + std::to_string(n) + ", " + std::to_string(bit_reports) +
             " reports, batch " + std::to_string(batch) + ", best of " +
             std::to_string(trials));
-    std::vector<std::uint8_t> stream(static_cast<std::size_t>(bit_reports) *
-                                     n);
-    for (std::uint8_t& bit : stream) {
-      bit = static_cast<std::uint8_t>(rng.UniformInt(2));
-    }
     std::vector<wfm::Report> bit_report_objects(bit_reports);
-    for (int i = 0; i < bit_reports; ++i) {
-      bit_report_objects[i].bits.assign(
-          stream.data() + static_cast<std::size_t>(i) * n,
-          stream.data() + static_cast<std::size_t>(i + 1) * n);
+    std::vector<std::uint8_t> bytes(n);
+    for (wfm::Report& report : bit_report_objects) {
+      for (std::uint8_t& bit : bytes) {
+        bit = static_cast<std::uint8_t>(rng.UniformInt(2));
+      }
+      report.bits = wfm::PackedBits(bytes);
     }
     wfm::TablePrinter bits_table(
         {"threads", "path", "reports/sec", "batched vs per-report"});
     for (const int threads : thread_counts) {
       double per_report = 0.0, batched = 0.0;
       for (int trial = 0; trial < trials; ++trial) {
-        per_report = std::max(per_report,
-                              RunBitsTrial(stream, bit_report_objects, n,
-                                           threads, batch, false));
-        batched = std::max(batched,
-                           RunBitsTrial(stream, bit_report_objects, n,
-                                        threads, batch, true));
+        per_report = std::max(
+            per_report,
+            RunBitsTrial(bit_report_objects, n, threads, batch, false));
+        batched = std::max(
+            batched, RunBitsTrial(bit_report_objects, n, threads, batch, true));
       }
       entries.push_back({"bits_per_report", per_report, threads});
       entries.push_back({"bits_batched", batched, threads});

@@ -13,6 +13,7 @@
 //
 // Build & run (against a running report_server with the same flags):
 //   ./build/examples/report_client [--port=7971] [--eps=1.0] [--n=16]
+//                                  [--mechanism=Optimized]
 //                                  [--devices=20000] [--epochs=2]
 //                                  [--shutdown=true] [--io_timeout_ms=5000]
 //                                  [--max_retries=0] [--chaos=false]
@@ -70,6 +71,7 @@ int main(int argc, char** argv) {
   const int port = flags.GetInt("port", 7971);
   const double eps = flags.GetDouble("eps", 1.0);
   const int n = flags.GetInt("n", 16);
+  const std::string mechanism = flags.GetString("mechanism", "Optimized");
   const int devices = flags.GetInt("devices", 20000);
   const int epochs = flags.GetInt("epochs", 2);
   const bool shutdown = flags.GetBool("shutdown", true);
@@ -87,7 +89,7 @@ int main(int argc, char** argv) {
   config.seed = 5;
   const wfm::StatusOr<wfm::Plan> built = wfm::Plan::For(workload)
                                              .Epsilon(eps)
-                                             .Mechanism("Optimized")
+                                             .Mechanism(mechanism)
                                              .Optimizer(config)
                                              .Build();
   if (!built.ok()) {

@@ -6,11 +6,13 @@
 // The plan is rebuilt from the same pinned optimizer seed on both sides, so
 // client and server agree on the deployment (strategy, m, decoder) without
 // shipping it — the wire only ever carries reports, snapshots, and
-// estimates.
+// estimates. --mechanism picks any registered mechanism (e.g. RAPPOR, whose
+// reports travel as packed bit vectors); pass the same value to both.
 //
 // Build & run:
 //   ./build/examples/report_server [--port=7971] [--shards=4] [--eps=1.0]
-//                                  [--n=16] [--rounds=4] [--snapshot-dir=]
+//                                  [--n=16] [--mechanism=Optimized]
+//                                  [--rounds=4] [--snapshot-dir=]
 //                                  [--io_timeout_ms=5000]
 //                                  [--max_unsealed_per_shard=0]
 //
@@ -32,6 +34,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "wfm.h"  // Public umbrella API: all wfm modules.
 
@@ -41,6 +44,7 @@ int main(int argc, char** argv) {
   const int shards = flags.GetInt("shards", 4);
   const double eps = flags.GetDouble("eps", 1.0);
   const int n = flags.GetInt("n", 16);
+  const std::string mechanism = flags.GetString("mechanism", "Optimized");
   const int rounds = flags.GetInt("rounds", 4);
   const std::string snapshot_dir = flags.GetString("snapshot-dir", "");
   const int io_timeout_ms = flags.GetInt("io_timeout_ms", 5000);
@@ -54,7 +58,7 @@ int main(int argc, char** argv) {
   config.seed = 5;  // Pinned: the client rebuilds this exact plan.
   const wfm::StatusOr<wfm::Plan> built = wfm::Plan::For(workload)
                                              .Epsilon(eps)
-                                             .Mechanism("Optimized")
+                                             .Mechanism(mechanism)
                                              .Optimizer(config)
                                              .Build();
   if (!built.ok()) {
@@ -78,9 +82,9 @@ int main(int argc, char** argv) {
     std::printf("cannot start server: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("[server] %.2f-LDP plan for n = %d; listening on 127.0.0.1:%d "
-              "(%d shards)%s\n",
-              eps, n, server.port(), shards,
+  std::printf("[server] %.2f-LDP %s plan for n = %d; listening on "
+              "127.0.0.1:%d (%d shards)%s\n",
+              eps, mechanism.c_str(), n, server.port(), shards,
               snapshot_dir.empty() ? "" : ", persisting sealed epochs");
   std::printf("[server] budget: %.2f eps allocated, %.2f spent, %.2f left "
               "(%d of %d rounds free)\n",

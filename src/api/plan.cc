@@ -1,5 +1,6 @@
 #include "api/plan.h"
 
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -47,14 +48,6 @@ Status ValidateReport(const Report& report, int m, ReportKind kind) {
           "bit-vector report has dimension " +
           std::to_string(report.bits.size()) + ", deployment expects m = " +
           std::to_string(m));
-    }
-    for (int o = 0; o < m; ++o) {
-      if (report.bits[o] > 1) {
-        return Status::InvalidArgument(
-            "bit-vector report entry out of range: " +
-            std::to_string(static_cast<int>(report.bits[o])) +
-            " at coordinate " + std::to_string(o));
-      }
     }
   } else if (report.is_dense()) {
     if (static_cast<int>(report.dense.size()) != m) {
@@ -182,7 +175,12 @@ Status PlanServer::Accept(const Report& report) {
     return valid;
   }
   if (report.is_bits()) {
-    for (int o = 0; o < m; ++o) aggregate_[o] += report.bits[o];
+    const std::span<const std::uint64_t> words = report.bits.words();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t rest = words[w]; rest != 0; rest &= rest - 1) {
+        aggregate_[64 * w + std::countr_zero(rest)] += 1.0;
+      }
+    }
   } else if (report.is_dense()) {
     for (int o = 0; o < m; ++o) aggregate_[o] += report.dense[o];
   } else {

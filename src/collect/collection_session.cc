@@ -69,12 +69,6 @@ void CollectionSession::AcceptBatch(int shard,
   active_->AcceptBatch(shard, reports);
 }
 
-void CollectionSession::AcceptBitsBatch(int shard,
-                                        std::span<const std::uint8_t> reports) {
-  std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
-  active_->AddBitsBatch(shard, reports);
-}
-
 EpochSnapshot CollectionSession::Seal() {
   ScopedTimer span(SealDuration());
   auto fresh = std::make_unique<ShardedAggregator>(decoder_.m(), num_shards_,

@@ -15,9 +15,11 @@
 //
 // A session ingests whatever report shape its mechanism emits
 // (ldp/reporter.h): categorical response indices for strategy mechanisms,
-// dense m-vectors for additive ones, or n-bit vectors for unary-encoding
-// frequency oracles (RAPPOR/OUE). api/Plan::StartSession wires a mechanism's
-// Deployment into a session + EstimateServer pair.
+// dense m-vectors for additive ones, or packed n-bit vectors for
+// unary-encoding frequency oracles (RAPPOR/OUE), whose batches are counted
+// eight bits at a time (ShardedAggregator::AcceptBatch).
+// api/Plan::StartSession wires a mechanism's Deployment into a session +
+// EstimateServer pair.
 //
 // Each EpochSnapshot carries the exact report count of its epoch alongside
 // the histogram. For linear decoders the count is bookkeeping; for affine
@@ -105,11 +107,6 @@ class CollectionSession {
   /// Thread-safe; aborts on out-of-range responses or shard ids.
   void Accept(int shard, std::span<const int> responses);
   void Accept(int shard, int response);
-
-  /// Batched bit-vector hot path: k concatenated m-bit reports (size must be
-  /// a multiple of num_outputs()); one atomic add per touched counter per
-  /// batch (ShardedAggregator::AddBitsBatch).
-  void AcceptBitsBatch(int shard, std::span<const std::uint8_t> reports);
 
   /// Freezes the current epoch and starts a new one. Returns the sealed
   /// snapshot (also retained in the session's history). Waits for in-flight

@@ -1,5 +1,8 @@
 #include "collect/sharded_aggregator.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/check.h"
 #include "obs/metrics.h"
 
@@ -30,6 +33,59 @@ Counter& IngestBatches() {
   static Counter& counter =
       MetricsRegistry::Global().GetCounter("wfm_ingest_batches_total");
   return counter;
+}
+
+// kSpread[b] holds bit j of b in byte j, so adding it to a 64-bit word
+// bumps eight byte-sized counters at once, one per bit of a packed byte.
+constexpr std::array<std::uint64_t, 256> kSpread = [] {
+  std::array<std::uint64_t, 256> t{};
+  for (int b = 0; b < 256; ++b) {
+    for (int j = 0; j < 8; ++j) {
+      t[b] |= static_cast<std::uint64_t>((b >> j) & 1) << (8 * j);
+    }
+  }
+  return t;
+}();
+
+/// Adds the per-coordinate set-bit counts of `reports`, bit vectors of
+/// dimension counts.size(), to `counts` with one relaxed atomic add per
+/// touched counter. Packed word w of every report lands in the eight lane
+/// words 8w .. 8w + 7, whose bytes count coordinates 64w .. 64w + 63 (lane
+/// byte j of lane word k counts coordinate 8k + j). A byte counter holds
+/// 255, so a batch longer than that spills the lanes into int64 scratch
+/// every 255 reports.
+void AddBitCounts(std::span<const Report> reports,
+                  std::vector<std::atomic<std::int64_t>>& counts) {
+  constexpr std::size_t kLaneCapacity = 255;
+  const std::size_t m = counts.size();
+  const std::size_t num_words = (m + 63) / 64;
+  std::vector<std::uint64_t> lanes(8 * num_words, 0);
+  std::vector<std::int64_t> spill(reports.size() > kLaneCapacity ? m : 0, 0);
+  const auto lane_count = [&](std::size_t o) {
+    return static_cast<std::int64_t>((lanes[o / 8] >> (8 * (o % 8))) & 0xFFu);
+  };
+  std::size_t pending = 0;
+  for (const Report& report : reports) {
+    WFM_CHECK(report.is_bits())
+        << "non-bit-vector report in a bit-vector batch";
+    WFM_CHECK_EQ(report.bits.size(), m);
+    if (pending == kLaneCapacity) {
+      for (std::size_t o = 0; o < m; ++o) spill[o] += lane_count(o);
+      std::fill(lanes.begin(), lanes.end(), 0);
+      pending = 0;
+    }
+    const std::uint64_t* words = report.bits.words().data();
+    std::uint64_t* lane = lanes.data();
+    for (std::size_t w = 0; w < num_words; ++w, lane += 8) {
+      const std::uint64_t word = words[w];
+      for (int j = 0; j < 8; ++j) lane[j] += kSpread[(word >> (8 * j)) & 0xFFu];
+    }
+    ++pending;
+  }
+  for (std::size_t o = 0; o < m; ++o) {
+    const std::int64_t count = lane_count(o) + (spill.empty() ? 0 : spill[o]);
+    if (count != 0) counts[o].fetch_add(count, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace
@@ -70,9 +126,14 @@ const ShardedAggregator::Shard& ShardedAggregator::GetShard(int shard) const {
 }
 
 void ShardedAggregator::Accept(int shard, const Report& report) {
-  if (report.is_bits()) {
-    AddBits(shard, report.bits);
-  } else if (report.is_dense()) {
+  if (kind_ == ReportKind::kBitVector) {
+    // A batch of one: packed bits have exactly one counting path.
+    AcceptBatch(shard, std::span<const Report>(&report, 1));
+    return;
+  }
+  WFM_CHECK(!report.is_bits())
+      << "bit-vector report on a" << KindName(kind_) << "aggregator";
+  if (report.is_dense()) {
     AddDense(shard, report.dense);
   } else {
     Add(shard, report.index);
@@ -82,9 +143,10 @@ void ShardedAggregator::Accept(int shard, const Report& report) {
 void ShardedAggregator::AcceptBatch(int shard,
                                     std::span<const Report> reports) {
   // Small batches skip the scratch buffers (same break-even reasoning as
-  // AddBatch's kScatterThreshold; bit-vector and dense reports touch m
-  // counters each, so they amortize from the second report on).
-  if (reports.size() < 2) {
+  // AddBatch's kScatterThreshold; dense reports touch m counters each, so
+  // they amortize from the second report on). Bit vectors always take the
+  // packed path, which Accept() routes a single report through.
+  if (reports.size() < 2 && kind_ != ReportKind::kBitVector) {
     for (const Report& report : reports) Accept(shard, report);
     return;
   }
@@ -107,27 +169,9 @@ void ShardedAggregator::AcceptBatch(int shard,
       }
       break;
     }
-    case ReportKind::kBitVector: {
-      std::vector<std::int64_t> local(num_outputs_, 0);
-      for (const Report& report : reports) {
-        WFM_CHECK(report.is_bits())
-            << "non-bit-vector report in a bit-vector batch";
-        WFM_CHECK_EQ(static_cast<int>(report.bits.size()), num_outputs_);
-        for (int o = 0; o < num_outputs_; ++o) {
-          const std::uint8_t bit = report.bits[o];
-          WFM_CHECK_LE(bit, 1)
-              << "bit report entry out of range:" << static_cast<int>(bit)
-              << "at coordinate" << o;
-          local[o] += bit;
-        }
-      }
-      for (int o = 0; o < num_outputs_; ++o) {
-        if (local[o] != 0) {
-          s.counts[o].fetch_add(local[o], std::memory_order_relaxed);
-        }
-      }
+    case ReportKind::kBitVector:
+      AddBitCounts(reports, s.counts);
       break;
-    }
     case ReportKind::kDense: {
       Vector local(num_outputs_, 0.0);
       for (const Report& report : reports) {
@@ -199,56 +243,6 @@ void ShardedAggregator::AddDense(int shard, std::span<const double> report) {
   }
   s.total.fetch_add(1, std::memory_order_relaxed);
   IngestReports().AddAt(shard, 1);
-}
-
-void ShardedAggregator::AddBits(int shard, std::span<const std::uint8_t> report) {
-  WFM_CHECK(kind_ == ReportKind::kBitVector)
-      << "bit-vector AddBits on a" << KindName(kind_) << "aggregator";
-  Shard& s = GetShard(shard);
-  WFM_CHECK_EQ(static_cast<int>(report.size()), num_outputs_);
-  for (int o = 0; o < num_outputs_; ++o) {
-    const std::uint8_t bit = report[o];
-    WFM_CHECK_LE(bit, 1) << "bit report entry out of range:"
-                         << static_cast<int>(bit) << "at coordinate" << o;
-    if (bit != 0) s.counts[o].fetch_add(1, std::memory_order_relaxed);
-  }
-  // One n-bit report is one user; the total feeds the affine debias N.
-  s.total.fetch_add(1, std::memory_order_relaxed);
-  IngestReports().AddAt(shard, 1);
-}
-
-void ShardedAggregator::AddBitsBatch(int shard,
-                                     std::span<const std::uint8_t> reports) {
-  WFM_CHECK(kind_ == ReportKind::kBitVector)
-      << "bit-vector AddBitsBatch on a" << KindName(kind_) << "aggregator";
-  WFM_CHECK_EQ(static_cast<int>(reports.size()) % num_outputs_, 0)
-      << "bit batch of" << static_cast<int>(reports.size())
-      << "bytes is not a multiple of m =" << num_outputs_;
-  const std::int64_t k =
-      static_cast<std::int64_t>(reports.size()) / num_outputs_;
-  if (k == 1) {
-    AddBits(shard, reports);
-    return;
-  }
-  Shard& s = GetShard(shard);
-  // Per-batch scratch counts: the whole batch folds into private integers
-  // first, so the atomic traffic is one add per touched counter rather than
-  // one per set bit (the dense-AddBatch treatment, applied to bits).
-  std::vector<std::int64_t> local(num_outputs_, 0);
-  for (std::size_t pos = 0; pos < reports.size(); pos += num_outputs_) {
-    for (int o = 0; o < num_outputs_; ++o) {
-      const std::uint8_t bit = reports[pos + o];
-      WFM_CHECK_LE(bit, 1) << "bit report entry out of range:"
-                           << static_cast<int>(bit) << "at coordinate" << o;
-      local[o] += bit;
-    }
-  }
-  for (int o = 0; o < num_outputs_; ++o) {
-    if (local[o] != 0) s.counts[o].fetch_add(local[o], std::memory_order_relaxed);
-  }
-  s.total.fetch_add(k, std::memory_order_relaxed);
-  IngestReports().AddAt(shard, k);
-  IngestBatches().AddAt(shard, 1);
 }
 
 Vector ShardedAggregator::Merge() const {

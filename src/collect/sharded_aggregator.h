@@ -18,10 +18,14 @@
 //     and thread interleaving (integer sums are associative; doubles
 //     represent them exactly below 2^53).
 //   * kBitVector — unary-encoding frequency oracles (RAPPOR, OUE);
-//     AddBits() counts the set bits of each n-bit report per coordinate.
-//     Same integer counters as kCategorical, so the exactness guarantee
-//     carries over; one report bumps up to m counters but the report total
-//     by exactly one (the count feeds the affine debias x̂ = (y − Nq)/(p−q)).
+//     AcceptBatch() counts the set bits of each packed n-bit report per
+//     coordinate (Accept() is a batch of one). Eight packed bits at a time
+//     spread into byte-wide lane counters that drain into the integer
+//     scratch every 255 reports, so a report costs a table lookup per byte,
+//     not work per bit. Same integer counters as kCategorical, so the
+//     exactness guarantee carries over; one report bumps up to m counters
+//     but the report total by exactly one (the count feeds the affine
+//     debias x̂ = (y − Nq)/(p−q)).
 //   * kDense — additive mechanisms (distributed Matrix Mechanism);
 //     AddDense() sums real m-vector reports with atomic compare-exchange
 //     adds. Still linear and thread-safe, but floating-point addition is not
@@ -76,7 +80,7 @@ class ShardedAggregator {
   /// Batched kind-dispatched ingest: one report per element. Every kind gets
   /// the scratch-counts treatment — the batch accumulates into private
   /// buffers first, so the atomic traffic is one add per touched counter per
-  /// batch, not one per report (per bit, for bit vectors).
+  /// batch, not one per report (per set bit, for bit vectors).
   void AcceptBatch(int shard, std::span<const Report> reports);
 
   /// Records one categorical response in [0, num_outputs) on the given
@@ -87,13 +91,6 @@ class ShardedAggregator {
 
   /// Batched categorical hot path: validates and records every response.
   void AddBatch(int shard, std::span<const int> responses);
-
-  /// Batched bit-vector hot path: `reports` is k concatenated m-bit reports
-  /// (size must be a multiple of num_outputs()). The batch accumulates into
-  /// per-batch scratch counts, so the atomic traffic is one add per touched
-  /// counter — matching the dense AddBatch treatment — instead of one per
-  /// set bit. Counts k reports toward num_responses().
-  void AddBitsBatch(int shard, std::span<const std::uint8_t> reports);
 
   /// Folds all shards into one aggregate, O(num_shards x num_outputs).
   /// Categorical: exact (bit-identical to serial aggregation) once ingestion
@@ -107,12 +104,6 @@ class ShardedAggregator {
   /// Records one dense m-vector report on the given shard (kDense only);
   /// reached through the kind dispatch in Accept().
   void AddDense(int shard, std::span<const double> report);
-
-  /// Records one m-bit report on the given shard (kBitVector only). Entries
-  /// must be 0 or 1; anything else aborts (corrupt report stream). Counts
-  /// one report toward num_responses(). Reached through Accept()'s kind
-  /// dispatch; batches should prefer AddBitsBatch.
-  void AddBits(int shard, std::span<const std::uint8_t> report);
 
   // One worker's partial aggregate. alignas keeps the hot `total` counters
   // of different shards on different cache lines; the count arrays live in

@@ -53,7 +53,10 @@
 // response index), kind 1 dense (dim doubles), kind 2 packed bits — an n-bit
 // RAPPOR/OUE report occupies ceil(n/8) payload bytes, bit i stored LSB-first
 // at bit (i mod 8) of byte (i div 8), padding bits required zero so every
-// bit vector has exactly one encoding. Epoch snapshots ("WFSN") carry
+// bit vector has exactly one encoding. In memory a bit vector is a
+// PackedBits (ldp/reporter.h) with the same layout in 64-bit words, so
+// encode and decode copy words and the collect/ side counts packed bytes;
+// no stage unpacks to a byte per bit. Epoch snapshots ("WFSN") carry
 // epoch_id, the exact report count N (load-bearing for the affine debias
 // above), and the m-dim histogram; per-epoch histograms and counts add, so
 // wire-shipped snapshots merge across nodes bit-identically to single-node

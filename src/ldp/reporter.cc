@@ -1,10 +1,57 @@
 #include "ldp/reporter.h"
 
+#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "linalg/kron.h"
 
 namespace wfm {
+
+PackedBits::PackedBits(std::span<const std::uint8_t> bytes)
+    : PackedBits(Zeros(static_cast<int>(bytes.size()))) {
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    WFM_CHECK_LE(bytes[i], 1) << "bit entry out of range:"
+                              << static_cast<int>(bytes[i]) << "at coordinate"
+                              << static_cast<int>(i);
+    words_[i / 64] |= static_cast<std::uint64_t>(bytes[i]) << (i % 64);
+  }
+}
+
+PackedBits PackedBits::Zeros(int size) {
+  WFM_CHECK_GE(size, 0);
+  PackedBits bits;
+  bits.size_ = size;
+  if (size > 0) {
+    bits.words_ = std::make_unique<std::uint64_t[]>(bits.NumWords());
+  }
+  return bits;
+}
+
+PackedBits::PackedBits(const PackedBits& other)
+    : PackedBits(Zeros(other.size_)) {
+  std::copy_n(other.words_.get(), NumWords(), words_.get());
+}
+
+PackedBits& PackedBits::operator=(const PackedBits& other) {
+  if (this != &other) *this = PackedBits(other);
+  return *this;
+}
+
+PackedBits::PackedBits(PackedBits&& other) noexcept
+    : size_(std::exchange(other.size_, 0)), words_(std::move(other.words_)) {}
+
+PackedBits& PackedBits::operator=(PackedBits&& other) noexcept {
+  size_ = std::exchange(other.size_, 0);
+  words_ = std::move(other.words_);
+  return *this;
+}
+
+bool operator==(const PackedBits& a, const PackedBits& b) {
+  return a.size_ == b.size_ &&
+         std::equal(a.words_.get(), a.words_.get() + a.NumWords(),
+                    b.words_.get());
+}
 
 Report StrategyReporter::Respond(int user_type, Rng& rng) const {
   Report report;
@@ -68,10 +115,21 @@ Report BitVectorReporter::Respond(int user_type, Rng& rng) const {
   WFM_CHECK(user_type >= 0 && user_type < n_)
       << "user type out of range:" << user_type << "for n =" << n_;
   Report report;
-  report.bits.resize(n_);
-  for (int i = 0; i < n_; ++i) {
-    report.bits[i] =
-        static_cast<std::uint8_t>(rng.Bernoulli(i == user_type ? p_ : q_));
+  report.bits = PackedBits::Zeros(n_);
+  const std::span<std::uint64_t> words = report.bits.mutable_words();
+  // Same draws in the same order as one Bernoulli per coordinate; each word
+  // is assembled in a register and stored once. Bits enter at the top and
+  // shift down (a constant shift per draw), so after the word's last draw
+  // bit `begin` sits at 64 - len and one shift aligns the word.
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const int begin = static_cast<int>(w) * 64;
+    const int len = std::min(n_ - begin, 64);
+    std::uint64_t word = 0;
+    for (int i = begin; i < begin + len; ++i) {
+      const bool bit = rng.Bernoulli(i == user_type ? p_ : q_);
+      word = (word >> 1) | (static_cast<std::uint64_t>(bit) << 63);
+    }
+    words[w] = word >> (64 - len);
   }
   return report;
 }

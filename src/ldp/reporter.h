@@ -18,11 +18,19 @@
 // and dense aggregates reconstruct linearly (x_hat = B y), bit-vector
 // aggregates affinely against the report count N (x_hat = (y - N q)/(p - q),
 // estimation/decoder.h).
+//
+// Bit-vector reports are held packed (PackedBits), 64 bits per word in the
+// layout of the wire payload, so a report is built, encoded, decoded and
+// counted a word at a time rather than a byte per bit.
 
 #ifndef WFM_LDP_REPORTER_H_
 #define WFM_LDP_REPORTER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "ldp/local_randomizer.h"
@@ -30,6 +38,60 @@
 #include "linalg/rng.h"
 
 namespace wfm {
+
+/// An n-bit vector packed 64 bits to a word: bit i lives in word i / 64 at
+/// bit i % 64, so on a little-endian host the words are byte for byte the
+/// packed payload of a wire bit-vector report (wire/wire_format.h). Padding
+/// bits past size() are always zero, so every bit vector has exactly one
+/// representation and operator== compares words.
+class PackedBits {
+ public:
+  PackedBits() = default;
+  /// Packs one 0/1 byte per bit; an entry > 1 aborts (a byte vector that is
+  /// not a bit vector is a caller bug — untrusted bits arrive packed, through
+  /// DecodeReport).
+  explicit PackedBits(std::span<const std::uint8_t> bytes);
+  PackedBits(std::initializer_list<std::uint8_t> bytes)
+      : PackedBits(
+            std::span<const std::uint8_t>(bytes.begin(), bytes.size())) {}
+  /// All-zero vector of `size` bits.
+  static PackedBits Zeros(int size);
+
+  PackedBits(const PackedBits& other);
+  PackedBits& operator=(const PackedBits& other);
+  PackedBits(PackedBits&& other) noexcept;
+  PackedBits& operator=(PackedBits&& other) noexcept;
+
+  /// Number of bits n (not words).
+  std::size_t size() const { return static_cast<std::size_t>(size_); }
+  bool empty() const { return size_ == 0; }
+  /// Bit i as 0 or 1; i must be below size().
+  std::uint8_t operator[](std::size_t i) const {
+    return static_cast<std::uint8_t>((words_[i / 64] >> (i % 64)) & 1);
+  }
+  /// The ceil(n / 64) packed words.
+  std::span<const std::uint64_t> words() const {
+    return {words_.get(), NumWords()};
+  }
+  /// Writable words for code that fills a vector word by word (the reporter,
+  /// the wire decoder). Writers must leave the padding bits zero.
+  std::span<std::uint64_t> mutable_words() {
+    return {words_.get(), NumWords()};
+  }
+
+  friend bool operator==(const PackedBits& a, const PackedBits& b);
+
+ private:
+  std::size_t NumWords() const { return (size() + 63) / 64; }
+
+  int size_ = 0;
+  std::unique_ptr<std::uint64_t[]> words_;
+};
+
+// A Report carries one of these per bit-vector report; anything wider than
+// a pointer plus the bit count grows every Report in flight.
+static_assert(sizeof(PackedBits) <= sizeof(void*) + 8,
+              "PackedBits must stay a pointer plus the bit count");
 
 /// One user's privatized report — the only data that leaves the device.
 /// Exactly one shape is populated: `bits` for unary-encoding mechanisms,
@@ -42,7 +104,7 @@ struct Report {
   Vector dense;
   /// n-bit unary-encoding report; non-empty iff the mechanism is a
   /// frequency oracle (RAPPOR/OUE).
-  std::vector<std::uint8_t> bits;
+  PackedBits bits;
 
   bool is_dense() const { return !dense.empty(); }
   bool is_bits() const { return !bits.empty(); }
@@ -120,8 +182,8 @@ class FactoredStrategyReporter final : public Reporter {
 /// Client half of unary-encoding frequency oracles (RAPPOR, OUE): one-hot
 /// encode the type into n bits, then report each bit independently as 1 with
 /// probability p if the true bit is 1 and q if it is 0 (one Bernoulli draw
-/// per bit, in coordinate order). The matching server half is
-/// ReportDecoder's AffineDebias{p, q} mode.
+/// per bit, in coordinate order, packed into words as they are drawn). The
+/// matching server half is ReportDecoder's AffineDebias{p, q} mode.
 class BitVectorReporter final : public Reporter {
  public:
   /// `prob_one_given_one` is p, `prob_one_given_zero` is q; unbiased

@@ -57,7 +57,7 @@ StatusOr<Deployment> OueMechanism::Deploy(const WorkloadStats& workload) const {
                     Analyze(workload)};
 }
 
-std::vector<std::uint8_t> OueMechanism::SampleReport(int u, Rng& rng) const {
+PackedBits OueMechanism::SampleReport(int u, Rng& rng) const {
   // Exactly the deployed client (same per-coordinate Bernoulli draws, same
   // RNG consumption), so simulation and deployment cannot drift apart.
   return BitVectorReporter(n_, 0.5, q_).Respond(u, rng).bits;

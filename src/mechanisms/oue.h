@@ -53,7 +53,7 @@ class OueMechanism final : public Mechanism {
   double PerCoordinateUnitVariance() const;
 
   /// Samples one randomized n-bit report for a user of type u.
-  std::vector<std::uint8_t> SampleReport(int u, Rng& rng) const;
+  PackedBits SampleReport(int u, Rng& rng) const;
 
   /// Simulates the protocol on a histogram and returns the unbiased
   /// data-vector estimate.

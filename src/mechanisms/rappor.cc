@@ -47,7 +47,7 @@ StatusOr<Deployment> RapporMechanism::Deploy(const WorkloadStats& workload) cons
                     Analyze(workload)};
 }
 
-std::vector<std::uint8_t> RapporMechanism::SampleReport(int u, Rng& rng) const {
+PackedBits RapporMechanism::SampleReport(int u, Rng& rng) const {
   // Exactly the deployed client (bit i is 1 with probability 1-f when i == u
   // and f otherwise, one Bernoulli per coordinate), so simulation and
   // deployment cannot drift apart.

@@ -50,7 +50,7 @@ class RapporMechanism final : public Mechanism {
   double PerCoordinateUnitVariance() const;
 
   /// Samples one randomized n-bit report for a user of type u.
-  std::vector<std::uint8_t> SampleReport(int u, Rng& rng) const;
+  PackedBits SampleReport(int u, Rng& rng) const;
 
   /// Simulates the full protocol on a histogram x and returns the unbiased
   /// estimate of the data vector.

@@ -647,6 +647,17 @@ WireResponse CollectionServer::HandleIngest(
     if (count == 0) {
       return ErrorResponse(Status::InvalidArgument("batch frame is empty"));
     }
+    // The count is untrusted: bound it by what the body can hold (every
+    // entry is a u32 length plus at least one report envelope) before it
+    // sizes an allocation.
+    const std::size_t max_count =
+        (body.size() - 4) / (4 + kWireEnvelopeBytes);
+    if (count > max_count) {
+      return ErrorResponse(Status::InvalidArgument(
+          "batch count " + std::to_string(count) + " exceeds the " +
+          std::to_string(max_count) + " reports a " +
+          std::to_string(body.size()) + "-byte body can hold"));
+    }
     reports.reserve(count);
     std::size_t offset = 4;
     for (std::uint32_t i = 0; i < count; ++i) {

@@ -65,6 +65,31 @@ double GetF64(const std::uint8_t* p) {
   return std::bit_cast<double>(GetU64(p));
 }
 
+// Packed bit-vector payload <-> PackedBits words: byte b of the payload is
+// byte b % 8, little-endian, of word b / 8. A plain copy on little-endian
+// hosts.
+void WordsToBytes(std::span<const std::uint64_t> words, std::uint8_t* out,
+                  std::size_t num_bytes) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, words.data(), num_bytes);
+  } else {
+    for (std::size_t b = 0; b < num_bytes; ++b) {
+      out[b] = static_cast<std::uint8_t>(words[b / 8] >> (8 * (b % 8)));
+    }
+  }
+}
+
+void BytesToWords(const std::uint8_t* in, std::size_t num_bytes,
+                  std::span<std::uint64_t> words) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(words.data(), in, num_bytes);
+  } else {
+    for (std::size_t b = 0; b < num_bytes; ++b) {
+      words[b / 8] |= static_cast<std::uint64_t>(in[b]) << (8 * (b % 8));
+    }
+  }
+}
+
 // ---- envelope helpers ------------------------------------------------------
 
 void PutHeader(WireBytes& out, const std::array<std::uint8_t, 4>& magic,
@@ -134,21 +159,39 @@ Status CheckPayloadSize(std::span<const std::uint8_t> buffer,
 }  // namespace
 
 std::uint32_t WireCrc32(std::span<const std::uint8_t> data) {
-  // CRC-32/IEEE, bit-reflected, table-driven. The table is built once.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // CRC-32/IEEE, bit-reflected, slicing-by-8: table k advances a byte's
+  // contribution past k further zero bytes, so one step folds 8 input bytes
+  // with 8 independent lookups. The tables are built once; the tail of
+  // fewer than 8 bytes runs bytewise on table 0.
+  static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
+  for (; left >= 8; p += 8, left -= 8) {
+    const std::uint32_t lo = GetU32(p) ^ crc;
+    const std::uint32_t hi = GetU32(p + 4);
+    crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
+          tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
+          tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
+          tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
+  }
+  for (; left > 0; ++p, --left) {
+    crc = tables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -157,21 +200,14 @@ WireBytes EncodeReport(const Report& report) {
   WireBytes out;
   if (report.is_bits()) {
     const std::size_t n = report.bits.size();
-    out.reserve(kWireEnvelopeBytes + (n + 7) / 8);
+    const std::size_t packed_bytes = (n + 7) / 8;
+    out.reserve(kWireEnvelopeBytes + packed_bytes);
     PutHeader(out, kReportMagic, kKindPackedBits,
               static_cast<std::uint32_t>(n));
-    std::uint8_t packed = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      WFM_CHECK_LE(report.bits[i], 1)
-          << "bit report entry out of range at coordinate"
-          << static_cast<int>(i);
-      packed |= static_cast<std::uint8_t>(report.bits[i] << (i % 8));
-      if (i % 8 == 7) {
-        out.push_back(packed);
-        packed = 0;
-      }
-    }
-    if (n % 8 != 0) out.push_back(packed);
+    // PackedBits keeps its padding bits zero, so the payload is canonical.
+    out.resize(kWireHeaderBytes + packed_bytes);
+    WordsToBytes(report.bits.words(), out.data() + kWireHeaderBytes,
+                 packed_bytes);
   } else if (report.is_dense()) {
     out.reserve(kWireEnvelopeBytes + 8 * report.dense.size());
     PutHeader(out, kReportMagic, kKindDense,
@@ -253,10 +289,8 @@ StatusOr<Report> DecodeReport(std::span<const std::uint8_t> buffer) {
               "packed bit-vector report has non-zero padding bits");
         }
       }
-      report.bits.resize(dim);
-      for (std::uint32_t i = 0; i < dim; ++i) {
-        report.bits[i] = (payload[i / 8] >> (i % 8)) & 1;
-      }
+      report.bits = PackedBits::Zeros(static_cast<int>(dim));
+      BytesToWords(payload, packed_bytes, report.bits.mutable_words());
       return report;
     }
     default:

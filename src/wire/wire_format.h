@@ -26,7 +26,8 @@
 //
 // The packed layout is what makes per-user communication succinct: an n-bit
 // RAPPOR/OUE report costs ceil(n/8) payload bytes plus the fixed
-// kEnvelopeBytes, not one byte per bit.
+// kEnvelopeBytes, not one byte per bit. It is also Report::bits' in-memory
+// layout (PackedBits, little-endian words), so encode and decode copy it.
 //
 // Snapshot payloads (dim = m) come in two kinds: kind 0 is u32 epoch_id,
 // u64 count, then dim doubles of histogram — the pre-rollover layout,
@@ -82,8 +83,9 @@ inline constexpr std::size_t kWireTrailerBytes = 4;
 inline constexpr std::size_t kWireEnvelopeBytes =
     kWireHeaderBytes + kWireTrailerBytes;
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`. Exposed so tests
-/// and tools can craft or verify envelopes byte by byte.
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`, computed 8 bytes
+/// per step (slicing-by-8). Exposed so tests and tools can craft or verify
+/// envelopes byte by byte.
 std::uint32_t WireCrc32(std::span<const std::uint8_t> data);
 
 /// Serializes one report. Bit-vector reports are packed 8 bits per byte;

@@ -57,7 +57,7 @@ Report DenseReport(Vector v) {
 
 Report BitsReport(std::vector<std::uint8_t> bits) {
   Report r;
-  r.bits = std::move(bits);
+  r.bits = PackedBits(bits);
   return r;
 }
 
@@ -404,10 +404,17 @@ TEST(CollectDeathTest, RejectsBitVectorKindMismatchesAndCorruptBits) {
   ShardedAggregator categorical(/*num_outputs=*/3, /*num_shards=*/1);
   EXPECT_DEATH(categorical.Accept(0, BitsReport({1, 0, 1})), "categorical");
 
+  // Wrong dimension, shorter and longer than m, in both the single and the
+  // batched path.
   EXPECT_DEATH(bits.Accept(0, BitsReport({1, 0})), "WFM_CHECK");
-  // Entries beyond {0, 1} indicate a corrupt stream, validated before they
-  // can skew the per-coordinate counts.
-  EXPECT_DEATH(bits.Accept(0, BitsReport({1, 2, 0})), "out of range");
+  EXPECT_DEATH(bits.Accept(0, BitsReport(std::vector<std::uint8_t>(65, 1))),
+               "WFM_CHECK");
+  const std::vector<Report> ragged = {BitsReport({1, 0, 1}),
+                                      BitsReport({1, 0, 1, 1})};
+  EXPECT_DEATH(bits.AcceptBatch(0, ragged), "WFM_CHECK");
+  // An entry beyond {0, 1} cannot even be packed: building the report
+  // aborts before it could reach a counter.
+  EXPECT_DEATH(PackedBits({1, 2, 0}), "out of range");
 }
 
 TEST(ShardedAggregatorTest, BitVectorMergeCountsSetBitsPerCoordinate) {
@@ -599,21 +606,15 @@ TEST(UnifiedIngestTest, AcceptDispatchesEveryReportKind) {
 
 TEST(UnifiedIngestTest, AcceptBatchMatchesPerReportAcceptForEveryKind) {
   Rng rng(81);
-  for (const ReportKind kind :
-       {ReportKind::kCategorical, ReportKind::kDense, ReportKind::kBitVector}) {
+  for (const ReportKind kind : {ReportKind::kCategorical, ReportKind::kDense}) {
     const int m = 6;
     std::vector<Report> reports(500);
     for (Report& r : reports) {
       if (kind == ReportKind::kCategorical) {
         r.index = rng.UniformInt(m);
-      } else if (kind == ReportKind::kDense) {
+      } else {
         r.dense.resize(m);
         for (double& v : r.dense) v = rng.UniformInt(10);
-      } else {
-        r.bits.resize(m);
-        for (std::uint8_t& bit : r.bits) {
-          bit = static_cast<std::uint8_t>(rng.UniformInt(2));
-        }
       }
     }
     ShardedAggregator one_by_one(m, /*num_shards=*/2, kind);
@@ -624,33 +625,40 @@ TEST(UnifiedIngestTest, AcceptBatchMatchesPerReportAcceptForEveryKind) {
         << "kind " << KindName(kind);
     EXPECT_EQ(batched.num_responses(), one_by_one.num_responses());
   }
-}
 
-TEST(UnifiedIngestTest, AddBitsBatchMatchesPerReportAddBits) {
-  // The batched bit-vector hot path (k concatenated m-bit reports, scratch
-  // counts, one atomic per touched counter) must be report-for-report
-  // equivalent to per-report Accept.
-  const int m = 16;
-  const int k = 1000;
-  Rng rng(82);
-  std::vector<std::uint8_t> concatenated(static_cast<std::size_t>(k) * m);
-  for (std::uint8_t& bit : concatenated) {
-    bit = static_cast<std::uint8_t>(rng.UniformInt(2));
+  // Bit vectors are counted eight packed bits at a time in byte-wide lanes
+  // that drain every 255 reports: widths straddle byte and word edges,
+  // batch lengths straddle the drain, and all-ones reports fill every lane
+  // counter to its limit.
+  for (const int m : {1, 7, 8, 63, 64, 65, 512}) {
+    for (const int k : {1, 2, 255, 256, 257, 1000}) {
+      for (const bool all_ones : {false, true}) {
+        std::vector<Report> reports(k);
+        Vector expected(m, 0.0);
+        for (Report& r : reports) {
+          std::vector<std::uint8_t> bytes(m, 1);
+          if (!all_ones) {
+            for (std::uint8_t& bit : bytes) {
+              bit = static_cast<std::uint8_t>(rng.UniformInt(2));
+            }
+          }
+          for (int o = 0; o < m; ++o) expected[o] += bytes[o];
+          r.bits = PackedBits(bytes);
+        }
+        ShardedAggregator one_by_one(m, /*num_shards=*/2,
+                                     ReportKind::kBitVector);
+        for (const Report& r : reports) one_by_one.Accept(0, r);
+        ShardedAggregator batched(m, /*num_shards=*/2, ReportKind::kBitVector);
+        batched.AcceptBatch(1, reports);
+        EXPECT_EQ(batched.Merge(), expected)
+            << "m " << m << " k " << k << " all_ones " << all_ones;
+        EXPECT_EQ(one_by_one.Merge(), expected)
+            << "m " << m << " k " << k << " all_ones " << all_ones;
+        EXPECT_EQ(batched.num_responses(), k);
+        EXPECT_EQ(one_by_one.num_responses(), k);
+      }
+    }
   }
-
-  ShardedAggregator serial(m, /*num_shards=*/1, ReportKind::kBitVector);
-  for (int i = 0; i < k; ++i) {
-    serial.Accept(0, BitsReport({concatenated.data() + i * m,
-                                 concatenated.data() + (i + 1) * m}));
-  }
-  ShardedAggregator batched(m, /*num_shards=*/1, ReportKind::kBitVector);
-  batched.AddBitsBatch(0, concatenated);
-  EXPECT_EQ(batched.Merge(), serial.Merge());
-  EXPECT_EQ(batched.num_responses(), k);
-
-  ShardedAggregator bad(m, /*num_shards=*/1, ReportKind::kBitVector);
-  const std::vector<std::uint8_t> ragged(m + 1, 0);
-  EXPECT_DEATH(bad.AddBitsBatch(0, ragged), "multiple");
 }
 
 TEST(UnifiedIngestTest, ConcurrentAcceptBatchConservesEveryReport) {
@@ -664,20 +672,22 @@ TEST(UnifiedIngestTest, ConcurrentAcceptBatchConservesEveryReport) {
       ReportDecoder(AffineDebias{0.75, 0.25}, WorkloadStats::From(*workload)),
       workload, kIngestThreads, ReportKind::kBitVector);
 
-  std::vector<std::vector<std::uint8_t>> streams(kIngestThreads);
+  std::vector<std::vector<Report>> streams(kIngestThreads);
   Vector expected(n, 0.0);
   for (int t = 0; t < kIngestThreads; ++t) {
     Rng rng(900 + t);
-    streams[t].resize(static_cast<std::size_t>(per_thread) * n);
-    for (std::size_t i = 0; i < streams[t].size(); ++i) {
-      streams[t][i] = static_cast<std::uint8_t>(rng.UniformInt(2));
-      expected[i % n] += streams[t][i];
+    for (int i = 0; i < per_thread; ++i) {
+      std::vector<std::uint8_t> bytes(n);
+      for (int o = 0; o < n; ++o) {
+        bytes[o] = static_cast<std::uint8_t>(rng.UniformInt(2));
+        expected[o] += bytes[o];
+      }
+      streams[t].push_back(BitsReport(bytes));
     }
   }
   std::vector<std::thread> threads;
   for (int t = 0; t < kIngestThreads; ++t) {
-    threads.emplace_back(
-        [&, t] { session.AcceptBitsBatch(t, streams[t]); });
+    threads.emplace_back([&, t] { session.AcceptBatch(t, streams[t]); });
   }
   session.Seal();  // Race one cut against the in-flight batches.
   for (std::thread& t : threads) t.join();

@@ -7,6 +7,7 @@
 // they are not literal 5σ expressions.
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "estimation/decoder.h"
 #include "ldp/local_randomizer.h"
 #include "ldp/protocol.h"
+#include "ldp/reporter.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
 #include "workload/histogram.h"
@@ -179,6 +181,61 @@ TEST(ProtocolDeathTest, NegativeCountsRejected) {
   Rng rng(137);
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(3, 1.0);
   EXPECT_DEATH(SimulateResponseHistogram(q, {1, -2, 3}, rng), "non-negative");
+}
+
+TEST(PackedBitsTest, RoundTripsZeroOneBytesAtEveryWordEdge) {
+  Rng rng(41);
+  for (const int n : {1, 7, 8, 63, 64, 65, 128, 512, 1000}) {
+    std::vector<std::uint8_t> bytes(n);
+    for (std::uint8_t& b : bytes) {
+      b = static_cast<std::uint8_t>(rng.UniformInt(2));
+    }
+    const PackedBits bits(bytes);
+    ASSERT_EQ(bits.size(), static_cast<std::size_t>(n));
+    ASSERT_EQ(bits.words().size(), static_cast<std::size_t>((n + 63) / 64));
+    std::vector<std::uint8_t> unpacked(n);
+    for (int i = 0; i < n; ++i) unpacked[i] = bits[i];
+    EXPECT_EQ(unpacked, bytes) << "n " << n;
+    // Padding bits past n stay zero, so equal vectors compare equal word for
+    // word and a copy is indistinguishable from the original.
+    if (n % 64 != 0) {
+      EXPECT_EQ(bits.words().back() >> (n % 64), 0u);
+    }
+    const PackedBits copy = bits;
+    EXPECT_EQ(copy, bits);
+    EXPECT_EQ(PackedBits(bytes), bits);
+  }
+  EXPECT_TRUE(PackedBits().empty());
+  EXPECT_EQ(PackedBits::Zeros(70),
+            PackedBits(std::vector<std::uint8_t>(70, 0)));
+  EXPECT_FALSE(PackedBits({1, 0}) == PackedBits({1, 0, 0}));
+}
+
+TEST(PackedBitsDeathTest, NonBinaryByteAborts) {
+  EXPECT_DEATH(PackedBits({0, 1, 2}), "out of range");
+}
+
+TEST(BitVectorReporterTest, RespondMatchesPerCoordinateBernoulliDraws) {
+  // The packed reporter must consume the RNG exactly like one Bernoulli per
+  // coordinate in coordinate order, so a seed pins the same reports as the
+  // byte-per-bit reference below.
+  const double p = 0.75, q = 0.25;
+  for (const int n : {1, 63, 64, 65, 512}) {
+    const BitVectorReporter reporter(n, p, q);
+    Rng packed_rng(300 + n);
+    Rng reference_rng(300 + n);
+    for (int trial = 0; trial < 20; ++trial) {
+      const int user_type = trial % n;
+      const Report report = reporter.Respond(user_type, packed_rng);
+      std::vector<std::uint8_t> expected(n);
+      for (int i = 0; i < n; ++i) {
+        expected[i] = reference_rng.Bernoulli(i == user_type ? p : q) ? 1 : 0;
+      }
+      ASSERT_TRUE(report.is_bits());
+      EXPECT_EQ(report.bits, PackedBits(expected)) << "n " << n;
+    }
+    EXPECT_EQ(packed_rng.NextUint64(), reference_rng.NextUint64());
+  }
 }
 
 }  // namespace

@@ -326,19 +326,19 @@ TEST(PlanServerTest, MalformedReportsAreInvalidArgumentNotFatal) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(cat_server.num_reports(), 0);
 
-  // Bit-vector deployment: wrong width and non-binary entries.
+  // Bit-vector deployment: too few and too many bits (a packed report
+  // cannot hold a non-binary entry; its byte form aborts in collect_test).
   const StatusOr<Plan> bits_plan =
       Plan::For(workload).Epsilon(1.0).Mechanism("OUE").Build();
   ASSERT_TRUE(bits_plan.ok());
   PlanServer bits_server = bits_plan.value().Server();
   Report short_bits;
-  short_bits.bits.assign(n - 1, 0);
+  short_bits.bits = PackedBits::Zeros(n - 1);
   EXPECT_EQ(bits_server.Accept(short_bits).code(),
             StatusCode::kInvalidArgument);
-  Report corrupt_bits;
-  corrupt_bits.bits.assign(n, 0);
-  corrupt_bits.bits[3] = 2;
-  EXPECT_EQ(bits_server.Accept(corrupt_bits).code(),
+  Report long_bits;
+  long_bits.bits = PackedBits(std::vector<std::uint8_t>(n + 64, 1));
+  EXPECT_EQ(bits_server.Accept(long_bits).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(bits_server.num_reports(), 0);
   EXPECT_EQ(bits_server.aggregate(), Vector(n, 0.0));
@@ -358,7 +358,13 @@ TEST(PlanServerTest, MalformedReportsAreInvalidArgumentNotFatal) {
   std::unique_ptr<PlanSession> session = bits_plan.value().StartSession(1);
   EXPECT_EQ(session->Accept(0, short_bits).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(session->Accept(0, corrupt_bits).code(),
+  EXPECT_EQ(session->Accept(0, long_bits).code(),
+            StatusCode::kInvalidArgument);
+  // A malformed report rejects its whole batch, the valid one beside it too.
+  Rng batch_rng(4);
+  const std::vector<Report> batch = {
+      bits_plan.value().Client().Respond(0, batch_rng), long_bits};
+  EXPECT_EQ(session->AcceptBatch(0, batch).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(session->Accept(0, dense_into_bits).code(),
             StatusCode::kInvalidArgument);

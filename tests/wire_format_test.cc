@@ -57,8 +57,44 @@ Report DenseReport(Vector v) {
 
 Report BitsReport(std::vector<std::uint8_t> bits) {
   Report r;
-  r.bits = std::move(bits);
+  r.bits = PackedBits(bits);
   return r;
+}
+
+// Bytewise CRC-32/IEEE straight from the reflected polynomial, one bit at a
+// time: the reference the table-driven WireCrc32 must match.
+std::uint32_t ReferenceCrc32(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(WireCrcTest, MatchesTheStandardCheckValueAndABytewiseReference) {
+  const std::string check = "123456789";
+  EXPECT_EQ(WireCrc32(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size())),
+            0xCBF43926u);
+
+  // Every length 0..1100 from every start offset mod 8, so the 8-byte steps
+  // and the bytewise tail meet at every alignment.
+  Rng rng(17);
+  std::vector<std::uint8_t> buffer(1100 + 8);
+  for (std::uint8_t& b : buffer) {
+    b = static_cast<std::uint8_t>(rng.UniformInt(256));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 1100; ++length) {
+      const std::span<const std::uint8_t> data(buffer.data() + offset, length);
+      ASSERT_EQ(WireCrc32(data), ReferenceCrc32(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 TEST(WireReportTest, CategoricalRoundTripsExactly) {

@@ -568,6 +568,84 @@ TEST(WireServiceTest, OversizedFrameGets400AndTheConnectionSurvives) {
   server.Stop();
 }
 
+void PutU32(WireBytes& out, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<std::uint8_t>(v >> shift));
+  }
+}
+
+TEST(WireServiceTest, BatchCountBeyondTheBodyGets400AndTheServerSurvives) {
+  CollectionServer server(MakePlan(8), EphemeralOptions());
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<CollectionClient> connected =
+      CollectionClient::Connect(server.port());
+  ASSERT_TRUE(connected.ok());
+  CollectionClient& client = connected.value();
+
+  // 32 bytes: the idempotency tag, a u32 count of 0xFFFFFFFF and 12 bytes
+  // that cannot hold even one entry. The count must be refused before it
+  // sizes an allocation.
+  WireBytes frame(16, 0);  // Untagged.
+  PutU32(frame, 0xFFFFFFFFu);
+  frame.resize(32, 0);
+  const StatusOr<WireResponse> response = client.RawRequest(
+      static_cast<std::uint8_t>(WireMessageType::kAcceptBatch), frame);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status, kWireStatusBadRequest);
+
+  EXPECT_TRUE(client.Ping().ok());
+  const StatusOr<EpochSnapshot> sealed = client.Seal();
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(sealed.value().count, 0);
+  server.Stop();
+}
+
+TEST(WireServiceTest, BatchWithNonZeroPaddingBitsGets400AndCountsNothing) {
+  // m = 5: each packed report carries 3 padding bits in its one payload byte.
+  const int n = 5;
+  StatusOr<Plan> plan = Plan::For(std::make_shared<const PrefixWorkload>(n))
+                            .Epsilon(1.0)
+                            .Mechanism("RAPPOR")
+                            .Build();
+  ASSERT_TRUE(plan.ok());
+  CollectionServer server(plan.value(), EphemeralOptions());
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<CollectionClient> connected =
+      CollectionClient::Connect(server.port());
+  ASSERT_TRUE(connected.ok());
+  CollectionClient& client = connected.value();
+
+  // Three valid reports, then the middle one gets a padding bit set and its
+  // CRC re-stamped, so only the canonical-padding check can catch it.
+  const PlanClient device = plan.value().Client();
+  Rng rng(61);
+  WireBytes frame(16, 0);  // Untagged.
+  PutU32(frame, 3);
+  for (int i = 0; i < 3; ++i) {
+    WireBytes wire = EncodeReport(device.Respond(i, rng));
+    ASSERT_EQ(wire.size(), kWireEnvelopeBytes + 1);
+    if (i == 1) {
+      wire[kWireHeaderBytes] |= 0x80;
+      wire.resize(wire.size() - kWireTrailerBytes);
+      PutU32(wire, WireCrc32(wire));
+      ASSERT_FALSE(DecodeReport(wire).ok());
+    }
+    PutU32(frame, static_cast<std::uint32_t>(wire.size()));
+    frame.insert(frame.end(), wire.begin(), wire.end());
+  }
+  const StatusOr<WireResponse> response = client.RawRequest(
+      static_cast<std::uint8_t>(WireMessageType::kAcceptBatch), frame);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status, kWireStatusBadRequest);
+
+  EXPECT_TRUE(client.Ping().ok());
+  const StatusOr<EpochSnapshot> sealed = client.Seal();
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(sealed.value().count, 0);
+  EXPECT_EQ(sealed.value().histogram, Vector(n, 0.0));
+  server.Stop();
+}
+
 TEST(WireServiceTest, StopDrainsInFlightRequestsWithoutHangingOrLosingAcks) {
   const Plan plan = MakePlan(8);
   CollectionServer server(plan, EphemeralOptions());
