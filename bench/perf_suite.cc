@@ -1,5 +1,6 @@
 // Performance-trajectory suite: times the dense kernels (tiled/pooled vs the
-// retained pre-PR reference), one objective+gradient evaluation, one
+// retained pre-PR reference), one objective+gradient evaluation (at a large
+// random-Gram shape and at the dense-prefix PGD shape), one
 // Algorithm 1 projection, a full Optimize() run, and a WNNLS decode, then
 // writes the measurements to a JSON file so CI can accumulate a per-commit
 // perf trajectory.
@@ -11,6 +12,8 @@
 // `<name>_ref` rows are the pre-PR kernels on identical inputs; the ratio
 // ns_per_op(ref) / ns_per_op(new) is the speedup this PR's acceptance
 // criteria track.
+//
+// The header names the GEMM/solve kernel build in use (linalg/kernels.h).
 //
 // Flags: --quick (smaller shapes + fewer reps; what the perf-smoke CI job
 // runs), --reps=N, --out=path.
@@ -25,6 +28,7 @@
 #include "core/optimizer.h"
 #include "core/projection.h"
 #include "estimation/wnnls.h"
+#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/reference_kernels.h"
 #include "linalg/rng.h"
@@ -99,7 +103,8 @@ int main(int argc, char** argv) {
       "no paper analogue; feeds BENCH_perf.json per commit",
       std::string("reps = ") + std::to_string(reps) +
           (quick ? ", --quick shapes" : ", full shapes") + ", " +
-          std::to_string(wfm::ThreadPool::Global().num_threads()) + " threads");
+          std::to_string(wfm::ThreadPool::Global().num_threads()) +
+          " threads, " + wfm::kernels::ActiveKernels().name + " kernels");
 
   std::vector<Entry> entries;
   wfm::TablePrinter table({"kernel", "shape", "ms/op", "GFLOP/s", "speedup"});
@@ -178,22 +183,30 @@ int main(int argc, char** argv) {
   }
 
   // --- One objective + gradient evaluation (the PGD hot path) --------------
-  {
-    const int n = quick ? 128 : 256;
+  // A random-Gram evaluation at a size set by --quick, and one at m = 256,
+  // n = 64 against Prefix(64)'s Gram, the dense-prefix PGD shape. The
+  // latter is sub-millisecond, so it is timed in batches of 20.
+  auto time_objective = [&](int n, const wfm::Matrix& gram, int batch) {
     const int m = 4 * n;
-    const double eps = 1.0;
     wfm::Rng init_rng(7);
-    wfm::Vector z;
     const wfm::ProjectionResult proj =
-        wfm::RandomInitialStrategy(m, n, eps, init_rng, &z);
-    const wfm::Matrix w = RandomMatrix(n, n, rng);
-    const wfm::Matrix gram = wfm::MultiplyATB(w, w);
+        wfm::RandomInitialStrategy(m, n, 1.0, init_rng, nullptr);
     wfm::ObjectiveWorkspace ws;
     wfm::EvalObjectiveAndGradient(proj.q, gram, ws);  // Warm the workspace.
     const double t = TimeBest(reps, [&] {
-      sink += wfm::EvalObjectiveAndGradient(proj.q, gram, ws).value;
-    });
+                       for (int i = 0; i < batch; ++i) {
+                         sink += wfm::EvalObjectiveAndGradient(proj.q, gram, ws)
+                                     .value;
+                       }
+                     }) /
+                     batch;
     record("objective_eval", ShapeString(m, n, n), t, 0.0, 0.0);
+  };
+  {
+    const int n = quick ? 128 : 256;
+    const wfm::Matrix w = RandomMatrix(n, n, rng);
+    time_objective(n, wfm::MultiplyATB(w, w), 1);
+    time_objective(64, wfm::CreateWorkload("Prefix", 64)->Gram(), 20);
   }
 
   // --- One Algorithm 1 projection at the dense-prefix restart shape --------

@@ -1,10 +1,13 @@
 #include "core/objective.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "linalg/pseudo_inverse.h"
+#include "linalg/symmetric_eigen.h"
+#include "obs/metrics.h"
 
 namespace wfm {
 namespace {
@@ -35,13 +38,66 @@ void PrepareInto(const Matrix& q, const Vector& population,
 /// +infinity, and reporting the truncated trace instead would reward the
 /// optimizer for diving into the rank-deficient boundary (the paper relies
 /// on the objective blowing up there).
+constexpr double kRangeTolerance = 1e-6;
+
 bool RangeCovered(const Matrix& a, const Matrix& x_pinv_g, const Matrix& gram) {
   const Matrix ax = Multiply(a, x_pinv_g);
   const double scale = std::max(1.0, gram.MaxAbs());
-  return (ax - gram).MaxAbs() <= 1e-6 * scale;
+  return (ax - gram).MaxAbs() <= kRangeTolerance * scale;
+}
+
+/// How FactorOrFallback settled A.
+enum class Solve {
+  kCholesky,       ///< ws.chol holds A's factor; ws.x = A⁻¹G.
+  kPseudoInverse,  ///< pinv = A†; ws.x = A†G, and range(G) ⊆ range(A).
+  kInfinite,       ///< The objective is +∞.
+};
+
+/// The one place that decides between the Cholesky path, the certified +∞
+/// and the pseudo-inverse fallback, for both the value and the gradient.
+Solve FactorOrFallback(const Matrix& gram, ObjectiveWorkspace& ws,
+                       Matrix& pinv) {
+  if (ws.chol.Factorize(ws.a)) {
+    ws.x = gram;
+    ws.chol.SolveInPlace(ws.x);  // A⁻¹ G.
+    return Solve::kCholesky;
+  }
+  const bool infinite = ws.certificate != nullptr
+                            ? ws.certificate->FailedFactorIsInfinite()
+                            : GramCertificate(gram).FailedFactorIsInfinite();
+  if (infinite) return Solve::kInfinite;
+  ++ws.pseudo_inverses;
+  pinv = SymmetricPseudoInverse(ws.a);
+  MultiplyInto(pinv, gram, ws.x);
+  return RangeCovered(ws.a, ws.x, gram) ? Solve::kPseudoInverse
+                                        : Solve::kInfinite;
+}
+
+Counter& PseudoInverseEvaluations() {
+  static Counter& counter = MetricsRegistry::Global().GetCounter(
+      "wfm_optimizer_pseudo_inverse_total");
+  return counter;
 }
 
 }  // namespace
+
+bool GramCertificate::FailedFactorIsInfinite() const {
+  std::call_once(once_, [this] {
+    const int n = gram_.rows();
+    if (n == 0) return;
+    // Safety factor between λ_min(G) / n and the range test's tolerance.
+    constexpr double kMargin = 10.0;
+    const double lambda_min = SymmetricEigen(gram_).eigenvalues.front();
+    const double tolerance = kRangeTolerance * std::max(1.0, gram_.MaxAbs());
+    infinite_ = lambda_min / n > kMargin * tolerance;
+  });
+  return infinite_;
+}
+
+void PublishPseudoInverses(ObjectiveWorkspace& ws) {
+  PseudoInverseEvaluations().Add(ws.pseudo_inverses);
+  ws.pseudo_inverses = 0;
+}
 
 ObjectiveValue EvalObjectiveAndGradient(const Matrix& q, const Matrix& gram,
                                         const Vector& population,
@@ -58,21 +114,18 @@ ObjectiveValue EvalObjectiveAndGradient(const Matrix& q, const Matrix& gram,
   // X = A† G and S = A† G A†. On the Cholesky path two in-place triangular
   // solves; on the (rare, allocating) fallback path two products with the
   // spectral pseudo-inverse.
-  if (ws.chol.Factorize(ws.a)) {
-    ws.x = gram;
-    ws.chol.SolveInPlace(ws.x);      // A⁻¹ G.
+  Matrix pinv;
+  const Solve solve = FactorOrFallback(gram, ws, pinv);
+  out.used_cholesky = solve == Solve::kCholesky;
+  if (solve == Solve::kInfinite) {
+    out.value = std::numeric_limits<double>::infinity();
+    ws.gradient.Resize(m, n);
+    return out;
+  }
+  if (solve == Solve::kCholesky) {
     TransposeInto(ws.x, ws.s);
-    ws.chol.SolveInPlace(ws.s);      // A⁻¹ (GA⁻¹) = A⁻¹GA⁻¹.
-    out.used_cholesky = true;
+    ws.chol.SolveInPlace(ws.s);  // A⁻¹ (GA⁻¹) = A⁻¹GA⁻¹.
   } else {
-    const Matrix pinv = SymmetricPseudoInverse(ws.a);
-    MultiplyInto(pinv, gram, ws.x);
-    out.used_cholesky = false;
-    if (!RangeCovered(ws.a, ws.x, gram)) {
-      out.value = std::numeric_limits<double>::infinity();
-      ws.gradient.Resize(m, n);
-      return out;
-    }
     MultiplyInto(ws.x, pinv, ws.s);  // A†G A†.
   }
   out.value = ws.x.Trace();
@@ -113,6 +166,7 @@ ObjectiveEvaluation EvalObjectiveAndGradient(const Matrix& q,
                                              const Matrix& gram) {
   ObjectiveWorkspace ws;
   const ObjectiveValue v = EvalObjectiveAndGradient(q, gram, ws);
+  PublishPseudoInverses(ws);
   ObjectiveEvaluation out;
   out.value = v.value;
   out.used_cholesky = v.used_cholesky;
@@ -126,14 +180,8 @@ double EvalObjective(const Matrix& q, const Matrix& gram,
   WFM_CHECK(population.empty() ||
             static_cast<int>(population.size()) == q.cols());
   PrepareInto(q, population, ws);
-  if (ws.chol.Factorize(ws.a)) {
-    ws.x = gram;
-    ws.chol.SolveInPlace(ws.x);
-    return ws.x.Trace();
-  }
-  const Matrix pinv = SymmetricPseudoInverse(ws.a);
-  MultiplyInto(pinv, gram, ws.x);
-  if (!RangeCovered(ws.a, ws.x, gram)) {
+  Matrix pinv;
+  if (FactorOrFallback(gram, ws, pinv) == Solve::kInfinite) {
     return std::numeric_limits<double>::infinity();
   }
   return ws.x.Trace();
@@ -146,7 +194,9 @@ double EvalObjective(const Matrix& q, const Matrix& gram,
 
 double EvalObjective(const Matrix& q, const Matrix& gram) {
   ObjectiveWorkspace ws;
-  return EvalObjective(q, gram, Vector(), ws);
+  const double value = EvalObjective(q, gram, Vector(), ws);
+  PublishPseudoInverses(ws);
+  return value;
 }
 
 }  // namespace wfm

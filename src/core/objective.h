@@ -10,6 +10,16 @@
 // products per evaluation — the O(n²m + n³) the paper reports. A spectral
 // pseudo-inverse fallback handles (rare) rank deficiency.
 //
+// When A fails to factor, a well-conditioned G decides the answer without
+// the pseudo-inverse. A failed pivot means λ_min(A) < 1e-12·max diag(A) <=
+// 1e-12·λ_max(A), below the pseudo-inverse's 1e-10 relative cutoff, so at
+// least one unit eigen-direction u of A is dropped from its range. Along u,
+// ‖A A†G − G‖_max >= ‖Gu‖ / n >= λ_min(G) / n. So when λ_min(G) / n clears
+// the range test's tolerance 1e-6·max(1, max|G|) by a 10x margin, the
+// pseudo-inverse path can only conclude +∞, and the evaluation returns +∞
+// directly (GramCertificate). Singular or nearly singular Grams, such as
+// marginals and parity, still take the pseudo-inverse path.
+//
 // Population-weighted variant (src/adaptive re-optimization): the paper's D
 // = Diag(Q 1) is the multinomial denominator for a UNIFORM population —
 // Cov(y) ≼ Diag(Q x̃) for population mix x̃, and uniform x̃ ∝ 1 recovers
@@ -22,10 +32,31 @@
 #ifndef WFM_CORE_OBJECTIVE_H_
 #define WFM_CORE_OBJECTIVE_H_
 
+#include <mutex>
+
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 
 namespace wfm {
+
+/// Whether, for the workload Gram G, every strategy whose A fails to factor
+/// has objective +∞ (see the file comment). λ_min(G) is computed on the
+/// first query, by one SymmetricEigen(G), under std::call_once, so one
+/// certificate can serve concurrent optimizer runs. `gram` must outlive it.
+class GramCertificate {
+ public:
+  explicit GramCertificate(const Matrix& gram) : gram_(gram) {}
+
+  GramCertificate(const GramCertificate&) = delete;
+  GramCertificate& operator=(const GramCertificate&) = delete;
+
+  bool FailedFactorIsInfinite() const;
+
+ private:
+  const Matrix& gram_;
+  mutable std::once_flag once_;
+  mutable bool infinite_ = false;
+};
 
 struct ObjectiveEvaluation {
   double value = 0.0;
@@ -37,9 +68,11 @@ struct ObjectiveEvaluation {
 /// gram (Qᵀ D⁻¹ Q), the scaled strategy, the Cholesky factor, the X/S/QS
 /// temporaries, and the gradient are allocated once and reused across every
 /// PGD iteration and restart. After a warm-up evaluation at a given (m, n),
-/// the Cholesky path performs no heap allocation (the rare pseudo-inverse
-/// fallback still allocates). Buffers resize transparently if the shape
-/// changes, so one workspace can serve a whole optimizer run.
+/// the Cholesky path performs no heap allocation, nor does a failed
+/// factorization that `certificate` settles as +∞ once it has computed
+/// λ_min(G) (the rare pseudo-inverse fallback still allocates). Buffers
+/// resize transparently if the shape changes, so one workspace can serve a
+/// whole optimizer run.
 struct ObjectiveWorkspace {
   Vector row_sums;  ///< d = Q 1.
   Vector dinv;      ///< 1/d with 0 for zero-mass rows.
@@ -50,11 +83,21 @@ struct ObjectiveWorkspace {
   Matrix qs;        ///< Q S, the gradient driver.
   Matrix gradient;  ///< m x n, valid after EvalObjectiveAndGradient.
   Cholesky chol;
+  /// Certificate for the Gram the workspace is evaluated against, shared by
+  /// the caller across evaluations. Null: an evaluation whose factorization
+  /// fails builds a temporary one.
+  const GramCertificate* certificate = nullptr;
+  /// Pseudo-inverse evaluations since the last PublishPseudoInverses.
+  int pseudo_inverses = 0;
 };
+
+/// Adds ws.pseudo_inverses to wfm_optimizer_pseudo_inverse_total and resets
+/// it. The value-returning forms below publish their own count.
+void PublishPseudoInverses(ObjectiveWorkspace& ws);
 
 struct ObjectiveValue {
   double value = 0.0;
-  bool used_cholesky = true;
+  bool used_cholesky = true;  ///< False when A failed to factor.
 };
 
 /// Value + gradient. `gram` is the workload Gram matrix G = WᵀW.

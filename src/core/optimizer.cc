@@ -7,6 +7,7 @@
 #include <limits>
 #include <utility>
 
+#include "core/lanes.h"
 #include "core/objective.h"
 #include "linalg/thread_pool.h"
 #include "obs/metrics.h"
@@ -16,7 +17,8 @@ namespace {
 
 // Optimizer telemetry, recorded per PGD run (never per iteration, so the
 // allocation-free inner loop stays untouched): run/iteration/failure
-// totals, backtracked steps and iterations cut by the replay exit, full
+// totals, backtracked steps and iterations cut by the replay exit (the
+// objective's pseudo-inverse count goes through PublishPseudoInverses), full
 // Optimize() spans, the probe-iteration span behind the Figure 3c
 // scalability bench, and the last converged objective.
 Counter& OptimizerRuns() {
@@ -65,38 +67,6 @@ Gauge& LastObjective() {
   static Gauge& gauge =
       MetricsRegistry::Global().GetGauge("wfm_optimizer_last_objective");
   return gauge;
-}
-
-/// ∇_z L via the chain rule through q_u = clip(r_u + λ_u, z, e^ε z) at the
-/// recorded clipping pattern (DESIGN.md §6). For column u with free set F:
-///   ∂q_ou/∂z_o   = s_o                  (o clipped; s_o = 1 lower, e^ε upper)
-///   ∂λ_u /∂z_o   = -s_o / |F|           (o clipped)
-///   ∂q_o'u/∂z_o  = ∂λ_u/∂z_o            (o' free)
-/// so (∇_z)_o = Σ_u s_o [o clipped] (g_ou - mean_{o'∈F} g_o'u).
-/// `scale_up` is e^ε; `gz` is caller-owned and overwritten.
-void BackpropZGradientInto(const Matrix& q_grad, const ProjectionResult& proj,
-                           double scale_up, Vector& gz) {
-  const int m = q_grad.rows();
-  const int n = q_grad.cols();
-  gz.assign(m, 0.0);
-
-  for (int u = 0; u < n; ++u) {
-    double free_sum = 0.0;
-    int free_count = 0;
-    for (int o = 0; o < m; ++o) {
-      if (proj.state(o, u) == ClipState::kFree) {
-        free_sum += q_grad(o, u);
-        ++free_count;
-      }
-    }
-    const double free_mean = free_count > 0 ? free_sum / free_count : 0.0;
-    for (int o = 0; o < m; ++o) {
-      const ClipState st = proj.state(o, u);
-      if (st == ClipState::kFree) continue;
-      const double s = st == ClipState::kAtLower ? 1.0 : scale_up;
-      gz[o] += s * (q_grad(o, u) - free_mean);
-    }
-  }
 }
 
 /// Keeps z inside the projection's feasibility region
@@ -154,11 +124,16 @@ struct InitialPoint {
 /// the buffers, the loop body performs no heap allocation on the Cholesky
 /// path.
 struct PgdWorkspace {
+  explicit PgdWorkspace(const GramCertificate& certificate) {
+    obj.certificate = &certificate;
+  }
+
   ObjectiveWorkspace obj;
   ProjectionWorkspace proj_ws;
   ProjectionResult proj;
   Matrix r;   ///< Pre-projection gradient step Q - β∇.
   Vector z;
+  ZGradientWorkspace gz_ws;
   Vector gz;  ///< Backpropagated ∇_z.
   Vector failed_z;  ///< z of the previous failed step (replay exit).
 };
@@ -203,7 +178,7 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
     if (!eval.used_cholesky) ++run.cholesky_failures;
 
     // z step with backprop through the previous projection.
-    BackpropZGradientInto(ws.obj.gradient, proj, scale_up, ws.gz);
+    BackpropZGradientInto(ws.obj.gradient, proj, scale_up, ws.gz_ws, ws.gz);
     for (int o = 0; o < m; ++o) z[o] -= beta * alpha_ratio * ws.gz[o];
     RepairZFeasibility(z, eps, m);
 
@@ -259,20 +234,23 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
   OptimizerCholeskyFailures().Add(run.cholesky_failures);
   OptimizerFailedSteps().Add(failed_steps);
   OptimizerSkippedIterations().Add(skipped_iterations);
+  PublishPseudoInverses(ws.obj);
   return run;
 }
 
 /// Runs `count` independent PGD runs concurrently on the global pool. Each
 /// run gets a private workspace, and run(i, ws)'s result lands in slot i, so
 /// the output is the same at every thread count. Kernels inside a run
-/// execute inline while the pool is busy with the runs themselves.
+/// execute inline while the pool is busy with the runs themselves. The runs
+/// share `certificate`, whose one lazy computation gives the same answer
+/// whichever run triggers it.
 template <typename Fn>
-auto RunConcurrently(int count, Fn&& run) {
+auto RunConcurrently(int count, const GramCertificate& certificate, Fn&& run) {
   using Result = decltype(run(0, std::declval<PgdWorkspace&>()));
   std::vector<Result> results(count);
   ThreadPool::Global().ParallelFor(count, [&](int begin, int end) {
     for (int i = begin; i < end; ++i) {
-      PgdWorkspace ws;
+      PgdWorkspace ws(certificate);
       results[i] = run(i, ws);
     }
   });
@@ -296,6 +274,78 @@ InitialPoint SeedInitialPoint(const Matrix& seed_q) {
 }
 
 }  // namespace
+
+void BackpropZGradientInto(const Matrix& q_grad, const ProjectionResult& proj,
+                           double scale_up, ZGradientWorkspace& ws,
+                           Vector& gz) {
+  using lanes::Broadcast2;
+  using lanes::Lanes;
+  using lanes::Mask;
+  using lanes::Select2;
+  const int m = q_grad.rows();
+  const int n = q_grad.cols();
+  const auto state_row = [&](int o) {
+    return proj.pattern.data() + static_cast<std::size_t>(o) * n;
+  };
+  // Entries that do not contribute add -0.0, the exact additive identity,
+  // so every sum keeps the value and the order of the column-by-column
+  // loop. The selects run on two lanes (core/lanes.h): pairs of columns
+  // for the free sums, pairs of rows for gz. With an odd count the last
+  // column or row fills both lanes and is written once.
+  const Lanes neg_zero = Broadcast2(-0.0);
+  const Mask free_state =
+      lanes::Splat2(static_cast<std::int64_t>(ClipState::kFree));
+  const Mask lower_state =
+      lanes::Splat2(static_cast<std::int64_t>(ClipState::kAtLower));
+  ws.free_mean.assign(n, 0.0);
+  ws.free_count.assign(n, 0);
+  double* free_sum = ws.free_mean.data();
+  std::int64_t* free_count = ws.free_count.data();
+  for (int o = 0; o < m; ++o) {
+    const double* g = q_grad.RowPtr(o);
+    const ClipState* state = state_row(o);
+    for (int u = 0; u < n; u += 2) {
+      const int v = std::min(u + 1, n - 1);  // == u for an odd last column.
+      const Mask is_free = lanes::Eq2(
+          Mask{static_cast<std::int64_t>(state[u]),
+               static_cast<std::int64_t>(state[v])},
+          free_state);
+      const Lanes sum = Lanes{free_sum[u], free_sum[v]} +
+                        Select2(is_free, Lanes{g[u], g[v]}, neg_zero);
+      free_sum[u] = sum[0];
+      free_sum[v] = sum[1];
+      const Mask count = Mask{free_count[u], free_count[v]} - is_free;
+      free_count[u] = count[0];
+      free_count[v] = count[1];
+    }
+  }
+  double* free_mean = free_sum;
+  for (int u = 0; u < n; ++u) {
+    free_mean[u] = free_count[u] > 0
+                       ? free_sum[u] / static_cast<double>(free_count[u])
+                       : 0.0;
+  }
+  gz.resize(m);
+  const Lanes scale2 = Broadcast2(scale_up);
+  const Lanes one = Broadcast2(1.0);
+  for (int o = 0; o < m; o += 2) {
+    const int p = std::min(o + 1, m - 1);  // == o for an odd last row.
+    const double* g0 = q_grad.RowPtr(o);
+    const double* g1 = q_grad.RowPtr(p);
+    const ClipState* s0 = state_row(o);
+    const ClipState* s1 = state_row(p);
+    Lanes acc = Broadcast2(0.0);
+    for (int u = 0; u < n; ++u) {
+      const Mask state = {static_cast<std::int64_t>(s0[u]),
+                          static_cast<std::int64_t>(s1[u])};
+      const Lanes s = Select2(lanes::Eq2(state, lower_state), one, scale2);
+      const Lanes term = s * (Lanes{g0[u], g1[u]} - Broadcast2(free_mean[u]));
+      acc += Select2(lanes::Eq2(state, free_state), neg_zero, term);
+    }
+    gz[o] = acc[0];
+    gz[p] = acc[1];
+  }
+}
 
 ProjectionResult RandomInitialStrategy(int m, int n, double eps, Rng& rng,
                                        Vector* z_out) {
@@ -335,6 +385,7 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
   }
 
   Rng rng(config.seed);
+  const GramCertificate certificate(gram);
 
   // Normalize step candidates by the RMS gradient magnitude at a fresh
   // initialization so the candidates are problem-scale free.
@@ -343,7 +394,9 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
     Rng probe = rng.Fork();
     ProjectionResult proj = RandomInitialStrategy(m, n, eps, probe, nullptr);
     ObjectiveWorkspace probe_ws;
+    probe_ws.certificate = &certificate;
     EvalObjectiveAndGradient(proj.q, gram, config.population, probe_ws);
+    PublishPseudoInverses(probe_ws);
     grad_rms = std::sqrt(probe_ws.gradient.FrobeniusNormSq() /
                          (static_cast<double>(m) * n));
     if (!(grad_rms > 0.0) || !std::isfinite(grad_rms)) grad_rms = 1.0;
@@ -354,7 +407,8 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
     const Rng search_rng = rng.Fork();
     const int num_candidates = static_cast<int>(config.step_candidates.size());
     const std::vector<double> trials =
-        RunConcurrently(num_candidates, [&](int i, PgdWorkspace& ws) {
+        RunConcurrently(num_candidates, certificate,
+                        [&](int i, PgdWorkspace& ws) {
           Rng trial_rng = search_rng;  // Same seed for all candidates.
           return RunOnce(gram, eps, config, m,
                          config.step_candidates[i] / grad_rms,
@@ -396,7 +450,7 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
   run_rngs.reserve(num_runs);
   for (int i = 0; i < num_runs; ++i) run_rngs.push_back(rng.Fork());
   std::vector<RunResult> runs =
-      RunConcurrently(num_runs, [&](int i, PgdWorkspace& ws) {
+      RunConcurrently(num_runs, certificate, [&](int i, PgdWorkspace& ws) {
         if (i < num_restarts) {
           return RunOnce(gram, eps, config, m, step, config.iterations,
                          run_rngs[i], /*record_history=*/true, ws);

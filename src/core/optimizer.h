@@ -19,8 +19,12 @@
 // unchanged and Q − β∇ bitwise equal to the best iterate. From there every
 // later iteration would replay the same failed projection, since rounding
 // is monotone and a smaller β cannot move Q either. This replay exit is
-// exact: it only adds the skipped iterations' pseudo-inverse fallbacks to
+// exact: it only adds the skipped iterations' failed factorizations to
 // cholesky_failures, and every returned field is what the full loop gives.
+//
+// All runs of one OptimizeStrategy share a GramCertificate (core/
+// objective.h), so a failed factorization under a well-conditioned Gram is
+// +∞ without an eigendecomposition of A.
 
 #ifndef WFM_CORE_OPTIMIZER_H_
 #define WFM_CORE_OPTIMIZER_H_
@@ -86,7 +90,9 @@ struct OptimizerResult {
   double initial_objective = 0.0;
   std::vector<double> history;  ///< Objective after each iteration (last restart).
   double step_size_used = 0.0;
-  int cholesky_failures = 0;    ///< Iterations that needed the pinv fallback.
+  /// Iterations of the winning run that started from a strategy whose A
+  /// failed to factor.
+  int cholesky_failures = 0;
 };
 
 /// Runs Algorithm 2 on the workload Gram matrix. `eps` is the privacy budget.
@@ -97,6 +103,26 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
 /// z = (1+e^{−ε})/(2m)·1. Exposed for tests and the Figure 3c bench.
 ProjectionResult RandomInitialStrategy(int m, int n, double eps, Rng& rng,
                                        Vector* z_out);
+
+/// Scratch for BackpropZGradientInto, reused across PGD iterations.
+struct ZGradientWorkspace {
+  Vector free_mean;                      ///< Per column: Σ free, then mean.
+  std::vector<std::int64_t> free_count;  ///< Per column: free entries.
+};
+
+/// ∇_z L via the chain rule through q_u = clip(r_u + λ_u, z, e^ε z) at the
+/// clipping pattern `proj` recorded (DESIGN.md §6). For column u with free
+/// set F:
+///   ∂q_ou/∂z_o   = s_o                  (o clipped; s_o = 1 lower, e^ε upper)
+///   ∂λ_u /∂z_o   = -s_o / |F|           (o clipped)
+///   ∂q_o'u/∂z_o  = ∂λ_u/∂z_o            (o' free)
+/// so (∇_z)_o = Σ_u s_o [o clipped] (g_ou - mean_{o'∈F} g_o'u). `scale_up`
+/// is e^ε; `gz` is overwritten. Walks q_grad and the pattern row by row,
+/// but sums each column's free entries in ascending o and each gz_o in
+/// ascending u, so the result equals a column-by-column loop's bit for bit.
+/// Allocation-free once `ws` and `gz` have grown to the shape.
+void BackpropZGradientInto(const Matrix& q_grad, const ProjectionResult& proj,
+                           double scale_up, ZGradientWorkspace& ws, Vector& gz);
 
 /// One objective+gradient evaluation plus one projection at the given shape,
 /// used by the Figure 3c scalability bench to time a single iteration.

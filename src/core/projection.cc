@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
+#include "core/lanes.h"
 #include "obs/metrics.h"
 
 namespace wfm {
@@ -16,6 +18,18 @@ Counter& ProjectionPolishes() {
       MetricsRegistry::Global().GetCounter("wfm_projection_polish_total");
   return counter;
 }
+
+using lanes::Broadcast2;
+using lanes::Ge2;
+using lanes::Lanes;
+using lanes::Le2;
+using lanes::Load2;
+using lanes::Mask;
+using lanes::Select2;
+using lanes::Splat2;
+using lanes::Store2;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The linear piece of f(t) = Σ_o clip(r_o + t, lo_o, ub_o) that holds t:
 /// on [below, above] every entry keeps the clip state it has at t, so
@@ -32,23 +46,56 @@ struct Piece {
 /// breakpoint lo_o - r_o and reaches its upper bound at ub_o - r_o; the
 /// states are decided by comparing t with those breakpoints, so t always
 /// lies in [below, above].
+///
+/// Each chunk of entries is swept twice. A two-lane pass (core/lanes.h)
+/// selects every entry's contribution to each sum and to the min/max: an
+/// entry in another state contributes -0.0 (the exact additive identity)
+/// or ±∞. A second pass folds them in ascending order, so every running sum
+/// and min/max keeps the value and the order of a branchy sweep.
 Piece PieceAt(const double* r, const double* lo, const double* ub, int m,
               double t) {
+  constexpr int kChunk = 64;
+  double fixed[kChunk], free_r[kChunk], above[kChunk], below[kChunk];
+  std::int64_t free[kChunk];
+  const Lanes t2 = Broadcast2(t);
+  const Lanes neg_zero = Broadcast2(-0.0);
+  const Lanes inf = Broadcast2(kInf);
   Piece p;
-  for (int o = 0; o < m; ++o) {
-    const double activate = lo[o] - r[o];
-    const double saturate = ub[o] - r[o];
-    if (t <= activate) {
-      p.fixed += lo[o];
-      p.above = std::min(p.above, activate);
-    } else if (t >= saturate) {
-      p.fixed += ub[o];
-      p.below = std::max(p.below, saturate);
-    } else {
-      p.free_r += r[o];
-      ++p.free;
-      p.below = std::max(p.below, activate);
-      p.above = std::min(p.above, saturate);
+  for (int begin = 0; begin < m; begin += kChunk) {
+    const int len = std::min(kChunk, m - begin);
+    const double* rc = r + begin;
+    const double* loc = lo + begin;
+    const double* ubc = ub + begin;
+    // Two entries per step. An odd count's last entry fills both lanes, and
+    // its second lane lands in a slot the fold below never reads.
+    const auto load = [len](const double* p, int i) {
+      return i + 1 < len ? Load2(p + i) : Broadcast2(p[i]);
+    };
+    for (int i = 0; i < len; i += 2) {
+      const Lanes rv = load(rc, i);
+      const Lanes lov = load(loc, i);
+      const Lanes ubv = load(ubc, i);
+      const Lanes activate = lov - rv;
+      const Lanes saturate = ubv - rv;
+      const Mask at_lower = Le2(t2, activate);
+      const Mask at_upper = ~at_lower & Ge2(t2, saturate);
+      const Mask is_free = ~(at_lower | at_upper);
+      const Lanes upper_fixed = Select2(at_upper, ubv, neg_zero);
+      Store2(fixed + i, Select2(at_lower, lov, upper_fixed));
+      Store2(free_r + i, Select2(is_free, rv, neg_zero));
+      const Lanes next_above = Select2(at_lower, activate, saturate);
+      Store2(above + i, Select2(at_upper, inf, next_above));
+      const Lanes next_below = Select2(at_upper, saturate, activate);
+      Store2(below + i, Select2(at_lower, -inf, next_below));
+      free[i] = -is_free[0];
+      free[i + 1] = -is_free[1];
+    }
+    for (int i = 0; i < len; ++i) {
+      p.fixed += fixed[i];
+      p.free_r += free_r[i];
+      p.free += static_cast<int>(free[i]);
+      p.above = std::min(p.above, above[i]);
+      p.below = std::max(p.below, below[i]);
     }
   }
   return p;
@@ -218,7 +265,7 @@ void ProjectOntoLdpPolytope(const Matrix& r, const Vector& z, double eps,
   for (int o = 0; o < m; ++o) ws.lo[o] = std::max(z[o], 0.0);
 
   out.q.ResizeUninitialized(m, n);  // Every entry written below.
-  out.pattern.assign(static_cast<std::size_t>(m) * n, ClipState::kFree);
+  out.pattern.resize(static_cast<std::size_t>(m) * n);  // Likewise.
 
   // Work column-by-column on a transposed copy for contiguous access.
   TransposeInto(r, ws.rt);  // n x m.
@@ -226,19 +273,30 @@ void ProjectOntoLdpPolytope(const Matrix& r, const Vector& z, double eps,
   for (int u = 0; u < n; ++u) {
     const double* col = ws.rt.RowPtr(u);
     const double lambda = SolveLambdaRobust(col, ws.lo, ws.ub, polishes);
-    for (int o = 0; o < m; ++o) {
-      const double raw = col[o] + lambda;
-      double val = raw;
-      ClipState state = ClipState::kFree;
-      if (raw <= ws.lo[o]) {
-        val = ws.lo[o];
-        state = ClipState::kAtLower;
-      } else if (raw >= ws.ub[o]) {
-        val = ws.ub[o];
-        state = ClipState::kAtUpper;
+    // Clip and write, two entries at a time (an odd count's last entry
+    // fills both lanes and is written once): an entry on a bound counts as
+    // clipped, as in PieceAt. The state is 1 at the lower bound, 2 at the
+    // upper, 0 free.
+    double* q_col = out.q.data() + u;
+    ClipState* state_col = out.pattern.data() + u;
+    const Lanes lambda2 = Broadcast2(lambda);
+    for (int o = 0; o < m; o += 2) {
+      const int count = std::min(2, m - o);
+      const auto load = [&](const double* p) {
+        return count == 2 ? Load2(p + o) : Broadcast2(p[o]);
+      };
+      const Lanes raw = load(col) + lambda2;
+      const Lanes lov = load(ws.lo.data());
+      const Lanes ubv = load(ws.ub.data());
+      const Mask at_lower = Le2(raw, lov);
+      const Mask at_upper = ~at_lower & Ge2(raw, ubv);
+      const Lanes val = Select2(at_lower, lov, Select2(at_upper, ubv, raw));
+      const Mask state = (at_lower & Splat2(1)) | (at_upper & Splat2(2));
+      for (int k = 0; k < count; ++k) {
+        q_col[static_cast<std::size_t>(o + k) * n] = val[k];
+        state_col[static_cast<std::size_t>(o + k) * n] =
+            static_cast<ClipState>(state[k]);
       }
-      out.q(o, u) = val;
-      out.pattern[static_cast<std::size_t>(o) * n + u] = state;
     }
   }
   if (polishes > 0) ProjectionPolishes().Add(polishes);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/kernels.h"
 #include "linalg/thread_pool.h"
 
 namespace wfm {
@@ -75,32 +76,10 @@ void Cholesky::SolveInPlace(Matrix& b) const {
   // Rows are sequentially dependent but columns are independent, so threads
   // own disjoint column stripes and run the full forward + backward
   // substitution on their stripe (row-major friendly within each stripe).
+  const kernels::KernelSet& kernel = kernels::ActiveKernels();
   auto stripe = [&](int col_begin, int col_end) {
-    // Forward: L Y = B.
-    for (int i = 0; i < n; ++i) {
-      const double* li = l_.RowPtr(i);
-      double* xi = b.RowPtr(i);
-      for (int k = 0; k < i; ++k) {
-        const double lik = li[k];
-        if (lik == 0.0) continue;
-        const double* xk = b.RowPtr(k);
-        for (int c = col_begin; c < col_end; ++c) xi[c] -= lik * xk[c];
-      }
-      const double inv = 1.0 / li[i];
-      for (int c = col_begin; c < col_end; ++c) xi[c] *= inv;
-    }
-    // Backward: Lᵀ X = Y.
-    for (int i = n - 1; i >= 0; --i) {
-      double* xi = b.RowPtr(i);
-      for (int k = i + 1; k < n; ++k) {
-        const double lki = l_(k, i);
-        if (lki == 0.0) continue;
-        const double* xk = b.RowPtr(k);
-        for (int c = col_begin; c < col_end; ++c) xi[c] -= lki * xk[c];
-      }
-      const double inv = 1.0 / l_(i, i);
-      for (int c = col_begin; c < col_end; ++c) xi[c] *= inv;
-    }
+    kernel.forward_sweep(l_.data(), n, b.data(), k_cols, col_begin, col_end);
+    kernel.backward_sweep(l_.data(), n, b.data(), k_cols, col_begin, col_end);
   };
   // Two triangular solves: ~2 n² flops per column. Every stripe re-streams
   // the whole factor L, so the column range is split into exactly one

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "linalg/kernels.h"
 #include "linalg/thread_pool.h"
 
 namespace wfm {
@@ -38,10 +39,12 @@ void PoolParallelFor(int total, double flops, Fn&& fn) {
 // Blocking: k in panels of kKc, n in panels of kNc (the packed B panel then
 // stays cache-resident), and the m dimension in kMr-row micro-tiles that are
 // the unit of thread-pool parallelism. The micro-kernel accumulates a
-// kMr x kNr tile in registers over the whole k panel before touching C.
+// kMr x kNr tile in registers over the whole k panel before touching C; it
+// comes from linalg/kernels.h, in the AVX2 build when the CPU has it.
 
-constexpr int kMr = 4;    // Micro-tile rows.
-constexpr int kNr = 8;    // Micro-tile columns.
+using kernels::kMr;
+using kernels::kNr;
+
 // Panel sizes tuned empirically (perf_suite, 1024³ shapes): the B panel
 // (kKc * kNc doubles = 576 KiB) stays L2/L3-resident; larger panels lost
 // 10-20% on both the dev container and CI-class runners.
@@ -85,26 +88,6 @@ void PackA(const ConstView& a, int i0, int mr, int kk, int kc, double* dst) {
   }
 }
 
-/// C[0:mr, 0:nr] += packed-A x packed-B over the k panel. The accumulator is
-/// always the full kMr x kNr tile (padding lanes multiply zeros), so the loop
-/// nest is fully unrollable; only the write-back respects the ragged edge.
-void MicroKernel(int kc, const double* pa, const double* pb, double* c,
-                 int ldc, int mr, int nr) {
-  double acc[kMr][kNr] = {};
-  for (int p = 0; p < kc; ++p) {
-    const double* a = pa + p * kMr;
-    const double* b = pb + p * kNr;
-    for (int r = 0; r < kMr; ++r) {
-      const double ar = a[r];
-      for (int j = 0; j < kNr; ++j) acc[r][j] += ar * b[j];
-    }
-  }
-  for (int r = 0; r < mr; ++r) {
-    double* crow = c + static_cast<std::ptrdiff_t>(r) * ldc;
-    for (int j = 0; j < nr; ++j) crow[j] += acc[r][j];
-  }
-}
-
 /// Scalar fallback for products too small to amortize packing. Same
 /// ascending-k accumulation order as the packed path.
 void GemmSmall(const ConstView& a, const ConstView& b, Matrix& c, int m, int n,
@@ -131,6 +114,8 @@ void Gemm(const ConstView& a, const ConstView& b, Matrix& c, int m, int n,
     return;
   }
   const int ldc = c.cols();
+  const kernels::MicroKernelFn micro_kernel =
+      kernels::ActiveKernels().gemm_micro;
   const int row_tiles = (m + kMr - 1) / kMr;
   for (int kk = 0; kk < k; kk += kKc) {
     const int kc = std::min(kKc, k - kk);
@@ -155,9 +140,9 @@ void Gemm(const ConstView& a, const ConstView& b, Matrix& c, int m, int n,
           double* ctile_row = c.RowPtr(i0) + jj;
           for (int j0 = 0; j0 < nc; j0 += kNr) {
             const int nr = std::min(kNr, nc - j0);
-            MicroKernel(kc, pa,
-                        pack_b + static_cast<std::size_t>(j0 / kNr) * kc * kNr,
-                        ctile_row + j0, ldc, mr, nr);
+            micro_kernel(
+                kc, pa, pack_b + static_cast<std::size_t>(j0 / kNr) * kc * kNr,
+                ctile_row + j0, ldc, mr, nr);
           }
         }
       };
@@ -433,15 +418,18 @@ Vector MultiplyTVec(const Matrix& a, const Vector& x) {
 void TransposeInto(const Matrix& a, Matrix& out) {
   WFM_DCHECK(&out != &a);
   out.ResizeUninitialized(a.cols(), a.rows());
+  // Within a block, each output row is written contiguously from a strided
+  // column of a. Strided writes would put a block's 32 output rows at a
+  // power-of-two stride whenever a has 2^k rows (256 x 64 in the optimizer),
+  // where they alias in L1: about 5x slower at that shape.
   constexpr int kBlock = 32;
-  for (int rb = 0; rb < a.rows(); rb += kBlock) {
-    const int rmax = std::min(rb + kBlock, a.rows());
-    for (int cb = 0; cb < a.cols(); cb += kBlock) {
-      const int cmax = std::min(cb + kBlock, a.cols());
-      for (int r = rb; r < rmax; ++r) {
-        for (int c = cb; c < cmax; ++c) {
-          out(c, r) = a(r, c);
-        }
+  for (int cb = 0; cb < a.cols(); cb += kBlock) {
+    const int cmax = std::min(cb + kBlock, a.cols());
+    for (int rb = 0; rb < a.rows(); rb += kBlock) {
+      const int rmax = std::min(rb + kBlock, a.rows());
+      for (int c = cb; c < cmax; ++c) {
+        double* out_row = out.RowPtr(c);
+        for (int r = rb; r < rmax; ++r) out_row[r] = a(r, c);
       }
     }
   }

@@ -8,12 +8,19 @@
 // Shapes deliberately cover the ragged edges of the blocking: 1x1, single
 // rows/columns, the kMr/kNr tails (17/33/65), empty dimensions, and sizes on
 // both sides of the packed-path and thread-pool thresholds.
+//
+// The AVX2 micro-kernel and solve sweeps (linalg/kernels.h) must match the
+// portable ones bit for bit; those tests skip on CPUs without AVX2.
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "linalg/cholesky.h"
+#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/reference_kernels.h"
 #include "linalg/rng.h"
@@ -192,6 +199,146 @@ TEST(MatrixKernelsTest, ProductsBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(atb1.size(), atb4.size());
   EXPECT_EQ(0, std::memcmp(atb1.data(), atb4.data(),
                            atb1.size() * sizeof(double)));
+}
+
+// ---- AVX2 kernels against the portable ones, bit for bit -------------------
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Uniform entries with every seventh an exact zero and every eleventh -0.0.
+std::vector<double> RandomPanel(std::size_t count, Rng& rng) {
+  std::vector<double> v(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    v[i] = i % 7 == 3 ? 0.0 : (i % 11 == 5 ? -0.0 : rng.Uniform(-1.0, 1.0));
+  }
+  return v;
+}
+
+/// Makes ActiveKernels() return `set` for the lifetime of the guard.
+class ActiveKernelsGuard {
+ public:
+  explicit ActiveKernelsGuard(const kernels::KernelSet& set) {
+    kernels::SetActiveKernelsForTesting(&set);
+  }
+  ~ActiveKernelsGuard() { kernels::SetActiveKernelsForTesting(nullptr); }
+};
+
+TEST(MatrixKernelsTest, DispatcherPicksAvx2WhenTheCpuHasIt) {
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  const bool cpu_has_avx2 = __builtin_cpu_supports("avx2");
+  EXPECT_NE(kernels::Avx2Kernels(), nullptr);
+#else
+  const bool cpu_has_avx2 = false;
+#endif
+  EXPECT_EQ(kernels::CpuHasAvx2(), cpu_has_avx2);
+  const kernels::KernelSet* want =
+      cpu_has_avx2 ? kernels::Avx2Kernels() : &kernels::PortableKernels();
+  EXPECT_EQ(&kernels::ActiveKernels(), want);
+  EXPECT_STREQ(kernels::ActiveKernels().name,
+               cpu_has_avx2 ? "avx2" : "portable");
+}
+
+TEST(MatrixKernelsTest, Avx2MicroKernelBitIdenticalToPortable) {
+  if (!kernels::CpuHasAvx2()) GTEST_SKIP() << "CPU has no AVX2";
+  const kernels::MicroKernelFn portable = kernels::PortableKernels().gemm_micro;
+  const kernels::MicroKernelFn avx2 = kernels::Avx2Kernels()->gemm_micro;
+  Rng rng(109);
+  const int ldc = 13;
+  for (int kc : {1, 191, 192, 193, 400}) {
+    const std::vector<double> pa = RandomPanel(std::size_t{4} * kc, rng);
+    const std::vector<double> pb = RandomPanel(std::size_t{8} * kc, rng);
+    for (int mr = 1; mr <= kernels::kMr; ++mr) {
+      for (int nr = 1; nr <= kernels::kNr; ++nr) {
+        const std::vector<double> c0 = RandomPanel(std::size_t{4} * ldc, rng);
+        std::vector<double> c_portable = c0, c_avx2 = c0;
+        portable(kc, pa.data(), pb.data(), c_portable.data(), ldc, mr, nr);
+        avx2(kc, pa.data(), pb.data(), c_avx2.data(), ldc, mr, nr);
+        EXPECT_EQ(0, std::memcmp(c_portable.data(), c_avx2.data(),
+                                 c0.size() * sizeof(double)))
+            << "kc " << kc << " tile " << mr << "x" << nr;
+      }
+    }
+  }
+}
+
+TEST(MatrixKernelsTest, Avx2ProductsBitIdenticalToPortable) {
+  if (!kernels::CpuHasAvx2()) GTEST_SKIP() << "CPU has no AVX2";
+  // m and n off the 4 x 8 tile grid; k on both sides of the 192-deep panel.
+  Rng rng(110);
+  for (const auto& [m, n] : {std::pair{203, 190}, std::pair{37, 45},
+                             std::pair{66, 7}}) {
+    for (int k : {1, 191, 192, 193, 400}) {
+      const Matrix a = RandomMatrix(m, k, rng);
+      const Matrix b = RandomMatrix(k, n, rng);
+      const Matrix at = RandomMatrix(k, m, rng);
+      const Matrix bt = RandomMatrix(n, k, rng);
+      Matrix ab[2], atb[2], abt[2];
+      for (int i = 0; i < 2; ++i) {
+        ActiveKernelsGuard guard(i == 0 ? kernels::PortableKernels()
+                                        : *kernels::Avx2Kernels());
+        ab[i] = Multiply(a, b);
+        atb[i] = MultiplyATB(at, b);
+        abt[i] = MultiplyABT(a, bt);
+      }
+      EXPECT_TRUE(SameBits(ab[0], ab[1])) << m << "x" << k << "x" << n;
+      EXPECT_TRUE(SameBits(atb[0], atb[1])) << m << "x" << k << "x" << n;
+      EXPECT_TRUE(SameBits(abt[0], abt[1])) << m << "x" << k << "x" << n;
+    }
+  }
+}
+
+TEST(MatrixKernelsTest, Avx2SolveSweepsBitIdenticalToPortable) {
+  if (!kernels::CpuHasAvx2()) GTEST_SKIP() << "CPU has no AVX2";
+  const kernels::KernelSet& portable = kernels::PortableKernels();
+  const kernels::KernelSet& avx2 = *kernels::Avx2Kernels();
+  Rng rng(111);
+  for (int n : {1, 5, 17, 64, 67}) {
+    // A banded SPD matrix, so L has exact zeros the sweeps skip.
+    Matrix spd(n, n);
+    for (int i = 0; i < n; ++i) {
+      spd(i, i) = 4.0 + rng.Uniform(0.0, 1.0);
+      for (int j = std::max(0, i - 3); j < i; ++j) {
+        spd(i, j) = spd(j, i) = rng.Uniform(-0.5, 0.5);
+      }
+    }
+    Cholesky chol;
+    ASSERT_TRUE(chol.Factorize(spd));
+    const double* l = chol.lower().data();
+    for (int cols : {1, 3, 4, 15, 16, 17, 37, 64}) {
+      std::vector<double> b0 =
+          RandomPanel(static_cast<std::size_t>(n) * cols, rng);
+      // An infinite entry: a sweep that multiplied an exact zero of L by it
+      // instead of skipping it would spread NaN into later rows.
+      b0[b0.size() / 3] = std::numeric_limits<double>::infinity();
+      // The whole width, and a ragged stripe that starts off the 4-grid.
+      for (const auto& [begin, end] :
+           {std::pair{0, cols}, std::pair{std::min(3, cols), cols}}) {
+        std::vector<double> x_portable = b0, x_avx2 = b0;
+        portable.forward_sweep(l, n, x_portable.data(), cols, begin, end);
+        avx2.forward_sweep(l, n, x_avx2.data(), cols, begin, end);
+        EXPECT_EQ(0, std::memcmp(x_portable.data(), x_avx2.data(),
+                                 b0.size() * sizeof(double)))
+            << "forward n " << n << " columns " << begin << "-" << end;
+        portable.backward_sweep(l, n, x_portable.data(), cols, begin, end);
+        avx2.backward_sweep(l, n, x_avx2.data(), cols, begin, end);
+        EXPECT_EQ(0, std::memcmp(x_portable.data(), x_avx2.data(),
+                                 b0.size() * sizeof(double)))
+            << "backward n " << n << " columns " << begin << "-" << end;
+      }
+    }
+    // And the whole SolveInPlace; at n = 64 and 67 it is wide enough to
+    // split into one column stripe per pool thread.
+    const Matrix b = RandomMatrix(n, 500, rng);
+    Matrix x[2] = {b, b};
+    for (int i = 0; i < 2; ++i) {
+      ActiveKernelsGuard guard(i == 0 ? portable : avx2);
+      chol.SolveInPlace(x[i]);
+    }
+    EXPECT_TRUE(SameBits(x[0], x[1])) << "SolveInPlace n " << n;
+  }
 }
 
 }  // namespace

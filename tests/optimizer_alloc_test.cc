@@ -3,7 +3,8 @@
 // iteration body (objective + gradient into the workspace, gradient step,
 // projection into reused buffers) performs no heap allocation on the
 // Cholesky path, and OptimizeStrategy's total allocation count is
-// independent of the iteration budget.
+// independent of the iteration budget, also when steps fail to factor under
+// a well-conditioned Gram (a certified +∞ step needs no pseudo-inverse).
 //
 // Under ASan/TSan the allocator is intercepted by the sanitizer runtime, so
 // the overrides are compiled out and the suite self-skips — the plain Debug
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -21,6 +23,7 @@
 #include "core/projection.h"
 #include "linalg/matrix.h"
 #include "linalg/rng.h"
+#include "obs/metrics.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define WFM_COUNTING_ALLOCATOR 0
@@ -135,6 +138,45 @@ TEST(OptimizerAllocTest, OptimizeAllocationCountIndependentOfIterations) {
     const std::size_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_TRUE(std::isfinite(result.objective));
     EXPECT_EQ(result.cholesky_failures, 0) << "test premise: PD path only";
+    return after - before;
+  };
+
+  run(4);  // Warm-up for thread-local scratch shared across calls.
+  const std::size_t short_run = run(4);
+  const std::size_t long_run = run(24);
+  EXPECT_EQ(short_run, long_run)
+      << "per-iteration allocations detected: " << short_run << " allocations "
+      << "for 4 iterations vs " << long_run << " for 24";
+#endif
+}
+
+TEST(OptimizerAllocTest, FailedStepsAllocateNothingPerIteration) {
+#if !WFM_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  Rng rng(23);
+  const Matrix gram = SpdGram(16, rng);
+  Counter& failed_steps =
+      MetricsRegistry::Global().GetCounter("wfm_optimizer_failed_steps_total");
+
+  // A step of 1e-3 drives the strategy off the positive-definite region:
+  // every one of the first 4 iterations fails to factor, and 10 of 24 do.
+  // Each failed step is a certified +∞ (the Gram is positive definite), so
+  // it must allocate nothing either.
+  auto run = [&](int iterations) {
+    OptimizerConfig config;
+    config.random_init_rows = 64;
+    config.iterations = iterations;
+    config.step_size = 1e-3;
+    config.num_restarts = 1;
+    config.seed = 7;
+    const std::int64_t failed_before = failed_steps.value();
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const OptimizerResult result = OptimizeStrategy(gram, 1.0, config);
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_TRUE(std::isfinite(result.objective));
+    EXPECT_GE(failed_steps.value() - failed_before, 4)
+        << "test premise: steps fail";
     return after - before;
   };
 

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -195,6 +197,96 @@ TEST(OptimizerTest, ReplayExitSkipsNothingWithoutFailedSteps) {
   EXPECT_EQ(CounterValue("wfm_optimizer_failed_steps_total"), failed)
       << "test premise: no step fails";
   EXPECT_EQ(CounterValue("wfm_optimizer_skipped_iterations_total"), skipped);
+}
+
+/// ∇_z backprop as it was before it walked rows: column by column, with a
+/// branch on each entry's clip state. The reference for bit-identity.
+Vector ColumnMajorZGradient(const Matrix& q_grad, const ProjectionResult& proj,
+                            double scale_up) {
+  const int m = q_grad.rows();
+  const int n = q_grad.cols();
+  Vector gz(m, 0.0);
+  for (int u = 0; u < n; ++u) {
+    double free_sum = 0.0;
+    int free_count = 0;
+    for (int o = 0; o < m; ++o) {
+      if (proj.state(o, u) == ClipState::kFree) {
+        free_sum += q_grad(o, u);
+        ++free_count;
+      }
+    }
+    const double free_mean = free_count > 0 ? free_sum / free_count : 0.0;
+    for (int o = 0; o < m; ++o) {
+      const ClipState st = proj.state(o, u);
+      if (st == ClipState::kFree) continue;
+      const double s = st == ClipState::kAtLower ? 1.0 : scale_up;
+      gz[o] += s * (q_grad(o, u) - free_mean);
+    }
+  }
+  return gz;
+}
+
+TEST(OptimizerTest, ZGradientBitIdenticalToColumnMajorReference) {
+  // Random gradients and clip patterns, with -0.0 and exact-zero gradient
+  // entries, an all-free column (no ∇z contribution), an all-clipped column
+  // (free mean 0) and an all-zero column (every term exactly 0), through one
+  // workspace across growing and shrinking shapes.
+  Rng rng(103);
+  ZGradientWorkspace ws;
+  Vector gz;
+  for (const auto& [m, n] : {std::pair{256, 64}, std::pair{7, 3},
+                             std::pair{33, 17}, std::pair{1, 1}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      ProjectionResult proj;
+      proj.q = Matrix(m, n);
+      proj.pattern.resize(static_cast<std::size_t>(m) * n);
+      Matrix grad(m, n);
+      for (int o = 0; o < m; ++o) {
+        for (int u = 0; u < n; ++u) {
+          const double pick = rng.NextDouble();
+          const ClipState clipped =
+              pick < 0.8 ? ClipState::kAtLower : ClipState::kAtUpper;
+          proj.pattern[static_cast<std::size_t>(o) * n + u] =
+              pick < 0.4 ? ClipState::kFree : clipped;
+          const double g = rng.Normal(0.0, 1.0);
+          grad(o, u) = pick < 0.05 ? -0.0 : (pick > 0.95 ? 0.0 : g);
+        }
+      }
+      // Column 0 stays random: an odd last column shares its lanes' code.
+      for (int o = 0; o < m; ++o) {
+        ClipState* row = proj.pattern.data() + static_cast<std::size_t>(o) * n;
+        if (n >= 4) {
+          grad(o, 1) = 0.0;  // Mixed pattern, zero gradient.
+          row[n - 2] = ClipState::kFree;
+        }
+        if (n >= 2) {
+          row[n - 1] = o % 2 == 0 ? ClipState::kAtLower : ClipState::kAtUpper;
+        }
+      }
+      const double scale_up = std::exp(rng.Uniform(0.1, 3.0));
+      BackpropZGradientInto(grad, proj, scale_up, ws, gz);
+      const Vector want = ColumnMajorZGradient(grad, proj, scale_up);
+      ASSERT_EQ(gz.size(), want.size());
+      EXPECT_EQ(0, std::memcmp(gz.data(), want.data(),
+                               gz.size() * sizeof(double)))
+          << m << "x" << n << " trial " << trial;
+    }
+  }
+}
+
+TEST(OptimizerTest, DensePrefixBuildRunsNoPseudoInverse) {
+  // Prefix(64)'s Gram has λ_min = 0.25, so every failed factorization in
+  // its PGD runs is a certified +∞: the default build takes failed steps
+  // but never evaluates a pseudo-inverse.
+  const WorkloadStats stats =
+      WorkloadStats::From(*CreateWorkload("Prefix", 64));
+  const std::int64_t failed = CounterValue("wfm_optimizer_failed_steps_total");
+  const std::int64_t pinv = CounterValue("wfm_optimizer_pseudo_inverse_total");
+  const OptimizedMechanism mechanism(stats, 1.0);
+  EXPECT_GT(CounterValue("wfm_optimizer_failed_steps_total"), failed)
+      << "test premise: some steps fail to factor";
+  EXPECT_EQ(CounterValue("wfm_optimizer_pseudo_inverse_total"), pinv);
+  EXPECT_EQ(mechanism.optimizer_result().cholesky_failures, 0);
 }
 
 TEST(OptimizerTest, FixedStepSkipsSearch) {

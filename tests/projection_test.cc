@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -478,6 +479,300 @@ TEST(ProjectionShiftTest, PolishCounterCountsOnlyPolishedColumns) {
       EXPECT_LE(res.q(o, u), std::exp(eps) * z[o]);
     }
   }
+}
+
+// ---- The branchy sweeps, kept as a bit-exact reference ---------------------
+//
+// PieceAt, ProjectionShift, the polish and the clip-and-write loop as they
+// were before the sweeps selected instead of branching. The library's
+// versions must give the same λ, q and pattern bit for bit.
+namespace branchy {
+
+struct Piece {
+  double fixed = 0.0;
+  double free_r = 0.0;
+  int free = 0;
+  double below = -std::numeric_limits<double>::infinity();
+  double above = std::numeric_limits<double>::infinity();
+};
+
+Piece PieceAt(const double* r, const double* lo, const double* ub, int m,
+              double t) {
+  Piece p;
+  for (int o = 0; o < m; ++o) {
+    const double activate = lo[o] - r[o];
+    const double saturate = ub[o] - r[o];
+    if (t <= activate) {
+      p.fixed += lo[o];
+      p.above = std::min(p.above, activate);
+    } else if (t >= saturate) {
+      p.fixed += ub[o];
+      p.below = std::max(p.below, saturate);
+    } else {
+      p.free_r += r[o];
+      ++p.free;
+      p.below = std::max(p.below, activate);
+      p.above = std::min(p.above, saturate);
+    }
+  }
+  return p;
+}
+
+constexpr double kPieceSlack = 1e-12;
+
+double ProjectionShift(const double* r, const Vector& lo, const Vector& ub,
+                       int* passes) {
+  const int m = static_cast<int>(lo.size());
+  double left = std::numeric_limits<double>::infinity();
+  double right = -std::numeric_limits<double>::infinity();
+  double f_left = 0.0, f_right = 0.0, r_sum = 0.0;
+  for (int o = 0; o < m; ++o) {
+    left = std::min(left, lo[o] - r[o]);
+    right = std::max(right, ub[o] - r[o]);
+    f_left += lo[o];
+    f_right += ub[o];
+    r_sum += r[o];
+  }
+  int count = 1;
+  auto done = [&](double lambda) {
+    *passes = count;
+    return lambda;
+  };
+  if (std::abs(f_left - 1.0) <= kPieceSlack) return done(left);
+  const double last_breakpoint = right;
+  if (!(f_left < 1.0 && f_right > 1.0 + kPieceSlack)) {
+    return done(last_breakpoint);
+  }
+  double t = (1.0 - r_sum) / m;
+  for (;;) {
+    if (!(t > left && t < right)) {
+      t = left + (1.0 - f_left) * (right - left) / (f_right - f_left);
+      if (!(t > left && t < right)) t = 0.5 * (left + right);
+      if (!(t > left && t < right)) return done(last_breakpoint);
+    }
+    ++count;
+    const Piece p = PieceAt(r, lo.data(), ub.data(), m, t);
+    if (p.free == 0) {
+      if (std::abs(p.fixed - 1.0) <= kPieceSlack) {
+        return done(std::isfinite(p.below) ? p.below : p.above);
+      }
+      if (p.fixed < 1.0) {
+        left = p.above;
+        f_left = p.fixed;
+      } else {
+        right = p.below;
+        f_right = p.fixed;
+      }
+      t = std::numeric_limits<double>::quiet_NaN();
+      continue;
+    }
+    const double lambda = (1.0 - p.fixed - p.free_r) / p.free;
+    if (p.below < p.above && lambda >= p.below - kPieceSlack &&
+        lambda <= p.above + kPieceSlack) {
+      return done(lambda);
+    }
+    if (lambda > p.above) {
+      left = p.above;
+      f_left = p.fixed + p.free_r + p.free * p.above;
+    } else {
+      right = p.below;
+      f_right = p.fixed + p.free_r + p.free * p.below;
+    }
+    t = lambda;
+  }
+}
+
+double ClippedSum(const double* r, const Vector& z, const Vector& ub,
+                  double lambda) {
+  double s = 0.0;
+  for (std::size_t o = 0; o < z.size(); ++o) {
+    s += std::min(std::max(r[o] + lambda, z[o]), ub[o]);
+  }
+  return s;
+}
+
+double SolveLambdaRobust(const double* r, const Vector& z, const Vector& ub) {
+  int passes = 0;
+  double lambda = ProjectionShift(r, z, ub, &passes);
+  if (std::abs(ClippedSum(r, z, ub, lambda) - 1.0) <= 1e-9) return lambda;
+  double lo = lambda, hi = lambda;
+  double step = 1.0;
+  while (ClippedSum(r, z, ub, lo) > 1.0 && step < 1e18) {
+    lo -= step;
+    step *= 2.0;
+  }
+  step = 1.0;
+  while (ClippedSum(r, z, ub, hi) < 1.0 && step < 1e18) {
+    hi += step;
+    step *= 2.0;
+  }
+  for (int it = 0; it < 200 && hi - lo > 1e-15 * std::max(1.0, std::abs(hi));
+       ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (ClippedSum(r, z, ub, mid) < 1.0) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+/// The projection of every column of r, with its pattern.
+ProjectionResult Project(const Matrix& r, const Vector& z, double eps) {
+  const int m = r.rows(), n = r.cols();
+  Vector lo(m), ub(m);
+  for (int o = 0; o < m; ++o) {
+    lo[o] = std::max(z[o], 0.0);
+    ub[o] = std::exp(eps) * std::max(z[o], 0.0);
+  }
+  ProjectionResult out;
+  out.q = Matrix(m, n);
+  out.pattern.assign(static_cast<std::size_t>(m) * n, ClipState::kFree);
+  const Matrix rt = r.Transpose();
+  for (int u = 0; u < n; ++u) {
+    const double* col = rt.RowPtr(u);
+    const double lambda = SolveLambdaRobust(col, lo, ub);
+    for (int o = 0; o < m; ++o) {
+      const double raw = col[o] + lambda;
+      double val = raw;
+      ClipState state = ClipState::kFree;
+      if (raw <= lo[o]) {
+        val = lo[o];
+        state = ClipState::kAtLower;
+      } else if (raw >= ub[o]) {
+        val = ub[o];
+        state = ClipState::kAtUpper;
+      }
+      out.q(o, u) = val;
+      out.pattern[static_cast<std::size_t>(o) * n + u] = state;
+    }
+  }
+  return out;
+}
+
+}  // namespace branchy
+
+bool SameBits(const void* a, const void* b, std::size_t bytes) {
+  return std::memcmp(a, b, bytes) == 0;
+}
+
+/// ProjectionShift (λ and sweep count) and ProjectOntoLdpPolytope (q and
+/// pattern) against the branchy reference, bit for bit.
+void ExpectBitIdenticalToBranchy(const Matrix& r, const Vector& z, double eps) {
+  const int m = r.rows(), n = r.cols();
+  Vector lo(m), ub(m);
+  for (int o = 0; o < m; ++o) {
+    lo[o] = std::max(z[o], 0.0);
+    ub[o] = std::exp(eps) * std::max(z[o], 0.0);
+  }
+  const Matrix rt = r.Transpose();
+  for (int u = 0; u < n; ++u) {
+    int passes = 0, ref_passes = 0;
+    const double lambda = ProjectionShift(rt.RowPtr(u), lo, ub, &passes);
+    const double ref = branchy::ProjectionShift(rt.RowPtr(u), lo, ub,
+                                                &ref_passes);
+    EXPECT_TRUE(SameBits(&lambda, &ref, sizeof(double)))
+        << "column " << u << ": " << lambda << " vs " << ref;
+    EXPECT_EQ(passes, ref_passes) << "column " << u;
+  }
+  const ProjectionResult got = ProjectOntoLdpPolytope(r, z, eps);
+  const ProjectionResult want = branchy::Project(r, z, eps);
+  EXPECT_TRUE(
+      SameBits(got.q.data(), want.q.data(), got.q.size() * sizeof(double)));
+  ASSERT_EQ(got.pattern.size(), want.pattern.size());
+  EXPECT_TRUE(SameBits(got.pattern.data(), want.pattern.data(),
+                       got.pattern.size() * sizeof(ClipState)));
+}
+
+TEST(ProjectionBranchFreeTest, BitIdenticalOnRandomColumns) {
+  Rng rng(309);
+  for (int m : {1, 2, 7, 64, 256}) {
+    for (double eps : {0.05, 1.0, 4.0}) {
+      const Vector z(m, (1.0 + std::exp(-eps)) / (2.0 * m));
+      for (double spread : {1.0 / m, 1.0, 1e9}) {
+        ExpectBitIdenticalToBranchy(
+            RandomMatrix(m, 9, rng, -spread, 2 * spread), z, eps);
+      }
+      // Nonuniform bounds.
+      Vector lo, ub;
+      RandomBounds(m, eps, rng, lo, ub);
+      ExpectBitIdenticalToBranchy(RandomMatrix(m, 9, rng, -1.0 / m, 2.0 / m),
+                                  lo, eps);
+    }
+  }
+}
+
+TEST(ProjectionBranchFreeTest, BitIdenticalWithSignedZeros) {
+  // -0.0 in r and in z: an all-zero column, zeros mixed into a random one,
+  // and zero bounds (a zero-width interval at -0.0).
+  Rng rng(310);
+  const int m = 16;
+  const double eps = 1.0;
+  Vector z(m, (1.0 + std::exp(-eps)) / (2.0 * m));
+  Matrix r = RandomMatrix(m, 6, rng, -0.1, 0.2);
+  for (int o = 0; o < m; ++o) {
+    r(o, 0) = -0.0;
+    r(o, 1) = o % 2 == 0 ? -0.0 : 0.0;
+    if (o % 3 == 0) r(o, 2) = -0.0;
+  }
+  ExpectBitIdenticalToBranchy(r, z, eps);
+  const double sum = Sum(z);
+  for (int o = 0; o < m; o += 4) z[o] = -0.0;
+  const double rescale = sum / Sum(z);
+  for (int o = 0; o < m; ++o) z[o] *= rescale;
+  ExpectBitIdenticalToBranchy(r, z, eps);
+}
+
+TEST(ProjectionBranchFreeTest, BitIdenticalWithEntriesOnBreakpoints) {
+  // Re-projecting a projected strategy: its clipped entries sit exactly on
+  // their bounds, so at λ = 0 (the first guess when Σr rounds to 1) t lies
+  // exactly on their breakpoints.
+  Rng rng(311);
+  for (int m : {4, 64, 256}) {
+    for (double eps : {0.5, 2.0}) {
+      const Vector z(m, (1.0 + std::exp(-eps)) / (2.0 * m));
+      const ProjectionResult first =
+          ProjectOntoLdpPolytope(RandomMatrix(m, 12, rng, 0.0, 1.0), z, eps);
+      ExpectBitIdenticalToBranchy(first.q, z, eps);
+      // And every entry on a bound: r = z or r = e^ε z.
+      Matrix bounds(m, 2);
+      for (int o = 0; o < m; ++o) {
+        bounds(o, 0) = z[o];
+        bounds(o, 1) = std::exp(eps) * z[o];
+      }
+      ExpectBitIdenticalToBranchy(bounds, z, eps);
+    }
+  }
+}
+
+TEST(ProjectionBranchFreeTest, BitIdenticalOnAllClippedAndAllFreeColumns) {
+  Rng rng(312);
+  const int m = 32;
+  // Σz = 1 exactly (1/32 each): every entry ends at its lower bound.
+  const Vector unit_z(m, 1.0 / m);
+  ExpectBitIdenticalToBranchy(RandomMatrix(m, 5, rng, -1.0, 1.0), unit_z, 1.0);
+  // Entries far below and far above: every entry clipped at the first guess.
+  const double eps = 1.0;
+  const Vector z(m, (1.0 + std::exp(-eps)) / (2.0 * m));
+  Matrix split(m, 5);
+  for (int o = 0; o < m; ++o) {
+    for (int u = 0; u < 5; ++u) {
+      split(o, u) = (o % 2 == 0 ? -10.0 : 10.0) + rng.Uniform(-1.0, 1.0);
+    }
+  }
+  ExpectBitIdenticalToBranchy(split, z, eps);
+  // Bounds [0.5, e²·0.5] / m around entries 1/m ± 0.1/m: every entry free.
+  const Vector wide_z(m, 0.5 / m);
+  Matrix inner(m, 5);
+  for (int o = 0; o < m; ++o) {
+    for (int u = 0; u < 5; ++u) {
+      inner(o, u) = (1.0 + rng.Uniform(-0.1, 0.1)) / m;
+    }
+  }
+  const ProjectionResult res = ProjectOntoLdpPolytope(inner, wide_z, 2.0);
+  for (ClipState state : res.pattern) ASSERT_EQ(state, ClipState::kFree);
+  ExpectBitIdenticalToBranchy(inner, wide_z, 2.0);
 }
 
 TEST(ProjectionDeathTest, InfeasibleZAborts) {
