@@ -2,8 +2,8 @@
 //
 // Paper setting: HEPTH / MEDCOST / NETTRACE from DPBench plus the worst
 // case; Prefix workload, n = 512, ε = 1, α = 0.01.
-// Default here:  synthetic stand-ins of the same shape classes (DESIGN.md
-// §5), n = 128.
+// Default here:  synthetic stand-ins of the same shape classes
+// (src/data/datasets.h), n = 128.
 //
 // Section 6.4 findings to reproduce:
 //   * every mechanism's data-dependent sample complexity is close to its

@@ -1,9 +1,9 @@
-// Performance-trajectory suite: times the dense kernels (tiled/pooled vs the
-// retained pre-PR reference), one objective+gradient evaluation (at a large
-// random-Gram shape and at the dense-prefix PGD shape), one
-// Algorithm 1 projection, a full Optimize() run, and a WNNLS decode, then
-// writes the measurements to a JSON file so CI can accumulate a per-commit
-// perf trajectory.
+// Performance-trajectory suite: times the dense kernels and the Cholesky
+// factorization (tuned vs the retained reference), one objective+gradient
+// evaluation (at a large random-Gram shape and at the dense-prefix PGD
+// shape), one Algorithm 1 projection, a full Optimize() run, and a WNNLS
+// decode, then writes the measurements to a JSON file so CI can accumulate a
+// per-commit perf trajectory.
 //
 // Output schema (BENCH_perf.json): a JSON array of
 //   {"kernel": <name>, "shape": <"MxKxN" or parameter string>,
@@ -28,6 +28,7 @@
 #include "core/optimizer.h"
 #include "core/projection.h"
 #include "estimation/wnnls.h"
+#include "linalg/cholesky.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/reference_kernels.h"
@@ -180,6 +181,42 @@ int main(int argc, char** argv) {
                          batch;
     record("multiply_vec_ref", shape, t_ref, flops, 0.0);
     record("multiply_vec", shape, t_new, flops, t_ref);
+  }
+
+  // --- Cholesky factorization vs the unblocked reference --------------------
+  // n = 64 is the dense-prefix optimizer's A = Qᵀ D⁻¹ Q, n = 290 a typical
+  // rappor-prefix WNNLS free block G_FF. The input is B Bᵀ + n I, SPD.
+  {
+    const std::vector<int> sizes =
+        quick ? std::vector<int>{64, 290} : std::vector<int>{64, 290, 1024};
+    for (int n : sizes) {
+      const wfm::Matrix b = RandomMatrix(n, n, rng);
+      wfm::Matrix a = wfm::MultiplyABT(b, b);
+      for (int i = 0; i < n; ++i) a(i, i) += n;
+      const double flops = static_cast<double>(n) * n * n / 3.0;
+      const std::string shape = std::to_string(n) + "x" + std::to_string(n);
+      // Batch the sub-millisecond sizes for a stable clock.
+      const int batch = std::max(1, 200000000 / (n * n * n));
+      wfm::Cholesky chol;
+      wfm::Matrix l;
+      chol.Factorize(a);  // Warm the buffers.
+      const double t_new = TimeBest(reps, [&] {
+                             for (int i = 0; i < batch; ++i) {
+                               chol.Factorize(a);
+                               sink += chol.lower()(n - 1, n - 1);
+                             }
+                           }) /
+                           batch;
+      const double t_ref = TimeBest(reps, [&] {
+                             for (int i = 0; i < batch; ++i) {
+                               wfm::reference::CholeskyFactorize(a, l);
+                               sink += l(n - 1, n - 1);
+                             }
+                           }) /
+                           batch;
+      record("cholesky_ref", shape, t_ref, flops, 0.0);
+      record("cholesky", shape, t_new, flops, t_ref);
+    }
   }
 
   // --- One objective + gradient evaluation (the PGD hot path) --------------

@@ -1,8 +1,8 @@
 // Assertion macros for programming errors.
 //
-// The library does not throw exceptions across its public API (Google style;
-// see DESIGN.md). Precondition violations are programming errors and abort
-// the process with a source location and a formatted message.
+// The library does not throw exceptions across its public API (Google C++
+// style). Precondition violations are programming errors and abort the
+// process with a source location and a formatted message.
 //
 //   WFM_CHECK(cond) << "extra context " << value;
 //   WFM_CHECK_GT(rows, 0);

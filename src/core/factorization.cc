@@ -82,8 +82,8 @@ FactorizationAnalysis::FactorizationAnalysis(Matrix q, const WorkloadStats& work
   }
 
   // Factorization residual ||G(BQ) - G||_max / ||G||_max. Since null(G) =
-  // null(W), G(BQ) = G is equivalent to (WB)Q = W (see DESIGN.md). GP was
-  // already computed above.
+  // null(W), G(BQ - I) = 0 holds exactly when W(BQ - I) = 0, so G(BQ) = G
+  // is equivalent to (WB)Q = W. GP was already computed above.
   double max_diff = 0.0;
   for (int i = 0; i < workload_.n; ++i) {
     for (int j = 0; j < workload_.n; ++j) {

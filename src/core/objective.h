@@ -1,7 +1,8 @@
 // Optimization objective L(Q) = tr[(Qᵀ D_Q⁻¹ Q)† (WᵀW)] (Theorem 3.11) and
 // its analytic gradient — the per-iteration hot path of Algorithm 2.
 //
-// Derivation (DESIGN.md §6): with d = Q1, D = Diag(d), A = Qᵀ D⁻¹ Q,
+// Gradient (checked against central finite differences in
+// tests/objective_test.cc): with d = Q1, D = Diag(d), A = Qᵀ D⁻¹ Q,
 // G = WᵀW and S = A⁻¹ G A⁻¹,
 //
 //   ∇_Q L = -2 D⁻¹ Q S + h 1ᵀ,   h_o = [Q S Qᵀ]_oo / d_o².

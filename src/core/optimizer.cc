@@ -70,7 +70,8 @@ Gauge& LastObjective() {
 }
 
 /// Keeps z inside the projection's feasibility region
-/// Σz <= 1 <= e^ε Σz with a small margin (DESIGN.md §6).
+/// Σz <= 1 <= e^ε Σz (ProjectionFeasible, core/projection.h) with a small
+/// margin.
 void RepairZFeasibility(Vector& z, double eps, int m) {
   for (double& v : z) v = std::min(std::max(v, 0.0), 1.0);
   const double kLowMargin = 0.98;   // Σz must stay below this.

@@ -2,7 +2,7 @@
 //
 //   α = β / (n e^ε)
 //   repeat T times:
-//     z ← clip(z − α ∇_z L(Q), 0, 1)      (+ feasibility repair, DESIGN.md §6)
+//     z ← clip(z − α ∇_z L(Q), 0, 1)      (+ RepairZFeasibility, optimizer.cc)
 //     Q ← Π_{z,ε}(Q − β ∇_Q L(Q))
 //
 // ∇_z L is obtained by back-propagating ∇_Q L through the clipping pattern
@@ -111,8 +111,7 @@ struct ZGradientWorkspace {
 };
 
 /// ∇_z L via the chain rule through q_u = clip(r_u + λ_u, z, e^ε z) at the
-/// clipping pattern `proj` recorded (DESIGN.md §6). For column u with free
-/// set F:
+/// clipping pattern `proj` recorded. For column u with free set F:
 ///   ∂q_ou/∂z_o   = s_o                  (o clipped; s_o = 1 lower, e^ε upper)
 ///   ∂λ_u /∂z_o   = -s_o / |F|           (o clipped)
 ///   ∂q_o'u/∂z_o  = ∂λ_u/∂z_o            (o' free)

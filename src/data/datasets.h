@@ -3,7 +3,7 @@
 // Section 6.4 of the paper evaluates data-dependent sample complexity on
 // three DPBench histograms (HEPTH, MEDCOST, NETTRACE) that are not
 // redistributable here. We generate seeded synthetic histograms that match
-// each dataset's documented shape class (see DESIGN.md §5):
+// each dataset's documented shape class:
 //
 //   HEPTH    — paper-citation in-degrees: smooth power-law decay.
 //   MEDCOST  — medical costs: a zero-cost spike plus a skewed lognormal bulk.

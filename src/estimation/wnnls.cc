@@ -65,15 +65,27 @@ void Gradient(const GramOp& gram_op, const Vector& x, const Vector& rhs,
   for (std::size_t i = 0; i < x.size(); ++i) grad[i] = 2.0 * (grad[i] - rhs[i]);
 }
 
-/// G_FF for G = ⊗ factors: entry (a, b) is Π_i G_i(u_i, v_i) over the
-/// mixed-radix digits of u = free[a] and v = free[b], multiplied left to
-/// right as KroneckerProductAll folds, so one factor copies G's entries and
-/// k factors reproduce the dense product's entries bit for bit.
-Matrix FreeGram(const std::vector<const Matrix*>& factors,
-                const std::vector<int>& free) {
+/// G_FF for G = ⊗ factors, into `gff` (resized). With one factor, G_FF is a
+/// gather of G's entries. With k factors, entry (a, b) is Π_i G_i(u_i, v_i)
+/// over the mixed-radix digits of u = free[a] and v = free[b], multiplied
+/// left to right as KroneckerProductAll folds, so it reproduces the dense
+/// product's entry bit for bit.
+void FreeGramInto(const std::vector<const Matrix*>& factors,
+                  const std::vector<int>& free, std::vector<int>& digits,
+                  Matrix& gff) {
   const std::size_t k = factors.size();
   const int m = static_cast<int>(free.size());
-  std::vector<int> digits(static_cast<std::size_t>(m) * k);
+  gff.ResizeUninitialized(m, m);
+  if (k == 1) {
+    const Matrix& g = *factors[0];
+    for (int a = 0; a < m; ++a) {
+      const double* src = g.RowPtr(free[a]);
+      double* row = gff.RowPtr(a);
+      for (int b = 0; b < m; ++b) row[b] = src[free[b]];
+    }
+    return;
+  }
+  digits.resize(static_cast<std::size_t>(m) * k);
   for (int a = 0; a < m; ++a) {
     int u = free[a];
     for (std::size_t i = k; i-- > 0;) {
@@ -81,7 +93,6 @@ Matrix FreeGram(const std::vector<const Matrix*>& factors,
       u /= factors[i]->rows();
     }
   }
-  Matrix gff(m, m);
   for (int a = 0; a < m; ++a) {
     const int* da = &digits[a * k];
     double* row = gff.RowPtr(a);
@@ -92,19 +103,14 @@ Matrix FreeGram(const std::vector<const Matrix*>& factors,
       row[b] = v;
     }
   }
-  return gff;
 }
 
-/// vᵀ G_FF v - 2 r_Fᵀ v: the objective of any x supported on F.
-double FreeObjective(const Matrix& gff, const Vector& v, const Vector& rhs_f) {
-  double quad = 0.0;
-  for (int a = 0; a < gff.rows(); ++a) {
-    const double* row = gff.RowPtr(a);
-    double s = 0.0;
-    for (int b = 0; b < gff.cols(); ++b) s += row[b] * v[b];
-    quad += v[a] * s;
-  }
-  return quad - 2.0 * Dot(rhs_f, v);
+/// vᵀ G_FF v - 2 r_Fᵀ v: the objective of any x supported on F. `gv` is
+/// scratch for G_FF v; the quadratic term sums v_a (G_FF v)_a in ascending a.
+double FreeObjective(const Matrix& gff, const Vector& v, const Vector& rhs_f,
+                     Vector& gv) {
+  MultiplyVecInto(gff, v, gv);
+  return Dot(v, gv) - 2.0 * Dot(rhs_f, v);
 }
 
 enum class NewtonExit { kConverged, kBudget, kFallback };
@@ -123,8 +129,9 @@ NewtonExit ProjectedNewton(const std::vector<const Matrix*>& factors,
                            double tol, int budget, Vector& x,
                            WnnlsResult& result) {
   const std::size_t n = x.size();
-  std::vector<int> free;
-  Vector grad(n), rhs_f, x_f, trial;
+  std::vector<int> free, digits;
+  Vector grad(n), rhs_f, x_f, trial, gv;
+  Matrix gff;
   Cholesky chol;
   for (;;) {
     Gradient(gram_op, x, rhs, grad);
@@ -135,7 +142,7 @@ NewtonExit ProjectedNewton(const std::vector<const Matrix*>& factors,
     for (std::size_t i = 0; i < n; ++i) {
       if (x[i] > 0.0 || grad[i] <= 0.0) free.push_back(static_cast<int>(i));
     }
-    const Matrix gff = FreeGram(factors, free);
+    FreeGramInto(factors, free, digits, gff);
     if (!chol.Factorize(gff)) return NewtonExit::kFallback;
     const std::size_t m = free.size();
     rhs_f.resize(m);
@@ -146,7 +153,7 @@ NewtonExit ProjectedNewton(const std::vector<const Matrix*>& factors,
     }
     const Vector z = chol.Solve(rhs_f);
 
-    const double f0 = FreeObjective(gff, x_f, rhs_f);
+    const double f0 = FreeObjective(gff, x_f, rhs_f, gv);
     trial.resize(m);
     bool accepted = false;
     double alpha = 1.0;
@@ -157,7 +164,7 @@ NewtonExit ProjectedNewton(const std::vector<const Matrix*>& factors,
         trial[a] = std::max(0.0, x_f[a] + alpha * (z[a] - x_f[a]));
         predicted += grad[free[a]] * (x_f[a] - trial[a]);
       }
-      const double decrease = f0 - FreeObjective(gff, trial, rhs_f);
+      const double decrease = f0 - FreeObjective(gff, trial, rhs_f, gv);
       accepted = decrease > 0.0 && decrease >= kArmijo * predicted;
     }
     if (!accepted) return NewtonExit::kFallback;

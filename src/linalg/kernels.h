@@ -3,6 +3,9 @@
 //
 // The strategy optimizer spends most of its time in two places: the GEMM
 // micro-kernel and the two triangular-solve sweeps of Cholesky::SolveInPlace.
+// Cholesky::Factorize spends most of its time in the panel sweep and the
+// trailing-update micro-kernel below, and WNNLS in the factorization and the
+// row-major matrix-vector product.
 // The default build targets baseline x86-64 (SSE2), so the portable loops run
 // two doubles wide even on hosts that have AVX2. Each loop therefore also has
 // an AVX2 build, compiled with a per-function target attribute so the rest of
@@ -40,11 +43,37 @@ using MicroKernelFn = void (*)(int kc, const double* pa, const double* pb,
 using SweepFn = void (*)(const double* l, int n, double* b, int ldb,
                          int col_begin, int col_end);
 
+/// The panel step of the blocked Cholesky factorization. `p` holds the
+/// panel below the diagonal block transposed: nb rows of `cols` entries with
+/// leading dimension ldp, row jj being column j0 + jj of A. `l` points at the
+/// diagonal block's factor L11 (leading dimension ldl). Row jj subtracts
+/// L11(jj, kk) · (row kk) for kk = 0 … jj−1 in order, zeros included, then
+/// multiplies by 1 / L11(jj, jj); afterwards `p` holds L21ᵀ.
+using PanelSweepFn = void (*)(const double* l, int ldl, int nb, double* p,
+                              int ldp, int cols);
+
+/// The trailing update of the blocked Cholesky factorization on one
+/// kMr x kNr tile: C[r, c] −= a[k·ldp + r] · b[k·ldp + c] for k = 0 … kc−1
+/// in ascending order, starting from the value loaded from C. `a` and `b`
+/// point into the same transposed panel, so the update is C −= L21 L21ᵀ.
+/// Only the ragged edge mr <= kMr, nr <= kNr of C is read and written, but
+/// `a` and `b` must be readable for the full kMr and kNr lanes.
+using DowndateFn = void (*)(int kc, const double* a, const double* b, int ldp,
+                            double* c, int ldc, int mr, int nr);
+
+/// y[r] = Σ_j a[r·lda + j] · x[j] for r in [0, rows): each y[r] is one sum
+/// from +0.0 in ascending j, whatever number of rows runs side by side.
+using MatVecFn = void (*)(const double* a, int lda, int rows, int cols,
+                          const double* x, double* y);
+
 struct KernelSet {
   const char* name;  ///< "portable" or "avx2".
   MicroKernelFn gemm_micro;
+  MatVecFn mat_vec;
   SweepFn forward_sweep;
   SweepFn backward_sweep;
+  PanelSweepFn panel_sweep;
+  DowndateFn downdate_micro;
 };
 
 /// The baseline build, available everywhere.

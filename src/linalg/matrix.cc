@@ -375,13 +375,13 @@ void MultiplyVecInto(const Matrix& a, const Vector& x, Vector& y) {
   const double* xp = x.data();
   const int n = a.cols();
   const double flops = static_cast<double>(a.rows()) * n;
+  // Each y_i is one in-order chain s += a_ij x_j from +0.0, which the
+  // compiler may not reorder; the kernel runs several rows' chains side by
+  // side instead.
+  const kernels::MatVecFn mat_vec = kernels::ActiveKernels().mat_vec;
   PoolParallelFor(a.rows(), flops, [&](int row_begin, int row_end) {
-    for (int i = row_begin; i < row_end; ++i) {
-      const double* row = a.RowPtr(i);
-      double s = 0.0;
-      for (int j = 0; j < n; ++j) s += row[j] * xp[j];
-      y[i] = s;
-    }
+    mat_vec(a.RowPtr(row_begin), n, row_end - row_begin, n, xp,
+            y.data() + row_begin);
   });
 }
 

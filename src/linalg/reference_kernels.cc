@@ -1,6 +1,7 @@
 #include "linalg/reference_kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -117,6 +118,38 @@ Vector MultiplyTVec(const Matrix& a, const Vector& x) {
     for (int j = 0; j < a.cols(); ++j) y[j] += xi * row[j];
   }
   return y;
+}
+
+int CholeskyFactorize(const Matrix& a, Matrix& l, double rel_tol) {
+  WFM_CHECK_EQ(a.rows(), a.cols());
+  const int n = a.rows();
+  l = a;
+
+  double max_diag = 0.0;
+  for (int i = 0; i < n; ++i) max_diag = std::max(max_diag, std::abs(a(i, i)));
+  const double tol = std::max(rel_tol * max_diag, 0.0);
+
+  for (int j = 0; j < n; ++j) {
+    double* lj = l.RowPtr(j);
+    double d = lj[j];
+    for (int k = 0; k < j; ++k) d -= lj[k] * lj[k];
+    if (!(d > tol)) return j;  // Also rejects NaN.
+    const double ljj = std::sqrt(d);
+    lj[j] = ljj;
+    const double inv = 1.0 / ljj;
+    for (int i = j + 1; i < n; ++i) {
+      double* li = l.RowPtr(i);
+      double s = li[j];
+      for (int k = 0; k < j; ++k) s -= li[k] * lj[k];
+      li[j] = s * inv;
+    }
+  }
+  // Zero the strict upper triangle so the result is a clean factor.
+  for (int i = 0; i < n; ++i) {
+    double* li = l.RowPtr(i);
+    for (int j = i + 1; j < n; ++j) li[j] = 0.0;
+  }
+  return -1;
 }
 
 }  // namespace reference

@@ -1,16 +1,17 @@
-// The pre-tiling product kernels, retained verbatim as a baseline.
+// The pre-tiling product kernels and the unblocked Cholesky factorization,
+// retained verbatim as a baseline.
 //
 // These are the exact scalar loops (and the per-call std::thread splitting)
-// that matrix.cc shipped before the tiled/pooled kernel layer. They serve two
-// purposes:
-//   - tests/matrix_kernels_test.cc validates the tiled kernels against them
-//     on ragged and tail-size shapes, and
+// that matrix.cc shipped before the tiled/pooled kernel layer, and the loop
+// Cholesky::Factorize ran before it was blocked. They serve two purposes:
+//   - tests/matrix_kernels_test.cc and tests/cholesky_test.cc check the
+//     tuned kernels against them on ragged and tail-size shapes, and
 //   - bench/perf_suite.cc times them side by side with the current kernels so
-//     BENCH_perf.json records the speedup over the pre-PR implementation on
+//     BENCH_perf.json records the speedup over the old implementation on
 //     every run.
 //
-// They are compiled into wfm_linalg but are not part of the public API
-// surface (nothing in src/ outside the linalg tests should call them).
+// They live in the wfm_linalg_reference target, which only tests and
+// benches link; it is not part of wfm::all and is not installed.
 
 #ifndef WFM_LINALG_REFERENCE_KERNELS_H_
 #define WFM_LINALG_REFERENCE_KERNELS_H_
@@ -30,6 +31,12 @@ Matrix MultiplyABT(const Matrix& a, const Matrix& b);
 Vector MultiplyVec(const Matrix& a, const Vector& x);
 /// y = Aᵀ x (single-threaded).
 Vector MultiplyTVec(const Matrix& a, const Vector& x);
+
+/// Unblocked Cholesky: factors symmetric `a` into the lower triangle of `l`
+/// (strict upper triangle zeroed). Returns -1 on success, or the column j
+/// whose pivot dropped below rel_tol times the largest diagonal entry; `l`
+/// is then partly written.
+int CholeskyFactorize(const Matrix& a, Matrix& l, double rel_tol = 1e-12);
 
 }  // namespace reference
 }  // namespace wfm

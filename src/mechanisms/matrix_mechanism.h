@@ -10,7 +10,7 @@
 // The estimate is unbiased whenever rowspace(W) ⊆ rowspace(A), with total
 // variance N sigma² ||W A†||_F² = N sigma² tr[(AᵀA)† WᵀW] — data-independent.
 //
-// Noise calibration (see DESIGN.md §5 on this substitution):
+// Noise calibration:
 //  * L1 (Laplace): pure ε-LDP with the exact pairwise sensitivity
 //    Δ1 = max_{u,u'} ||A(e_u - e_u')||₁ and scale Δ1/ε.
 //  * L2 (Gaussian): (ε, δ)-LDP with Δ2 = max pairwise L2 distance and the

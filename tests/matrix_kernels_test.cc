@@ -11,6 +11,7 @@
 //
 // The AVX2 micro-kernel and solve sweeps (linalg/kernels.h) must match the
 // portable ones bit for bit; those tests skip on CPUs without AVX2.
+// MultiplyVecInto must match the reference bit for bit in both builds.
 
 #include <algorithm>
 #include <cstring>
@@ -225,6 +226,36 @@ class ActiveKernelsGuard {
   }
   ~ActiveKernelsGuard() { kernels::SetActiveKernelsForTesting(nullptr); }
 };
+
+// MultiplyVecInto runs several rows' chains side by side, but each row is
+// the reference's own sum from +0.0 in ascending j, so both kernel builds
+// agree with the reference bit for bit: on row counts on both sides of the
+// 4- and 16-row blocks, odd and even column counts, exact zeros of both signs
+// in A and x, and a shape over the thread-pool threshold.
+TEST(MatrixKernelsTest, MultiplyVecIntoBitIdenticalToReference) {
+  std::vector<const kernels::KernelSet*> sets = {&kernels::PortableKernels()};
+  if (kernels::CpuHasAvx2()) sets.push_back(kernels::Avx2Kernels());
+  const int kRowCounts[] = {1, 2, 3, 4, 5, 7, 9, 13, 16, 17, 31, 33, 130, 2003};
+  Rng rng(108);
+  Vector y;
+  for (int rows : kRowCounts) {
+    for (int cols : {1, 2, 5, 64, rows == 2003 ? 2001 : 37}) {
+      Matrix a = RandomMatrix(rows, cols, rng);
+      Vector x = RandomVector(cols, rng);
+      for (int r = 0; r < rows; r += 3) a(r, r % cols) = r % 2 ? -0.0 : 0.0;
+      x[cols / 2] = -0.0;
+      const Vector want = reference::MultiplyVec(a, x);
+      for (const kernels::KernelSet* set : sets) {
+        const ActiveKernelsGuard guard(*set);
+        MultiplyVecInto(a, x, y);
+        ASSERT_EQ(y.size(), want.size());
+        EXPECT_EQ(std::memcmp(y.data(), want.data(), y.size() * sizeof(double)),
+                  0)
+            << rows << " x " << cols << ", " << set->name;
+      }
+    }
+  }
+}
 
 TEST(MatrixKernelsTest, DispatcherPicksAvx2WhenTheCpuHasIt) {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)

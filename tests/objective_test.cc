@@ -1,6 +1,6 @@
 // Tests for the optimization objective and its analytic gradient — most
 // importantly the central finite-difference check of the hand-derived
-// gradient (the substitute for the paper's autodiff; DESIGN.md §5).
+// gradient (the substitute for the paper's autodiff).
 
 #include "core/objective.h"
 
