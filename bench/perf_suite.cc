@@ -1,9 +1,10 @@
 // Performance-trajectory suite: times the dense kernels and the Cholesky
 // factorization (tuned vs the retained reference), one objective+gradient
 // evaluation (at a large random-Gram shape and at the dense-prefix PGD
-// shape), one Algorithm 1 projection, a full Optimize() run, and a WNNLS
-// decode, then writes the measurements to a JSON file so CI can accumulate a
-// per-commit perf trajectory.
+// shape), one Algorithm 1 projection, a full Optimize() run, a WNNLS
+// decode, and the encode and decode of one ingest batch body, then writes
+// the measurements to a JSON file so CI can accumulate a per-commit perf
+// trajectory.
 //
 // Output schema (BENCH_perf.json): a JSON array of
 //   {"kernel": <name>, "shape": <"MxKxN" or parameter string>,
@@ -18,8 +19,11 @@
 // Flags: --quick (smaller shapes + fewer reps; what the perf-smoke CI job
 // runs), --reps=N, --out=path.
 
+#include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -34,6 +38,8 @@
 #include "linalg/reference_kernels.h"
 #include "linalg/rng.h"
 #include "linalg/thread_pool.h"
+#include "ldp/reporter.h"
+#include "wire/wire_format.h"
 #include "workload/workload.h"
 
 namespace {
@@ -123,6 +129,84 @@ int main(int argc, char** argv) {
   };
 
   wfm::Rng rng(42);
+
+  // --- Ingest batch body: encode (client) and decode (server) -------------
+  // 256 reports, the perfbench batch: categorical ones (dense-prefix) and
+  // 512-bit ones (rappor-prefix). The rows time AppendReportBatch into a
+  // reused buffer and DecodeReportBatchInto into reused reports; the _ref
+  // rows time the same bytes built and parsed one report buffer at a time
+  // (EncodeReport per report copied into a fresh body; DecodeReport per
+  // report moved into a fresh vector), as the service did before. These
+  // run first: after the large matrices below are freed, the _ref rows'
+  // many small, growing allocations ran about 5x slower in this process,
+  // which says nothing about the code under test.
+  {
+    const int kBatch = 256;
+    std::vector<wfm::Report> categorical(kBatch), bits(kBatch);
+    const wfm::BitVectorReporter rappor(512, 0.75, 0.25);
+    // Its own stream, so the later sections' inputs stay what they were.
+    wfm::Rng report_rng(43);
+    for (int i = 0; i < kBatch; ++i) {
+      categorical[i].index = report_rng.UniformInt(256);
+      bits[i] = rappor.Respond(report_rng.UniformInt(512), report_rng);
+    }
+    const auto put_u32 = [](wfm::WireBytes& out, std::uint32_t v) {
+      for (int b = 0; b < 4; ++b) {
+        out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+      }
+    };
+    // One batch is microseconds; time 200 per op for a stable clock.
+    const auto per_batch = [&](auto&& fn) {
+      return TimeBest(reps, [&] {
+               for (int i = 0; i < 200; ++i) fn();
+             }) /
+             200;
+    };
+    for (const auto& [shape, reports] :
+         {std::pair{"256xcategorical", &categorical},
+          std::pair{"256xbits512", &bits}}) {
+      wfm::WireBytes body;
+      const double t_encode = per_batch([&] {
+        body.clear();
+        wfm::AppendReportBatch(body, *reports);
+        sink += body.back();
+      });
+      const double t_encode_ref = per_batch([&] {
+        wfm::WireBytes fresh;
+        put_u32(fresh, kBatch);
+        for (const wfm::Report& r : *reports) {
+          const wfm::WireBytes wire = wfm::EncodeReport(r);
+          put_u32(fresh, static_cast<std::uint32_t>(wire.size()));
+          fresh.insert(fresh.end(), wire.begin(), wire.end());
+        }
+        sink += fresh.back();
+      });
+      record("wire_batch_encode_ref", shape, t_encode_ref, 0.0, 0.0);
+      record("wire_batch_encode", shape, t_encode, 0.0, t_encode_ref);
+
+      std::vector<wfm::Report> decoded;
+      const double t_decode = per_batch([&] {
+        sink += static_cast<double>(
+            wfm::DecodeReportBatchInto(body, decoded).value());
+      });
+      const double t_decode_ref = per_batch([&] {
+        std::vector<wfm::Report> fresh;
+        fresh.reserve(kBatch);
+        const std::span<const std::uint8_t> entries(body);
+        std::size_t at = 4;
+        for (int k = 0; k < kBatch; ++k) {
+          const std::uint32_t len = body[at] | body[at + 1] << 8 |
+                                    body[at + 2] << 16 | body[at + 3] << 24;
+          fresh.push_back(wfm::DecodeReport(entries.subspan(at + 4, len))
+                              .value());
+          at += 4 + len;
+        }
+        sink += static_cast<double>(fresh.back().index);
+      });
+      record("wire_batch_decode_ref", shape, t_decode_ref, 0.0, 0.0);
+      record("wire_batch_decode", shape, t_decode, 0.0, t_decode_ref);
+    }
+  }
 
   // --- GEMM kernels vs the pre-PR reference --------------------------------
   const std::vector<int> gemm_sizes =

@@ -109,6 +109,8 @@ BitVectorReporter::BitVectorReporter(int n, double prob_one_given_one,
   WFM_CHECK(q_ >= 0.0 && q_ < p_ && p_ <= 1.0)
       << "bit-vector reporter requires 0 <= q < p <= 1, got p =" << p_
       << "q =" << q_;
+  p_threshold_ = Rng::BernoulliThreshold(p_);
+  q_threshold_ = Rng::BernoulliThreshold(q_);
 }
 
 Report BitVectorReporter::Respond(int user_type, Rng& rng) const {
@@ -117,16 +119,19 @@ Report BitVectorReporter::Respond(int user_type, Rng& rng) const {
   Report report;
   report.bits = PackedBits::Zeros(n_);
   const std::span<std::uint64_t> words = report.bits.mutable_words();
-  // Same draws in the same order as one Bernoulli per coordinate; each word
-  // is assembled in a register and stored once. Bits enter at the top and
-  // shift down (a constant shift per draw), so after the word's last draw
-  // bit `begin` sits at 64 - len and one shift aligns the word.
+  // Same draws in the same order as one Bernoulli per coordinate (compared
+  // on integers, see the class comment); each word is assembled in a
+  // register and stored once. Bits enter at the top and shift down (a
+  // constant shift per draw), so after the word's last draw bit `begin`
+  // sits at 64 - len and one shift aligns the word.
   for (std::size_t w = 0; w < words.size(); ++w) {
     const int begin = static_cast<int>(w) * 64;
     const int len = std::min(n_ - begin, 64);
     std::uint64_t word = 0;
     for (int i = begin; i < begin + len; ++i) {
-      const bool bit = rng.Bernoulli(i == user_type ? p_ : q_);
+      const std::uint64_t threshold =
+          i == user_type ? p_threshold_ : q_threshold_;
+      const bool bit = (rng.NextUint64() >> 11) < threshold;
       word = (word >> 1) | (static_cast<std::uint64_t>(bit) << 63);
     }
     words[w] = word >> (64 - len);

@@ -184,6 +184,10 @@ class FactoredStrategyReporter final : public Reporter {
 /// probability p if the true bit is 1 and q if it is 0 (one Bernoulli draw
 /// per bit, in coordinate order, packed into words as they are drawn). The
 /// matching server half is ReportDecoder's AffineDebias{p, q} mode.
+///
+/// Each draw is rng.Bernoulli(prob), computed on integers against
+/// Rng::BernoulliThreshold(prob), so reports are bit-identical to the
+/// Bernoulli loop and the loop does no int-to-double conversion.
 class BitVectorReporter final : public Reporter {
  public:
   /// `prob_one_given_one` is p, `prob_one_given_zero` is q; unbiased
@@ -205,6 +209,8 @@ class BitVectorReporter final : public Reporter {
   int n_;
   double p_;
   double q_;
+  std::uint64_t p_threshold_;  ///< Rng::BernoulliThreshold(p).
+  std::uint64_t q_threshold_;  ///< Rng::BernoulliThreshold(q).
 };
 
 }  // namespace wfm

@@ -8,6 +8,8 @@
 #ifndef WFM_LINALG_RNG_H_
 #define WFM_LINALG_RNG_H_
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 
 namespace wfm {
@@ -18,10 +20,25 @@ class Rng {
   /// state for any seed value (including 0).
   explicit Rng(std::uint64_t seed);
 
-  std::uint64_t NextUint64();
+  /// xoshiro256++ (Blackman & Vigna). Inline, like NextDouble, because
+  /// per-bit report draws call it in a tight loop.
+  std::uint64_t NextUint64() {
+    const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1) with 53 random bits.
-  double NextDouble();
+  /// Uniform double in [0, 1) with 53 random bits: k · 2^-53 for the top 53
+  /// bits k of NextUint64().
+  double NextDouble() {
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [a, b).
   double Uniform(double a, double b);
@@ -42,6 +59,16 @@ class Rng {
 
   /// Bernoulli(p).
   bool Bernoulli(double p) { return NextDouble() < p; }
+
+  /// The integer t for which Bernoulli(p) == ((NextUint64() >> 11) < t),
+  /// draw for draw, for p in [0, 1]: NextDouble() is k · 2^-53 for the
+  /// integer k = NextUint64() >> 11, which is below p exactly when
+  /// k < p · 2^53 (a power-of-two scaling, so exact), that is when
+  /// k < ceil(p · 2^53). Loops that draw many bits compare integers
+  /// against t instead of converting each draw to a double.
+  static std::uint64_t BernoulliThreshold(double p) {
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
 
   /// Derives an independent generator (jump via reseeding from this stream).
   Rng Fork();

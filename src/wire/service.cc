@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -29,6 +30,11 @@ constexpr int kPollTickMs = 50;
 
 // Chunk size for draining oversized frames without buffering them.
 constexpr std::size_t kDrainChunkBytes = 64 * 1024;
+
+// Decoded reports a connection keeps between frames. A batch larger than
+// this is served, then its storage is released, so one outsized frame does
+// not pin memory for the rest of the connection.
+constexpr std::size_t kMaxRetainedReports = 4096;
 
 // ---- request telemetry ----------------------------------------------------
 
@@ -164,16 +170,28 @@ IoResult ReadBytes(int fd, std::uint8_t* data, std::size_t size,
   return IoResult::kOk;
 }
 
-// Writes all of `data`. MSG_NOSIGNAL everywhere: a peer that hangs up
+// Writes `head` then `body` as one stream, with one sendmsg per attempt, so
+// a frame's length prefix and its payload leave without being copied into
+// one buffer first. MSG_NOSIGNAL everywhere: a peer that hangs up
 // mid-response must surface as an error return, not a process-killing
 // SIGPIPE.
-IoResult WriteBytes(int fd, const std::uint8_t* data, std::size_t size,
-                    int deadline_ms) {
+IoResult WriteFrame(int fd, std::span<const std::uint8_t> head,
+                    std::span<const std::uint8_t> body, int deadline_ms) {
   const auto start = std::chrono::steady_clock::now();
+  const std::size_t size = head.size() + body.size();
   std::size_t done = 0;
   while (done < size) {
-    const ssize_t put = ::send(fd, data + done, size - done,
-                               MSG_DONTWAIT | MSG_NOSIGNAL);
+    const std::size_t head_done = std::min(done, head.size());
+    const std::size_t body_done = done - head_done;
+    iovec parts[2] = {
+        {const_cast<std::uint8_t*>(head.data()) + head_done,
+         head.size() - head_done},
+        {const_cast<std::uint8_t*>(body.data()) + body_done,
+         body.size() - body_done}};
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = 2;
+    const ssize_t put = ::sendmsg(fd, &message, MSG_DONTWAIT | MSG_NOSIGNAL);
     if (put > 0) {
       done += static_cast<std::size_t>(put);
       continue;
@@ -218,11 +236,6 @@ IoResult DiscardBytes(int fd, std::uint64_t size, int deadline_ms) {
   return IoResult::kOk;
 }
 
-void PutU16LE(WireBytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
 void PutU32LE(WireBytes& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -234,6 +247,13 @@ void PutU64LE(WireBytes& out, std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
     out.push_back(static_cast<std::uint8_t>(v >> shift));
   }
+}
+
+void StoreU32LE(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint32_t GetU32LE(const std::uint8_t* p) {
@@ -250,12 +270,11 @@ std::uint64_t GetU64LE(const std::uint8_t* p) {
 }
 
 IoResult SendResponse(int fd, const WireResponse& response, int deadline_ms) {
-  WireBytes frame;
-  frame.reserve(4 + 2 + response.payload.size());
-  PutU32LE(frame, static_cast<std::uint32_t>(2 + response.payload.size()));
-  PutU16LE(frame, response.status);
-  frame.insert(frame.end(), response.payload.begin(), response.payload.end());
-  return WriteBytes(fd, frame.data(), frame.size(), deadline_ms);
+  std::uint8_t header[6];
+  StoreU32LE(header, static_cast<std::uint32_t>(2 + response.payload.size()));
+  header[4] = static_cast<std::uint8_t>(response.status);
+  header[5] = static_cast<std::uint8_t>(response.status >> 8);
+  return WriteFrame(fd, header, response.payload, deadline_ms);
 }
 
 WireResponse OkResponse(WireBytes payload = {}) {
@@ -482,7 +501,11 @@ void CollectionServer::ServeConnection(int fd, int connection_id) {
   const int shard = connection_id % options_.num_shards;
   const int nodelay = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
+  // The frame and its decoded reports live as long as the connection, so a
+  // steady stream of batches reuses their storage instead of allocating per
+  // report.
   WireBytes body;
+  std::vector<Report> reports;
   for (;;) {
     // Between frames: wait for the first byte under the idle budget,
     // checking the drain flag each tick so Stop() can reclaim the thread
@@ -535,8 +558,9 @@ void CollectionServer::ServeConnection(int fd, int connection_id) {
     const int slot = RequestSlot(type);
     const std::span<const std::uint8_t> payload(body.data() + 1, length - 1);
     ScopedTimer span(*telemetry.latency[slot]);
-    const WireResponse response = HandleRequest(type, payload, shard);
+    const WireResponse response = HandleRequest(type, payload, shard, reports);
     span.Stop();
+    if (reports.size() > kMaxRetainedReports) reports = {};
     // Account after the handler but before the response goes out: once a
     // client holds its response, the request is visible to any later
     // kMetrics scrape — and a scrape, rendered inside HandleRequest above,
@@ -576,9 +600,17 @@ bool CollectionServer::ShedIngest(int shard, std::int64_t num_reports) const {
   return backlog + num_reports > cap;
 }
 
-WireResponse CollectionServer::AdmitTagged(
-    std::uint64_t client_id, std::uint64_t sequence, int shard,
-    std::int64_t num_reports, const std::function<Status()>& ingest) {
+Status CollectionServer::Ingest(int shard, std::span<const Report> reports,
+                                bool batch) {
+  return batch ? session_->AcceptBatch(shard, reports)
+               : session_->Accept(shard, reports.front());
+}
+
+WireResponse CollectionServer::AdmitTagged(std::uint64_t client_id,
+                                           std::uint64_t sequence, int shard,
+                                           std::span<const Report> reports,
+                                           bool batch) {
+  const std::int64_t num_reports = static_cast<std::int64_t>(reports.size());
   ClientDedupWindow* window;
   {
     std::lock_guard<std::mutex> lock(dedup_mutex_);
@@ -604,7 +636,7 @@ WireResponse CollectionServer::AdmitTagged(
     return ShedResponse(options_.retry_after_ms, shard,
                         options_.max_unsealed_reports_per_shard);
   }
-  if (Status accepted = ingest(); !accepted.ok()) {
+  if (Status accepted = Ingest(shard, reports, batch); !accepted.ok()) {
     // Not recorded: the frame never counted, so a (corrected) retry is not a
     // duplicate.
     return ErrorResponse(accepted);
@@ -624,7 +656,8 @@ WireResponse CollectionServer::AdmitTagged(
 }
 
 WireResponse CollectionServer::HandleIngest(
-    std::span<const std::uint8_t> payload, int shard, bool batch) {
+    std::span<const std::uint8_t> payload, int shard, bool batch,
+    std::vector<Report>& reports) {
   if (payload.size() < 16) {
     return ErrorResponse(Status::InvalidArgument(
         "ingest frame too short for its 16-byte idempotency tag"));
@@ -633,70 +666,25 @@ WireResponse CollectionServer::HandleIngest(
   const std::uint64_t sequence = GetU64LE(payload.data() + 8);
   const std::span<const std::uint8_t> body = payload.subspan(16);
 
-  std::vector<Report> reports;
+  // Decode into the connection's reports. A batch that fails to decode
+  // returns here, before anything is admitted or counted.
+  std::size_t count = 1;
   if (!batch) {
-    StatusOr<Report> report = DecodeReport(body);
-    if (!report.ok()) return ErrorResponse(report.status());
-    reports.push_back(std::move(report).value());
+    if (reports.empty()) reports.resize(1);
+    if (Status decoded = DecodeReportInto(body, reports.front());
+        !decoded.ok()) {
+      return ErrorResponse(decoded);
+    }
   } else {
-    if (body.size() < 4) {
-      return ErrorResponse(
-          Status::InvalidArgument("batch frame too short for its count"));
-    }
-    const std::uint32_t count = GetU32LE(body.data());
-    if (count == 0) {
-      return ErrorResponse(Status::InvalidArgument("batch frame is empty"));
-    }
-    // The count is untrusted: bound it by what the body can hold (every
-    // entry is a u32 length plus at least one report envelope) before it
-    // sizes an allocation.
-    const std::size_t max_count =
-        (body.size() - 4) / (4 + kWireEnvelopeBytes);
-    if (count > max_count) {
-      return ErrorResponse(Status::InvalidArgument(
-          "batch count " + std::to_string(count) + " exceeds the " +
-          std::to_string(max_count) + " reports a " +
-          std::to_string(body.size()) + "-byte body can hold"));
-    }
-    reports.reserve(count);
-    std::size_t offset = 4;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      if (body.size() - offset < 4) {
-        return ErrorResponse(Status::InvalidArgument(
-            "batch truncated before report " + std::to_string(i)));
-      }
-      const std::uint32_t entry = GetU32LE(body.data() + offset);
-      offset += 4;
-      if (body.size() - offset < entry) {
-        return ErrorResponse(Status::InvalidArgument(
-            "batch report " + std::to_string(i) + " overruns the frame"));
-      }
-      StatusOr<Report> report = DecodeReport(body.subspan(offset, entry));
-      if (!report.ok()) {
-        return ErrorResponse(Status::InvalidArgument(
-            "batch report " + std::to_string(i) + " rejected: " +
-            report.status().message()));
-      }
-      reports.push_back(std::move(report).value());
-      offset += entry;
-    }
-    if (offset != body.size()) {
-      return ErrorResponse(
-          Status::InvalidArgument("batch carries trailing bytes"));
-    }
+    StatusOr<std::size_t> decoded = DecodeReportBatchInto(body, reports);
+    if (!decoded.ok()) return ErrorResponse(decoded.status());
+    count = decoded.value();
   }
-
-  const std::int64_t num_reports = static_cast<std::int64_t>(reports.size());
-  const auto ingest = [&]() -> Status {
-    if (batch) {
-      return session_->AcceptBatch(shard,
-                                   std::span<const Report>(reports));
-    }
-    return session_->Accept(shard, reports.front());
-  };
+  const std::span<const Report> decoded(reports.data(), count);
+  const std::int64_t num_reports = static_cast<std::int64_t>(count);
 
   if (client_id != 0 && options_.dedup_window > 0) {
-    return AdmitTagged(client_id, sequence, shard, num_reports, ingest);
+    return AdmitTagged(client_id, sequence, shard, decoded, batch);
   }
   // Untagged ingest: no retry protection, but admission control still holds.
   if (ShedIngest(shard, num_reports)) {
@@ -704,7 +692,7 @@ WireResponse CollectionServer::HandleIngest(
     return ShedResponse(options_.retry_after_ms, shard,
                         options_.max_unsealed_reports_per_shard);
   }
-  if (Status accepted = ingest(); !accepted.ok()) {
+  if (Status accepted = Ingest(shard, decoded, batch); !accepted.ok()) {
     return ErrorResponse(accepted);
   }
   shard_backlog_[static_cast<std::size_t>(shard)].fetch_add(
@@ -713,12 +701,13 @@ WireResponse CollectionServer::HandleIngest(
 }
 
 WireResponse CollectionServer::HandleRequest(
-    std::uint8_t type, std::span<const std::uint8_t> payload, int shard) {
+    std::uint8_t type, std::span<const std::uint8_t> payload, int shard,
+    std::vector<Report>& reports) {
   switch (static_cast<WireMessageType>(type)) {
     case WireMessageType::kAccept:
-      return HandleIngest(payload, shard, /*batch=*/false);
+      return HandleIngest(payload, shard, /*batch=*/false, reports);
     case WireMessageType::kAcceptBatch:
-      return HandleIngest(payload, shard, /*batch=*/true);
+      return HandleIngest(payload, shard, /*batch=*/true, reports);
     case WireMessageType::kSeal: {
       if (!payload.empty()) {
         return ErrorResponse(
@@ -880,7 +869,8 @@ CollectionClient::CollectionClient(CollectionClient&& other) noexcept
       options_(other.options_),
       next_sequence_(other.next_sequence_),
       backoff_state_(other.backoff_state_),
-      stats_(other.stats_) {}
+      stats_(other.stats_),
+      request_(std::move(other.request_)) {}
 
 CollectionClient& CollectionClient::operator=(
     CollectionClient&& other) noexcept {
@@ -892,6 +882,7 @@ CollectionClient& CollectionClient::operator=(
     next_sequence_ = other.next_sequence_;
     backoff_state_ = other.backoff_state_;
     stats_ = other.stats_;
+    request_ = std::move(other.request_);
   }
   return *this;
 }
@@ -915,11 +906,9 @@ Status CollectionClient::Reconnect() {
 StatusOr<WireResponse> CollectionClient::RawRequest(
     std::uint8_t type, std::span<const std::uint8_t> payload) {
   if (fd_ < 0) return Status::FailedPrecondition("client is disconnected");
-  WireBytes frame;
-  frame.reserve(4 + 1 + payload.size());
-  PutU32LE(frame, static_cast<std::uint32_t>(1 + payload.size()));
-  frame.push_back(type);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  std::uint8_t prefix[5];
+  StoreU32LE(prefix, static_cast<std::uint32_t>(1 + payload.size()));
+  prefix[4] = type;
   const auto fail = [this](IoResult result, const char* what) -> Status {
     ::close(fd_);
     fd_ = -1;
@@ -933,7 +922,7 @@ StatusOr<WireResponse> CollectionClient::RawRequest(
                             " failed (connection closed?)");
   };
   if (const IoResult wrote =
-          WriteBytes(fd_, frame.data(), frame.size(), options_.io_timeout_ms);
+          WriteFrame(fd_, prefix, payload, options_.io_timeout_ms);
       wrote != IoResult::kOk) {
     return fail(wrote, "request write");
   }
@@ -1031,39 +1020,33 @@ StatusOr<WireResponse> CollectionClient::RetryingRequest(
   }
 }
 
-Status CollectionClient::IngestRequest(std::uint8_t type,
-                                       const WireBytes& body) {
+void CollectionClient::StartIngestRequest() {
+  request_.clear();
+  PutU64LE(request_, options_.client_id);
+  PutU64LE(request_, next_sequence_++);
+}
+
+Status CollectionClient::SendIngestRequest(WireMessageType type) {
   bool duplicate = false;
-  StatusOr<WireResponse> response = RetryingRequest(type, body, &duplicate);
+  StatusOr<WireResponse> response = RetryingRequest(
+      static_cast<std::uint8_t>(type), request_, &duplicate);
   if (!response.ok()) return response.status();
   return StatusFromResponse(response.value());
 }
 
 Status CollectionClient::Accept(const Report& report) {
-  WireBytes body;
-  PutU64LE(body, options_.client_id);
-  PutU64LE(body, next_sequence_++);
-  const WireBytes encoded = EncodeReport(report);
-  body.insert(body.end(), encoded.begin(), encoded.end());
-  return IngestRequest(static_cast<std::uint8_t>(WireMessageType::kAccept),
-                       body);
+  StartIngestRequest();
+  AppendReport(request_, report);
+  return SendIngestRequest(WireMessageType::kAccept);
 }
 
 Status CollectionClient::AcceptBatch(std::span<const Report> reports) {
   if (reports.empty()) {
     return Status::InvalidArgument("cannot ship an empty batch");
   }
-  WireBytes body;
-  PutU64LE(body, options_.client_id);
-  PutU64LE(body, next_sequence_++);
-  PutU32LE(body, static_cast<std::uint32_t>(reports.size()));
-  for (const Report& report : reports) {
-    const WireBytes encoded = EncodeReport(report);
-    PutU32LE(body, static_cast<std::uint32_t>(encoded.size()));
-    body.insert(body.end(), encoded.begin(), encoded.end());
-  }
-  return IngestRequest(
-      static_cast<std::uint8_t>(WireMessageType::kAcceptBatch), body);
+  StartIngestRequest();
+  AppendReportBatch(request_, reports);
+  return SendIngestRequest(WireMessageType::kAcceptBatch);
 }
 
 StatusOr<EpochSnapshot> CollectionClient::Seal() {

@@ -77,6 +77,12 @@
 // Reports land on shard (connection id % num_shards), so concurrent clients
 // spread over the sharded aggregator without coordinating.
 //
+// Buffers: a client builds each ingest frame in place in a request buffer
+// it keeps, and writes the length prefix and that buffer with one sendmsg;
+// a connection decodes into reports it keeps (wire_format.h,
+// DecodeReportBatchInto). Steady batch ingest therefore allocates a few
+// small objects per batch, none per report (tests/wire_alloc_test.cc).
+//
 // Stop() is graceful: it stops accepting, lets every in-flight request
 // finish and write its full response, and only force-closes connections
 // that are still mid-frame after ServiceOptions::drain_timeout_ms. A client
@@ -104,7 +110,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -276,15 +281,20 @@ class CollectionServer {
 
   void AcceptLoop();
   void ServeConnection(int fd, int connection_id);
+  /// `reports` is the connection's decode storage, reused across frames.
   WireResponse HandleRequest(std::uint8_t type,
-                             std::span<const std::uint8_t> payload, int shard);
+                             std::span<const std::uint8_t> payload, int shard,
+                             std::vector<Report>& reports);
   WireResponse HandleIngest(std::span<const std::uint8_t> payload, int shard,
-                            bool batch);
-  /// Admission + ingest under the client's dedup lock; `ingest` runs only
-  /// for fresh (client_id, sequence) pairs.
+                            bool batch, std::vector<Report>& reports);
+  /// Session ingest of decoded reports: AcceptBatch for a batch frame,
+  /// Accept for a single-report one.
+  Status Ingest(int shard, std::span<const Report> reports, bool batch);
+  /// Admission + ingest under the client's dedup lock; the reports are
+  /// ingested only for fresh (client_id, sequence) pairs.
   WireResponse AdmitTagged(std::uint64_t client_id, std::uint64_t sequence,
-                           int shard, std::int64_t num_reports,
-                           const std::function<Status()>& ingest);
+                           int shard, std::span<const Report> reports,
+                           bool batch);
   bool ShedIngest(int shard, std::int64_t num_reports) const;
 
   std::unique_ptr<PlanSession> session_;
@@ -401,7 +411,10 @@ class CollectionClient {
   StatusOr<WireResponse> RetryingRequest(std::uint8_t type,
                                          std::span<const std::uint8_t> payload,
                                          bool* dup_out = nullptr);
-  Status IngestRequest(std::uint8_t type, const WireBytes& body);
+  /// Starts request_ over with the idempotency tag and the next sequence.
+  void StartIngestRequest();
+  /// Sends request_ as an ingest frame, retrying per options_.
+  Status SendIngestRequest(WireMessageType type);
 
   int fd_ = -1;
   int port_ = 0;
@@ -409,6 +422,9 @@ class CollectionClient {
   std::uint64_t next_sequence_ = 1;
   std::uint64_t backoff_state_ = 0;  ///< xorshift state for retry jitter.
   WireClientStats stats_;
+  /// The ingest frame body, built in place and kept across requests so its
+  /// storage is reused; retries resend these same bytes.
+  WireBytes request_;
 };
 
 }  // namespace wfm

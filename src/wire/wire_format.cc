@@ -1,5 +1,6 @@
 #include "wire/wire_format.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -48,6 +49,17 @@ void PutF64(WireBytes& out, double v) {
   PutU64(out, std::bit_cast<std::uint64_t>(v));
 }
 
+void StoreU32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+void StoreU64(std::uint8_t* p, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) p[b] = static_cast<std::uint8_t>(v >> (8 * b));
+}
+
 std::uint32_t GetU32(const std::uint8_t* p) {
   return static_cast<std::uint32_t>(p[0]) |
          static_cast<std::uint32_t>(p[1]) << 8 |
@@ -79,11 +91,15 @@ void WordsToBytes(std::span<const std::uint64_t> words, std::uint8_t* out,
   }
 }
 
+// `words` may still hold an earlier report of the same size: the payload
+// overwrites its first num_bytes bytes, and the bytes past them are padding,
+// zero in every PackedBits.
 void BytesToWords(const std::uint8_t* in, std::size_t num_bytes,
                   std::span<std::uint64_t> words) {
   if constexpr (std::endian::native == std::endian::little) {
     std::memcpy(words.data(), in, num_bytes);
   } else {
+    std::fill(words.begin(), words.end(), 0);
     for (std::size_t b = 0; b < num_bytes; ++b) {
       words[b / 8] |= static_cast<std::uint64_t>(in[b]) << (8 * (b % 8));
     }
@@ -156,6 +172,63 @@ Status CheckPayloadSize(std::span<const std::uint8_t> buffer,
   return Status::Ok();
 }
 
+// ---- report envelopes ----------------------------------------------------
+
+/// Bytes a report's envelope occupies on the wire.
+std::size_t ReportWireSize(const Report& report) {
+  if (report.is_bits()) {
+    return kWireEnvelopeBytes + (report.bits.size() + 7) / 8;
+  }
+  if (report.is_dense()) return kWireEnvelopeBytes + 8 * report.dense.size();
+  return kWireEnvelopeBytes + 4;
+}
+
+/// Writes `report`'s envelope, ReportWireSize(report) bytes, at `envelope`.
+void WriteReport(const Report& report, std::uint8_t* envelope) {
+  std::uint8_t kind;
+  std::uint32_t dim;
+  if (report.is_bits()) {
+    kind = kKindPackedBits;
+    dim = static_cast<std::uint32_t>(report.bits.size());
+  } else if (report.is_dense()) {
+    kind = kKindDense;
+    dim = static_cast<std::uint32_t>(report.dense.size());
+  } else {
+    WFM_CHECK_GE(report.index, 0) << "encoding an unpopulated report";
+    kind = kKindCategorical;
+    // dim carries the alphabet size when known; a lone index does not know
+    // its m, so dim is index + 1 (the tightest bound the client can assert —
+    // the server validates the index against the deployment's m anyway).
+    dim = static_cast<std::uint32_t>(report.index) + 1;
+  }
+  const std::size_t payload_bytes = ReportWireSize(report) - kWireEnvelopeBytes;
+  std::copy(kReportMagic.begin(), kReportMagic.end(), envelope);
+  envelope[4] = kWireVersion;
+  envelope[5] = kind;
+  envelope[6] = 0;  // reserved
+  envelope[7] = 0;  // reserved
+  StoreU32(envelope + 8, dim);
+  std::uint8_t* payload = envelope + kWireHeaderBytes;
+  switch (kind) {
+    case kKindPackedBits:
+      // PackedBits keeps its padding bits zero, so the payload is canonical.
+      WordsToBytes(report.bits.words(), payload, payload_bytes);
+      break;
+    case kKindDense:
+      for (std::size_t i = 0; i < report.dense.size(); ++i) {
+        StoreU64(payload + 8 * i,
+                 std::bit_cast<std::uint64_t>(report.dense[i]));
+      }
+      break;
+    default:
+      StoreU32(payload, static_cast<std::uint32_t>(report.index));
+      break;
+  }
+  StoreU32(payload + payload_bytes,
+           WireCrc32(std::span<const std::uint8_t>(
+               envelope, kWireHeaderBytes + payload_bytes)));
+}
+
 }  // namespace
 
 std::uint32_t WireCrc32(std::span<const std::uint8_t> data) {
@@ -196,38 +269,19 @@ std::uint32_t WireCrc32(std::span<const std::uint8_t> data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+void AppendReport(WireBytes& out, const Report& report) {
+  const std::size_t start = out.size();
+  out.resize(start + ReportWireSize(report));
+  WriteReport(report, out.data() + start);
+}
+
 WireBytes EncodeReport(const Report& report) {
   WireBytes out;
-  if (report.is_bits()) {
-    const std::size_t n = report.bits.size();
-    const std::size_t packed_bytes = (n + 7) / 8;
-    out.reserve(kWireEnvelopeBytes + packed_bytes);
-    PutHeader(out, kReportMagic, kKindPackedBits,
-              static_cast<std::uint32_t>(n));
-    // PackedBits keeps its padding bits zero, so the payload is canonical.
-    out.resize(kWireHeaderBytes + packed_bytes);
-    WordsToBytes(report.bits.words(), out.data() + kWireHeaderBytes,
-                 packed_bytes);
-  } else if (report.is_dense()) {
-    out.reserve(kWireEnvelopeBytes + 8 * report.dense.size());
-    PutHeader(out, kReportMagic, kKindDense,
-              static_cast<std::uint32_t>(report.dense.size()));
-    for (const double v : report.dense) PutF64(out, v);
-  } else {
-    WFM_CHECK_GE(report.index, 0) << "encoding an unpopulated report";
-    out.reserve(kWireEnvelopeBytes + 4);
-    // dim carries the alphabet size when known; a lone index does not know
-    // its m, so dim is index + 1 (the tightest bound the client can assert —
-    // the server validates the index against the deployment's m anyway).
-    PutHeader(out, kReportMagic, kKindCategorical,
-              static_cast<std::uint32_t>(report.index) + 1);
-    PutU32(out, static_cast<std::uint32_t>(report.index));
-  }
-  PutTrailer(out);
+  AppendReport(out, report);
   return out;
 }
 
-StatusOr<Report> DecodeReport(std::span<const std::uint8_t> buffer) {
+Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report) {
   std::uint8_t kind = 0;
   std::uint32_t dim = 0;
   if (Status env = CheckEnvelope(buffer, kReportMagic, "report", kind, dim);
@@ -235,7 +289,8 @@ StatusOr<Report> DecodeReport(std::span<const std::uint8_t> buffer) {
     return env;
   }
   const std::uint8_t* payload = buffer.data() + kWireHeaderBytes;
-  Report report;
+  // Every check runs before the first write, so a rejected buffer leaves
+  // `report` as it was.
   switch (kind) {
     case kKindCategorical: {
       if (Status s = CheckPayloadSize(buffer, 4, "categorical report");
@@ -249,7 +304,9 @@ StatusOr<Report> DecodeReport(std::span<const std::uint8_t> buffer) {
             " outside its declared alphabet of " + std::to_string(dim));
       }
       report.index = static_cast<int>(index);
-      return report;
+      report.dense.clear();
+      report.bits = PackedBits();
+      return Status::Ok();
     }
     case kKindDense: {
       if (dim == 0 || dim > static_cast<std::uint32_t>(INT32_MAX) / 8) {
@@ -262,11 +319,13 @@ StatusOr<Report> DecodeReport(std::span<const std::uint8_t> buffer) {
           !s.ok()) {
         return s;
       }
+      report.index = -1;
+      report.bits = PackedBits();
       report.dense.resize(dim);
       for (std::uint32_t i = 0; i < dim; ++i) {
         report.dense[i] = GetF64(payload + 8 * static_cast<std::size_t>(i));
       }
-      return report;
+      return Status::Ok();
     }
     case kKindPackedBits: {
       if (dim == 0 || dim > static_cast<std::uint32_t>(INT32_MAX)) {
@@ -289,14 +348,82 @@ StatusOr<Report> DecodeReport(std::span<const std::uint8_t> buffer) {
               "packed bit-vector report has non-zero padding bits");
         }
       }
-      report.bits = PackedBits::Zeros(static_cast<int>(dim));
+      report.index = -1;
+      report.dense.clear();
+      if (report.bits.size() != dim) {
+        report.bits = PackedBits::Zeros(static_cast<int>(dim));
+      }
       BytesToWords(payload, packed_bytes, report.bits.mutable_words());
-      return report;
+      return Status::Ok();
     }
     default:
       return Status::InvalidArgument("unknown report kind byte " +
                                      std::to_string(kind));
   }
+}
+
+StatusOr<Report> DecodeReport(std::span<const std::uint8_t> buffer) {
+  Report report;
+  if (Status s = DecodeReportInto(buffer, report); !s.ok()) return s;
+  return report;
+}
+
+void AppendReportBatch(WireBytes& out, std::span<const Report> reports) {
+  std::size_t size = 4;
+  for (const Report& report : reports) size += 4 + ReportWireSize(report);
+  std::size_t at = out.size();
+  out.resize(at + size);
+  StoreU32(out.data() + at, static_cast<std::uint32_t>(reports.size()));
+  at += 4;
+  for (const Report& report : reports) {
+    const std::size_t length = ReportWireSize(report);
+    StoreU32(out.data() + at, static_cast<std::uint32_t>(length));
+    WriteReport(report, out.data() + at + 4);
+    at += 4 + length;
+  }
+}
+
+StatusOr<std::size_t> DecodeReportBatchInto(
+    std::span<const std::uint8_t> body, std::vector<Report>& reports) {
+  if (body.size() < 4) {
+    return Status::InvalidArgument("batch frame too short for its count");
+  }
+  const std::uint32_t count = GetU32(body.data());
+  if (count == 0) return Status::InvalidArgument("batch frame is empty");
+  // The count is untrusted: bound it by what the body can hold (every entry
+  // is a u32 length plus at least one report envelope) before it sizes
+  // anything.
+  const std::size_t max_count = (body.size() - 4) / (4 + kWireEnvelopeBytes);
+  if (count > max_count) {
+    return Status::InvalidArgument(
+        "batch count " + std::to_string(count) + " exceeds the " +
+        std::to_string(max_count) + " reports a " +
+        std::to_string(body.size()) + "-byte body can hold");
+  }
+  if (reports.size() < count) reports.resize(count);
+  std::size_t offset = 4;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (body.size() - offset < 4) {
+      return Status::InvalidArgument("batch truncated before report " +
+                                     std::to_string(i));
+    }
+    const std::uint32_t entry = GetU32(body.data() + offset);
+    offset += 4;
+    if (body.size() - offset < entry) {
+      return Status::InvalidArgument("batch report " + std::to_string(i) +
+                                     " overruns the frame");
+    }
+    if (Status s = DecodeReportInto(body.subspan(offset, entry), reports[i]);
+        !s.ok()) {
+      return Status::InvalidArgument("batch report " + std::to_string(i) +
+                                     " rejected: " + s.message());
+    }
+    offset += entry;
+  }
+  if (offset != body.size()) {
+    return Status::InvalidArgument("batch carries trailing bytes");
+  }
+  return static_cast<std::size_t>(count);
 }
 
 WireBytes EncodeSnapshot(const EpochSnapshot& snapshot) {

@@ -29,6 +29,20 @@
 // kEnvelopeBytes, not one byte per bit. It is also Report::bits' in-memory
 // layout (PackedBits, little-endian words), so encode and decode copy it.
 //
+// Batches of reports (the body of a kAcceptBatch frame, wire/service.h) are
+// `u32 count | count x (u32 len | report envelope)`.
+//
+// Reports are encoded and decoded in place, because ingest handles one per
+// user: AppendReport writes an envelope straight onto the end of a caller's
+// buffer (sized once, CRC written last), and DecodeReportInto parses one
+// into a caller's Report, reusing its PackedBits words when the dimension
+// matches and its dense capacity. AppendReportBatch and
+// DecodeReportBatchInto do the same for a batch body, so a client that
+// keeps its request buffer and a server that keeps its decoded reports
+// across batches allocate nothing per report. EncodeReport and DecodeReport
+// wrap them, so there is one encoder and one decoder, and the wire bytes are
+// the same whichever entry point produced them.
+//
 // Snapshot payloads (dim = m) come in two kinds: kind 0 is u32 epoch_id,
 // u64 count, then dim doubles of histogram — the pre-rollover layout,
 // byte-identical to what older peers emit and accept. Kind 1 inserts a
@@ -88,15 +102,37 @@ inline constexpr std::size_t kWireEnvelopeBytes =
 /// envelopes byte by byte.
 std::uint32_t WireCrc32(std::span<const std::uint8_t> data);
 
-/// Serializes one report. Bit-vector reports are packed 8 bits per byte;
-/// categorical and dense reports keep their natural fixed-width layout.
+/// Appends one report's envelope to `out`. Bit-vector reports are packed 8
+/// bits per byte; categorical and dense reports keep their natural
+/// fixed-width layout.
+void AppendReport(WireBytes& out, const Report& report);
+
+/// One report's envelope as a fresh buffer (AppendReport onto an empty one).
 WireBytes EncodeReport(const Report& report);
 
-/// Parses an untrusted report buffer. kInvalidArgument on any structural
-/// defect (see file comment); the returned Report still passes through the
-/// serving layer's semantic validation (shape vs. deployment, dimension m)
-/// before it can touch an aggregate.
+/// Parses an untrusted report buffer into `report`, overwriting all three of
+/// its shapes and reusing its storage where it can (see file comment).
+/// kInvalidArgument on any structural defect (see file comment), in which
+/// case `report` is left unchanged. The parsed Report still passes through
+/// the serving layer's semantic validation (shape vs. deployment, dimension
+/// m) before it can touch an aggregate.
+Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report);
+
+/// DecodeReportInto into a fresh Report.
 StatusOr<Report> DecodeReport(std::span<const std::uint8_t> buffer);
+
+/// Appends a batch body, `u32 count | count x (u32 len | report envelope)`,
+/// to `out`, reserving its full size first.
+void AppendReportBatch(WireBytes& out, std::span<const Report> reports);
+
+/// Parses an untrusted batch body into reports[0, count) and returns count.
+/// The count is checked against what the body can hold before `reports`
+/// grows to it; `reports` never shrinks, and each entry is overwritten with
+/// DecodeReportInto. kInvalidArgument on an empty or truncated batch, a
+/// lying count or entry length, trailing bytes, or any entry DecodeReport
+/// would reject; the entries are then unspecified (but valid) Reports.
+StatusOr<std::size_t> DecodeReportBatchInto(std::span<const std::uint8_t> body,
+                                            std::vector<Report>& reports);
 
 /// Serializes a sealed epoch snapshot (histogram + count + epoch id), the
 /// unit of cross-process shard merges and crash-recovery persistence.

@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -218,23 +220,46 @@ TEST(PackedBitsDeathTest, NonBinaryByteAborts) {
 TEST(BitVectorReporterTest, RespondMatchesPerCoordinateBernoulliDraws) {
   // The packed reporter must consume the RNG exactly like one Bernoulli per
   // coordinate in coordinate order, so a seed pins the same reports as the
-  // byte-per-bit reference below.
-  const double p = 0.75, q = 0.25;
-  for (const int n : {1, 63, 64, 65, 512}) {
-    const BitVectorReporter reporter(n, p, q);
-    Rng packed_rng(300 + n);
-    Rng reference_rng(300 + n);
-    for (int trial = 0; trial < 20; ++trial) {
-      const int user_type = trial % n;
-      const Report report = reporter.Respond(user_type, packed_rng);
-      std::vector<std::uint8_t> expected(n);
-      for (int i = 0; i < n; ++i) {
-        expected[i] = reference_rng.Bernoulli(i == user_type ? p : q) ? 1 : 0;
+  // byte-per-bit reference below. Respond draws on integers against
+  // Rng::BernoulliThreshold, so the words must match byte for byte also for
+  // probabilities that are not dyadic (RAPPOR's and OUE's at several
+  // budgets), for the extremes, and one ulp from 0, 1 and 2^-53 multiples.
+  const double e1 = std::exp(0.5);
+  const std::vector<std::pair<double, double>> probs = {
+      {0.75, 0.25},
+      {e1 / (e1 + 1.0), 1.0 / (e1 + 1.0)},
+      {0.5, 1.0 / (std::exp(1.0) + 1.0)},
+      {0.5, 1.0 / (std::exp(3.7) + 1.0)},
+      {1.0, 0.0},
+      {std::nextafter(1.0, 0.0), std::nextafter(0.0, 1.0)},
+      {std::nextafter(0.75, 1.0), std::nextafter(0.25, 0.0)},
+      {0.1, 0.1 / 3.0},
+  };
+  for (const auto& [p, q] : probs) {
+    for (const int n : {1, 63, 64, 65, 512}) {
+      const BitVectorReporter reporter(n, p, q);
+      for (const std::uint64_t seed : {300ull + n, 42ull, 1ull << 40}) {
+        Rng packed_rng(seed);
+        Rng reference_rng(seed);
+        for (int trial = 0; trial < 8; ++trial) {
+          const int user_type = (trial * 37) % n;
+          const Report report = reporter.Respond(user_type, packed_rng);
+          std::vector<std::uint8_t> expected(n);
+          for (int i = 0; i < n; ++i) {
+            expected[i] = reference_rng.Bernoulli(i == user_type ? p : q);
+          }
+          ASSERT_TRUE(report.is_bits());
+          const PackedBits packed(expected);
+          ASSERT_EQ(report.bits.size(), packed.size());
+          EXPECT_EQ(std::memcmp(report.bits.words().data(),
+                                packed.words().data(),
+                                packed.words().size_bytes()),
+                    0)
+              << "p " << p << " q " << q << " n " << n << " seed " << seed;
+        }
+        EXPECT_EQ(packed_rng.NextUint64(), reference_rng.NextUint64());
       }
-      ASSERT_TRUE(report.is_bits());
-      EXPECT_EQ(report.bits, PackedBits(expected)) << "n " << n;
     }
-    EXPECT_EQ(packed_rng.NextUint64(), reference_rng.NextUint64());
   }
 }
 

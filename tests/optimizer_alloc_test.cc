@@ -6,16 +6,13 @@
 // independent of the iteration budget, also when steps fail to factor under
 // a well-conditioned Gram (a certified +∞ step needs no pseudo-inverse).
 //
-// Under ASan/TSan the allocator is intercepted by the sanitizer runtime, so
-// the overrides are compiled out and the suite self-skips — the plain Debug
-// and Release CI builds are the enforcing configurations.
+// Under ASan/TSan the counting allocator (tests/counting_allocator.h) is
+// compiled out and the suite self-skips — the plain Debug and Release CI
+// builds are the enforcing configurations.
 
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include "gtest/gtest.h"
 #include "core/objective.h"
@@ -24,43 +21,7 @@
 #include "linalg/matrix.h"
 #include "linalg/rng.h"
 #include "obs/metrics.h"
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define WFM_COUNTING_ALLOCATOR 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define WFM_COUNTING_ALLOCATOR 0
-#else
-#define WFM_COUNTING_ALLOCATOR 1
-#endif
-#else
-#define WFM_COUNTING_ALLOCATOR 1
-#endif
-
-#if WFM_COUNTING_ALLOCATOR
-
-namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#endif  // WFM_COUNTING_ALLOCATOR
+#include "counting_allocator.h"
 
 namespace wfm {
 namespace {

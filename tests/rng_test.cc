@@ -7,7 +7,10 @@
 
 #include "linalg/rng.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +132,37 @@ TEST(RngTest, BernoulliFrequency) {
   for (int i = 0; i < trials; ++i) ones += rng.Bernoulli(p);
   // SE = sqrt(p(1-p)/trials) ~ 0.0014; 0.01 is ~7 SE.
   EXPECT_NEAR(ones / static_cast<double>(trials), p, 0.01);
+}
+
+TEST(RngTest, BernoulliThresholdFlipsExactlyWhereNextDoubleDoes) {
+  // (NextUint64() >> 11) < BernoulliThreshold(p) must equal
+  // NextDouble() < p for every 53-bit k, so around the threshold t the
+  // double comparison k · 2^-53 < p must hold for k = t - 1 and fail for
+  // k = t: at dyadic p (where the threshold is exact), one ulp either side
+  // of them, the extremes, and random p.
+  std::vector<double> probs = {0.0, 1.0, std::nextafter(0.0, 1.0),
+                               std::nextafter(1.0, 0.0), 0.5, 0.1, 1.0 / 3.0};
+  for (const double k0 : {1.0, 12345.0, 0x1.0p52, 0x1.0p53 - 1.0}) {
+    const double dyadic = k0 * 0x1.0p-53;
+    probs.push_back(dyadic);
+    probs.push_back(std::nextafter(dyadic, 0.0));
+    probs.push_back(std::nextafter(dyadic, 1.0));
+  }
+  Rng rng(29);
+  for (int i = 0; i < 1000; ++i) probs.push_back(rng.NextDouble());
+  constexpr std::uint64_t kMaxK = (std::uint64_t{1} << 53) - 1;
+  for (const double p : probs) {
+    const std::uint64_t t = Rng::BernoulliThreshold(p);
+    ASSERT_LE(t, kMaxK + 1) << "p " << p;
+    for (std::uint64_t k = t < 2 ? 0 : t - 2; k <= std::min(t + 2, kMaxK);
+         ++k) {
+      EXPECT_EQ(static_cast<double>(k) * 0x1.0p-53 < p, k < t)
+          << "p " << p << " k " << k << " t " << t;
+    }
+  }
+  EXPECT_EQ(Rng::BernoulliThreshold(0.0), 0u);
+  EXPECT_EQ(Rng::BernoulliThreshold(1.0), kMaxK + 1);
+  EXPECT_EQ(Rng::BernoulliThreshold(12345.0 * 0x1.0p-53), 12345u);
 }
 
 TEST(RngTest, ForkDecorrelates) {

@@ -8,6 +8,7 @@
 // SnapshotStore kill-and-recover serving identical estimates.
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -148,6 +149,172 @@ TEST(WireReportTest, PackedBitsOccupyCeilNOver8PayloadBytes) {
     EXPECT_EQ(wire.size(),
               kWireEnvelopeBytes + static_cast<std::size_t>((n + 7) / 8))
         << "n=" << n;
+  }
+}
+
+// The envelope of `report` written field by field from the file comment of
+// wire_format.h, with the bytewise reference CRC: the spec the in-place
+// encoder must reproduce.
+WireBytes SpecEnvelope(const Report& report) {
+  WireBytes out = {'W', 'F', 'R', 'P', kWireVersion, 0, 0, 0};
+  const auto put_u32 = [&out](std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    }
+  };
+  if (report.is_bits()) {
+    out[5] = 2;
+    put_u32(static_cast<std::uint32_t>(report.bits.size()));
+    WireBytes payload((report.bits.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < report.bits.size(); ++i) {
+      payload[i / 8] |= static_cast<std::uint8_t>(report.bits[i] << (i % 8));
+    }
+    out.insert(out.end(), payload.begin(), payload.end());
+  } else if (report.is_dense()) {
+    out[5] = 1;
+    put_u32(static_cast<std::uint32_t>(report.dense.size()));
+    for (const double v : report.dense) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      put_u32(static_cast<std::uint32_t>(bits));
+      put_u32(static_cast<std::uint32_t>(bits >> 32));
+    }
+  } else {
+    put_u32(static_cast<std::uint32_t>(report.index) + 1);
+    put_u32(static_cast<std::uint32_t>(report.index));
+  }
+  put_u32(ReferenceCrc32(out));
+  return out;
+}
+
+// One report of each kind, for n in {1, 63, 64, 65, 512}.
+std::vector<Report> ReportsOfEveryKind(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Report> reports;
+  for (const int n : {1, 63, 64, 65, 512}) {
+    reports.push_back(CategoricalReport(n - 1));
+    Vector dense(n);
+    for (double& v : dense) v = rng.Normal();
+    dense[0] = -0.0;
+    reports.push_back(DenseReport(dense));
+    std::vector<std::uint8_t> bits(n);
+    for (std::uint8_t& b : bits) {
+      b = static_cast<std::uint8_t>(rng.UniformInt(2));
+    }
+    bits[n - 1] = 1;  // The last bit sits next to the padding.
+    reports.push_back(BitsReport(bits));
+  }
+  return reports;
+}
+
+TEST(WireReportTest, AppendReportWritesTheSpecEnvelopeAfterWhatIsThere) {
+  // AppendReport writes in place onto the end of a buffer that already holds
+  // bytes; EncodeReport is AppendReport onto an empty one. Both must be the
+  // spec's bytes exactly, and the earlier bytes must be left alone.
+  for (const Report& report : ReportsOfEveryKind(21)) {
+    const WireBytes spec = SpecEnvelope(report);
+    EXPECT_EQ(EncodeReport(report), spec);
+    WireBytes out = {0xde, 0xad, 0xbe};
+    AppendReport(out, report);
+    ASSERT_EQ(out.size(), 3 + spec.size());
+    EXPECT_EQ(WireBytes(out.begin(), out.begin() + 3),
+              (WireBytes{0xde, 0xad, 0xbe}));
+    EXPECT_EQ(WireBytes(out.begin() + 3, out.end()), spec);
+  }
+}
+
+TEST(WireReportTest, GoldenEnvelopesPinTheWireBytes) {
+  // One envelope per kind, pinned byte for byte: the encoders may change,
+  // the wire may not (kWireVersion stays 1).
+  EXPECT_EQ(EncodeReport(CategoricalReport(41)),
+            (WireBytes{0x57, 0x46, 0x52, 0x50, 0x01, 0x00, 0x00, 0x00, 0x2a,
+                       0x00, 0x00, 0x00, 0x29, 0x00, 0x00, 0x00, 0xcf, 0x3e,
+                       0xdc, 0xd0}));
+  EXPECT_EQ(EncodeReport(DenseReport({1.5, -0.0, -2.25e-3})),
+            (WireBytes{0x57, 0x46, 0x52, 0x50, 0x01, 0x01, 0x00, 0x00, 0x03,
+                       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                       0xf8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                       0x80, 0x3b, 0xdf, 0x4f, 0x8d, 0x97, 0x6e, 0x62, 0xbf,
+                       0x21, 0x01, 0x8b, 0x76}));
+  EXPECT_EQ(EncodeReport(BitsReport({1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1})),
+            (WireBytes{0x57, 0x46, 0x52, 0x50, 0x01, 0x02, 0x00, 0x00, 0x0d,
+                       0x00, 0x00, 0x00, 0x21, 0x11, 0x2c, 0x2a, 0x6e, 0xbd}));
+}
+
+TEST(WireReportTest, DecodeReportIntoOneReportMatchesDecodeReport) {
+  // One target Report decodes every kind in turn; each result must be
+  // exactly what a fresh DecodeReport gives, whatever the target held.
+  Rng rng(22);
+  const auto bits_report = [&rng](int n) {
+    std::vector<std::uint8_t> bits(n);
+    for (std::uint8_t& b : bits) {
+      b = static_cast<std::uint8_t>(rng.UniformInt(2));
+    }
+    return BitsReport(bits);
+  };
+  const std::vector<Report> sequence = {
+      bits_report(512), CategoricalReport(300), bits_report(65),
+      DenseReport({2.0, -0.0, 1e-300, -7.5}), bits_report(512),
+      bits_report(512)};
+  Report target;
+  const std::uint64_t* words_before = nullptr;
+  for (std::size_t k = 0; k < sequence.size(); ++k) {
+    const WireBytes wire = EncodeReport(sequence[k]);
+    ASSERT_TRUE(DecodeReportInto(wire, target).ok()) << "step " << k;
+    const StatusOr<Report> fresh = DecodeReport(wire);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(target, fresh.value()) << "step " << k;
+    EXPECT_EQ(target, sequence[k]) << "step " << k;
+    if (k == 5) {
+      // bits-512 into a bits-512 target reuses its words.
+      EXPECT_EQ(target.bits.words().data(), words_before);
+    }
+    words_before = target.is_bits() ? target.bits.words().data() : nullptr;
+  }
+
+  // A rejected buffer leaves the target as it was.
+  const Report kept = target;
+  WireBytes corrupt = EncodeReport(bits_report(512));
+  corrupt[kWireHeaderBytes + 3] ^= 0x10;
+  EXPECT_FALSE(DecodeReportInto(corrupt, target).ok());
+  EXPECT_EQ(target, kept);
+  WireBytes padded = EncodeReport(bits_report(65));
+  padded[kWireHeaderBytes + 8] |= 0x80;  // A padding bit past n = 65.
+  RestampCrc(padded);
+  EXPECT_FALSE(DecodeReportInto(padded, target).ok());
+  EXPECT_EQ(target, kept);
+}
+
+TEST(WireReportTest, BatchBodyRoundTripsIntoReusedReports) {
+  // AppendReportBatch writes `u32 count | count x (u32 len | envelope)`;
+  // DecodeReportBatchInto parses it into a vector kept across batches, which
+  // grows to the largest batch and never shrinks.
+  std::vector<Report> scratch;
+  for (const std::uint64_t seed : {31, 32, 33}) {
+    std::vector<Report> reports = ReportsOfEveryKind(seed);
+    if (seed == 32) reports.resize(4);
+    WireBytes body = {0x77};
+    AppendReportBatch(body, reports);
+    WireBytes expected = {0x77, static_cast<std::uint8_t>(reports.size()), 0,
+                          0, 0};
+    for (const Report& report : reports) {
+      const WireBytes wire = SpecEnvelope(report);
+      const std::uint32_t len = static_cast<std::uint32_t>(wire.size());
+      for (int b = 0; b < 4; ++b) {
+        expected.push_back(static_cast<std::uint8_t>(len >> (8 * b)));
+      }
+      expected.insert(expected.end(), wire.begin(), wire.end());
+    }
+    ASSERT_EQ(body, expected) << "seed " << seed;
+
+    const StatusOr<std::size_t> count = DecodeReportBatchInto(
+        std::span<const std::uint8_t>(body).subspan(1), scratch);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    ASSERT_EQ(count.value(), reports.size());
+    EXPECT_EQ(scratch.size(), 15u);
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      EXPECT_EQ(scratch[i], reports[i]) << "seed " << seed << " report " << i;
+    }
   }
 }
 

@@ -646,6 +646,281 @@ TEST(WireServiceTest, BatchWithNonZeroPaddingBitsGets400AndCountsNothing) {
   server.Stop();
 }
 
+Plan MakeRapporPlan(int n) {
+  StatusOr<Plan> plan = Plan::For(std::make_shared<const PrefixWorkload>(n))
+                            .Epsilon(1.0)
+                            .Mechanism("RAPPOR")
+                            .Build();
+  return std::move(plan).value();
+}
+
+// An untagged kAcceptBatch payload: the zero idempotency tag, then the batch
+// body over `envelopes` (already encoded, possibly corrupted).
+WireBytes UntaggedBatch(const std::vector<WireBytes>& envelopes) {
+  WireBytes frame(16, 0);
+  PutU32(frame, static_cast<std::uint32_t>(envelopes.size()));
+  for (const WireBytes& wire : envelopes) {
+    PutU32(frame, static_cast<std::uint32_t>(wire.size()));
+    frame.insert(frame.end(), wire.begin(), wire.end());
+  }
+  return frame;
+}
+
+TEST(WireServiceTest, BadCrcBatchCountsNothingAndTheNextBatchSealsExactly) {
+  // The server decodes every batch on a connection into the same reports.
+  // A batch whose report k fails its CRC must count nothing, and what it and
+  // a batch of another kind left in that storage must not leak into the
+  // next valid batch, which is smaller.
+  const int n = 65;
+  const Plan plan = MakeRapporPlan(n);
+  CollectionServer server(plan, EphemeralOptions());
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<CollectionClient> connected =
+      CollectionClient::Connect(server.port());
+  ASSERT_TRUE(connected.ok());
+  CollectionClient& client = connected.value();
+  std::unique_ptr<PlanSession> local = plan.StartSession(1);
+  const PlanClient device = plan.Client();
+  Rng rng(67);
+  const auto respond = [&](int count) {
+    std::vector<Report> reports;
+    for (int i = 0; i < count; ++i) {
+      reports.push_back(device.Respond(rng.UniformInt(n), rng));
+    }
+    return reports;
+  };
+
+  const std::vector<Report> first = respond(200);
+  ASSERT_TRUE(client.AcceptBatch(first).ok());
+  ASSERT_TRUE(local->AcceptBatch(0, first).ok());
+
+  std::vector<WireBytes> corrupt;
+  for (const Report& report : respond(300)) {
+    corrupt.push_back(EncodeReport(report));
+  }
+  corrupt[123][kWireHeaderBytes + 2] ^= 0x04;  // CRC no longer matches.
+  StatusOr<WireResponse> response = client.RawRequest(
+      static_cast<std::uint8_t>(WireMessageType::kAcceptBatch),
+      UntaggedBatch(corrupt));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status, kWireStatusBadRequest);
+  const std::string message(response.value().payload.begin(),
+                            response.value().payload.end());
+  EXPECT_NE(message.find("batch report 123"), std::string::npos) << message;
+  EXPECT_NE(message.find("CRC"), std::string::npos) << message;
+
+  std::vector<WireBytes> categorical;
+  for (int i = 0; i < 40; ++i) {
+    Report report;
+    report.index = i % n;
+    categorical.push_back(EncodeReport(report));
+  }
+  response = client.RawRequest(
+      static_cast<std::uint8_t>(WireMessageType::kAcceptBatch),
+      UntaggedBatch(categorical));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response.value().status, kWireStatusBadRequest);
+
+  const std::vector<Report> last = respond(77);
+  ASSERT_TRUE(client.AcceptBatch(last).ok());
+  ASSERT_TRUE(local->AcceptBatch(0, last).ok());
+
+  const StatusOr<EpochSnapshot> sealed = client.Seal();
+  ASSERT_TRUE(sealed.ok());
+  const EpochSnapshot expected = local->Seal();
+  EXPECT_EQ(sealed.value().count, 277);
+  EXPECT_EQ(sealed.value().count, expected.count);
+  EXPECT_EQ(sealed.value().histogram, expected.histogram);
+  server.Stop();
+}
+
+TEST(WireServiceTest, MultiMegabyteBatchIsCountedExactly) {
+  // 60,000 512-bit reports make a 5 MB frame: the client's length prefix and
+  // body leave in many partial writes, and the server's decode storage grows
+  // past what a connection keeps between frames. Both batches must count
+  // exactly.
+  const int n = 512;
+  const Plan plan = MakeRapporPlan(n);
+  CollectionServer server(plan, EphemeralOptions());
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<CollectionClient> connected =
+      CollectionClient::Connect(server.port());
+  ASSERT_TRUE(connected.ok());
+  CollectionClient& client = connected.value();
+  std::unique_ptr<PlanSession> local = plan.StartSession(1);
+  const PlanClient device = plan.Client();
+  Rng rng(73);
+  for (const int size : {60000, 300}) {
+    std::vector<Report> reports;
+    for (int i = 0; i < size; ++i) {
+      reports.push_back(device.Respond(rng.UniformInt(n), rng));
+    }
+    ASSERT_TRUE(client.AcceptBatch(reports).ok()) << "size " << size;
+    ASSERT_TRUE(local->AcceptBatch(0, reports).ok());
+  }
+  const StatusOr<EpochSnapshot> sealed = client.Seal();
+  ASSERT_TRUE(sealed.ok());
+  const EpochSnapshot expected = local->Seal();
+  EXPECT_EQ(sealed.value().count, 60300);
+  EXPECT_EQ(sealed.value().histogram, expected.histogram);
+  server.Stop();
+}
+
+// One deterministic structural mutation of a valid batch payload (tag and
+// body). `other` is a valid batch payload of the other report kind, the
+// source of splices. Entries are located by walking the length prefixes.
+WireBytes MutateBatch(const WireBytes& frame, const WireBytes& other,
+                      Rng& rng) {
+  const auto entry_offsets = [](const WireBytes& f) {
+    std::vector<std::size_t> offsets;  // Offset of each u32 entry length.
+    const std::size_t count = f[16] | f[17] << 8 | f[18] << 16 | f[19] << 24;
+    std::size_t at = 20;
+    for (std::size_t i = 0; i < count; ++i) {
+      offsets.push_back(at);
+      at += 4 + (f[at] | f[at + 1] << 8 | f[at + 2] << 16 | f[at + 3] << 24);
+    }
+    return offsets;
+  };
+  const auto set_u32 = [](WireBytes& f, std::size_t at, std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      f[at + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    }
+  };
+  const auto get_u32 = [](const WireBytes& f, std::size_t at) {
+    return static_cast<std::uint32_t>(f[at] | f[at + 1] << 8 |
+                                      f[at + 2] << 16 | f[at + 3] << 24);
+  };
+  WireBytes out = frame;
+  const std::vector<std::size_t> entries = entry_offsets(frame);
+  const std::size_t pick =
+      entries[rng.UniformInt(static_cast<int>(entries.size()))];
+  const std::uint32_t pick_len = get_u32(frame, pick);
+  switch (rng.UniformInt(7)) {
+    case 0:  // Truncation anywhere past the tag.
+      out.resize(16 + rng.UniformInt(static_cast<int>(frame.size()) - 16));
+      break;
+    case 1: {  // A count that lies by a little or by a lot.
+      const std::uint32_t count = get_u32(frame, 16);
+      const std::uint32_t lies[] = {count + 1, count - 1, count + 1000,
+                                    0xFFFFFFFFu, 0u};
+      set_u32(out, 16, lies[rng.UniformInt(5)]);
+      break;
+    }
+    case 2: {  // An entry length that lies.
+      const std::uint32_t lies[] = {pick_len + 1, pick_len - 1, 0u,
+                                    0xFFFFFFFFu, pick_len + 16};
+      set_u32(out, pick, lies[rng.UniformInt(5)]);
+      break;
+    }
+    case 3: {  // One flipped bit inside one envelope, CRC left stale.
+      const std::size_t bit = static_cast<std::size_t>(
+          rng.UniformInt(static_cast<int>(8 * pick_len)));
+      out[pick + 4 + bit / 8] ^= static_cast<std::uint8_t>(1 << (bit % 8));
+      break;
+    }
+    case 4: {  // One flipped bit inside one envelope, CRC re-stamped, so
+               // the checks behind the CRC see it.
+      const std::size_t bit = static_cast<std::size_t>(
+          rng.UniformInt(static_cast<int>(8 * (pick_len - 4))));
+      out[pick + 4 + bit / 8] ^= static_cast<std::uint8_t>(1 << (bit % 8));
+      const std::uint32_t crc = WireCrc32(
+          std::span<const std::uint8_t>(&out[pick + 4], pick_len - 4));
+      set_u32(out, pick + pick_len, crc);
+      break;
+    }
+    case 5: {  // Splice: one entry replaced by an envelope of the other kind.
+      const std::vector<std::size_t> theirs = entry_offsets(other);
+      const std::size_t from =
+          theirs[rng.UniformInt(static_cast<int>(theirs.size()))];
+      const std::uint32_t from_len = get_u32(other, from);
+      out.assign(frame.begin(), frame.begin() + pick);
+      out.insert(out.end(), other.begin() + from,
+                 other.begin() + from + 4 + from_len);
+      out.insert(out.end(), frame.begin() + pick + 4 + pick_len, frame.end());
+      break;
+    }
+    default: {  // Splice: this batch's head on the other batch's tail.
+      const std::vector<std::size_t> theirs = entry_offsets(other);
+      const std::size_t from =
+          theirs[rng.UniformInt(static_cast<int>(theirs.size()))];
+      out.assign(frame.begin(), frame.begin() + pick);
+      out.insert(out.end(), other.begin() + from, other.end());
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(WireServiceTest, StructuredBatchMutationsGet200Or400AndCountExactly) {
+  // 10^4 deterministic mutations of valid categorical and bit-vector batch
+  // frames: truncations, lying counts and entry lengths, bit flips inside
+  // one envelope (with the CRC stale or re-stamped), and splices of the two
+  // kinds. Every response is 200 or 400, the server keeps serving, and the
+  // sealed epoch holds exactly the reports of the 200-acked frames.
+  const int n = 65;
+  const Plan categorical_plan = MakePlan(8);
+  const Plan bits_plan = MakeRapporPlan(n);
+  const Plan* plans[] = {&categorical_plan, &bits_plan};
+  Rng rng(71);
+  // Valid payloads of each kind, 1 to 24 reports each.
+  std::vector<WireBytes> valid[2];
+  for (int kind = 0; kind < 2; ++kind) {
+    const PlanClient device = plans[kind]->Client();
+    for (int b = 0; b < 64; ++b) {
+      std::vector<WireBytes> envelopes;
+      const int size = 1 + rng.UniformInt(24);
+      for (int i = 0; i < size; ++i) {
+        envelopes.push_back(EncodeReport(
+            device.Respond(rng.UniformInt(device.num_types()), rng)));
+      }
+      valid[kind].push_back(UntaggedBatch(envelopes));
+    }
+  }
+
+  constexpr int kMutationsPerKind = 5000;
+  for (int kind = 0; kind < 2; ++kind) {
+    CollectionServer server(*plans[kind], EphemeralOptions());
+    ASSERT_TRUE(server.Start().ok());
+    StatusOr<CollectionClient> connected =
+        CollectionClient::Connect(server.port());
+    ASSERT_TRUE(connected.ok());
+    CollectionClient& client = connected.value();
+    std::unique_ptr<PlanSession> local = plans[kind]->StartSession(1);
+    int accepted = 0;
+    for (int t = 0; t < kMutationsPerKind; ++t) {
+      const WireBytes& frame = valid[kind][rng.UniformInt(64)];
+      const WireBytes& other = valid[1 - kind][rng.UniformInt(64)];
+      const WireBytes mutated = MutateBatch(frame, other, rng);
+      const StatusOr<WireResponse> response = client.RawRequest(
+          static_cast<std::uint8_t>(WireMessageType::kAcceptBatch), mutated);
+      ASSERT_TRUE(response.ok()) << "mutation " << t << ": "
+                                 << response.status().ToString();
+      const std::uint16_t status = response.value().status;
+      ASSERT_TRUE(status == kWireStatusOk || status == kWireStatusBadRequest)
+          << "mutation " << t << " got " << status;
+      if (status != kWireStatusOk) continue;
+      // Acked: the frame must parse, and its reports count.
+      std::vector<Report> reports;
+      const StatusOr<std::size_t> count = DecodeReportBatchInto(
+          std::span<const std::uint8_t>(mutated).subspan(16), reports);
+      ASSERT_TRUE(count.ok()) << "mutation " << t;
+      reports.resize(count.value());
+      ASSERT_TRUE(local->AcceptBatch(0, reports).ok()) << "mutation " << t;
+      ++accepted;
+    }
+    EXPECT_GT(accepted, 0) << "test premise: some mutations stay valid";
+    EXPECT_LT(accepted, kMutationsPerKind / 2)
+        << "test premise: most mutations are rejected";
+    EXPECT_TRUE(client.Ping().ok());
+    const StatusOr<EpochSnapshot> sealed = client.Seal();
+    ASSERT_TRUE(sealed.ok());
+    const EpochSnapshot expected = local->Seal();
+    EXPECT_EQ(sealed.value().count, expected.count) << "kind " << kind;
+    EXPECT_EQ(sealed.value().histogram, expected.histogram) << "kind " << kind;
+    server.Stop();
+  }
+}
+
 TEST(WireServiceTest, StopDrainsInFlightRequestsWithoutHangingOrLosingAcks) {
   const Plan plan = MakePlan(8);
   CollectionServer server(plan, EphemeralOptions());
