@@ -39,6 +39,7 @@
 #include "linalg/rng.h"
 #include "linalg/thread_pool.h"
 #include "ldp/reporter.h"
+#include "wire/byte_order.h"
 #include "wire/wire_format.h"
 #include "workload/workload.h"
 
@@ -150,11 +151,6 @@ int main(int argc, char** argv) {
       categorical[i].index = report_rng.UniformInt(256);
       bits[i] = rappor.Respond(report_rng.UniformInt(512), report_rng);
     }
-    const auto put_u32 = [](wfm::WireBytes& out, std::uint32_t v) {
-      for (int b = 0; b < 4; ++b) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
-      }
-    };
     // One batch is microseconds; time 200 per op for a stable clock.
     const auto per_batch = [&](auto&& fn) {
       return TimeBest(reps, [&] {
@@ -173,10 +169,10 @@ int main(int argc, char** argv) {
       });
       const double t_encode_ref = per_batch([&] {
         wfm::WireBytes fresh;
-        put_u32(fresh, kBatch);
+        wfm::PutU32(fresh, kBatch);
         for (const wfm::Report& r : *reports) {
           const wfm::WireBytes wire = wfm::EncodeReport(r);
-          put_u32(fresh, static_cast<std::uint32_t>(wire.size()));
+          wfm::PutU32(fresh, static_cast<std::uint32_t>(wire.size()));
           fresh.insert(fresh.end(), wire.begin(), wire.end());
         }
         sink += fresh.back();
@@ -195,8 +191,7 @@ int main(int argc, char** argv) {
         const std::span<const std::uint8_t> entries(body);
         std::size_t at = 4;
         for (int k = 0; k < kBatch; ++k) {
-          const std::uint32_t len = body[at] | body[at + 1] << 8 |
-                                    body[at + 2] << 16 | body[at + 3] << 24;
+          const std::uint32_t len = wfm::GetU32(body.data() + at);
           fresh.push_back(wfm::DecodeReport(entries.subspan(at + 4, len))
                               .value());
           at += 4 + len;

@@ -65,45 +65,6 @@ void Gradient(const GramOp& gram_op, const Vector& x, const Vector& rhs,
   for (std::size_t i = 0; i < x.size(); ++i) grad[i] = 2.0 * (grad[i] - rhs[i]);
 }
 
-/// True when `g` is finite and exactly symmetric, compared tile by tile so
-/// that both triangles are read in cache-sized blocks.
-bool IsFiniteAndSymmetric(const Matrix& g) {
-  constexpr int kTile = 32;
-  const int n = g.rows();
-  if (g.cols() != n) return false;
-  for (int i0 = 0; i0 < n; i0 += kTile) {
-    for (int j0 = 0; j0 <= i0; j0 += kTile) {
-      for (int i = i0; i < std::min(n, i0 + kTile); ++i) {
-        const double* row = g.RowPtr(i);
-        for (int j = j0; j < std::min(i + 1, j0 + kTile); ++j) {
-          if (!std::isfinite(row[j]) || row[j] != g(j, i)) return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-/// grad = 2(Gx - r) for a finite, exactly symmetric one-factor G. While x's
-/// support is at most half of n, Gx is formed as Gᵀx =
-/// Σ_{j: x_j ≠ 0} x_j G(j, :) in ascending j, which reads only the rows of G
-/// in the support. Entry i is the mat-vec's sum Σ_j G(i, j) x_j from +0.0
-/// in ascending j with its ±0 terms left out, and leaving them out changes
-/// no bit: a sum that starts at +0.0 is never −0.0, and adding ±0 to it
-/// leaves it as it was. So both forms give the same bits, and the cheaper
-/// one runs (a row-by-row axpy costs about 1.5 full mat-vecs per n rows).
-void SupportGradient(const Matrix& g, const Vector& x, const Vector& rhs,
-                     Vector& grad) {
-  const auto support = static_cast<std::size_t>(
-      std::count_if(x.begin(), x.end(), [](double v) { return v != 0.0; }));
-  if (2 * support <= x.size()) {
-    MultiplyTVecInto(g, x, grad);
-  } else {
-    MultiplyVecInto(g, x, grad);
-  }
-  for (std::size_t i = 0; i < x.size(); ++i) grad[i] = 2.0 * (grad[i] - rhs[i]);
-}
-
 /// G_FF for G = ⊗ factors, into `gff` (resized). With one factor, G_FF is a
 /// gather of G's entries. With k factors, entry (a, b) is Π_i G_i(u_i, v_i)
 /// over the mixed-radix digits of u = free[a] and v = free[b], multiplied
@@ -162,26 +123,18 @@ enum class NewtonExit { kConverged, kBudget, kFallback };
 /// α = 1, halving α until the objective falls by an Armijo margin. Only F
 /// moves and x stays supported on F, so the objective is evaluated on G_FF.
 /// Returns kFallback when G_FF does not factor or no step lowers the
-/// objective. Late in a solve x is zero outside a small F, so with one
-/// finite, symmetric factor the gradient reads only x's support
-/// (SupportGradient).
+/// objective.
 NewtonExit ProjectedNewton(const std::vector<const Matrix*>& factors,
                            const GramOp& gram_op, const Vector& rhs,
                            double tol, int budget, Vector& x,
                            WnnlsResult& result) {
   const std::size_t n = x.size();
-  const bool support_gradient =
-      factors.size() == 1 && IsFiniteAndSymmetric(*factors[0]);
   std::vector<int> free, digits;
   Vector grad(n), rhs_f, x_f, trial, gv;
   Matrix gff;
   Cholesky chol;
   for (;;) {
-    if (support_gradient) {
-      SupportGradient(*factors[0], x, rhs, grad);
-    } else {
-      Gradient(gram_op, x, rhs, grad);
-    }
+    Gradient(gram_op, x, rhs, grad);
     if (KktResidual(x, grad) <= tol) return NewtonExit::kConverged;
     if (result.iterations >= budget) return NewtonExit::kBudget;
 

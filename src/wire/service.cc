@@ -19,6 +19,7 @@
 #include "common/check.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "wire/byte_order.h"
 #include "wire/snapshot_store.h"
 
 namespace wfm {
@@ -31,10 +32,17 @@ constexpr int kPollTickMs = 50;
 // Chunk size for draining oversized frames without buffering them.
 constexpr std::size_t kDrainChunkBytes = 64 * 1024;
 
-// Decoded reports a connection keeps between frames. A batch larger than
-// this is served, then its storage is released, so one outsized frame does
-// not pin memory for the rest of the connection.
+// Bounds on the decoded reports a connection keeps between frames. Their
+// storage only ever comes from bytes decoded into them, and a decoded
+// Report holds no more than its own report (wire_format.h), so once the
+// frames served since the last release pass kMaxRetainedFrameBytes, or a
+// frame held more than kMaxRetainedReports reports, the reports are
+// released. A client therefore cannot make a connection keep more than
+// about that many bytes plus one frame, however it sizes or orders its
+// batches, while steady traffic reuses the storage for hundreds of batches
+// between releases.
 constexpr std::size_t kMaxRetainedReports = 4096;
+constexpr std::size_t kMaxRetainedFrameBytes = std::size_t{4} << 20;
 
 // ---- request telemetry ----------------------------------------------------
 
@@ -236,42 +244,9 @@ IoResult DiscardBytes(int fd, std::uint64_t size, int deadline_ms) {
   return IoResult::kOk;
 }
 
-void PutU32LE(WireBytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void PutU64LE(WireBytes& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void StoreU32LE(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-std::uint32_t GetU32LE(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t GetU64LE(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
-  return v;
-}
-
 IoResult SendResponse(int fd, const WireResponse& response, int deadline_ms) {
   std::uint8_t header[6];
-  StoreU32LE(header, static_cast<std::uint32_t>(2 + response.payload.size()));
+  StoreU32(header, static_cast<std::uint32_t>(2 + response.payload.size()));
   header[4] = static_cast<std::uint8_t>(response.status);
   header[5] = static_cast<std::uint8_t>(response.status >> 8);
   return WriteFrame(fd, header, response.payload, deadline_ms);
@@ -302,7 +277,7 @@ WireResponse ShedResponse(int retry_after_ms, int shard, std::int64_t cap) {
   response.status = kWireStatusUnavailable;
   const std::uint32_t hint =
       retry_after_ms > 0 ? static_cast<std::uint32_t>(retry_after_ms) : 0;
-  PutU32LE(response.payload, hint);
+  PutU32(response.payload, hint);
   const std::string message =
       "shard " + std::to_string(shard) + " at admission cap " +
       std::to_string(cap) + " unsealed reports; retry after " +
@@ -318,7 +293,7 @@ std::uint32_t RetryAfterHintMs(const WireResponse& response) {
       response.payload.size() < 4) {
     return 0;
   }
-  return GetU32LE(response.payload.data());
+  return GetU32(response.payload.data());
 }
 
 Status StatusFromResponse(const WireResponse& response) {
@@ -503,9 +478,11 @@ void CollectionServer::ServeConnection(int fd, int connection_id) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
   // The frame and its decoded reports live as long as the connection, so a
   // steady stream of batches reuses their storage instead of allocating per
-  // report.
+  // report. `retained_frame_bytes` counts the frame bytes served since the
+  // reports were last released.
   WireBytes body;
   std::vector<Report> reports;
+  std::size_t retained_frame_bytes = 0;
   for (;;) {
     // Between frames: wait for the first byte under the idle budget,
     // checking the drain flag each tick so Stop() can reclaim the thread
@@ -525,7 +502,7 @@ void CollectionServer::ServeConnection(int fd, int connection_id) {
       telemetry.timeouts->Increment();
       break;
     }
-    const std::uint32_t length = GetU32LE(length_bytes);
+    const std::uint32_t length = GetU32(length_bytes);
     if (length < 1 || length > options_.max_frame_bytes) {
       // Oversized (or empty) frame: drain the declared body without ever
       // buffering it, answer 400, and keep serving — the frame cap must not
@@ -560,7 +537,12 @@ void CollectionServer::ServeConnection(int fd, int connection_id) {
     ScopedTimer span(*telemetry.latency[slot]);
     const WireResponse response = HandleRequest(type, payload, shard, reports);
     span.Stop();
-    if (reports.size() > kMaxRetainedReports) reports = {};
+    retained_frame_bytes += length;
+    if (retained_frame_bytes > kMaxRetainedFrameBytes ||
+        reports.size() > kMaxRetainedReports) {
+      reports = std::vector<Report>();  // `= {}` would keep the capacity
+      retained_frame_bytes = 0;
+    }
     // Account after the handler but before the response goes out: once a
     // client holds its response, the request is visible to any later
     // kMetrics scrape — and a scrape, rendered inside HandleRequest above,
@@ -662,8 +644,8 @@ WireResponse CollectionServer::HandleIngest(
     return ErrorResponse(Status::InvalidArgument(
         "ingest frame too short for its 16-byte idempotency tag"));
   }
-  const std::uint64_t client_id = GetU64LE(payload.data());
-  const std::uint64_t sequence = GetU64LE(payload.data() + 8);
+  const std::uint64_t client_id = GetU64(payload.data());
+  const std::uint64_t sequence = GetU64(payload.data() + 8);
   const std::span<const std::uint8_t> body = payload.subspan(16);
 
   // Decode into the connection's reports. A batch that fails to decode
@@ -743,7 +725,7 @@ WireResponse CollectionServer::HandleRequest(
         return ErrorResponse(Status::InvalidArgument(
             "snapshot request payload must be a u32 epoch id"));
       }
-      const std::uint32_t epoch_id = GetU32LE(payload.data());
+      const std::uint32_t epoch_id = GetU32(payload.data());
       if (epoch_id > static_cast<std::uint32_t>(INT32_MAX)) {
         return ErrorResponse(Status::NotFound(
             "epoch " + std::to_string(epoch_id) + " out of range"));
@@ -759,7 +741,7 @@ WireResponse CollectionServer::HandleRequest(
       StatusOr<int> restored = session_->RestoreSealedEpoch(snapshot.value());
       if (!restored.ok()) return ErrorResponse(restored.status());
       WireBytes assigned;
-      PutU32LE(assigned, static_cast<std::uint32_t>(restored.value()));
+      PutU32(assigned, static_cast<std::uint32_t>(restored.value()));
       return OkResponse(std::move(assigned));
     }
     case WireMessageType::kPing:
@@ -907,7 +889,7 @@ StatusOr<WireResponse> CollectionClient::RawRequest(
     std::uint8_t type, std::span<const std::uint8_t> payload) {
   if (fd_ < 0) return Status::FailedPrecondition("client is disconnected");
   std::uint8_t prefix[5];
-  StoreU32LE(prefix, static_cast<std::uint32_t>(1 + payload.size()));
+  StoreU32(prefix, static_cast<std::uint32_t>(1 + payload.size()));
   prefix[4] = type;
   const auto fail = [this](IoResult result, const char* what) -> Status {
     ::close(fd_);
@@ -932,7 +914,7 @@ StatusOr<WireResponse> CollectionClient::RawRequest(
       got != IoResult::kOk) {
     return fail(got, "response read");
   }
-  const std::uint32_t length = GetU32LE(header);
+  const std::uint32_t length = GetU32(header);
   if (length < 2 || length > (64u << 20)) {
     ::close(fd_);
     fd_ = -1;
@@ -1022,8 +1004,8 @@ StatusOr<WireResponse> CollectionClient::RetryingRequest(
 
 void CollectionClient::StartIngestRequest() {
   request_.clear();
-  PutU64LE(request_, options_.client_id);
-  PutU64LE(request_, next_sequence_++);
+  PutU64(request_, options_.client_id);
+  PutU64(request_, next_sequence_++);
 }
 
 Status CollectionClient::SendIngestRequest(WireMessageType type) {
@@ -1075,7 +1057,7 @@ StatusOr<WorkloadEstimate> CollectionClient::Estimate(EstimatorKind kind) {
 
 StatusOr<EpochSnapshot> CollectionClient::GetSnapshot(int epoch_id) {
   WireBytes payload;
-  PutU32LE(payload, static_cast<std::uint32_t>(epoch_id));
+  PutU32(payload, static_cast<std::uint32_t>(epoch_id));
   StatusOr<WireResponse> response = RetryingRequest(
       static_cast<std::uint8_t>(WireMessageType::kGetSnapshot), payload);
   if (!response.ok()) return response.status();
@@ -1098,7 +1080,7 @@ StatusOr<int> CollectionClient::PushSnapshot(const EpochSnapshot& snapshot) {
   if (response.value().payload.size() != 4) {
     return Status::Internal("push-snapshot response payload malformed");
   }
-  return static_cast<int>(GetU32LE(response.value().payload.data()));
+  return static_cast<int>(GetU32(response.value().payload.data()));
 }
 
 StatusOr<std::string> CollectionClient::Metrics(MetricsFormat format) {

@@ -9,6 +9,7 @@
 
 #include "common/check.h"
 #include "core/strategy.h"
+#include "wire/byte_order.h"
 
 namespace wfm {
 namespace {
@@ -30,47 +31,10 @@ constexpr std::uint8_t kKindPackedBits = 2;
 constexpr std::uint8_t kSnapshotKindLegacy = 0;
 constexpr std::uint8_t kSnapshotKindVersioned = 1;
 
-// ---- little-endian primitives ---------------------------------------------
-
-void PutU32(WireBytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void PutU64(WireBytes& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+// ---- little-endian doubles (integers: wire/byte_order.h) -------------------
 
 void PutF64(WireBytes& out, double v) {
   PutU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void StoreU32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void StoreU64(std::uint8_t* p, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) p[b] = static_cast<std::uint8_t>(v >> (8 * b));
-}
-
-std::uint32_t GetU32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
-  return v;
 }
 
 double GetF64(const std::uint8_t* p) {
@@ -290,7 +254,9 @@ Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report) {
   }
   const std::uint8_t* payload = buffer.data() + kWireHeaderBytes;
   // Every check runs before the first write, so a rejected buffer leaves
-  // `report` as it was.
+  // `report` as it was. Storage of another shape or size is released (a
+  // vector is released by moving an empty one in; clear() keeps capacity),
+  // so `report` never holds more than the report it now carries.
   switch (kind) {
     case kKindCategorical: {
       if (Status s = CheckPayloadSize(buffer, 4, "categorical report");
@@ -304,7 +270,7 @@ Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report) {
             " outside its declared alphabet of " + std::to_string(dim));
       }
       report.index = static_cast<int>(index);
-      report.dense.clear();
+      report.dense = std::vector<double>();
       report.bits = PackedBits();
       return Status::Ok();
     }
@@ -321,6 +287,7 @@ Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report) {
       }
       report.index = -1;
       report.bits = PackedBits();
+      if (report.dense.capacity() != dim) report.dense = std::vector<double>();
       report.dense.resize(dim);
       for (std::uint32_t i = 0; i < dim; ++i) {
         report.dense[i] = GetF64(payload + 8 * static_cast<std::size_t>(i));
@@ -349,7 +316,7 @@ Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report) {
         }
       }
       report.index = -1;
-      report.dense.clear();
+      report.dense = std::vector<double>();
       if (report.bits.size() != dim) {
         report.bits = PackedBits::Zeros(static_cast<int>(dim));
       }

@@ -35,13 +35,18 @@
 // Reports are encoded and decoded in place, because ingest handles one per
 // user: AppendReport writes an envelope straight onto the end of a caller's
 // buffer (sized once, CRC written last), and DecodeReportInto parses one
-// into a caller's Report, reusing its PackedBits words when the dimension
-// matches and its dense capacity. AppendReportBatch and
-// DecodeReportBatchInto do the same for a batch body, so a client that
-// keeps its request buffer and a server that keeps its decoded reports
-// across batches allocate nothing per report. EncodeReport and DecodeReport
-// wrap them, so there is one encoder and one decoder, and the wire bytes are
-// the same whichever entry point produced them.
+// into a caller's Report, reusing its PackedBits words or dense storage when
+// they already have the incoming report's size and releasing them
+// otherwise, so a Report holds no more than the report it carries.
+// AppendReportBatch and DecodeReportBatchInto do the same for a batch body,
+// so a client that keeps its request buffer and a server that keeps its
+// decoded reports across batches allocate nothing per report. What reused
+// reports hold is bounded by the bytes decoded into them, so a caller that
+// keeps reports across untrusted batches bounds those bytes
+// (wire/service.cc releases a connection's reports every few MB of frames).
+// EncodeReport and DecodeReport wrap them, so there is one encoder and one
+// decoder, and the wire bytes are the same whichever entry point produced
+// them.
 //
 // Snapshot payloads (dim = m) come in two kinds: kind 0 is u32 epoch_id,
 // u64 count, then dim doubles of histogram — the pre-rollover layout,
@@ -111,7 +116,8 @@ void AppendReport(WireBytes& out, const Report& report);
 WireBytes EncodeReport(const Report& report);
 
 /// Parses an untrusted report buffer into `report`, overwriting all three of
-/// its shapes and reusing its storage where it can (see file comment).
+/// its shapes, reusing its storage when the size matches and releasing it
+/// otherwise (see file comment).
 /// kInvalidArgument on any structural defect (see file comment), in which
 /// case `report` is left unchanged. The parsed Report still passes through
 /// the serving layer's semantic validation (shape vs. deployment, dimension

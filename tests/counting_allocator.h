@@ -1,7 +1,8 @@
 // A counting global allocator for allocation-contract tests: every
-// operator new bumps g_allocations, so a test reads the count before and
-// after the code under test. Include it from exactly one source file of a
-// test binary (it defines the replacement operators).
+// operator new bumps g_allocations, and g_live_bytes holds the usable size
+// of every block allocated and not yet freed, so a test reads either before
+// and after the code under test. Include it from exactly one source file of
+// a test binary (it defines the replacement operators).
 //
 // Under ASan/TSan the sanitizer runtime owns the allocator, so the
 // replacements are compiled out, WFM_COUNTING_ALLOCATOR is 0, and tests
@@ -12,6 +13,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -29,26 +31,35 @@
 
 #if WFM_COUNTING_ALLOCATOR
 
+#include <malloc.h>
+
 namespace {
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* CountedNew(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+
+void CountedDelete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t size) { return CountedNew(size); }
+void* operator new[](std::size_t size) { return CountedNew(size); }
+void operator delete(void* p) noexcept { CountedDelete(p); }
+void operator delete[](void* p) noexcept { CountedDelete(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedDelete(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedDelete(p); }
 
 #endif  // WFM_COUNTING_ALLOCATOR
 

@@ -6,12 +6,19 @@
 // allocations (the one-byte ack, the dedup window's entry, the ingest
 // lanes), not one or more per report.
 //
+// It also bounds what a connection keeps between batches: a client that
+// shapes its batches to pin decoded storage (a large report in a new slot
+// each frame, or one frame of very many reports) leaves the server holding
+// at most about its retention budget plus one frame.
+//
 // The client and an in-process server share the counter. Every allocation
 // the server makes for a request happens before it writes the response, so
 // a count taken after AcceptBatch returns covers both sides. Under
 // ASan/TSan the counter is compiled out and the suite self-skips.
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -27,9 +34,13 @@
 namespace wfm {
 namespace {
 
+#if WFM_COUNTING_ALLOCATOR
 // A small constant: the path makes 4 or 5 per batch. One buffer per report
 // on either side (an encode buffer on the client, a PackedBits on the
-// server) would make at least 256 per batch of 256.
+// server) would make at least 256 per batch of 256. The server also
+// releases a connection's decoded reports after every 4 MiB of frames
+// (about 190 batches of 256 512-bit reports) and then allocates their words
+// once more; the 105 batches here stay under that.
 constexpr double kMaxAllocationsPerBatch = 8.0;
 
 double AllocationsPerBatch(const Plan& plan, int batch_size) {
@@ -53,14 +64,12 @@ double AllocationsPerBatch(const Plan& plan, int batch_size) {
   for (int t = 0; t < 5; ++t) EXPECT_TRUE(client.AcceptBatch(reports).ok());
 
   constexpr int kBatches = 100;
-  std::size_t allocations = 0;
-#if WFM_COUNTING_ALLOCATOR
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int t = 0; t < kBatches; ++t) {
     EXPECT_TRUE(client.AcceptBatch(reports).ok());
   }
-  allocations = g_allocations.load(std::memory_order_relaxed) - before;
-#endif
+  const std::size_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
   const StatusOr<EpochSnapshot> sealed = client.Seal();
   EXPECT_TRUE(sealed.ok());
   EXPECT_EQ(sealed.value().count,
@@ -68,6 +77,7 @@ double AllocationsPerBatch(const Plan& plan, int batch_size) {
   server.Stop();
   return static_cast<double>(allocations) / kBatches;
 }
+#endif  // WFM_COUNTING_ALLOCATOR
 
 TEST(WireAllocTest, BitVectorBatchesAllocateAConstantPerBatch) {
 #if !WFM_COUNTING_ALLOCATOR
@@ -98,6 +108,100 @@ TEST(WireAllocTest, CategoricalBatchesAllocateAConstantPerBatch) {
   ASSERT_TRUE(plan.ok());
   const double per_batch = AllocationsPerBatch(plan.value(), 256);
   EXPECT_LE(per_batch, kMaxAllocationsPerBatch);
+#endif
+}
+
+#if WFM_COUNTING_ALLOCATOR
+// Bytes a connection may keep between frames: the server's 4 MiB retention
+// budget for decoded reports (wire/service.cc) plus 1 MiB of slack for
+// small objects. The frame buffers on both sides are allowed on top.
+constexpr std::int64_t kRetentionBudgetBytes = 5 << 20;
+
+// Live heap bytes the client and server keep after `send` has run over one
+// connection, net of the client's request buffer and the server's frame
+// buffer (each holds the largest frame sent, `largest_frame` bytes).
+std::int64_t RetainedBytes(const Plan& plan, std::int64_t largest_frame,
+                           const std::function<void(CollectionClient&)>& send) {
+  CollectionServer server(plan, ServiceOptions{});
+  EXPECT_TRUE(server.Start().ok());
+  StatusOr<CollectionClient> connected =
+      CollectionClient::Connect(server.port());
+  EXPECT_TRUE(connected.ok());
+  CollectionClient& client = connected.value();
+  const PlanClient device = plan.Client();
+  Rng rng(84);
+  const std::vector<Report> valid = {device.Respond(3, rng)};
+  EXPECT_TRUE(client.AcceptBatch(valid).ok());  // warm-up
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  send(client);
+  // The connection still serves, and counted exactly the valid batches.
+  EXPECT_TRUE(client.AcceptBatch(valid).ok());
+  const std::int64_t after = g_live_bytes.load(std::memory_order_relaxed);
+  const StatusOr<EpochSnapshot> sealed = client.Seal();
+  EXPECT_TRUE(sealed.ok());
+  EXPECT_EQ(sealed.value().count, 2);
+  server.Stop();
+  return after - before - 2 * largest_frame;
+}
+#endif  // WFM_COUNTING_ALLOCATOR
+
+TEST(WireAllocTest, FallingCountFramesDoNotPinDecodedReports) {
+#if !WFM_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  // Frame k carries k reports, the last a 1 MiB dense report the RAPPOR
+  // deployment answers 400 to, and k falls from 64 to 1, so each large
+  // report lands in a slot no later frame overwrites. Kept per slot, they
+  // would pin 64 MiB.
+  StatusOr<Plan> plan = Plan::For(std::make_shared<const PrefixWorkload>(64))
+                            .Epsilon(1.0)
+                            .Mechanism("RAPPOR")
+                            .Build();
+  ASSERT_TRUE(plan.ok());
+  constexpr int kDenseDim = 1 << 17;
+  constexpr int kFrames = 64;
+  const PlanClient device = plan.value().Client();
+  Rng rng(85);
+  std::vector<Report> batch;
+  for (int k = 0; k < kFrames - 1; ++k) {
+    batch.push_back(device.Respond(rng.UniformInt(64), rng));
+  }
+  Report large;
+  large.dense.assign(kDenseDim, 0.5);
+  const std::int64_t retained = RetainedBytes(
+      plan.value(), 8 * kDenseDim + 64 * kFrames, [&](CollectionClient& c) {
+        for (int k = kFrames; k >= 1; --k) {
+          std::vector<Report> frame(batch.begin(), batch.begin() + (k - 1));
+          frame.push_back(large);
+          EXPECT_EQ(c.AcceptBatch(frame).code(), StatusCode::kInvalidArgument);
+        }
+      });
+  EXPECT_LE(retained, kRetentionBudgetBytes);
+#endif
+}
+
+TEST(WireAllocTest, OneFrameOfManyReportsDoesNotPinItsReportArray) {
+#if !WFM_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  // 250,000 categorical reports in one frame (6 MB) size the decoded report
+  // array to about 16 MB; after the frame the array must be freed, not just
+  // emptied.
+  StatusOr<Plan> plan = Plan::For(std::make_shared<const PrefixWorkload>(64))
+                            .Epsilon(1.0)
+                            .Mechanism("RAPPOR")
+                            .Build();
+  ASSERT_TRUE(plan.ok());
+  constexpr int kReports = 250000;
+  Report categorical;
+  categorical.index = 5;
+  const std::vector<Report> frame(kReports, categorical);
+  const std::int64_t retained = RetainedBytes(
+      plan.value(), std::int64_t{24} * kReports + 64,
+      [&](CollectionClient& c) {
+        EXPECT_EQ(c.AcceptBatch(frame).code(), StatusCode::kInvalidArgument);
+      });
+  EXPECT_LE(retained, kRetentionBudgetBytes);
 #endif
 }
 

@@ -285,6 +285,46 @@ TEST(WireReportTest, DecodeReportIntoOneReportMatchesDecodeReport) {
   EXPECT_EQ(target, kept);
 }
 
+TEST(WireReportTest, DecodeReportIntoKeepsOnlyTheStorageOfItsReport) {
+  // Storage is reused when it already has the incoming report's size and
+  // released otherwise, so a reused Report never holds more than the
+  // report it carries: a large report decoded once cannot stay pinned.
+  Report target;
+  ASSERT_TRUE(DecodeReportInto(EncodeReport(DenseReport(Vector(4096, 1.5))),
+                               target)
+                  .ok());
+  EXPECT_EQ(target.dense.capacity(), 4096u);
+  ASSERT_TRUE(
+      DecodeReportInto(EncodeReport(DenseReport({2.0, 3.0})), target).ok());
+  EXPECT_EQ(target.dense.capacity(), 2u);
+  const double* dense_before = target.dense.data();
+  ASSERT_TRUE(
+      DecodeReportInto(EncodeReport(DenseReport({4.0, 5.0})), target).ok());
+  EXPECT_EQ(target.dense.data(), dense_before);  // same size: reused
+  EXPECT_EQ(target.dense, (Vector{4.0, 5.0}));
+
+  ASSERT_TRUE(DecodeReportInto(EncodeReport(DenseReport(Vector(4096, 1.5))),
+                               target)
+                  .ok());
+  ASSERT_TRUE(DecodeReportInto(EncodeReport(BitsReport(
+                                   std::vector<std::uint8_t>(512, 1))),
+                               target)
+                  .ok());
+  EXPECT_EQ(target.dense.capacity(), 0u);
+  EXPECT_EQ(target.bits.words().size(), 8u);
+  ASSERT_TRUE(
+      DecodeReportInto(EncodeReport(BitsReport({1, 0, 1})), target).ok());
+  EXPECT_EQ(target.bits.words().size(), 1u);
+  ASSERT_TRUE(DecodeReportInto(EncodeReport(DenseReport(Vector(4096, 1.5))),
+                               target)
+                  .ok());
+  ASSERT_TRUE(
+      DecodeReportInto(EncodeReport(CategoricalReport(9)), target).ok());
+  EXPECT_EQ(target.dense.capacity(), 0u);
+  EXPECT_EQ(target.bits.words().data(), nullptr);
+  EXPECT_EQ(target, CategoricalReport(9));
+}
+
 TEST(WireReportTest, BatchBodyRoundTripsIntoReusedReports) {
   // AppendReportBatch writes `u32 count | count x (u32 len | envelope)`;
   // DecodeReportBatchInto parses it into a vector kept across batches, which

@@ -30,6 +30,7 @@
 #include "mechanisms/randomized_response.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "wire/byte_order.h"
 #include "wire/service.h"
 #include "wire/wire_format.h"
 #include "workload/histogram.h"
@@ -566,12 +567,6 @@ TEST(WireServiceTest, OversizedFrameGets400AndTheConnectionSurvives) {
   ASSERT_TRUE(sealed.ok());
   EXPECT_EQ(sealed.value().count, 1);
   server.Stop();
-}
-
-void PutU32(WireBytes& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
 }
 
 TEST(WireServiceTest, BatchCountBeyondTheBodyGets400AndTheServerSurvives) {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -246,108 +245,6 @@ TEST(WnnlsTest, BitIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(CounterValue("wfm_wnnls_fallback_total"), fallbacks + 2)
       << "test premise: the singular case takes the FISTA fallback";
-}
-
-/// Symmetric n x n matrix with entries in [-1, 1] and, on about a tenth of
-/// the off-diagonal pairs, a signed zero: +0.0 on one side and −0.0 on the
-/// other, which compare equal, so the matrix is still exactly symmetric.
-Matrix SymmetricWithSignedZeros(int n, std::uint64_t seed) {
-  Rng rng(seed);
-  Matrix g(n, n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j <= i; ++j) {
-      const double v = rng.Uniform(-1.0, 1.0);
-      if (i != j && rng.UniformInt(10) == 0) {
-        g(i, j) = 0.0;
-        g(j, i) = -0.0;
-      } else {
-        g(i, j) = v;
-        g(j, i) = v;
-      }
-    }
-  }
-  return g;
-}
-
-bool SameBits(const Vector& a, const Vector& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-TEST(WnnlsTest, SupportGradientMatchesTheFullMatVecBitForBit) {
-  // With one finite, exactly symmetric Gram, projected Newton forms
-  // 2(Gx - r) from the rows of G in x's support, as Gᵀx =
-  // Σ_{j: x_j ≠ 0} x_j G(j, :) (MultiplyTVecInto). It must equal the full
-  // row-by-row mat-vec byte for byte, for x with +0.0 and −0.0 entries, an
-  // empty support of either sign, and on one thread or four.
-  const int n = 300;
-  const Matrix prefix = PrefixWorkload(n).Gram();
-  const Matrix zeros = SymmetricWithSignedZeros(n, 401);
-  Rng rng(402);
-  Vector rhs(n);
-  for (double& v : rhs) v = rng.Uniform(-1.0, 1.0);
-  rhs[7] = 0.0;
-  rhs[8] = -0.0;
-  std::vector<Vector> xs;
-  xs.push_back(Vector(n, 0.0));
-  xs.push_back(Vector(n, -0.0));
-  for (const int every : {2, 5, 50}) {
-    Vector x(n);
-    for (int i = 0; i < n; ++i) {
-      x[i] = i % every == 0 ? rng.Uniform(0.0, 3.0)
-                            : (i % 2 == 0 ? 0.0 : -0.0);
-    }
-    xs.push_back(x);
-  }
-  for (const int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    ThreadPool::SetGlobal(&pool);
-    for (const Matrix* g : {&prefix, &zeros}) {
-      for (const Vector& x : xs) {
-        Vector full, support;
-        MultiplyVecInto(*g, x, full);
-        MultiplyTVecInto(*g, x, support);
-        EXPECT_TRUE(SameBits(full, support)) << "threads " << threads;
-        for (int i = 0; i < n; ++i) {
-          full[i] = 2.0 * (full[i] - rhs[i]);
-          support[i] = 2.0 * (support[i] - rhs[i]);
-        }
-        EXPECT_TRUE(SameBits(full, support)) << "threads " << threads;
-      }
-    }
-    ThreadPool::SetGlobal(nullptr);
-  }
-}
-
-TEST(WnnlsTest, SupportGradientSolveMatchesTheFullGradientSolve) {
-  // G ⊗ [1] is G entry for entry, but as two factors it takes the full
-  // Kronecker mat-vec for every gradient; one factor takes the support
-  // gradient. The solves must agree to the last bit.
-  Matrix one(1, 1);
-  one(0, 0) = 1.0;
-  Rng rng(403);
-  Matrix b(200, 200);
-  for (int i = 0; i < 200; ++i) {
-    for (int j = 0; j < 200; ++j) b(i, j) = rng.Uniform(-1.0, 1.0);
-  }
-  const Matrix prefix = PrefixWorkload(512).Gram();
-  Matrix random_spd = MultiplyATB(b, b);
-  for (int i = 0; i < 200; ++i) {
-    for (int j = 0; j < i; ++j) random_spd(j, i) = random_spd(i, j);
-  }
-  for (const Matrix* g : {&prefix, static_cast<const Matrix*>(&random_spd)}) {
-    const int n = g->rows();
-    const Vector xhat = NoisyUnbiasedEstimate(n, 404);
-    const Vector rhs = MultiplyVec(*g, xhat);
-    const WnnlsResult support = SolveWnnls({g}, rhs, {}, &xhat);
-    const WnnlsResult full = SolveWnnls({g, &one}, rhs, {}, &xhat);
-    ASSERT_TRUE(support.converged) << "n " << n;
-    EXPECT_GT(support.iterations, 1) << "test premise: several Newton steps";
-    EXPECT_TRUE(SameBits(support.x, full.x)) << "n " << n;
-    EXPECT_EQ(support.iterations, full.iterations);
-    EXPECT_EQ(support.objective, full.objective);
-    EXPECT_EQ(support.kkt_residual, full.kkt_residual);
-  }
 }
 
 TEST(WnnlsTest, ZeroIterationBudgetReturnsClippedWarmStart) {
