@@ -2,7 +2,8 @@
 // factorization (tuned vs the retained reference), one objective+gradient
 // evaluation (at a large random-Gram shape and at the dense-prefix PGD
 // shape), one Algorithm 1 projection, a full Optimize() run, a WNNLS
-// decode, and the encode and decode of one ingest batch body, then writes
+// decode, the encode and decode of one ingest batch body, and the envelope
+// CRC-32 and set-bit counting of bit-vector ingest, then writes
 // the measurements to a JSON file so CI can accumulate a per-commit perf
 // trajectory.
 //
@@ -14,11 +15,14 @@
 // ns_per_op(ref) / ns_per_op(new) is the speedup this PR's acceptance
 // criteria track.
 //
-// The header names the GEMM/solve kernel build in use (linalg/kernels.h).
+// The header names the GEMM/solve kernel build in use (linalg/kernels.h)
+// and the ingest kernel builds (wire/crc32.h, collect/bit_counts.h); the
+// crc32_ref and bit_counts_ref rows time their portable builds.
 //
 // Flags: --quick (smaller shapes + fewer reps; what the perf-smoke CI job
 // runs), --reps=N, --out=path.
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <span>
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "collect/bit_counts.h"
 #include "common/timer.h"
 #include "core/objective.h"
 #include "core/optimizer.h"
@@ -40,6 +45,7 @@
 #include "linalg/thread_pool.h"
 #include "ldp/reporter.h"
 #include "wire/byte_order.h"
+#include "wire/crc32.h"
 #include "wire/wire_format.h"
 #include "workload/workload.h"
 
@@ -112,7 +118,9 @@ int main(int argc, char** argv) {
       std::string("reps = ") + std::to_string(reps) +
           (quick ? ", --quick shapes" : ", full shapes") + ", " +
           std::to_string(wfm::ThreadPool::Global().num_threads()) +
-          " threads, " + wfm::kernels::ActiveKernels().name + " kernels");
+          " threads, " + wfm::kernels::ActiveKernels().name + " kernels, " +
+          (wfm::crc32::Pclmul() != nullptr ? "pclmul" : "portable") +
+          " crc32, " + wfm::bit_counts::Active().name + " bit counts");
 
   std::vector<Entry> entries;
   wfm::TablePrinter table({"kernel", "shape", "ms/op", "GFLOP/s", "speedup"});
@@ -201,6 +209,41 @@ int main(int argc, char** argv) {
       record("wire_batch_decode_ref", shape, t_decode_ref, 0.0, 0.0);
       record("wire_batch_decode", shape, t_decode, 0.0, t_decode_ref);
     }
+
+    // The two per-bit stages of bit-vector ingest, each in the build this
+    // CPU picks against the portable build on the same input: the CRC-32 of
+    // one envelope (16 B categorical, 76 B 512-bit, and a long buffer), and
+    // the set-bit counts of the 512-bit batch.
+    for (const std::size_t length : {16, 76, 4096}) {
+      std::vector<std::uint8_t> bytes(kBatch * length);
+      for (std::uint8_t& b : bytes) {
+        b = static_cast<std::uint8_t>(report_rng.UniformInt(256));
+      }
+      const auto per_crc = [&](wfm::crc32::Crc32Fn crc) {
+        return per_batch([&] {
+                 std::uint32_t x = 0;
+                 for (int i = 0; i < kBatch; ++i) {
+                   x ^= crc(bytes.data() + i * length, length);
+                 }
+                 sink += x;
+               }) /
+               kBatch;
+      };
+      const std::string shape = std::to_string(length) + "B";
+      const double t_ref = per_crc(&wfm::crc32::Portable);
+      const double t_new = per_crc(wfm::crc32::Active());
+      record("crc32_ref", shape, t_ref, 0.0, 0.0);
+      record("crc32", shape, t_new, 0.0, t_ref);
+    }
+    std::vector<std::atomic<std::int64_t>> counts(512);
+    const auto per_count = [&](const wfm::bit_counts::Kernel& kernel) {
+      return per_batch([&] { wfm::bit_counts::Add(kernel, bits, counts); });
+    };
+    const double t_count_ref = per_count(wfm::bit_counts::Portable());
+    const double t_count = per_count(wfm::bit_counts::Active());
+    sink += static_cast<double>(counts[0].load());
+    record("bit_counts_ref", "256xbits512", t_count_ref, 0.0, 0.0);
+    record("bit_counts", "256xbits512", t_count, 0.0, t_count_ref);
   }
 
   // --- GEMM kernels vs the pre-PR reference --------------------------------

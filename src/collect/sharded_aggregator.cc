@@ -1,8 +1,6 @@
 #include "collect/sharded_aggregator.h"
 
-#include <algorithm>
-#include <array>
-
+#include "collect/bit_counts.h"
 #include "common/check.h"
 #include "obs/metrics.h"
 
@@ -33,59 +31,6 @@ Counter& IngestBatches() {
   static Counter& counter =
       MetricsRegistry::Global().GetCounter("wfm_ingest_batches_total");
   return counter;
-}
-
-// kSpread[b] holds bit j of b in byte j, so adding it to a 64-bit word
-// bumps eight byte-sized counters at once, one per bit of a packed byte.
-constexpr std::array<std::uint64_t, 256> kSpread = [] {
-  std::array<std::uint64_t, 256> t{};
-  for (int b = 0; b < 256; ++b) {
-    for (int j = 0; j < 8; ++j) {
-      t[b] |= static_cast<std::uint64_t>((b >> j) & 1) << (8 * j);
-    }
-  }
-  return t;
-}();
-
-/// Adds the per-coordinate set-bit counts of `reports`, bit vectors of
-/// dimension counts.size(), to `counts` with one relaxed atomic add per
-/// touched counter. Packed word w of every report lands in the eight lane
-/// words 8w .. 8w + 7, whose bytes count coordinates 64w .. 64w + 63 (lane
-/// byte j of lane word k counts coordinate 8k + j). A byte counter holds
-/// 255, so a batch longer than that spills the lanes into int64 scratch
-/// every 255 reports.
-void AddBitCounts(std::span<const Report> reports,
-                  std::vector<std::atomic<std::int64_t>>& counts) {
-  constexpr std::size_t kLaneCapacity = 255;
-  const std::size_t m = counts.size();
-  const std::size_t num_words = (m + 63) / 64;
-  std::vector<std::uint64_t> lanes(8 * num_words, 0);
-  std::vector<std::int64_t> spill(reports.size() > kLaneCapacity ? m : 0, 0);
-  const auto lane_count = [&](std::size_t o) {
-    return static_cast<std::int64_t>((lanes[o / 8] >> (8 * (o % 8))) & 0xFFu);
-  };
-  std::size_t pending = 0;
-  for (const Report& report : reports) {
-    WFM_CHECK(report.is_bits())
-        << "non-bit-vector report in a bit-vector batch";
-    WFM_CHECK_EQ(report.bits.size(), m);
-    if (pending == kLaneCapacity) {
-      for (std::size_t o = 0; o < m; ++o) spill[o] += lane_count(o);
-      std::fill(lanes.begin(), lanes.end(), 0);
-      pending = 0;
-    }
-    const std::uint64_t* words = report.bits.words().data();
-    std::uint64_t* lane = lanes.data();
-    for (std::size_t w = 0; w < num_words; ++w, lane += 8) {
-      const std::uint64_t word = words[w];
-      for (int j = 0; j < 8; ++j) lane[j] += kSpread[(word >> (8 * j)) & 0xFFu];
-    }
-    ++pending;
-  }
-  for (std::size_t o = 0; o < m; ++o) {
-    const std::int64_t count = lane_count(o) + (spill.empty() ? 0 : spill[o]);
-    if (count != 0) counts[o].fetch_add(count, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace
@@ -170,7 +115,7 @@ void ShardedAggregator::AcceptBatch(int shard,
       break;
     }
     case ReportKind::kBitVector:
-      AddBitCounts(reports, s.counts);
+      bit_counts::Add(bit_counts::Active(), reports, s.counts);
       break;
     case ReportKind::kDense: {
       Vector local(num_outputs_, 0.0);

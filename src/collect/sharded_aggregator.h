@@ -19,13 +19,15 @@
 //     represent them exactly below 2^53).
 //   * kBitVector — unary-encoding frequency oracles (RAPPOR, OUE);
 //     AcceptBatch() counts the set bits of each packed n-bit report per
-//     coordinate (Accept() is a batch of one). Eight packed bits at a time
-//     spread into byte-wide lane counters that drain into the integer
-//     scratch every 255 reports, so a report costs a table lookup per byte,
-//     not work per bit. Same integer counters as kCategorical, so the
-//     exactness guarantee carries over; one report bumps up to m counters
-//     but the report total by exactly one (the count feeds the affine
-//     debias x̂ = (y − Nq)/(p−q)).
+//     coordinate (Accept() is a batch of one). The batch is counted one
+//     packed 64-bit word column at a time into 64 byte-wide counters that
+//     drain into int64 sums every 255 reports (collect/bit_counts.h): an
+//     AVX2 positional popcount where the CPU has it (a broadcast, two
+//     byte shuffles, compares and subtracts per word), a table lookup per
+//     packed byte otherwise, never work per bit, and no heap scratch.
+//     Same integer counters as kCategorical, so the exactness guarantee
+//     carries over; one report bumps up to m counters but the report total
+//     by exactly one (the count feeds the affine debias x̂ = (y − Nq)/(p−q)).
 //   * kDense — additive mechanisms (distributed Matrix Mechanism);
 //     AddDense() sums real m-vector reports with atomic compare-exchange
 //     adds. Still linear and thread-safe, but floating-point addition is not

@@ -40,7 +40,10 @@ constexpr std::size_t kDrainChunkBytes = 64 * 1024;
 // released. A client therefore cannot make a connection keep more than
 // about that many bytes plus one frame, however it sizes or orders its
 // batches, while steady traffic reuses the storage for hundreds of batches
-// between releases.
+// between releases. The same byte cap bounds the frame buffers themselves:
+// a server connection's frame body and a client's request buffer are
+// released after a frame larger than kMaxRetainedFrameBytes, so an idle
+// connection that once carried a large frame does not keep it.
 constexpr std::size_t kMaxRetainedReports = 4096;
 constexpr std::size_t kMaxRetainedFrameBytes = std::size_t{4} << 20;
 
@@ -479,7 +482,8 @@ void CollectionServer::ServeConnection(int fd, int connection_id) {
   // The frame and its decoded reports live as long as the connection, so a
   // steady stream of batches reuses their storage instead of allocating per
   // report. `retained_frame_bytes` counts the frame bytes served since the
-  // reports were last released.
+  // reports were last released; a frame above kMaxRetainedFrameBytes
+  // releases its own buffer too.
   WireBytes body;
   std::vector<Report> reports;
   std::size_t retained_frame_bytes = 0;
@@ -543,6 +547,7 @@ void CollectionServer::ServeConnection(int fd, int connection_id) {
       reports = std::vector<Report>();  // `= {}` would keep the capacity
       retained_frame_bytes = 0;
     }
+    if (length > kMaxRetainedFrameBytes) body = WireBytes();
     // Account after the handler but before the response goes out: once a
     // client holds its response, the request is visible to any later
     // kMetrics scrape — and a scrape, rendered inside HandleRequest above,
@@ -1012,6 +1017,7 @@ Status CollectionClient::SendIngestRequest(WireMessageType type) {
   bool duplicate = false;
   StatusOr<WireResponse> response = RetryingRequest(
       static_cast<std::uint8_t>(type), request_, &duplicate);
+  if (request_.size() > kMaxRetainedFrameBytes) request_ = WireBytes();
   if (!response.ok()) return response.status();
   return StatusFromResponse(response.value());
 }

@@ -423,7 +423,8 @@ class CollectionClient {
   std::uint64_t backoff_state_ = 0;  ///< xorshift state for retry jitter.
   WireClientStats stats_;
   /// The ingest frame body, built in place and kept across requests so its
-  /// storage is reused; retries resend these same bytes.
+  /// storage is reused; retries resend these same bytes. Released after a
+  /// frame above the service's 4 MiB retention cap.
   WireBytes request_;
 };
 

@@ -195,44 +195,6 @@ void WriteReport(const Report& report, std::uint8_t* envelope) {
 
 }  // namespace
 
-std::uint32_t WireCrc32(std::span<const std::uint8_t> data) {
-  // CRC-32/IEEE, bit-reflected, slicing-by-8: table k advances a byte's
-  // contribution past k further zero bytes, so one step folds 8 input bytes
-  // with 8 independent lookups. The tables are built once; the tail of
-  // fewer than 8 bytes runs bytewise on table 0.
-  static const std::array<std::array<std::uint32_t, 256>, 8> tables = [] {
-    std::array<std::array<std::uint32_t, 256>, 8> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[0][i] = c;
-    }
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      for (int k = 1; k < 8; ++k) {
-        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
-      }
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  const std::uint8_t* p = data.data();
-  std::size_t left = data.size();
-  for (; left >= 8; p += 8, left -= 8) {
-    const std::uint32_t lo = GetU32(p) ^ crc;
-    const std::uint32_t hi = GetU32(p + 4);
-    crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
-          tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
-          tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
-          tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
-  }
-  for (; left > 0; ++p, --left) {
-    crc = tables[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 void AppendReport(WireBytes& out, const Report& report) {
   const std::size_t start = out.size();
   out.resize(start + ReportWireSize(report));

@@ -102,9 +102,12 @@ inline constexpr std::size_t kWireTrailerBytes = 4;
 inline constexpr std::size_t kWireEnvelopeBytes =
     kWireHeaderBytes + kWireTrailerBytes;
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`, computed 8 bytes
-/// per step (slicing-by-8). Exposed so tests and tools can craft or verify
-/// envelopes byte by byte.
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`. Two builds, picked
+/// once at run time (wire/crc32.h): carry-less-multiply folding (PCLMULQDQ)
+/// where the CPU has it, slicing-by-8 (8 bytes per table step) everywhere
+/// else and for inputs under 16 bytes. They agree bit for bit, so the wire
+/// bytes do not depend on the host. Exposed so tests and tools can craft or
+/// verify envelopes byte by byte.
 std::uint32_t WireCrc32(std::span<const std::uint8_t> data);
 
 /// Appends one report's envelope to `out`. Bit-vector reports are packed 8

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "collect/bit_counts.h"
 #include "collect/collection_session.h"
 #include "collect/estimate_server.h"
 #include "collect/sharded_aggregator.h"
@@ -604,6 +605,17 @@ TEST(UnifiedIngestTest, AcceptDispatchesEveryReportKind) {
   EXPECT_EQ(bits.num_responses(), 1);
 }
 
+// Makes ShardedAggregator count bits with `kernel` for the guard's scope.
+class ScopedBitCountKernel {
+ public:
+  explicit ScopedBitCountKernel(const bit_counts::Kernel* kernel) {
+    bit_counts::SetActiveForTesting(kernel);
+  }
+  ~ScopedBitCountKernel() { bit_counts::SetActiveForTesting(nullptr); }
+  ScopedBitCountKernel(const ScopedBitCountKernel&) = delete;
+  ScopedBitCountKernel& operator=(const ScopedBitCountKernel&) = delete;
+};
+
 TEST(UnifiedIngestTest, AcceptBatchMatchesPerReportAcceptForEveryKind) {
   Rng rng(81);
   for (const ReportKind kind : {ReportKind::kCategorical, ReportKind::kDense}) {
@@ -626,36 +638,45 @@ TEST(UnifiedIngestTest, AcceptBatchMatchesPerReportAcceptForEveryKind) {
     EXPECT_EQ(batched.num_responses(), one_by_one.num_responses());
   }
 
-  // Bit vectors are counted eight packed bits at a time in byte-wide lanes
-  // that drain every 255 reports: widths straddle byte and word edges,
-  // batch lengths straddle the drain, and all-ones reports fill every lane
-  // counter to its limit.
-  for (const int m : {1, 7, 8, 63, 64, 65, 512}) {
-    for (const int k : {1, 2, 255, 256, 257, 1000}) {
-      for (const bool all_ones : {false, true}) {
-        std::vector<Report> reports(k);
-        Vector expected(m, 0.0);
-        for (Report& r : reports) {
-          std::vector<std::uint8_t> bytes(m, 1);
-          if (!all_ones) {
-            for (std::uint8_t& bit : bytes) {
-              bit = static_cast<std::uint8_t>(rng.UniformInt(2));
+  // Bit vectors are counted a packed word column at a time in byte-wide
+  // counters that drain every 255 reports, by each build compiled in and
+  // supported here (collect/bit_counts.h): widths straddle byte and word
+  // edges, batch lengths straddle the drain, and all-ones reports fill
+  // every byte counter to 255 before a drain.
+  std::vector<const bit_counts::Kernel*> kernels = {&bit_counts::Portable()};
+  if (bit_counts::Avx2() != nullptr) kernels.push_back(bit_counts::Avx2());
+  for (const bit_counts::Kernel* kernel : kernels) {
+    const ScopedBitCountKernel active(kernel);
+    for (const int m : {1, 7, 8, 63, 64, 65, 511, 512, 513, 4097}) {
+      for (const int k : {1, 2, 16, 17, 254, 255, 256, 257, 1000}) {
+        for (const bool all_ones : {false, true}) {
+          std::vector<Report> reports(k);
+          Vector expected(m, 0.0);
+          for (Report& r : reports) {
+            std::vector<std::uint8_t> bytes(m, 1);
+            if (!all_ones) {
+              for (std::uint8_t& bit : bytes) {
+                bit = static_cast<std::uint8_t>(rng.UniformInt(2));
+              }
             }
+            for (int o = 0; o < m; ++o) expected[o] += bytes[o];
+            r.bits = PackedBits(bytes);
           }
-          for (int o = 0; o < m; ++o) expected[o] += bytes[o];
-          r.bits = PackedBits(bytes);
+          ShardedAggregator one_by_one(m, /*num_shards=*/2,
+                                       ReportKind::kBitVector);
+          for (const Report& r : reports) one_by_one.Accept(0, r);
+          ShardedAggregator batched(m, /*num_shards=*/2,
+                                    ReportKind::kBitVector);
+          batched.AcceptBatch(1, reports);
+          ASSERT_EQ(batched.Merge(), expected)
+              << kernel->name << " m " << m << " k " << k << " all_ones "
+              << all_ones;
+          ASSERT_EQ(one_by_one.Merge(), expected)
+              << kernel->name << " m " << m << " k " << k << " all_ones "
+              << all_ones;
+          EXPECT_EQ(batched.num_responses(), k);
+          EXPECT_EQ(one_by_one.num_responses(), k);
         }
-        ShardedAggregator one_by_one(m, /*num_shards=*/2,
-                                     ReportKind::kBitVector);
-        for (const Report& r : reports) one_by_one.Accept(0, r);
-        ShardedAggregator batched(m, /*num_shards=*/2, ReportKind::kBitVector);
-        batched.AcceptBatch(1, reports);
-        EXPECT_EQ(batched.Merge(), expected)
-            << "m " << m << " k " << k << " all_ones " << all_ones;
-        EXPECT_EQ(one_by_one.Merge(), expected)
-            << "m " << m << " k " << k << " all_ones " << all_ones;
-        EXPECT_EQ(batched.num_responses(), k);
-        EXPECT_EQ(one_by_one.num_responses(), k);
       }
     }
   }

@@ -3,13 +3,15 @@
 // few batches, CollectionClient::AcceptBatch builds each frame in the
 // client's reused request buffer and the server decodes it into the
 // connection's reused reports, so a batch costs a small constant number of
-// allocations (the one-byte ack, the dedup window's entry, the ingest
-// lanes), not one or more per report.
+// allocations (the one-byte ack, the dedup window's entry, a categorical
+// batch's scratch counts), not one or more per report.
 //
 // It also bounds what a connection keeps between batches: a client that
 // shapes its batches to pin decoded storage (a large report in a new slot
 // each frame, or one frame of very many reports) leaves the server holding
-// at most about its retention budget plus one frame.
+// at most about its retention budget plus one frame, and a frame above the
+// 4 MiB retention cap is not kept by either side's frame buffer. Counting
+// a bit-vector batch into a shard allocates nothing at all.
 //
 // The client and an in-process server share the counter. Every allocation
 // the server makes for a request happens before it writes the response, so
@@ -26,6 +28,8 @@
 #include <gtest/gtest.h>
 
 #include "api/plan.h"
+#include "collect/sharded_aggregator.h"
+#include "ldp/reporter.h"
 #include "linalg/rng.h"
 #include "wire/service.h"
 #include "workload/prefix.h"
@@ -35,12 +39,12 @@ namespace wfm {
 namespace {
 
 #if WFM_COUNTING_ALLOCATOR
-// A small constant: the path makes 4 or 5 per batch. One buffer per report
-// on either side (an encode buffer on the client, a PackedBits on the
-// server) would make at least 256 per batch of 256. The server also
-// releases a connection's decoded reports after every 4 MiB of frames
-// (about 190 batches of 256 512-bit reports) and then allocates their words
-// once more; the 105 batches here stay under that.
+// A small constant: the path makes 3 (bit vectors) or 4 (categorical) per
+// batch. One buffer per report on either side (an encode buffer on the
+// client, a PackedBits on the server) would make at least 256 per batch of
+// 256. The server also releases a connection's decoded reports after every
+// 4 MiB of frames (about 190 batches of 256 512-bit reports) and then
+// allocates their words once more; the 105 batches here stay under that.
 constexpr double kMaxAllocationsPerBatch = 8.0;
 
 double AllocationsPerBatch(const Plan& plan, int batch_size) {
@@ -111,15 +115,41 @@ TEST(WireAllocTest, CategoricalBatchesAllocateAConstantPerBatch) {
 #endif
 }
 
+TEST(WireAllocTest, BitCountingAllocatesNothingPerBatch) {
+#if !WFM_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  // 256 reports of 512 bits, the rappor-prefix batch: one more than a byte
+  // counter holds, so every batch also drains the counters mid-batch.
+  const BitVectorReporter rappor(512, 0.75, 0.25);
+  Rng rng(86);
+  std::vector<Report> reports;
+  for (int i = 0; i < 256; ++i) {
+    reports.push_back(rappor.Respond(rng.UniformInt(512), rng));
+  }
+  ShardedAggregator aggregator(512, /*num_shards=*/2, ReportKind::kBitVector);
+  aggregator.AcceptBatch(0, reports);  // resolves the ingest metrics once
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int t = 0; t < 100; ++t) aggregator.AcceptBatch(t % 2, reports);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(aggregator.num_responses(), 101 * 256);
+#endif
+}
+
 #if WFM_COUNTING_ALLOCATOR
 // Bytes a connection may keep between frames: the server's 4 MiB retention
 // budget for decoded reports (wire/service.cc) plus 1 MiB of slack for
 // small objects. The frame buffers on both sides are allowed on top.
 constexpr std::int64_t kRetentionBudgetBytes = 5 << 20;
 
+// Frames above this many bytes are not kept by the client's request buffer
+// or the server's frame buffer (wire/service.cc).
+constexpr std::int64_t kFrameRetentionCapBytes = 4 << 20;
+
 // Live heap bytes the client and server keep after `send` has run over one
 // connection, net of the client's request buffer and the server's frame
-// buffer (each holds the largest frame sent, `largest_frame` bytes).
+// buffer (each holds the largest frame sent, `largest_frame` bytes, unless
+// that frame was above the retention cap).
 std::int64_t RetainedBytes(const Plan& plan, std::int64_t largest_frame,
                            const std::function<void(CollectionClient&)>& send) {
   CollectionServer server(plan, ServiceOptions{});
@@ -141,7 +171,9 @@ std::int64_t RetainedBytes(const Plan& plan, std::int64_t largest_frame,
   EXPECT_TRUE(sealed.ok());
   EXPECT_EQ(sealed.value().count, 2);
   server.Stop();
-  return after - before - 2 * largest_frame;
+  const std::int64_t frame_buffers =
+      largest_frame > kFrameRetentionCapBytes ? 0 : 2 * largest_frame;
+  return after - before - frame_buffers;
 }
 #endif  // WFM_COUNTING_ALLOCATOR
 
@@ -202,6 +234,56 @@ TEST(WireAllocTest, OneFrameOfManyReportsDoesNotPinItsReportArray) {
         EXPECT_EQ(c.AcceptBatch(frame).code(), StatusCode::kInvalidArgument);
       });
   EXPECT_LE(retained, kRetentionBudgetBytes);
+#endif
+}
+
+TEST(WireAllocTest, IdleConnectionsDoNotKeepTheirLargestFrame) {
+#if !WFM_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  // Each of kConnections clients sends one 8 MiB frame (a dense report the
+  // RAPPOR deployment answers 400 to) and then steady small batches, and
+  // stays connected. Kept frame buffers would pin 2 x 8 MiB per connection,
+  // client and server side; released, the connections keep about what
+  // their steady frames need.
+  StatusOr<Plan> plan = Plan::For(std::make_shared<const PrefixWorkload>(64))
+                            .Epsilon(1.0)
+                            .Mechanism("RAPPOR")
+                            .Build();
+  ASSERT_TRUE(plan.ok());
+  constexpr int kConnections = 8;
+  constexpr std::int64_t kSteadyBytesPerConnection = 64 << 10;
+  Report large;
+  large.dense.assign(1 << 20, 0.5);  // an 8 MiB frame
+  const PlanClient device = plan.value().Client();
+  Rng rng(87);
+  const std::vector<Report> steady = {device.Respond(3, rng),
+                                      device.Respond(9, rng)};
+
+  CollectionServer server(plan.value(), ServiceOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<CollectionClient> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    StatusOr<CollectionClient> connected =
+        CollectionClient::Connect(server.port());
+    ASSERT_TRUE(connected.ok());
+    clients.push_back(std::move(connected.value()));
+    EXPECT_TRUE(clients.back().AcceptBatch(steady).ok());  // warm-up
+  }
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  for (CollectionClient& client : clients) {
+    EXPECT_EQ(client.AcceptBatch(std::span<const Report>(&large, 1)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(client.AcceptBatch(steady).ok());
+  }
+  const std::int64_t retained =
+      g_live_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(retained, kConnections * kSteadyBytesPerConnection);
+  const StatusOr<EpochSnapshot> sealed = clients.front().Seal();
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(sealed.value().count, 2 * kConnections * 2);
+  clients.clear();
+  server.Stop();
 #endif
 }
 

@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "core/factorization.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
+#include "wire/crc32.h"
 #include "wire/snapshot_store.h"
 #include "wire/wire_format.h"
 #include "workload/histogram.h"
@@ -62,38 +64,59 @@ Report BitsReport(std::vector<std::uint8_t> bits) {
   return r;
 }
 
-// Bytewise CRC-32/IEEE straight from the reflected polynomial, one bit at a
-// time: the reference the table-driven WireCrc32 must match.
+// One input byte of CRC-32/IEEE straight from the reflected polynomial, one
+// bit at a time: the reference every build of WireCrc32 must match.
+std::uint32_t ReferenceCrc32Step(std::uint32_t crc, std::uint8_t byte) {
+  crc ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc;
+}
+
 std::uint32_t ReferenceCrc32(std::span<const std::uint8_t> data) {
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    crc ^= byte;
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
-    }
-  }
+  for (const std::uint8_t byte : data) crc = ReferenceCrc32Step(crc, byte);
   return crc ^ 0xFFFFFFFFu;
 }
 
 TEST(WireCrcTest, MatchesTheStandardCheckValueAndABytewiseReference) {
-  const std::string check = "123456789";
-  EXPECT_EQ(WireCrc32(std::span<const std::uint8_t>(
-                reinterpret_cast<const std::uint8_t*>(check.data()),
-                check.size())),
-            0xCBF43926u);
+  // WireCrc32 and every build compiled in and supported here (wire/crc32.h),
+  // not only the one this CPU picks.
+  std::vector<std::pair<const char*, crc32::Crc32Fn>> builds = {
+      {"wire", [](const std::uint8_t* data, std::size_t size) {
+         return WireCrc32(std::span<const std::uint8_t>(data, size));
+       }},
+      {"portable", &crc32::Portable}};
+  if (crc32::Pclmul() != nullptr) builds.emplace_back("pclmul", crc32::Pclmul());
 
-  // Every length 0..1100 from every start offset mod 8, so the 8-byte steps
-  // and the bytewise tail meet at every alignment.
+  const std::string check = "123456789";
+  for (const auto& [name, crc] : builds) {
+    EXPECT_EQ(crc(reinterpret_cast<const std::uint8_t*>(check.data()),
+                  check.size()),
+              0xCBF43926u)
+        << name;
+  }
+
+  // Every length 0..4096 from every start offset mod 16, so the 4 x 16-byte
+  // folds, the 16-byte folds, the overlapped tail and the 8-byte table
+  // steps meet at every alignment and remainder. The reference runs along
+  // each offset's prefixes one byte at a time.
+  constexpr std::size_t kMaxLength = 4096;
   Rng rng(17);
-  std::vector<std::uint8_t> buffer(1100 + 8);
+  std::vector<std::uint8_t> buffer(kMaxLength + 16);
   for (std::uint8_t& b : buffer) {
     b = static_cast<std::uint8_t>(rng.UniformInt(256));
   }
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t length = 0; length <= 1100; ++length) {
-      const std::span<const std::uint8_t> data(buffer.data() + offset, length);
-      ASSERT_EQ(WireCrc32(data), ReferenceCrc32(data))
-          << "offset " << offset << " length " << length;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const std::uint8_t* data = buffer.data() + offset;
+    std::uint32_t state = 0xFFFFFFFFu;
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      if (length > 0) state = ReferenceCrc32Step(state, data[length - 1]);
+      for (const auto& [name, crc] : builds) {
+        ASSERT_EQ(crc(data, length), state ^ 0xFFFFFFFFu)
+            << name << " offset " << offset << " length " << length;
+      }
     }
   }
 }
