@@ -61,14 +61,16 @@ int main(int argc, char** argv) {
 
   wfm::Rng rng(99);
   const wfm::PlanClient client = plan.Client();
-  wfm::PlanServer server = plan.Server();
+  const std::unique_ptr<wfm::PlanSession> server = plan.StartSession(1);
   for (int u = 0; u < n; ++u) {
     for (int j = 0; j < static_cast<int>(data.histogram[u]); ++j) {
-      server.Accept(client.Respond(u, rng));
+      server->Accept(0, client.Respond(u, rng));
     }
   }
-  const auto unbiased = server.Estimate(wfm::EstimatorKind::kUnbiased);
-  const auto consistent = server.Estimate(wfm::EstimatorKind::kWnnls);
+  server->Seal();
+  const auto unbiased =
+      server->Estimate(wfm::EstimatorKind::kUnbiased).value();
+  const auto consistent = server->Estimate(wfm::EstimatorKind::kWnnls).value();
 
   std::printf("\nEstimated CDF (every 8th bucket of %d, N = %d users):\n\n", n,
               num_users);

@@ -114,11 +114,11 @@ int main(int argc, char** argv) {
     }
     const wfm::LocalRandomizer randomizer(serving.value().q);
 
-    std::vector<int> reports;
+    std::vector<wfm::Report> reports;
     reports.reserve(devices_per_epoch);
     for (int u = 0; u < n; ++u) {
       for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-        reports.push_back(randomizer.Respond(u, rng));
+        reports.emplace_back().index = randomizer.Respond(u, rng);
       }
     }
     std::vector<std::thread> workers;
@@ -128,7 +128,9 @@ int main(int argc, char** argv) {
         const std::size_t end = reports.size() * (t + 1) / threads;
         for (std::size_t pos = begin; pos < end; pos += 1024) {
           const std::size_t len = std::min<std::size_t>(1024, end - pos);
-          service->AcceptBatch(t, std::span<const int>(&reports[pos], len));
+          const wfm::Status accepted = service->AcceptBatch(
+              t, std::span<const wfm::Report>(&reports[pos], len));
+          WFM_CHECK(accepted.ok()) << accepted.ToString();
         }
       });
     }

@@ -80,14 +80,15 @@ int main(int argc, char** argv) {
   wfm::Rng rng(7);
   const wfm::Vector fleet = SimulateFleet(k, devices, rng);
   const wfm::PlanClient client = plan.Client();
-  wfm::PlanServer server = plan.Server();
+  const std::unique_ptr<wfm::PlanSession> server = plan.StartSession(1);
   for (int u = 0; u < n; ++u) {
     for (int j = 0; j < static_cast<int>(fleet[u]); ++j) {
-      server.Accept(client.Respond(u, rng));
+      server->Accept(0, client.Respond(u, rng));
     }
   }
+  server->Seal();
   const wfm::WorkloadEstimate estimate =
-      server.Estimate(wfm::EstimatorKind::kWnnls);
+      server->Estimate(wfm::EstimatorKind::kWnnls).value();
   const wfm::Vector truth = workload->Apply(fleet);
 
   // The first marginal block is the one on flags {0,1,2} (lowest 3-subset in

@@ -1,6 +1,5 @@
 #include "api/plan.h"
 
-#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -28,11 +27,11 @@ Counter& ReportsRejected() {
   return counter;
 }
 
-/// Shape validation for reports arriving from untrusted devices, shared by
-/// the serial PlanServer and the concurrent PlanSession so both serving
-/// surfaces reject the same malformed inputs instead of aborting. `kind` is
-/// the deployment's report kind; a report of any other shape is rejected
-/// before it can reach a kind-checking abort (or silently skew a histogram).
+/// Shape validation for reports arriving from untrusted devices, run on every
+/// report PlanSession ingests so malformed inputs are rejected instead of
+/// aborting. `kind` is the deployment's report kind; a report of any other
+/// shape is rejected before it can reach a kind-checking abort (or silently
+/// skew a histogram).
 Status ValidateReport(const Report& report, int m, ReportKind kind) {
   const ReportKind shape = report.is_bits()    ? ReportKind::kBitVector
                            : report.is_dense() ? ReportKind::kDense
@@ -169,27 +168,6 @@ StatusOr<int> PlanSession::RollStrategy(Matrix q) {
   return version;
 }
 
-Status PlanServer::Accept(const Report& report) {
-  const int m = decoder_.m();
-  if (Status valid = ValidateReport(report, m, kind_); !valid.ok()) {
-    return valid;
-  }
-  if (report.is_bits()) {
-    const std::span<const std::uint64_t> words = report.bits.words();
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      for (std::uint64_t rest = words[w]; rest != 0; rest &= rest - 1) {
-        aggregate_[64 * w + std::countr_zero(rest)] += 1.0;
-      }
-    }
-  } else if (report.is_dense()) {
-    for (int o = 0; o < m; ++o) aggregate_[o] += report.dense[o];
-  } else {
-    aggregate_[report.index] += 1.0;
-  }
-  ++count_;
-  return Status::Ok();
-}
-
 Status PlanSession::Accept(int shard, const Report& report) {
   if (Status valid = ValidateReport(report, session_.num_outputs(),
                                     session_.report_kind());
@@ -217,11 +195,6 @@ Status PlanSession::AcceptBatch(int shard, std::span<const Report> reports) {
   session_.AcceptBatch(shard, reports);
   ReportsAccepted().AddAt(shard, static_cast<std::int64_t>(reports.size()));
   return Status::Ok();
-}
-
-WorkloadEstimate PlanServer::Estimate(EstimatorKind kind) const {
-  return EstimateWorkloadAnswers(decoder_, *workload_, aggregate_, count_,
-                                 kind);
 }
 
 StatusOr<Plan> PlanBuilder::Build() const {

@@ -11,14 +11,16 @@
 // a deployment:
 //
 //   plan.Client()             on-device reporter (ldp/reporter.h)
-//   plan.Server()             serial one-round aggregator + estimator
-//   plan.StartSession(k)      concurrent service: collect/CollectionSession
-//                             sharded over k workers + cached EstimateServer
+//   plan.StartSession(k)      the server: collect/CollectionSession sharded
+//                             over k workers + cached EstimateServer
+//
+// One round of the paper's protocol is StartSession(1), Accept() per
+// report, Seal(), then Estimate(); the same session keeps serving epochs.
 //
 // Mechanism names resolve through MechanismRegistry::Global(), so every
 // registered mechanism — the six Section 6.1 baselines, "Optimized", the
 // "RAPPOR"/"OUE" frequency oracles, and anything user-registered — deploys
-// through the same three calls.
+// through the same calls.
 //
 // Strategy-based sessions additionally support adaptive serving: the
 // deployed strategy is exposed (Plan::DeployedStrategy,
@@ -99,53 +101,18 @@ class PlanClient {
   std::shared_ptr<const Reporter> reporter_;
 };
 
-/// The serial server half of a plan: one round of the paper's protocol —
-/// accumulate every report, then reconstruct. Single-threaded reference
-/// path, bit-identical to manual ResponseAggregator wiring; use
-/// Plan::StartSession for the concurrent epoch-based service.
-class PlanServer {
- public:
-  /// Accumulates one report. Reports arrive from untrusted devices, so
-  /// malformed ones — a shape that does not match the deployment's report
-  /// kind, a dense or bit-vector report whose dimension mismatches the
-  /// deployment's m, a bit entry outside {0, 1}, an out-of-range categorical
-  /// index — are rejected with kInvalidArgument and leave the aggregate
-  /// untouched, rather than aborting the server.
-  Status Accept(const Report& report);
-
-  /// Current m-dimensional aggregate (response histogram / report sum).
-  const Vector& aggregate() const { return aggregate_; }
-  /// Reports accepted so far — the N that affine decoders debias against.
-  std::int64_t num_reports() const { return count_; }
-
-  /// Workload answers from everything accepted so far.
-  WorkloadEstimate Estimate(EstimatorKind kind = EstimatorKind::kWnnls) const;
-
- private:
-  friend class Plan;
-  PlanServer(ReportDecoder decoder, std::shared_ptr<const Workload> workload,
-             ReportKind kind)
-      : decoder_(std::move(decoder)),
-        workload_(std::move(workload)),
-        kind_(kind),
-        aggregate_(decoder_.m(), 0.0) {}
-
-  ReportDecoder decoder_;
-  std::shared_ptr<const Workload> workload_;
-  ReportKind kind_;
-  Vector aggregate_;
-  std::int64_t count_ = 0;
-};
-
-/// The concurrent server half: a sharded CollectionSession (epoch sealing,
+/// The server half of a plan: a sharded CollectionSession (epoch sealing,
 /// windowed totals) plus a caching EstimateServer, wired to the plan's
 /// deployment. Create via Plan::StartSession.
 class PlanSession {
  public:
-  /// Ingests one report on the given shard; thread-safe. Same contract as
-  /// PlanServer::Accept: malformed reports from untrusted devices are
-  /// rejected with kInvalidArgument (never ingested), not a process abort.
-  /// Shard ids are caller-controlled, so an out-of-range shard still aborts.
+  /// Ingests one report on the given shard; thread-safe. Reports arrive from
+  /// untrusted devices, so malformed ones — a shape that does not match the
+  /// deployment's report kind, a dense or bit-vector report whose dimension
+  /// mismatches the deployment's m, a non-finite dense entry, an
+  /// out-of-range categorical index — are rejected with kInvalidArgument
+  /// and never ingested, rather than aborting the server. Shard ids are
+  /// caller-controlled, so an out-of-range shard still aborts.
   Status Accept(int shard, const Report& report);
 
   /// Batched untrusted ingest, any report kind: the whole batch is validated
@@ -154,12 +121,6 @@ class PlanSession {
   /// batch lands via the scratch-count path (one atomic per touched counter
   /// per batch), so network endpoints can hand over whole request bodies.
   Status AcceptBatch(int shard, std::span<const Report> reports);
-
-  /// Categorical batched hot path (trusted, pre-validated streams; aborts on
-  /// out-of-range responses like the collect/ ingestion contract).
-  void AcceptBatch(int shard, std::span<const int> responses) {
-    session_.Accept(shard, responses);
-  }
 
   /// Freezes the current epoch (see CollectionSession::Seal).
   EpochSnapshot Seal() { return session_.Seal(); }
@@ -268,9 +229,6 @@ class Plan {
   const Matrix* DeployedStrategy() const;
 
   PlanClient Client() const { return PlanClient(deployment_.reporter); }
-  PlanServer Server() const {
-    return PlanServer(deployment_.decoder, workload_, report_kind());
-  }
   std::unique_ptr<PlanSession> StartSession(int num_shards) const;
 
  private:

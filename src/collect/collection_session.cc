@@ -49,20 +49,6 @@ CollectionSession::CollectionSession(ReportDecoder decoder,
   decoders_.push_back(std::make_shared<const ReportDecoder>(decoder_));
 }
 
-void CollectionSession::Accept(int shard, std::span<const int> responses) {
-  std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
-  active_->AddBatch(shard, responses);
-}
-
-void CollectionSession::Accept(int shard, int response) {
-  Accept(shard, std::span<const int>(&response, 1));
-}
-
-void CollectionSession::Accept(int shard, const Report& report) {
-  std::shared_lock<std::shared_mutex> lock(ingest_mutex_);
-  active_->Accept(shard, report);
-}
-
 void CollectionSession::AcceptBatch(int shard,
                                     std::span<const Report> reports) {
   std::shared_lock<std::shared_mutex> lock(ingest_mutex_);

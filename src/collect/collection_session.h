@@ -17,7 +17,7 @@
 // (ldp/reporter.h): categorical response indices for strategy mechanisms,
 // dense m-vectors for additive ones, or packed n-bit vectors for
 // unary-encoding frequency oracles (RAPPOR/OUE), whose batches are counted
-// eight bits at a time (ShardedAggregator::AcceptBatch).
+// a packed word column at a time (ShardedAggregator::AcceptBatch).
 // api/Plan::StartSession wires a mechanism's Deployment into a session +
 // EstimateServer pair.
 //
@@ -28,8 +28,8 @@
 // histogram contribution and its count increment to the same epoch (which
 // the exclusive seal section guarantees).
 //
-// Concurrency contract: the Accept() overloads may be called from any number
-// of threads (each worker passing its own shard id keeps shards
+// Concurrency contract: Accept() and AcceptBatch() may be called from any
+// number of threads (each worker passing its own shard id keeps shards
 // contention-free, but any shard id is safe); Seal(), snapshot accessors,
 // and WindowTotal() may run concurrently with ingestion. A reader/writer
 // lock around the active aggregator makes the epoch cut exact: Seal() waits
@@ -91,22 +91,18 @@ class CollectionSession {
   int num_outputs() const { return decoder_.m(); }
   ReportKind report_kind() const { return report_kind_; }
 
-  /// Ingests one report of any shape — the single kind-dispatched entry
-  /// point (dispatches on Report::is_bits() / is_dense(); the shape must
-  /// match the session's report_kind()). Thread-safe; this layer ingests
+  /// Ingests a batch of reports into the current epoch, counted per batch
+  /// (see ShardedAggregator::AcceptBatch). Every report's shape must match
+  /// the session's report_kind(). Thread-safe; this layer ingests
   /// pre-validated streams and aborts on malformed ones — untrusted reports
-  /// go through api/PlanSession::Accept (or the wire/ service), which
-  /// rejects them with kInvalidArgument first.
-  void Accept(int shard, const Report& report);
-
-  /// Kind-dispatched batched ingest: one report per element, scratch-count
-  /// aggregation per batch (see ShardedAggregator::AcceptBatch).
+  /// go through api/PlanSession (or the wire/ service), which rejects them
+  /// with kInvalidArgument first.
   void AcceptBatch(int shard, std::span<const Report> reports);
 
-  /// Ingests a batch of categorical responses into the current epoch.
-  /// Thread-safe; aborts on out-of-range responses or shard ids.
-  void Accept(int shard, std::span<const int> responses);
-  void Accept(int shard, int response);
+  /// Ingests one report: a batch of one.
+  void Accept(int shard, const Report& report) {
+    AcceptBatch(shard, std::span<const Report>(&report, 1));
+  }
 
   /// Freezes the current epoch and starts a new one. Returns the sealed
   /// snapshot (also retained in the session's history). Waits for in-flight

@@ -23,7 +23,7 @@
 // Their n-bit reports debias affinely, x_hat = (y - N q 1) / (p - q), with
 // p = P(bit = 1 | true bit = 1) and q = P(bit = 1 | true bit = 0); the
 // decoder carries (p, q) and callers supply the report count N at decode
-// time (EpochSnapshot::count / PlanServer::num_reports()).
+// time (EpochSnapshot::count).
 
 #ifndef WFM_ESTIMATION_DECODER_H_
 #define WFM_ESTIMATION_DECODER_H_

@@ -1,8 +1,8 @@
 // End-to-end estimation pipeline: report aggregate -> data-vector estimate
 // -> workload answers. Bundles the unbiased path (x_hat = (⊗ B_i) y) and the
 // consistent WNNLS path (over the matching Gram factors ⊗ G_i) behind one
-// call used by every serving path (PlanServer, EstimateServer), the
-// examples, and Figure 4.
+// call used by the serving path (EstimateServer), the examples, and
+// Figure 4.
 //
 // There is one entry point: a ReportDecoder (estimation/decoder.h) plus the
 // report count N behind the aggregate. Dense and Kronecker deployments are

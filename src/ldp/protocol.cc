@@ -1,25 +1,12 @@
 #include "ldp/protocol.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "linalg/samplers.h"
 
 namespace wfm {
-
-ResponseAggregator::ResponseAggregator(int num_outputs)
-    : histogram_(num_outputs, 0.0) {
-  WFM_CHECK_GT(num_outputs, 0);
-}
-
-void ResponseAggregator::Add(int response) {
-  WFM_CHECK(response >= 0 && response < static_cast<int>(histogram_.size()));
-  histogram_[response] += 1.0;
-  ++count_;
-}
-
-void ResponseAggregator::AddBatch(std::span<const int> responses) {
-  for (const int response : responses) Add(response);
-}
 
 Vector SimulateResponseHistogram(const Matrix& q, const Vector& x, Rng& rng) {
   WFM_CHECK_EQ(q.cols(), static_cast<int>(x.size()));
@@ -38,15 +25,15 @@ Vector SimulateResponseHistogram(const Matrix& q, const Vector& x, Rng& rng) {
 Vector SimulateResponseHistogramPerUser(const Matrix& q, const Vector& x,
                                         Rng& rng) {
   const LocalRandomizer randomizer(q);
-  ResponseAggregator aggregator(q.rows());
+  Vector y(q.rows(), 0.0);
   for (int u = 0; u < q.cols(); ++u) {
     const std::int64_t count = std::llround(x[u]);
     WFM_CHECK_GE(count, 0);
     for (std::int64_t j = 0; j < count; ++j) {
-      aggregator.Add(randomizer.Respond(u, rng));
+      y[randomizer.Respond(u, rng)] += 1.0;
     }
   }
-  return aggregator.histogram();
+  return y;
 }
 
 }  // namespace wfm

@@ -3,8 +3,7 @@
 // A deployment looks like:
 //   1. the analyst optimizes (or picks) a strategy Q offline;
 //   2. each user runs LocalRandomizer::Respond on their type;
-//   3. the server aggregates responses into the histogram y (this file for
-//      the serial reference path; collect/ for the concurrent service:
+//   3. the server aggregates responses into the histogram y (collect/:
 //      ShardedAggregator fans ingestion across workers and
 //      CollectionSession::Seal() cuts the stream into immutable epoch
 //      snapshots, each one instance of the paper's one-round protocol);
@@ -26,20 +25,19 @@
 // on whether the one-hot bit is set (RAPPOR: p = 1−f, q = f with
 // f = 1/(1+e^{ε/2}); OUE: p = 1/2, q = 1/(e^ε+1)); it reduces to the linear
 // x_hat = B y when q = 0. Because N enters the decode, the server must track
-// report counts alongside aggregates — EpochSnapshot::count and
-// PlanServer::num_reports() carry exactly that, and an affine ReportDecoder
-// consumes it (estimation/decoder.h).
+// report counts alongside aggregates — EpochSnapshot::count carries exactly
+// that, and an affine ReportDecoder consumes it (estimation/decoder.h).
 //
 // api/plan.h is the front door over this whole pipeline: Plan::For(workload)
 // .Epsilon(eps).Mechanism(name).Build() performs step 1 and hands out
-// Client() (step 2) and Server()/StartSession() (steps 3-4) for any
-// registered mechanism. The types below remain the low-level serial
-// reference those handles are tested against.
+// Client() (step 2) and StartSession() (steps 3-4) for any registered
+// mechanism.
 //
 // For experiments, SimulateResponseHistogram draws the aggregate directly:
 // users of one type are exchangeable, so their response counts are a
 // multinomial draw — equivalent in distribution to looping over users, but
-// O(n * m) instead of O(N).
+// O(n * m) instead of O(N). SimulateResponseHistogramPerUser is that loop,
+// kept as the reference the fast path is tested against.
 //
 // Wire format (wire/wire_format.h). When steps 2-4 span processes — devices
 // reporting over a network, collector nodes shipping sealed epochs to a
@@ -106,32 +104,12 @@
 #ifndef WFM_LDP_PROTOCOL_H_
 #define WFM_LDP_PROTOCOL_H_
 
-#include <cstdint>
-#include <span>
-
 #include "core/factorization.h"
 #include "ldp/local_randomizer.h"
 #include "linalg/matrix.h"
 #include "linalg/rng.h"
 
 namespace wfm {
-
-/// Streaming collector for randomized responses (single-threaded reference;
-/// collect/ShardedAggregator is the concurrent equivalent).
-class ResponseAggregator {
- public:
-  explicit ResponseAggregator(int num_outputs);
-
-  void Add(int response);
-  /// Records every response in the batch; equivalent to repeated Add().
-  void AddBatch(std::span<const int> responses);
-  const Vector& histogram() const { return histogram_; }
-  std::int64_t num_responses() const { return count_; }
-
- private:
-  Vector histogram_;
-  std::int64_t count_ = 0;
-};
 
 /// Draws the response histogram y = M_Q(x) exactly, one multinomial per user
 /// type. Entries of x must be non-negative integers (counts).

@@ -134,47 +134,34 @@ class Reporter {
   virtual Report Respond(int user_type, Rng& rng) const = 0;
 };
 
-/// Categorical reporter over a column-stochastic strategy matrix; draws
-/// exactly like LocalRandomizer::Respond (same RNG consumption), so a
-/// Reporter-based pipeline is bit-identical to manual wiring.
+/// Categorical reporter for a strategy Q = ⊗ Q_i of k >= 1 column-stochastic
+/// factors; k = 1 is a plain strategy matrix. The columns of ⊗ Q_i are the
+/// ⊗ of factor columns, so sampling the composed channel is sampling each
+/// factor independently. The user type decomposes mixed-radix into
+/// per-factor types (factor 0 most significant, matching linalg/kron.h) and
+/// the output index is the same flattening of the factor outputs — a report
+/// costs k small alias-table draws, never touching the Π m_i x Π n_i
+/// product. Factors are drawn in index order, so k = 1 draws exactly like
+/// LocalRandomizer::Respond (same RNG consumption) and a Reporter-based
+/// pipeline is bit-identical to manual wiring.
 class StrategyReporter final : public Reporter {
- public:
-  explicit StrategyReporter(const Matrix& q) : randomizer_(q) {}
-
-  int num_outputs() const override { return randomizer_.num_outputs(); }
-  int num_types() const override { return randomizer_.num_types(); }
-  bool dense_reports() const override { return false; }
-  Report Respond(int user_type, Rng& rng) const override;
-
-  const LocalRandomizer& randomizer() const { return randomizer_; }
-
- private:
-  LocalRandomizer randomizer_;
-};
-
-/// Categorical reporter for a Kronecker-factored strategy Q = ⊗ Q_i: the
-/// columns of ⊗ Q_i are the ⊗ of factor columns, so sampling the composed
-/// channel is sampling each factor independently. The user type decomposes
-/// mixed-radix into per-factor types (factor 0 most significant, matching
-/// linalg/kron.h) and the output index is the same flattening of the factor
-/// outputs — a composed report costs k small alias-table draws, never
-/// touching the Π m_i x Π n_i product.
-class FactoredStrategyReporter final : public Reporter {
  public:
   /// `factors` are the per-factor strategies Q_i; the composed output
   /// alphabet Π m_i must fit an int.
-  explicit FactoredStrategyReporter(const std::vector<Matrix>& factors);
+  explicit StrategyReporter(const std::vector<Matrix>& factors);
 
   int num_outputs() const override { return m_; }
   int num_types() const override { return n_; }
   bool dense_reports() const override { return false; }
   Report Respond(int user_type, Rng& rng) const override;
 
-  int num_factors() const { return static_cast<int>(randomizers_.size()); }
-  const LocalRandomizer& randomizer(int i) const { return randomizers_[i]; }
-
  private:
+  /// Respond's output index for k >= 2 factors.
+  int RespondFactored(int user_type, Rng& rng) const;
+
   std::vector<LocalRandomizer> randomizers_;
+  /// strides_[i] = Π_{j > i} n_j, the place value of factor i's type digit.
+  std::vector<int> strides_;
   int n_ = 1;
   int m_ = 1;
 };

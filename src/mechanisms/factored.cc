@@ -99,7 +99,7 @@ StatusOr<Deployment> FactoredStrategyMechanism::Deploy(
     b_factors.push_back(fa.factor_analysis(i).ReconstructionB());
   }
   return Deployment{
-      std::make_shared<FactoredStrategyReporter>(strategy_.factors),
+      std::make_shared<StrategyReporter>(strategy_.factors),
       ReportDecoder(std::move(b_factors), workload), std::move(profile)};
 }
 

@@ -96,8 +96,9 @@ StatusOr<Deployment> StrategyMechanism::Deploy(
   ErrorProfile profile;
   profile.phi = fa.PerUserVariance();
   profile.num_queries = workload.p;
-  return Deployment{std::make_shared<StrategyReporter>(q_),
-                    ReportDecoder::FromAnalysis(fa), std::move(profile)};
+  return Deployment{
+      std::make_shared<StrategyReporter>(std::vector<Matrix>{q_}),
+      ReportDecoder::FromAnalysis(fa), std::move(profile)};
 }
 
 FactorizationAnalysis StrategyMechanism::AnalyzeFactorization(

@@ -103,8 +103,8 @@ class StrategyMechanism : public Mechanism {
   StatusOr<ErrorProfile> TryAnalyze(const WorkloadStats& workload) const override;
 
   /// Deployable on any workload in the strategy's row space: the client is a
-  /// LocalRandomizer-backed StrategyReporter, the server decodes through the
-  /// Theorem 3.10 reconstruction.
+  /// one-factor StrategyReporter, the server decodes through the Theorem
+  /// 3.10 reconstruction.
   StatusOr<Deployment> Deploy(const WorkloadStats& workload) const override;
 
   /// Full factorization analysis (reconstruction matrix, residuals, ...).

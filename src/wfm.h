@@ -55,7 +55,7 @@
 #include "core/strategy.h"
 #include "core/strategy_io.h"
 
-// ldp: client-side randomizers, reporters, and the collection protocol.
+// ldp: client-side randomizers, reporters, and protocol simulation.
 #include "ldp/local_randomizer.h"
 #include "ldp/protocol.h"
 #include "ldp/reporter.h"
@@ -86,7 +86,7 @@
 
 // api: the deployable front door. Most consumers only need
 //   Plan::For(workload).Epsilon(eps).Mechanism(name).Build()
-// and the Client()/Server()/StartSession() handles it returns.
+// and the Client()/StartSession() handles it returns.
 #include "api/plan.h"
 
 // wire: serialized report/snapshot/estimate encodings, durable epoch

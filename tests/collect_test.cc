@@ -3,8 +3,8 @@
 // ingestion keeps running, window sums, and estimate-cache invalidation.
 //
 // The core invariant pinned down here: for the same report stream,
-// ShardedAggregator::Merge() is bit-identical to serial ResponseAggregator
-// aggregation — counts are integers, so no shard assignment, batch split, or
+// ShardedAggregator::Merge() is bit-identical to a plain serial count of
+// the stream — counts are integers, so no shard assignment, batch split, or
 // thread interleaving can change the merged histogram. Threaded tests run
 // with >= 4 ingest threads and are exercised under TSan in CI.
 
@@ -25,7 +25,7 @@
 #include "collect/estimate_server.h"
 #include "collect/sharded_aggregator.h"
 #include "estimation/estimator.h"
-#include "ldp/protocol.h"
+#include "ldp/local_randomizer.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
 #include "workload/histogram.h"
@@ -36,18 +36,24 @@ namespace {
 
 constexpr int kIngestThreads = 4;  // Acceptance: >= 4 threads under TSan.
 
-// Deterministic pseudo-report stream over an alphabet of size m.
-std::vector<int> MakeReports(int m, int count, std::uint64_t seed) {
+Report CategoricalReport(int index) {
+  Report r;
+  r.index = index;
+  return r;
+}
+
+// Deterministic categorical pseudo-report stream over an alphabet of size m.
+std::vector<Report> MakeReports(int m, int count, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<int> reports(count);
-  for (int& r : reports) r = rng.UniformInt(m);
+  std::vector<Report> reports(count);
+  for (Report& r : reports) r.index = rng.UniformInt(m);
   return reports;
 }
 
-Vector SerialHistogram(int m, const std::vector<int>& reports) {
-  ResponseAggregator serial(m);
-  serial.AddBatch(reports);
-  return serial.histogram();
+Vector SerialHistogram(int m, const std::vector<Report>& reports) {
+  Vector histogram(m, 0.0);
+  for (const Report& r : reports) histogram[r.index] += 1.0;
+  return histogram;
 }
 
 Report DenseReport(Vector v) {
@@ -75,14 +81,21 @@ std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
 // helper threads are alive).
 TEST(CollectDeathTest, RejectsOutOfRangeResponses) {
   ShardedAggregator agg(/*num_outputs=*/3, /*num_shards=*/2);
-  EXPECT_DEATH(agg.Add(0, 3), "response out of range");
-  EXPECT_DEATH(agg.Add(1, -1), "response out of range");
+  EXPECT_DEATH(agg.Accept(0, CategoricalReport(3)), "response out of range");
+  EXPECT_DEATH(agg.Accept(1, CategoricalReport(-1)), "response out of range");
+  // Both counting routines check: the direct adds of a small batch and the
+  // scratch histogram from kScatterThreshold = 16 up.
+  std::vector<Report> batch = MakeReports(3, 16, /*seed=*/40);
+  batch[9].index = 3;
+  EXPECT_DEATH(agg.AcceptBatch(0, batch), "response out of range");
+  batch.resize(15);
+  EXPECT_DEATH(agg.AcceptBatch(0, batch), "response out of range");
 }
 
 TEST(CollectDeathTest, RejectsBadShardIds) {
   ShardedAggregator agg(/*num_outputs=*/3, /*num_shards=*/2);
-  EXPECT_DEATH(agg.Add(2, 0), "shard id out of range");
-  EXPECT_DEATH(agg.Add(-1, 0), "shard id out of range");
+  EXPECT_DEATH(agg.Accept(2, CategoricalReport(0)), "shard id out of range");
+  EXPECT_DEATH(agg.Accept(-1, CategoricalReport(0)), "shard id out of range");
 }
 
 TEST(CollectDeathTest, RejectsReportKindMismatches) {
@@ -92,7 +105,7 @@ TEST(CollectDeathTest, RejectsReportKindMismatches) {
 
   ShardedAggregator dense(/*num_outputs=*/3, /*num_shards=*/1,
                           ReportKind::kDense);
-  EXPECT_DEATH(dense.Add(0, 1), "dense");
+  EXPECT_DEATH(dense.Accept(0, CategoricalReport(1)), "dense");
   EXPECT_DEATH(dense.Accept(0, DenseReport({1.0})), "WFM_CHECK");
 }
 
@@ -112,7 +125,7 @@ TEST(EstimateServerTest, ServingRequiresASealedEpoch) {
 
 TEST(ShardedAggregatorTest, MergeMatchesSerialAggregation) {
   const int m = 32;
-  const std::vector<int> reports = MakeReports(m, 100000, /*seed=*/41);
+  const std::vector<Report> reports = MakeReports(m, 100000, /*seed=*/41);
 
   ShardedAggregator sharded(m, /*num_shards=*/8);
   // Round-robin batches of uneven sizes across shards.
@@ -121,7 +134,7 @@ TEST(ShardedAggregatorTest, MergeMatchesSerialAggregation) {
   std::size_t batch = 1;
   while (pos < reports.size()) {
     const std::size_t len = std::min(batch, reports.size() - pos);
-    sharded.AddBatch(shard, std::span<const int>(&reports[pos], len));
+    sharded.AcceptBatch(shard, std::span<const Report>(&reports[pos], len));
     pos += len;
     shard = (shard + 1) % sharded.num_shards();
     batch = batch % 997 + 13;
@@ -133,7 +146,7 @@ TEST(ShardedAggregatorTest, MergeMatchesSerialAggregation) {
 
 TEST(ShardedAggregatorTest, ConcurrentMergeIsExactAndDeterministic) {
   const int m = 16;
-  const std::vector<int> reports = MakeReports(m, 200000, /*seed=*/42);
+  const std::vector<Report> reports = MakeReports(m, 200000, /*seed=*/42);
   const Vector expected = SerialHistogram(m, reports);
 
   for (int round = 0; round < 3; ++round) {  // Determinism across rounds.
@@ -147,7 +160,7 @@ TEST(ShardedAggregatorTest, ConcurrentMergeIsExactAndDeterministic) {
         const std::size_t end = reports.size() * (t + 1) / kIngestThreads;
         for (std::size_t pos = begin; pos < end; pos += 1024) {
           const std::size_t len = std::min<std::size_t>(1024, end - pos);
-          sharded.AddBatch(t, std::span<const int>(&reports[pos], len));
+          sharded.AcceptBatch(t, std::span<const Report>(&reports[pos], len));
         }
       });
     }
@@ -162,14 +175,15 @@ TEST(ShardedAggregatorTest, ManyThreadsMayShareOneShard) {
   // The one-shard-per-worker layout is a performance choice, not a safety
   // requirement: shards are internally atomic.
   const int m = 8;
-  const std::vector<int> reports = MakeReports(m, 80000, /*seed=*/43);
+  const std::vector<Report> reports = MakeReports(m, 80000, /*seed=*/43);
   ShardedAggregator sharded(m, /*num_shards=*/1);
   std::vector<std::thread> threads;
   for (int t = 0; t < kIngestThreads; ++t) {
     threads.emplace_back([&, t] {
       const std::size_t begin = reports.size() * t / kIngestThreads;
       const std::size_t end = reports.size() * (t + 1) / kIngestThreads;
-      sharded.AddBatch(0, std::span<const int>(&reports[begin], end - begin));
+      sharded.AcceptBatch(
+          0, std::span<const Report>(&reports[begin], end - begin));
     });
   }
   for (std::thread& t : threads) t.join();
@@ -230,7 +244,7 @@ TEST(CollectionSessionTest, SealUnderConcurrentIngestionConservesReports) {
   auto session = MakeSession(n, kIngestThreads);
   const int m = session->num_outputs();
 
-  std::vector<std::vector<int>> streams;
+  std::vector<std::vector<Report>> streams;
   for (int t = 0; t < kIngestThreads; ++t) {
     streams.push_back(MakeReports(m, 60000, /*seed=*/100 + t));
   }
@@ -239,10 +253,10 @@ TEST(CollectionSessionTest, SealUnderConcurrentIngestionConservesReports) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kIngestThreads; ++t) {
     threads.emplace_back([&, t] {
-      const std::vector<int>& stream = streams[t];
+      const std::vector<Report>& stream = streams[t];
       for (std::size_t pos = 0; pos < stream.size(); pos += 512) {
         const std::size_t len = std::min<std::size_t>(512, stream.size() - pos);
-        session->Accept(t, std::span<const int>(&stream[pos], len));
+        session->AcceptBatch(t, std::span<const Report>(&stream[pos], len));
       }
       threads_done.fetch_add(1);
     });
@@ -258,7 +272,7 @@ TEST(CollectionSessionTest, SealUnderConcurrentIngestionConservesReports) {
   for (std::thread& t : threads) t.join();
   session->Seal();  // Flush whatever the last mid-flight seal missed.
 
-  std::vector<int> all_reports;
+  std::vector<Report> all_reports;
   for (const auto& stream : streams) {
     all_reports.insert(all_reports.end(), stream.begin(), stream.end());
   }
@@ -288,7 +302,7 @@ TEST(CollectionSessionTest, WindowTotalSumsTheLastKEpochs) {
 
   // Epoch e ingests exactly e+1 reports of type e (m = n for RR).
   for (int e = 0; e < 3; ++e) {
-    for (int j = 0; j <= e; ++j) session->Accept(j % 2, e);
+    for (int j = 0; j <= e; ++j) session->Accept(j % 2, CategoricalReport(e));
     const EpochSnapshot sealed = session->Seal();
     EXPECT_EQ(sealed.epoch_id, e);
     EXPECT_EQ(sealed.count, e + 1);
@@ -317,8 +331,8 @@ TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
       FactorizationAnalysis(q, WorkloadStats::From(*workload)));
   CollectionSession session(decoder, workload, /*num_shards=*/2);
 
-  const std::vector<int> reports = MakeReports(n, 20000, /*seed=*/77);
-  session.Accept(0, std::span<const int>(reports.data(), reports.size()));
+  const std::vector<Report> reports = MakeReports(n, 20000, /*seed=*/77);
+  session.AcceptBatch(0, reports);
   session.Seal();
 
   EstimateServer server(&session);
@@ -336,8 +350,8 @@ TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
 TEST(EstimateServerTest, CachesPerEpochAndInvalidatesOnSeal) {
   auto session = MakeSession(/*n=*/6, /*num_shards=*/2);
   const int m = session->num_outputs();
-  const std::vector<int> first = MakeReports(m, 5000, /*seed=*/51);
-  session->Accept(0, std::span<const int>(first.data(), first.size()));
+  const std::vector<Report> first = MakeReports(m, 5000, /*seed=*/51);
+  session->AcceptBatch(0, first);
   session->Seal();
 
   EstimateServer server(session.get());
@@ -354,8 +368,8 @@ TEST(EstimateServerTest, CachesPerEpochAndInvalidatesOnSeal) {
   EXPECT_EQ(server.num_solves(), 3);
 
   // Sealing a new epoch invalidates everything cached for the old one.
-  const std::vector<int> second = MakeReports(m, 5000, /*seed=*/52);
-  session->Accept(1, std::span<const int>(second.data(), second.size()));
+  const std::vector<Report> second = MakeReports(m, 5000, /*seed=*/52);
+  session->AcceptBatch(1, second);
   session->Seal();
   const WorkloadEstimate c = server.Serve(EstimatorKind::kUnbiased).value();
   EXPECT_EQ(server.num_solves(), 4) << "stale cache served after a new seal";
@@ -372,8 +386,8 @@ TEST(EstimateServerTest, CachesPerEpochAndInvalidatesOnSeal) {
 TEST(EstimateServerTest, ConcurrentServesAreConsistent) {
   auto session = MakeSession(/*n=*/6, /*num_shards=*/2);
   const int m = session->num_outputs();
-  const std::vector<int> reports = MakeReports(m, 10000, /*seed=*/53);
-  session->Accept(0, std::span<const int>(reports.data(), reports.size()));
+  const std::vector<Report> reports = MakeReports(m, 10000, /*seed=*/53);
+  session->AcceptBatch(0, reports);
   session->Seal();
 
   EstimateServer server(session.get());
@@ -399,7 +413,7 @@ TEST(EstimateServerTest, ConcurrentServesAreConsistent) {
 TEST(CollectDeathTest, RejectsBitVectorKindMismatchesAndCorruptBits) {
   ShardedAggregator bits(/*num_outputs=*/3, /*num_shards=*/1,
                          ReportKind::kBitVector);
-  EXPECT_DEATH(bits.Add(0, 1), "bit-vector");
+  EXPECT_DEATH(bits.Accept(0, CategoricalReport(1)), "bit-vector");
   EXPECT_DEATH(bits.Accept(0, DenseReport({1.0, 0.0, 0.5})), "bit-vector");
 
   ShardedAggregator categorical(/*num_outputs=*/3, /*num_shards=*/1);
@@ -544,8 +558,8 @@ TEST(EstimateServerTest, AffineDecodeUsesPerEpochReportCounts) {
 
 TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
   // Full-stack equivalence: randomize real users, feed the identical report
-  // stream through the serial reference aggregator and a concurrent session,
-  // and require identical histograms (hence identical estimates).
+  // stream through a serial count and a concurrent session, and require
+  // identical histograms (hence identical estimates).
   const int n = 5;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
@@ -553,10 +567,10 @@ TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
 
   Rng rng(2026);
   const Vector truth{400, 100, 250, 50, 200};
-  std::vector<int> reports;
+  std::vector<Report> reports;
   for (int u = 0; u < n; ++u) {
     for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-      reports.push_back(randomizer.Respond(u, rng));
+      reports.push_back(CategoricalReport(randomizer.Respond(u, rng)));
     }
   }
 
@@ -568,7 +582,8 @@ TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
     threads.emplace_back([&, t] {
       const std::size_t begin = reports.size() * t / kIngestThreads;
       const std::size_t end = reports.size() * (t + 1) / kIngestThreads;
-      session.Accept(t, std::span<const int>(&reports[begin], end - begin));
+      session.AcceptBatch(
+          t, std::span<const Report>(&reports[begin], end - begin));
     });
   }
   for (std::thread& t : threads) t.join();
@@ -727,7 +742,7 @@ TEST(SnapshotRestoreTest, TrySnapshotIsNotFoundUntilSealed) {
   const auto missing = session->TrySnapshot(0);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-  session->Accept(0, 1);
+  session->Accept(0, CategoricalReport(1));
   session->Seal();
   const auto found = session->TrySnapshot(0);
   ASSERT_TRUE(found.ok());
@@ -738,11 +753,13 @@ TEST(SnapshotRestoreTest, TrySnapshotIsNotFoundUntilSealed) {
 
 TEST(SnapshotRestoreTest, RestoredEpochsCountLikeLocallySealedOnes) {
   auto source = MakeSession(/*n=*/4, /*num_shards=*/1);
-  source->Accept(0, std::vector<int>{0, 1, 1, 2});
+  source->AcceptBatch(0, std::vector<Report>{
+                               CategoricalReport(0), CategoricalReport(1),
+                               CategoricalReport(1), CategoricalReport(2)});
   const EpochSnapshot sealed = source->Seal();
 
   auto target = MakeSession(/*n=*/4, /*num_shards=*/1);
-  target->Accept(0, 3);
+  target->Accept(0, CategoricalReport(3));
   target->Seal();
   const StatusOr<int> restored = target->RestoreSealedEpoch(sealed);
   ASSERT_TRUE(restored.ok());

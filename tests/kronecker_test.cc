@@ -366,7 +366,7 @@ TEST(FactoredReporterTest, RespondMatchesComposedStrategyColumn) {
   const FactoredOptimizerResult result =
       OptimizeFactoredStrategy(stats, 1.0, config);
 
-  const FactoredStrategyReporter reporter(result.strategy.factors);
+  const StrategyReporter reporter(result.strategy.factors);
   std::vector<const Matrix*> q_factors;
   for (const Matrix& q : result.strategy.factors) q_factors.push_back(&q);
   const Matrix q_dense = KroneckerProductAll(q_factors);
@@ -424,15 +424,17 @@ TEST(StructuredPlanTest, MillionDomainDeploysAndDecodes) {
   // at smaller structured sizes elsewhere.
   PlanClient client = plan.value().Client();
   EXPECT_EQ(client.num_types(), 1000000);
-  PlanServer server = plan.value().Server();
+  std::unique_ptr<PlanSession> server = plan.value().StartSession(1);
   Rng rng(123);
   const std::vector<int> types{0, 999999, 123456, 500000};
   for (int r = 0; r < 400; ++r) {
     const Status accepted =
-        server.Accept(client.Respond(types[r % types.size()], rng));
+        server->Accept(0, client.Respond(types[r % types.size()], rng));
     ASSERT_TRUE(accepted.ok()) << accepted.ToString();
   }
-  const WorkloadEstimate estimate = server.Estimate(EstimatorKind::kUnbiased);
+  server->Seal();
+  const WorkloadEstimate estimate =
+      server->Estimate(EstimatorKind::kUnbiased).value();
   EXPECT_EQ(estimate.data_vector.size(), 1000000u);
   EXPECT_EQ(estimate.query_answers.size(),
             static_cast<std::size_t>(workload->num_queries()));
@@ -502,7 +504,7 @@ TEST(StructuredPlanTest, SmallStructuredDomainDecodesWithWnnls) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
   PlanClient client = plan.value().Client();
-  PlanServer server = plan.value().Server();
+  std::unique_ptr<PlanSession> server = plan.value().StartSession(1);
   Rng rng(321);
   const int num_users = 40000;
   for (int r = 0; r < num_users; ++r) {
@@ -510,9 +512,11 @@ TEST(StructuredPlanTest, SmallStructuredDomainDecodesWithWnnls) {
     const int type = rng.Bernoulli(0.7)
                          ? 100
                          : rng.UniformInt(workload->domain_size());
-    ASSERT_TRUE(server.Accept(client.Respond(type, rng)).ok());
+    ASSERT_TRUE(server->Accept(0, client.Respond(type, rng)).ok());
   }
-  const WorkloadEstimate estimate = server.Estimate(EstimatorKind::kWnnls);
+  server->Seal();
+  const WorkloadEstimate estimate =
+      server->Estimate(EstimatorKind::kWnnls).value();
   ASSERT_EQ(estimate.data_vector.size(),
             static_cast<std::size_t>(workload->domain_size()));
   for (double v : estimate.data_vector) {

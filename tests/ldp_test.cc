@@ -1,4 +1,4 @@
-// Tests for the LDP runtime: local randomizers, aggregation, and the
+// Tests for the LDP runtime: local randomizers, reporters, and the
 // statistical agreement between simulation and the analytic variance
 // formulas (the key Monte-Carlo validation of Theorem 3.4).
 //
@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -43,43 +42,21 @@ TEST(LocalRandomizerTest, RespondsAccordingToColumn) {
   }
 }
 
-TEST(ResponseAggregatorTest, CountsResponses) {
-  ResponseAggregator agg(3);
-  agg.Add(0);
-  agg.Add(2);
-  agg.Add(2);
-  EXPECT_EQ(agg.histogram(), (Vector{1, 0, 2}));
-  EXPECT_EQ(agg.num_responses(), 3);
-}
-
-TEST(ResponseAggregatorDeathTest, RejectsOutOfRange) {
-  ResponseAggregator agg(3);
-  EXPECT_DEATH(agg.Add(3), "WFM_CHECK");
-  EXPECT_DEATH(agg.Add(-1), "WFM_CHECK");
-}
-
-TEST(ResponseAggregatorDeathTest, RejectsOutOfRangeWithinBatch) {
-  ResponseAggregator agg(3);
-  const std::vector<int> batch{0, 1, 3};
-  EXPECT_DEATH(agg.AddBatch(batch), "WFM_CHECK");
-  const std::vector<int> negative{2, -1};
-  EXPECT_DEATH(agg.AddBatch(negative), "WFM_CHECK");
-}
-
-TEST(ResponseAggregatorTest, AddBatchMatchesRepeatedAdd) {
-  Rng rng(138);
-  const int m = 7;
-  std::vector<int> responses(5000);
-  for (int& r : responses) r = rng.UniformInt(m);
-
-  ResponseAggregator one_by_one(m);
-  for (const int r : responses) one_by_one.Add(r);
-  ResponseAggregator batched(m);
-  batched.AddBatch(responses);
-  batched.AddBatch(std::span<const int>());  // Empty batch is a no-op.
-
-  EXPECT_EQ(batched.histogram(), one_by_one.histogram());
-  EXPECT_EQ(batched.num_responses(), one_by_one.num_responses());
+TEST(StrategyReporterDeathTest, OutOfRangeTypesAbortForAnyFactorCount) {
+  const Matrix q3 = RandomizedResponseMechanism::BuildStrategy(3, 1.0);
+  const Matrix q5 = RandomizedResponseMechanism::BuildStrategy(5, 1.0);
+  const StrategyReporter one(std::vector<Matrix>{q5});
+  const StrategyReporter two(std::vector<Matrix>{q3, q5});
+  ASSERT_EQ(two.num_types(), 15);
+  Rng rng(7);
+  for (const int type : {-1, -7, -100}) {
+    EXPECT_DEATH(one.Respond(type, rng), "WFM_CHECK") << type;
+    EXPECT_DEATH(two.Respond(type, rng), "WFM_CHECK") << type;
+  }
+  EXPECT_DEATH(one.Respond(5, rng), "WFM_CHECK");
+  for (const int type : {15, 16, 20, 1000}) {
+    EXPECT_DEATH(two.Respond(type, rng), "WFM_CHECK") << type;
+  }
 }
 
 TEST(ProtocolTest, HistogramPreservesUserCount) {

@@ -14,9 +14,9 @@
 //     within 5·√(E/T) (each answer's variance is bounded by the total E, so
 //     this band is ≥ 5 standard errors, conservative per coordinate);
 //   * collect parity — the pinned report stream of trial 0 must produce the
-//     same estimate through the sharded collect/ session as through the
-//     serial server (exact for integer aggregates, up to floating-point
-//     commutation for dense ones).
+//     same estimate through a two-shard session as through the one-shard
+//     session of the trial (exact for integer aggregates, up to
+//     floating-point commutation for dense ones).
 //
 // Every registry name must have a fixture below (enforced by
 // EveryRegistryMechanismHasAFixture), so registering a new mechanism without
@@ -149,15 +149,16 @@ TEST(MechanismConformanceTest, EmpiricalErrorMatchesAnalyzedVariance) {
     Vector trial0_answers;
     for (int trial = 0; trial < fx.trials; ++trial) {
       Rng rng(fx.seed * 7919 + static_cast<std::uint64_t>(trial));
-      PlanServer server = plan.Server();
+      std::unique_ptr<PlanSession> server = plan.StartSession(1);
       for (int u = 0; u < kDomain; ++u) {
         for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-          const Status accepted = server.Accept(client.Respond(u, rng));
+          const Status accepted = server->Accept(0, client.Respond(u, rng));
           ASSERT_TRUE(accepted.ok()) << accepted.ToString();
         }
       }
-      ASSERT_EQ(server.num_reports(), static_cast<std::int64_t>(fx.num_users));
-      const WorkloadEstimate est = server.Estimate(EstimatorKind::kUnbiased);
+      ASSERT_EQ(server->Seal().count, static_cast<std::int64_t>(fx.num_users));
+      const WorkloadEstimate est =
+          server->Estimate(EstimatorKind::kUnbiased).value();
       double sq = 0.0;
       for (int i = 0; i < num_queries; ++i) {
         const double answer = est.query_answers[i];
@@ -192,7 +193,7 @@ TEST(MechanismConformanceTest, EmpiricalErrorMatchesAnalyzedVariance) {
     }
 
     // Collect parity: replay trial 0's pinned report stream through a
-    // 2-shard session; the sealed estimate must match the serial server
+    // 2-shard session; the sealed estimate must match the one-shard one
     // (exactly for integer aggregates, up to fp commutation for dense).
     Rng replay(fx.seed * 7919);
     std::unique_ptr<PlanSession> session = plan.StartSession(/*num_shards=*/2);

@@ -1,9 +1,9 @@
 // Tests for the api/ Plan front door.
 //
 // The two acceptance properties pinned down here:
-//   1. Parity — the Plan path (Build -> Client -> Server/StartSession ->
+//   1. Parity — the Plan path (Build -> Client -> StartSession -> Seal ->
 //      Estimate) is *bit-identical* to the pre-redesign manual wiring
-//      (OptimizedMechanism + LocalRandomizer + ResponseAggregator +
+//      (OptimizedMechanism + LocalRandomizer + a response count +
 //      EstimateWorkloadAnswers) for a pinned RNG seed. The fluent API is a
 //      repackaging, not a reimplementation.
 //   2. Universality — every mechanism in the global registry (six Section
@@ -27,7 +27,6 @@
 #include "core/strategy.h"
 #include "estimation/estimator.h"
 #include "ldp/local_randomizer.h"
-#include "ldp/protocol.h"
 #include "linalg/rng.h"
 #include "mechanisms/optimized.h"
 #include "mechanisms/randomized_response.h"
@@ -67,24 +66,23 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
   auto workload = std::make_shared<HistogramWorkload>(n);
   const Vector truth = SkewedTruth(n, num_users);
 
-  // --- Manual path: exactly the pre-redesign quickstart wiring. -----------
+  // --- Manual path: the pre-redesign quickstart wiring. -------------------
   const WorkloadStats stats = WorkloadStats::From(*workload);
   const OptimizedMechanism mechanism(stats, eps, config);
   const FactorizationAnalysis analysis = mechanism.AnalyzeFactorization(stats);
   Rng manual_rng(2024);
   const LocalRandomizer randomizer(mechanism.strategy());
-  ResponseAggregator aggregator(randomizer.num_outputs());
+  Vector histogram(randomizer.num_outputs(), 0.0);
   for (int u = 0; u < n; ++u) {
     for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-      aggregator.Add(randomizer.Respond(u, manual_rng));
+      histogram[randomizer.Respond(u, manual_rng)] += 1.0;
     }
   }
   const ReportDecoder decoder = ReportDecoder::FromAnalysis(analysis);
   const WorkloadEstimate manual = EstimateWorkloadAnswers(
-      decoder, *workload, aggregator.histogram(), aggregator.num_responses(),
-      EstimatorKind::kWnnls);
+      decoder, *workload, histogram, num_users, EstimatorKind::kWnnls);
 
-  // --- Plan path, same pinned seeds. --------------------------------------
+  // --- Plan path, same pinned seeds: one round on a one-shard session. ----
   const StatusOr<Plan> built = Plan::For(workload)
                                    .Epsilon(eps)
                                    .Mechanism("Optimized")
@@ -95,28 +93,15 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
   EXPECT_EQ(plan.mechanism_name(), "Optimized");
 
   const PlanClient client = plan.Client();
-  PlanServer server = plan.Server();
+  std::unique_ptr<PlanSession> session = plan.StartSession(/*num_shards=*/1);
   Rng plan_rng(2024);
   for (int u = 0; u < n; ++u) {
     for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-      server.Accept(client.Respond(u, plan_rng));
-    }
-  }
-  EXPECT_EQ(server.aggregate(), aggregator.histogram());  // Bit-identical.
-  const WorkloadEstimate via_plan = server.Estimate(EstimatorKind::kWnnls);
-  EXPECT_EQ(via_plan.data_vector, manual.data_vector);
-  EXPECT_EQ(via_plan.query_answers, manual.query_answers);
-
-  // --- And through the concurrent session (single shard). -----------------
-  std::unique_ptr<PlanSession> session = plan.StartSession(/*num_shards=*/1);
-  Rng session_rng(2024);
-  for (int u = 0; u < n; ++u) {
-    for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
-      session->Accept(0, client.Respond(u, session_rng));
+      ASSERT_TRUE(session->Accept(0, client.Respond(u, plan_rng)).ok());
     }
   }
   const EpochSnapshot sealed = session->Seal();
-  EXPECT_EQ(sealed.histogram, aggregator.histogram());
+  EXPECT_EQ(sealed.histogram, histogram);  // Bit-identical.
   EXPECT_EQ(sealed.count, static_cast<std::int64_t>(num_users));
   const StatusOr<WorkloadEstimate> served =
       session->Estimate(EstimatorKind::kWnnls);
@@ -126,9 +111,8 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
 
   // The unbiased estimator kind agrees as well.
   const WorkloadEstimate manual_unbiased = EstimateWorkloadAnswers(
-      decoder, *workload, aggregator.histogram(), aggregator.num_responses(),
-      EstimatorKind::kUnbiased);
-  EXPECT_EQ(server.Estimate(EstimatorKind::kUnbiased).data_vector,
+      decoder, *workload, histogram, num_users, EstimatorKind::kUnbiased);
+  EXPECT_EQ(session->Estimate(EstimatorKind::kUnbiased).value().data_vector,
             manual_unbiased.data_vector);
 }
 
@@ -196,10 +180,10 @@ TEST(PlanDeployTest, EveryRegistryMechanismRunsEndToEnd) {
   }
 }
 
-TEST(PlanDeployTest, DenseMatrixMechanismReportsFlowThroughBothServers) {
-  // The additive-noise path: dense reports through the serial PlanServer and
-  // the sharded session must agree with each other when fed the identical
-  // report stream.
+TEST(PlanDeployTest, DenseMatrixMechanismReportsFlowThroughSessions) {
+  // The additive-noise path: a one-shard session adds dense reports in
+  // arrival order, so its aggregate is exactly the serial sum; a two-shard
+  // session agrees up to floating-point commutation across shards.
   const int n = 8;
   auto workload = std::make_shared<HistogramWorkload>(n);
   const StatusOr<Plan> built = Plan::For(workload)
@@ -211,33 +195,38 @@ TEST(PlanDeployTest, DenseMatrixMechanismReportsFlowThroughBothServers) {
   const PlanClient client = plan.Client();
   EXPECT_TRUE(client.dense_reports());
 
-  PlanServer server = plan.Server();
-  std::unique_ptr<PlanSession> session = plan.StartSession(/*num_shards=*/2);
+  std::unique_ptr<PlanSession> serial = plan.StartSession(/*num_shards=*/1);
+  std::unique_ptr<PlanSession> sharded = plan.StartSession(/*num_shards=*/2);
+  Vector sum(client.num_outputs(), 0.0);
   Rng rng(55);
   for (int i = 0; i < 500; ++i) {
     const Report report = client.Respond(i % n, rng);
     ASSERT_TRUE(report.is_dense());
     ASSERT_EQ(static_cast<int>(report.dense.size()), client.num_outputs());
-    server.Accept(report);
-    session->Accept(i % 2, report);
+    for (int o = 0; o < client.num_outputs(); ++o) sum[o] += report.dense[o];
+    ASSERT_TRUE(serial->Accept(0, report).ok());
+    ASSERT_TRUE(sharded->Accept(i % 2, report).ok());
   }
-  session->Seal();
-  const WorkloadEstimate serial = server.Estimate(EstimatorKind::kUnbiased);
-  const StatusOr<WorkloadEstimate> sharded =
-      session->Estimate(EstimatorKind::kUnbiased);
-  ASSERT_TRUE(sharded.ok());
-  ASSERT_EQ(serial.data_vector.size(), sharded.value().data_vector.size());
-  for (std::size_t i = 0; i < serial.data_vector.size(); ++i) {
+  EXPECT_EQ(serial->Seal().histogram, sum);  // Bit-identical.
+  sharded->Seal();
+  const StatusOr<WorkloadEstimate> one =
+      serial->Estimate(EstimatorKind::kUnbiased);
+  const StatusOr<WorkloadEstimate> two =
+      sharded->Estimate(EstimatorKind::kUnbiased);
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(two.ok());
+  ASSERT_EQ(one.value().data_vector.size(), two.value().data_vector.size());
+  for (std::size_t i = 0; i < one.value().data_vector.size(); ++i) {
     // Identical sums up to floating-point commutation across shards.
-    EXPECT_NEAR(serial.data_vector[i], sharded.value().data_vector[i], 1e-6);
+    EXPECT_NEAR(one.value().data_vector[i], two.value().data_vector[i], 1e-6);
   }
 }
 
-TEST(PlanDeployTest, BitVectorReportsFlowThroughBothServers) {
-  // The frequency-oracle path: RAPPOR's n-bit reports through the serial
-  // PlanServer and the sharded session must agree exactly (integer bit
-  // counts), and the unbiased decode must equal the hand-computed affine
-  // debias (y - N f)/(1 - 2f) of the same aggregate.
+TEST(PlanDeployTest, BitVectorReportsFlowThroughSessions) {
+  // The frequency-oracle path: RAPPOR's n-bit reports through a one-shard
+  // and a two-shard session must agree exactly (integer bit counts), and the
+  // unbiased decode must equal the hand-computed affine debias
+  // (y - N f)/(1 - 2f) of the same aggregate.
   const int n = 8;
   const double eps = 1.0;
   auto workload = std::make_shared<HistogramWorkload>(n);
@@ -250,38 +239,64 @@ TEST(PlanDeployTest, BitVectorReportsFlowThroughBothServers) {
   EXPECT_FALSE(client.dense_reports());
   EXPECT_EQ(client.num_outputs(), n);  // m == n for unary encodings.
 
-  PlanServer server = plan.Server();
-  std::unique_ptr<PlanSession> session = plan.StartSession(/*num_shards=*/2);
+  std::unique_ptr<PlanSession> serial = plan.StartSession(/*num_shards=*/1);
+  std::unique_ptr<PlanSession> sharded = plan.StartSession(/*num_shards=*/2);
+  Vector counts(n, 0.0);
   Rng rng(77);
   const int num_reports = 600;
   for (int i = 0; i < num_reports; ++i) {
     const Report report = client.Respond(i % n, rng);
     ASSERT_TRUE(report.is_bits());
     ASSERT_EQ(static_cast<int>(report.bits.size()), n);
-    ASSERT_TRUE(server.Accept(report).ok());
-    session->Accept(i % 2, report);
+    for (int o = 0; o < n; ++o) counts[o] += report.bits[o];
+    ASSERT_TRUE(serial->Accept(0, report).ok());
+    ASSERT_TRUE(sharded->Accept(i % 2, report).ok());
   }
-  EXPECT_EQ(server.num_reports(), num_reports);
-  const EpochSnapshot sealed = session->Seal();
-  EXPECT_EQ(sealed.count, num_reports);
-  EXPECT_EQ(sealed.histogram, server.aggregate());  // Integer counts: exact.
+  const EpochSnapshot one = serial->Seal();
+  const EpochSnapshot two = sharded->Seal();
+  EXPECT_EQ(one.count, num_reports);
+  EXPECT_EQ(two.count, num_reports);
+  EXPECT_EQ(one.histogram, counts);  // Integer counts: exact.
+  EXPECT_EQ(two.histogram, counts);
 
   // The decode is the textbook affine debias against the report count.
   const double f = 1.0 / (1.0 + std::exp(eps / 2.0));
-  const WorkloadEstimate serial = server.Estimate(EstimatorKind::kUnbiased);
-  const StatusOr<WorkloadEstimate> sharded =
-      session->Estimate(EstimatorKind::kUnbiased);
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_EQ(serial.data_vector, sharded.value().data_vector);
+  const StatusOr<WorkloadEstimate> decoded =
+      serial->Estimate(EstimatorKind::kUnbiased);
+  const StatusOr<WorkloadEstimate> sharded_decoded =
+      sharded->Estimate(EstimatorKind::kUnbiased);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(sharded_decoded.ok());
+  EXPECT_EQ(decoded.value().data_vector, sharded_decoded.value().data_vector);
   for (int u = 0; u < n; ++u) {
-    const double expected =
-        (server.aggregate()[u] - num_reports * f) / (1.0 - 2.0 * f);
-    EXPECT_NEAR(serial.data_vector[u], expected, 1e-9);
+    const double expected = (counts[u] - num_reports * f) / (1.0 - 2.0 * f);
+    EXPECT_NEAR(decoded.value().data_vector[u], expected, 1e-9);
   }
 }
 
-TEST(PlanServerTest, MalformedReportsAreInvalidArgumentNotFatal) {
-  // Reports arrive from untrusted devices: a dense report whose dimension
+// Feeds `bad` to `session` alone, as a batch of its own, and last in a batch
+// of well-formed reports long enough to take the scratch-count path; each
+// must be kInvalidArgument, and nothing — not even the valid reports beside
+// it — may be ingested.
+void ExpectRejected(PlanSession& session, const PlanClient& client,
+                    const Report& bad) {
+  EXPECT_EQ(session.Accept(0, bad).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.AcceptBatch(0, std::vector<Report>{bad}).code(),
+            StatusCode::kInvalidArgument);
+  Rng rng(4);
+  std::vector<Report> batch;
+  for (int i = 0; i < 20; ++i) {
+    batch.push_back(client.Respond(i % client.num_types(), rng));
+  }
+  batch.push_back(bad);
+  const Status rejected = session.AcceptBatch(0, batch);
+  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.message().find("report 20"), std::string::npos);
+  EXPECT_EQ(session.session().pending_responses(), 0);
+}
+
+TEST(PlanSessionTest, MalformedReportsAreInvalidArgumentNotFatal) {
+  // Reports arrive from untrusted devices: a report whose dimension
   // mismatches the deployed strategy (and any other corrupt shape) must
   // surface as kInvalidArgument and leave the aggregate untouched — a
   // regression test for the CHECK-abort this used to be.
@@ -294,90 +309,67 @@ TEST(PlanServerTest, MalformedReportsAreInvalidArgumentNotFatal) {
                                         .Mechanism("Matrix Mechanism (L1)")
                                         .Build();
   ASSERT_TRUE(dense_plan.ok()) << dense_plan.status().ToString();
-  PlanServer dense_server = dense_plan.value().Server();
+  const PlanClient dense_client = dense_plan.value().Client();
+  const int dense_m = dense_client.num_outputs();
+  std::unique_ptr<PlanSession> dense = dense_plan.value().StartSession(1);
   Report wrong_dim;
-  wrong_dim.dense = Vector(dense_plan.value().Client().num_outputs() + 3, 1.0);
-  const Status rejected = dense_server.Accept(wrong_dim);
-  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
+  wrong_dim.dense = Vector(dense_m + 3, 1.0);
+  ExpectRejected(*dense, dense_client, wrong_dim);
   // A non-finite entry would poison the aggregate (NaN forever after).
   Report poisoned;
-  poisoned.dense = Vector(dense_plan.value().Client().num_outputs(), 1.0);
+  poisoned.dense = Vector(dense_m, 1.0);
   poisoned.dense[2] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(dense_server.Accept(poisoned).code(),
-            StatusCode::kInvalidArgument);
+  ExpectRejected(*dense, dense_client, poisoned);
   poisoned.dense[2] = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(dense_server.Accept(poisoned).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(dense_server.num_reports(), 0);
-  EXPECT_EQ(dense_server.aggregate(),
-            Vector(dense_plan.value().Client().num_outputs(), 0.0));
+  ExpectRejected(*dense, dense_client, poisoned);
+  // A report whose *shape* mismatches the deployment is equally
+  // device-controlled: rejected, never forwarded to a kind-checking abort.
+  Report index_into_dense;
+  index_into_dense.index = 0;
+  ExpectRejected(*dense, dense_client, index_into_dense);
 
   // Categorical deployment: out-of-range index.
   const StatusOr<Plan> cat_plan =
       Plan::For(workload).Epsilon(1.0).Mechanism("Randomized Response").Build();
   ASSERT_TRUE(cat_plan.ok());
-  PlanServer cat_server = cat_plan.value().Server();
+  const PlanClient cat_client = cat_plan.value().Client();
+  std::unique_ptr<PlanSession> cat = cat_plan.value().StartSession(1);
   Report bad_index;
-  bad_index.index = cat_plan.value().Client().num_outputs();
-  EXPECT_EQ(cat_server.Accept(bad_index).code(),
-            StatusCode::kInvalidArgument);
+  bad_index.index = cat_client.num_outputs();
+  ExpectRejected(*cat, cat_client, bad_index);
   bad_index.index = -1;
-  EXPECT_EQ(cat_server.Accept(bad_index).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(cat_server.num_reports(), 0);
+  ExpectRejected(*cat, cat_client, bad_index);
 
   // Bit-vector deployment: too few and too many bits (a packed report
   // cannot hold a non-binary entry; its byte form aborts in collect_test).
   const StatusOr<Plan> bits_plan =
       Plan::For(workload).Epsilon(1.0).Mechanism("OUE").Build();
   ASSERT_TRUE(bits_plan.ok());
-  PlanServer bits_server = bits_plan.value().Server();
+  const PlanClient bits_client = bits_plan.value().Client();
+  std::unique_ptr<PlanSession> bits = bits_plan.value().StartSession(1);
   Report short_bits;
   short_bits.bits = PackedBits::Zeros(n - 1);
-  EXPECT_EQ(bits_server.Accept(short_bits).code(),
-            StatusCode::kInvalidArgument);
+  ExpectRejected(*bits, bits_client, short_bits);
   Report long_bits;
   long_bits.bits = PackedBits(std::vector<std::uint8_t>(n + 64, 1));
-  EXPECT_EQ(bits_server.Accept(long_bits).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(bits_server.num_reports(), 0);
-  EXPECT_EQ(bits_server.aggregate(), Vector(n, 0.0));
-
-  // A report whose *shape* mismatches the deployment is equally
-  // device-controlled: rejected, never forwarded to a kind-checking abort.
+  ExpectRejected(*bits, bits_client, long_bits);
   Report dense_into_bits;
   dense_into_bits.dense = Vector(n, 1.0);
-  EXPECT_EQ(bits_server.Accept(dense_into_bits).code(),
-            StatusCode::kInvalidArgument);
-  Report index_into_dense;
-  index_into_dense.index = 0;
-  EXPECT_EQ(dense_server.Accept(index_into_dense).code(),
-            StatusCode::kInvalidArgument);
+  ExpectRejected(*bits, bits_client, dense_into_bits);
 
-  // The concurrent session surface enforces the same contract.
-  std::unique_ptr<PlanSession> session = bits_plan.value().StartSession(1);
-  EXPECT_EQ(session->Accept(0, short_bits).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(session->Accept(0, long_bits).code(),
-            StatusCode::kInvalidArgument);
-  // A malformed report rejects its whole batch, the valid one beside it too.
-  Rng batch_rng(4);
-  const std::vector<Report> batch = {
-      bits_plan.value().Client().Respond(0, batch_rng), long_bits};
-  EXPECT_EQ(session->AcceptBatch(0, batch).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(session->Accept(0, dense_into_bits).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(session->session().total_responses(), 0);
+  // Every rejection left its session's epoch empty.
+  for (PlanSession* session : {dense.get(), cat.get(), bits.get()}) {
+    const EpochSnapshot sealed = session->Seal();
+    EXPECT_EQ(sealed.count, 0);
+    EXPECT_EQ(sealed.histogram,
+              Vector(session->session().num_outputs(), 0.0));
+  }
 
-  // A well-formed report still lands after rejections, on both surfaces.
+  // A well-formed report still lands after rejections.
   Rng rng(5);
-  ASSERT_TRUE(
-      bits_server.Accept(bits_plan.value().Client().Respond(0, rng)).ok());
-  EXPECT_EQ(bits_server.num_reports(), 1);
-  ASSERT_TRUE(
-      session->Accept(0, bits_plan.value().Client().Respond(0, rng)).ok());
-  EXPECT_EQ(session->session().total_responses(), 1);
+  ASSERT_TRUE(bits->Accept(0, bits_client.Respond(0, rng)).ok());
+  EXPECT_EQ(bits->session().pending_responses(), 1);
+  EXPECT_EQ(bits->session().total_responses(), 1);
 }
 
 TEST(PlanBuilderTest, UnknownMechanismIsNotFoundAndListsRegistry) {

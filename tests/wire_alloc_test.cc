@@ -11,7 +11,8 @@
 // each frame, or one frame of very many reports) leaves the server holding
 // at most about its retention budget plus one frame, and a frame above the
 // 4 MiB retention cap is not kept by either side's frame buffer. Counting
-// a bit-vector batch into a shard allocates nothing at all.
+// a bit-vector batch into a shard allocates nothing at all, and neither does
+// a device's categorical report under a Kronecker-factored strategy.
 //
 // The client and an in-process server share the counter. Every allocation
 // the server makes for a request happens before it writes the response, so
@@ -31,6 +32,7 @@
 #include "collect/sharded_aggregator.h"
 #include "ldp/reporter.h"
 #include "linalg/rng.h"
+#include "mechanisms/randomized_response.h"
 #include "wire/service.h"
 #include "workload/prefix.h"
 #include "counting_allocator.h"
@@ -133,6 +135,28 @@ TEST(WireAllocTest, BitCountingAllocatesNothingPerBatch) {
   for (int t = 0; t < 100; ++t) aggregator.AcceptBatch(t % 2, reports);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
   EXPECT_EQ(aggregator.num_responses(), 101 * 256);
+#endif
+}
+
+TEST(WireAllocTest, FactoredStrategyRespondAllocatesNothing) {
+#if !WFM_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  // Three factors: the user type splits into per-factor digits on the
+  // stack, so a categorical report costs no heap at all.
+  const StrategyReporter reporter(std::vector<Matrix>{
+      RandomizedResponseMechanism::BuildStrategy(4, 0.5),
+      RandomizedResponseMechanism::BuildStrategy(3, 0.3),
+      RandomizedResponseMechanism::BuildStrategy(5, 0.2)});
+  ASSERT_EQ(reporter.num_types(), 60);
+  Rng rng(87);
+  std::int64_t checksum = 0;
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 10000; ++i) {
+    checksum += reporter.Respond(i % reporter.num_types(), rng).index;
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_GT(checksum, 0);
 #endif
 }
 

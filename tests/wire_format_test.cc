@@ -659,11 +659,11 @@ TEST(MergeSnapshotsTest, MergeOfShardedEpochsMatchesSingleStreamExactly) {
   // same histogram and count one node ingesting everything produces.
   const int n = 12;
   Rng rng(41);
-  std::vector<int> stream(30000);
-  for (int& r : stream) r = rng.UniformInt(n);
+  std::vector<Report> stream(30000);
+  for (Report& r : stream) r.index = rng.UniformInt(n);
 
   auto single = MakeSession(n, /*num_shards=*/2);
-  single->Accept(0, std::span<const int>(stream.data(), stream.size()));
+  single->AcceptBatch(0, stream);
   const EpochSnapshot reference = single->Seal();
 
   std::vector<EpochSnapshot> parts;
@@ -673,7 +673,8 @@ TEST(MergeSnapshotsTest, MergeOfShardedEpochsMatchesSingleStreamExactly) {
     const std::size_t begin = node * per_node;
     const std::size_t len =
         node == 2 ? stream.size() - begin : per_node;
-    session->Accept(0, std::span<const int>(stream.data() + begin, len));
+    session->AcceptBatch(0,
+                         std::span<const Report>(stream.data() + begin, len));
     // Ship each node's snapshot through the wire encoding, as the service
     // endpoints would.
     const StatusOr<EpochSnapshot> shipped =
@@ -716,9 +717,9 @@ TEST(SnapshotStoreTest, KillAndRecoverServesIdenticalEstimates) {
     // "Process one": seal three epochs, persisting each, then die.
     auto session = MakeSession(n, /*num_shards=*/2);
     for (int epoch = 0; epoch < 3; ++epoch) {
-      std::vector<int> reports(4000);
-      for (int& r : reports) r = rng.UniformInt(n);
-      session->Accept(0, std::span<const int>(reports.data(), reports.size()));
+      std::vector<Report> reports(4000);
+      for (Report& r : reports) r.index = rng.UniformInt(n);
+      session->AcceptBatch(0, reports);
       ASSERT_TRUE(store.Append(session->Seal()).ok());
     }
     EstimateServer server(session.get());
