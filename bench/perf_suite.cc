@@ -2,8 +2,9 @@
 // factorization (tuned vs the retained reference), one objective+gradient
 // evaluation (at a large random-Gram shape and at the dense-prefix PGD
 // shape), one Algorithm 1 projection, a full Optimize() run, a WNNLS
-// decode, the encode and decode of one ingest batch body, and the envelope
-// CRC-32 and set-bit counting of bit-vector ingest, then writes
+// decode, the encode and decode of one ingest batch body, the envelope
+// CRC-32 and set-bit counting of bit-vector ingest, and one shard's
+// AcceptBatch of a categorical batch and Accept of one bit vector, then writes
 // the measurements to a JSON file so CI can accumulate a per-commit perf
 // trajectory.
 //
@@ -32,6 +33,7 @@
 
 #include "bench/bench_util.h"
 #include "collect/bit_counts.h"
+#include "collect/sharded_aggregator.h"
 #include "common/timer.h"
 #include "core/objective.h"
 #include "core/optimizer.h"
@@ -244,6 +246,29 @@ int main(int argc, char** argv) {
     sink += static_cast<double>(counts[0].load());
     record("bit_counts_ref", "256xbits512", t_count_ref, 0.0, 0.0);
     record("bit_counts", "256xbits512", t_count, 0.0, t_count_ref);
+
+    // Whole-shard ingest: AcceptBatch of the categorical batch over m = 256
+    // (dense-prefix) and over m = 2,097,152 (kron-32k), whose cost must not
+    // grow with m, and Accept of one 512-bit report, a kAccept frame.
+    for (const int m : {256, 2097152}) {
+      std::vector<wfm::Report> reports = categorical;
+      if (m != 256) {
+        for (wfm::Report& r : reports) r.index = report_rng.UniformInt(m);
+      }
+      wfm::ShardedAggregator aggregator(m, /*num_shards=*/1);
+      const double t_accept =
+          per_batch([&] { aggregator.AcceptBatch(0, reports); });
+      sink += static_cast<double>(aggregator.num_responses());
+      record("accept_batch", "256xcategorical" + std::to_string(m), t_accept,
+             0.0, 0.0);
+    }
+    wfm::ShardedAggregator bit_aggregator(512, /*num_shards=*/1,
+                                          wfm::ReportKind::kBitVector);
+    std::size_t next = 0;  // A new report each call, as on the wire.
+    const double t_accept_one = per_batch(
+        [&] { bit_aggregator.Accept(0, bits[next++ % bits.size()]); });
+    sink += static_cast<double>(bit_aggregator.num_responses());
+    record("accept", "1xbits512", t_accept_one, 0.0, 0.0);
   }
 
   // --- GEMM kernels vs the pre-PR reference --------------------------------

@@ -7,20 +7,22 @@
 // reconstruction runs). Reports are pre-randomized through the real
 // LocalRandomizer into Report objects, the shape the wire service decodes
 // every frame into, so the measured loop is exactly the server's ingest
-// path: shared-lock acquire, per-report shape and range checks, a scratch
-// histogram per batch, one relaxed add per touched counter. Every trial ends
-// with Seal() and a served estimate so the whole ingest -> seal -> answer
-// loop is exercised.
+// path: shared-lock acquire, the shard's writer lock, per-report shape and
+// range checks, and a plain load and store of the report's counter. Every
+// trial ends with Seal() and a served estimate so the whole ingest -> seal
+// -> answer loop is exercised.
 //
 // Defaults finish in a few seconds; scale with
 //   --reports=8000000 --threads=1,2,4,8 --batch=4096 --n=256 --trials=5
-// Shard count follows the thread count unless --shards is given.
+// Shard count follows the thread count in both tables unless --shards is
+// given; --shards=1 makes every thread share one shard.
 //
 // A second table covers bit-vector (RAPPOR/OUE) ingest of packed reports:
 // per-report Accept (a batch of one) against ShardedAggregator::AcceptBatch
-// (the whole batch counts eight bits at a time into private integers, then
-// one atomic add per touched counter) — the server-side half of the wire
-// format's packed reports. Disable with --bits=false.
+// (the whole batch counts a packed word column at a time into private
+// integers, then adds each to its counter under the shard's writer lock) —
+// the server-side half of the wire format's packed reports. Disable with
+// --bits=false.
 //
 // --out=path (default BENCH_throughput.json) writes every best-of-trials
 // rate as {"scenario", "reports_per_sec", "threads"} so CI can keep a
@@ -88,12 +90,13 @@ double RunTrial(const wfm::ReportDecoder& decoder,
 }
 
 // One timed bit-vector trial: T threads stream disjoint slices of
-// pre-built packed reports into a fresh aggregator, one Accept per report or
-// one AcceptBatch per `batch` reports. Returns reports/sec.
+// pre-built packed reports into a fresh aggregator of `shards` shards, one
+// Accept per report or one AcceptBatch per `batch` reports. Returns
+// reports/sec.
 double RunBitsTrial(const std::vector<wfm::Report>& reports, int m,
-                    int threads, int batch, bool batched) {
+                    int threads, int shards, int batch, bool batched) {
   const int total_reports = static_cast<int>(reports.size());
-  wfm::ShardedAggregator agg(m, threads, wfm::ReportKind::kBitVector);
+  wfm::ShardedAggregator agg(m, shards, wfm::ReportKind::kBitVector);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   wfm::Stopwatch timer;
@@ -101,12 +104,14 @@ double RunBitsTrial(const std::vector<wfm::Report>& reports, int m,
     workers.emplace_back([&, t] {
       const int begin = total_reports * t / threads;
       const int end = total_reports * (t + 1) / threads;
+      const int shard = t % shards;
       for (int pos = begin; pos < end; pos += batch) {
         const int k = std::min(batch, end - pos);
         if (batched) {
-          agg.AcceptBatch(t, std::span<const wfm::Report>(&reports[pos], k));
+          agg.AcceptBatch(shard,
+                          std::span<const wfm::Report>(&reports[pos], k));
         } else {
-          for (int i = 0; i < k; ++i) agg.Accept(t, reports[pos + i]);
+          for (int i = 0; i < k; ++i) agg.Accept(shard, reports[pos + i]);
         }
       }
     });
@@ -204,12 +209,12 @@ int main(int argc, char** argv) {
   table.Print();
 
   if (flags.GetBool("bits", true)) {
-    // Bit-vector ingest: per-report Accept vs the batched scratch-count
-    // path, at the same report volume over an m = n unary encoding.
+    // Bit-vector ingest: per-report Accept vs batched AcceptBatch, at the
+    // same report volume over an m = n unary encoding.
     const int bit_reports = std::max(1, num_reports / 8);
     wfm::bench::PrintHeader(
         "Bit-vector ingest: per-report Accept vs batched AcceptBatch",
-        "packed reports; one atomic per touched counter per call",
+        "packed reports; one plain add per counter per call",
         "m = " + std::to_string(n) + ", " + std::to_string(bit_reports) +
             " reports, batch " + std::to_string(batch) + ", best of " +
             std::to_string(trials));
@@ -221,22 +226,24 @@ int main(int argc, char** argv) {
       }
       report.bits = wfm::PackedBits(bytes);
     }
-    wfm::TablePrinter bits_table(
-        {"threads", "path", "reports/sec", "batched vs per-report"});
+    wfm::TablePrinter bits_table({"threads", "shards", "path", "reports/sec",
+                                  "batched vs per-report"});
     for (const int threads : thread_counts) {
+      const int shards = fixed_shards > 0 ? fixed_shards : threads;
       double per_report = 0.0, batched = 0.0;
       for (int trial = 0; trial < trials; ++trial) {
-        per_report = std::max(
-            per_report,
-            RunBitsTrial(bit_report_objects, n, threads, batch, false));
-        batched = std::max(
-            batched, RunBitsTrial(bit_report_objects, n, threads, batch, true));
+        per_report = std::max(per_report,
+                              RunBitsTrial(bit_report_objects, n, threads,
+                                           shards, batch, false));
+        batched = std::max(batched, RunBitsTrial(bit_report_objects, n,
+                                                 threads, shards, batch, true));
       }
       entries.push_back({"bits_per_report", per_report, threads});
       entries.push_back({"bits_batched", batched, threads});
-      bits_table.AddRow({std::to_string(threads), "per-report",
+      const std::string shard_col = std::to_string(shards);
+      bits_table.AddRow({std::to_string(threads), shard_col, "per-report",
                          wfm::TablePrinter::Num(per_report), "1.00x"});
-      bits_table.AddRow({std::to_string(threads), "batched",
+      bits_table.AddRow({std::to_string(threads), shard_col, "batched",
                          wfm::TablePrinter::Num(batched),
                          wfm::TablePrinter::Num(batched / per_report) + "x"});
     }

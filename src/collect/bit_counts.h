@@ -5,9 +5,10 @@
 // Counting runs one packed 64-bit word column at a time: for word w, a
 // kernel counts bit j of word w over up to 255 reports into 64 byte-wide
 // counters, one per coordinate 64w + j. Add() drains those into 64 int64
-// sums after every 255 reports and then makes one relaxed atomic add per
-// non-zero sum, so a batch needs no scratch memory beyond a fixed 576 bytes
-// of stack, whatever its length or m.
+// sums after every 255 reports and then adds every sum to its counter with
+// a plain load and store (the caller is the counters' only writer), so a
+// batch needs no scratch memory beyond a fixed 576 bytes of stack, whatever
+// its length or m.
 //
 //   * Portable: kSpread[b] holds bit j of byte b in byte j, so adding it to
 //     a 64-bit lane bumps the eight byte counters of one packed byte at
@@ -65,9 +66,11 @@ const Kernel& Active();
 void SetActiveForTesting(const Kernel* kernel);
 
 /// Adds to counts[o], for every o in [0, counts.size()), the number of
-/// `reports` whose bit o is set, with one relaxed atomic add per non-zero
-/// count. Every report must be a bit vector of dimension counts.size()
-/// (aborts otherwise). Allocates nothing.
+/// `reports` whose bit o is set, with a relaxed load and store per counter.
+/// The caller must be the only thread storing to `counts` for the call
+/// (ShardedAggregator holds the shard's writer lock); other threads may load
+/// them meanwhile. Every report must be a bit vector of dimension
+/// counts.size() (aborts otherwise). Allocates nothing.
 void Add(const Kernel& kernel, std::span<const Report> reports,
          std::span<std::atomic<std::int64_t>> counts);
 

@@ -7,13 +7,13 @@
 namespace wfm {
 namespace {
 
-/// Relaxed atomic add for doubles via compare-exchange (portable across
-/// compilers that lack lock-free fetch_add on floating point).
-void AtomicAdd(std::atomic<double>& target, double value) {
-  double current = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(current, current + value,
-                                       std::memory_order_relaxed)) {
-  }
+/// target += value for the holder of the shard's writer lock: a plain load
+/// and store, since no other thread stores to `target` meanwhile. Readers
+/// load the old or the new value, never a torn one.
+template <typename T>
+void WriterAdd(std::atomic<T>& target, T value) {
+  target.store(target.load(std::memory_order_relaxed) + value,
+               std::memory_order_relaxed);
 }
 
 // Telemetry mirrors of the per-shard totals, routed to the obs stripe
@@ -73,37 +73,23 @@ const ShardedAggregator::Shard& ShardedAggregator::GetShard(int shard) const {
 void ShardedAggregator::AcceptBatch(int shard,
                                     std::span<const Report> reports) {
   Shard& s = GetShard(shard);
+  // Each kind takes the writer lock only where it starts to store into the
+  // shard; dense sums its batch before that, outside the lock.
+  std::unique_lock<std::mutex> writer(s.writer, std::defer_lock);
   switch (kind_) {
-    case ReportKind::kCategorical: {
-      const auto index = [this](const Report& report) {
+    case ReportKind::kCategorical:
+      writer.lock();
+      for (const Report& report : reports) {
         WFM_CHECK(!report.is_bits() && !report.is_dense())
             << "non-categorical report in a categorical batch";
         WFM_CHECK(report.index >= 0 && report.index < num_outputs_)
             << "response out of range:" << report.index
             << "for m =" << num_outputs_;
-        return report.index;
-      };
-      // Below this size the scratch histogram costs more than it saves.
-      constexpr std::size_t kScatterThreshold = 16;
-      if (reports.size() < kScatterThreshold) {
-        for (const Report& report : reports) {
-          s.counts[index(report)].fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      }
-      // Accumulate the batch into private scratch counts first, so the
-      // atomic traffic is one add per touched output rather than one per
-      // report.
-      std::vector<std::int64_t> local(num_outputs_, 0);
-      for (const Report& report : reports) ++local[index(report)];
-      for (int o = 0; o < num_outputs_; ++o) {
-        if (local[o] != 0) {
-          s.counts[o].fetch_add(local[o], std::memory_order_relaxed);
-        }
+        WriterAdd(s.counts[report.index], std::int64_t{1});
       }
       break;
-    }
     case ReportKind::kBitVector:
+      writer.lock();
       bit_counts::Add(bit_counts::Active(), reports, s.counts);
       break;
     case ReportKind::kDense: {
@@ -113,14 +99,13 @@ void ShardedAggregator::AcceptBatch(int shard,
         WFM_CHECK_EQ(static_cast<int>(report.dense.size()), num_outputs_);
         for (int o = 0; o < num_outputs_; ++o) local[o] += report.dense[o];
       }
-      for (int o = 0; o < num_outputs_; ++o) {
-        if (local[o] != 0.0) AtomicAdd(s.dense[o], local[o]);
-      }
+      writer.lock();
+      for (int o = 0; o < num_outputs_; ++o) WriterAdd(s.dense[o], local[o]);
       break;
     }
   }
-  s.total.fetch_add(static_cast<std::int64_t>(reports.size()),
-                    std::memory_order_relaxed);
+  WriterAdd(s.total, static_cast<std::int64_t>(reports.size()));
+  writer.unlock();
   IngestReports().AddAt(shard, static_cast<std::int64_t>(reports.size()));
   IngestBatches().AddAt(shard, 1);
 }

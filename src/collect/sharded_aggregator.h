@@ -3,22 +3,25 @@
 //
 // Aggregating reports is embarrassingly parallel — the server only ever
 // needs the m-dimensional sum y, and addition commutes — so the aggregator
-// is an array of fixed-size shards, one per ingest worker. Workers bump
-// per-shard counters (relaxed atomics, cache-line padded so shards never
-// share a line); AcceptBatch first accumulates a batch into private scratch
-// counts so the atomic traffic is one add per touched counter per batch,
-// not one per report. Accept() is a batch of one. The server folds shards
-// together with an O(shards x m) Merge() when it wants the aggregate.
+// is an array of fixed-size shards, one per ingest worker (cache-line
+// padded so shards never share a line). Each shard has one writer at a
+// time: AcceptBatch holds the shard's `writer` mutex while it stores a
+// batch into the shard, so a counter update is a plain load and store, not
+// a locked read-modify-write. Any number of threads may still share a
+// shard; their batches take turns. The counters stay std::atomic, so
+// Merge() and num_responses() read them without the lock while ingest
+// runs. Accept() is a batch of one. The server folds shards together with
+// an O(shards x m) Merge() when it wants the aggregate.
 //
 // Three report kinds cover every deployable mechanism (ldp/reporter.h),
 // with one counting routine each:
-//   * kCategorical — strategy mechanisms; a batch counts response indices,
-//     with one atomic add per report below kScatterThreshold and a scratch
-//     histogram from there up. Counts are kept as integers, so Merge() over
-//     a quiescent aggregator is *exactly* the histogram of the report
-//     stream, independent of batch split, shard assignment and thread
-//     interleaving (integer sums are associative; doubles represent them
-//     exactly below 2^53).
+//   * kCategorical — strategy mechanisms; each report adds 1 to its
+//     response's counter, so a batch costs O(batch) at any m and allocates
+//     nothing. Counts are kept as integers, so Merge() over a quiescent
+//     aggregator is *exactly* the histogram of the report stream,
+//     independent of batch split, shard assignment and thread interleaving
+//     (integer sums are associative; doubles represent them exactly below
+//     2^53).
 //   * kBitVector — unary-encoding frequency oracles (RAPPOR, OUE); a batch
 //     counts the set bits of each packed n-bit report per coordinate, one
 //     packed 64-bit word column at a time into 64 byte-wide counters that
@@ -30,13 +33,15 @@
 //     carries over; one report bumps up to m counters but the report total
 //     by exactly one (the count feeds the affine debias x̂ = (y − Nq)/(p−q)).
 //   * kDense — additive mechanisms (distributed Matrix Mechanism); a batch
-//     sums real m-vector reports into scratch, then lands with atomic
-//     compare-exchange adds. Still linear and thread-safe, but
-//     floating-point addition is not associative, so Merge() is
-//     deterministic only up to rounding under concurrent ingestion (exact
-//     for integer-valued reports).
+//     sums real m-vector reports into a batch-local vector before it takes
+//     the writer lock, then adds that vector to the shard. Still linear and
+//     thread-safe, but floating-point addition is not associative, so
+//     Merge() is deterministic only up to rounding under concurrent
+//     ingestion (exact for integer-valued reports).
 // Merge() while ingestion is still running is safe but only guaranteed to
-// see a subset of the in-flight increments.
+// see a subset of the in-flight increments; the integer counters and the
+// report totals it reads never decrease (dense sums may, since dense
+// reports can be negative).
 
 #ifndef WFM_COLLECT_SHARDED_AGGREGATOR_H_
 #define WFM_COLLECT_SHARDED_AGGREGATOR_H_
@@ -44,6 +49,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -79,11 +85,11 @@ class ShardedAggregator {
     AcceptBatch(shard, std::span<const Report>(&report, 1));
   }
 
-  /// Records a batch of reports on the given shard; thread-safe. Every
-  /// report's shape must match kind(); a mismatch aborts, as do
-  /// out-of-range entries and shard ids: this layer ingests pre-validated
-  /// streams, the api/ and wire/ layers reject untrusted malformed reports
-  /// with Status first.
+  /// Records a batch of reports on the given shard; thread-safe (holds the
+  /// shard's writer lock while it stores the batch). Every report's shape
+  /// must match kind(); a mismatch aborts, as do out-of-range entries and
+  /// shard ids: this layer ingests pre-validated streams, the api/ and wire/
+  /// layers reject untrusted malformed reports with Status first.
   void AcceptBatch(int shard, std::span<const Report> reports);
 
   /// Folds all shards into one aggregate, O(num_shards x num_outputs).
@@ -95,15 +101,18 @@ class ShardedAggregator {
   std::int64_t num_responses() const;
 
  private:
-  // One worker's partial aggregate. alignas keeps the hot `total` counters
-  // of different shards on different cache lines; the count arrays live in
-  // separate heap blocks and do not interfere. Exactly one of
+  // One worker's partial aggregate. alignas keeps the hot `writer` and
+  // `total` of different shards on different cache lines; the count arrays
+  // live in separate heap blocks and do not interfere. Exactly one of
   // `counts`/`dense` is populated, per the aggregator's ReportKind (the
   // integer `counts` serve both the categorical and bit-vector kinds).
+  // Only a holder of `writer` stores to `counts`, `dense` and `total`;
+  // anyone may load them.
   struct alignas(64) Shard {
     Shard(int num_outputs, ReportKind kind)
         : counts(kind != ReportKind::kDense ? num_outputs : 0),
           dense(kind == ReportKind::kDense ? num_outputs : 0) {}
+    std::mutex writer;
     std::vector<std::atomic<std::int64_t>> counts;
     std::vector<std::atomic<double>> dense;
     std::atomic<std::int64_t> total{0};
@@ -114,7 +123,7 @@ class ShardedAggregator {
 
   int num_outputs_;
   ReportKind kind_;
-  std::vector<std::unique_ptr<Shard>> shards_;  // Shard is immovable (atomics).
+  std::vector<std::unique_ptr<Shard>> shards_;  // Shard is immovable.
 };
 
 }  // namespace wfm

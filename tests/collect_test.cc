@@ -83,8 +83,7 @@ TEST(CollectDeathTest, RejectsOutOfRangeResponses) {
   ShardedAggregator agg(/*num_outputs=*/3, /*num_shards=*/2);
   EXPECT_DEATH(agg.Accept(0, CategoricalReport(3)), "response out of range");
   EXPECT_DEATH(agg.Accept(1, CategoricalReport(-1)), "response out of range");
-  // Both counting routines check: the direct adds of a small batch and the
-  // scratch histogram from kScatterThreshold = 16 up.
+  // Every report of a batch is checked, whatever the batch length.
   std::vector<Report> batch = MakeReports(3, 16, /*seed=*/40);
   batch[9].index = 3;
   EXPECT_DEATH(agg.AcceptBatch(0, batch), "response out of range");
@@ -173,21 +172,75 @@ TEST(ShardedAggregatorTest, ConcurrentMergeIsExactAndDeterministic) {
 
 TEST(ShardedAggregatorTest, ManyThreadsMayShareOneShard) {
   // The one-shard-per-worker layout is a performance choice, not a safety
-  // requirement: shards are internally atomic.
+  // requirement: writers to one shard take turns on its writer lock, and a
+  // reader merges without the lock while they run. Every report adds a
+  // non-negative amount, so nothing the reader sees may ever fall, and the
+  // totals are exact once the writers stop.
   const int m = 8;
-  const std::vector<Report> reports = MakeReports(m, 80000, /*seed=*/43);
-  ShardedAggregator sharded(m, /*num_shards=*/1);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kIngestThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const std::size_t begin = reports.size() * t / kIngestThreads;
-      const std::size_t end = reports.size() * (t + 1) / kIngestThreads;
-      sharded.AcceptBatch(
-          0, std::span<const Report>(&reports[begin], end - begin));
+  const int num_reports = 40000;
+  Rng rng(43);
+  for (const ReportKind kind :
+       {ReportKind::kCategorical, ReportKind::kBitVector, ReportKind::kDense}) {
+    std::vector<Report> reports(num_reports);
+    Vector expected(m, 0.0);
+    for (Report& r : reports) {
+      if (kind == ReportKind::kCategorical) {
+        r.index = rng.UniformInt(m);
+        expected[r.index] += 1.0;
+      } else if (kind == ReportKind::kBitVector) {
+        std::vector<std::uint8_t> bytes(m);
+        for (int o = 0; o < m; ++o) {
+          bytes[o] = static_cast<std::uint8_t>(rng.UniformInt(2));
+          expected[o] += bytes[o];
+        }
+        r.bits = PackedBits(bytes);
+      } else {
+        r.dense.resize(m);
+        for (int o = 0; o < m; ++o) {
+          r.dense[o] = rng.UniformInt(4);
+          expected[o] += r.dense[o];
+        }
+      }
+    }
+
+    ShardedAggregator sharded(m, /*num_shards=*/1, kind);
+    std::atomic<int> writers_left{kIngestThreads};
+    bool monotone = true;
+    int reads = 0;
+    std::thread reader([&] {
+      Vector last(m, 0.0);
+      std::int64_t last_total = 0;
+      bool writing = true;
+      while (writing) {
+        writing = writers_left.load(std::memory_order_acquire) > 0;
+        const std::int64_t total = sharded.num_responses();
+        const Vector y = sharded.Merge();
+        monotone = monotone && total >= last_total;
+        for (int o = 0; o < m; ++o) monotone = monotone && y[o] >= last[o];
+        last = y;
+        last_total = total;
+        ++reads;
+      }
     });
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kIngestThreads; ++t) {
+      writers.emplace_back([&, t] {
+        const std::size_t begin = reports.size() * t / kIngestThreads;
+        const std::size_t end = reports.size() * (t + 1) / kIngestThreads;
+        for (std::size_t pos = begin; pos < end; pos += 64) {
+          const std::size_t len = std::min<std::size_t>(64, end - pos);
+          sharded.AcceptBatch(0, std::span<const Report>(&reports[pos], len));
+        }
+        writers_left.fetch_sub(1, std::memory_order_release);
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    reader.join();
+    EXPECT_TRUE(monotone) << KindName(kind);
+    EXPECT_GE(reads, 1);
+    EXPECT_EQ(sharded.Merge(), expected) << KindName(kind);
+    EXPECT_EQ(sharded.num_responses(), num_reports);
   }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(sharded.Merge(), SerialHistogram(m, reports));
 }
 
 TEST(ShardedAggregatorTest, DenseMergeSumsReportsCoordinatewise) {
@@ -695,6 +748,34 @@ TEST(UnifiedIngestTest, AcceptBatchMatchesPerReportAcceptForEveryKind) {
       }
     }
   }
+}
+
+TEST(UnifiedIngestTest, CategoricalBatchesMatchPerReportAcceptAtLargeM) {
+  // kron-32k's response alphabet, m = 128^3: each report adds 1 to its own
+  // counter, so a batch of any length lands exactly what per-report Accept
+  // lands. Every batch repeats an index and touches both ends of the range.
+  const int m = 2097152;
+  ShardedAggregator one_by_one(m, /*num_shards=*/2);
+  ShardedAggregator batched(m, /*num_shards=*/2);
+  std::int64_t accepted = 0;
+  std::uint64_t seed = 82;
+  for (const int k : {1, 15, 16, 17, 256}) {
+    std::vector<Report> reports = MakeReports(m, k, seed++);
+    reports.front().index = m - 1;
+    if (k > 2) {
+      reports[1].index = 0;
+      reports.back().index = reports[k / 2].index;
+    }
+    for (const Report& r : reports) one_by_one.Accept(0, r);
+    batched.AcceptBatch(1, reports);
+    accepted += k;
+    ASSERT_EQ(batched.Merge(), one_by_one.Merge()) << "k " << k;
+    EXPECT_EQ(batched.num_responses(), accepted);
+    EXPECT_EQ(one_by_one.num_responses(), accepted);
+  }
+  const Vector merged = batched.Merge();
+  EXPECT_EQ(merged[m - 1], 5.0);
+  EXPECT_EQ(merged[0], 4.0);
 }
 
 TEST(UnifiedIngestTest, ConcurrentAcceptBatchConservesEveryReport) {

@@ -3,16 +3,17 @@
 // few batches, CollectionClient::AcceptBatch builds each frame in the
 // client's reused request buffer and the server decodes it into the
 // connection's reused reports, so a batch costs a small constant number of
-// allocations (the one-byte ack, the dedup window's entry, a categorical
-// batch's scratch counts), not one or more per report.
+// allocations (the one-byte ack and the dedup window's entry), not one or
+// more per report.
 //
 // It also bounds what a connection keeps between batches: a client that
 // shapes its batches to pin decoded storage (a large report in a new slot
 // each frame, or one frame of very many reports) leaves the server holding
 // at most about its retention budget plus one frame, and a frame above the
 // 4 MiB retention cap is not kept by either side's frame buffer. Counting
-// a bit-vector batch into a shard allocates nothing at all, and neither does
-// a device's categorical report under a Kronecker-factored strategy.
+// a bit-vector or categorical batch into a shard allocates nothing at all,
+// and neither does a device's categorical report under a Kronecker-factored
+// strategy.
 //
 // The client and an in-process server share the counter. Every allocation
 // the server makes for a request happens before it writes the response, so
@@ -41,12 +42,13 @@ namespace wfm {
 namespace {
 
 #if WFM_COUNTING_ALLOCATOR
-// A small constant: the path makes 3 (bit vectors) or 4 (categorical) per
-// batch. One buffer per report on either side (an encode buffer on the
-// client, a PackedBits on the server) would make at least 256 per batch of
-// 256. The server also releases a connection's decoded reports after every
-// 4 MiB of frames (about 190 batches of 256 512-bit reports) and then
-// allocates their words once more; the 105 batches here stay under that.
+// A small constant: the path makes 3 per batch, for bit vectors and
+// categorical reports alike. One buffer per report on either side (an
+// encode buffer on the client, a PackedBits on the server) would make at
+// least 256 per batch of 256. The server also releases a connection's
+// decoded reports after every 4 MiB of frames (about 190 batches of 256
+// 512-bit reports) and then allocates their words once more; the 105
+// batches here stay under that.
 constexpr double kMaxAllocationsPerBatch = 8.0;
 
 double AllocationsPerBatch(const Plan& plan, int batch_size) {
@@ -130,6 +132,27 @@ TEST(WireAllocTest, BitCountingAllocatesNothingPerBatch) {
     reports.push_back(rappor.Respond(rng.UniformInt(512), rng));
   }
   ShardedAggregator aggregator(512, /*num_shards=*/2, ReportKind::kBitVector);
+  aggregator.AcceptBatch(0, reports);  // resolves the ingest metrics once
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int t = 0; t < 100; ++t) aggregator.AcceptBatch(t % 2, reports);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(aggregator.num_responses(), 101 * 256);
+#endif
+}
+
+TEST(WireAllocTest, CategoricalCountingAllocatesNothingPerBatch) {
+#if !WFM_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  // 256 categorical reports over kron-32k's m = 2,097,152 responses: each
+  // report adds 1 to its own counter, with no m-long scratch histogram per
+  // batch. So a categorical batch makes one allocation fewer end to end
+  // than it did with that scratch, the same 3 as a bit-vector batch.
+  const int m = 2097152;
+  Rng rng(87);
+  std::vector<Report> reports(256);
+  for (Report& r : reports) r.index = rng.UniformInt(m);
+  ShardedAggregator aggregator(m, /*num_shards=*/2);
   aggregator.AcceptBatch(0, reports);  // resolves the ingest metrics once
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int t = 0; t < 100; ++t) aggregator.AcceptBatch(t % 2, reports);
