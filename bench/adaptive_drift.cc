@@ -76,7 +76,7 @@ double ShareMse(const wfm::WorkloadEstimate& estimate, std::int64_t count,
 double ExpectedShareMse(const wfm::Matrix& q, const wfm::WorkloadStats& stats,
                         const wfm::Vector& truth, int devices, int queries) {
   const wfm::FactorizationAnalysis analysis(q, stats);
-  return analysis.DataVariance(truth) /
+  return analysis.Profile().DataVariance(truth) /
          (static_cast<double>(devices) * queries);
 }
 

@@ -28,7 +28,7 @@
 #include "common/timer.h"
 #include "core/factored.h"
 #include "core/factorization.h"
-#include "mechanisms/factored.h"
+#include "mechanisms/mechanism.h"
 #include "mechanisms/optimized.h"
 #include "mechanisms/registry.h"
 #include "workload/kronecker.h"
@@ -92,8 +92,8 @@ int RunStructured(wfm::FlagParser& flags, bool full, double eps) {
         wfm::OptimizeFactoredStrategy(stats, eps, config);
     const double opt_seconds = opt_timer.ElapsedSeconds();
 
-    const wfm::FactoredStrategyMechanism mechanism(std::move(result.strategy),
-                                                   stats.n, eps);
+    const wfm::FixedStrategyMechanism mechanism(std::move(result.strategy),
+                                                stats.n, eps, "Optimized");
     wfm::Stopwatch analyze_timer;
     const wfm::ErrorProfile profile = mechanism.Analyze(stats);
     const double analyze_seconds = analyze_timer.ElapsedSeconds();

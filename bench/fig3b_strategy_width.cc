@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
         const wfm::OptimizerResult res =
             wfm::OptimizeStrategy(stats.gram, eps, config);
         const wfm::FactorizationAnalysis fa(res.q, stats);
-        const double v = fa.WorstCaseVariance(1.0);
+        const double v = fa.Profile().WorstUnitVariance();
         variances[mi].push_back(v);
         best = std::min(best, v);
       }

@@ -47,14 +47,16 @@ int main(int argc, char** argv) {
     const wfm::OptimizedMechanism mech(stats, eps,
                                        wfm::bench::BenchOptimizerConfig(flags));
     const wfm::ReportDecoder decoder =
-        wfm::ReportDecoder::FromAnalysis(mech.AnalyzeFactorization(stats));
+        wfm::ReportDecoder::FromAnalysis(
+            wfm::FactorizationAnalysis(mech.strategy().factors[0], stats));
     const wfm::Vector truth = workload->Apply(data.histogram);
 
     wfm::Rng rng(77);
     double err_default = 0.0, err_wnnls = 0.0;
     for (int t = 0; t < trials; ++t) {
       const wfm::Vector y =
-          wfm::SimulateResponseHistogram(mech.strategy(), data.histogram, rng);
+          wfm::SimulateResponseHistogram(mech.strategy().factors[0],
+                                         data.histogram, rng);
       const auto unbiased = wfm::EstimateWorkloadAnswers(
           decoder, *workload, y, num_users, wfm::EstimatorKind::kUnbiased);
       const auto consistent = wfm::EstimateWorkloadAnswers(

@@ -47,7 +47,8 @@ int main(int argc, char** argv) {
     const wfm::FactorizationAnalysis fa(q, histogram);
     table.AddRow({name, std::to_string(q.rows()), v.valid ? "yes" : "NO",
                   wfm::TablePrinter::Num(v.min_epsilon),
-                  wfm::TablePrinter::Num(fa.SampleComplexity(wfm::bench::kAlpha))});
+                  wfm::TablePrinter::Num(
+                      fa.Profile().SampleComplexity(wfm::bench::kAlpha))});
   };
 
   add("Randomized Response", wfm::RandomizedResponseMechanism::BuildStrategy(n, eps));
@@ -70,13 +71,14 @@ int main(int argc, char** argv) {
     const double analytic =
         wfm::RandomizedResponseMechanism::HistogramVarianceClosedForm(n, eps, 1000);
     std::printf("  Example 3.7 RR variance (N=1000): closed form %.4f vs "
-                "computed %.4f\n", analytic, fa.WorstCaseVariance(1000));
+                "computed %.4f\n", analytic,
+                1000 * fa.Profile().WorstUnitVariance());
     const double sc_analytic =
         wfm::RandomizedResponseMechanism::HistogramSampleComplexityClosedForm(
             n, eps, wfm::bench::kAlpha);
     std::printf("  Example 5.5 RR sample complexity: closed form %.4f vs "
                 "computed %.4f\n", sc_analytic,
-                fa.SampleComplexity(wfm::bench::kAlpha));
+                fa.Profile().SampleComplexity(wfm::bench::kAlpha));
   }
   {
     const wfm::RapporMechanism rappor(n, eps);
@@ -86,7 +88,7 @@ int main(int argc, char** argv) {
         wfm::RapporMechanism::BuildExplicitStrategy(n, eps), histogram);
     std::printf("  RAPPOR: closed-form decoder %.4f vs optimal-V analysis of "
                 "the explicit strategy %.4f (optimal V can only be better)\n",
-                closed, fa.SampleComplexity(wfm::bench::kAlpha));
+                closed, fa.Profile().SampleComplexity(wfm::bench::kAlpha));
   }
   return 0;
 }

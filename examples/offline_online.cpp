@@ -47,7 +47,7 @@ int RunOffline(const std::string& path, double eps) {
       dynamic_cast<const wfm::StrategyMechanism*>(&plan.mechanism());
 
   wfm::SavedStrategy saved;
-  saved.q = strategy_mechanism->strategy();
+  saved.q = strategy_mechanism->strategy().factors[0];
   saved.epsilon = eps;
   saved.workload_name = "Prefix";
   const wfm::Status status = wfm::SaveStrategy(path, saved);

@@ -136,10 +136,11 @@ StatusOr<EpochDecision> AdaptiveController::OnEpochSealed() {
   // variance on the *real* workload at the estimated data vector (the
   // optimizer minimized the population-weighted objective, which tracks it
   // but is not identical once the projection constraints bind).
-  const FactorizationAnalysis incumbent_analysis(incumbent.value().q, stats);
-  const FactorizationAnalysis candidate_analysis(result.q, stats);
-  decision.incumbent_variance = incumbent_analysis.DataVariance(x);
-  decision.candidate_variance = candidate_analysis.DataVariance(x);
+  decision.incumbent_variance = FactorizationAnalysis(incumbent.value().q, stats)
+                                    .Profile()
+                                    .DataVariance(x);
+  decision.candidate_variance =
+      FactorizationAnalysis(result.q, stats).Profile().DataVariance(x);
   if (decision.candidate_variance >= decision.incumbent_variance) {
     return decision;
   }

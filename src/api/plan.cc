@@ -86,8 +86,9 @@ ReportKind Plan::report_kind() const {
 const Matrix* Plan::DeployedStrategy() const {
   const auto* strategy_mechanism =
       dynamic_cast<const StrategyMechanism*>(mechanism_.get());
-  return strategy_mechanism != nullptr ? &strategy_mechanism->strategy()
-                                       : nullptr;
+  if (strategy_mechanism == nullptr) return nullptr;
+  const FactoredStrategy& strategy = strategy_mechanism->strategy();
+  return strategy.factors.size() == 1 ? &strategy.factors[0] : nullptr;
 }
 
 std::unique_ptr<PlanSession> Plan::StartSession(int num_shards) const {
@@ -153,10 +154,11 @@ StatusOr<int> PlanSession::RollStrategy(Matrix q) {
         "-LDP strategy:" + validation.ToString());
   }
   const FactorizationAnalysis analysis(q, stats_);
-  // Mirrors the mechanism layer's deployability bar (mechanism.cc): a large
-  // Gram-side residual means the workload left the strategy's row space and
-  // every decode under it would be biased.
-  if (analysis.FactorizationResidual() >= 1e-5) {
+  // The mechanism layer's deployability bar: a large Gram-side residual
+  // means the workload left the strategy's row space and every decode under
+  // it would be biased.
+  if (analysis.FactorizationResidual() >=
+      FactorizationAnalysis::kResidualTolerance) {
     return Status::FailedPrecondition(
         "workload is outside the rolled strategy's row space "
         "(factorization residual " +
@@ -235,8 +237,8 @@ StatusOr<Plan> PlanBuilder::Build() const {
           "Strategy() matrix is not a valid " + std::to_string(epsilon_) +
           "-LDP strategy:" + validation.ToString());
     }
-    mechanism = std::make_shared<FixedStrategyMechanism>(fixed_strategy_,
-                                                         stats.n, epsilon_);
+    mechanism = std::make_shared<FixedStrategyMechanism>(
+        FactoredStrategy{{fixed_strategy_}, {epsilon_}}, stats.n, epsilon_);
   } else if (auto_select_) {
     StatusOr<MechanismRegistry::AutoSelection> selected =
         registry.AutoSelectMechanism(stats, epsilon_, options_);

@@ -225,7 +225,9 @@ class Plan {
 
   /// The deployed strategy matrix Q, or nullptr when the resolved mechanism
   /// is not strategy-based (RAPPOR/OUE frequency oracles, additive-noise
-  /// mechanisms). Sessions of strategy-based plans support RollStrategy.
+  /// mechanisms) or its strategy has k > 1 Kronecker factors (the factored
+  /// "Optimized" path past the dense ceiling). Sessions of plans with a
+  /// dense strategy support RollStrategy.
   const Matrix* DeployedStrategy() const;
 
   PlanClient Client() const { return PlanClient(deployment_.reporter); }

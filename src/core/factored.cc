@@ -122,18 +122,20 @@ FactoredOptimizerResult OptimizeFactoredStrategy(
   return result;
 }
 
-FactoredAnalysis::FactoredAnalysis(const FactoredStrategy& strategy,
-                                   const WorkloadStats& workload) {
-  WFM_CHECK(workload.factored())
-      << "FactoredAnalysis needs Kronecker-structured stats for"
-      << workload.name;
-  WFM_CHECK_EQ(strategy.factors.size(), workload.factors.size())
-      << "strategy/workload factor count mismatch";
-  analyses_.reserve(strategy.factors.size());
-  for (std::size_t i = 0; i < strategy.factors.size(); ++i) {
-    analyses_.emplace_back(strategy.factors[i], workload.factors[i]);
+FactoredAnalysis::FactoredAnalysis(FactoredStrategy strategy,
+                                   const WorkloadStats& workload)
+    : num_queries_(workload.p) {
+  const std::size_t k = strategy.factors.size();
+  WFM_CHECK_GE(k, 1u);
+  if (k > 1) {
+    WFM_CHECK_EQ(workload.factors.size(), k)
+        << "strategy/workload factor count mismatch for" << workload.name;
+  }
+  analyses_.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    analyses_.emplace_back(std::move(strategy.factors[i]),
+                           k == 1 ? workload : workload.factors[i]);
     const FactorizationAnalysis& a = analyses_.back();
-    n_ = CheckedMulNonNegative(n_, a.n());
     m_ = CheckedMulNonNegative(m_, a.m());
     objective_ *= a.Objective();
     residual_ = std::max(residual_, a.FactorizationResidual());
@@ -149,7 +151,7 @@ std::vector<const Matrix*> FactoredAnalysis::ReconstructionFactors() const {
   return out;
 }
 
-Vector FactoredAnalysis::PerUserVariance() const {
+ErrorProfile FactoredAnalysis::Profile() const {
   // phi does NOT factor, but its two Theorem 3.4 terms do:
   // phi_u = Π t_i[u_i] − Π psi_i[u_i]. Fold both products outward.
   Vector t = analyses_[0].PerUserSecondMoment();
@@ -158,11 +160,11 @@ Vector FactoredAnalysis::PerUserVariance() const {
     t = OuterExpand(t, analyses_[i].PerUserSecondMoment());
     psi = OuterExpand(psi, analyses_[i].PerUserMeanEnergy());
   }
-  Vector phi(t.size());
+  ErrorProfile profile{Vector(t.size()), num_queries_};
   for (std::size_t u = 0; u < t.size(); ++u) {
-    phi[u] = std::max(0.0, t[u] - psi[u]);
+    profile.phi[u] = std::max(0.0, t[u] - psi[u]);
   }
-  return phi;
+  return profile;
 }
 
 }  // namespace wfm

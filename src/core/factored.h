@@ -74,20 +74,22 @@ FactoredOptimizerResult OptimizeFactoredStrategy(
     const WorkloadStats& workload, double eps,
     const FactoredOptimizerConfig& config = {});
 
-/// Factor-wise mirror of FactorizationAnalysis: runs the dense analysis on
-/// each (Q_i, W_i) pair and combines per the product laws above. Nothing of
-/// composed size is built except the O(n) per-user variance vector.
+/// The product-law analysis of a strategy with k >= 1 factors, and the one
+/// analysis strategy mechanisms run. With one factor it analyses
+/// (Q_0, workload) whole, so a Kronecker workload that still has a dense Gram
+/// works too; with k > 1 it runs FactorizationAnalysis on each
+/// (Q_i, workload.factors[i]) pair and combines the results per the product
+/// laws above. Nothing of composed size is built except the O(n) per-user
+/// variance vector. For k = 1 the folds are 1.0·L, max(0, r) and
+/// max(0, t − psi): FactorizationAnalysis's objective, residual and phi,
+/// bit for bit.
 class FactoredAnalysis {
  public:
-  FactoredAnalysis(const FactoredStrategy& strategy,
-                   const WorkloadStats& workload);
+  /// k > 1 needs Kronecker stats with one factor per strategy factor, in
+  /// order, and matching factor domains (checked).
+  FactoredAnalysis(FactoredStrategy strategy, const WorkloadStats& workload);
 
-  std::int64_t n() const { return n_; }
   std::int64_t m() const { return m_; }
-  int num_factors() const { return static_cast<int>(analyses_.size()); }
-  const FactorizationAnalysis& factor_analysis(int i) const {
-    return analyses_[i];
-  }
 
   /// L(⊗ Q_i) = Π L_i.
   double Objective() const { return objective_; }
@@ -100,13 +102,14 @@ class FactoredAnalysis {
   /// x̂ = (⊗ B_i) y via the vec-trick.
   std::vector<const Matrix*> ReconstructionFactors() const;
 
-  /// phi over the composed domain: phi_u = max(0, Π t_i[u_i] − Π psi_i[u_i])
-  /// built by progressive outer products — O(n·k) time, O(n) memory.
-  Vector PerUserVariance() const;
+  /// phi over the composed domain,
+  /// phi_u = max(0, Π t_i[u_i] − Π psi_i[u_i]), built by progressive outer
+  /// products (O(n·k) time, O(n) memory), with the workload's query count.
+  ErrorProfile Profile() const;
 
  private:
   std::vector<FactorizationAnalysis> analyses_;
-  std::int64_t n_ = 1;
+  std::int64_t num_queries_ = 0;
   std::int64_t m_ = 1;
   double objective_ = 1.0;
   double residual_ = 0.0;

@@ -26,6 +26,34 @@ WorkloadStats WorkloadStats::From(const Workload& w) {
   return s;
 }
 
+double ErrorProfile::WorstUnitVariance() const {
+  double m = 0.0;
+  for (double v : phi) m = std::max(m, v);
+  return m;
+}
+
+double ErrorProfile::AverageUnitVariance() const {
+  WFM_CHECK(!phi.empty());
+  return Sum(phi) / static_cast<double>(phi.size());
+}
+
+double ErrorProfile::DataVariance(const Vector& x) const {
+  return Dot(x, phi);
+}
+
+double ErrorProfile::SampleComplexity(double alpha) const {
+  WFM_CHECK_GT(alpha, 0.0);
+  WFM_CHECK_GT(num_queries, 0);
+  return WorstUnitVariance() / (static_cast<double>(num_queries) * alpha);
+}
+
+double ErrorProfile::SampleComplexityOnData(const Vector& x, double alpha) const {
+  WFM_CHECK_GT(alpha, 0.0);
+  const double total = Sum(x);
+  WFM_CHECK_GT(total, 0.0);
+  return DataVariance(x) / (total * static_cast<double>(num_queries) * alpha);
+}
+
 FactorizationAnalysis::FactorizationAnalysis(Matrix q, const WorkloadStats& workload)
     : q_(std::move(q)), workload_(workload) {
   const int m = q_.rows();
@@ -92,38 +120,6 @@ FactorizationAnalysis::FactorizationAnalysis(Matrix q, const WorkloadStats& work
   }
   const double gmax = workload_.gram.MaxAbs();
   residual_ = gmax > 0 ? max_diff / gmax : max_diff;
-}
-
-double FactorizationAnalysis::DataVariance(const Vector& x) const {
-  WFM_CHECK_EQ(static_cast<int>(x.size()), workload_.n);
-  return Dot(x, phi_);
-}
-
-double FactorizationAnalysis::WorstCaseVariance(double num_users) const {
-  double max_phi = 0.0;
-  for (double v : phi_) max_phi = std::max(max_phi, v);
-  return num_users * max_phi;
-}
-
-double FactorizationAnalysis::AverageCaseVariance(double num_users) const {
-  return num_users / workload_.n * Sum(phi_);
-}
-
-double FactorizationAnalysis::SampleComplexity(double alpha) const {
-  WFM_CHECK_GT(alpha, 0.0);
-  double max_phi = 0.0;
-  for (double v : phi_) max_phi = std::max(max_phi, v);
-  return max_phi / (static_cast<double>(workload_.p) * alpha);
-}
-
-double FactorizationAnalysis::SampleComplexityOnData(const Vector& x,
-                                                     double alpha) const {
-  WFM_CHECK_GT(alpha, 0.0);
-  const double total = Sum(x);
-  WFM_CHECK_GT(total, 0.0);
-  // Thm 3.4 variance on the normalized data vector x/N.
-  const double mean_phi = DataVariance(x) / total;
-  return mean_phi / (static_cast<double>(workload_.p) * alpha);
 }
 
 Matrix FactorizationAnalysis::OptimalV(const Matrix& w_explicit) const {

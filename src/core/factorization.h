@@ -5,11 +5,10 @@
 //
 //   V = W (Qᵀ D_Q⁻¹ Q)† Qᵀ D_Q⁻¹  =:  W B,
 //
-// and every error quantity in the paper: exact data-dependent variance
-// (Theorem 3.4), worst-case and average-case variance (Corollaries 3.5/3.6),
-// the optimization objective L(Q) (Theorem 3.11) and sample complexity
-// (Corollary 5.4). Everything is expressed through G = WᵀW and the n x m
-// factor B so that tall workloads (AllRange: p = n(n+1)/2) are never
+// the optimization objective L(Q) (Theorem 3.11) and the per-user variance
+// phi of Theorem 3.4, from which ErrorProfile derives every other error
+// quantity in the paper. Everything is expressed through G = WᵀW and the
+// n x m factor B so that tall workloads (AllRange: p = n(n+1)/2) are never
 // materialized:
 //
 //   per-user unit variance  phi_u = sum_o q_ou * c_o - ||V q_u||²
@@ -45,6 +44,26 @@ struct WorkloadStats {
   static WorkloadStats From(const Workload& w);
 };
 
+/// Per-user variance profile of a mechanism on a fixed workload.
+struct ErrorProfile {
+  /// phi[u] = total workload variance contributed by one user of type u.
+  Vector phi;
+  /// Number of workload queries p (normalizes the sample complexity).
+  std::int64_t num_queries = 0;
+
+  /// max_u phi_u: worst-case variance per user (Corollary 3.5 / N).
+  double WorstUnitVariance() const;
+  /// (1/n) sum_u phi_u: average-case variance per user (Corollary 3.6 / N).
+  double AverageUnitVariance() const;
+  /// Exact total variance on a dataset x (Theorem 3.4).
+  double DataVariance(const Vector& x) const;
+  /// Corollary 5.4: samples to reach normalized variance alpha (worst case).
+  double SampleComplexity(double alpha) const;
+  /// Section 6.4: sample complexity with the worst case replaced by the
+  /// data-dependent variance of the normalized histogram x / sum(x).
+  double SampleComplexityOnData(const Vector& x, double alpha) const;
+};
+
 class FactorizationAnalysis {
  public:
   /// Builds the analysis. `q` must be column-stochastic and non-negative;
@@ -63,32 +82,20 @@ class FactorizationAnalysis {
   /// (Theorem 3.4 with x = e_u).
   const Vector& PerUserVariance() const { return phi_; }
 
+  /// phi with the workload's query count: the worst-case, average-case,
+  /// data-dependent variance and sample complexity all derive from it.
+  ErrorProfile Profile() const { return {phi_, workload_.p}; }
+
   /// The two terms of phi_u = t_u − psi_u, exposed separately because they
   /// (not phi itself) are what multiplies across Kronecker factors:
   /// for Q = ⊗ Q_i, t_u = Π t_i[u_i] and psi_u = Π psi_i[u_i], so
-  /// phi_u = Π t_i[u_i] − Π psi_i[u_i]  (core/factored.h combines them).
+  /// phi_u = max(0, Π t_i[u_i] − Π psi_i[u_i]). FactoredAnalysis
+  /// (core/factored.h) folds them; it is the analysis every strategy
+  /// mechanism runs, one factor or many.
   /// t_u = Σ_o q_ou c_o is the second-moment term; psi_u = ||V q_u||² the
   /// squared-mean term.
   const Vector& PerUserSecondMoment() const { return t_; }
   const Vector& PerUserMeanEnergy() const { return psi_; }
-
-  /// Exact total variance on a data vector (Theorem 3.4).
-  double DataVariance(const Vector& x) const;
-
-  /// Worst-case variance for N users (Corollary 3.5).
-  double WorstCaseVariance(double num_users) const;
-
-  /// Average-case variance for N users (Corollary 3.6).
-  double AverageCaseVariance(double num_users) const;
-
-  /// Samples to reach normalized variance alpha in the worst case
-  /// (Corollary 5.4 with p workload queries).
-  double SampleComplexity(double alpha) const;
-
-  /// Samples to reach normalized variance alpha on a concrete dataset
-  /// (Section 6.4: worst case replaced with the Thm 3.4 expression on the
-  /// normalized data vector).
-  double SampleComplexityOnData(const Vector& x, double alpha) const;
 
   /// Reconstruction factor B (n x m): V = W B, and the unbiased data-vector
   /// estimate from a response histogram y is x_hat = B y
@@ -102,6 +109,11 @@ class FactorizationAnalysis {
   /// Gram-side as ||G B Q - G||_max / ||G||_max. Large values mean W is not
   /// in the row space of Q and the mechanism is biased.
   double FactorizationResidual() const { return residual_; }
+
+  /// The bar on FactorizationResidual(): at or above it, W counts as outside
+  /// Q's row space (Definition 3.2 requires W = VQ), so the strategy can
+  /// neither be analyzed nor deployed for the workload.
+  static constexpr double kResidualTolerance = 1e-5;
 
  private:
   Matrix q_;

@@ -1,47 +1,13 @@
 #include "mechanisms/mechanism.h"
 
-#include <algorithm>
+#include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/strategy.h"
 
 namespace wfm {
-namespace {
-
-// Threshold on the Gram-side factorization residual beyond which a strategy
-// cannot produce unbiased answers for the workload (Definition 3.2 requires
-// W = VQ).
-constexpr double kResidualTolerance = 1e-5;
-
-}  // namespace
-
-double ErrorProfile::WorstUnitVariance() const {
-  double m = 0.0;
-  for (double v : phi) m = std::max(m, v);
-  return m;
-}
-
-double ErrorProfile::AverageUnitVariance() const {
-  WFM_CHECK(!phi.empty());
-  return Sum(phi) / static_cast<double>(phi.size());
-}
-
-double ErrorProfile::DataVariance(const Vector& x) const {
-  return Dot(x, phi);
-}
-
-double ErrorProfile::SampleComplexity(double alpha) const {
-  WFM_CHECK_GT(alpha, 0.0);
-  WFM_CHECK_GT(num_queries, 0);
-  return WorstUnitVariance() / (static_cast<double>(num_queries) * alpha);
-}
-
-double ErrorProfile::SampleComplexityOnData(const Vector& x, double alpha) const {
-  WFM_CHECK_GT(alpha, 0.0);
-  const double total = Sum(x);
-  WFM_CHECK_GT(total, 0.0);
-  return DataVariance(x) / (total * static_cast<double>(num_queries) * alpha);
-}
 
 StatusOr<ErrorProfile> Mechanism::TryAnalyze(const WorkloadStats& workload) const {
   return Analyze(workload);
@@ -53,11 +19,60 @@ StatusOr<Deployment> Mechanism::Deploy(const WorkloadStats& workload) const {
       Name() + " is analysis-only: it does not implement a deployment path");
 }
 
-StrategyMechanism::StrategyMechanism(Matrix q, int n, double eps)
-    : q_(std::move(q)), n_(n), eps_(eps) {
-  WFM_CHECK_EQ(q_.cols(), n);
-  const StrategyValidation v = ValidateStrategy(q_, eps, /*tol=*/1e-6);
-  WFM_CHECK(v.valid) << "invalid strategy matrix:" << v.ToString();
+StrategyMechanism::StrategyMechanism(FactoredStrategy strategy, int n,
+                                     double eps)
+    : strategy_(std::move(strategy)), n_(n), eps_(eps) {
+  WFM_CHECK(!strategy_.factors.empty());
+  WFM_CHECK_EQ(strategy_.factors.size(), strategy_.epsilons.size());
+  WFM_CHECK_EQ(strategy_.cols(), n_) << "composed strategy domain mismatch";
+  // The composed guarantee is the sum of factor budgets (independent
+  // per-factor sampling multiplies the likelihood ratios).
+  WFM_CHECK_LE(strategy_.total_epsilon(), eps * (1.0 + 1e-9))
+      << "factor budgets exceed the declared total epsilon";
+  for (std::size_t i = 0; i < strategy_.factors.size(); ++i) {
+    const StrategyValidation v =
+        ValidateStrategy(strategy_.factors[i], strategy_.epsilons[i],
+                         /*tol=*/1e-6);
+    WFM_CHECK(v.valid) << "invalid strategy matrix (factor" << i
+                       << "):" << v.ToString();
+  }
+}
+
+StatusOr<FactoredAnalysis> StrategyMechanism::TryAnalyzeStrategy(
+    const WorkloadStats& workload) const {
+  const std::size_t k = strategy_.factors.size();
+  if (k == 1 && (workload.n != n_ || workload.gram.rows() != n_)) {
+    return Status::FailedPrecondition(
+        Name() + " holds a dense strategy over n = " + std::to_string(n_) +
+        "; workload '" + workload.name + "' has no dense Gram of that size");
+  }
+  if (k > 1) {
+    if (workload.factors.size() != k) {
+      return Status::FailedPrecondition(
+          Name() + " holds a strategy with " + std::to_string(k) +
+          " factors; workload '" + workload.name + "' has " +
+          std::to_string(workload.factors.size()) + " Kronecker factors");
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      if (workload.factors[i].n != strategy_.factors[i].cols()) {
+        return Status::FailedPrecondition(
+            Name() + " factor " + std::to_string(i) +
+            " domain mismatch for workload '" + workload.name + "'");
+      }
+    }
+  }
+  FactoredAnalysis analysis(strategy_, workload);
+  // A strategy whose row space misses part of the workload cannot produce
+  // unbiased answers (Definition 3.2 requires W = VQ); its variance profile
+  // would be meaningless.
+  if (analysis.FactorizationResidual() >=
+      FactorizationAnalysis::kResidualTolerance) {
+    return Status::FailedPrecondition(
+        Name() + " cannot represent workload " + workload.name +
+        " (factorization residual " +
+        std::to_string(analysis.FactorizationResidual()) + ")");
+  }
+  return analysis;
 }
 
 ErrorProfile StrategyMechanism::Analyze(const WorkloadStats& workload) const {
@@ -68,42 +83,23 @@ ErrorProfile StrategyMechanism::Analyze(const WorkloadStats& workload) const {
 
 StatusOr<ErrorProfile> StrategyMechanism::TryAnalyze(
     const WorkloadStats& workload) const {
-  FactorizationAnalysis fa(q_, workload);
-  // A strategy whose row space misses part of the workload cannot produce
-  // unbiased answers (Definition 3.2 requires W = VQ); its variance profile
-  // would be meaningless.
-  if (fa.FactorizationResidual() >= kResidualTolerance) {
-    return Status::FailedPrecondition(
-        Name() + " cannot represent workload " + workload.name +
-        " (factorization residual " +
-        std::to_string(fa.FactorizationResidual()) + ")");
-  }
-  ErrorProfile profile;
-  profile.phi = fa.PerUserVariance();
-  profile.num_queries = workload.p;
-  return profile;
+  StatusOr<FactoredAnalysis> analysis = TryAnalyzeStrategy(workload);
+  if (!analysis.ok()) return analysis.status();
+  return analysis.value().Profile();
 }
 
 StatusOr<Deployment> StrategyMechanism::Deploy(
     const WorkloadStats& workload) const {
-  FactorizationAnalysis fa(q_, workload);
-  if (fa.FactorizationResidual() >= kResidualTolerance) {
-    return Status::FailedPrecondition(
-        Name() + " cannot be deployed for workload " + workload.name +
-        ": the workload is outside the strategy's row space (residual " +
-        std::to_string(fa.FactorizationResidual()) + ")");
-  }
-  ErrorProfile profile;
-  profile.phi = fa.PerUserVariance();
-  profile.num_queries = workload.p;
-  return Deployment{
-      std::make_shared<StrategyReporter>(std::vector<Matrix>{q_}),
-      ReportDecoder::FromAnalysis(fa), std::move(profile)};
-}
-
-FactorizationAnalysis StrategyMechanism::AnalyzeFactorization(
-    const WorkloadStats& workload) const {
-  return FactorizationAnalysis(q_, workload);
+  StatusOr<FactoredAnalysis> analysis = TryAnalyzeStrategy(workload);
+  if (!analysis.ok()) return analysis.status();
+  const FactoredAnalysis& fa = analysis.value();
+  WFM_CHECK_LE(fa.m(), std::numeric_limits<int>::max());
+  std::vector<Matrix> b_factors;
+  b_factors.reserve(strategy_.factors.size());
+  for (const Matrix* b : fa.ReconstructionFactors()) b_factors.push_back(*b);
+  return Deployment{std::make_shared<StrategyReporter>(strategy_.factors),
+                    ReportDecoder(std::move(b_factors), workload),
+                    fa.Profile()};
 }
 
 }  // namespace wfm

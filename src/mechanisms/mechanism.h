@@ -4,7 +4,7 @@
 // unit variance phi_u (Theorem 3.4 with x = e_u), from which worst-case /
 // average-case variance, data-dependent variance and the paper's sample
 // complexity metric (Corollary 5.4) all follow. Strategy-matrix mechanisms
-// (Proposition 2.6) get their profile from FactorizationAnalysis with the
+// (Proposition 2.6) get their profile from FactoredAnalysis with the
 // optimal reconstruction V of Theorem 3.10 — exactly how the paper evaluates
 // baselines on workloads they were not designed for (Section 6.1 runs the
 // same Q on every workload and re-derives V per workload). Additive-noise
@@ -22,34 +22,16 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/status.h"
+#include "core/factored.h"
 #include "core/factorization.h"
 #include "estimation/decoder.h"
 #include "ldp/reporter.h"
 #include "linalg/matrix.h"
 
 namespace wfm {
-
-/// Per-user variance profile of a mechanism on a fixed workload.
-struct ErrorProfile {
-  /// phi[u] = total workload variance contributed by one user of type u.
-  Vector phi;
-  /// Number of workload queries p (normalizes the sample complexity).
-  std::int64_t num_queries = 0;
-
-  /// max_u phi_u: worst-case variance per user (Corollary 3.5 / N).
-  double WorstUnitVariance() const;
-  /// (1/n) sum_u phi_u: average-case variance per user (Corollary 3.6 / N).
-  double AverageUnitVariance() const;
-  /// Exact total variance on a dataset x (Theorem 3.4).
-  double DataVariance(const Vector& x) const;
-  /// Corollary 5.4: samples to reach normalized variance alpha (worst case).
-  double SampleComplexity(double alpha) const;
-  /// Section 6.4: sample complexity with the worst case replaced by the
-  /// data-dependent variance of the normalized histogram x / sum(x).
-  double SampleComplexityOnData(const Vector& x, double alpha) const;
-};
 
 /// The two halves of a runnable deployment for one (mechanism, workload)
 /// pair: what runs on each device and how the server decodes the aggregate,
@@ -89,41 +71,57 @@ class Mechanism {
   virtual StatusOr<Deployment> Deploy(const WorkloadStats& workload) const;
 };
 
-/// A mechanism fully described by a strategy matrix Q (Proposition 2.6).
-/// Reconstruction uses the closed-form optimal V of Theorem 3.10.
+/// A mechanism fully described by a strategy Q = Q_0 ⊗ ... ⊗ Q_{k-1} with
+/// k >= 1 factors (Proposition 2.6; a dense strategy is the one-factor case).
+/// Factor i is ε_i-LDP and the composed channel samples the factors
+/// independently, so the mechanism is (Σ ε_i)-LDP. Reconstruction uses the
+/// closed-form optimal V of Theorem 3.10, factor by factor, and analysis
+/// runs the product-law evaluator FactoredAnalysis (core/factored.h), so a
+/// structured domain of n = Π n_i deploys with memory and compute
+/// proportional to the factor sizes.
 class StrategyMechanism : public Mechanism {
  public:
-  StrategyMechanism(Matrix q, int n, double eps);
+  /// One dense ε-LDP factor over a domain of n.
+  StrategyMechanism(Matrix q, int n, double eps)
+      : StrategyMechanism(FactoredStrategy{{std::move(q)}, {eps}}, n, eps) {}
+  /// `strategy` holds the per-factor matrices and their budget shares; `eps`
+  /// is the total budget and must be >= Σ ε_i (each factor is validated at
+  /// construction). `n` is the composed domain Π n_i.
+  StrategyMechanism(FactoredStrategy strategy, int n, double eps);
 
   int domain_size() const override { return n_; }
   double epsilon() const override { return eps_; }
-  const Matrix& strategy() const { return q_; }
+  const FactoredStrategy& strategy() const { return strategy_; }
 
+  /// Analysis and deployment need the workload in the strategy's row space.
+  /// A strategy with k > 1 factors also needs Kronecker stats whose factor
+  /// domains match its own; one factor analyses any stats with a dense Gram.
   ErrorProfile Analyze(const WorkloadStats& workload) const override;
   StatusOr<ErrorProfile> TryAnalyze(const WorkloadStats& workload) const override;
 
-  /// Deployable on any workload in the strategy's row space: the client is a
-  /// one-factor StrategyReporter, the server decodes through the Theorem
-  /// 3.10 reconstruction.
+  /// The client is a StrategyReporter over the factors; the server decodes
+  /// through the per-factor Theorem 3.10 reconstructions.
   StatusOr<Deployment> Deploy(const WorkloadStats& workload) const override;
 
-  /// Full factorization analysis (reconstruction matrix, residuals, ...).
-  FactorizationAnalysis AnalyzeFactorization(const WorkloadStats& workload) const;
-
  private:
-  Matrix q_;
+  StatusOr<FactoredAnalysis> TryAnalyzeStrategy(
+      const WorkloadStats& workload) const;
+
+  FactoredStrategy strategy_;
   int n_;
   double eps_;
 };
 
 /// A StrategyMechanism around an externally supplied strategy — e.g. one
-/// loaded from disk in the offline/online deployment split (strategy_io.h)
-/// or handed to PlanBuilder::Strategy().
+/// loaded from disk in the offline/online deployment split (strategy_io.h),
+/// handed to PlanBuilder::Strategy(), or optimized per factor for a
+/// structured domain.
 class FixedStrategyMechanism final : public StrategyMechanism {
  public:
-  FixedStrategyMechanism(Matrix q, int n, double eps,
+  FixedStrategyMechanism(FactoredStrategy strategy, int n, double eps,
                          std::string name = "Strategy")
-      : StrategyMechanism(std::move(q), n, eps), name_(std::move(name)) {}
+      : StrategyMechanism(std::move(strategy), n, eps),
+        name_(std::move(name)) {}
 
   std::string Name() const override { return name_; }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/factored.h"
-#include "mechanisms/factored.h"
 #include "mechanisms/fourier.h"
 #include "mechanisms/hadamard_response.h"
 #include "mechanisms/hierarchical.h"
@@ -117,8 +116,8 @@ void RegisterBuiltins(MechanismRegistry& registry) {
           FactoredOptimizerResult result =
               OptimizeFactoredStrategy(workload, eps, config);
           return std::unique_ptr<Mechanism>(
-              std::make_unique<FactoredStrategyMechanism>(
-                  std::move(result.strategy), workload.n, eps));
+              std::make_unique<FixedStrategyMechanism>(
+                  std::move(result.strategy), workload.n, eps, "Optimized"));
         }
         if (workload.gram.rows() != workload.n ||
             workload.gram.cols() != workload.n) {

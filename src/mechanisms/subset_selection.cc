@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/factorization.h"
+#include "core/factored.h"
 #include "workload/marginals.h"
 
 namespace wfm {
@@ -31,11 +31,10 @@ ErrorProfile SubsetSelectionMechanism::Analyze(const WorkloadStats& workload) co
   WFM_CHECK(SupportsAnalysis())
       << "subset selection strategy has C(" << n_ << "," << d_
       << ") rows; too large to analyze (the paper excludes it for this reason)";
-  FactorizationAnalysis fa(BuildExplicitStrategy(n_, eps_, d_), workload);
-  ErrorProfile profile;
-  profile.phi = fa.PerUserVariance();
-  profile.num_queries = workload.p;
-  return profile;
+  return FactoredAnalysis(
+             FactoredStrategy{{BuildExplicitStrategy(n_, eps_, d_)}, {eps_}},
+             workload)
+      .Profile();
 }
 
 double SubsetSelectionMechanism::TrueInclusionProbability() const {

@@ -78,7 +78,7 @@ TEST(FactorizationTest, Theorem39Identity) {
     const WorkloadStats stats = WorkloadStats::From(*workload);
     FactorizationAnalysis fa(q, stats);
     const double num_users = 100.0;
-    const double lhs = fa.AverageCaseVariance(num_users);
+    const double lhs = num_users * fa.Profile().AverageUnitVariance();
     const double rhs = num_users / n * (fa.Objective() - stats.frob_sq);
     EXPECT_NEAR(lhs, rhs, 1e-6 * std::max(1.0, std::abs(rhs))) << name;
   }
@@ -141,9 +141,12 @@ TEST(FactorizationTest, RandomizedResponseClosedFormExample37) {
       const double num_users = 1000.0;
       const double expected = RandomizedResponseMechanism::HistogramVarianceClosedForm(
           n, eps, num_users);
-      EXPECT_NEAR(fa.WorstCaseVariance(num_users), expected, 1e-6 * expected)
+      const ErrorProfile profile = fa.Profile();
+      EXPECT_NEAR(num_users * profile.WorstUnitVariance(), expected,
+                  1e-6 * expected)
           << "n=" << n << " eps=" << eps;
-      EXPECT_NEAR(fa.AverageCaseVariance(num_users), expected, 1e-6 * expected);
+      EXPECT_NEAR(num_users * profile.AverageUnitVariance(), expected,
+                  1e-6 * expected);
     }
   }
 }
@@ -155,7 +158,7 @@ TEST(FactorizationTest, RandomizedResponseSampleComplexityExample55) {
   FactorizationAnalysis fa(q, WorkloadStats::From(HistogramWorkload(n)));
   const double expected =
       RandomizedResponseMechanism::HistogramSampleComplexityClosedForm(n, eps, alpha);
-  EXPECT_NEAR(fa.SampleComplexity(alpha), expected, 1e-6 * expected);
+  EXPECT_NEAR(fa.Profile().SampleComplexity(alpha), expected, 1e-6 * expected);
 }
 
 TEST(FactorizationTest, Theorem51Sandwich) {
@@ -169,8 +172,8 @@ TEST(FactorizationTest, Theorem51Sandwich) {
       const auto workload = CreateWorkload(name, n);
       const WorkloadStats stats = WorkloadStats::From(*workload);
       FactorizationAnalysis fa(q, stats);
-      const double avg = fa.AverageCaseVariance(num_users);
-      const double worst = fa.WorstCaseVariance(num_users);
+      const double avg = num_users * fa.Profile().AverageUnitVariance();
+      const double worst = num_users * fa.Profile().WorstUnitVariance();
       EXPECT_LE(avg, worst + 1e-9) << name;
       EXPECT_LE(worst, std::exp(eps) * (avg + num_users / n * stats.frob_sq) + 1e-6)
           << name;
@@ -185,7 +188,7 @@ TEST(FactorizationTest, DataVarianceInterpolatesPerUser) {
   const Vector x{5, 0, 3, 2};
   double expected = 0.0;
   for (int u = 0; u < 4; ++u) expected += x[u] * fa.PerUserVariance()[u];
-  EXPECT_NEAR(fa.DataVariance(x), expected, 1e-12);
+  EXPECT_NEAR(fa.Profile().DataVariance(x), expected, 1e-12);
 }
 
 TEST(FactorizationTest, SampleComplexityOnUniformDataLeqWorstCase) {
@@ -194,8 +197,8 @@ TEST(FactorizationTest, SampleComplexityOnUniformDataLeqWorstCase) {
   const Matrix q = RandomStrategy(24, n, 1.0, rng);
   FactorizationAnalysis fa(q, WorkloadStats::From(PrefixWorkload(n)));
   const Vector uniform(n, 10.0);
-  EXPECT_LE(fa.SampleComplexityOnData(uniform, 0.01),
-            fa.SampleComplexity(0.01) + 1e-9);
+  EXPECT_LE(fa.Profile().SampleComplexityOnData(uniform, 0.01),
+            fa.Profile().SampleComplexity(0.01) + 1e-9);
 }
 
 TEST(FactorizationTest, EstimateDataVectorIsUnbiasedMap) {

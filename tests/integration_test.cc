@@ -33,18 +33,19 @@ TEST(IntegrationTest, OptimizeSimulateEstimatePrefix) {
   const WorkloadStats stats = WorkloadStats::From(*workload);
 
   const OptimizedMechanism mech(stats, eps, TestConfig());
-  const FactorizationAnalysis fa = mech.AnalyzeFactorization(stats);
+  const FactorizationAnalysis fa(mech.strategy().factors[0], stats);
   const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
 
   const Dataset data = MakeSyntheticDataset("HEPTH", n, 20000);
   const Vector truth = workload->Apply(data.histogram);
-  const double analytic_var = fa.DataVariance(data.histogram);
+  const double analytic_var = fa.Profile().DataVariance(data.histogram);
 
   Rng rng(151);
   const int trials = 200;
   double total_sq = 0.0;
   for (int t = 0; t < trials; ++t) {
-    const Vector y = SimulateResponseHistogram(mech.strategy(), data.histogram, rng);
+    const Vector y = SimulateResponseHistogram(mech.strategy().factors[0],
+                                               data.histogram, rng);
     const WorkloadEstimate est = EstimateWorkloadAnswers(
         decoder, *workload, y, static_cast<std::int64_t>(Sum(y)),
         EstimatorKind::kUnbiased);
@@ -140,7 +141,7 @@ TEST(IntegrationTest, WnnlsNeverIncreasesErrorMuchAndHelpsWhenSparse) {
   const auto workload = CreateWorkload("Prefix", n);
   const WorkloadStats stats = WorkloadStats::From(*workload);
   const OptimizedMechanism mech(stats, eps, TestConfig());
-  const FactorizationAnalysis fa = mech.AnalyzeFactorization(stats);
+  const FactorizationAnalysis fa(mech.strategy().factors[0], stats);
   const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
 
   // Sparse low-N data: the regime where consistency helps (Figure 4).
@@ -151,7 +152,8 @@ TEST(IntegrationTest, WnnlsNeverIncreasesErrorMuchAndHelpsWhenSparse) {
   double err_unbiased = 0.0, err_wnnls = 0.0;
   const int trials = 120;
   for (int t = 0; t < trials; ++t) {
-    const Vector y = SimulateResponseHistogram(mech.strategy(), data.histogram, rng);
+    const Vector y = SimulateResponseHistogram(mech.strategy().factors[0],
+                                               data.histogram, rng);
     const std::int64_t count = static_cast<std::int64_t>(Sum(y));
     const auto unbiased = EstimateWorkloadAnswers(
         decoder, *workload, y, count, EstimatorKind::kUnbiased);

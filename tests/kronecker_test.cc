@@ -28,7 +28,6 @@
 #include "linalg/kron.h"
 #include "linalg/rng.h"
 #include "linalg/symmetric_eigen.h"
-#include "mechanisms/factored.h"
 #include "workload/workload.h"
 
 namespace wfm {
@@ -332,7 +331,7 @@ TEST(FactoredAnalysisTest, MatchesDenseAnalysisOfComposedStrategy) {
   EXPECT_LT(factored.FactorizationResidual(), 1e-6);
 
   // phi_u = Π t_i[u_i] − Π psi_i[u_i] against the dense Theorem 3.4 vector.
-  const Vector phi_factored = factored.PerUserVariance();
+  const Vector phi_factored = factored.Profile().phi;
   const Vector& phi_dense = dense.PerUserVariance();
   ASSERT_EQ(phi_factored.size(), phi_dense.size());
   for (std::size_t u = 0; u < phi_dense.size(); ++u) {

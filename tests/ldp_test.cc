@@ -111,7 +111,7 @@ TEST(ProtocolTest, UnbiasedWorkloadEstimates) {
         workload.Apply(decoder.EstimateDataVector(y, /*num_reports=*/100));
     for (int i = 0; i < n; ++i) mean[i] += answers[i] / trials;
   }
-  const double var = fa.DataVariance(x);
+  const double var = fa.Profile().DataVariance(x);
   const double band = 5.0 * std::sqrt(var / trials);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(mean[i], truth[i], band) << "query " << i;
 }
@@ -129,7 +129,7 @@ TEST(ProtocolTest, EmpiricalVarianceMatchesTheorem34) {
   const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
   const Vector x{30, 50, 10, 10};
   const Vector truth = workload.Apply(x);
-  const double analytic = fa.DataVariance(x);
+  const double analytic = fa.Profile().DataVariance(x);
 
   const int trials = 3000;
   double total_sq_error = 0.0;

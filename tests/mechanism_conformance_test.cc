@@ -20,7 +20,9 @@
 //
 // Every registry name must have a fixture below (enforced by
 // EveryRegistryMechanismHasAFixture), so registering a new mechanism without
-// extending this suite fails CI.
+// extending this suite fails CI. The factored deployment (a strategy with
+// k > 1 Kronecker factors, which Plan resolves only past the dense ceiling)
+// passes the same two bands through its Deploy() reporter and decoder.
 //
 // All randomness flows from fixed-seed Rngs, so the suite is deterministic;
 // the bands are phrased in standard-error multiples and documented in-line,
@@ -37,11 +39,14 @@
 #include <gtest/gtest.h>
 
 #include "api/plan.h"
+#include "core/factored.h"
 #include "estimation/decoder.h"
 #include "estimation/estimator.h"
 #include "ldp/reporter.h"
+#include "mechanisms/mechanism.h"
 #include "mechanisms/registry.h"
 #include "workload/histogram.h"
+#include "workload/kronecker.h"
 
 namespace wfm {
 namespace {
@@ -97,6 +102,46 @@ Vector SkewedTruth(int n, int total) {
   return truth;
 }
 
+// The conformance and unbiasedness bands over the answers of every trial.
+void ExpectConformance(const std::vector<Vector>& trial_answers,
+                       const Vector& expected, double analytic) {
+  const int trials = static_cast<int>(trial_answers.size());
+  std::vector<double> sq_errors;
+  sq_errors.reserve(trials);
+  Vector mean_answers(expected.size(), 0.0);
+  for (const Vector& answers : trial_answers) {
+    double sq = 0.0;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(answers[i]));
+      const double d = answers[i] - expected[i];
+      sq += d * d;
+      mean_answers[i] += answers[i] / trials;
+    }
+    sq_errors.push_back(sq);
+  }
+
+  // Conformance: the mean observed total squared error is an unbiased
+  // estimate of the analyzed variance E; its CLT band is 5 empirical
+  // standard errors plus a 3% relative floor (the SE estimate itself is
+  // noisy at T = 24 — relative SE of s is ~sqrt(1/(2T)) ~ 14%).
+  double mean_mse = 0.0;
+  for (const double sq : sq_errors) mean_mse += sq / trials;
+  double var_mse = 0.0;
+  for (const double sq : sq_errors) {
+    var_mse += (sq - mean_mse) * (sq - mean_mse) / (trials - 1);
+  }
+  const double se = std::sqrt(var_mse / trials);
+  EXPECT_NEAR(mean_mse, analytic, 5.0 * se + 0.03 * analytic)
+      << "empirical MSE disagrees with the analyzed variance";
+
+  // Unbiasedness: Var(answer_i) <= E for every query, so 5·sqrt(E/T) is at
+  // least a 5-standard-error band per coordinate.
+  const double band = 5.0 * std::sqrt(analytic / trials);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_NEAR(mean_answers[i], expected[i], band) << "query " << i;
+  }
+}
+
 TEST(MechanismConformanceTest, EveryRegistryMechanismHasAFixture) {
   for (const std::string& name :
        MechanismRegistry::Global().ListMechanisms()) {
@@ -143,10 +188,8 @@ TEST(MechanismConformanceTest, EmpiricalErrorMatchesAnalyzedVariance) {
                 1e-9 * analytic);
 
     const PlanClient client = plan.Client();
-    std::vector<double> sq_errors;
-    sq_errors.reserve(fx.trials);
-    Vector mean_answers(num_queries, 0.0);
-    Vector trial0_answers;
+    std::vector<Vector> trial_answers;
+    trial_answers.reserve(fx.trials);
     for (int trial = 0; trial < fx.trials; ++trial) {
       Rng rng(fx.seed * 7919 + static_cast<std::uint64_t>(trial));
       std::unique_ptr<PlanSession> server = plan.StartSession(1);
@@ -157,40 +200,11 @@ TEST(MechanismConformanceTest, EmpiricalErrorMatchesAnalyzedVariance) {
         }
       }
       ASSERT_EQ(server->Seal().count, static_cast<std::int64_t>(fx.num_users));
-      const WorkloadEstimate est =
-          server->Estimate(EstimatorKind::kUnbiased).value();
-      double sq = 0.0;
-      for (int i = 0; i < num_queries; ++i) {
-        const double answer = est.query_answers[i];
-        ASSERT_TRUE(std::isfinite(answer));
-        const double d = answer - expected[i];
-        sq += d * d;
-        mean_answers[i] += answer / fx.trials;
-      }
-      sq_errors.push_back(sq);
-      if (trial == 0) trial0_answers = est.query_answers;
+      trial_answers.push_back(
+          server->Estimate(EstimatorKind::kUnbiased).value().query_answers);
     }
-
-    // Conformance: the mean observed total squared error is an unbiased
-    // estimate of the analyzed variance E; its CLT band is 5 empirical
-    // standard errors plus a 3% relative floor (the SE estimate itself is
-    // noisy at T = 24 — relative SE of s is ~sqrt(1/(2T)) ~ 14%).
-    double mean_mse = 0.0;
-    for (const double sq : sq_errors) mean_mse += sq / fx.trials;
-    double var_mse = 0.0;
-    for (const double sq : sq_errors) {
-      var_mse += (sq - mean_mse) * (sq - mean_mse) / (fx.trials - 1);
-    }
-    const double se = std::sqrt(var_mse / fx.trials);
-    EXPECT_NEAR(mean_mse, analytic, 5.0 * se + 0.03 * analytic)
-        << "empirical MSE disagrees with the analyzed variance";
-
-    // Unbiasedness: Var(answer_i) <= E for every query, so 5·sqrt(E/T) is at
-    // least a 5-standard-error band per coordinate.
-    const double band = 5.0 * std::sqrt(analytic / fx.trials);
-    for (int i = 0; i < num_queries; ++i) {
-      EXPECT_NEAR(mean_answers[i], expected[i], band) << "query " << i;
-    }
+    ExpectConformance(trial_answers, expected, analytic);
+    const Vector& trial0_answers = trial_answers[0];
 
     // Collect parity: replay trial 0's pinned report stream through a
     // 2-shard session; the sealed estimate must match the one-shard one
@@ -221,6 +235,56 @@ TEST(MechanismConformanceTest, EmpiricalErrorMatchesAnalyzedVariance) {
       }
     }
   }
+}
+
+TEST(MechanismConformanceTest, FactoredDeploymentMatchesAnalyzedVariance) {
+  // Prefix(4)⊗Histogram(2) (n = 8) has a dense Gram, so Plan would resolve
+  // it to the dense optimizer; the factored strategy is built directly and
+  // its Deploy() halves run the trials.
+  const std::shared_ptr<const Workload> workload =
+      ParseWorkload("Prefix(4)xHistogram(2)");
+  const WorkloadStats stats = WorkloadStats::From(*workload);
+  ASSERT_TRUE(stats.factored());
+  const ConformanceFixture fx{1.0, 4000, 24, 1010};
+  FactoredOptimizerConfig config;
+  config.factor_config = SmallConfig(fx.seed);
+  config.split_grid = 4;
+  FactoredOptimizerResult result =
+      OptimizeFactoredStrategy(stats, fx.eps, config);
+  ASSERT_EQ(result.strategy.factors.size(), 2u);
+  const FixedStrategyMechanism mechanism(std::move(result.strategy), stats.n,
+                                         fx.eps, "Optimized");
+  const StatusOr<Deployment> deployed = mechanism.Deploy(stats);
+  ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
+  const Deployment& deployment = deployed.value();
+  ASSERT_EQ(deployment.decoder.b_factors().size(), 2u);
+
+  const Vector truth = SkewedTruth(stats.n, fx.num_users);
+  const double analytic = deployment.profile.DataVariance(truth);
+  ASSERT_GT(analytic, 0.0);
+  const StatusOr<ErrorProfile> analyzed = mechanism.TryAnalyze(stats);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ(analyzed.value().phi, deployment.profile.phi);
+
+  const int num_outputs = deployment.reporter->num_outputs();
+  std::vector<Vector> trial_answers;
+  trial_answers.reserve(fx.trials);
+  for (int trial = 0; trial < fx.trials; ++trial) {
+    Rng rng(fx.seed * 7919 + static_cast<std::uint64_t>(trial));
+    Vector y(num_outputs, 0.0);
+    for (int u = 0; u < stats.n; ++u) {
+      for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
+        const Report report = deployment.reporter->Respond(u, rng);
+        ASSERT_FALSE(report.is_dense() || report.is_bits());
+        y[report.index] += 1.0;
+      }
+    }
+    trial_answers.push_back(
+        EstimateWorkloadAnswers(deployment.decoder, *workload, y,
+                                fx.num_users, EstimatorKind::kUnbiased)
+            .query_answers);
+  }
+  ExpectConformance(trial_answers, workload->Apply(truth), analytic);
 }
 
 // ---- Affine debias property tests -----------------------------------------

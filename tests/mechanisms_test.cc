@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factored.h"
 #include "core/strategy.h"
 #include "mechanisms/fourier.h"
 #include "mechanisms/hadamard_response.h"
@@ -16,6 +17,7 @@
 #include "mechanisms/optimized.h"
 #include "mechanisms/randomized_response.h"
 #include "mechanisms/registry.h"
+#include "workload/kronecker.h"
 #include "workload/workload.h"
 
 namespace wfm {
@@ -35,7 +37,8 @@ TEST_P(StrategyValidityGrid, SatisfiesProposition26) {
   ASSERT_TRUE(mech.ok()) << mech.status().ToString();
   const auto* strat = dynamic_cast<const StrategyMechanism*>(mech.value().get());
   ASSERT_NE(strat, nullptr) << name << " is not strategy-based";
-  const StrategyValidation v = ValidateStrategy(strat->strategy(), eps, 1e-8);
+  const StrategyValidation v =
+      ValidateStrategy(strat->strategy().factors[0], eps, 1e-8);
   EXPECT_TRUE(v.valid) << name << " n=" << n << " eps=" << eps << ": "
                        << v.ToString();
 }
@@ -324,6 +327,82 @@ TEST(OptimizedMechanismTest, NeverWorseThanBaselinesOnTargetWorkload) {
       EXPECT_LE(opt_sc, sc * 1.05) << mname << " on " << wname;
     }
   }
+}
+
+TEST(StrategyMechanismTest, StatsTheStrategyDoesNotFitAreFailedPrecondition) {
+  // One factor needs a dense Gram over its own domain.
+  const RandomizedResponseMechanism dense(4, 1.0);
+  const WorkloadStats wider = WorkloadStats::From(*CreateWorkload("Prefix", 8));
+  EXPECT_EQ(dense.TryAnalyze(wider).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(dense.Deploy(wider).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // k > 1 factors need Kronecker stats with matching factors.
+  const FixedStrategyMechanism mechanism(
+      FactoredStrategy{{RandomizedResponseMechanism::BuildStrategy(4, 0.5),
+                        RandomizedResponseMechanism::BuildStrategy(2, 0.5)},
+                       {0.5, 0.5}},
+      8, 1.0);
+  const WorkloadStats matching =
+      WorkloadStats::From(*ParseWorkload("Prefix(4)xHistogram(2)"));
+  ASSERT_TRUE(mechanism.TryAnalyze(matching).ok());
+  ASSERT_TRUE(mechanism.Deploy(matching).ok());
+
+  for (const char* spec : {
+           "Prefix(8)",                             // Flat stats.
+           "Prefix(2)xHistogram(2)xHistogram(2)",  // Factor count.
+           "Prefix(2)xHistogram(4)",               // Factor domains.
+       }) {
+    const WorkloadStats stats = WorkloadStats::From(*ParseWorkload(spec));
+    ASSERT_EQ(stats.n, 8) << spec;
+    EXPECT_EQ(mechanism.TryAnalyze(stats).status().code(),
+              StatusCode::kFailedPrecondition)
+        << spec;
+    EXPECT_EQ(mechanism.Deploy(stats).status().code(),
+              StatusCode::kFailedPrecondition)
+        << spec;
+  }
+}
+
+TEST(StrategyMechanismTest, DenseStrategiesMatchTheOneFactorAnalysisExactly) {
+  // A dense strategy is the one-factor case of the product-law analysis;
+  // its folds (1.0·L, max(0, r), max(0, t − psi)) must leave
+  // FactorizationAnalysis's phi and B untouched, bit for bit.
+  const WorkloadStats stats =
+      WorkloadStats::From(*CreateWorkload("Prefix", 16));
+  MechanismOptions options;
+  options.optimizer.iterations = 40;
+  options.optimizer.step_search_iterations = 10;
+  options.optimizer.seed = 5;
+  int checked = 0;
+  for (const std::string& name :
+       MechanismRegistry::Global().ListMechanisms()) {
+    SCOPED_TRACE(name);
+    const StatusOr<std::unique_ptr<Mechanism>> created =
+        MechanismRegistry::Global().Create(name, stats, 1.0, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    const auto* mechanism =
+        dynamic_cast<const StrategyMechanism*>(created.value().get());
+    if (mechanism == nullptr) continue;  // Matrix Mechanism, RAPPOR, OUE.
+    ASSERT_EQ(mechanism->strategy().factors.size(), 1u);
+    const FactorizationAnalysis fa(mechanism->strategy().factors[0], stats);
+
+    EXPECT_EQ(mechanism->Analyze(stats).phi, fa.PerUserVariance());
+    const StatusOr<Deployment> deployment = mechanism->Deploy(stats);
+    ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
+    EXPECT_EQ(deployment.value().profile.phi, fa.PerUserVariance());
+    ASSERT_EQ(deployment.value().decoder.b_factors().size(), 1u);
+    const Matrix& b = deployment.value().decoder.b_factors()[0];
+    const Matrix& b_dense = fa.ReconstructionB();
+    ASSERT_EQ(b.rows(), b_dense.rows());
+    ASSERT_EQ(b.cols(), b_dense.cols());
+    EXPECT_EQ(Vector(b.data(), b.data() + b.size()),
+              Vector(b_dense.data(), b_dense.data() + b_dense.size()));
+    ++checked;
+  }
+  // Randomized Response, Hadamard, Hierarchical, Fourier and Optimized.
+  EXPECT_GE(checked, 5);
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ TEST(OptimizedMechanismTest, ResultIsValidStrategyAcrossEpsilons) {
   const WorkloadStats stats = WorkloadStats::From(*w);
   for (double eps : {0.1, 1.0, 6.0}) {
     const OptimizedMechanism mech(stats, eps, FastConfig());
-    EXPECT_TRUE(ValidateStrategy(mech.strategy(), eps, 1e-6).valid)
+    EXPECT_TRUE(ValidateStrategy(mech.strategy().factors[0], eps, 1e-6).valid)
         << "eps " << eps;
   }
 }

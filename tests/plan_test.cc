@@ -69,9 +69,9 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
   // --- Manual path: the pre-redesign quickstart wiring. -------------------
   const WorkloadStats stats = WorkloadStats::From(*workload);
   const OptimizedMechanism mechanism(stats, eps, config);
-  const FactorizationAnalysis analysis = mechanism.AnalyzeFactorization(stats);
+  const FactorizationAnalysis analysis(mechanism.strategy().factors[0], stats);
   Rng manual_rng(2024);
-  const LocalRandomizer randomizer(mechanism.strategy());
+  const LocalRandomizer randomizer(mechanism.strategy().factors[0]);
   Vector histogram(randomizer.num_outputs(), 0.0);
   for (int u = 0; u < n; ++u) {
     for (int j = 0; j < static_cast<int>(truth[u]); ++j) {
@@ -496,6 +496,34 @@ TEST(PlanBuilderTest, AutoSelectsTheRegistryArgmin) {
                                    .Build();
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(built.value().mechanism_name(), expected.value());
+}
+
+TEST(PlanSessionTest, WorkloadOutsideTheRowSpaceIsFailedPrecondition) {
+  // RR(4) with column 3 replaced by a copy of column 0 is still a valid
+  // 1-LDP strategy, but users 0 and 3 report identically, so no V gives
+  // VQ = W for Histogram(4). Analysis, deployment and a roll all refuse it
+  // by the same residual bar.
+  const double eps = 1.0;
+  Matrix q = RandomizedResponseMechanism::BuildStrategy(4, eps);
+  q.SetCol(3, q.Col(0));
+  ASSERT_TRUE(ValidateStrategy(q, eps, /*tol=*/1e-9).valid);
+  auto workload = std::make_shared<HistogramWorkload>(4);
+  const WorkloadStats stats = WorkloadStats::From(*workload);
+
+  const FixedStrategyMechanism mechanism(FactoredStrategy{{q}, {eps}}, 4, eps);
+  EXPECT_EQ(mechanism.TryAnalyze(stats).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(mechanism.Deploy(stats).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  const StatusOr<Plan> plan = Plan::For(workload)
+                                  .Epsilon(eps)
+                                  .Mechanism("Randomized Response")
+                                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::unique_ptr<PlanSession> session = plan.value().StartSession(1);
+  EXPECT_EQ(session->RollStrategy(q).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(PlanSessionTest, EstimateBeforeFirstSealIsFailedPrecondition) {

@@ -121,7 +121,7 @@ TEST(VariancePropertiesTest, HierarchicalSimulationUnbiased) {
         workload.Apply(decoder.EstimateDataVector(y, /*num_reports=*/100));
     for (int i = 0; i < n; ++i) mean[i] += answers[i] / trials;
   }
-  const double band = 5.0 * std::sqrt(fa.DataVariance(x) / trials);
+  const double band = 5.0 * std::sqrt(fa.Profile().DataVariance(x) / trials);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(mean[i], truth[i], band) << "query " << i;
 }
 
@@ -142,7 +142,7 @@ TEST(VariancePropertiesTest, FourierSimulationUnbiased) {
         workload->Apply(decoder.EstimateDataVector(y, /*num_reports=*/100));
     for (std::size_t i = 0; i < truth.size(); ++i) mean[i] += answers[i] / trials;
   }
-  const double band = 5.0 * std::sqrt(fa.DataVariance(x) / trials);
+  const double band = 5.0 * std::sqrt(fa.Profile().DataVariance(x) / trials);
   for (std::size_t i = 0; i < truth.size(); ++i) {
     EXPECT_NEAR(mean[i], truth[i], band) << "query " << i;
   }
@@ -155,7 +155,8 @@ TEST(VariancePropertiesTest, EmpiricalVarianceMatchesAnalyticForHadamard) {
   const auto* strat = dynamic_cast<const StrategyMechanism*>(mech.value().get());
   ASSERT_NE(strat, nullptr);
   const auto workload = CreateWorkload("Histogram", n);
-  FactorizationAnalysis fa(strat->strategy(), WorkloadStats::From(*workload));
+  const Matrix& q = strat->strategy().factors[0];
+  FactorizationAnalysis fa(q, WorkloadStats::From(*workload));
   const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
   const Vector x{20, 30, 10, 15, 15, 10};
   const Vector truth = workload->Apply(x);
@@ -163,14 +164,15 @@ TEST(VariancePropertiesTest, EmpiricalVarianceMatchesAnalyticForHadamard) {
   const int trials = 3000;
   double total_sq = 0.0;
   for (int t = 0; t < trials; ++t) {
-    const Vector y = SimulateResponseHistogram(strat->strategy(), x, rng);
+    const Vector y = SimulateResponseHistogram(q, x, rng);
     const Vector answers =
         workload->Apply(decoder.EstimateDataVector(y, /*num_reports=*/100));
     for (int i = 0; i < n; ++i) {
       total_sq += std::pow(answers[i] - truth[i], 2);
     }
   }
-  EXPECT_NEAR(total_sq / trials, fa.DataVariance(x), 0.1 * fa.DataVariance(x));
+  const double analytic = fa.Profile().DataVariance(x);
+  EXPECT_NEAR(total_sq / trials, analytic, 0.1 * analytic);
 }
 
 }  // namespace
