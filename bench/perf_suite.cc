@@ -1,12 +1,13 @@
 // Performance-trajectory suite: times the dense kernels and the Cholesky
 // factorization (tuned vs the retained reference), one objective+gradient
 // evaluation (at a large random-Gram shape and at the dense-prefix PGD
-// shape), one Algorithm 1 projection, a full Optimize() run, a WNNLS
-// decode, the encode and decode of one ingest batch body, the envelope
-// CRC-32 and set-bit counting of bit-vector ingest, and one shard's
-// AcceptBatch of a categorical batch and Accept of one bit vector, then writes
-// the measurements to a JSON file so CI can accumulate a per-commit perf
-// trajectory.
+// shape), one Algorithm 1 projection, a full Optimize() run, two WNNLS
+// decodes (a dense Prefix Gram, and Prefix(65) ⊗ Prefix(65) past the
+// Cholesky block limit), the encode and decode of one ingest batch body,
+// the envelope CRC-32 and set-bit counting of bit-vector ingest, and one
+// shard's AcceptBatch of a categorical batch and Accept of one bit vector,
+// then writes the measurements to a JSON file so CI can accumulate a
+// per-commit perf trajectory.
 //
 // Output schema (BENCH_perf.json): a JSON array of
 //   {"kernel": <name>, "shape": <"MxKxN" or parameter string>,
@@ -41,6 +42,7 @@
 #include "estimation/wnnls.h"
 #include "linalg/cholesky.h"
 #include "linalg/kernels.h"
+#include "linalg/kron.h"
 #include "linalg/matrix.h"
 #include "linalg/reference_kernels.h"
 #include "linalg/rng.h"
@@ -457,6 +459,26 @@ int main(int argc, char** argv) {
       sink += wfm::SolveWnnls({&stats.gram}, rhs, options).objective;
     });
     record("wnnls_decode", "n=" + std::to_string(n), t, 0.0, 0.0);
+  }
+
+  // --- WNNLS decode past the Cholesky block limit ---------------------------
+  // Prefix(65) ⊗ Prefix(65), n = 4,225, as Gram factors, from a warm start
+  // with about half its entries negative: the first free blocks are too
+  // large to factor, so PCG on the Kronecker operator takes those steps. The
+  // same shape and data (own seed) in quick and full mode.
+  {
+    const wfm::Matrix factor = wfm::CreateWorkload("Prefix", 65)->Gram();
+    const std::vector<const wfm::Matrix*> grams{&factor, &factor};
+    const int n = 65 * 65;
+    wfm::Rng noise(65);
+    wfm::Vector xhat(n);
+    for (double& v : xhat) v = noise.Normal(0.0, 20.0);
+    for (int spike = 0; spike < 8; ++spike) xhat[noise.UniformInt(n)] += 400.0;
+    const wfm::Vector rhs = wfm::KroneckerMatVec(grams, xhat);
+    const double t = TimeBest(reps, [&] {
+      sink += wfm::SolveWnnls(grams, rhs, {}, &xhat).objective;
+    });
+    record("wnnls_decode", "Prefix(65)xPrefix(65)", t, 0.0, 0.0);
   }
 
   table.Print();

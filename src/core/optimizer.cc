@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -228,7 +227,6 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
       run.z = z;
     }
     if (record_history) run.history.push_back(eval.value);
-    beta *= config.step_decay;
   }
   OptimizerRuns().Increment();
   OptimizerIterations().Add(iterations);
@@ -419,10 +417,6 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
         });
     double best_obj = std::numeric_limits<double>::infinity();
     for (int i = 0; i < num_candidates; ++i) {
-      if (config.verbose) {
-        std::printf("  [step search] candidate %.1e -> objective %.6g\n",
-                    config.step_candidates[i], trials[i]);
-      }
       if (std::isfinite(trials[i]) && trials[i] < best_obj) {
         best_obj = trials[i];
         step = config.step_candidates[i] / grad_rms;
@@ -469,13 +463,6 @@ OptimizerResult OptimizeStrategy(const Matrix& gram, double eps,
   out.objective = std::numeric_limits<double>::infinity();
   for (int i = 0; i < num_runs; ++i) {
     RunResult& run = runs[i];
-    if (config.verbose) {
-      const bool restart = i < num_restarts;
-      std::printf("  [%s %d] objective %.6g (initial %.6g)\n",
-                  restart ? "restart" : "seed",
-                  restart ? i : i - num_restarts, run.objective,
-                  run.initial_objective);
-    }
     if (run.objective < out.objective) {
       out.objective = run.objective;
       out.q = std::move(run.q);

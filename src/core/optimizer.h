@@ -52,8 +52,6 @@ struct OptimizerConfig {
   int step_search_iterations = 40;
   /// Fixed step size; nonzero skips the search phase.
   double step_size = 0.0;
-  /// Multiplicative per-iteration step decay (1 = constant).
-  double step_decay = 1.0;
   /// Independent random restarts; the best strategy wins (ties break to the
   /// lowest restart index). May be 0 when seed_strategies is non-empty
   /// (warm-start-only runs).
@@ -80,7 +78,6 @@ struct OptimizerConfig {
   /// byte-identical to the legacy objective.
   Vector population;
   std::uint64_t seed = 7;
-  bool verbose = false;
 };
 
 struct OptimizerResult {

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "estimation/wnnls.h"
 #include "linalg/kron.h"
 
 namespace wfm {
@@ -84,14 +83,6 @@ std::vector<const Matrix*> ReportDecoder::gram_factors() const {
     grams.push_back(&stats_.gram);
   }
   return grams;
-}
-
-double ReportDecoder::GramLipschitz() const {
-  double cached = gram_lipschitz_.value.load(std::memory_order_acquire);
-  if (cached >= 0.0) return cached;
-  cached = WnnlsLipschitz(gram_factors());
-  gram_lipschitz_.value.store(cached, std::memory_order_release);
-  return cached;
 }
 
 Vector ReportDecoder::EstimateDataVector(const Vector& aggregate,

@@ -28,7 +28,6 @@
 #ifndef WFM_ESTIMATION_DECODER_H_
 #define WFM_ESTIMATION_DECODER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -110,13 +109,6 @@ class ReportDecoder {
   StatusOr<Vector> EstimateVariance(const Vector& aggregate,
                                     std::int64_t num_reports) const;
 
-  /// WnnlsLipschitz(gram_factors()) = 2·Π λ_max(G_i): the Lipschitz constant
-  /// of the WNNLS gradient for this deployment's workload. Computed by power
-  /// iteration on first use and cached, so repeated consistent decodes (one
-  /// per served estimate) pay for it once. Thread-safe; a racing first call
-  /// recomputes the same value.
-  double GramLipschitz() const;
-
  private:
   std::vector<const Matrix*> DecodeFactors() const;
 
@@ -124,23 +116,6 @@ class ReportDecoder {
   WorkloadStats stats_;
   int m_ = 0;
   std::optional<AffineDebias> affine_;
-
-  /// The lazily computed GramLipschitz(); negative means "not computed yet".
-  /// std::atomic is not copyable, so copies take a snapshot of the value.
-  /// Held inline rather than behind a shared_ptr: a heap allocation per
-  /// decoder measurably slows repeated Plan::Build.
-  struct LipschitzCache {
-    LipschitzCache() = default;
-    LipschitzCache(const LipschitzCache& other) noexcept
-        : value(other.value.load(std::memory_order_relaxed)) {}
-    LipschitzCache& operator=(const LipschitzCache& other) noexcept {
-      value.store(other.value.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-      return *this;
-    }
-    std::atomic<double> value{-1.0};
-  };
-  mutable LipschitzCache gram_lipschitz_;
 };
 
 }  // namespace wfm

@@ -2,31 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 #include <vector>
 
 #include "linalg/cholesky.h"
 #include "linalg/kron.h"
-#include "linalg/symmetric_eigen.h"
 #include "obs/metrics.h"
-#include "workload/kronecker.h"
 
 namespace wfm {
 namespace {
 
-// Solver telemetry, recorded once per solve: which path served it and how
-// much work it took. A fallback is a free block that did not factor or a
-// line search that stalled, after which FISTA finished the solve.
+// Solver telemetry: Newton steps (added once per solve), PCG iterations
+// (added per step) and free blocks that did not factor.
 Counter& NewtonSteps() {
   static Counter& counter =
       MetricsRegistry::Global().GetCounter("wfm_wnnls_newton_steps_total");
   return counter;
 }
 
-Counter& FistaIterations() {
+Counter& CgIterations() {
   static Counter& counter =
-      MetricsRegistry::Global().GetCounter("wfm_wnnls_fista_iterations_total");
+      MetricsRegistry::Global().GetCounter("wfm_wnnls_cg_iterations_total");
   return counter;
 }
 
@@ -41,28 +37,38 @@ Counter& Fallbacks() {
 constexpr int kMaxBacktracks = 30;
 /// Armijo fraction of the first-order decrease an accepted step must achieve.
 constexpr double kArmijo = 1e-4;
-
-using GramOp = std::function<void(const Vector&, Vector&)>;
+/// Largest free block solved by Cholesky: |F|³/3 flops, 2.9 GFlop (about
+/// 0.2 s on a 4-CPU host) here. Past it a few dozen PCG iterations, each a
+/// Kronecker mat-vec and a preconditioner sweep of O(n Σ n_i) flops, cost
+/// less than one factorization.
+constexpr int kMaxCholeskyBlock = 2048;
+/// PCG iterations per Newton step.
+constexpr int kMaxCgIterations = 100;
+/// Eisenstat–Walker forcing term (choice 2): the PCG tolerance of step k is
+/// η_k = γ (kkt_k / kkt_{k-1})², safeguarded by γ η_{k-1}² while that exceeds
+/// kForcingSafeguard. It starts at kForcingMax and never rises: the KKT
+/// residual of an active-set method is not monotone, and a tolerance that
+/// loosened after each rise left near-feasible solves taking loose steps
+/// for tens of Newton steps.
+constexpr double kForcingGamma = 0.9;
+constexpr double kForcingMax = 0.5;
+constexpr double kForcingSafeguard = 0.1;
+/// The PCG tolerance once fewer than kMaxCgIterations coordinates are
+/// clamped. The preconditioner's error then has rank below the iteration
+/// cap, so PCG reaches the exact Newton step within it.
+constexpr double kExactForcing = 1e-10;
+/// Ridge, relative to ||G_i||_F >= λ_max(G_i), added to the diagonal of a
+/// Gram factor that does not factor, so the preconditioner stays definite.
+constexpr double kPreconditionerRidge = 1e-6;
 
 /// max_i violation of the KKT conditions for min_{x>=0} f(x):
 /// grad_i >= -tol when x_i == 0 and |grad_i| <= tol when x_i > 0.
 double KktResidual(const Vector& x, const Vector& grad) {
   double worst = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] > 0.0) {
-      worst = std::max(worst, std::abs(grad[i]));
-    } else {
-      worst = std::max(worst, std::max(0.0, -grad[i]));
-    }
+    worst = std::max(worst, x[i] > 0.0 ? std::abs(grad[i]) : -grad[i]);
   }
   return worst;
-}
-
-/// grad = 2(Gx - r).
-void Gradient(const GramOp& gram_op, const Vector& x, const Vector& rhs,
-              Vector& grad) {
-  gram_op(x, grad);
-  for (std::size_t i = 0; i < x.size(); ++i) grad[i] = 2.0 * (grad[i] - rhs[i]);
 }
 
 /// G_FF for G = ⊗ factors, into `gff` (resized). With one factor, G_FF is a
@@ -105,133 +111,234 @@ void FreeGramInto(const std::vector<const Matrix*>& factors,
   }
 }
 
-/// vᵀ G_FF v - 2 r_Fᵀ v: the objective of any x supported on F. `gv` is
-/// scratch for G_FF v; the quadratic term sums v_a (G_FF v)_a in ascending a.
-double FreeObjective(const Matrix& gff, const Vector& v, const Vector& rhs_f,
-                     Vector& gv) {
-  MultiplyVecInto(gff, v, gv);
-  return Dot(v, gv) - 2.0 * Dot(rhs_f, v);
-}
+/// The free block as an operator, for the steps Cholesky does not take:
+/// G_FF v = (G P_F v)_F, one Kronecker mat-vec over the whole domain, and
+/// PCG on G_FF z = r_F preconditioned by (⊗ G_i⁻¹)_FF. `free` is read at
+/// each call, so one operator serves every step of a solve.
+class FreeOperator {
+ public:
+  FreeOperator(const std::vector<const Matrix*>& factors,
+               const std::vector<int>& free, std::size_t n)
+      : factors_(factors), free_(free), full_(n) {}
 
-enum class NewtonExit { kConverged, kBudget, kFallback };
+  /// out = src_F, the free coordinates of an n-vector.
+  void Gather(const Vector& src, Vector& out) const {
+    out.resize(free_.size());
+    for (std::size_t a = 0; a < free_.size(); ++a) out[a] = src[free_[a]];
+  }
 
-/// Projected Newton (Bertsekas 1982) on the free block, from x and for at
-/// most `budget` steps; result.iterations counts the steps taken. Each step
-/// takes the free set F = {i : x_i > 0 or g_i <= 0}, solves G_FF z = r_F by
-/// Cholesky (the clamped coordinates are zero, so they drop out of the
-/// right-hand side), and follows the projected arc P(x + α(z - x)) from
-/// α = 1, halving α until the objective falls by an Armijo margin. Only F
-/// moves and x stays supported on F, so the objective is evaluated on G_FF.
-/// Returns kFallback when G_FF does not factor or no step lowers the
-/// objective.
-NewtonExit ProjectedNewton(const std::vector<const Matrix*>& factors,
-                           const GramOp& gram_op, const Vector& rhs,
-                           double tol, int budget, Vector& x,
-                           WnnlsResult& result) {
+  /// out = G_FF v.
+  void Apply(const Vector& v, Vector& out) {
+    Scatter(v);
+    KroneckerMatVecInto(factors_, full_, product_, scratch_);
+    Gather(product_, out);
+  }
+
+  /// Preconditioned CG on G_FF z = r_F from z = x_F, whose residual
+  /// r_F - G_FF x_F = -g_F / 2 the caller passes in `residual`. Stops once
+  /// ||residual||₂ <= eta ||residual_0||₂, at a direction of zero curvature,
+  /// or after `max_iterations`; returns the iterations taken. G_FF may be
+  /// singular: r_F = W_Fᵀ(W x̂) lies in its range, so every iteration still
+  /// lowers the objective on F.
+  int Pcg(double eta, int max_iterations, Vector& z, Vector& residual) {
+    Precondition(residual, s_);
+    p_ = s_;
+    double rs = Dot(residual, s_);
+    const double target = eta * std::sqrt(NormSq(residual));
+    int it = 0;
+    while (it < max_iterations && rs > 0.0) {
+      Apply(p_, q_);
+      const double curvature = Dot(p_, q_);
+      if (!(curvature > 0.0)) break;
+      const double alpha = rs / curvature;
+      for (std::size_t a = 0; a < z.size(); ++a) {
+        z[a] += alpha * p_[a];
+        residual[a] -= alpha * q_[a];
+      }
+      ++it;
+      if (std::sqrt(NormSq(residual)) <= target) break;
+      Precondition(residual, s_);
+      const double rs_next = Dot(residual, s_);
+      const double beta = rs_next / rs;
+      for (std::size_t a = 0; a < z.size(); ++a) p_[a] = s_[a] + beta * p_[a];
+      rs = rs_next;
+    }
+    return it;
+  }
+
+ private:
+  /// out = (⊗ G_i⁻¹)_FF v. Each G_i = L_i L_iᵀ is factored on first use;
+  /// mode i then solves L_i and L_iᵀ along the middle axis of the
+  /// (left, n_i, right) tensor, so no inverse and no product is formed. A
+  /// singular factor (3WayMarginals) is factored with a small ridge on its
+  /// diagonal, which keeps the preconditioner definite.
+  void Precondition(const Vector& v, Vector& out) {
+    if (lower_.empty()) {
+      Cholesky chol;
+      for (const Matrix* g : factors_) {
+        if (!chol.Factorize(*g)) {
+          const double ridge =
+              kPreconditionerRidge * std::sqrt(g->FrobeniusNormSq());
+          Matrix shifted = *g;
+          for (int d = 0; d < g->rows(); ++d) shifted(d, d) += ridge;
+          WFM_CHECK(chol.Factorize(shifted)) << "ridge-shifted Gram factor";
+        }
+        lower_.push_back(chol.lower());
+        upper_.push_back(chol.lower().Transpose());
+      }
+    }
+    Scatter(v);
+    std::size_t left = 1;
+    std::size_t right = full_.size();
+    for (std::size_t i = 0; i < lower_.size(); ++i) {
+      const int ni = lower_[i].rows();
+      right /= static_cast<std::size_t>(ni);
+      for (std::size_t l = 0; l < left; ++l) {
+        double* block = full_.data() + l * ni * right;
+        // L y = b: row c /= L_cc, then row r -= L_rc row c for r > c.
+        for (int c = 0; c < ni; ++c) {
+          SweepStep(upper_[i].RowPtr(c), c, c + 1, ni, right, block);
+        }
+        // Lᵀ x = y: row c /= L_cc, then row r -= L_cr row c for r < c.
+        for (int c = ni; c-- > 0;) {
+          SweepStep(lower_[i].RowPtr(c), c, 0, c, right, block);
+        }
+      }
+      left *= static_cast<std::size_t>(ni);
+    }
+    Gather(full_, out);
+  }
+
+  /// One column step of a triangular sweep over the rows of `block`, each
+  /// `right` doubles long: row c /= coef_c, then row r -= coef_r · row c for
+  /// r in [begin, end). `coef` is a row of L or Lᵀ, so every loop streams
+  /// contiguous memory; a one-double row runs as one axpy over r.
+  static void SweepStep(const double* coef, int c, int begin, int end,
+                        std::size_t right, double* block) {
+    double* src = block + c * right;
+    for (std::size_t t = 0; t < right; ++t) src[t] /= coef[c];
+    if (right == 1) {
+      const double x = src[0];
+      for (int r = begin; r < end; ++r) block[r] -= coef[r] * x;
+      return;
+    }
+    for (int r = begin; r < end; ++r) {
+      double* dst = block + r * right;
+      for (std::size_t t = 0; t < right; ++t) dst[t] -= coef[r] * src[t];
+    }
+  }
+
+  void Scatter(const Vector& v) {
+    std::fill(full_.begin(), full_.end(), 0.0);
+    for (std::size_t a = 0; a < free_.size(); ++a) full_[free_[a]] = v[a];
+  }
+
+  const std::vector<const Matrix*>& factors_;
+  const std::vector<int>& free_;
+  std::vector<Matrix> lower_, upper_;  ///< L_i and L_iᵀ of the Gram factors.
+  Vector full_, product_, scratch_, s_, p_, q_;
+};
+
+/// Projected Newton (Bertsekas 1982) on the free block, from x for at most
+/// `budget` steps; result.iterations counts the steps taken. Each step
+/// solves G_FF z = r_F for F = {i : x_i > 0 or g_i <= 0} (the clamped
+/// coordinates are zero, so they drop out of the right-hand side), then
+/// follows the projected arc P(x + α(z - x)) from α = 1, halving α until
+/// the objective falls by an Armijo margin. Only F moves and x stays
+/// supported on F, so the decrease is evaluated on G_FF. Returns true once
+/// the KKT residual is within tol, false when the budget of steps or of
+/// PCG iterations runs out or no step lowers the objective.
+bool ProjectedNewton(const std::vector<const Matrix*>& factors,
+                     const Vector& rhs, double tol, int budget, Vector& x,
+                     WnnlsResult& result) {
   const std::size_t n = x.size();
   std::vector<int> free, digits;
-  Vector grad(n), rhs_f, x_f, trial, gv;
+  Vector grad(n), scratch, rhs_f, x_f, trial, step, gv, z, residual;
   Matrix gff;
   Cholesky chol;
+  FreeOperator op(factors, free, n);
+  // A Gram whose free block did not factor once is singular; its later
+  // blocks go straight to PCG.
+  bool try_cholesky = true;
+  // `budget` also bounds the PCG iterations of the whole solve, so an active
+  // set that settles slowly cannot cost `budget` x kMaxCgIterations.
+  int cg_budget = budget;
+  double eta = kForcingMax;
+  double kkt_prev = 0.0;
   for (;;) {
-    Gradient(gram_op, x, rhs, grad);
-    if (KktResidual(x, grad) <= tol) return NewtonExit::kConverged;
-    if (result.iterations >= budget) return NewtonExit::kBudget;
+    KroneckerMatVecInto(factors, x, grad, scratch);
+    for (std::size_t i = 0; i < n; ++i) grad[i] = 2.0 * (grad[i] - rhs[i]);
+    const double kkt = KktResidual(x, grad);
+    if (kkt <= tol) return true;
+    if (result.iterations >= budget) return false;
+    if (result.iterations > 0) {
+      const double safeguard = kForcingGamma * eta * eta;
+      double next = kForcingGamma * (kkt / kkt_prev) * (kkt / kkt_prev);
+      if (safeguard > kForcingSafeguard) next = std::max(next, safeguard);
+      eta = std::min(eta, next);
+    }
+    kkt_prev = kkt;
 
     free.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (x[i] > 0.0 || grad[i] <= 0.0) free.push_back(static_cast<int>(i));
     }
-    FreeGramInto(factors, free, digits, gff);
-    if (!chol.Factorize(gff)) return NewtonExit::kFallback;
     const std::size_t m = free.size();
-    rhs_f.resize(m);
-    x_f.resize(m);
-    for (std::size_t a = 0; a < m; ++a) {
-      rhs_f[a] = rhs[free[a]];
-      x_f[a] = x[free[a]];
+    op.Gather(rhs, rhs_f);
+    op.Gather(x, x_f);
+    bool dense = try_cholesky && m <= kMaxCholeskyBlock;
+    if (dense) {
+      FreeGramInto(factors, free, digits, gff);
+      dense = chol.Factorize(gff);
+      if (!dense) {
+        Fallbacks().Increment();
+        try_cholesky = false;
+      }
     }
-    const Vector z = chol.Solve(rhs_f);
-
-    const double f0 = FreeObjective(gff, x_f, rhs_f, gv);
+    if (dense) {
+      z = chol.Solve(rhs_f);
+    } else {
+      if (cg_budget == 0) return false;
+      z = x_f;
+      op.Gather(grad, residual);
+      for (double& v : residual) v *= -0.5;
+      const bool exact = n - m < static_cast<std::size_t>(kMaxCgIterations);
+      const int taken = op.Pcg(exact ? kExactForcing : eta,
+                               std::min(kMaxCgIterations, cg_budget), z,
+                               residual);
+      cg_budget -= taken;
+      CgIterations().Add(taken);
+    }
+    // f(x) - f(trial) = -g_Fᵀd - dᵀG_FF d for d = trial - x_F, computed from
+    // d: a difference of two objective values loses a late, small decrease
+    // to rounding when |f| is large, and the search would stall.
     trial.resize(m);
+    step.resize(m);
     bool accepted = false;
     double alpha = 1.0;
     for (int k = 0; k <= kMaxBacktracks && !accepted; ++k, alpha *= 0.5) {
-      // First-order decrease g_Fᵀ(x_F - trial) predicted for the step.
+      // First-order decrease -g_Fᵀd predicted for the step.
       double predicted = 0.0;
       for (std::size_t a = 0; a < m; ++a) {
         trial[a] = std::max(0.0, x_f[a] + alpha * (z[a] - x_f[a]));
-        predicted += grad[free[a]] * (x_f[a] - trial[a]);
+        step[a] = trial[a] - x_f[a];
+        predicted -= grad[free[a]] * step[a];
       }
-      const double decrease = f0 - FreeObjective(gff, trial, rhs_f, gv);
+      if (dense) {
+        MultiplyVecInto(gff, step, gv);
+      } else {
+        op.Apply(step, gv);
+      }
+      const double decrease = predicted - Dot(step, gv);
       accepted = decrease > 0.0 && decrease >= kArmijo * predicted;
     }
-    if (!accepted) return NewtonExit::kFallback;
+    if (!accepted) return false;
     for (std::size_t a = 0; a < m; ++a) x[free[a]] = trial[a];
     ++result.iterations;
   }
 }
 
-/// FISTA (accelerated projected gradient with adaptive restart) from x for
-/// at most `budget` iterations, adding them to result.iterations. The KKT
-/// certificate is checked every 16 iterations and at the last one.
-void Fista(const GramOp& gram_op, const Vector& rhs, double lip, double tol,
-           int budget, Vector& x, WnnlsResult& result) {
-  const std::size_t n = x.size();
-  const double step = 1.0 / lip;
-  Vector momentum = x;  // FISTA extrapolation point.
-  double t_prev = 1.0;
-  // Iteration buffers, hoisted so the loop reuses them.
-  Vector grad(n), x_next(n), gx(n);
-  for (int it = 0; it < budget; ++it) {
-    // Gradient step at the extrapolated point.
-    Gradient(gram_op, momentum, rhs, grad);
-    for (std::size_t i = 0; i < n; ++i) {
-      x_next[i] = std::max(0.0, momentum[i] - step * grad[i]);
-    }
-
-    // Adaptive restart (O'Donoghue & Candès): drop momentum when it points
-    // against the descent direction.
-    double restart_test = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      restart_test += (momentum[i] - x_next[i]) * (x_next[i] - x[i]);
-    }
-    double t_next;
-    if (restart_test > 0.0) {
-      t_next = 1.0;
-      momentum = x_next;
-    } else {
-      t_next = 0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t_prev * t_prev));
-      const double gamma = (t_prev - 1.0) / t_next;
-      for (std::size_t i = 0; i < n; ++i) {
-        momentum[i] = x_next[i] + gamma * (x_next[i] - x[i]);
-      }
-    }
-    std::swap(x, x_next);
-    t_prev = t_next;
-    ++result.iterations;
-
-    // Check KKT at x every few iterations (gradient at x, not momentum).
-    if ((it & 15) == 0 || it + 1 == budget) {
-      Gradient(gram_op, x, rhs, gx);
-      if (KktResidual(x, gx) <= tol) {
-        result.converged = true;
-        return;
-      }
-    }
-  }
-}
-
 }  // namespace
-
-double WnnlsLipschitz(const std::vector<const Matrix*>& gram_factors) {
-  double lambda = 1.0;
-  for (const Matrix* g : gram_factors) {
-    lambda *= PowerIterationLargestEigenvalue(*g);
-  }
-  return 2.0 * lambda;
-}
 
 WnnlsResult SolveWnnls(const std::vector<const Matrix*>& gram_factors,
                        const Vector& rhs, const WnnlsOptions& options,
@@ -253,43 +360,15 @@ WnnlsResult SolveWnnls(const std::vector<const Matrix*>& gram_factors,
   // Tolerance scaled to the problem: gradient entries are O(||r||_inf).
   const double tol = options.tolerance * std::max(1.0, MaxAbsVec(rhs));
 
-  Vector grad(n), scratch;
-  const GramOp gram_op = [&gram_factors, &scratch](const Vector& v,
-                                                   Vector& out) {
-    KroneckerMatVecInto(gram_factors, v, out, scratch);
-  };
-
-  // Newton on the free block wherever a dense G_FF may be formed; FISTA on
-  // the operator form above that, and as the Newton path's fallback.
-  bool run_fista = options.max_iterations > 0;
-  if (run_fista &&
-      n <= static_cast<std::size_t>(KroneckerWorkload::kDenseGramLimit)) {
-    const NewtonExit exit =
-        ProjectedNewton(gram_factors, gram_op, rhs, tol,
-                        options.max_iterations, x, result);
+  if (options.max_iterations > 0) {
+    result.converged = ProjectedNewton(gram_factors, rhs, tol,
+                                       options.max_iterations, x, result);
     NewtonSteps().Add(result.iterations);
-    result.converged = exit == NewtonExit::kConverged;
-    run_fista = exit == NewtonExit::kFallback;
-    if (run_fista) Fallbacks().Increment();
-  }
-  if (run_fista) {
-    // Callers with a cached Lipschitz constant (ReportDecoder) pass it in
-    // and skip the power iteration.
-    const double lip = options.lipschitz > 0.0 ? options.lipschitz
-                                               : WnnlsLipschitz(gram_factors);
-    if (lip <= 0.0) {
-      // G = 0: any non-negative x is optimal.
-      x.assign(n, 0.0);
-      result.converged = true;
-    } else {
-      const int start = result.iterations;
-      Fista(gram_op, rhs, lip, tol, options.max_iterations - start, x, result);
-      FistaIterations().Add(result.iterations - start);
-    }
   }
 
   result.x = std::move(x);
-  gram_op(result.x, grad);
+  Vector grad, scratch;
+  KroneckerMatVecInto(gram_factors, result.x, grad, scratch);
   result.objective = Dot(result.x, grad) - 2.0 * Dot(rhs, result.x);
   for (std::size_t i = 0; i < n; ++i) grad[i] = 2.0 * (grad[i] - rhs[i]);
   result.kkt_residual = KktResidual(result.x, grad);
@@ -301,11 +380,9 @@ WnnlsResult WnnlsEstimate(const ReportDecoder& decoder, const Vector& aggregate,
                           const WnnlsOptions& options) {
   const Vector unbiased = decoder.EstimateDataVector(aggregate, num_reports);
   const std::vector<const Matrix*> grams = decoder.gram_factors();
-  WnnlsOptions opts = options;
-  if (opts.lipschitz <= 0.0) opts.lipschitz = decoder.GramLipschitz();
   Vector rhs, scratch;
   KroneckerMatVecInto(grams, unbiased, rhs, scratch);
-  return SolveWnnls(grams, rhs, opts, &unbiased);
+  return SolveWnnls(grams, rhs, options, &unbiased);
 }
 
 }  // namespace wfm

@@ -15,23 +15,31 @@
 // The paper uses scipy's L-BFGS-B here. We certify the solution with the
 // KKT conditions
 //   x >= 0,  g = 2(Gx - r) >= 0 (componentwise, up to tol),  x ∘ g = 0
-// and reach them one of two ways:
+// and reach them by projected Newton (Bertsekas 1982) on the free block, at
+// every domain size. Each step takes F = {i : x_i > 0 or g_i <= 0}, solves
+// G_FF z = r_F and line-searches along the projected arc toward z; no step
+// raises the objective. The search measures a step's decrease from the step
+// d itself, -g_Fᵀd - dᵀG_FF d, so rounding in a large objective cannot hide
+// it. Newton's cost does not grow with the condition number of G (O(n²) for
+// Prefix), so it converges in tens of steps where first-order methods need
+// tens of thousands of iterations. The step G_FF z = r_F is solved one of
+// two ways, chosen by |F|, not by n:
 //
-//   * n <= KroneckerWorkload::kDenseGramLimit: projected Newton (Bertsekas
-//     1982) on the free block. Each step takes F = {i : x_i > 0 or g_i <= 0},
-//     forms G_FF entry by entry from the Gram factors, solves G_FF z = r_F by
-//     Cholesky and line-searches along the projected arc toward z; no step
-//     raises the objective. Its cost does not grow with the condition
-//     number of G (O(n²) for Prefix), so it converges in tens of steps where
-//     first-order methods need tens of thousands of iterations.
-//   * n above the limit, where no dense block may be formed: FISTA
-//     (accelerated projected gradient with adaptive restart) over the
-//     operator G x. FISTA is also the fallback when G_FF does not factor
-//     (a singular Gram, e.g. 3WayMarginals) or the line search stalls; it
-//     continues from the Newton iterate within the remaining budget.
+//   * |F| <= 2,048 (the |F|³ cost of factoring stays small): G_FF is formed
+//     entry by entry from the Gram factors and factored by Cholesky.
+//   * larger blocks, and every block of a Gram whose free block once failed
+//     to factor (a singular Gram, e.g. 3WayMarginals): preconditioned
+//     conjugate gradients on the operator, v ↦ (G P_F v)_F through
+//     KroneckerMatVecInto, so no |F| x |F| block is formed. The
+//     preconditioner is the Kronecker inverse ⊗ G_i⁻¹ restricted to F (a
+//     singular factor is ridge-shifted); its error against G_FF⁻¹ has rank
+//     at most n - |F|. The inner tolerance follows an Eisenstat–Walker
+//     forcing term, and is tight once n - |F| is small enough for PCG to
+//     reach the exact step.
 //
-// WnnlsResult::iterations counts Newton steps plus FISTA iterations, so
-// options.max_iterations bounds both paths together.
+// WnnlsResult::iterations counts Newton steps. options.max_iterations
+// bounds them, and separately bounds the PCG iterations of the whole solve,
+// which the wfm_wnnls_cg_iterations_total metric counts.
 
 #ifndef WFM_ESTIMATION_WNNLS_H_
 #define WFM_ESTIMATION_WNNLS_H_
@@ -45,36 +53,27 @@
 namespace wfm {
 
 struct WnnlsOptions {
-  /// Newton steps plus FISTA iterations. 0 returns the clipped warm start,
-  /// not converged.
+  /// Projected-Newton steps; the PCG iterations of the whole solve are
+  /// bounded by the same number. 0 returns the clipped warm start, not
+  /// converged.
   int max_iterations = 3000;
   /// KKT tolerance relative to the gradient scale.
   double tolerance = 1e-8;
-  /// Known Lipschitz constant 2·λ_max(G) of the gradient, the FISTA step;
-  /// values <= 0 mean "estimate by power iteration" once FISTA runs.
-  /// ReportDecoder::GramLipschitz() caches this per deployment so repeated
-  /// decodes skip the estimation entirely.
-  double lipschitz = 0.0;
 };
 
 struct WnnlsResult {
   Vector x;                   ///< Non-negative estimate of the data vector.
-  int iterations = 0;         ///< Newton steps + FISTA iterations.
+  int iterations = 0;         ///< Projected-Newton steps.
   bool converged = false;     ///< kkt_residual <= tol was certified.
   double objective = 0.0;     ///< xᵀGx - 2rᵀx at the solution.
   double kkt_residual = 0.0;  ///< Largest KKT violation at x.
 };
 
-/// 2·λ_max(G) = 2·Π λ_max(G_i) for G = ⊗ gram_factors: the Lipschitz
-/// constant of the WNNLS gradient (eigenvalues of a Kronecker product are
-/// the products of factor eigenvalues), by power iteration per factor.
-double WnnlsLipschitz(const std::vector<const Matrix*>& gram_factors);
-
 /// Solves min_{x>=0} xᵀ G x - 2 rᵀ x with G = ⊗ gram_factors (each square;
 /// at least one). `warm_start` (optional) seeds the iteration, e.g. with the
-/// clipped unbiased estimate. When FISTA runs and options.lipschitz is not
-/// positive, its step size comes from WnnlsLipschitz; G = 0 then returns
-/// x = 0, converged. Results do not depend on the ThreadPool size.
+/// clipped unbiased estimate. Stops unconverged when the step budget runs
+/// out or a line search finds no decrease. Results do not depend on the
+/// ThreadPool size.
 WnnlsResult SolveWnnls(const std::vector<const Matrix*>& gram_factors,
                        const Vector& rhs, const WnnlsOptions& options = {},
                        const Vector* warm_start = nullptr);

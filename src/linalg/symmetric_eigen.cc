@@ -89,29 +89,6 @@ EigenDecomposition SymmetricEigen(const Matrix& input, int max_sweeps) {
   return out;
 }
 
-double PowerIterationLargestEigenvalue(const Matrix& a, int max_iterations,
-                                       double rel_tol) {
-  WFM_CHECK_EQ(a.rows(), a.cols());
-  const int n = a.rows();
-  if (n == 0) return 0.0;
-  Vector v(n, 1.0 / std::sqrt(static_cast<double>(n)));
-  Vector av;
-  double lambda = 0.0;
-  for (int it = 0; it < max_iterations; ++it) {
-    MultiplyVecInto(a, v, av);
-    const double norm = std::sqrt(NormSq(av));
-    if (norm <= 0.0) return 0.0;
-    for (int i = 0; i < n; ++i) v[i] = av[i] / norm;
-    // The norm converges monotonically for PSD matrices; stop as soon as it
-    // stalls instead of burning the full budget (the old fixed-100 loop).
-    if (it > 0 && std::abs(norm - lambda) <= rel_tol * std::max(1.0, norm)) {
-      return norm;
-    }
-    lambda = norm;
-  }
-  return lambda;
-}
-
 Vector SingularValuesFromGram(const Matrix& gram) {
   EigenDecomposition eig = SymmetricEigen(gram);
   Vector sv(eig.eigenvalues.size());

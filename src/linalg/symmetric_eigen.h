@@ -29,13 +29,6 @@ EigenDecomposition SymmetricEigen(const Matrix& a, int max_sweeps = 64);
 /// the square roots of G's eigenvalues (clamped at zero), descending.
 Vector SingularValuesFromGram(const Matrix& gram);
 
-/// Largest eigenvalue of a PSD matrix by power iteration, e.g. for Lipschitz
-/// constants (WNNLS step sizes). Stops early once the Rayleigh estimate is
-/// stable to `rel_tol` between iterations, or after `max_iterations`.
-double PowerIterationLargestEigenvalue(const Matrix& a,
-                                       int max_iterations = 100,
-                                       double rel_tol = 1e-10);
-
 }  // namespace wfm
 
 #endif  // WFM_LINALG_SYMMETRIC_EIGEN_H_

@@ -483,10 +483,11 @@ TEST(StructuredPlanTest, FactoredWnnlsMatchesDenseSolve) {
 
 TEST(StructuredPlanTest, SmallStructuredDomainDecodesWithWnnls) {
   // A structured domain past the dense Gram limit but small enough to run
-  // the operator-form WNNLS end to end. With eps = 3 and 40k users the
-  // per-coordinate noise floor is still large relative to n, so the sound
-  // assertion is per-coordinate signal recovery at the planted spike — not
-  // the total mass, which clipping at zero inflates by design.
+  // WNNLS end to end, its large free blocks solved by PCG on the Kronecker
+  // operator. With eps = 3 and 40k users the per-coordinate noise floor is
+  // still large relative to n, so the sound assertion is per-coordinate
+  // signal recovery at the planted spike — not the total mass, which
+  // clipping at zero inflates by design.
   std::shared_ptr<const Workload> workload =
       ParseWorkload("Histogram(65)xHistogram(65)");
   ASSERT_GT(workload->domain_size(), KroneckerWorkload::kDenseGramLimit);
@@ -513,11 +514,16 @@ TEST(StructuredPlanTest, SmallStructuredDomainDecodesWithWnnls) {
                          : rng.UniformInt(workload->domain_size());
     ASSERT_TRUE(server->Accept(0, client.Respond(type, rng)).ok());
   }
-  server->Seal();
+  const EpochSnapshot sealed = server->Seal();
   const WorkloadEstimate estimate =
       server->Estimate(EstimatorKind::kWnnls).value();
   ASSERT_EQ(estimate.data_vector.size(),
             static_cast<std::size_t>(workload->domain_size()));
+  // The served estimate is the certified optimum, not a capped iterate.
+  const WnnlsResult solved = WnnlsEstimate(server->session().decoder(),
+                                           sealed.histogram, sealed.count);
+  EXPECT_TRUE(solved.converged) << "KKT residual " << solved.kkt_residual;
+  EXPECT_EQ(solved.x, estimate.data_vector);
   for (double v : estimate.data_vector) {
     ASSERT_TRUE(std::isfinite(v));
     ASSERT_GE(v, 0.0);  // WNNLS projects onto the nonnegative orthant.

@@ -39,11 +39,20 @@ Vector NoisyUnbiasedEstimate(int n, std::uint64_t seed) {
   return xhat;
 }
 
+/// A large-N unbiased estimate over `n` types: every count near 30, with
+/// noise small enough that only about one coordinate in 700 is negative.
+Vector NearlyFeasibleEstimate(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  Vector xhat(n);
+  for (double& v : xhat) v = rng.Normal(30.0, 10.0);
+  return xhat;
+}
+
 /// Asserts x >= 0, g_i = 0 where x_i > 0 and g_i >= 0 where x_i = 0, for
-/// g = 2(Gx - r), up to `tol`.
-void ExpectKkt(const Matrix& g, const Vector& rhs, const Vector& x,
-               double tol) {
-  Vector grad = MultiplyVec(g, x);
+/// g = 2(Gx - r) with G = ⊗ factors, up to `tol`.
+void ExpectKkt(const std::vector<const Matrix*>& factors, const Vector& rhs,
+               const Vector& x, double tol) {
+  Vector grad = KroneckerMatVec(factors, x);
   for (std::size_t i = 0; i < x.size(); ++i) grad[i] = 2.0 * (grad[i] - rhs[i]);
   for (std::size_t i = 0; i < x.size(); ++i) {
     ASSERT_GE(x[i], 0.0);
@@ -159,9 +168,10 @@ TEST(WnnlsTest, ZeroGramReturnsZero) {
 
 TEST(WnnlsTest, NewtonConvergesOnIllConditionedPrefix) {
   // Prefix(512)'s Gram has a condition number on the order of n², which
-  // holds first-order FISTA at its iteration cap. Newton on the free block
-  // does not depend on conditioning and must reach the KKT certificate in a
-  // few dozen steps from a warm start with about half its entries negative.
+  // holds first-order methods at any practical iteration cap. Newton on the
+  // free block does not depend on conditioning and must reach the KKT
+  // certificate in a few dozen Cholesky steps from a warm start with about
+  // half its entries negative.
   const Matrix g = PrefixWorkload(512).Gram();
   const Vector xhat = NoisyUnbiasedEstimate(512, 151);
   int negative = 0;
@@ -172,50 +182,103 @@ TEST(WnnlsTest, NewtonConvergesOnIllConditionedPrefix) {
 
   const std::int64_t newton_before =
       CounterValue("wfm_wnnls_newton_steps_total");
-  const std::int64_t fista_before =
-      CounterValue("wfm_wnnls_fista_iterations_total");
+  const std::int64_t cg_before = CounterValue("wfm_wnnls_cg_iterations_total");
   const WnnlsResult res = SolveWnnls({&g}, rhs, {}, &xhat);
   ASSERT_TRUE(res.converged);
   EXPECT_LE(res.iterations, 50);
   EXPECT_EQ(CounterValue("wfm_wnnls_newton_steps_total") - newton_before,
             res.iterations);
-  EXPECT_EQ(CounterValue("wfm_wnnls_fista_iterations_total"), fista_before);
+  EXPECT_EQ(CounterValue("wfm_wnnls_cg_iterations_total"), cg_before);
   const double tol = WnnlsOptions{}.tolerance * MaxAbsVec(rhs);
   EXPECT_LE(res.kkt_residual, tol);
-  ExpectKkt(g, rhs, res.x, tol);
+  ExpectKkt({&g}, rhs, res.x, tol);
 }
 
-TEST(WnnlsTest, SingularGramConvergesThroughFistaFallback) {
+TEST(WnnlsTest, SingularGramConvergesThroughPcgFallback) {
   // 3WayMarginals(256) has WᵀW of rank 93 < 256: the free block does not
-  // factor, so FISTA finishes the solve from the Newton iterate.
+  // factor, so PCG on the operator solves this and every later block.
   const Matrix g = CreateWorkload("3WayMarginals", 256)->Gram();
   const Vector xhat = NoisyUnbiasedEstimate(256, 152);
   const Vector rhs = MultiplyVec(g, xhat);
 
   const std::int64_t fallbacks = CounterValue("wfm_wnnls_fallback_total");
-  const std::int64_t fista_before =
-      CounterValue("wfm_wnnls_fista_iterations_total");
+  const std::int64_t cg_before = CounterValue("wfm_wnnls_cg_iterations_total");
   const WnnlsResult res = SolveWnnls({&g}, rhs, {}, &xhat);
   ASSERT_TRUE(res.converged);
   EXPECT_EQ(CounterValue("wfm_wnnls_fallback_total"), fallbacks + 1);
-  EXPECT_GT(CounterValue("wfm_wnnls_fista_iterations_total"), fista_before);
+  EXPECT_GE(CounterValue("wfm_wnnls_cg_iterations_total") - cg_before,
+            res.iterations)
+      << "every Newton step runs at least one CG iteration";
   const double tol = WnnlsOptions{}.tolerance * MaxAbsVec(rhs);
   EXPECT_LE(res.kkt_residual, tol);
-  ExpectKkt(g, rhs, res.x, tol);
+  ExpectKkt({&g}, rhs, res.x, tol);
+}
+
+TEST(WnnlsTest, NewtonConvergesPastTheCholeskyBlockLimit) {
+  // Prefix(65) ⊗ Prefix(65), n = 4,225: the first free blocks are too large
+  // to factor, so PCG on the Kronecker operator takes those steps. From a
+  // noisy warm start F shrinks until Cholesky finishes with the KKT
+  // certificate. From a nearly feasible one (a large-N decode) almost every
+  // coordinate stays free, so PCG must take the steps to the end; its
+  // preconditioner is then nearly exact and one or two steps suffice.
+  const Matrix factor = PrefixWorkload(65).Gram();
+  const std::vector<const Matrix*> grams{&factor, &factor};
+  const int n = 65 * 65;
+  const Vector noisy = NoisyUnbiasedEstimate(n, 154);
+  const Vector nearly_feasible = NearlyFeasibleEstimate(n, 156);
+  for (const Vector* xhat : {&noisy, &nearly_feasible}) {
+    const Vector rhs = KroneckerMatVec(grams, *xhat);
+    const std::int64_t cg_before =
+        CounterValue("wfm_wnnls_cg_iterations_total");
+    const std::int64_t fallbacks = CounterValue("wfm_wnnls_fallback_total");
+    const WnnlsResult res = SolveWnnls(grams, rhs, {}, xhat);
+    ASSERT_TRUE(res.converged);
+    EXPECT_GT(CounterValue("wfm_wnnls_cg_iterations_total"), cg_before)
+        << "test premise: the first free block is solved by PCG";
+    EXPECT_EQ(CounterValue("wfm_wnnls_fallback_total"), fallbacks);
+    if (xhat == &nearly_feasible) {
+      EXPECT_LE(res.iterations, 2);
+    }
+    const double tol = WnnlsOptions{}.tolerance * MaxAbsVec(rhs);
+    EXPECT_LE(res.kkt_residual, tol);
+    ExpectKkt(grams, rhs, res.x, tol);
+  }
+}
+
+TEST(WnnlsTest, SingularFactorPastTheCholeskyBlockLimit) {
+  // 3WayMarginals(16) has a rank-15 Gram, so G = G_0 ⊗ G_1 is singular and
+  // the PCG preconditioner factors G_0 with a ridge. From a nearly feasible
+  // warm start almost all n = 16 · 300 = 4,800 coordinates stay free, so
+  // PCG solves the singular free blocks to the end.
+  const Matrix marginals = CreateWorkload("3WayMarginals", 16)->Gram();
+  const Matrix prefix = PrefixWorkload(300).Gram();
+  const std::vector<const Matrix*> grams{&marginals, &prefix};
+  const Vector xhat = NearlyFeasibleEstimate(16 * 300, 155);
+  const Vector rhs = KroneckerMatVec(grams, xhat);
+
+  const std::int64_t cg_before = CounterValue("wfm_wnnls_cg_iterations_total");
+  const WnnlsResult res = SolveWnnls(grams, rhs, {}, &xhat);
+  ASSERT_TRUE(res.converged);
+  EXPECT_GT(CounterValue("wfm_wnnls_cg_iterations_total"), cg_before)
+      << "test premise: the first free block is solved by PCG";
+  const double tol = WnnlsOptions{}.tolerance * MaxAbsVec(rhs);
+  EXPECT_LE(res.kkt_residual, tol);
+  ExpectKkt(grams, rhs, res.x, tol);
 }
 
 TEST(WnnlsTest, BitIdenticalAcrossThreadCounts) {
   // Served answers and the in-process replay must agree bit for bit, so the
   // solve may not depend on the pool size. n = 2048 is past the pool's flop
-  // threshold for the G x product. Prefix runs the Newton path. The Gram of
+  // threshold for the G x product. Prefix takes Cholesky steps. The Gram of
   // 3WayMarginals(256) ⊗ Histogram(8) has rank 93 · 8 = 744, so its free
-  // block does not factor and FISTA runs. Bounded budgets keep Debug builds
-  // fast; bit identity does not need convergence.
+  // block does not factor and PCG takes its steps. Bounded budgets keep
+  // Debug builds fast; bit identity does not need convergence.
   const Matrix prefix = PrefixWorkload(2048).Gram();
   const Matrix singular =
       KroneckerProduct(CreateWorkload("3WayMarginals", 256)->Gram(),
                        HistogramWorkload(8).Gram());
   const std::int64_t fallbacks = CounterValue("wfm_wnnls_fallback_total");
+  const std::int64_t cg_before = CounterValue("wfm_wnnls_cg_iterations_total");
   for (const Matrix* g : {&prefix, &singular}) {
     Vector xhat = NoisyUnbiasedEstimate(2048, 153);
     // A smaller free set makes Prefix's Newton steps cheap.
@@ -244,7 +307,8 @@ TEST(WnnlsTest, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(results[0].kkt_residual, results[1].kkt_residual);
   }
   EXPECT_EQ(CounterValue("wfm_wnnls_fallback_total"), fallbacks + 2)
-      << "test premise: the singular case takes the FISTA fallback";
+      << "test premise: the singular case takes the PCG fallback";
+  EXPECT_GT(CounterValue("wfm_wnnls_cg_iterations_total"), cg_before);
 }
 
 TEST(WnnlsTest, ZeroIterationBudgetReturnsClippedWarmStart) {
