@@ -37,10 +37,10 @@ Counter& Fallbacks() {
 constexpr int kMaxBacktracks = 30;
 /// Armijo fraction of the first-order decrease an accepted step must achieve.
 constexpr double kArmijo = 1e-4;
-/// Largest free block solved by Cholesky: |F|³/3 flops, 2.9 GFlop (about
-/// 0.2 s on a 4-CPU host) here. Past it a few dozen PCG iterations, each a
-/// Kronecker mat-vec and a preconditioner sweep of O(n Σ n_i) flops, cost
-/// less than one factorization.
+/// Largest free block of a Kronecker Gram solved by Cholesky. On Prefix
+/// domains, 512 or 1,024 left mid-feasibility solves unconverged at the PCG
+/// budget and 4,096 cost up to 23 GFlop a step. A one-factor Gram always
+/// takes Cholesky: PCG's preconditioner would factor all of G.
 constexpr int kMaxCholeskyBlock = 2048;
 /// PCG iterations per Newton step.
 constexpr int kMaxCgIterations = 100;
@@ -54,11 +54,11 @@ constexpr double kForcingGamma = 0.9;
 constexpr double kForcingMax = 0.5;
 constexpr double kForcingSafeguard = 0.1;
 /// The PCG tolerance once fewer than kMaxCgIterations coordinates are
-/// clamped. The preconditioner's error then has rank below the iteration
-/// cap, so PCG reaches the exact Newton step within it.
+/// clamped. The Kronecker preconditioner's error then has rank below the
+/// iteration cap, so PCG reaches the exact Newton step within it.
 constexpr double kExactForcing = 1e-10;
-/// Ridge, relative to ||G_i||_F >= λ_max(G_i), added to the diagonal of a
-/// Gram factor that does not factor, so the preconditioner stays definite.
+/// Ridge, relative to ||G_i||_F >= λ_max(G_i) (1 for a zero factor), added
+/// to a Gram factor that does not factor, so the preconditioner is definite.
 constexpr double kPreconditionerRidge = 1e-6;
 
 /// max_i violation of the KKT conditions for min_{x>=0} f(x):
@@ -113,8 +113,9 @@ void FreeGramInto(const std::vector<const Matrix*>& factors,
 
 /// The free block as an operator, for the steps Cholesky does not take:
 /// G_FF v = (G P_F v)_F, one Kronecker mat-vec over the whole domain, and
-/// PCG on G_FF z = r_F preconditioned by (⊗ G_i⁻¹)_FF. `free` is read at
-/// each call, so one operator serves every step of a solve.
+/// PCG on G_FF z = r_F preconditioned by (⊗ G_i⁻¹)_FF, or plain CG for one
+/// factor. `free` is read at each call, so one operator serves every step
+/// of a solve.
 class FreeOperator {
  public:
   FreeOperator(const std::vector<const Matrix*>& factors,
@@ -171,14 +172,19 @@ class FreeOperator {
   /// mode i then solves L_i and L_iᵀ along the middle axis of the
   /// (left, n_i, right) tensor, so no inverse and no product is formed. A
   /// singular factor (3WayMarginals) is factored with a small ridge on its
-  /// diagonal, which keeps the preconditioner definite.
+  /// diagonal, which keeps the preconditioner definite. A singular
+  /// one-factor Gram runs plain CG: G⁻¹ measured 2-9x slower.
   void Precondition(const Vector& v, Vector& out) {
+    if (factors_.size() == 1) {
+      out = v;
+      return;
+    }
     if (lower_.empty()) {
       Cholesky chol;
       for (const Matrix* g : factors_) {
         if (!chol.Factorize(*g)) {
-          const double ridge =
-              kPreconditionerRidge * std::sqrt(g->FrobeniusNormSq());
+          const double norm = std::sqrt(g->FrobeniusNormSq());
+          const double ridge = norm > 0.0 ? kPreconditionerRidge * norm : 1.0;
           Matrix shifted = *g;
           for (int d = 0; d < g->rows(); ++d) shifted(d, d) += ridge;
           WFM_CHECK(chol.Factorize(shifted)) << "ridge-shifted Gram factor";
@@ -239,15 +245,12 @@ class FreeOperator {
   Vector full_, product_, scratch_, s_, p_, q_;
 };
 
-/// Projected Newton (Bertsekas 1982) on the free block, from x for at most
-/// `budget` steps; result.iterations counts the steps taken. Each step
-/// solves G_FF z = r_F for F = {i : x_i > 0 or g_i <= 0} (the clamped
-/// coordinates are zero, so they drop out of the right-hand side), then
-/// follows the projected arc P(x + α(z - x)) from α = 1, halving α until
-/// the objective falls by an Armijo margin. Only F moves and x stays
-/// supported on F, so the decrease is evaluated on G_FF. Returns true once
-/// the KKT residual is within tol, false when the budget of steps or of
-/// PCG iterations runs out or no step lowers the objective.
+/// Projected Newton (Bertsekas 1982) from x for at most `budget` steps,
+/// counted in result.iterations. Each step solves G_FF z = r_F on
+/// F = {i : x_i > 0 or g_i <= 0} (clamped coordinates are zero and drop out
+/// of the right-hand side) and searches the projected arc toward z. Returns
+/// true once the KKT residual is within tol, false when the step or PCG
+/// budget runs out or no arc lowers the objective.
 bool ProjectedNewton(const std::vector<const Matrix*>& factors,
                      const Vector& rhs, double tol, int budget, Vector& x,
                      WnnlsResult& result) {
@@ -286,13 +289,13 @@ bool ProjectedNewton(const std::vector<const Matrix*>& factors,
     const std::size_t m = free.size();
     op.Gather(rhs, rhs_f);
     op.Gather(x, x_f);
-    bool dense = try_cholesky && m <= kMaxCholeskyBlock;
+    bool dense =
+        try_cholesky && (factors.size() == 1 || m <= kMaxCholeskyBlock);
     if (dense) {
       FreeGramInto(factors, free, digits, gff);
-      dense = chol.Factorize(gff);
-      if (!dense) {
+      if (!chol.Factorize(gff)) {
         Fallbacks().Increment();
-        try_cholesky = false;
+        dense = try_cholesky = false;
       }
     }
     if (dense) {
@@ -309,28 +312,43 @@ bool ProjectedNewton(const std::vector<const Matrix*>& factors,
       cg_budget -= taken;
       CgIterations().Add(taken);
     }
-    // f(x) - f(trial) = -g_Fᵀd - dᵀG_FF d for d = trial - x_F, computed from
-    // d: a difference of two objective values loses a late, small decrease
-    // to rounding when |f| is large, and the search would stall.
+    // Arc P(x_F + α(z - x_F)) from α = 1, halving α until the objective
+    // falls by an Armijo margin. f(x) - f(trial) = -g_Fᵀd - dᵀG_FF d for
+    // d = trial - x_F is computed from d: a difference of two objective
+    // values loses a late, small decrease to rounding when |f| is large.
+    // Near the bound the Newton arc can raise f at every α; the second arc
+    // is then projected gradient, toward z = x_F - s g_F with
+    // s = ||g_F||² / (2 g_Fᵀ G_FF g_F) its exact line minimizer, which
+    // lowers f unless x is stationary.
     trial.resize(m);
     step.resize(m);
     bool accepted = false;
-    double alpha = 1.0;
-    for (int k = 0; k <= kMaxBacktracks && !accepted; ++k, alpha *= 0.5) {
-      // First-order decrease -g_Fᵀd predicted for the step.
-      double predicted = 0.0;
-      for (std::size_t a = 0; a < m; ++a) {
-        trial[a] = std::max(0.0, x_f[a] + alpha * (z[a] - x_f[a]));
-        step[a] = trial[a] - x_f[a];
-        predicted -= grad[free[a]] * step[a];
+    for (int arc = 0; arc < 2 && !accepted; ++arc) {
+      if (arc == 1) {
+        op.Gather(grad, residual);
+        op.Apply(residual, gv);
+        const double curvature = Dot(residual, gv);
+        if (!(curvature > 0.0)) return false;
+        const double s = NormSq(residual) / (2.0 * curvature);
+        for (std::size_t a = 0; a < m; ++a) z[a] = x_f[a] - s * residual[a];
       }
-      if (dense) {
-        MultiplyVecInto(gff, step, gv);
-      } else {
-        op.Apply(step, gv);
+      double alpha = 1.0;
+      for (int k = 0; k <= kMaxBacktracks && !accepted; ++k, alpha *= 0.5) {
+        // First-order decrease -g_Fᵀd predicted for the step.
+        double predicted = 0.0;
+        for (std::size_t a = 0; a < m; ++a) {
+          trial[a] = std::max(0.0, x_f[a] + alpha * (z[a] - x_f[a]));
+          step[a] = trial[a] - x_f[a];
+          predicted -= grad[free[a]] * step[a];
+        }
+        if (dense) {
+          MultiplyVecInto(gff, step, gv);
+        } else {
+          op.Apply(step, gv);
+        }
+        const double decrease = predicted - Dot(step, gv);
+        accepted = decrease > 0.0 && decrease >= kArmijo * predicted;
       }
-      const double decrease = predicted - Dot(step, gv);
-      accepted = decrease > 0.0 && decrease >= kArmijo * predicted;
     }
     if (!accepted) return false;
     for (std::size_t a = 0; a < m; ++a) x[free[a]] = trial[a];

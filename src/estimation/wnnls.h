@@ -15,31 +15,17 @@
 // The paper uses scipy's L-BFGS-B here. We certify the solution with the
 // KKT conditions
 //   x >= 0,  g = 2(Gx - r) >= 0 (componentwise, up to tol),  x ∘ g = 0
-// and reach them by projected Newton (Bertsekas 1982) on the free block, at
-// every domain size. Each step takes F = {i : x_i > 0 or g_i <= 0}, solves
-// G_FF z = r_F and line-searches along the projected arc toward z; no step
-// raises the objective. The search measures a step's decrease from the step
-// d itself, -g_Fᵀd - dᵀG_FF d, so rounding in a large objective cannot hide
-// it. Newton's cost does not grow with the condition number of G (O(n²) for
-// Prefix), so it converges in tens of steps where first-order methods need
-// tens of thousands of iterations. The step G_FF z = r_F is solved one of
-// two ways, chosen by |F|, not by n:
-//
-//   * |F| <= 2,048 (the |F|³ cost of factoring stays small): G_FF is formed
-//     entry by entry from the Gram factors and factored by Cholesky.
-//   * larger blocks, and every block of a Gram whose free block once failed
-//     to factor (a singular Gram, e.g. 3WayMarginals): preconditioned
-//     conjugate gradients on the operator, v ↦ (G P_F v)_F through
-//     KroneckerMatVecInto, so no |F| x |F| block is formed. The
-//     preconditioner is the Kronecker inverse ⊗ G_i⁻¹ restricted to F (a
-//     singular factor is ridge-shifted); its error against G_FF⁻¹ has rank
-//     at most n - |F|. The inner tolerance follows an Eisenstat–Walker
-//     forcing term, and is tight once n - |F| is small enough for PCG to
-//     reach the exact step.
-//
-// WnnlsResult::iterations counts Newton steps. options.max_iterations
-// bounds them, and separately bounds the PCG iterations of the whole solve,
-// which the wfm_wnnls_cg_iterations_total metric counts.
+// and reach them by projected Newton (Bertsekas 1982) at every domain size:
+// each step solves G_FF z = r_F on the free block F = {i : x_i > 0 or
+// g_i <= 0} and line-searches along the projected arc toward z, so its cost
+// does not grow with the condition number of G (O(n²) for Prefix). The
+// block is factored by Cholesky for a dense Gram, and for a Kronecker one
+// up to 2,048 columns; larger Kronecker blocks and singular Grams are
+// solved by (preconditioned) CG on the operator v ↦ (G P_F v)_F, so no
+// n x n matrix is formed. Where the Newton arc lowers f nowhere, the step
+// follows a projected-gradient arc instead. WnnlsResult::iterations counts
+// steps; options.max_iterations bounds them and, separately, the CG
+// iterations of the whole solve (wfm_wnnls_cg_iterations_total).
 
 #ifndef WFM_ESTIMATION_WNNLS_H_
 #define WFM_ESTIMATION_WNNLS_H_
@@ -72,8 +58,9 @@ struct WnnlsResult {
 /// Solves min_{x>=0} xᵀ G x - 2 rᵀ x with G = ⊗ gram_factors (each square;
 /// at least one). `warm_start` (optional) seeds the iteration, e.g. with the
 /// clipped unbiased estimate. Stops unconverged when the step budget runs
-/// out or a line search finds no decrease. Results do not depend on the
-/// ThreadPool size.
+/// out or no step lowers the objective, e.g. when it is unbounded below (an
+/// r outside range(G), as for G = 0 with some r_i > 0). Results do not
+/// depend on the ThreadPool size.
 WnnlsResult SolveWnnls(const std::vector<const Matrix*>& gram_factors,
                        const Vector& rhs, const WnnlsOptions& options = {},
                        const Vector* warm_start = nullptr);

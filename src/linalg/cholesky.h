@@ -3,9 +3,9 @@
 // Three hot paths factor with this class: the strategy optimizer's
 // A = Qᵀ D_Q⁻¹ Q at every PGD iteration (core/objective.h), PsdSolver's fast
 // path (linalg/pseudo_inverse.h), and WNNLS's free block G_FF at each
-// projected-Newton step of up to 2,048 columns (estimation/wnnls.h). Callers
-// fall back to the eigenvalue pseudo-inverse, or to PCG, when Factorize
-// reports failure.
+// projected-Newton step: any size for a dense Gram, up to 2,048 columns for
+// a Kronecker one (estimation/wnnls.h). Callers fall back to the eigenvalue
+// pseudo-inverse, or to CG, when Factorize reports failure.
 //
 // Factorize is blocked and right-looking over column panels of kPanel
 // columns. For each panel [j0, j1):

@@ -164,6 +164,47 @@ TEST(WnnlsTest, ZeroGramReturnsZero) {
   const WnnlsResult res = SolveWnnls({&g}, {0, 0, 0});
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.x, (Vector{0, 0, 0}));
+
+  // With G = 0 and r_i > 0 the objective -2 rᵀx has no minimum on x >= 0
+  // (WnnlsEstimate never builds such an r: it lies outside range(G)). The
+  // free block does not factor, CG finds no curvature and no step lowers
+  // the objective, so x = 0 comes back unconverged. A zero factor of a
+  // Kronecker Gram takes the same path, its preconditioner factored with a
+  // unit ridge.
+  const Matrix identity = HistogramWorkload(3).Gram();
+  const std::int64_t fallbacks = CounterValue("wfm_wnnls_fallback_total");
+  for (const std::vector<const Matrix*>& grams :
+       {std::vector<const Matrix*>{&g},
+        std::vector<const Matrix*>{&g, &identity}}) {
+    const Vector rhs = grams.size() == 1
+                           ? Vector{1, -2, 0}
+                           : Vector{1, -2, 0, 0, 3, 0, -1, 0, 0};
+    const WnnlsResult unbounded = SolveWnnls(grams, rhs);
+    EXPECT_FALSE(unbounded.converged);
+    EXPECT_EQ(unbounded.iterations, 0);
+    EXPECT_EQ(unbounded.x, Vector(rhs.size(), 0.0));
+    EXPECT_EQ(unbounded.kkt_residual,
+              2.0 * *std::max_element(rhs.begin(), rhs.end()));
+  }
+  EXPECT_EQ(CounterValue("wfm_wnnls_fallback_total"), fallbacks + 2);
+}
+
+TEST(WnnlsTest, GradientStepRescuesAnAscentArc) {
+  // G = [1 .9; .9 1], r = G z for z = (-10, 9), from x = (1e-12, 5): both
+  // coordinates are free, the Newton point z clips x_0 to 0 at every α the
+  // line search tries (α >= 2^-30), and what is left of the arc moves x_1
+  // toward 9 against g_1 = 10 > 0, so f rises everywhere on it. A
+  // projected-gradient step gets past it; the solution is x = 0.
+  Matrix g(2, 2);
+  g(0, 0) = g(1, 1) = 1.0;
+  g(0, 1) = g(1, 0) = 0.9;
+  const Vector rhs = MultiplyVec(g, {-10.0, 9.0});
+  const Vector warm{1e-12, 5.0};
+  const WnnlsResult res = SolveWnnls({&g}, rhs, {}, &warm);
+  ASSERT_TRUE(res.converged);
+  EXPECT_GE(res.iterations, 2);
+  EXPECT_EQ(res.x, (Vector{0.0, 0.0}));
+  ExpectKkt({&g}, rhs, res.x, WnnlsOptions{}.tolerance * MaxAbsVec(rhs));
 }
 
 TEST(WnnlsTest, NewtonConvergesOnIllConditionedPrefix) {
@@ -196,7 +237,8 @@ TEST(WnnlsTest, NewtonConvergesOnIllConditionedPrefix) {
 
 TEST(WnnlsTest, SingularGramConvergesThroughPcgFallback) {
   // 3WayMarginals(256) has WᵀW of rank 93 < 256: the free block does not
-  // factor, so PCG on the operator solves this and every later block.
+  // factor, so CG on the operator (unpreconditioned for one factor) solves
+  // this and every later block.
   const Matrix g = CreateWorkload("3WayMarginals", 256)->Gram();
   const Vector xhat = NoisyUnbiasedEstimate(256, 152);
   const Vector rhs = MultiplyVec(g, xhat);
@@ -215,12 +257,13 @@ TEST(WnnlsTest, SingularGramConvergesThroughPcgFallback) {
 }
 
 TEST(WnnlsTest, NewtonConvergesPastTheCholeskyBlockLimit) {
-  // Prefix(65) ⊗ Prefix(65), n = 4,225: the first free blocks are too large
-  // to factor, so PCG on the Kronecker operator takes those steps. From a
-  // noisy warm start F shrinks until Cholesky finishes with the KKT
-  // certificate. From a nearly feasible one (a large-N decode) almost every
-  // coordinate stays free, so PCG must take the steps to the end; its
-  // preconditioner is then nearly exact and one or two steps suffice.
+  // Prefix(65) ⊗ Prefix(65), n = 4,225: the first free blocks are past the
+  // Cholesky limit of a Kronecker Gram, so PCG on the operator takes those
+  // steps. From a noisy warm start F shrinks until Cholesky finishes with
+  // the KKT certificate. From a nearly feasible one (a large-N decode)
+  // almost every coordinate stays free, so PCG must take the steps to the
+  // end; its preconditioner is then nearly exact and one or two steps
+  // suffice.
   const Matrix factor = PrefixWorkload(65).Gram();
   const std::vector<const Matrix*> grams{&factor, &factor};
   const int n = 65 * 65;
@@ -243,6 +286,25 @@ TEST(WnnlsTest, NewtonConvergesPastTheCholeskyBlockLimit) {
     EXPECT_LE(res.kkt_residual, tol);
     ExpectKkt(grams, rhs, res.x, tol);
   }
+}
+
+TEST(WnnlsTest, OneFactorGramTakesCholeskyAtAnyBlockSize) {
+  // The block limit applies to Kronecker Grams only: PCG on one factor
+  // would precondition with a factorization of all of G, never cheaper than
+  // factoring G_FF. From a nearly feasible warm start Prefix(2100) keeps
+  // almost every coordinate free, past the 2,048-column limit of a
+  // Kronecker Gram, and one Cholesky step reaches the KKT certificate.
+  const Matrix g = PrefixWorkload(2100).Gram();
+  const Vector xhat = NearlyFeasibleEstimate(2100, 157);
+  const Vector rhs = MultiplyVec(g, xhat);
+
+  const std::int64_t cg_before = CounterValue("wfm_wnnls_cg_iterations_total");
+  const WnnlsResult res = SolveWnnls({&g}, rhs, {}, &xhat);
+  ASSERT_TRUE(res.converged);
+  EXPECT_EQ(res.iterations, 1);
+  EXPECT_EQ(CounterValue("wfm_wnnls_cg_iterations_total"), cg_before);
+  const double tol = WnnlsOptions{}.tolerance * MaxAbsVec(rhs);
+  ExpectKkt({&g}, rhs, res.x, tol);
 }
 
 TEST(WnnlsTest, SingularFactorPastTheCholeskyBlockLimit) {
@@ -271,7 +333,7 @@ TEST(WnnlsTest, BitIdenticalAcrossThreadCounts) {
   // solve may not depend on the pool size. n = 2048 is past the pool's flop
   // threshold for the G x product. Prefix takes Cholesky steps. The Gram of
   // 3WayMarginals(256) ⊗ Histogram(8) has rank 93 · 8 = 744, so its free
-  // block does not factor and PCG takes its steps. Bounded budgets keep
+  // block does not factor and CG takes its steps. Bounded budgets keep
   // Debug builds fast; bit identity does not need convergence.
   const Matrix prefix = PrefixWorkload(2048).Gram();
   const Matrix singular =
