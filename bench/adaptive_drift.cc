@@ -164,8 +164,9 @@ int main(int argc, char** argv) {
             session->CurrentStrategy().value();
         const bool is_static = session == session_static.get();
         (is_static ? trial_static_exp : trial_adaptive_exp)[epoch] =
-            ExpectedShareMse(serving.q, stats, truth, devices, queries);
-        const wfm::LocalRandomizer randomizer(serving.q);
+            ExpectedShareMse(serving.strategy.factors[0], stats, truth,
+                             devices, queries);
+        const wfm::LocalRandomizer randomizer(serving.strategy.factors[0]);
         for (int d = 0; d < devices; ++d) {
           // Inverse-CDF draw of the device's true type.
           const double u = rng.Uniform(0.0, 1.0);

@@ -112,7 +112,8 @@ int main(int argc, char** argv) {
                   serving.status().ToString().c_str());
       return 1;
     }
-    const wfm::LocalRandomizer randomizer(serving.value().q);
+    const wfm::LocalRandomizer randomizer(
+        serving.value().strategy.factors[0]);
 
     std::vector<wfm::Report> reports;
     reports.reserve(devices_per_epoch);

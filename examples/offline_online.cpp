@@ -6,8 +6,10 @@
 // example runs both phases, connected only through a strategy file on disk,
 // over a continuous attribute (session duration in seconds) that is first
 // bucketized onto the finite domain. The offline phase builds an "Optimized"
-// Plan and saves its strategy; the online phase rehydrates a Plan from the
-// loaded matrix with PlanBuilder::Strategy() — no optimizer run needed. A
+// Plan and saves its strategy with SaveStrategyFile (the wire encoding, with
+// a CRC, written atomically); the online phase loads and re-validates it
+// with LoadStrategyFile and rehydrates a Plan with PlanBuilder::Strategy() —
+// no optimizer run needed. A
 // PrivacyAccountant enforces the per-user budget across repeated
 // collections.
 //
@@ -43,37 +45,35 @@ int RunOffline(const std::string& path, double eps) {
     return 1;
   }
   const wfm::Plan& plan = built.value();
-  const auto* strategy_mechanism =
-      dynamic_cast<const wfm::StrategyMechanism*>(&plan.mechanism());
 
-  wfm::SavedStrategy saved;
-  saved.q = strategy_mechanism->strategy().factors[0];
+  wfm::StrategySnapshot saved;
   saved.epsilon = eps;
-  saved.workload_name = "Prefix";
-  const wfm::Status status = wfm::SaveStrategy(path, saved);
+  saved.strategy = *plan.DeployedStrategy();
+  const wfm::Status status = wfm::SaveStrategyFile(path, saved);
   if (!status.ok()) {
     std::printf("[offline] save failed: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::printf("[offline] wrote %s (+.q matrix file); expected per-user unit "
-              "variance %.2f\n\n", path.c_str(),
+  std::printf("[offline] wrote %s (one CRC-checked strategy file); expected "
+              "per-user unit variance %.2f\n\n", path.c_str(),
               plan.Profile().WorstUnitVariance());
   return 0;
 }
 
 int RunOnline(const std::string& path, int num_users) {
   // --- Load the strategy and rehydrate a deployable plan ------------------
-  const wfm::StatusOr<wfm::SavedStrategy> loaded = wfm::LoadStrategy(path);
+  const wfm::StatusOr<wfm::StrategySnapshot> loaded =
+      wfm::LoadStrategyFile(path);
   if (!loaded.ok()) {
     std::printf("[online] cannot load strategy: %s (run --phase=offline first)\n",
                 loaded.status().ToString().c_str());
     return 1;
   }
-  const wfm::SavedStrategy& strategy = loaded.value();
+  const wfm::StrategySnapshot& strategy = loaded.value();
   auto workload = std::make_shared<wfm::PrefixWorkload>(kBuckets);
   const wfm::StatusOr<wfm::Plan> built = wfm::Plan::For(workload)
                                              .Epsilon(strategy.epsilon)
-                                             .Strategy(strategy.q)
+                                             .Strategy(strategy.strategy)
                                              .Build();
   if (!built.ok()) {  // E.g. a strategy file for the wrong domain size.
     std::printf("[online] cannot deploy loaded strategy: %s\n",
@@ -81,9 +81,12 @@ int RunOnline(const std::string& path, int num_users) {
     return 1;
   }
   const wfm::Plan& plan = built.value();
-  std::printf("[online] loaded %.2f-LDP strategy for workload '%s' "
-              "(%d outputs x %d types), revalidated\n", strategy.epsilon,
-              strategy.workload_name.c_str(), strategy.q.rows(), strategy.q.cols());
+  std::printf("[online] loaded %.2f-LDP strategy (%lld outputs x %lld "
+              "types), revalidated, deployed for workload '%s'\n",
+              strategy.epsilon,
+              static_cast<long long>(strategy.strategy.rows()),
+              static_cast<long long>(strategy.strategy.cols()),
+              plan.workload().Name().c_str());
 
   // --- Budget accounting ---------------------------------------------------
   wfm::PrivacyAccountant accountant(/*total_budget=*/2.0);

@@ -70,11 +70,22 @@ AdaptiveController::AdaptiveController(PlanSession* session,
   WFM_CHECK(session != nullptr);
   WFM_CHECK(config_.reweight_rho >= 0.0 && config_.reweight_rho <= 1.0)
       << "reweight_rho must lie in [0, 1]";
-  WFM_CHECK(session->CurrentStrategy().ok())
-      << "AdaptiveController requires a strategy-based session";
 }
 
 StatusOr<EpochDecision> AdaptiveController::OnEpochSealed() {
+  // Re-optimization is dense PGD on stats.gram, so it needs a one-factor
+  // incumbent; a factored deployment serves and rolls, but not from here.
+  StatusOr<StrategySnapshot> incumbent = session_->CurrentStrategy();
+  if (!incumbent.ok()) return incumbent.status();
+  if (incumbent.value().strategy.factors.size() != 1) {
+    return Status::FailedPrecondition(
+        "adaptive re-optimization needs a dense (one-factor) strategy; the "
+        "deployed one has " +
+        std::to_string(incumbent.value().strategy.factors.size()) +
+        " factors");
+  }
+  const Matrix& incumbent_q = incumbent.value().strategy.factors[0];
+
   const CollectionSession& collection = session_->session();
   const std::shared_ptr<const EpochSnapshot> latest =
       collection.LatestSnapshot();
@@ -117,8 +128,6 @@ StatusOr<EpochDecision> AdaptiveController::OnEpochSealed() {
   // budget for it the drift is reported (gauge, decision) but not acted on.
   if (planner_ != nullptr && !planner_->CanSpendRound()) return decision;
 
-  StatusOr<StrategySnapshot> incumbent = session_->CurrentStrategy();
-  if (!incumbent.ok()) return incumbent.status();
   const WorkloadStats& stats = decoder->workload_stats();
   const Vector x = NormalizedDistribution(
       decoder->EstimateDataVector(latest->histogram, latest->count));
@@ -127,7 +136,7 @@ StatusOr<EpochDecision> AdaptiveController::OnEpochSealed() {
   ReoptimizationsTotal().Increment();
   decision.reoptimized = true;
   OptimizerConfig optimizer = config_.optimizer;
-  optimizer.seed_strategies.push_back(incumbent.value().q);
+  optimizer.seed_strategies.push_back(incumbent_q);
   optimizer.population = PopulationWeights(x, config_.reweight_rho);
   const OptimizerResult result =
       OptimizeStrategy(stats.gram, incumbent.value().epsilon, optimizer);
@@ -136,16 +145,16 @@ StatusOr<EpochDecision> AdaptiveController::OnEpochSealed() {
   // variance on the *real* workload at the estimated data vector (the
   // optimizer minimized the population-weighted objective, which tracks it
   // but is not identical once the projection constraints bind).
-  decision.incumbent_variance = FactorizationAnalysis(incumbent.value().q, stats)
-                                    .Profile()
-                                    .DataVariance(x);
+  decision.incumbent_variance =
+      FactorizationAnalysis(incumbent_q, stats).Profile().DataVariance(x);
   decision.candidate_variance =
       FactorizationAnalysis(result.q, stats).Profile().DataVariance(x);
   if (decision.candidate_variance >= decision.incumbent_variance) {
     return decision;
   }
 
-  StatusOr<int> staged = session_->RollStrategy(result.q);
+  StatusOr<int> staged =
+      session_->RollStrategy({{result.q}, {incumbent.value().epsilon}});
   if (!staged.ok()) return staged.status();
   if (planner_ != nullptr) planner_->SpendRound();
   ++rolls_;

@@ -77,13 +77,16 @@ class AdaptiveController {
   /// Watches `session` (not owned, must outlive the controller). `planner`
   /// may be null — then rolls are not budget-gated (analysis/bench use);
   /// when set, it must also outlive the controller and every roll spends
-  /// one round. The session must be strategy-based (CHECK).
+  /// one round.
   AdaptiveController(PlanSession* session, BudgetPlanner* planner,
                      AdaptiveConfig config = {});
 
   /// Runs the drift -> re-optimize -> roll pipeline on the newest sealed
-  /// epoch. Call after each Seal(). kFailedPrecondition when nothing is
-  /// sealed yet; drift-scoring errors (empty epochs) pass through.
+  /// epoch. Call after each Seal(). kFailedPrecondition, before anything is
+  /// scored, when the session serves no strategy (RAPPOR/OUE, additive
+  /// noise) or one with k > 1 factors (re-optimization is dense PGD on the
+  /// workload Gram), and when nothing is sealed yet; drift-scoring errors
+  /// (empty epochs) pass through.
   StatusOr<EpochDecision> OnEpochSealed();
 
   /// Re-optimizations attempted over this controller's lifetime.

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "core/strategy.h"
 #include "obs/metrics.h"
 
 namespace wfm {
@@ -83,32 +82,31 @@ ReportKind Plan::report_kind() const {
                                                     : ReportKind::kCategorical;
 }
 
-const Matrix* Plan::DeployedStrategy() const {
+const FactoredStrategy* Plan::DeployedStrategy() const {
   const auto* strategy_mechanism =
       dynamic_cast<const StrategyMechanism*>(mechanism_.get());
-  if (strategy_mechanism == nullptr) return nullptr;
-  const FactoredStrategy& strategy = strategy_mechanism->strategy();
-  return strategy.factors.size() == 1 ? &strategy.factors[0] : nullptr;
+  return strategy_mechanism != nullptr ? &strategy_mechanism->strategy()
+                                       : nullptr;
 }
 
 std::unique_ptr<PlanSession> Plan::StartSession(int num_shards) const {
   // PlanSession's constructor is private; the session pins an internal
   // pointer (server -> session), hence the unique_ptr.
-  const Matrix* strategy = DeployedStrategy();
   return std::unique_ptr<PlanSession>(new PlanSession(
       deployment_.decoder, workload_, num_shards, report_kind(),
-      strategy != nullptr ? *strategy : Matrix(), epsilon_, stats_));
+      DeployedStrategy(), epsilon_, stats_));
 }
 
 PlanSession::PlanSession(ReportDecoder decoder,
                          std::shared_ptr<const Workload> workload,
-                         int num_shards, ReportKind kind, Matrix strategy,
-                         double epsilon, WorkloadStats stats)
+                         int num_shards, ReportKind kind,
+                         const FactoredStrategy* strategy, double epsilon,
+                         WorkloadStats stats)
     : session_(std::move(decoder), std::move(workload), num_shards, kind),
       server_(&session_),
       epsilon_(epsilon),
       stats_(std::move(stats)) {
-  if (!strategy.empty()) strategies_.emplace(0, std::move(strategy));
+  if (strategy != nullptr) strategies_.emplace(0, *strategy);
 }
 
 StatusOr<StrategySnapshot> PlanSession::CurrentStrategy() const {
@@ -125,11 +123,11 @@ StatusOr<StrategySnapshot> PlanSession::CurrentStrategy() const {
   StrategySnapshot snapshot;
   snapshot.version = version;
   snapshot.epsilon = epsilon_;
-  snapshot.q = it->second;
+  snapshot.strategy = it->second;
   return snapshot;
 }
 
-StatusOr<int> PlanSession::RollStrategy(Matrix q) {
+StatusOr<int> PlanSession::RollStrategy(FactoredStrategy strategy) {
   {
     std::lock_guard<std::mutex> lock(strategy_mutex_);
     if (strategies_.empty()) {
@@ -137,36 +135,30 @@ StatusOr<int> PlanSession::RollStrategy(Matrix q) {
           "deployment is not strategy-based; cannot roll its strategy");
     }
   }
-  if (q.rows() != session_.num_outputs() || q.cols() != stats_.n) {
+  // A rolled strategy arrives at runtime (re-optimization output, operator
+  // upload), so LDP violations are recoverable failures, not CHECK aborts.
+  if (Status valid = ValidateFactoredStrategy(strategy, epsilon_);
+      !valid.ok()) {
+    return valid;
+  }
+  if (strategy.rows() != session_.num_outputs() ||
+      strategy.cols() != stats_.n) {
     return Status::InvalidArgument(
-        "rolled strategy is " + std::to_string(q.rows()) + " x " +
-        std::to_string(q.cols()) + ", deployment requires " +
+        "rolled strategy is " + std::to_string(strategy.rows()) + " x " +
+        std::to_string(strategy.cols()) + ", deployment requires " +
         std::to_string(session_.num_outputs()) + " x " +
         std::to_string(stats_.n));
   }
-  // A rolled strategy arrives at runtime (re-optimization output, operator
-  // upload), so LDP violations are recoverable failures, not CHECK aborts.
-  const StrategyValidation validation = ValidateStrategy(q, epsilon_,
-                                                         /*tol=*/1e-6);
-  if (!validation.valid) {
-    return Status::InvalidArgument(
-        "rolled strategy is not a valid " + std::to_string(epsilon_) +
-        "-LDP strategy:" + validation.ToString());
-  }
-  const FactorizationAnalysis analysis(q, stats_);
-  // The mechanism layer's deployability bar: a large Gram-side residual
-  // means the workload left the strategy's row space and every decode under
-  // it would be biased.
-  if (analysis.FactorizationResidual() >=
-      FactorizationAnalysis::kResidualTolerance) {
-    return Status::FailedPrecondition(
-        "workload is outside the rolled strategy's row space "
-        "(factorization residual " +
-        std::to_string(analysis.FactorizationResidual()) + ")");
-  }
+  // The mechanism layer's deployability bar: the workload must lie in the
+  // strategy's row space (else every decode under it would be biased), and
+  // its factors must match the workload's.
+  StatusOr<Deployment> deployment =
+      FixedStrategyMechanism(strategy, stats_.n, epsilon_).Deploy(stats_);
+  if (!deployment.ok()) return deployment.status();
   std::lock_guard<std::mutex> lock(strategy_mutex_);
-  const int version = session_.StageRoll(ReportDecoder::FromAnalysis(analysis));
-  strategies_[version] = std::move(q);
+  const int version =
+      session_.StageRoll(std::move(deployment.value().decoder));
+  strategies_[version] = std::move(strategy);
   return version;
 }
 
@@ -213,32 +205,23 @@ StatusOr<Plan> PlanBuilder::Build() const {
   WorkloadStats stats = WorkloadStats::From(*workload_);
 
   std::shared_ptr<const wfm::Mechanism> mechanism;
-  if (!fixed_strategy_.empty()) {
-    if (stats.factored() && stats.gram.empty()) {
-      return Status::InvalidArgument(
-          "Strategy() supplies a dense strategy matrix, but workload '" +
-          stats.name + "' is Kronecker-structured past the dense ceiling "
-          "(n = " + std::to_string(stats.n) +
-          "); use the \"Optimized\" mechanism's factored path instead");
-    }
-    if (fixed_strategy_.cols() != stats.n) {
-      return Status::InvalidArgument(
-          "Strategy() matrix has " + std::to_string(fixed_strategy_.cols()) +
-          " columns, workload domain is " + std::to_string(stats.n));
-    }
+  if (!fixed_strategy_.factors.empty()) {
     // A strategy handed in at runtime (e.g. loaded from disk) is a
     // recoverable failure, not a programming error — validate here so a
     // corrupt or wrong-epsilon file surfaces as Status instead of the
     // StrategyMechanism constructor's CHECK abort.
-    const StrategyValidation validation =
-        ValidateStrategy(fixed_strategy_, epsilon_, /*tol=*/1e-6);
-    if (!validation.valid) {
-      return Status::InvalidArgument(
-          "Strategy() matrix is not a valid " + std::to_string(epsilon_) +
-          "-LDP strategy:" + validation.ToString());
+    if (Status valid = ValidateFactoredStrategy(fixed_strategy_, epsilon_);
+        !valid.ok()) {
+      return valid;
     }
-    mechanism = std::make_shared<FixedStrategyMechanism>(
-        FactoredStrategy{{fixed_strategy_}, {epsilon_}}, stats.n, epsilon_);
+    if (fixed_strategy_.cols() != stats.n) {
+      return Status::InvalidArgument(
+          "Strategy() has a composed domain of " +
+          std::to_string(fixed_strategy_.cols()) +
+          ", workload domain is " + std::to_string(stats.n));
+    }
+    mechanism = std::make_shared<FixedStrategyMechanism>(fixed_strategy_,
+                                                         stats.n, epsilon_);
   } else if (auto_select_) {
     StatusOr<MechanismRegistry::AutoSelection> selected =
         registry.AutoSelectMechanism(stats, epsilon_, options_);

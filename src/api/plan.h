@@ -22,13 +22,15 @@
 // "RAPPOR"/"OUE" frequency oracles, and anything user-registered — deploys
 // through the same calls.
 //
-// Strategy-based sessions additionally support adaptive serving: the
-// deployed strategy is exposed (Plan::DeployedStrategy,
-// PlanSession::CurrentStrategy) and can be replaced mid-service
-// (PlanSession::RollStrategy) — the replacement is validated as an
-// epsilon-LDP strategy for the same budget, staged, and becomes active at
-// the next epoch boundary so sealed epochs always decode under the strategy
-// their reports were encoded with.
+// Strategy-based sessions additionally support adaptive serving. A strategy
+// is a FactoredStrategy Q = Q_0 ⊗ ... ⊗ Q_{k-1} with k >= 1 factors (a dense
+// Q is k = 1) everywhere it appears: handed in (PlanBuilder::Strategy),
+// exposed (Plan::DeployedStrategy, PlanSession::CurrentStrategy), shipped
+// and stored (wire/wire_format.h, wire/snapshot_store.h) and replaced
+// mid-service (PlanSession::RollStrategy). Each of these entry points runs
+// the one validator, ValidateFactoredStrategy (core/factored.h). A roll is
+// staged and becomes active at the next epoch boundary, so sealed epochs
+// always decode under the strategy their reports were encoded with.
 // Mechanism(Auto()) cross-evaluates the whole registry against the workload
 // (Section 6.1) and picks the minimum-variance entry. All runtime-reachable
 // failures (unknown name, unsupported domain shape, workload outside a
@@ -48,6 +50,7 @@
 #include "collect/collection_session.h"
 #include "collect/estimate_server.h"
 #include "common/status.h"
+#include "core/factored.h"
 #include "estimation/decoder.h"
 #include "estimation/estimator.h"
 #include "ldp/reporter.h"
@@ -65,12 +68,13 @@ class Plan;
 class PlanBuilder;
 
 /// A versioned deployed strategy: everything a (possibly remote) client
-/// needs to rebuild its encoder after a roll. Served in-process by
-/// PlanSession::CurrentStrategy and over the network by wire/kGetStrategy.
+/// needs to rebuild its encoder after a roll (a StrategyReporter over
+/// `strategy.factors`). Served in-process by PlanSession::CurrentStrategy,
+/// over the network by wire/kGetStrategy, and stored by SaveStrategyFile.
 struct StrategySnapshot {
-  int version = 0;       ///< Session strategy version this matrix carries.
+  int version = 0;       ///< Session strategy version this strategy carries.
   double epsilon = 0.0;  ///< Privacy budget the strategy satisfies.
-  Matrix q;              ///< Column-stochastic m x n strategy matrix.
+  FactoredStrategy strategy;  ///< k >= 1 factors and their budget shares.
 };
 
 /// The on-device half of a plan: privatizes one user's true type into the
@@ -151,24 +155,26 @@ class PlanSession {
     return server_.ServeWindow(window, kind);
   }
 
-  /// The strategy clients should encode under right now, tagged with the
-  /// session version it carries and the budget it satisfies — what
-  /// wire/kGetStrategy ships so a networked client can rebuild its encoder
-  /// after a roll. kFailedPrecondition when the deployment is not
-  /// strategy-based (RAPPOR/OUE and additive-noise plans have no strategy
-  /// matrix to hand out, and cannot roll).
+  /// The strategy clients should encode under right now, with any number of
+  /// factors, tagged with the session version it carries and the budget it
+  /// satisfies — what wire/kGetStrategy ships so a networked client can
+  /// rebuild its encoder after a roll. kFailedPrecondition when the
+  /// deployment is not strategy-based (RAPPOR/OUE and additive-noise plans
+  /// have no strategy to hand out, and cannot roll).
   StatusOr<StrategySnapshot> CurrentStrategy() const;
 
-  /// Stages `q` as this session's next strategy. `q` is validated like any
-  /// runtime strategy input — same report dimension m and domain n as the
-  /// deployment, a valid epsilon-LDP strategy for the plan's budget
-  /// (kInvalidArgument otherwise), workload inside its row space
-  /// (kFailedPrecondition otherwise) — then turned into a Theorem 3.10
-  /// decoder and handed to CollectionSession::StageRoll. The roll takes
-  /// effect at the next Seal(), so no epoch ever mixes strategies; until
-  /// then CurrentStrategy() keeps serving the active one. Returns the
-  /// version the staged strategy will carry once active.
-  StatusOr<int> RollStrategy(Matrix q);
+  /// Stages `strategy` as this session's next strategy. It is validated like
+  /// any runtime strategy input: ValidateFactoredStrategy at the plan's
+  /// budget and a composed shape of the deployment's m x n
+  /// (kInvalidArgument otherwise), then deployed as a FixedStrategyMechanism,
+  /// whose per-factor Theorem 3.10 decoder needs the workload inside the
+  /// strategy's row space and factor domains that match a Kronecker
+  /// workload's (kFailedPrecondition otherwise). The decoder goes to
+  /// CollectionSession::StageRoll. The roll takes effect at the next Seal(),
+  /// so no epoch ever mixes strategies; until then CurrentStrategy() keeps
+  /// serving the active one. Returns the version the staged strategy will
+  /// carry once active.
+  StatusOr<int> RollStrategy(FactoredStrategy strategy);
 
   /// Underlying collect/ primitives for service-level integration.
   CollectionSession& session() { return session_; }
@@ -177,21 +183,23 @@ class PlanSession {
 
  private:
   friend class Plan;
+  /// `strategy` is the deployed one, or nullptr for a deployment that is not
+  /// strategy-based.
   PlanSession(ReportDecoder decoder, std::shared_ptr<const Workload> workload,
-              int num_shards, ReportKind kind, Matrix strategy, double epsilon,
-              WorkloadStats stats);
+              int num_shards, ReportKind kind, const FactoredStrategy* strategy,
+              double epsilon, WorkloadStats stats);
 
   CollectionSession session_;
   EstimateServer server_;
   double epsilon_ = 0.0;
   WorkloadStats stats_;
 
-  // Strategy matrix by session version: version 0 is the plan's deployed
-  // strategy; rolls insert their matrix at stage time under the version
-  // StageRoll hands back, so the active version is always present. Empty
-  // for non-strategy deployments (which cannot roll).
+  // Strategy by session version: version 0 is the plan's deployed strategy;
+  // rolls insert theirs at stage time under the version StageRoll hands
+  // back, so the active version is always present. Empty for non-strategy
+  // deployments (which cannot roll).
   mutable std::mutex strategy_mutex_;
-  std::map<int, Matrix> strategies_;
+  std::map<int, FactoredStrategy> strategies_;
 };
 
 /// An immutable, fully-resolved deployment plan. Copyable; hands out client
@@ -223,12 +231,12 @@ class Plan {
   /// Report shape this deployment's clients emit and its servers ingest.
   ReportKind report_kind() const;
 
-  /// The deployed strategy matrix Q, or nullptr when the resolved mechanism
-  /// is not strategy-based (RAPPOR/OUE frequency oracles, additive-noise
-  /// mechanisms) or its strategy has k > 1 Kronecker factors (the factored
-  /// "Optimized" path past the dense ceiling). Sessions of plans with a
-  /// dense strategy support RollStrategy.
-  const Matrix* DeployedStrategy() const;
+  /// The deployed strategy, with its k >= 1 factors (k > 1 on the factored
+  /// "Optimized" path past the dense ceiling), or nullptr when the resolved
+  /// mechanism is not strategy-based (RAPPOR/OUE frequency oracles,
+  /// additive-noise mechanisms). Sessions of plans with a strategy serve it
+  /// and support RollStrategy.
+  const FactoredStrategy* DeployedStrategy() const;
 
   PlanClient Client() const { return PlanClient(deployment_.reporter); }
   std::unique_ptr<PlanSession> StartSession(int num_shards) const;
@@ -268,21 +276,25 @@ class PlanBuilder {
   PlanBuilder& Mechanism(std::string name) {
     mechanism_name_ = std::move(name);
     auto_select_ = false;
-    fixed_strategy_ = wfm::Matrix();
+    fixed_strategy_ = {};
     return *this;
   }
 
   /// Deploy the registry's minimum-variance mechanism for this workload.
   PlanBuilder& Mechanism(Auto) {
     auto_select_ = true;
-    fixed_strategy_ = wfm::Matrix();
+    fixed_strategy_ = {};
     return *this;
   }
 
-  /// Deploy a precomputed strategy matrix (e.g. loaded via LoadStrategy in
-  /// the offline/online split) instead of a registry mechanism.
-  PlanBuilder& Strategy(wfm::Matrix q) {
-    fixed_strategy_ = std::move(q);
+  /// Deploy a precomputed strategy with k >= 1 factors (e.g. loaded via
+  /// LoadStrategyFile in the offline/online split) instead of a registry
+  /// mechanism. Build() returns ValidateFactoredStrategy's Status at the
+  /// plan's budget, kInvalidArgument when the composed domain is not the
+  /// workload's, and kFailedPrecondition when the workload cannot be
+  /// decoded under it (see RollStrategy).
+  PlanBuilder& Strategy(FactoredStrategy strategy) {
+    fixed_strategy_ = std::move(strategy);
     auto_select_ = false;
     return *this;
   }
@@ -310,7 +322,7 @@ class PlanBuilder {
   double epsilon_ = 0.0;
   std::string mechanism_name_ = "Optimized";
   bool auto_select_ = false;
-  wfm::Matrix fixed_strategy_;
+  FactoredStrategy fixed_strategy_;
   MechanismOptions options_;
   const MechanismRegistry* registry_ = nullptr;
 };

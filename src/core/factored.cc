@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "core/strategy.h"
 #include "linalg/kron.h"
 
 namespace wfm {
@@ -47,6 +48,59 @@ double FactoredStrategy::total_epsilon() const {
   double eps = 0.0;
   for (const double e : epsilons) eps += e;
   return eps;
+}
+
+Status ValidateFactoredStrategy(const FactoredStrategy& strategy, double eps) {
+  const std::size_t k = strategy.factors.size();
+  if (k == 0 || strategy.epsilons.size() != k) {
+    return Status::InvalidArgument(
+        "strategy has " + std::to_string(k) + " factors and " +
+        std::to_string(strategy.epsilons.size()) +
+        " budget shares; needs one share per factor and at least one factor");
+  }
+  // Π m_i and Π n_i are accumulated with an int bound, so no count of huge
+  // factors can overflow the products.
+  constexpr std::int64_t kMaxExtent = std::numeric_limits<int>::max();
+  std::int64_t rows = 1;
+  std::int64_t cols = 1;
+  for (std::size_t i = 0; i < k; ++i) {
+    const Matrix& q = strategy.factors[i];
+    const double share = strategy.epsilons[i];
+    const std::string factor = "strategy factor " + std::to_string(i);
+    if (!std::isfinite(share) || share <= 0.0) {
+      return Status::InvalidArgument(factor + " has budget share " +
+                                     std::to_string(share) +
+                                     ", not a positive finite value");
+    }
+    if (q.empty()) return Status::InvalidArgument(factor + " is empty");
+    rows *= q.rows();
+    cols *= q.cols();
+    if (rows > kMaxExtent || cols > kMaxExtent) {
+      return Status::InvalidArgument(
+          "composed strategy shape overflows int at " + factor);
+    }
+    for (std::size_t j = 0; j < q.size(); ++j) {
+      if (!std::isfinite(q.data()[j])) {
+        return Status::InvalidArgument(factor + " has a non-finite entry");
+      }
+    }
+    const StrategyValidation v = ValidateStrategy(q, share, /*tol=*/1e-6);
+    if (!v.valid) {
+      return Status::InvalidArgument(factor + " is not a valid " +
+                                     std::to_string(share) +
+                                     "-LDP strategy: " + v.ToString());
+    }
+  }
+  // The composed guarantee is the sum of the factor budgets (independent
+  // per-factor sampling multiplies the likelihood ratios). Written so that a
+  // NaN eps fails too.
+  const double total = strategy.total_epsilon();
+  if (!(total <= eps * (1.0 + 1e-9))) {
+    return Status::InvalidArgument(
+        "strategy factor budgets sum to " + std::to_string(total) +
+        ", more than the declared total epsilon " + std::to_string(eps));
+  }
+  return Status::Ok();
 }
 
 FactoredOptimizerResult OptimizeFactoredStrategy(

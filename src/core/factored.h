@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "core/factorization.h"
 #include "core/optimizer.h"
 #include "linalg/matrix.h"
@@ -44,6 +45,15 @@ struct FactoredStrategy {
   std::int64_t cols() const;  ///< Π n_i (composed domain).
   double total_epsilon() const;
 };
+
+/// Whether `strategy` is a deployable `eps`-LDP strategy: at least one
+/// factor and one budget share per factor, every share ε_i positive and
+/// finite, every factor non-empty with finite entries and valid under
+/// Proposition 2.6 at ε_i (ValidateStrategy, tol 1e-6), Σ ε_i <= eps (up to
+/// a relative 1e-9), and Π m_i and Π n_i within int. kInvalidArgument names
+/// the first failed check. The one decision every path that builds,
+/// receives, loads or rolls a strategy makes; StrategyMechanism CHECKs it.
+Status ValidateFactoredStrategy(const FactoredStrategy& strategy, double eps);
 
 struct FactoredOptimizerConfig {
   /// Per-factor PGD configuration, passed to OptimizeStrategy unchanged.

@@ -95,11 +95,15 @@
 // decodes each epoch with that version's strategy — no epoch ever mixes
 // strategies, so each device's single report stays eps-LDP under exactly the
 // strategy it polled. Networked fleets poll via the kGetStrategy frame: an
-// empty-payload request answered with a "WFST" strategy object (m, version,
-// epsilon, the row-major m x n matrix); DecodeStrategy re-validates the
-// eps-LDP guarantee so a tampered or buggy server cannot silently void a
-// device's privacy. Deployments whose mechanism is not strategy-based
-// answer kGetStrategy with kFailedPrecondition (HTTP-wise: a 409).
+// empty-payload request answered with a "WFST" strategy object carrying the
+// version, epsilon and the strategy's k >= 1 factors (kind 0: one row-major
+// m x n matrix; kind 1: each factor's m_i, n_i, epsilon_i and matrix, see
+// wire/wire_format.h), from which a device builds its StrategyReporter;
+// DecodeStrategy re-validates the eps-LDP guarantee
+// (ValidateFactoredStrategy) so a tampered or buggy server cannot silently
+// void a device's privacy. Deployments whose mechanism is not
+// strategy-based answer kGetStrategy with kFailedPrecondition (HTTP-wise: a
+// 409).
 
 #ifndef WFM_LDP_PROTOCOL_H_
 #define WFM_LDP_PROTOCOL_H_

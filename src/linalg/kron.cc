@@ -144,25 +144,9 @@ void KroneckerMatVecInto(const std::vector<const Matrix*>& factors,
   MatVecImpl(factors, /*transpose=*/false, x, y, scratch);
 }
 
-Vector KroneckerMatTVec(const std::vector<const Matrix*>& factors,
-                        const Vector& x) {
-  Vector y, scratch;
-  KroneckerMatTVecInto(factors, x, y, scratch);
-  return y;
-}
-
 void KroneckerMatTVecInto(const std::vector<const Matrix*>& factors,
                           const Vector& x, Vector& y, Vector& scratch) {
   MatVecImpl(factors, /*transpose=*/true, x, y, scratch);
-}
-
-std::int64_t KroneckerRows(const std::vector<const Matrix*>& factors) {
-  std::int64_t n = 1;
-  for (const Matrix* f : factors) {
-    WFM_CHECK(f != nullptr);
-    n = CheckedMulNonNegative(n, f->rows());
-  }
-  return n;
 }
 
 std::int64_t KroneckerCols(const std::vector<const Matrix*>& factors) {

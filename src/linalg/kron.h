@@ -48,14 +48,12 @@ void KroneckerMatVecInto(const std::vector<const Matrix*>& factors,
                          const Vector& x, Vector& y, Vector& scratch);
 
 /// y = (A_0 ⊗ ... ⊗ A_{k-1})ᵀ x = (A_0ᵀ ⊗ ... ⊗ A_{k-1}ᵀ) x without
-/// materializing any transpose. x.size() must equal Π rows(A_i).
-Vector KroneckerMatTVec(const std::vector<const Matrix*>& factors,
-                        const Vector& x);
+/// materializing any transpose. x.size() must equal Π rows(A_i). `y` and
+/// `scratch` are reused as in KroneckerMatVecInto.
 void KroneckerMatTVecInto(const std::vector<const Matrix*>& factors,
                           const Vector& x, Vector& y, Vector& scratch);
 
-/// Π over factors of the selected dimension, checked against int64 overflow.
-std::int64_t KroneckerRows(const std::vector<const Matrix*>& factors);
+/// Π cols(A_i), checked against int64 overflow.
 std::int64_t KroneckerCols(const std::vector<const Matrix*>& factors);
 
 /// Multiplies two non-negative extents, aborting (WFM_CHECK) on int64

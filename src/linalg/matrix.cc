@@ -249,13 +249,6 @@ Vector Matrix::ColSums() const {
   return sums;
 }
 
-Vector Matrix::DiagonalVector() const {
-  const int n = std::min(rows_, cols_);
-  Vector d(n);
-  for (int i = 0; i < n; ++i) d[i] = (*this)(i, i);
-  return d;
-}
-
 double Matrix::Trace() const {
   double t = 0.0;
   const int n = std::min(rows_, cols_);
@@ -487,12 +480,6 @@ double MaxAbsVec(const Vector& a) {
 void Axpy(double alpha, const Vector& x, Vector& y) {
   WFM_CHECK_EQ(x.size(), y.size());
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-Vector ScaledVector(const Vector& a, double s) {
-  Vector out(a);
-  for (double& v : out) v *= s;
-  return out;
 }
 
 Vector ClipVector(const Vector& v, const Vector& lo, const Vector& hi) {

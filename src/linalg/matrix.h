@@ -96,7 +96,6 @@ class Matrix {
   /// Allocation-free variant: writes the row sums into `out` (resized).
   void RowSumsInto(Vector& out) const;
   Vector ColSums() const;
-  Vector DiagonalVector() const;
 
   double Trace() const;
   double FrobeniusNormSq() const;
@@ -180,7 +179,6 @@ double Sum(const Vector& a);
 double MaxAbsVec(const Vector& a);
 /// y += alpha * x.
 void Axpy(double alpha, const Vector& x, Vector& y);
-Vector ScaledVector(const Vector& a, double s);
 /// Elementwise clip of v to [lo[i], hi[i]].
 Vector ClipVector(const Vector& v, const Vector& lo, const Vector& hi);
 /// Elementwise clip of v to the scalar range [lo, hi].

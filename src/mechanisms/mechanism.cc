@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/strategy.h"
-
 namespace wfm {
 
 StatusOr<ErrorProfile> Mechanism::TryAnalyze(const WorkloadStats& workload) const {
@@ -22,20 +20,9 @@ StatusOr<Deployment> Mechanism::Deploy(const WorkloadStats& workload) const {
 StrategyMechanism::StrategyMechanism(FactoredStrategy strategy, int n,
                                      double eps)
     : strategy_(std::move(strategy)), n_(n), eps_(eps) {
-  WFM_CHECK(!strategy_.factors.empty());
-  WFM_CHECK_EQ(strategy_.factors.size(), strategy_.epsilons.size());
+  const Status valid = ValidateFactoredStrategy(strategy_, eps_);
+  WFM_CHECK(valid.ok()) << valid.ToString();
   WFM_CHECK_EQ(strategy_.cols(), n_) << "composed strategy domain mismatch";
-  // The composed guarantee is the sum of factor budgets (independent
-  // per-factor sampling multiplies the likelihood ratios).
-  WFM_CHECK_LE(strategy_.total_epsilon(), eps * (1.0 + 1e-9))
-      << "factor budgets exceed the declared total epsilon";
-  for (std::size_t i = 0; i < strategy_.factors.size(); ++i) {
-    const StrategyValidation v =
-        ValidateStrategy(strategy_.factors[i], strategy_.epsilons[i],
-                         /*tol=*/1e-6);
-    WFM_CHECK(v.valid) << "invalid strategy matrix (factor" << i
-                       << "):" << v.ToString();
-  }
 }
 
 StatusOr<FactoredAnalysis> StrategyMechanism::TryAnalyzeStrategy(

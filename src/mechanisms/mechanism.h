@@ -85,8 +85,9 @@ class StrategyMechanism : public Mechanism {
   StrategyMechanism(Matrix q, int n, double eps)
       : StrategyMechanism(FactoredStrategy{{std::move(q)}, {eps}}, n, eps) {}
   /// `strategy` holds the per-factor matrices and their budget shares; `eps`
-  /// is the total budget and must be >= Σ ε_i (each factor is validated at
-  /// construction). `n` is the composed domain Π n_i.
+  /// is the total budget. CHECKs ValidateFactoredStrategy(strategy, eps), so
+  /// callers holding untrusted strategies run it first and return its
+  /// Status. `n` is the composed domain Π n_i.
   StrategyMechanism(FactoredStrategy strategy, int n, double eps);
 
   int domain_size() const override { return n_; }
@@ -113,9 +114,10 @@ class StrategyMechanism : public Mechanism {
 };
 
 /// A StrategyMechanism around an externally supplied strategy — e.g. one
-/// loaded from disk in the offline/online deployment split (strategy_io.h),
-/// handed to PlanBuilder::Strategy(), or optimized per factor for a
-/// structured domain.
+/// loaded from disk in the offline/online deployment split
+/// (wire/snapshot_store.h), handed to PlanBuilder::Strategy() or
+/// PlanSession::RollStrategy(), or optimized per factor for a structured
+/// domain.
 class FixedStrategyMechanism final : public StrategyMechanism {
  public:
   FixedStrategyMechanism(FactoredStrategy strategy, int n, double eps,

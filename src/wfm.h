@@ -25,7 +25,6 @@
 #include "linalg/cholesky.h"
 #include "linalg/hadamard.h"
 #include "linalg/matrix.h"
-#include "linalg/matrix_io.h"
 #include "linalg/pseudo_inverse.h"
 #include "linalg/rng.h"
 #include "linalg/samplers.h"
@@ -47,13 +46,13 @@
 
 // core: strategies, factorization analysis, the optimizer (Algorithm 2).
 #include "core/accounting.h"
+#include "core/factored.h"
 #include "core/factorization.h"
 #include "core/lower_bound.h"
 #include "core/objective.h"
 #include "core/optimizer.h"
 #include "core/projection.h"
 #include "core/strategy.h"
-#include "core/strategy_io.h"
 
 // ldp: client-side randomizers, reporters, and protocol simulation.
 #include "ldp/local_randomizer.h"

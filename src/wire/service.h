@@ -374,11 +374,11 @@ class CollectionClient {
       MetricsFormat format = MetricsFormat::kPrometheus);
 
   /// Fetches the strategy the server is currently collecting under, with
-  /// the session version it carries — decode-validated, so the returned
-  /// matrix is guaranteed to be a genuine epsilon-LDP strategy. Clients
+  /// the session version it carries — decode-validated, so its k >= 1
+  /// factors are guaranteed to be a genuine epsilon-LDP strategy. Clients
   /// compare the version against the one they encode under and swap their
-  /// randomizer when it moves (kFailedPrecondition for deployments with no
-  /// strategy matrix).
+  /// StrategyReporter when it moves (kFailedPrecondition for deployments
+  /// with no strategy).
   StatusOr<StrategySnapshot> GetStrategy();
 
   /// Liveness probe.

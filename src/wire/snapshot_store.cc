@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <system_error>
 #include <utility>
 
+#include "core/factored.h"
 #include "obs/metrics.h"
 #include "wire/wire_format.h"
 
@@ -21,6 +23,41 @@ std::string EpochFileName(int epoch_id) {
   char name[32];
   std::snprintf(name, sizeof(name), "epoch-%08d", epoch_id);
   return std::string(name) + kSnapshotSuffix;
+}
+
+// Writes `bytes` to `path + ".tmp"` and renames it over `path`, so the file
+// at `path` is always either the old one or the complete new one.
+Status WriteFileAtomically(const std::string& path, const WireBytes& bytes) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      return Status::Internal("cannot open " + tmp + " for writing");
+    }
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    if (!out.flush()) {
+      return Status::Internal("short write to " + tmp);
+    }
+  }
+  std::error_code ec;
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    return Status::Internal("cannot rename " + tmp + " to " + path + ": " +
+                            ec.message());
+  }
+  return Status::Ok();
+}
+
+// The whole file at `path`; kNotFound when it cannot be opened.
+StatusOr<WireBytes> ReadFile(const std::string& path, const char* what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::NotFound(std::string("cannot open ") + what + " file " +
+                            path);
+  }
+  return WireBytes((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
 }
 
 }  // namespace
@@ -53,40 +90,38 @@ StatusOr<EpochSnapshot> MergeSnapshots(std::span<const EpochSnapshot> parts) {
 
 Status SaveSnapshotFile(const std::string& path,
                         const EpochSnapshot& snapshot) {
-  const WireBytes encoded = EncodeSnapshot(snapshot);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Internal("cannot open " + tmp + " for writing");
-    }
-    out.write(reinterpret_cast<const char*>(encoded.data()),
-              static_cast<std::streamsize>(encoded.size()));
-    if (!out.flush()) {
-      return Status::Internal("short write to " + tmp);
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("cannot rename " + tmp + " to " + path + ": " +
-                            ec.message());
-  }
-  return Status::Ok();
+  return WriteFileAtomically(path, EncodeSnapshot(snapshot));
 }
 
 StatusOr<EpochSnapshot> LoadSnapshotFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open snapshot file " + path);
-  }
-  WireBytes bytes((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  StatusOr<EpochSnapshot> decoded =
-      DecodeSnapshot(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+  StatusOr<WireBytes> bytes = ReadFile(path, "snapshot");
+  if (!bytes.ok()) return bytes.status();
+  StatusOr<EpochSnapshot> decoded = DecodeSnapshot(bytes.value());
   if (!decoded.ok()) {
     return Status::InvalidArgument("snapshot file " + path +
                                    " is corrupt: " +
+                                   decoded.status().message());
+  }
+  return decoded;
+}
+
+Status SaveStrategyFile(const std::string& path,
+                        const StrategySnapshot& strategy) {
+  if (Status valid = ValidateFactoredStrategy(strategy.strategy,
+                                              strategy.epsilon);
+      !valid.ok()) {
+    return Status::InvalidArgument("refusing to save an invalid strategy: " +
+                                   valid.message());
+  }
+  return WriteFileAtomically(path, EncodeStrategy(strategy));
+}
+
+StatusOr<StrategySnapshot> LoadStrategyFile(const std::string& path) {
+  StatusOr<WireBytes> bytes = ReadFile(path, "strategy");
+  if (!bytes.ok()) return bytes.status();
+  StatusOr<StrategySnapshot> decoded = DecodeStrategy(bytes.value());
+  if (!decoded.ok()) {
+    return Status::InvalidArgument("strategy file " + path + " rejected: " +
                                    decoded.status().message());
   }
   return decoded;

@@ -15,6 +15,14 @@
 // aggregate. Aggregation is linear and counts are integers, so a merge of
 // per-node snapshots equals single-node aggregation of the combined report
 // stream exactly.
+//
+// Strategy files are the offline/online split's hand-off (paper §6.6): the
+// server optimizes a strategy once, saves it, and a later process loads it
+// and deploys it with PlanBuilder::Strategy(). A strategy file is exactly the
+// EncodeStrategy bytes (any number of Kronecker factors, a CRC, written by
+// the same temp-file-plus-rename), and loading runs DecodeStrategy, so a
+// corrupted or tampered file cannot load as a weaker mechanism than the
+// budget it claims.
 
 #ifndef WFM_WIRE_SNAPSHOT_STORE_H_
 #define WFM_WIRE_SNAPSHOT_STORE_H_
@@ -23,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "api/plan.h"
 #include "collect/collection_session.h"
 #include "common/status.h"
 
@@ -40,6 +49,18 @@ Status SaveSnapshotFile(const std::string& path, const EpochSnapshot& snapshot);
 /// Reads one wire-encoded snapshot from `path`. kNotFound when the file does
 /// not exist, kInvalidArgument when its contents fail to decode.
 StatusOr<EpochSnapshot> LoadSnapshotFile(const std::string& path);
+
+/// Writes one strategy to `path` as its EncodeStrategy bytes (temp file +
+/// rename). kInvalidArgument, with nothing written, when
+/// ValidateFactoredStrategy rejects it at `strategy.epsilon`; kInternal on
+/// I/O failure.
+Status SaveStrategyFile(const std::string& path,
+                        const StrategySnapshot& strategy);
+
+/// Reads one strategy from `path`. kNotFound when the file does not exist,
+/// kInvalidArgument when its bytes fail DecodeStrategy (structure, CRC, or
+/// the strategy's validation at its recorded budget).
+StatusOr<StrategySnapshot> LoadStrategyFile(const std::string& path);
 
 /// A directory of sealed epochs, one file per epoch.
 class SnapshotStore {

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "common/check.h"
-#include "core/strategy.h"
+#include "core/factored.h"
 #include "wire/byte_order.h"
 
 namespace wfm {
@@ -30,6 +30,11 @@ constexpr std::uint8_t kKindPackedBits = 2;
 // strategy-versioned one (see the header comment).
 constexpr std::uint8_t kSnapshotKindLegacy = 0;
 constexpr std::uint8_t kSnapshotKindVersioned = 1;
+
+// Strategy `kind` header byte: one dense factor vs k >= 2 Kronecker factors
+// (see the header comment).
+constexpr std::uint8_t kStrategyKindDense = 0;
+constexpr std::uint8_t kStrategyKindFactored = 1;
 
 // ---- little-endian doubles (integers: wire/byte_order.h) -------------------
 
@@ -122,6 +127,41 @@ Status CheckEnvelope(std::span<const std::uint8_t> buffer,
   }
   kind = buffer[5];
   dim = GetU32(&buffer[8]);
+  return Status::Ok();
+}
+
+// ---- strategy factors ------------------------------------------------------
+
+// 2^15 caps each side of a strategy factor far above the paper's largest
+// experiment, and is checked before the m * n payload-size multiply, so
+// m * n * 8 stays comfortably inside size_t.
+Status CheckStrategySides(std::uint32_t m, std::uint32_t n, const char* what) {
+  constexpr std::uint32_t kMaxSide = 1u << 15;
+  if (m == 0 || m > kMaxSide || n == 0 || n > kMaxSide) {
+    return Status::InvalidArgument(std::string(what) + " dimensions " +
+                                   std::to_string(m) + " x " +
+                                   std::to_string(n) + " out of range");
+  }
+  return Status::Ok();
+}
+
+void PutMatrix(WireBytes& out, const Matrix& q) {
+  for (std::size_t i = 0; i < q.size(); ++i) PutF64(out, q.data()[i]);
+}
+
+// Reads m x n row-major doubles at `p` into `q`; every entry must be finite.
+Status GetMatrix(const std::uint8_t* p, std::uint32_t m, std::uint32_t n,
+                 const char* what, Matrix& q) {
+  q.ResizeUninitialized(static_cast<int>(m), static_cast<int>(n));
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    const double v = GetF64(p + 8 * i);
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument(
+          std::string(what) + " entry is not finite at row " +
+          std::to_string(i / n) + ", column " + std::to_string(i % n));
+    }
+    q.data()[i] = v;
+  }
   return Status::Ok();
 }
 
@@ -490,20 +530,38 @@ StatusOr<WorkloadEstimate> DecodeEstimate(
   return estimate;
 }
 
-WireBytes EncodeStrategy(const StrategySnapshot& strategy) {
-  WFM_CHECK(!strategy.q.empty()) << "encoding an empty strategy";
-  WFM_CHECK_GE(strategy.version, 0);
+WireBytes EncodeStrategy(const StrategySnapshot& snapshot) {
+  const FactoredStrategy& strategy = snapshot.strategy;
+  const std::size_t k = strategy.factors.size();
+  WFM_CHECK_GE(k, 1u) << "encoding an empty strategy";
+  WFM_CHECK_EQ(strategy.epsilons.size(), k);
+  WFM_CHECK_GE(snapshot.version, 0);
   WireBytes out;
-  const std::size_t m = static_cast<std::size_t>(strategy.q.rows());
-  const std::size_t n = static_cast<std::size_t>(strategy.q.cols());
-  out.reserve(kWireEnvelopeBytes + 16 + 8 * m * n);
-  PutHeader(out, kStrategyMagic, 0, static_cast<std::uint32_t>(n));
-  PutU32(out, static_cast<std::uint32_t>(m));
-  PutU32(out, static_cast<std::uint32_t>(strategy.version));
-  PutF64(out, strategy.epsilon);
-  for (int r = 0; r < strategy.q.rows(); ++r) {
-    for (int c = 0; c < strategy.q.cols(); ++c) {
-      PutF64(out, strategy.q(r, c));
+  if (k == 1) {
+    const Matrix& q = strategy.factors[0];
+    WFM_CHECK(!q.empty()) << "encoding an empty strategy";
+    out.reserve(kWireEnvelopeBytes + 16 + 8 * q.size());
+    PutHeader(out, kStrategyMagic, kStrategyKindDense,
+              static_cast<std::uint32_t>(q.cols()));
+    PutU32(out, static_cast<std::uint32_t>(q.rows()));
+    PutU32(out, static_cast<std::uint32_t>(snapshot.version));
+    PutF64(out, snapshot.epsilon);
+    PutMatrix(out, q);
+  } else {
+    std::size_t payload = 16;
+    for (const Matrix& q : strategy.factors) payload += 16 + 8 * q.size();
+    out.reserve(kWireEnvelopeBytes + payload);
+    PutHeader(out, kStrategyMagic, kStrategyKindFactored,
+              static_cast<std::uint32_t>(strategy.cols()));
+    PutU32(out, static_cast<std::uint32_t>(k));
+    PutU32(out, static_cast<std::uint32_t>(snapshot.version));
+    PutF64(out, snapshot.epsilon);
+    for (std::size_t i = 0; i < k; ++i) {
+      const Matrix& q = strategy.factors[i];
+      PutU32(out, static_cast<std::uint32_t>(q.rows()));
+      PutU32(out, static_cast<std::uint32_t>(q.cols()));
+      PutF64(out, strategy.epsilons[i]);
+      PutMatrix(out, q);
     }
   }
   PutTrailer(out);
@@ -518,26 +576,19 @@ StatusOr<StrategySnapshot> DecodeStrategy(
       !env.ok()) {
     return env;
   }
-  if (kind != 0) {
-    return Status::InvalidArgument("strategy kind byte must be zero, got " +
+  if (kind != kStrategyKindDense && kind != kStrategyKindFactored) {
+    return Status::InvalidArgument("strategy kind byte must be 0 or 1, got " +
                                    std::to_string(kind));
   }
   if (buffer.size() < kWireEnvelopeBytes + 16) {
     return Status::InvalidArgument("strategy buffer truncated");
   }
   const std::uint8_t* payload = buffer.data() + kWireHeaderBytes;
-  const std::uint32_t m = GetU32(payload);
+  const std::size_t payload_size = buffer.size() - kWireEnvelopeBytes;
+  // Kind 0 leads with m, kind 1 with the factor count k.
+  const std::uint32_t lead = GetU32(payload);
   const std::uint32_t version = GetU32(payload + 4);
   const double epsilon = GetF64(payload + 8);
-  // Dimension sanity before the m * n payload-size multiply can overflow;
-  // 2^15 caps rows/cols far above the paper's largest experiment while
-  // keeping m * n * 8 comfortably inside size_t.
-  constexpr std::uint32_t kMaxSide = 1u << 15;
-  if (dim == 0 || dim > kMaxSide || m == 0 || m > kMaxSide) {
-    return Status::InvalidArgument(
-        "strategy dimensions " + std::to_string(m) + " x " +
-        std::to_string(dim) + " out of range");
-  }
   if (version > static_cast<std::uint32_t>(INT32_MAX)) {
     return Status::InvalidArgument("strategy version " +
                                    std::to_string(version) + " out of range");
@@ -546,41 +597,77 @@ StatusOr<StrategySnapshot> DecodeStrategy(
     return Status::InvalidArgument(
         "strategy epsilon is not a positive finite value");
   }
-  if (Status s = CheckPayloadSize(
-          buffer,
-          16 + 8 * static_cast<std::size_t>(m) * static_cast<std::size_t>(dim),
-          "strategy");
-      !s.ok()) {
-    return s;
-  }
-  StrategySnapshot strategy;
-  strategy.version = static_cast<int>(version);
-  strategy.epsilon = epsilon;
-  strategy.q.ResizeUninitialized(static_cast<int>(m), static_cast<int>(dim));
-  const std::uint8_t* entries = payload + 16;
-  for (std::uint32_t r = 0; r < m; ++r) {
-    for (std::uint32_t c = 0; c < dim; ++c) {
-      const double v = GetF64(
-          entries + 8 * (static_cast<std::size_t>(r) * dim + c));
-      if (!std::isfinite(v)) {
-        return Status::InvalidArgument(
-            "strategy entry is not finite at row " + std::to_string(r) +
-            ", column " + std::to_string(c));
+  StrategySnapshot snapshot;
+  snapshot.version = static_cast<int>(version);
+  snapshot.epsilon = epsilon;
+  FactoredStrategy& strategy = snapshot.strategy;
+  if (kind == kStrategyKindDense) {
+    if (Status s = CheckStrategySides(lead, dim, "strategy"); !s.ok()) return s;
+    if (Status s = CheckPayloadSize(
+            buffer,
+            16 + 8 * static_cast<std::size_t>(lead) *
+                     static_cast<std::size_t>(dim),
+            "strategy");
+        !s.ok()) {
+      return s;
+    }
+    Matrix& q = strategy.factors.emplace_back();
+    if (Status s = GetMatrix(payload + 16, lead, dim, "strategy", q); !s.ok()) {
+      return s;
+    }
+    strategy.epsilons.push_back(epsilon);
+  } else {
+    // Canonical: one factor always travels as kind 0.
+    if (lead < 2) {
+      return Status::InvalidArgument(
+          "factored strategy carries " + std::to_string(lead) +
+          " factors; kind 1 needs at least 2");
+    }
+    // Every factor takes at least 24 payload bytes, so the loop ends within
+    // the buffer whatever k claims; the domains compose below dim * 2^15.
+    std::size_t offset = 16;
+    std::uint64_t composed = 1;
+    for (std::uint32_t i = 0; i < lead; ++i) {
+      const std::string what = "strategy factor " + std::to_string(i);
+      if (payload_size - offset < 16) {
+        return Status::InvalidArgument(what + " header overruns the payload");
       }
-      strategy.q(static_cast<int>(r), static_cast<int>(c)) = v;
+      const std::uint32_t m = GetU32(payload + offset);
+      const std::uint32_t n = GetU32(payload + offset + 4);
+      const double share = GetF64(payload + offset + 8);
+      offset += 16;
+      if (Status s = CheckStrategySides(m, n, what.c_str()); !s.ok()) return s;
+      const std::size_t bytes =
+          8 * static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
+      if (payload_size - offset < bytes) {
+        return Status::InvalidArgument(what + " overruns the payload");
+      }
+      Matrix& q = strategy.factors.emplace_back();
+      if (Status s = GetMatrix(payload + offset, m, n, what.c_str(), q);
+          !s.ok()) {
+        return s;
+      }
+      strategy.epsilons.push_back(share);
+      offset += bytes;
+      composed *= n;
+      if (composed > dim) break;
+    }
+    if (composed != dim) {
+      return Status::InvalidArgument(
+          "strategy factor domains do not compose to the header dim " +
+          std::to_string(dim));
+    }
+    if (offset != payload_size) {
+      return Status::InvalidArgument("strategy payload carries trailing bytes");
     }
   }
-  // The matrix governs what leaves a device: a client must never rebuild its
-  // randomizer from bytes that are not a genuine epsilon-LDP strategy for
-  // the budget it was promised.
-  const StrategyValidation validation =
-      ValidateStrategy(strategy.q, epsilon, /*tol=*/1e-6);
-  if (!validation.valid) {
-    return Status::InvalidArgument(
-        "strategy matrix is not a valid " + std::to_string(epsilon) +
-        "-LDP strategy:" + validation.ToString());
+  // The strategy governs what leaves a device: a client must never rebuild
+  // its randomizer from bytes that are not a genuine epsilon-LDP strategy
+  // for the budget it was promised.
+  if (Status valid = ValidateFactoredStrategy(strategy, epsilon); !valid.ok()) {
+    return valid;
   }
-  return strategy;
+  return snapshot;
 }
 
 }  // namespace wfm

@@ -9,7 +9,7 @@
 //                           ("WFRP" report, "WFSN" snapshot, "WFES" estimate,
 //                            "WFST" strategy)
 //   byte  4       version   format version; this header implements version 1
-//   byte  5       kind      report variant (reports only; 0 elsewhere)
+//   byte  5       kind      payload variant (per object, below)
 //   bytes 6..7    reserved  must be zero
 //   bytes 8..11   u32 dim   object dimension (see per-object layout below)
 //   ...           payload   fixed size, derived from the header
@@ -58,12 +58,23 @@
 // Estimate payload (dim = n): u32 num_queries, then dim doubles
 // of data_vector followed by num_queries doubles of query_answers.
 //
-// Strategy payload (dim = n, the domain size): u32 m, u32 version,
-// f64 epsilon, then m * n doubles of the strategy matrix Q in row-major
-// order. Decoding re-validates Q as an epsilon-LDP strategy (column sums,
-// non-negativity, the e^epsilon column ratio bound), so a client that
-// rebuilds its encoder from a kGetStrategy response can never be tricked
-// into randomizing under a worse privacy guarantee than it was promised.
+// Strategy payloads (dim = n, the composed domain size) carry a
+// FactoredStrategy Q = Q_0 ⊗ ... ⊗ Q_{k-1} in two kinds. Kind 0 is one
+// dense factor: u32 m, u32 version, f64 epsilon, then m * n doubles of Q in
+// row-major order; its one epsilon is both the budget and the factor's
+// share. Kind 1 is k >= 2 factors: u32 k, u32 version, f64 epsilon, then
+// per factor u32 m_i, u32 n_i, f64 epsilon_i and m_i * n_i row-major
+// doubles, with dim = Π n_i. Encoding is canonical, like snapshots: one
+// factor always goes out as kind 0 (byte-identical to what older peers
+// emit, while older decoders reject kind 1 by its kind byte), and a kind-1
+// buffer carrying k < 2 is rejected. Each factor side
+// is at most 2^15. Decoding re-validates the strategy with
+// ValidateFactoredStrategy (core/factored.h: every factor an
+// epsilon_i-LDP strategy by column sums, non-negativity and the
+// e^epsilon_i ratio bound, and Σ epsilon_i <= epsilon), so a client that
+// rebuilds its encoder from a kGetStrategy response, or a server that loads
+// a strategy file, can never be tricked into randomizing under a worse
+// privacy guarantee than it was promised.
 //
 // Decoding treats the buffer as untrusted bytes off a network or disk: any
 // structural defect — short or oversized buffer, wrong magic, unknown
@@ -158,12 +169,14 @@ WireBytes EncodeEstimate(const WorkloadEstimate& estimate);
 /// defect.
 StatusOr<WorkloadEstimate> DecodeEstimate(std::span<const std::uint8_t> buffer);
 
-/// Serializes a versioned strategy (the kGetStrategy response body).
+/// Serializes a versioned strategy with k >= 1 factors (the kGetStrategy
+/// response body and the strategy file's bytes): kind 0 for k = 1, kind 1
+/// otherwise.
 WireBytes EncodeStrategy(const StrategySnapshot& strategy);
 
 /// Parses an untrusted strategy buffer; kInvalidArgument on any structural
-/// defect or when the carried matrix is not a valid epsilon-LDP strategy
-/// for the carried budget.
+/// defect or when ValidateFactoredStrategy rejects the carried strategy at
+/// the carried budget.
 StatusOr<StrategySnapshot> DecodeStrategy(std::span<const std::uint8_t> buffer);
 
 }  // namespace wfm

@@ -248,9 +248,10 @@ constexpr double kRollEps = 1.0;
 
 StatusOr<Plan> MakeFixedStrategyPlan() {
   auto workload = std::make_shared<const PrefixWorkload>(kRollN);
+  Matrix q = RandomizedResponseMechanism::BuildStrategy(kRollN, kRollEps);
   return Plan::For(workload)
       .Epsilon(kRollEps)
-      .Strategy(RandomizedResponseMechanism::BuildStrategy(kRollN, kRollEps))
+      .Strategy({{std::move(q)}, {kRollEps}})
       .Build();
 }
 
@@ -280,7 +281,7 @@ TEST(RolloverTest, WindowDecodeBitIdenticalToSingleDecodeWithoutRoll) {
   StatusOr<Plan> plan = MakeFixedStrategyPlan();
   ASSERT_TRUE(plan.ok());
   std::unique_ptr<PlanSession> session = plan.value().StartSession(2);
-  const LocalRandomizer randomizer(*plan.value().DeployedStrategy());
+  const LocalRandomizer randomizer(plan.value().DeployedStrategy()->factors[0]);
   Rng rng(42);
   for (int epoch = 0; epoch < 3; ++epoch) {
     IngestEpoch(*session, randomizer, UniformDistribution(kRollN), 3000, rng);
@@ -310,7 +311,7 @@ TEST(RolloverTest, EachEpochDecodesUnderItsOwnStrategy) {
   StatusOr<Plan> plan = MakeFixedStrategyPlan();
   ASSERT_TRUE(plan.ok());
   std::unique_ptr<PlanSession> session = plan.value().StartSession(2);
-  const Matrix q1 = *plan.value().DeployedStrategy();
+  const Matrix q1 = plan.value().DeployedStrategy()->factors[0];
   // A second strategy at half the budget: strictly more private, so it
   // still validates at kRollEps, and its decode factor differs from q1's —
   // a decode under the wrong version would be visibly biased.
@@ -328,7 +329,7 @@ TEST(RolloverTest, EachEpochDecodesUnderItsOwnStrategy) {
 
   // Stage the roll. It must not take effect mid-epoch: the session still
   // reports version 0 and epoch 1 is still encoded and tagged v0.
-  const StatusOr<int> staged = session->RollStrategy(q2);
+  const StatusOr<int> staged = session->RollStrategy({{q2}, {kRollEps}});
   ASSERT_TRUE(staged.ok()) << staged.status().message();
   EXPECT_EQ(staged.value(), 1);
   EXPECT_EQ(session->session().strategy_version(), 0);
@@ -373,8 +374,8 @@ TEST(RolloverTest, EachEpochDecodesUnderItsOwnStrategy) {
   const StatusOr<StrategySnapshot> current = session->CurrentStrategy();
   ASSERT_TRUE(current.ok());
   EXPECT_EQ(current.value().version, 1);
-  EXPECT_EQ(current.value().q.rows(), q2.rows());
-  EXPECT_EQ(current.value().q(0, 0), q2(0, 0));
+  EXPECT_EQ(current.value().strategy.factors[0].rows(), q2.rows());
+  EXPECT_EQ(current.value().strategy.factors[0](0, 0), q2(0, 0));
 }
 
 TEST(RolloverTest, RollValidationRejectsBadStrategies) {
@@ -382,16 +383,12 @@ TEST(RolloverTest, RollValidationRejectsBadStrategies) {
   ASSERT_TRUE(plan.ok());
   std::unique_ptr<PlanSession> session = plan.value().StartSession(1);
   // Wrong shape.
-  EXPECT_EQ(session->RollStrategy(
-                        RandomizedResponseMechanism::BuildStrategy(4, 1.0))
-                .status()
-                .code(),
+  const Matrix wrong_shape = RandomizedResponseMechanism::BuildStrategy(4, 1.0);
+  EXPECT_EQ(session->RollStrategy({{wrong_shape}, {kRollEps}}).status().code(),
             StatusCode::kInvalidArgument);
   // Right shape, too loose for the budget: a strategy built for 4 eps.
-  EXPECT_EQ(session->RollStrategy(
-                        RandomizedResponseMechanism::BuildStrategy(kRollN, 4.0))
-                .status()
-                .code(),
+  const Matrix loose = RandomizedResponseMechanism::BuildStrategy(kRollN, 4.0);
+  EXPECT_EQ(session->RollStrategy({{loose}, {kRollEps}}).status().code(),
             StatusCode::kInvalidArgument);
   // Non-strategy deployments cannot roll or serve a strategy.
   StatusOr<Plan> rappor = Plan::For(std::make_shared<const PrefixWorkload>(8))
@@ -402,15 +399,43 @@ TEST(RolloverTest, RollValidationRejectsBadStrategies) {
   std::unique_ptr<PlanSession> rappor_session = rappor.value().StartSession(1);
   EXPECT_EQ(rappor_session->CurrentStrategy().status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(rappor_session
-                ->RollStrategy(RandomizedResponseMechanism::BuildStrategy(
-                    8, 1.0))
-                .status()
-                .code(),
+  const Matrix rr = RandomizedResponseMechanism::BuildStrategy(8, 1.0);
+  EXPECT_EQ(rappor_session->RollStrategy({{rr}, {1.0}}).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 // ---- the controller loop ----------------------------------------------------
+
+TEST(AdaptiveControllerTest, SessionsItCannotReoptimizeAreAStatus) {
+  // Re-optimization is dense PGD on the workload Gram, so a factored
+  // deployment (which still serves and rolls) and a deployment with no
+  // strategy at all are refused per call, not by an abort at construction.
+  StatusOr<Plan> factored =
+      Plan::For(ParseWorkload("Prefix(4)xHistogram(2)"))
+          .Epsilon(1.0)
+          .Strategy({{RandomizedResponseMechanism::BuildStrategy(4, 0.5),
+                      RandomizedResponseMechanism::BuildStrategy(2, 0.5)},
+                     {0.5, 0.5}})
+          .Build();
+  ASSERT_TRUE(factored.ok()) << factored.status().ToString();
+  StatusOr<Plan> rappor = Plan::For(std::make_shared<const PrefixWorkload>(8))
+                              .Epsilon(1.0)
+                              .Mechanism("RAPPOR")
+                              .Build();
+  ASSERT_TRUE(rappor.ok());
+  for (const Plan* plan : {&factored.value(), &rappor.value()}) {
+    std::unique_ptr<PlanSession> session = plan->StartSession(1);
+    AdaptiveController controller(session.get(), nullptr);
+    EXPECT_EQ(controller.OnEpochSealed().status().code(),
+              StatusCode::kFailedPrecondition)
+        << plan->mechanism_name();
+    session->Seal();
+    EXPECT_EQ(controller.OnEpochSealed().status().code(),
+              StatusCode::kFailedPrecondition)
+        << plan->mechanism_name();
+    EXPECT_EQ(controller.reoptimizations(), 0);
+  }
+}
 
 TEST(AdaptiveControllerTest, RollsOnDriftAndOnlyOnDrift) {
   StatusOr<Plan> plan = MakeFixedStrategyPlan();
@@ -425,7 +450,7 @@ TEST(AdaptiveControllerTest, RollsOnDriftAndOnlyOnDrift) {
   config.optimizer.seed = 11;
   AdaptiveController controller(session.get(), &planner, config);
 
-  const LocalRandomizer randomizer(*plan.value().DeployedStrategy());
+  const LocalRandomizer randomizer(plan.value().DeployedStrategy()->factors[0]);
   Rng rng(3);
   const int kReports = 20000;
 

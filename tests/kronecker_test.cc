@@ -93,7 +93,8 @@ TEST(KronKernels, MatTVecMatchesDenseTranspose) {
   const Matrix dense = KroneckerProduct(a, b);
 
   const Vector y = RandomData(dense.rows(), rng);
-  const Vector fast = KroneckerMatTVec(factors, y);
+  Vector fast, scratch;
+  KroneckerMatTVecInto(factors, y, fast, scratch);
   const Vector ref = MultiplyVec(dense.Transpose(), y);
   ASSERT_EQ(fast.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -104,8 +105,7 @@ TEST(KronKernels, MatTVecMatchesDenseTranspose) {
     const Matrix single = RandomMatrix(rows, cols, rng);
     const Vector v = RandomData(rows, rng);
     const Vector expected = MultiplyTVec(single, v);
-    EXPECT_EQ(KroneckerMatTVec({&single}, v), expected) << rows << "x" << cols;
-    Vector into, scratch;
+    Vector into;
     KroneckerMatTVecInto({&single}, v, into, scratch);
     EXPECT_EQ(into, expected) << rows << "x" << cols;
   }
@@ -412,7 +412,8 @@ TEST(StructuredPlanTest, MillionDomainDeploysAndDecodes) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_TRUE(plan.value().stats().factored());
   EXPECT_TRUE(plan.value().stats().gram.empty());  // Never materialized.
-  EXPECT_EQ(plan.value().DeployedStrategy(), nullptr);  // No dense Q either.
+  ASSERT_NE(plan.value().DeployedStrategy(), nullptr);  // Served per factor.
+  EXPECT_EQ(plan.value().DeployedStrategy()->factors.size(), 3u);
 
   const ErrorProfile& profile = plan.value().Profile();
   EXPECT_EQ(profile.phi.size(), 1000000u);
@@ -543,8 +544,10 @@ TEST(StructuredPlanTest, DenseOnlyPathsRejectStructuredDomains) {
   EXPECT_FALSE(baseline.ok());
 
   // A dense Strategy() matrix cannot serve a gram-less structured domain.
-  const StatusOr<Plan> fixed =
-      Plan::For(workload).Epsilon(1.0).Strategy(Matrix(4, 4)).Build();
+  const StatusOr<Plan> fixed = Plan::For(workload)
+                                   .Epsilon(1.0)
+                                   .Strategy({{Matrix(4, 4)}, {1.0}})
+                                   .Build();
   EXPECT_FALSE(fixed.ok());
 }
 
@@ -563,7 +566,8 @@ TEST(StructuredPlanTest, SmallKroneckerDomainKeepsDensePath) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_TRUE(plan.value().stats().factored());
   EXPECT_FALSE(plan.value().stats().gram.empty());
-  EXPECT_NE(plan.value().DeployedStrategy(), nullptr);
+  ASSERT_NE(plan.value().DeployedStrategy(), nullptr);
+  EXPECT_EQ(plan.value().DeployedStrategy()->factors.size(), 1u);
 }
 
 }  // namespace

@@ -420,9 +420,10 @@ TEST(PlanBuilderTest, OptimizedBuildsBelowTheRepairMargin) {
                                        .Build();
       ASSERT_TRUE(built.ok()) << spec << " eps " << eps << ": "
                               << built.status().ToString();
-      const Matrix* q = built.value().DeployedStrategy();
-      ASSERT_NE(q, nullptr);
-      EXPECT_TRUE(ValidateStrategy(*q, eps, 1e-8).valid)
+      const FactoredStrategy* strategy = built.value().DeployedStrategy();
+      ASSERT_NE(strategy, nullptr);
+      ASSERT_EQ(strategy->factors.size(), 1u) << spec;
+      EXPECT_TRUE(ValidateStrategy(strategy->factors[0], eps, 1e-8).valid)
           << spec << " eps " << eps;
     }
   }
@@ -449,7 +450,7 @@ TEST(PlanBuilderTest, FixedStrategyDeploysAndValidatesShape) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
 
   const StatusOr<Plan> built =
-      Plan::For(workload).Epsilon(1.0).Strategy(q).Build();
+      Plan::For(workload).Epsilon(1.0).Strategy({{q}, {1.0}}).Build();
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_EQ(built.value().mechanism_name(), "Strategy");
 
@@ -462,7 +463,7 @@ TEST(PlanBuilderTest, FixedStrategyDeploysAndValidatesShape) {
   }
 
   const Matrix wrong = RandomizedResponseMechanism::BuildStrategy(n + 1, 1.0);
-  EXPECT_EQ(Plan::For(workload).Epsilon(1.0).Strategy(wrong).Build()
+  EXPECT_EQ(Plan::For(workload).Epsilon(1.0).Strategy({{wrong}, {1.0}}).Build()
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -472,7 +473,7 @@ TEST(PlanBuilderTest, FixedStrategyDeploysAndValidatesShape) {
   // surface as Status, not as the StrategyMechanism constructor's abort.
   const Matrix loose = RandomizedResponseMechanism::BuildStrategy(n, 2.0);
   const StatusOr<Plan> mismatched =
-      Plan::For(workload).Epsilon(1.0).Strategy(loose).Build();
+      Plan::For(workload).Epsilon(1.0).Strategy({{loose}, {1.0}}).Build();
   ASSERT_FALSE(mismatched.ok());
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
 }
@@ -522,7 +523,7 @@ TEST(PlanSessionTest, WorkloadOutsideTheRowSpaceIsFailedPrecondition) {
                                   .Build();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   std::unique_ptr<PlanSession> session = plan.value().StartSession(1);
-  EXPECT_EQ(session->RollStrategy(q).status().code(),
+  EXPECT_EQ(session->RollStrategy({{q}, {eps}}).status().code(),
             StatusCode::kFailedPrecondition);
 }
 

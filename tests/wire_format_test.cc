@@ -7,6 +7,7 @@
 // half: MergeSnapshots exactness against single-stream aggregation and
 // SnapshotStore kill-and-recover serving identical estimates.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include "core/factorization.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
+#include "wire/byte_order.h"
 #include "wire/crc32.h"
 #include "wire/snapshot_store.h"
 #include "wire/wire_format.h"
@@ -552,22 +554,79 @@ TEST(WireSnapshotTest, UnknownSnapshotKindIsRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// Prefix(4) ⊗ Histogram(2)-shaped: two RR factors splitting ε = 1.
+StrategySnapshot TwoFactorStrategy() {
+  StrategySnapshot strategy;
+  strategy.version = 2;
+  strategy.epsilon = 1.0;
+  strategy.strategy = {{RandomizedResponseMechanism::BuildStrategy(4, 0.5),
+                        RandomizedResponseMechanism::BuildStrategy(2, 0.5)},
+                       {0.5, 0.5}};
+  return strategy;
+}
+
+// One factor of a hand-assembled kind-1 strategy payload; m and n are the
+// header fields, which the rejection tests may make lie about q.
+struct WireFactor {
+  Matrix q;
+  std::uint32_t m = 0;
+  std::uint32_t n = 0;
+  double eps = 0.0;
+};
+
+std::vector<WireFactor> TwoFactorFields() {
+  std::vector<WireFactor> fields;
+  const StrategySnapshot strategy = TwoFactorStrategy();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Matrix& q = strategy.strategy.factors[i];
+    fields.push_back({q, static_cast<std::uint32_t>(q.rows()),
+                      static_cast<std::uint32_t>(q.cols()),
+                      strategy.strategy.epsilons[i]});
+  }
+  return fields;
+}
+
+// A kind-1 strategy envelope written field by field from the layout in
+// wire_format.h (strategy version 2), with a valid CRC.
+WireBytes FactoredStrategyWire(std::uint32_t dim, std::uint32_t k, double eps,
+                               const std::vector<WireFactor>& factors) {
+  WireBytes wire = {'W', 'F', 'S', 'T', kWireVersion, 1, 0, 0};
+  PutU32(wire, dim);
+  PutU32(wire, k);
+  PutU32(wire, 2);
+  PutU64(wire, std::bit_cast<std::uint64_t>(eps));
+  for (const WireFactor& f : factors) {
+    PutU32(wire, f.m);
+    PutU32(wire, f.n);
+    PutU64(wire, std::bit_cast<std::uint64_t>(f.eps));
+    for (std::size_t i = 0; i < f.q.size(); ++i) {
+      PutU64(wire, std::bit_cast<std::uint64_t>(f.q.data()[i]));
+    }
+  }
+  wire.resize(wire.size() + 4);
+  RestampCrc(wire);
+  return wire;
+}
+
 TEST(WireStrategyTest, RoundTripsBitForBit) {
   for (const double eps : {0.5, 1.0, 4.0}) {
     StrategySnapshot strategy;
     strategy.version = 3;
     strategy.epsilon = eps;
-    strategy.q = RandomizedResponseMechanism::BuildStrategy(16, eps);
+    strategy.strategy = {{RandomizedResponseMechanism::BuildStrategy(16, eps)},
+                         {eps}};
+    const Matrix& q = strategy.strategy.factors[0];
     const StatusOr<StrategySnapshot> decoded =
         DecodeStrategy(EncodeStrategy(strategy));
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded.value().version, strategy.version);
     EXPECT_EQ(decoded.value().epsilon, strategy.epsilon);
-    ASSERT_EQ(decoded.value().q.rows(), strategy.q.rows());
-    ASSERT_EQ(decoded.value().q.cols(), strategy.q.cols());
-    for (int r = 0; r < strategy.q.rows(); ++r) {
-      for (int c = 0; c < strategy.q.cols(); ++c) {
-        EXPECT_EQ(decoded.value().q(r, c), strategy.q(r, c));
+    const Matrix& got = decoded.value().strategy.factors[0];
+    ASSERT_EQ(got.rows(), q.rows());
+    ASSERT_EQ(got.cols(), q.cols());
+    for (int r = 0; r < q.rows(); ++r) {
+      for (int c = 0; c < q.cols(); ++c) {
+        EXPECT_EQ(got(r, c), q(r, c));
       }
     }
   }
@@ -581,7 +640,8 @@ TEST(WireStrategyTest, DecodeRevalidatesTheLdpGuarantee) {
   StrategySnapshot strategy;
   strategy.version = 1;
   strategy.epsilon = 1.0;
-  strategy.q = RandomizedResponseMechanism::BuildStrategy(4, 2.0);
+  strategy.strategy = {{RandomizedResponseMechanism::BuildStrategy(4, 2.0)},
+                       {1.0}};
   WireBytes wire = EncodeStrategy(strategy);  // Claims eps=1, built for 2.
   const StatusOr<StrategySnapshot> decoded = DecodeStrategy(wire);
   ASSERT_FALSE(decoded.ok());
@@ -593,21 +653,91 @@ TEST(WireStrategyTest, EveryTruncationIsRejected) {
   StrategySnapshot strategy;
   strategy.version = 1;
   strategy.epsilon = 1.0;
-  strategy.q = RandomizedResponseMechanism::BuildStrategy(4, 1.0);
+  strategy.strategy = {{RandomizedResponseMechanism::BuildStrategy(4, 1.0)},
+                       {1.0}};
+  for (const WireBytes& wire :
+       {EncodeStrategy(strategy), EncodeStrategy(TwoFactorStrategy())}) {
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      const StatusOr<StrategySnapshot> decoded =
+          DecodeStrategy(std::span<const std::uint8_t>(wire.data(), len));
+      ASSERT_FALSE(decoded.ok()) << "prefix of " << len << " bytes decoded";
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(WireStrategyTest, FactoredStrategyRoundTripsInTheDocumentedLayout) {
+  const StrategySnapshot strategy = TwoFactorStrategy();
   const WireBytes wire = EncodeStrategy(strategy);
-  for (std::size_t len = 0; len < wire.size(); ++len) {
-    const StatusOr<StrategySnapshot> decoded =
-        DecodeStrategy(std::span<const std::uint8_t>(wire.data(), len));
-    ASSERT_FALSE(decoded.ok()) << "prefix of " << len << " bytes decoded";
+  EXPECT_EQ(wire[5], 1);  // Kind 1: k >= 2 factors.
+  EXPECT_EQ(wire, FactoredStrategyWire(8, 2, 1.0, TwoFactorFields()));
+  const StatusOr<StrategySnapshot> decoded = DecodeStrategy(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().version, strategy.version);
+  EXPECT_EQ(decoded.value().epsilon, strategy.epsilon);
+  EXPECT_EQ(decoded.value().strategy.epsilons, strategy.strategy.epsilons);
+  ASSERT_EQ(decoded.value().strategy.factors.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(decoded.value().strategy.factors[i].ApproxEquals(
+        strategy.strategy.factors[i], 0.0));
+  }
+}
+
+TEST(WireStrategyTest, EveryFlippedByteIsRejected) {
+  const WireBytes good = EncodeStrategy(TwoFactorStrategy());
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    WireBytes wire = good;
+    wire[i] ^= 0xff;
+    const StatusOr<StrategySnapshot> decoded = DecodeStrategy(wire);
+    ASSERT_FALSE(decoded.ok()) << "flipped byte " << i << " decoded";
     EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST(WireStrategyTest, FactoredPayloadsThatLieAreRejected) {
+  // Each buffer is structurally intact (CRC restamped) and differs from a
+  // valid two-factor payload in one field, and the message names the check
+  // that rejects it.
+  auto expect_rejected = [](const WireBytes& wire, const std::string& check) {
+    const StatusOr<StrategySnapshot> decoded = DecodeStrategy(wire);
+    ASSERT_FALSE(decoded.ok()) << check;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << check;
+    EXPECT_NE(decoded.status().message().find(check), std::string::npos)
+        << decoded.status().message();
+  };
+  ASSERT_TRUE(
+      DecodeStrategy(FactoredStrategyWire(8, 2, 1.0, TwoFactorFields())).ok());
+
+  // One factor must travel as kind 0: kind 1 is canonical only for k >= 2.
+  std::vector<WireFactor> one = TwoFactorFields();
+  one.resize(1);
+  one[0].eps = 1.0;
+  expect_rejected(FactoredStrategyWire(4, 1, 1.0, one), "kind 1 needs");
+
+  // The factor domains compose to 8.
+  expect_rejected(FactoredStrategyWire(9, 2, 1.0, TwoFactorFields()),
+                  "do not compose to the header dim 9");
+  // Shares 0.5 + 0.5 over a total of 0.75.
+  expect_rejected(FactoredStrategyWire(8, 2, 0.75, TwoFactorFields()),
+                  "budgets sum to");
+
+  std::vector<WireFactor> over = TwoFactorFields();
+  over[0].eps = 0.25;  // Factor 0 is 0.5-LDP; Σ ε_i = 0.75 <= 1 still.
+  expect_rejected(FactoredStrategyWire(8, 2, 1.0, over),
+                  "factor 0 is not a valid");
+
+  std::vector<WireFactor> wide = TwoFactorFields();
+  wide[1].m = (1u << 15) + 1;
+  expect_rejected(FactoredStrategyWire(8, 2, 1.0, wide),
+                  "factor 1 dimensions 32769 x 2 out of range");
 }
 
 TEST(WireStrategyTest, NonFiniteEpsilonAndEntriesAreRejected) {
   StrategySnapshot strategy;
   strategy.version = 1;
   strategy.epsilon = 1.0;
-  strategy.q = RandomizedResponseMechanism::BuildStrategy(4, 1.0);
+  strategy.strategy = {{RandomizedResponseMechanism::BuildStrategy(4, 1.0)},
+                       {1.0}};
   const WireBytes good = EncodeStrategy(strategy);
   {
     WireBytes wire = good;  // Zero out the epsilon f64 (payload offset 8).

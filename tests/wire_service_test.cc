@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -26,6 +27,7 @@
 
 #include "api/plan.h"
 #include "ldp/local_randomizer.h"
+#include "ldp/reporter.h"
 #include "linalg/rng.h"
 #include "mechanisms/randomized_response.h"
 #include "obs/exposition.h"
@@ -34,6 +36,7 @@
 #include "wire/service.h"
 #include "wire/wire_format.h"
 #include "workload/histogram.h"
+#include "workload/kronecker.h"
 #include "workload/prefix.h"
 
 namespace wfm {
@@ -62,8 +65,8 @@ ServiceOptions EphemeralOptions() {
 // Wraps a raw ingest body in the untagged (client_id = 0) idempotency
 // prefix, so hand-crafted frames still reach the report decode path.
 WireBytes Untagged(const WireBytes& body) {
-  WireBytes framed(16, 0);
-  framed.insert(framed.end(), body.begin(), body.end());
+  WireBytes framed(16 + body.size(), 0);
+  std::copy(body.begin(), body.end(), framed.begin() + 16);
   return framed;
 }
 
@@ -433,7 +436,7 @@ TEST(WireServiceTest, NetworkedClientSurvivesAStrategyRoll) {
   const Matrix q0 = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   StatusOr<Plan> built = Plan::For(std::make_shared<const PrefixWorkload>(n))
                              .Epsilon(1.0)
-                             .Strategy(q0)
+                             .Strategy({{q0}, {1.0}})
                              .Build();
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const Plan& plan = built.value();
@@ -451,8 +454,8 @@ TEST(WireServiceTest, NetworkedClientSurvivesAStrategyRoll) {
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_EQ(served.value().version, 0);
   EXPECT_EQ(served.value().epsilon, 1.0);
-  ASSERT_EQ(served.value().q.rows(), q0.rows());
-  EXPECT_EQ(served.value().q(0, 0), q0(0, 0));
+  ASSERT_EQ(served.value().strategy.factors[0].rows(), q0.rows());
+  EXPECT_EQ(served.value().strategy.factors[0](0, 0), q0(0, 0));
 
   Rng rng(17);
   auto ingest_epoch = [&](const Matrix& strategy) {
@@ -465,7 +468,7 @@ TEST(WireServiceTest, NetworkedClientSurvivesAStrategyRoll) {
     }
   };
 
-  ingest_epoch(served.value().q);
+  ingest_epoch(served.value().strategy.factors[0]);
   StatusOr<EpochSnapshot> epoch0 = remote.Seal();
   ASSERT_TRUE(epoch0.ok());
   EXPECT_EQ(epoch0.value().strategy_version, 0);
@@ -474,15 +477,15 @@ TEST(WireServiceTest, NetworkedClientSurvivesAStrategyRoll) {
   // Operator rolls a tighter strategy (valid at the plan's budget) on both
   // the served and the reference session.
   const Matrix q1 = RandomizedResponseMechanism::BuildStrategy(n, 0.5);
-  ASSERT_TRUE(server.session().RollStrategy(q1).ok());
-  ASSERT_TRUE(local->RollStrategy(q1).ok());
+  ASSERT_TRUE(server.session().RollStrategy({{q1}, {1.0}}).ok());
+  ASSERT_TRUE(local->RollStrategy({{q1}, {1.0}}).ok());
 
   // The roll is staged, not active: polling clients still see version 0 and
   // keep encoding under it for the epoch already in flight.
   served = remote.GetStrategy();
   ASSERT_TRUE(served.ok());
   EXPECT_EQ(served.value().version, 0);
-  ingest_epoch(served.value().q);
+  ingest_epoch(served.value().strategy.factors[0]);
   StatusOr<EpochSnapshot> epoch1 = remote.Seal();
   ASSERT_TRUE(epoch1.ok());
   EXPECT_EQ(epoch1.value().strategy_version, 0);  // Sealed under the old one.
@@ -493,8 +496,8 @@ TEST(WireServiceTest, NetworkedClientSurvivesAStrategyRoll) {
   served = remote.GetStrategy();
   ASSERT_TRUE(served.ok());
   EXPECT_EQ(served.value().version, 1);
-  EXPECT_EQ(served.value().q(0, 0), q1(0, 0));
-  ingest_epoch(served.value().q);
+  EXPECT_EQ(served.value().strategy.factors[0](0, 0), q1(0, 0));
+  ingest_epoch(served.value().strategy.factors[0]);
   StatusOr<EpochSnapshot> epoch2 = remote.Seal();
   ASSERT_TRUE(epoch2.ok());
   EXPECT_EQ(epoch2.value().strategy_version, 1);
@@ -509,6 +512,83 @@ TEST(WireServiceTest, NetworkedClientSurvivesAStrategyRoll) {
     const WorkloadEstimate mine = local->Estimate(kind).value();
     EXPECT_EQ(theirs.value().data_vector, mine.data_vector);
     EXPECT_EQ(theirs.value().query_answers, mine.query_answers);
+  }
+  server.Stop();
+}
+
+TEST(WireServiceTest, FactoredDeploymentRollsOverTheWire) {
+  // The same loop for a Kronecker deployment: the served strategy carries
+  // both factors (a kind-1 strategy payload), a remote device encodes with a
+  // StrategyReporter over them, and a roll to a second two-factor strategy
+  // decodes bit-identically to an in-process session.
+  const double eps = 1.0;
+  const Matrix a0 = RandomizedResponseMechanism::BuildStrategy(4, eps / 2);
+  const Matrix b0 = RandomizedResponseMechanism::BuildStrategy(2, eps / 2);
+  const FactoredStrategy s0{{a0, b0}, {eps / 2, eps / 2}};
+  const Matrix a1 = RandomizedResponseMechanism::BuildStrategy(4, 0.3);
+  const Matrix b1 = RandomizedResponseMechanism::BuildStrategy(2, 0.6);
+  const FactoredStrategy s1{{a1, b1}, {0.3, 0.6}};
+  StatusOr<Plan> built = Plan::For(ParseWorkload("Prefix(4)xHistogram(2)"))
+                             .Epsilon(eps)
+                             .Strategy(s0)
+                             .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const Plan& plan = built.value();
+  ASSERT_NE(plan.DeployedStrategy(), nullptr);
+  ASSERT_EQ(plan.DeployedStrategy()->factors.size(), 2u);
+  CollectionServer server(plan, EphemeralOptions());
+  ASSERT_TRUE(server.Start().ok());
+  StatusOr<CollectionClient> connected =
+      CollectionClient::Connect(server.port());
+  ASSERT_TRUE(connected.ok());
+  CollectionClient& remote = connected.value();
+  std::unique_ptr<PlanSession> local = plan.StartSession(1);
+
+  Rng rng(23);
+  std::vector<int> served_versions;
+  std::vector<int> sealed_versions;
+  auto run_epoch = [&]() {
+    StatusOr<StrategySnapshot> served = remote.GetStrategy();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served.value().epsilon, eps);
+    ASSERT_EQ(served.value().strategy.factors.size(), 2u);
+    served_versions.push_back(served.value().version);
+    const StrategyReporter device(served.value().strategy.factors);
+    ASSERT_EQ(device.num_types(), 8);
+    for (int u = 0; u < 3000; ++u) {
+      const Report report = device.Respond(u % 8, rng);
+      ASSERT_TRUE(remote.Accept(report).ok());
+      ASSERT_TRUE(local->Accept(0, report).ok());
+    }
+    StatusOr<EpochSnapshot> sealed = remote.Seal();
+    ASSERT_TRUE(sealed.ok());
+    sealed_versions.push_back(sealed.value().strategy_version);
+    EXPECT_EQ(local->Seal().histogram, sealed.value().histogram);
+    for (const EstimatorKind kind :
+         {EstimatorKind::kUnbiased, EstimatorKind::kWnnls}) {
+      const StatusOr<WorkloadEstimate> theirs = remote.Estimate(kind);
+      ASSERT_TRUE(theirs.ok()) << theirs.status().ToString();
+      const WorkloadEstimate mine = local->Estimate(kind).value();
+      EXPECT_EQ(theirs.value().data_vector, mine.data_vector);
+      EXPECT_EQ(theirs.value().query_answers, mine.query_answers);
+    }
+  };
+
+  run_epoch();
+  ASSERT_TRUE(server.session().RollStrategy(s1).ok());
+  ASSERT_TRUE(local->RollStrategy(s1).ok());
+  run_epoch();  // Still under version 0: the roll waits for this seal.
+  run_epoch();
+  EXPECT_EQ(served_versions, (std::vector<int>{0, 0, 1}));
+  EXPECT_EQ(sealed_versions, (std::vector<int>{0, 0, 1}));
+
+  // The strategy served after the roll is s1, factor for factor.
+  StatusOr<StrategySnapshot> served = remote.GetStrategy();
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served.value().strategy.epsilons, s1.epsilons);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Matrix& got = served.value().strategy.factors[i];
+    EXPECT_TRUE(got.ApproxEquals(s1.factors[i], 0.0)) << "factor " << i;
   }
   server.Stop();
 }
