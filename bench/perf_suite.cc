@@ -4,10 +4,11 @@
 // shape), one Algorithm 1 projection, a full Optimize() run, two WNNLS
 // decodes (a dense Prefix Gram, and Prefix(65) ⊗ Prefix(65) past the
 // Cholesky block limit), the encode and decode of one ingest batch body,
-// the envelope CRC-32 and set-bit counting of bit-vector ingest, and one
+// the envelope CRC-32 and set-bit counting of bit-vector ingest, one
 // shard's AcceptBatch of a categorical batch and Accept of one bit vector,
-// then writes the measurements to a JSON file so CI can accumulate a
-// per-commit perf trajectory.
+// and one 512-bit RAPPOR report on the device (bit-sliced draws against the
+// one-draw-per-coordinate loop they replaced), then writes the measurements
+// to a JSON file so CI can accumulate a per-commit perf trajectory.
 //
 // Output schema (BENCH_perf.json): a JSON array of
 //   {"kernel": <name>, "shape": <"MxKxN" or parameter string>,
@@ -24,7 +25,9 @@
 // Flags: --quick (smaller shapes + fewer reps; what the perf-smoke CI job
 // runs), --reps=N, --out=path.
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <span>
@@ -81,6 +84,30 @@ double TimeBest(int reps, Fn&& fn) {
     best = std::min(best, timer.ElapsedSeconds());
   }
   return best;
+}
+
+/// The ldp_respond_ref row: BitVectorReporter::Respond as it drew before
+/// its draws were bit-sliced, one NextUint64() per coordinate against that
+/// coordinate's threshold. The same law, other bits for a given seed.
+wfm::Report RespondPerCoordinate(int n, int user_type,
+                                 std::uint64_t p_threshold,
+                                 std::uint64_t q_threshold, wfm::Rng& rng) {
+  wfm::Report report;
+  report.bits = wfm::PackedBits::Zeros(n);
+  const std::span<std::uint64_t> words = report.bits.mutable_words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const int begin = static_cast<int>(w) * 64;
+    const int len = std::min(n - begin, 64);
+    std::uint64_t word = 0;
+    for (int i = begin; i < begin + len; ++i) {
+      const std::uint64_t threshold =
+          i == user_type ? p_threshold : q_threshold;
+      const bool bit = (rng.NextUint64() >> 11) < threshold;
+      word = (word >> 1) | (static_cast<std::uint64_t>(bit) << 63);
+    }
+    words[w] = word >> (64 - len);
+  }
+  return report;
 }
 
 std::string ShapeString(int m, int k, int n) {
@@ -271,6 +298,38 @@ int main(int argc, char** argv) {
         [&] { bit_aggregator.Accept(0, bits[next++ % bits.size()]); });
     sink += static_cast<double>(bit_aggregator.num_responses());
     record("accept", "1xbits512", t_accept_one, 0.0, 0.0);
+  }
+
+  // --- One 512-bit RAPPOR report on the device ----------------------------
+  // rappor-prefix's reporter (n = 512, ε = 1: p = 1 − f, q = f for
+  // f = 1/(1 + e^½)), timed over 1,000 reports per op, each a fresh report
+  // as a device sends it. Its own stream, so the later sections' inputs stay
+  // what they were.
+  {
+    const int n = 512;
+    const double f = 1.0 / (1.0 + std::exp(0.5));
+    const wfm::BitVectorReporter reporter(n, 1.0 - f, f);
+    const std::uint64_t p_threshold = wfm::Rng::BernoulliThreshold(1.0 - f);
+    const std::uint64_t q_threshold = wfm::Rng::BernoulliThreshold(f);
+    wfm::Rng respond_rng(44);
+    const int batch = 1000;
+    const auto per_report = [&](auto&& respond) {
+      return TimeBest(reps, [&] {
+               for (int i = 0; i < batch; ++i) {
+                 sink += static_cast<double>(
+                     respond(i % n).bits.words()[i % 8] & 1);
+               }
+             }) /
+             batch;
+    };
+    const double t_ref = per_report([&](int u) {
+      return RespondPerCoordinate(n, u, p_threshold, q_threshold,
+                                  respond_rng);
+    });
+    const double t_new =
+        per_report([&](int u) { return reporter.Respond(u, respond_rng); });
+    record("ldp_respond_ref", "bits512", t_ref, 0.0, 0.0);
+    record("ldp_respond", "bits512", t_new, 0.0, t_ref);
   }
 
   // --- GEMM kernels vs the pre-PR reference --------------------------------

@@ -124,22 +124,36 @@ Report BitVectorReporter::Respond(int user_type, Rng& rng) const {
   Report report;
   report.bits = PackedBits::Zeros(n_);
   const std::span<std::uint64_t> words = report.bits.mutable_words();
-  // Same draws in the same order as one Bernoulli per coordinate (compared
-  // on integers, see the class comment); each word is assembled in a
-  // register and stored once. Bits enter at the top and shift down (a
-  // constant shift per draw), so after the word's last draw bit `begin`
-  // sits at 64 - len and one shift aligns the word.
+  constexpr std::uint64_t kAlways = std::uint64_t{1} << 53;
+  // One draw advances every lane of a word by one bit of U_j, compared with
+  // the same bit of t_j (see the class comment): where U_j's bit is 0 and
+  // t_j's is 1, U_j < t_j and the lane is 1; the reverse makes it 0. A lane
+  // still tied after 53 draws has U_j == t_j, so it stays 0.
   for (std::size_t w = 0; w < words.size(); ++w) {
     const int begin = static_cast<int>(w) * 64;
     const int len = std::min(n_ - begin, 64);
+    const std::uint64_t live =
+        len == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
+    const int user_lane = user_type - begin;
+    const std::uint64_t user =
+        user_lane >= 0 && user_lane < 64 ? std::uint64_t{1} << user_lane : 0;
     std::uint64_t word = 0;
-    for (int i = begin; i < begin + len; ++i) {
-      const std::uint64_t threshold =
-          i == user_type ? p_threshold_ : q_threshold_;
-      const bool bit = (rng.NextUint64() >> 11) < threshold;
-      word = (word >> 1) | (static_cast<std::uint64_t>(bit) << 63);
+    std::uint64_t undecided = live;
+    // A threshold of 0 or 2^53 decides its lanes with no draw.
+    const auto settle = [&](std::uint64_t threshold, std::uint64_t lanes) {
+      if (threshold == kAlways) word |= lanes;
+      if (threshold == 0 || threshold == kAlways) undecided &= ~lanes;
+    };
+    settle(p_threshold_, user);
+    settle(q_threshold_, live & ~user);
+    for (int b = 52; undecided != 0 && b >= 0; --b) {
+      const std::uint64_t r = rng.NextUint64();
+      const std::uint64_t t = (-((q_threshold_ >> b) & 1) & ~user) |
+                              (-((p_threshold_ >> b) & 1) & user);
+      word |= ~r & t & undecided;
+      undecided &= ~(r ^ t);
     }
-    words[w] = word >> (64 - len);
+    words[w] = word;
   }
   return report;
 }

@@ -168,13 +168,17 @@ class StrategyReporter final : public Reporter {
 
 /// Client half of unary-encoding frequency oracles (RAPPOR, OUE): one-hot
 /// encode the type into n bits, then report each bit independently as 1 with
-/// probability p if the true bit is 1 and q if it is 0 (one Bernoulli draw
-/// per bit, in coordinate order, packed into words as they are drawn). The
-/// matching server half is ReportDecoder's AffineDebias{p, q} mode.
+/// probability p if the true bit is 1 and q if it is 0. The matching server
+/// half is ReportDecoder's AffineDebias{p, q} mode.
 ///
-/// Each draw is rng.Bernoulli(prob), computed on integers against
-/// Rng::BernoulliThreshold(prob), so reports are bit-identical to the
-/// Bernoulli loop and the loop does no int-to-double conversion.
+/// Bit i is U_i < t_i for a uniform 53-bit integer U_i and t_i =
+/// Rng::BernoulliThreshold(p or q), so P(bit = 1) = t_i / 2^53, the law of
+/// rng.Bernoulli(prob). The draws are bit-sliced: lane j of report word w is
+/// coordinate 64w + j, and U_j is built most significant bit first from bit j
+/// of the word's successive NextUint64() draws. Each lane is decided at the
+/// first bit where U_j and t_j differ, and a word stops drawing once all its
+/// lanes are decided (at most 53 draws, about 7-8 for 64 lanes), so one draw
+/// advances 64 coordinates. A threshold of 0 or 2^53 takes no draw.
 class BitVectorReporter final : public Reporter {
  public:
   /// `prob_one_given_one` is p, `prob_one_given_zero` is q; unbiased

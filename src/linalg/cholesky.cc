@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "linalg/kernels.h"
 #include "linalg/thread_pool.h"
@@ -132,11 +133,25 @@ Vector Cholesky::Solve(const Vector& b) const {
     for (int k = 0; k < i; ++k) s -= li[k] * y[k];
     y[i] = s / li[i];
   }
-  // Backward: Lᵀ x = y.
-  for (int i = n - 1; i >= 0; --i) {
-    double s = y[i];
-    for (int k = i + 1; k < n; ++k) s -= l_(k, i) * y[k];
-    y[i] = s / l_(i, i);
+  // Backward: Lᵀ x = y, entry i subtracting l_ki x_k for k = i + 1, …,
+  // n − 1 in that order. Those l_ki run down column i of L, a whole row
+  // apart (a page apart at n = 512), so each tile of kTile columns, bottom
+  // tile first, is copied along L's rows into a compact block whose column
+  // entries sit kTile doubles apart, and the entries read that.
+  constexpr int kTile = 32;
+  std::vector<double> block(static_cast<std::size_t>(std::min(n, kTile)) * n);
+  for (int i1 = n; i1 > 0; i1 -= kTile) {
+    const int i0 = std::max(0, i1 - kTile);
+    const std::size_t w = i1 - i0;  // l_ki is block[(k - i0) * w + i - i0].
+    for (int k = i0; k < n; ++k) {
+      std::copy_n(l_.RowPtr(k) + i0, w, block.data() + (k - i0) * w);
+    }
+    for (int i = i1 - 1; i >= i0; --i) {
+      const double* col = block.data() + (i - i0);
+      double s = y[i];
+      for (int k = i + 1; k < n; ++k) s -= col[(k - i0) * w] * y[k];
+      y[i] = s / col[(i - i0) * w];
+    }
   }
   return y;
 }

@@ -58,8 +58,8 @@ StatusOr<Deployment> OueMechanism::Deploy(const WorkloadStats& workload) const {
 }
 
 PackedBits OueMechanism::SampleReport(int u, Rng& rng) const {
-  // Exactly the deployed client (same per-coordinate Bernoulli draws, same
-  // RNG consumption), so simulation and deployment cannot drift apart.
+  // Exactly the deployed client (same bit-sliced draws, same RNG
+  // consumption), so simulation and deployment cannot drift apart.
   return BitVectorReporter(n_, 0.5, q_).Respond(u, rng).bits;
 }
 

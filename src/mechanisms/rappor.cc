@@ -49,8 +49,8 @@ StatusOr<Deployment> RapporMechanism::Deploy(const WorkloadStats& workload) cons
 
 PackedBits RapporMechanism::SampleReport(int u, Rng& rng) const {
   // Exactly the deployed client (bit i is 1 with probability 1-f when i == u
-  // and f otherwise, one Bernoulli per coordinate), so simulation and
-  // deployment cannot drift apart.
+  // and f otherwise, drawn independently, with the same RNG consumption), so
+  // simulation and deployment cannot drift apart.
   return BitVectorReporter(n_, 1.0 - f_, f_).Respond(u, rng).bits;
 }
 

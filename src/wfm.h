@@ -33,6 +33,7 @@
 // workload: linear query workload families (Section 2.1).
 #include "workload/dense_workload.h"
 #include "workload/histogram.h"
+#include "workload/kronecker.h"
 #include "workload/marginals.h"
 #include "workload/parity.h"
 #include "workload/prefix.h"

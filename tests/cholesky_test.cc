@@ -163,6 +163,38 @@ TEST(CholeskyTest, VectorSolveResidual) {
   for (int i = 0; i < 20; ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
 }
 
+TEST(CholeskyTest, VectorSolveBitIdenticalToColumnReadLoop) {
+  // Solve(const Vector&) transposes L in tiles for its backward sweep; every
+  // entry must still see the textbook loop's subtractions in ascending k, so
+  // x matches that loop (which reads l_ki down the columns) byte for byte,
+  // at one entry, on both sides of a 32-column tile edge, and at
+  // multi-tile sizes that end in a partial tile.
+  Rng rng(16);
+  for (const int n : {1, 31, 32, 33, 290, 700}) {
+    const Matrix a = RandomSpd(n, rng);
+    Cholesky chol;
+    ASSERT_TRUE(chol.Factorize(a));
+    const Matrix& l = chol.lower();
+    Vector b(n);
+    for (double& v : b) v = rng.Uniform(-2, 2);
+    Vector expected(b);
+    for (int i = 0; i < n; ++i) {
+      double s = expected[i];
+      for (int k = 0; k < i; ++k) s -= l(i, k) * expected[k];
+      expected[i] = s / l(i, i);
+    }
+    for (int i = n - 1; i >= 0; --i) {
+      double s = expected[i];
+      for (int k = i + 1; k < n; ++k) s -= l(k, i) * expected[k];
+      expected[i] = s / l(i, i);
+    }
+    const Vector x = chol.Solve(b);
+    ASSERT_EQ(x.size(), expected.size());
+    EXPECT_EQ(std::memcmp(x.data(), expected.data(), n * sizeof(double)), 0)
+        << "n " << n;
+  }
+}
+
 TEST(CholeskyTest, MatrixSolveResidual) {
   Rng rng(14);
   const Matrix a = RandomSpd(15, rng);

@@ -6,9 +6,12 @@
 // Monte-Carlo bands are sized in standard-error multiples, documented where
 // they are not literal 5σ expressions.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -194,13 +197,51 @@ TEST(PackedBitsDeathTest, NonBinaryByteAborts) {
   EXPECT_DEATH(PackedBits({0, 1, 2}), "out of range");
 }
 
-TEST(BitVectorReporterTest, RespondMatchesPerCoordinateBernoulliDraws) {
-  // The packed reporter must consume the RNG exactly like one Bernoulli per
-  // coordinate in coordinate order, so a seed pins the same reports as the
-  // byte-per-bit reference below. Respond draws on integers against
-  // Rng::BernoulliThreshold, so the words must match byte for byte also for
-  // probabilities that are not dyadic (RAPPOR's and OUE's at several
-  // budgets), for the extremes, and one ulp from 0, 1 and 2^-53 multiples.
+// BitVectorReporter's draw rule, one lane at a time. Lane j of the word
+// holding coordinates [begin, begin + 64) reads U_j, most significant bit
+// first, from bit j of the word's successive NextUint64() draws, and is
+// U_j < t_j. The word takes as many draws as its slowest lane needs to reach
+// the first bit where U_j and t_j differ (53 when they never do), and none
+// for a lane whose threshold is 0 or 2^53.
+std::vector<std::uint8_t> ReferenceLaneBits(int n, int user_type,
+                                            std::uint64_t p_threshold,
+                                            std::uint64_t q_threshold,
+                                            Rng& rng) {
+  constexpr std::uint64_t kAlways = std::uint64_t{1} << 53;
+  std::vector<std::uint8_t> bits(n);
+  for (int begin = 0; begin < n; begin += 64) {
+    // Look ahead at every draw the word could take, then advance the real
+    // stream by the number it does take.
+    Rng ahead = rng;
+    std::uint64_t draws[53];
+    for (std::uint64_t& d : draws) d = ahead.NextUint64();
+    int used = 0;
+    for (int j = 0; j < std::min(n - begin, 64); ++j) {
+      const std::uint64_t t =
+          begin + j == user_type ? p_threshold : q_threshold;
+      if (t == 0 || t == kAlways) {
+        bits[begin + j] = t == kAlways;
+        continue;
+      }
+      std::uint64_t u = 0;
+      for (const std::uint64_t d : draws) u = (u << 1) | ((d >> j) & 1);
+      bits[begin + j] = u < t;
+      // The highest differing bit b is settled by draw 52 - b, the
+      // (53 - b)-th draw.
+      const int needed = u == t ? 53 : 54 - std::bit_width(u ^ t);
+      used = std::max(used, needed);
+    }
+    for (int d = 0; d < used; ++d) rng.NextUint64();
+  }
+  return bits;
+}
+
+TEST(BitVectorReporterTest, RespondMatchesScalarLaneReference) {
+  // The packed reporter must consume the RNG exactly like the lane-by-lane
+  // reference above, so a seed pins the same reports and the same stream
+  // position. The words must match byte for byte for probabilities that are
+  // not dyadic (RAPPOR's and OUE's at several budgets), for the extremes,
+  // and one ulp from 0, 1 and 2^-53 multiples.
   const double e1 = std::exp(0.5);
   const std::vector<std::pair<double, double>> probs = {
       {0.75, 0.25},
@@ -221,10 +262,9 @@ TEST(BitVectorReporterTest, RespondMatchesPerCoordinateBernoulliDraws) {
         for (int trial = 0; trial < 8; ++trial) {
           const int user_type = (trial * 37) % n;
           const Report report = reporter.Respond(user_type, packed_rng);
-          std::vector<std::uint8_t> expected(n);
-          for (int i = 0; i < n; ++i) {
-            expected[i] = reference_rng.Bernoulli(i == user_type ? p : q);
-          }
+          const std::vector<std::uint8_t> expected = ReferenceLaneBits(
+              n, user_type, Rng::BernoulliThreshold(p),
+              Rng::BernoulliThreshold(q), reference_rng);
           ASSERT_TRUE(report.is_bits());
           const PackedBits packed(expected);
           ASSERT_EQ(report.bits.size(), packed.size());
@@ -234,10 +274,45 @@ TEST(BitVectorReporterTest, RespondMatchesPerCoordinateBernoulliDraws) {
                     0)
               << "p " << p << " q " << q << " n " << n << " seed " << seed;
         }
-        EXPECT_EQ(packed_rng.NextUint64(), reference_rng.NextUint64());
+        EXPECT_EQ(packed_rng.NextUint64(), reference_rng.NextUint64())
+            << "p " << p << " q " << q << " n " << n << " seed " << seed;
       }
     }
   }
+}
+
+TEST(BitVectorReporterTest, LaneMarginalsAreBernoulliAtWordEdges) {
+  // Lanes 0, 63 and 64 (both sides of a word edge), the last lane of the
+  // partial second word, and the user's lane, each against its Bernoulli
+  // mean within 5 sigma; q is not dyadic, so every bit of its threshold
+  // matters. Lanes 0 and 63 share their draws, so their joint rate must be
+  // q^2 as well.
+  const double e = std::exp(1.0);
+  const double p = e / (e + 1.0);
+  const double q = 1.0 / (e + 1.0);
+  const int n = 100;
+  const int user_type = 70;
+  const BitVectorReporter reporter(n, p, q);
+  Rng rng(2718);
+  const int trials = 200000;
+  const std::vector<int> lanes = {0, 63, 64, n - 1, user_type};
+  std::vector<int> ones(lanes.size(), 0);
+  int both = 0;
+  for (int t = 0; t < trials; ++t) {
+    const PackedBits bits = reporter.Respond(user_type, rng).bits;
+    for (std::size_t k = 0; k < lanes.size(); ++k) ones[k] += bits[lanes[k]];
+    both += bits[0] & bits[63];
+  }
+  const auto expect_rate = [&](int count, double mean, const char* what) {
+    const double sigma = std::sqrt(mean * (1.0 - mean) / trials);
+    EXPECT_NEAR(static_cast<double>(count) / trials, mean, 5.0 * sigma)
+        << what;
+  };
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    expect_rate(ones[k], lanes[k] == user_type ? p : q,
+                ("lane " + std::to_string(lanes[k])).c_str());
+  }
+  expect_rate(both, q * q, "lanes 0 and 63 jointly");
 }
 
 }  // namespace

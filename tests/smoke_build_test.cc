@@ -24,6 +24,9 @@ TEST(SmokeBuildTest, UmbrellaHeaderCoversEveryModule) {
   // workload
   HistogramWorkload histogram(4);
   EXPECT_EQ(histogram.domain_size(), 4);
+  const std::unique_ptr<Workload> product =
+      ParseWorkload("Prefix(4)xPrefix(4)");
+  EXPECT_EQ(product->domain_size(), 16);
 
   // data
   UniformBucketizer bucketizer(0.0, 1.0, 4);
