@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
     const wfm::WorkloadStats stats = wfm::WorkloadStats::From(*workload);
     const wfm::OptimizedMechanism mech(stats, eps,
                                        wfm::bench::BenchOptimizerConfig(flags));
-    const wfm::ReportDecoder decoder =
-        wfm::ReportDecoder::FromAnalysis(
-            wfm::FactorizationAnalysis(mech.strategy().factors[0], stats));
+    const wfm::FactorizationAnalysis analysis(mech.strategy().factors[0],
+                                              stats);
+    const wfm::ReportDecoder decoder({analysis.ReconstructionB()}, stats);
     const wfm::Vector truth = workload->Apply(data.histogram);
 
     wfm::Rng rng(77);

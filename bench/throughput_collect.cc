@@ -177,8 +177,10 @@ int main(int argc, char** argv) {
   // Pre-randomize the report stream once through the real client path.
   const wfm::Matrix q = wfm::RandomizedResponseMechanism::BuildStrategy(n, eps);
   auto workload = std::make_shared<const wfm::HistogramWorkload>(n);
-  const wfm::ReportDecoder decoder = wfm::ReportDecoder::FromAnalysis(
-      wfm::FactorizationAnalysis(q, wfm::WorkloadStats::From(*workload)));
+  const wfm::FactorizationAnalysis analysis(
+      q, wfm::WorkloadStats::From(*workload));
+  const wfm::ReportDecoder decoder({analysis.ReconstructionB()},
+                                   analysis.workload());
   const wfm::LocalRandomizer randomizer(q);
   wfm::Rng rng(7);
   std::vector<wfm::Report> reports(num_reports);

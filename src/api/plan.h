@@ -132,7 +132,7 @@ class PlanSession {
   /// Sealed-epoch snapshot by id; kNotFound when that epoch has not been
   /// sealed (the wire layer's 404).
   StatusOr<std::shared_ptr<const EpochSnapshot>> Snapshot(int epoch_id) const {
-    return session_.TrySnapshot(epoch_id);
+    return session_.Snapshot(epoch_id);
   }
 
   /// Adopts a sealed epoch from a persisted store or another node; validated
@@ -209,7 +209,6 @@ class Plan {
   static PlanBuilder For(std::shared_ptr<const Workload> workload);
 
   const Workload& workload() const { return *workload_; }
-  std::shared_ptr<const Workload> workload_ptr() const { return workload_; }
   const WorkloadStats& stats() const { return stats_; }
   double epsilon() const { return epsilon_; }
 

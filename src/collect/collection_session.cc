@@ -122,15 +122,7 @@ std::shared_ptr<const EpochSnapshot> CollectionSession::LatestSnapshot() const {
   return snapshots_.empty() ? nullptr : snapshots_.back();
 }
 
-std::shared_ptr<const EpochSnapshot> CollectionSession::Snapshot(
-    int epoch_id) const {
-  std::lock_guard<std::mutex> lock(snapshots_mutex_);
-  WFM_CHECK(epoch_id >= 0 && epoch_id < static_cast<int>(snapshots_.size()))
-      << "epoch" << epoch_id << "not sealed yet";
-  return snapshots_[epoch_id];
-}
-
-StatusOr<std::shared_ptr<const EpochSnapshot>> CollectionSession::TrySnapshot(
+StatusOr<std::shared_ptr<const EpochSnapshot>> CollectionSession::Snapshot(
     int epoch_id) const {
   std::lock_guard<std::mutex> lock(snapshots_mutex_);
   if (epoch_id < 0 || epoch_id >= static_cast<int>(snapshots_.size())) {

@@ -117,14 +117,10 @@ class CollectionSession {
   /// Latest sealed snapshot, or nullptr if nothing has been sealed.
   std::shared_ptr<const EpochSnapshot> LatestSnapshot() const;
 
-  /// Snapshot of a specific sealed epoch (0 <= epoch_id < epochs_sealed()).
-  std::shared_ptr<const EpochSnapshot> Snapshot(int epoch_id) const;
-
-  /// Snapshot() with runtime-reachable failures as Status: kNotFound when
-  /// the epoch has not been sealed — the code the wire layer maps to an
-  /// HTTP-style 404 instead of the Snapshot() abort.
-  StatusOr<std::shared_ptr<const EpochSnapshot>> TrySnapshot(
-      int epoch_id) const;
+  /// Snapshot of a sealed epoch (0 <= epoch_id < epochs_sealed()); kNotFound
+  /// when the epoch has not been sealed, which the wire layer maps to an
+  /// HTTP-style 404.
+  StatusOr<std::shared_ptr<const EpochSnapshot>> Snapshot(int epoch_id) const;
 
   /// Re-inserts a sealed epoch into the history — crash recovery (replaying
   /// a persisted store) or multi-node operation (adopting another node's

@@ -18,26 +18,4 @@ void PrivacyAccountant::Spend(double eps) {
   collections_.push_back(eps);
 }
 
-double ComposeSequential(const std::vector<double>& epsilons) {
-  double total = 0.0;
-  for (double e : epsilons) {
-    WFM_CHECK_GT(e, 0.0);
-    total += e;
-  }
-  return total;
-}
-
-std::vector<double> SplitBudgetUniform(double total, int rounds) {
-  WFM_CHECK_GT(total, 0.0);
-  WFM_CHECK_GT(rounds, 0);
-  return std::vector<double>(rounds, total / rounds);
-}
-
-double RepeatedCollectionVariance(double total_budget, int rounds,
-                                  double (*variance_at)(double)) {
-  WFM_CHECK_GT(rounds, 0);
-  const double per_round = total_budget / rounds;
-  return variance_at(per_round) / rounds;
-}
-
 }  // namespace wfm

@@ -2,12 +2,8 @@
 //
 // Pure ε-LDP composes additively (sequential composition): if the same user
 // answers k collections at budgets ε_1..ε_k, the joint release is
-// (Σ ε_i)-LDP. These helpers keep deployments honest about their total
-// budget and decide how to split a budget across rounds. Splitting evenly is
-// not always best: total variance of k identical unbiased collections
-// averaged together is Var(ε/k)/k, which for the factorization mechanism is
-// typically *worse* than one collection at full ε (variance is convex and
-// steeper than 1/ε), so the planner exposes the comparison.
+// (Σ ε_i)-LDP. PrivacyAccountant keeps a deployment honest about its total
+// budget; adaptive/BudgetPlanner decides how to spend it across epochs.
 
 #ifndef WFM_CORE_ACCOUNTING_H_
 #define WFM_CORE_ACCOUNTING_H_
@@ -42,18 +38,6 @@ class PrivacyAccountant {
   double spent_ = 0.0;
   std::vector<double> collections_;
 };
-
-/// Sequential composition: total ε of a sequence of per-user releases.
-double ComposeSequential(const std::vector<double>& epsilons);
-
-/// Even split of a total budget across k rounds.
-std::vector<double> SplitBudgetUniform(double total, int rounds);
-
-/// Variance of averaging k repetitions of an unbiased mechanism whose
-/// one-shot variance at budget e is `variance_at(e)`: Var(total/k)/k.
-/// Used to compare "spend it all at once" vs "spread across rounds".
-double RepeatedCollectionVariance(double total_budget, int rounds,
-                                  double (*variance_at)(double));
 
 }  // namespace wfm
 

@@ -170,7 +170,6 @@ FactoredOptimizerResult OptimizeFactoredStrategy(
     const OptimizerResult& r = evaluate(i, shares[i]);
     result.strategy.factors.push_back(r.q);
     result.strategy.epsilons.push_back(eps * shares[i] / grid);
-    result.factor_results.push_back(r);
     result.objective *= r.objective;
   }
   return result;

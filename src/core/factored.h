@@ -71,8 +71,6 @@ struct FactoredOptimizerConfig {
 
 struct FactoredOptimizerResult {
   FactoredStrategy strategy;
-  /// Per-factor PGD results, in factor order.
-  std::vector<OptimizerResult> factor_results;
   /// Composed objective L(⊗ Q_i) = Π L_i.
   double objective = 0.0;
 };

@@ -98,8 +98,8 @@ class FactorizationAnalysis {
   const Vector& PerUserMeanEnergy() const { return psi_; }
 
   /// Reconstruction factor B (n x m): V = W B, and the unbiased data-vector
-  /// estimate from a response histogram y is x_hat = B y
-  /// (ReportDecoder::FromAnalysis decodes with it).
+  /// estimate from a response histogram y is x_hat = B y (the one-factor
+  /// ReportDecoder {B} decodes with it).
   const Matrix& ReconstructionB() const { return b_; }
 
   /// Explicit V = W B for workloads small enough to materialize.

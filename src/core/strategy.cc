@@ -55,12 +55,4 @@ double MinimumEpsilon(const Matrix& q) {
   return worst;
 }
 
-void NormalizeColumns(Matrix& q) {
-  const Vector col_sums = q.ColSums();
-  for (double s : col_sums) WFM_CHECK_GT(s, 0.0) << "column with no mass";
-  Vector inv(col_sums.size());
-  for (std::size_t i = 0; i < inv.size(); ++i) inv[i] = 1.0 / col_sums[i];
-  ScaleCols(q, inv);
-}
-
 }  // namespace wfm

@@ -33,10 +33,6 @@ StrategyValidation ValidateStrategy(const Matrix& q, double eps,
 /// entry). Returns +inf when a row mixes zero and positive entries.
 double MinimumEpsilon(const Matrix& q);
 
-/// Normalizes columns of Q to sum to one (repair after numerical drift);
-/// every column must have positive mass.
-void NormalizeColumns(Matrix& q);
-
 }  // namespace wfm
 
 #endif  // WFM_CORE_STRATEGY_H_

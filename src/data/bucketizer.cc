@@ -1,18 +1,8 @@
 #include "data/bucketizer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <limits>
 
 namespace wfm {
-
-std::string Bucketizer::Label(int bucket) const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "[%g, %g)", LowerBound(bucket),
-                UpperBound(bucket));
-  return buf;
-}
 
 UniformBucketizer::UniformBucketizer(double lo, double hi, int buckets)
     : lo_(lo), hi_(hi), buckets_(buckets) {
@@ -35,59 +25,6 @@ double UniformBucketizer::LowerBound(int bucket) const {
 double UniformBucketizer::UpperBound(int bucket) const {
   WFM_CHECK(bucket >= 0 && bucket < buckets_);
   return lo_ + (hi_ - lo_) * (bucket + 1) / buckets_;
-}
-
-QuantileBucketizer::QuantileBucketizer(std::vector<double> reference_sample,
-                                       int buckets) {
-  WFM_CHECK_GT(buckets, 0);
-  WFM_CHECK_GE(static_cast<int>(reference_sample.size()), buckets)
-      << "need at least one sample per bucket";
-  std::sort(reference_sample.begin(), reference_sample.end());
-  edges_.reserve(buckets + 1);
-  edges_.push_back(reference_sample.front());
-  for (int b = 1; b < buckets; ++b) {
-    const std::size_t idx =
-        static_cast<std::size_t>(static_cast<double>(b) *
-                                 (reference_sample.size() - 1) / buckets);
-    double edge = reference_sample[idx];
-    // Edges must strictly increase; skip duplicates by nudging onto the next
-    // distinct sample value.
-    if (edge <= edges_.back()) {
-      auto it = std::upper_bound(reference_sample.begin(), reference_sample.end(),
-                                 edges_.back());
-      if (it == reference_sample.end()) break;
-      edge = *it;
-    }
-    edges_.push_back(edge);
-  }
-  edges_.push_back(std::nextafter(reference_sample.back(),
-                                  std::numeric_limits<double>::infinity()));
-  WFM_CHECK_GE(static_cast<int>(edges_.size()), 2);
-}
-
-int QuantileBucketizer::BucketOf(double value) const {
-  if (value < edges_.front()) return 0;
-  if (value >= edges_.back()) return num_buckets() - 1;
-  // First edge strictly greater than value; bucket is the predecessor edge.
-  const auto it = std::upper_bound(edges_.begin(), edges_.end(), value);
-  return static_cast<int>(it - edges_.begin()) - 1;
-}
-
-double QuantileBucketizer::LowerBound(int bucket) const {
-  WFM_CHECK(bucket >= 0 && bucket < num_buckets());
-  return edges_[bucket];
-}
-
-double QuantileBucketizer::UpperBound(int bucket) const {
-  WFM_CHECK(bucket >= 0 && bucket < num_buckets());
-  return edges_[bucket + 1];
-}
-
-std::vector<double> BucketizeValues(const Bucketizer& bucketizer,
-                                    const std::vector<double>& values) {
-  std::vector<double> histogram(bucketizer.num_buckets(), 0.0);
-  for (double v : values) histogram[bucketizer.BucketOf(v)] += 1.0;
-  return histogram;
 }
 
 }  // namespace wfm

@@ -3,76 +3,36 @@
 //
 // Section 6.6 of the paper recommends running mechanisms on small domains,
 // "compressing if necessary" — in practice every deployment over a numeric
-// attribute needs exactly this step. Two policies:
-//
-//   * UniformBucketizer — equal-width bins over [lo, hi];
-//   * QuantileBucketizer — bins with (approximately) equal mass under a
-//     public/estimated reference sample, which balances per-bin counts for
-//     heavy-tailed attributes.
+// attribute needs exactly this step. UniformBucketizer cuts [lo, hi] into
+// equal-width bins.
 
 #ifndef WFM_DATA_BUCKETIZER_H_
 #define WFM_DATA_BUCKETIZER_H_
-
-#include <string>
-#include <vector>
 
 #include "common/check.h"
 
 namespace wfm {
 
-class Bucketizer {
- public:
-  virtual ~Bucketizer() = default;
-
-  virtual int num_buckets() const = 0;
-
-  /// Maps a raw value to its bucket in [0, num_buckets()). Values outside
-  /// the configured range clamp to the first/last bucket.
-  virtual int BucketOf(double value) const = 0;
-
-  /// Inclusive-exclusive bounds [lower, upper) of a bucket (the last bucket
-  /// is inclusive of the range maximum).
-  virtual double LowerBound(int bucket) const = 0;
-  virtual double UpperBound(int bucket) const = 0;
-
-  /// Human-readable label "[lower, upper)".
-  std::string Label(int bucket) const;
-};
-
-class UniformBucketizer final : public Bucketizer {
+class UniformBucketizer {
  public:
   UniformBucketizer(double lo, double hi, int buckets);
 
-  int num_buckets() const override { return buckets_; }
-  int BucketOf(double value) const override;
-  double LowerBound(int bucket) const override;
-  double UpperBound(int bucket) const override;
+  int num_buckets() const { return buckets_; }
+
+  /// Maps a raw value to its bucket in [0, num_buckets()). Values outside
+  /// [lo, hi] clamp to the first/last bucket.
+  int BucketOf(double value) const;
+
+  /// Inclusive-exclusive bounds [lower, upper) of a bucket (the last bucket
+  /// is inclusive of hi).
+  double LowerBound(int bucket) const;
+  double UpperBound(int bucket) const;
 
  private:
   double lo_;
   double hi_;
   int buckets_;
 };
-
-class QuantileBucketizer final : public Bucketizer {
- public:
-  /// Builds bucket edges at the k-quantiles of `reference_sample` (which is
-  /// copied and sorted). The sample must be non-private (public data or a
-  /// separately budgeted estimate).
-  QuantileBucketizer(std::vector<double> reference_sample, int buckets);
-
-  int num_buckets() const override { return static_cast<int>(edges_.size()) - 1; }
-  int BucketOf(double value) const override;
-  double LowerBound(int bucket) const override;
-  double UpperBound(int bucket) const override;
-
- private:
-  std::vector<double> edges_;  // buckets + 1 ascending edges.
-};
-
-/// Histograms raw values through a bucketizer: the data vector x.
-std::vector<double> BucketizeValues(const Bucketizer& bucketizer,
-                                    const std::vector<double>& values);
 
 }  // namespace wfm
 

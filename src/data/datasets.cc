@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 
 #include "linalg/rng.h"
 #include "linalg/samplers.h"
@@ -138,31 +137,6 @@ Dataset SampleUsers(const Dataset& source, std::int64_t num_users,
     out.histogram[i] = static_cast<double>(counts[i]);
   }
   return out;
-}
-
-Status SaveHistogramCsv(const std::string& path, const Vector& histogram) {
-  std::ofstream out(path);
-  if (!out) return Status::NotFound("cannot open for writing: " + path);
-  for (double v : histogram) out << v << "\n";
-  if (!out) return Status::Internal("write failed: " + path);
-  return Status::Ok();
-}
-
-StatusOr<Vector> LoadHistogramCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open: " + path);
-  Vector histogram;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      histogram.push_back(std::stod(line));
-    } catch (...) {
-      return Status::InvalidArgument("malformed line in " + path + ": " + line);
-    }
-  }
-  if (histogram.empty()) return Status::InvalidArgument("empty histogram: " + path);
-  return histogram;
 }
 
 }  // namespace wfm

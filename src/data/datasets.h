@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "linalg/matrix.h"
 
 namespace wfm {
@@ -47,10 +46,6 @@ Dataset MakeSyntheticDataset(const std::string& name, int n, double num_users,
 /// (used to subsample, e.g. Figure 4 uses N = 1000 from HEPTH).
 Dataset SampleUsers(const Dataset& source, std::int64_t num_users,
                     std::uint64_t seed);
-
-/// One count per line.
-Status SaveHistogramCsv(const std::string& path, const Vector& histogram);
-StatusOr<Vector> LoadHistogramCsv(const std::string& path);
 
 }  // namespace wfm
 

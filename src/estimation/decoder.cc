@@ -58,11 +58,6 @@ ReportDecoder::ReportDecoder(AffineDebias debias, WorkloadStats stats)
       << "q =" << affine_->q;
 }
 
-ReportDecoder ReportDecoder::FromAnalysis(
-    const FactorizationAnalysis& analysis) {
-  return ReportDecoder({analysis.ReconstructionB()}, analysis.workload());
-}
-
 const AffineDebias& ReportDecoder::affine_debias() const {
   WFM_CHECK(affine_.has_value()) << "affine_debias() on a linear decoder";
   return *affine_;

@@ -59,9 +59,6 @@ class ReportDecoder {
   /// x_hat = (y - N q 1)/(p - q), so decoding needs the true report count N.
   ReportDecoder(AffineDebias debias, WorkloadStats stats);
 
-  /// Decoder of a strategy factorization: {analysis.ReconstructionB()}.
-  static ReportDecoder FromAnalysis(const FactorizationAnalysis& analysis);
-
   int n() const { return stats_.n; }
   int m() const { return m_; }
   /// Decode factors {B} or {B_i}; empty for affine decoders.

@@ -7,8 +7,8 @@
 // There is one entry point: a ReportDecoder (estimation/decoder.h) plus the
 // report count N behind the aggregate. Dense and Kronecker deployments are
 // both factor lists, and affine decoders (RAPPOR/OUE bit vectors) need N to
-// debias. A strategy factorization enters through
-// ReportDecoder::FromAnalysis.
+// debias. A strategy factorization enters as the one-factor decoder
+// ReportDecoder({analysis.ReconstructionB()}, analysis.workload()).
 
 #ifndef WFM_ESTIMATION_ESTIMATOR_H_
 #define WFM_ESTIMATION_ESTIMATOR_H_

@@ -197,11 +197,4 @@ void Cholesky::SolveInPlace(Matrix& b) const {
   }
 }
 
-double Cholesky::LogDet() const {
-  WFM_CHECK(ok_);
-  double s = 0.0;
-  for (int i = 0; i < l_.rows(); ++i) s += std::log(l_(i, i));
-  return 2.0 * s;
-}
-
 }  // namespace wfm

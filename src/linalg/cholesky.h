@@ -65,9 +65,6 @@ class Cholesky {
   /// result is bit-identical across thread counts).
   void SolveInPlace(Matrix& b) const;
 
-  /// log(det(A)) from the factor diagonals (used in tests/diagnostics).
-  double LogDet() const;
-
  private:
   /// Factors the panel [j0, j1) whose trailing updates are all applied.
   bool FactorPanel(int j0, int j1, double tol);

@@ -216,14 +216,6 @@ Matrix Matrix::Transpose() const {
   return t;
 }
 
-Matrix Matrix::RowSlice(int begin, int end) const {
-  WFM_CHECK(0 <= begin && begin <= end && end <= rows_);
-  Matrix out(end - begin, cols_);
-  std::copy(RowPtr(begin), RowPtr(begin) + static_cast<std::size_t>(end - begin) * cols_,
-            out.data());
-  return out;
-}
-
 Vector Matrix::RowSums() const {
   Vector sums;
   RowSumsInto(sums);
@@ -445,17 +437,6 @@ void ScaleCols(Matrix& a, const Vector& s) {
   }
 }
 
-double TraceOfProduct(const Matrix& a, const Matrix& b) {
-  WFM_CHECK_EQ(a.cols(), b.rows());
-  WFM_CHECK_EQ(a.rows(), b.cols());
-  double t = 0.0;
-  for (int i = 0; i < a.rows(); ++i) {
-    const double* arow = a.RowPtr(i);
-    for (int k = 0; k < a.cols(); ++k) t += arow[k] * b(k, i);
-  }
-  return t;
-}
-
 double Dot(const Vector& a, const Vector& b) {
   WFM_CHECK_EQ(a.size(), b.size());
   double s = 0.0;
@@ -475,28 +456,6 @@ double MaxAbsVec(const Vector& a) {
   double m = 0.0;
   for (double v : a) m = std::max(m, std::abs(v));
   return m;
-}
-
-void Axpy(double alpha, const Vector& x, Vector& y) {
-  WFM_CHECK_EQ(x.size(), y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-Vector ClipVector(const Vector& v, const Vector& lo, const Vector& hi) {
-  WFM_CHECK(v.size() == lo.size() && v.size() == hi.size());
-  Vector out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = std::min(std::max(v[i], lo[i]), hi[i]);
-  }
-  return out;
-}
-
-Vector ClipVectorScalar(const Vector& v, double lo, double hi) {
-  Vector out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = std::min(std::max(v[i], lo), hi);
-  }
-  return out;
 }
 
 }  // namespace wfm

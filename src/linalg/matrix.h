@@ -89,9 +89,6 @@ class Matrix {
 
   Matrix Transpose() const;
 
-  /// Extracts rows [begin, end).
-  Matrix RowSlice(int begin, int end) const;
-
   Vector RowSums() const;
   /// Allocation-free variant: writes the row sums into `out` (resized).
   void RowSumsInto(Vector& out) const;
@@ -167,22 +164,12 @@ void ScaleRows(Matrix& a, const Vector& s);
 /// Scales column c of `a` by s[c] in place (equivalent to A * Diag(s)).
 void ScaleCols(Matrix& a, const Vector& s);
 
-/// tr(A * B) computed without forming the product; requires
-/// a.rows()==b.cols() and a.cols()==b.rows().
-double TraceOfProduct(const Matrix& a, const Matrix& b);
-
 // ---- Vector helpers -------------------------------------------------------
 
 double Dot(const Vector& a, const Vector& b);
 double NormSq(const Vector& a);
 double Sum(const Vector& a);
 double MaxAbsVec(const Vector& a);
-/// y += alpha * x.
-void Axpy(double alpha, const Vector& x, Vector& y);
-/// Elementwise clip of v to [lo[i], hi[i]].
-Vector ClipVector(const Vector& v, const Vector& lo, const Vector& hi);
-/// Elementwise clip of v to the scalar range [lo, hi].
-Vector ClipVectorScalar(const Vector& v, double lo, double hi);
 
 }  // namespace wfm
 

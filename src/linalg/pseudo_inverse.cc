@@ -48,19 +48,6 @@ Matrix PsdSqrt(const Matrix& a) {
   });
 }
 
-Matrix PsdInvSqrt(const Matrix& a, double rel_tol) {
-  EigenDecomposition eig = SymmetricEigen(a);
-  const double cutoff = rel_tol * MaxAbsEigen(eig.eigenvalues);
-  Matrix scaled = eig.eigenvectors;
-  Vector inv(eig.eigenvalues.size());
-  for (std::size_t i = 0; i < inv.size(); ++i) {
-    const double lambda = eig.eigenvalues[i];
-    inv[i] = lambda > cutoff ? 1.0 / std::sqrt(lambda) : 0.0;
-  }
-  ScaleCols(scaled, inv);
-  return MultiplyABT(scaled, eig.eigenvectors);
-}
-
 Matrix PseudoInverse(const Matrix& a, double rel_tol) {
   // A† = (AᵀA)† Aᵀ. Valid for any A; computed spectrally.
   const Matrix ata = MultiplyATB(a, a);

@@ -22,9 +22,6 @@ Matrix SymmetricPseudoInverse(const Matrix& a, double rel_tol = 1e-10);
 /// are clamped to zero.
 Matrix PsdSqrt(const Matrix& a);
 
-/// Inverse square root A^{-1/2} on the range of A (pseudo-inverse of PsdSqrt).
-Matrix PsdInvSqrt(const Matrix& a, double rel_tol = 1e-10);
-
 /// Pseudo-inverse of a general rectangular matrix via the eigendecomposition
 /// of AᵀA (adequate for the moderately conditioned matrices in this project).
 Matrix PseudoInverse(const Matrix& a, double rel_tol = 1e-10);

@@ -38,7 +38,6 @@
 #include "workload/parity.h"
 #include "workload/prefix.h"
 #include "workload/range.h"
-#include "workload/sliding_window.h"
 #include "workload/workload.h"
 
 // data: datasets and domain bucketization.

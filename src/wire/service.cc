@@ -578,26 +578,26 @@ void CollectionServer::ServeConnection(int fd, int connection_id) {
   ::close(fd);
 }
 
-bool CollectionServer::ShedIngest(int shard, std::int64_t num_reports) const {
+WireResponse CollectionServer::Admit(int shard,
+                                     std::span<const Report> reports) {
+  const std::int64_t num_reports = static_cast<std::int64_t>(reports.size());
+  std::atomic<std::int64_t>& backlog =
+      shard_backlog_[static_cast<std::size_t>(shard)];
   const std::int64_t cap = options_.max_unsealed_reports_per_shard;
-  if (cap <= 0) return false;
-  const std::int64_t backlog =
-      shard_backlog_[static_cast<std::size_t>(shard)].load(
-          std::memory_order_relaxed);
-  return backlog + num_reports > cap;
-}
-
-Status CollectionServer::Ingest(int shard, std::span<const Report> reports,
-                                bool batch) {
-  return batch ? session_->AcceptBatch(shard, reports)
-               : session_->Accept(shard, reports.front());
+  if (cap > 0 && backlog.load(std::memory_order_relaxed) + num_reports > cap) {
+    Telemetry().shed->Add(num_reports);
+    return ShedResponse(options_.retry_after_ms, shard, cap);
+  }
+  if (Status accepted = session_->AcceptBatch(shard, reports); !accepted.ok()) {
+    return ErrorResponse(accepted);
+  }
+  backlog.fetch_add(num_reports, std::memory_order_relaxed);
+  return IngestAck(/*duplicate=*/false);
 }
 
 WireResponse CollectionServer::AdmitTagged(std::uint64_t client_id,
                                            std::uint64_t sequence, int shard,
-                                           std::span<const Report> reports,
-                                           bool batch) {
-  const std::int64_t num_reports = static_cast<std::int64_t>(reports.size());
+                                           std::span<const Report> reports) {
   ClientDedupWindow* window;
   {
     std::lock_guard<std::mutex> lock(dedup_mutex_);
@@ -612,24 +612,18 @@ WireResponse CollectionServer::AdmitTagged(std::uint64_t client_id,
     // safe answer for a retry). Inside the window: consult the exact set.
     if (window->max_seq - sequence >= span ||
         window->seen.count(sequence) > 0) {
-      Telemetry().deduped->Add(num_reports);
+      Telemetry().deduped->Add(static_cast<std::int64_t>(reports.size()));
       return IngestAck(/*duplicate=*/true);
     }
   }
   // Fresh work: duplicates bypass admission control above (re-delivery of
   // counted reports costs nothing), but new reports are subject to it.
-  if (ShedIngest(shard, num_reports)) {
-    Telemetry().shed->Add(num_reports);
-    return ShedResponse(options_.retry_after_ms, shard,
-                        options_.max_unsealed_reports_per_shard);
-  }
-  if (Status accepted = Ingest(shard, reports, batch); !accepted.ok()) {
+  WireResponse response = Admit(shard, reports);
+  if (!response.ok()) {
     // Not recorded: the frame never counted, so a (corrected) retry is not a
     // duplicate.
-    return ErrorResponse(accepted);
+    return response;
   }
-  shard_backlog_[static_cast<std::size_t>(shard)].fetch_add(
-      num_reports, std::memory_order_relaxed);
   window->seen.insert(sequence);
   if (!window->any || sequence > window->max_seq) {
     window->max_seq = sequence;
@@ -639,7 +633,7 @@ WireResponse CollectionServer::AdmitTagged(std::uint64_t client_id,
     window->seen.erase(window->seen.begin(),
                        window->seen.lower_bound(window->max_seq - span + 1));
   }
-  return IngestAck(/*duplicate=*/false);
+  return response;
 }
 
 WireResponse CollectionServer::HandleIngest(
@@ -668,23 +662,12 @@ WireResponse CollectionServer::HandleIngest(
     count = decoded.value();
   }
   const std::span<const Report> decoded(reports.data(), count);
-  const std::int64_t num_reports = static_cast<std::int64_t>(count);
 
   if (client_id != 0 && options_.dedup_window > 0) {
-    return AdmitTagged(client_id, sequence, shard, decoded, batch);
+    return AdmitTagged(client_id, sequence, shard, decoded);
   }
   // Untagged ingest: no retry protection, but admission control still holds.
-  if (ShedIngest(shard, num_reports)) {
-    Telemetry().shed->Add(num_reports);
-    return ShedResponse(options_.retry_after_ms, shard,
-                        options_.max_unsealed_reports_per_shard);
-  }
-  if (Status accepted = Ingest(shard, decoded, batch); !accepted.ok()) {
-    return ErrorResponse(accepted);
-  }
-  shard_backlog_[static_cast<std::size_t>(shard)].fetch_add(
-      num_reports, std::memory_order_relaxed);
-  return IngestAck(/*duplicate=*/false);
+  return Admit(shard, decoded);
 }
 
 WireResponse CollectionServer::HandleRequest(

@@ -287,15 +287,15 @@ class CollectionServer {
                              std::vector<Report>& reports);
   WireResponse HandleIngest(std::span<const std::uint8_t> payload, int shard,
                             bool batch, std::vector<Report>& reports);
-  /// Session ingest of decoded reports: AcceptBatch for a batch frame,
-  /// Accept for a single-report one.
-  Status Ingest(int shard, std::span<const Report> reports, bool batch);
-  /// Admission + ingest under the client's dedup lock; the reports are
-  /// ingested only for fresh (client_id, sequence) pairs.
+  /// The one admit step for decoded reports (a kAccept body is a batch of
+  /// one): a 503 when they would push the shard's unsealed backlog past
+  /// max_unsealed_reports_per_shard, else PlanSession::AcceptBatch and, on
+  /// success, the backlog add.
+  WireResponse Admit(int shard, std::span<const Report> reports);
+  /// Admit under the client's dedup lock; the reports are admitted only for
+  /// fresh (client_id, sequence) pairs.
   WireResponse AdmitTagged(std::uint64_t client_id, std::uint64_t sequence,
-                           int shard, std::span<const Report> reports,
-                           bool batch);
-  bool ShedIngest(int shard, std::int64_t num_reports) const;
+                           int shard, std::span<const Report> reports);
 
   std::unique_ptr<PlanSession> session_;
   ServiceOptions options_;

@@ -60,39 +60,15 @@ StatusOr<WireBytes> ReadFile(const std::string& path, const char* what) {
                    std::istreambuf_iterator<char>());
 }
 
-}  // namespace
-
-StatusOr<EpochSnapshot> MergeSnapshots(std::span<const EpochSnapshot> parts) {
-  if (parts.empty()) {
-    return Status::InvalidArgument("cannot merge zero snapshots");
-  }
-  EpochSnapshot merged;
-  merged.histogram.assign(parts.front().histogram.size(), 0.0);
-  for (const EpochSnapshot& part : parts) {
-    if (part.histogram.size() != merged.histogram.size()) {
-      return Status::InvalidArgument(
-          "snapshot histogram dimensions disagree: " +
-          std::to_string(part.histogram.size()) + " vs " +
-          std::to_string(merged.histogram.size()));
-    }
-    if (part.count < 0) {
-      return Status::InvalidArgument("snapshot report count is negative: " +
-                                     std::to_string(part.count));
-    }
-    for (std::size_t o = 0; o < merged.histogram.size(); ++o) {
-      merged.histogram[o] += part.histogram[o];
-    }
-    merged.count += part.count;
-    merged.epoch_id = std::max(merged.epoch_id, part.epoch_id);
-  }
-  return merged;
-}
-
+// Writes one snapshot to `path` in the wire encoding; kInternal on I/O
+// failure.
 Status SaveSnapshotFile(const std::string& path,
                         const EpochSnapshot& snapshot) {
   return WriteFileAtomically(path, EncodeSnapshot(snapshot));
 }
 
+// Reads one wire-encoded snapshot; kNotFound when the file does not exist,
+// kInvalidArgument when its contents fail to decode.
 StatusOr<EpochSnapshot> LoadSnapshotFile(const std::string& path) {
   StatusOr<WireBytes> bytes = ReadFile(path, "snapshot");
   if (!bytes.ok()) return bytes.status();
@@ -104,6 +80,8 @@ StatusOr<EpochSnapshot> LoadSnapshotFile(const std::string& path) {
   }
   return decoded;
 }
+
+}  // namespace
 
 Status SaveStrategyFile(const std::string& path,
                         const StrategySnapshot& strategy) {

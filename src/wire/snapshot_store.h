@@ -1,20 +1,12 @@
-// Durable epoch snapshots and cross-process merges.
+// Durable epoch snapshots and strategy files.
 //
-// Sealed epochs are the natural unit of both crash recovery and multi-node
-// operation: a snapshot is immutable, carries its exact report count, and
-// per-epoch histograms add. SnapshotStore persists each sealed epoch as one
-// file (`epoch-<id>.wfmsnap`, the wire/wire_format.h snapshot encoding,
-// written to a temp name and atomically renamed so a crash mid-write never
-// leaves a half snapshot behind). On restart, LoadAll() replays the sealed
-// history in epoch order and the service serves identical estimates without
-// a single device re-reporting.
-//
-// MergeSnapshots is the multi-node half: each collector node seals and ships
-// its own snapshots (wire-encoded, over the service's snapshot endpoints or
-// out of its store directory), and the coordinator folds them into one
-// aggregate. Aggregation is linear and counts are integers, so a merge of
-// per-node snapshots equals single-node aggregation of the combined report
-// stream exactly.
+// Sealed epochs are the natural unit of crash recovery: a snapshot is
+// immutable and carries its exact report count. SnapshotStore persists each
+// sealed epoch as one file (`epoch-<id>.wfmsnap`, the wire/wire_format.h
+// snapshot encoding, written to a temp name and atomically renamed so a
+// crash mid-write never leaves a half snapshot behind). On restart,
+// LoadAll() replays the sealed history in epoch order and the service
+// serves identical estimates without a single device re-reporting.
 //
 // Strategy files are the offline/online split's hand-off (paper §6.6): the
 // server optimizes a strategy once, saves it, and a later process loads it
@@ -27,7 +19,6 @@
 #ifndef WFM_WIRE_SNAPSHOT_STORE_H_
 #define WFM_WIRE_SNAPSHOT_STORE_H_
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -36,19 +27,6 @@
 #include "common/status.h"
 
 namespace wfm {
-
-/// Sums per-shard or per-node snapshots coordinatewise (histograms add,
-/// counts add; the result's epoch_id is the largest input epoch_id).
-/// kInvalidArgument when `parts` is empty or histogram dimensions disagree.
-StatusOr<EpochSnapshot> MergeSnapshots(std::span<const EpochSnapshot> parts);
-
-/// Writes one snapshot to `path` in the wire encoding (temp file + rename,
-/// so the file at `path` is always complete). kInternal on I/O failure.
-Status SaveSnapshotFile(const std::string& path, const EpochSnapshot& snapshot);
-
-/// Reads one wire-encoded snapshot from `path`. kNotFound when the file does
-/// not exist, kInvalidArgument when its contents fail to decode.
-StatusOr<EpochSnapshot> LoadSnapshotFile(const std::string& path);
 
 /// Writes one strategy to `path` as its EncodeStrategy bytes (temp file +
 /// rename). kInvalidArgument, with nothing written, when

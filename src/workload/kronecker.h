@@ -62,10 +62,6 @@ class KroneckerWorkload final : public Workload {
 
   int num_factors() const { return static_cast<int>(factors_.size()); }
   const Workload& factor(int i) const { return *factors_[i]; }
-  /// Cached dense factor Gram (n_i x n_i).
-  const Matrix& factor_gram(int i) const { return factor_grams_[i]; }
-  /// Factor domain sizes [n_0, ..., n_{k-1}].
-  const std::vector<int>& factor_sizes() const { return factor_sizes_; }
 
   /// Largest composed domain for which Gram() materializes densely.
   static constexpr int kDenseGramLimit = 4096;

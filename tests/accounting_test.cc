@@ -2,8 +2,6 @@
 
 #include "core/accounting.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 namespace wfm {
@@ -32,39 +30,6 @@ TEST(PrivacyAccountantDeathTest, OverspendAborts) {
   PrivacyAccountant acct(1.0);
   acct.Spend(0.8);
   EXPECT_DEATH(acct.Spend(0.3), "over budget");
-}
-
-TEST(ComposeSequentialTest, Sums) {
-  EXPECT_DOUBLE_EQ(ComposeSequential({0.5, 0.25, 0.25}), 1.0);
-  EXPECT_DOUBLE_EQ(ComposeSequential({}), 0.0);
-}
-
-TEST(SplitBudgetUniformTest, EvenSplit) {
-  const auto split = SplitBudgetUniform(1.0, 4);
-  ASSERT_EQ(split.size(), 4u);
-  for (double e : split) EXPECT_DOUBLE_EQ(e, 0.25);
-  EXPECT_DOUBLE_EQ(ComposeSequential(split), 1.0);
-}
-
-TEST(RepeatedCollectionTest, OneShotBeatsSplittingForSuperlinearVariance) {
-  // The factorization mechanism's variance grows faster than 1/ε (roughly
-  // 1/(e^ε - 1)²), so spending the whole budget once beats splitting — the
-  // planner must expose this. Use the RR Histogram closed-form shape.
-  auto variance_at = +[](double eps) {
-    const double em1 = std::exp(eps) - 1.0;
-    return 100.0 / (em1 * em1) + 2.0 / em1;
-  };
-  const double one_shot = RepeatedCollectionVariance(1.0, 1, variance_at);
-  const double split_4 = RepeatedCollectionVariance(1.0, 4, variance_at);
-  EXPECT_LT(one_shot, split_4);
-}
-
-TEST(RepeatedCollectionTest, SplittingNeutralForInverseSquareVariance) {
-  // For Var(ε) = c/ε² (additive-noise mechanisms at small ε), averaging k
-  // rounds at ε/k gives Var = (c k²/ε²)/k = k·(c/ε²): still worse. Check the
-  // formula computes exactly that.
-  auto variance_at = +[](double eps) { return 1.0 / (eps * eps); };
-  EXPECT_DOUBLE_EQ(RepeatedCollectionVariance(1.0, 3, variance_at), 3.0);
 }
 
 }  // namespace

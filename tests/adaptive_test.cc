@@ -76,7 +76,7 @@ class DriftDetectorTest : public ::testing::Test {
       : q_(RandomizedResponseMechanism::BuildStrategy(kN, kEps)),
         workload_(std::make_shared<const PrefixWorkload>(kN)),
         analysis_(q_, WorkloadStats::From(*workload_)),
-        decoder_(ReportDecoder::FromAnalysis(analysis_)),
+        decoder_({analysis_.ReconstructionB()}, analysis_.workload()),
         randomizer_(q_) {}
 
   Matrix q_;

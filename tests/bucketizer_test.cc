@@ -2,11 +2,7 @@
 
 #include "data/bucketizer.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
-
-#include "linalg/rng.h"
 
 namespace wfm {
 namespace {
@@ -39,69 +35,6 @@ TEST(UniformBucketizerTest, BoundsPartitionRange) {
     EXPECT_GE(v, b.LowerBound(bucket));
     EXPECT_LT(v, b.UpperBound(bucket));
   }
-}
-
-TEST(UniformBucketizerTest, Label) {
-  UniformBucketizer b(0.0, 10.0, 2);
-  EXPECT_EQ(b.Label(0), "[0, 5)");
-}
-
-TEST(QuantileBucketizerTest, BalancesHeavyTail) {
-  // Power-law-ish sample: quantile buckets should receive roughly equal
-  // counts where uniform buckets would pile everything into bucket 0.
-  Rng rng(211);
-  std::vector<double> sample(10000);
-  for (double& v : sample) v = std::pow(rng.NextDouble(), 4.0) * 1000.0;
-
-  QuantileBucketizer quantile(sample, 10);
-  const std::vector<double> q_hist = BucketizeValues(quantile, sample);
-  double q_max = 0, q_min = 1e18;
-  for (double c : q_hist) {
-    q_max = std::max(q_max, c);
-    q_min = std::min(q_min, c);
-  }
-  EXPECT_LT(q_max / q_min, 2.0) << "quantile buckets should be balanced";
-
-  UniformBucketizer uniform(0.0, 1000.0, 10);
-  const std::vector<double> u_hist = BucketizeValues(uniform, sample);
-  EXPECT_GT(u_hist[0], 0.5 * sample.size()) << "uniform buckets pile up";
-}
-
-TEST(QuantileBucketizerTest, HandlesDuplicateValues) {
-  // Many repeated values force duplicate quantile edges; the bucketizer must
-  // still produce strictly increasing edges.
-  std::vector<double> sample(100, 5.0);
-  for (int i = 0; i < 20; ++i) sample.push_back(10.0 + i);
-  QuantileBucketizer b(sample, 8);
-  EXPECT_GE(b.num_buckets(), 1);
-  for (int i = 0; i < b.num_buckets(); ++i) {
-    EXPECT_LT(b.LowerBound(i), b.UpperBound(i));
-  }
-  // All values map into range.
-  for (double v : sample) {
-    const int bucket = b.BucketOf(v);
-    EXPECT_GE(bucket, 0);
-    EXPECT_LT(bucket, b.num_buckets());
-  }
-}
-
-TEST(QuantileBucketizerTest, MaxSampleValueMapsToLastBucket) {
-  std::vector<double> sample{1, 2, 3, 4, 5, 6, 7, 8};
-  QuantileBucketizer b(sample, 4);
-  EXPECT_EQ(b.BucketOf(8.0), b.num_buckets() - 1);
-  EXPECT_EQ(b.BucketOf(100.0), b.num_buckets() - 1);
-  EXPECT_EQ(b.BucketOf(-100.0), 0);
-}
-
-TEST(BucketizeValuesTest, CountsSumToInputSize) {
-  UniformBucketizer b(0.0, 1.0, 5);
-  Rng rng(212);
-  std::vector<double> values(1000);
-  for (double& v : values) v = rng.NextDouble();
-  const std::vector<double> hist = BucketizeValues(b, values);
-  double total = 0;
-  for (double c : hist) total += c;
-  EXPECT_DOUBLE_EQ(total, 1000.0);
 }
 
 TEST(UniformBucketizerDeathTest, BadArguments) {

@@ -71,8 +71,8 @@ Report BitsReport(std::vector<std::uint8_t> bits) {
 std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
-  ReportDecoder decoder = ReportDecoder::FromAnalysis(
-      FactorizationAnalysis(q, WorkloadStats::From(*workload)));
+  const FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
+  ReportDecoder decoder({analysis.ReconstructionB()}, analysis.workload());
   return std::make_unique<CollectionSession>(std::move(decoder),
                                              std::move(workload), num_shards);
 }
@@ -332,7 +332,7 @@ TEST(CollectionSessionTest, SealUnderConcurrentIngestionConservesReports) {
   Vector sealed_total(m, 0.0);
   std::int64_t sealed_count = 0;
   for (int e = 0; e < session->epochs_sealed(); ++e) {
-    const auto snapshot = session->Snapshot(e);
+    const auto snapshot = session->Snapshot(e).value();
     EXPECT_EQ(snapshot->epoch_id, e);
     EXPECT_EQ(Sum(snapshot->histogram), static_cast<double>(snapshot->count));
     for (int o = 0; o < m; ++o) sealed_total[o] += snapshot->histogram[o];
@@ -380,8 +380,9 @@ TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const PrefixWorkload>(n);
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
-      FactorizationAnalysis(q, WorkloadStats::From(*workload)));
+  const FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
+  const ReportDecoder decoder({analysis.ReconstructionB()},
+                              analysis.workload());
   CollectionSession session(decoder, workload, /*num_shards=*/2);
 
   const std::vector<Report> reports = MakeReports(n, 20000, /*seed=*/77);
@@ -552,7 +553,7 @@ TEST(CollectionSessionTest, BitVectorEpochCountAccountingUnderConcurrentSeals) {
   Vector sealed_total(n, 0.0);
   std::int64_t sealed_count = 0;
   for (int e = 0; e < session.epochs_sealed(); ++e) {
-    const auto snapshot = session.Snapshot(e);
+    const auto snapshot = session.Snapshot(e).value();
     // The per-epoch invariant: count and histogram cut at the same boundary.
     EXPECT_EQ(Sum(snapshot->histogram),
               static_cast<double>(kBitsPerReport * snapshot->count))
@@ -627,8 +628,9 @@ TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
     }
   }
 
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
-      FactorizationAnalysis(q, WorkloadStats::From(*workload)));
+  const FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
+  const ReportDecoder decoder({analysis.ReconstructionB()},
+                              analysis.workload());
   CollectionSession session(decoder, workload, kIngestThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kIngestThreads; ++t) {
@@ -818,18 +820,18 @@ TEST(UnifiedIngestTest, ConcurrentAcceptBatchConservesEveryReport) {
 
 // ---- snapshot restore (crash recovery / multi-node) -----------------------
 
-TEST(SnapshotRestoreTest, TrySnapshotIsNotFoundUntilSealed) {
+TEST(SnapshotRestoreTest, SnapshotIsNotFoundUntilSealed) {
   auto session = MakeSession(/*n=*/4, /*num_shards=*/1);
-  const auto missing = session->TrySnapshot(0);
+  const auto missing = session->Snapshot(0);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
   session->Accept(0, CategoricalReport(1));
   session->Seal();
-  const auto found = session->TrySnapshot(0);
+  const auto found = session->Snapshot(0);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found.value()->count, 1);
-  EXPECT_EQ(session->TrySnapshot(-1).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(session->TrySnapshot(1).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(session->Snapshot(-1).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(session->Snapshot(1).status().code(), StatusCode::kNotFound);
 }
 
 TEST(SnapshotRestoreTest, RestoredEpochsCountLikeLocallySealedOnes) {

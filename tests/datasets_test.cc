@@ -1,9 +1,8 @@
-// Tests for the synthetic dataset generators and CSV IO.
+// Tests for the synthetic dataset generators.
 
 #include "data/datasets.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include <gtest/gtest.h>
 
@@ -73,22 +72,6 @@ TEST(DatasetsTest, SampleUsersPreservesTotal) {
   const Dataset sampled = SampleUsers(base, 1000, 3);
   EXPECT_NEAR(sampled.num_users(), 1000.0, 1e-9);
   EXPECT_EQ(sampled.domain_size(), 64);
-}
-
-TEST(DatasetsTest, CsvRoundTrip) {
-  const Dataset d = MakeSyntheticDataset("GAUSSMIX", 32, 500);
-  const std::string path = ::testing::TempDir() + "/wfm_hist.csv";
-  ASSERT_TRUE(SaveHistogramCsv(path, d.histogram).ok());
-  const StatusOr<Vector> loaded = LoadHistogramCsv(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value(), d.histogram);
-  std::remove(path.c_str());
-}
-
-TEST(DatasetsTest, LoadMissingFileFails) {
-  const StatusOr<Vector> loaded = LoadHistogramCsv("/nonexistent/file.csv");
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST(DatasetsDeathTest, UnknownNameAborts) {

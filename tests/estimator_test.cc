@@ -18,8 +18,9 @@ TEST(EstimatorTest, ShapesMatchWorkload) {
   const int n = 6;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   const PrefixWorkload workload(n);
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
-      FactorizationAnalysis(q, WorkloadStats::From(workload)));
+  const FactorizationAnalysis analysis(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder({analysis.ReconstructionB()},
+                              analysis.workload());
   Rng rng(161);
   const Vector y = SimulateResponseHistogram(q, {10, 20, 5, 0, 3, 2}, rng);
   for (auto kind : {EstimatorKind::kUnbiased, EstimatorKind::kWnnls}) {
@@ -37,8 +38,9 @@ TEST(EstimatorTest, WnnlsAnswersAreConsistent) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 0.5);
   const PrefixWorkload workload(n);
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
-      FactorizationAnalysis(q, WorkloadStats::From(workload)));
+  const FactorizationAnalysis analysis(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder({analysis.ReconstructionB()},
+                              analysis.workload());
   Rng rng(162);
   for (int trial = 0; trial < 10; ++trial) {
     const Vector y = SimulateResponseHistogram(q, {5, 0, 0, 3, 0, 0, 0, 2}, rng);
@@ -59,8 +61,9 @@ TEST(EstimatorTest, UnbiasedAnswersCanBeInconsistent) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 0.5);
   const HistogramWorkload workload(n);
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
-      FactorizationAnalysis(q, WorkloadStats::From(workload)));
+  const FactorizationAnalysis analysis(q, WorkloadStats::From(workload));
+  const ReportDecoder decoder({analysis.ReconstructionB()},
+                              analysis.workload());
   Rng rng(163);
   bool saw_negative = false;
   for (int trial = 0; trial < 50 && !saw_negative; ++trial) {
@@ -77,8 +80,10 @@ TEST(EstimatorTest, UnbiasedAnswersCanBeInconsistent) {
 
 TEST(EstimatorDeathTest, WorkloadDomainMismatch) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(4, 1.0);
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(
-      FactorizationAnalysis(q, WorkloadStats::From(HistogramWorkload(4))));
+  const FactorizationAnalysis analysis(
+      q, WorkloadStats::From(HistogramWorkload(4)));
+  const ReportDecoder decoder({analysis.ReconstructionB()},
+                              analysis.workload());
   const PrefixWorkload other(5);
   const Vector y(4, 1.0);
   EXPECT_DEATH(

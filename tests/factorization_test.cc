@@ -208,7 +208,7 @@ TEST(FactorizationTest, EstimateDataVectorIsUnbiasedMap) {
   const int n = 5;
   const Matrix q = RandomStrategy(20, n, 1.0, rng);
   FactorizationAnalysis fa(q, WorkloadStats::From(HistogramWorkload(n)));
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
+  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
   const Vector x{1, 2, 3, 4, 5};
   const Vector y = MultiplyVec(q, x);  // Expected response histogram.
   const Vector x_hat = decoder.EstimateDataVector(y, /*num_reports=*/15);

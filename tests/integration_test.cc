@@ -34,7 +34,7 @@ TEST(IntegrationTest, OptimizeSimulateEstimatePrefix) {
 
   const OptimizedMechanism mech(stats, eps, TestConfig());
   const FactorizationAnalysis fa(mech.strategy().factors[0], stats);
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
+  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
 
   const Dataset data = MakeSyntheticDataset("HEPTH", n, 20000);
   const Vector truth = workload->Apply(data.histogram);
@@ -142,7 +142,7 @@ TEST(IntegrationTest, WnnlsNeverIncreasesErrorMuchAndHelpsWhenSparse) {
   const WorkloadStats stats = WorkloadStats::From(*workload);
   const OptimizedMechanism mech(stats, eps, TestConfig());
   const FactorizationAnalysis fa(mech.strategy().factors[0], stats);
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
+  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
 
   // Sparse low-N data: the regime where consistency helps (Figure 4).
   const Dataset data = SampleUsers(MakeSyntheticDataset("HEPTH", n, 100000), 500, 9);

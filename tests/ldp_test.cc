@@ -102,7 +102,7 @@ TEST(ProtocolTest, UnbiasedWorkloadEstimates) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   const PrefixWorkload workload(n);
   FactorizationAnalysis fa(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
+  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
   const Vector x{40, 10, 25, 5, 20};
   const Vector truth = workload.Apply(x);
 
@@ -129,7 +129,7 @@ TEST(ProtocolTest, EmpiricalVarianceMatchesTheorem34) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, eps);
   const HistogramWorkload workload(n);
   FactorizationAnalysis fa(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
+  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
   const Vector x{30, 50, 10, 10};
   const Vector truth = workload.Apply(x);
   const double analytic = fa.Profile().DataVariance(x);

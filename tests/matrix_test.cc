@@ -81,14 +81,6 @@ TEST(MatrixTest, RowColSums) {
   EXPECT_EQ(m.Sum(), 10.0);
 }
 
-TEST(MatrixTest, RowSlice) {
-  Matrix m{{1, 2}, {3, 4}, {5, 6}};
-  const Matrix s = m.RowSlice(1, 3);
-  EXPECT_EQ(s.rows(), 2);
-  EXPECT_EQ(s(0, 0), 3);
-  EXPECT_EQ(s(1, 1), 6);
-}
-
 TEST(MatrixTest, ArithmeticOperators) {
   Matrix a{{1, 2}, {3, 4}};
   Matrix b{{5, 6}, {7, 8}};
@@ -153,13 +145,6 @@ TEST(MatrixTest, ScaleRowsAndCols) {
   EXPECT_EQ(c(1, 0), 6);
 }
 
-TEST(MatrixTest, TraceOfProductMatchesExplicit) {
-  Rng rng(6);
-  const Matrix a = RandomMatrix(8, 13, rng);
-  const Matrix b = RandomMatrix(13, 8, rng);
-  EXPECT_NEAR(TraceOfProduct(a, b), Multiply(a, b).Trace(), 1e-12);
-}
-
 TEST(MatrixTest, AssociativityProperty) {
   Rng rng(7);
   const Matrix a = RandomMatrix(6, 7, rng);
@@ -170,22 +155,13 @@ TEST(MatrixTest, AssociativityProperty) {
   EXPECT_TRUE(left.ApproxEquals(right, 1e-12));
 }
 
-TEST(VectorHelpersTest, DotNormSumAxpy) {
+TEST(VectorHelpersTest, DotNormSumMaxAbs) {
   const Vector a{1, 2, 3};
   const Vector b{4, 5, 6};
   EXPECT_EQ(Dot(a, b), 32.0);
   EXPECT_EQ(NormSq(a), 14.0);
   EXPECT_EQ(Sum(a), 6.0);
   EXPECT_EQ(MaxAbsVec(Vector{-7, 3}), 7.0);
-  Vector y = b;
-  Axpy(2.0, a, y);
-  EXPECT_EQ(y, (Vector{6, 9, 12}));
-}
-
-TEST(VectorHelpersTest, Clipping) {
-  const Vector v{-1, 0.5, 2};
-  EXPECT_EQ(ClipVectorScalar(v, 0.0, 1.0), (Vector{0, 0.5, 1}));
-  EXPECT_EQ(ClipVector(v, {0, 0, 0}, {0.4, 0.4, 0.4}), (Vector{0, 0.4, 0.4}));
 }
 
 TEST(MatrixDeathTest, ShapeMismatchAborts) {

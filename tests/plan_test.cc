@@ -78,7 +78,8 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
       histogram[randomizer.Respond(u, manual_rng)] += 1.0;
     }
   }
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(analysis);
+  const ReportDecoder decoder({analysis.ReconstructionB()},
+                              analysis.workload());
   const WorkloadEstimate manual = EstimateWorkloadAnswers(
       decoder, *workload, histogram, num_users, EstimatorKind::kWnnls);
 

@@ -81,15 +81,6 @@ TEST(PsdSqrtTest, SquaresBack) {
   }
 }
 
-TEST(PsdInvSqrtTest, WhitensOnRange) {
-  Rng rng(46);
-  const Matrix a = RandomPsdOfRank(6, 6, rng) + Matrix::Identity(6);
-  const Matrix w = PsdInvSqrt(a);
-  // W A W = I for full-rank A.
-  const Matrix waw = Multiply(Multiply(w, a), w);
-  EXPECT_TRUE(waw.ApproxEquals(Matrix::Identity(6), 1e-8));
-}
-
 TEST(PsdSolverTest, UsesCholeskyWhenPd) {
   Rng rng(47);
   Matrix a = RandomPsdOfRank(10, 10, rng);

@@ -65,19 +65,5 @@ TEST(MinimumEpsilonTest, AllZeroRowIgnored) {
   EXPECT_EQ(MinimumEpsilon(q), 0.0);
 }
 
-TEST(NormalizeColumnsTest, MakesColumnsStochastic) {
-  Matrix q{{1.0, 3.0}, {1.0, 1.0}};
-  NormalizeColumns(q);
-  const Vector sums = q.ColSums();
-  EXPECT_NEAR(sums[0], 1.0, 1e-12);
-  EXPECT_NEAR(sums[1], 1.0, 1e-12);
-  EXPECT_NEAR(q(0, 1), 0.75, 1e-12);
-}
-
-TEST(NormalizeColumnsDeathTest, RejectsEmptyColumn) {
-  Matrix q{{0.0, 1.0}, {0.0, 1.0}};
-  EXPECT_DEATH(NormalizeColumns(q), "no mass");
-}
-
 }  // namespace
 }  // namespace wfm

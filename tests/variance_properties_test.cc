@@ -109,7 +109,7 @@ TEST(VariancePropertiesTest, HierarchicalSimulationUnbiased) {
   const Matrix q = HierarchicalMechanism::BuildStrategy(n, 1.0, 2);
   const PrefixWorkload workload(n);
   FactorizationAnalysis fa(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
+  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
   const Vector x{20, 10, 5, 15, 0, 30, 10, 10};
   const Vector truth = workload.Apply(x);
   Rng rng(171);
@@ -130,7 +130,7 @@ TEST(VariancePropertiesTest, FourierSimulationUnbiased) {
   const Matrix q = FourierMechanism::BuildStrategy(n, 1.0, -1);
   const auto workload = CreateWorkload("AllMarginals", n);
   FactorizationAnalysis fa(q, WorkloadStats::From(*workload));
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
+  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
   const Vector x{10, 20, 5, 0, 0, 15, 25, 25};
   const Vector truth = workload->Apply(x);
   Rng rng(172);
@@ -157,7 +157,7 @@ TEST(VariancePropertiesTest, EmpiricalVarianceMatchesAnalyticForHadamard) {
   const auto workload = CreateWorkload("Histogram", n);
   const Matrix& q = strat->strategy().factors[0];
   FactorizationAnalysis fa(q, WorkloadStats::From(*workload));
-  const ReportDecoder decoder = ReportDecoder::FromAnalysis(fa);
+  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
   const Vector x{20, 30, 10, 15, 15, 10};
   const Vector truth = workload->Apply(x);
   Rng rng(173);

@@ -3,8 +3,7 @@
 // packed bit-vector reports, and the trust boundary — every structurally
 // defective buffer (truncation, oversize, any single flipped bit, wrong
 // magic, unknown version, non-canonical padding, out-of-range fields) is
-// rejected with kInvalidArgument, never a crash. Also covers the durability
-// half: MergeSnapshots exactness against single-stream aggregation and
+// rejected with kInvalidArgument, never a crash. Also covers durability:
 // SnapshotStore kill-and-recover serving identical estimates.
 
 #include <bit>
@@ -771,65 +770,15 @@ TEST(WireEstimateTest, RoundTripsBitForBit) {
   EXPECT_EQ(decoded.value().query_answers, estimate.query_answers);
 }
 
-// ---- cross-process merge and durability -----------------------------------
+// ---- durability ------------------------------------------------------------
 
 std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
-  ReportDecoder decoder = ReportDecoder::FromAnalysis(
-      FactorizationAnalysis(q, WorkloadStats::From(*workload)));
+  const FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
+  ReportDecoder decoder({analysis.ReconstructionB()}, analysis.workload());
   return std::make_unique<CollectionSession>(std::move(decoder),
                                              std::move(workload), num_shards);
-}
-
-TEST(MergeSnapshotsTest, MergeOfShardedEpochsMatchesSingleStreamExactly) {
-  // Acceptance criterion: cross-process EpochSnapshot merge == single-process
-  // aggregation of the combined stream, exactly. Three "nodes" each collect a
-  // slice of one report stream; their wire-shipped snapshots merge into the
-  // same histogram and count one node ingesting everything produces.
-  const int n = 12;
-  Rng rng(41);
-  std::vector<Report> stream(30000);
-  for (Report& r : stream) r.index = rng.UniformInt(n);
-
-  auto single = MakeSession(n, /*num_shards=*/2);
-  single->AcceptBatch(0, stream);
-  const EpochSnapshot reference = single->Seal();
-
-  std::vector<EpochSnapshot> parts;
-  const std::size_t per_node = stream.size() / 3;
-  for (int node = 0; node < 3; ++node) {
-    auto session = MakeSession(n, /*num_shards=*/2);
-    const std::size_t begin = node * per_node;
-    const std::size_t len =
-        node == 2 ? stream.size() - begin : per_node;
-    session->AcceptBatch(0,
-                         std::span<const Report>(stream.data() + begin, len));
-    // Ship each node's snapshot through the wire encoding, as the service
-    // endpoints would.
-    const StatusOr<EpochSnapshot> shipped =
-        DecodeSnapshot(EncodeSnapshot(session->Seal()));
-    ASSERT_TRUE(shipped.ok());
-    parts.push_back(shipped.value());
-  }
-
-  const StatusOr<EpochSnapshot> merged =
-      MergeSnapshots(std::span<const EpochSnapshot>(parts));
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(merged.value().histogram, reference.histogram);
-  EXPECT_EQ(merged.value().count, reference.count);
-}
-
-TEST(MergeSnapshotsTest, RejectsEmptyAndMismatchedInputs) {
-  EXPECT_EQ(MergeSnapshots({}).status().code(), StatusCode::kInvalidArgument);
-  EpochSnapshot a, b;
-  a.histogram = {1.0, 2.0};
-  b.histogram = {1.0};
-  const std::vector<EpochSnapshot> parts{a, b};
-  EXPECT_EQ(MergeSnapshots(std::span<const EpochSnapshot>(parts))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotStoreTest, KillAndRecoverServesIdenticalEstimates) {
