@@ -5,7 +5,8 @@
 // decodes (a dense Prefix Gram, and Prefix(65) ⊗ Prefix(65) past the
 // Cholesky block limit), the encode and decode of one ingest batch body,
 // the envelope CRC-32 and set-bit counting of bit-vector ingest, one
-// shard's AcceptBatch of a categorical batch and Accept of one bit vector,
+// shard's AcceptBatch of a categorical batch, the same batch validated and
+// counted by PlanSession::AcceptBatch, one shard's Accept of one bit vector,
 // and one 512-bit RAPPOR report on the device (bit-sliced draws against the
 // one-draw-per-coordinate loop they replaced), then writes the measurements
 // to a JSON file so CI can accumulate a per-commit perf trajectory.
@@ -30,11 +31,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "api/plan.h"
 #include "bench/bench_util.h"
 #include "collect/bit_counts.h"
 #include "collect/sharded_aggregator.h"
@@ -54,6 +57,7 @@
 #include "wire/byte_order.h"
 #include "wire/crc32.h"
 #include "wire/wire_format.h"
+#include "workload/histogram.h"
 #include "workload/workload.h"
 
 namespace {
@@ -254,7 +258,8 @@ int main(int argc, char** argv) {
         return per_batch([&] {
                  std::uint32_t x = 0;
                  for (int i = 0; i < kBatch; ++i) {
-                   x ^= crc(bytes.data() + i * length, length);
+                   x ^= crc(wfm::crc32::kInitialRegister,
+                            bytes.data() + i * length, length);
                  }
                  sink += x;
                }) /
@@ -290,6 +295,23 @@ int main(int argc, char** argv) {
       sink += static_cast<double>(aggregator.num_responses());
       record("accept_batch", "256xcategorical" + std::to_string(m), t_accept,
              0.0, 0.0);
+    }
+    // The categorical batch through PlanSession::AcceptBatch, which checks
+    // every report against the deployment (Randomized Response over
+    // Histogram(256), m = 256) before its shard counts the batch: the
+    // server's work on a kAcceptBatch frame after the decode.
+    {
+      const wfm::StatusOr<wfm::Plan> plan =
+          wfm::Plan::For(std::make_shared<wfm::HistogramWorkload>(256))
+              .Epsilon(1.0)
+              .Mechanism("Randomized Response")
+              .Build();
+      const std::unique_ptr<wfm::PlanSession> session =
+          plan.value().StartSession(/*num_shards=*/1);
+      const double t_plan_accept = per_batch([&] {
+        sink += static_cast<double>(session->AcceptBatch(0, categorical).ok());
+      });
+      record("plan_accept_batch", "256xcategorical", t_plan_accept, 0.0, 0.0);
     }
     wfm::ShardedAggregator bit_aggregator(512, /*num_shards=*/1,
                                           wfm::ReportKind::kBitVector);

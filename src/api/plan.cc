@@ -70,6 +70,28 @@ Status ValidateReport(const Report& report, int m, ReportKind kind) {
   return Status::Ok();
 }
 
+/// ValidateReport(report, m, kind).ok() as plain conditions, so a batch of
+/// valid reports builds no Status.
+bool IsValidReport(const Report& report, int m, ReportKind kind) {
+  switch (kind) {
+    case ReportKind::kBitVector:
+      return report.is_bits() && static_cast<int>(report.bits.size()) == m;
+    case ReportKind::kDense: {
+      if (report.is_bits() || !report.is_dense() ||
+          static_cast<int>(report.dense.size()) != m) {
+        return false;
+      }
+      bool finite = true;
+      for (const double v : report.dense) finite &= std::isfinite(v);
+      return finite;
+    }
+    case ReportKind::kCategorical:
+      return !report.is_bits() && !report.is_dense() && report.index >= 0 &&
+             report.index < m;
+  }
+  return false;
+}
+
 }  // namespace
 
 PlanBuilder Plan::For(std::shared_ptr<const Workload> workload) {
@@ -177,13 +199,15 @@ Status PlanSession::Accept(int shard, const Report& report) {
 Status PlanSession::AcceptBatch(int shard, std::span<const Report> reports) {
   // Validate the whole batch before ingesting anything, so a malformed
   // report rejects its batch atomically instead of leaving a prefix behind.
+  // Only the first malformed report runs ValidateReport, for its message.
+  const int m = session_.num_outputs();
+  const ReportKind kind = session_.report_kind();
   for (std::size_t i = 0; i < reports.size(); ++i) {
-    if (Status valid = ValidateReport(reports[i], session_.num_outputs(),
-                                      session_.report_kind());
-        !valid.ok()) {
+    if (!IsValidReport(reports[i], m, kind)) {
       ReportsRejected().Add(static_cast<std::int64_t>(reports.size()));
-      return Status::InvalidArgument("report " + std::to_string(i) +
-                                     " of batch rejected: " + valid.message());
+      return Status::InvalidArgument(
+          "report " + std::to_string(i) + " of batch rejected: " +
+          ValidateReport(reports[i], m, kind).message());
     }
   }
   session_.AcceptBatch(shard, reports);

@@ -1,7 +1,9 @@
 #include "estimation/wnnls.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -69,6 +71,54 @@ double KktResidual(const Vector& x, const Vector& grad) {
     worst = std::max(worst, x[i] > 0.0 ? std::abs(grad[i]) : -grad[i]);
   }
   return worst;
+}
+
+/// True when `g` is finite and equal to its transpose bit for bit. Then
+/// G x = Σ_{j: x_j ≠ 0} x_j G(j, :) summed in ascending j (MultiplyTVecInto)
+/// is MultiplyVecInto's chain for each entry with its ±0 terms dropped: a
+/// chain that starts at +0.0 never reaches −0.0, and adding ±0 to it changes
+/// nothing. It reads only the rows of the support of x, where the full
+/// product reads all of G every Newton step. Compared in square tiles so
+/// both of a tile pair's reads stay in cache.
+bool FiniteAndSymmetric(const Matrix& g) {
+  constexpr int kTile = 64;
+  const int n = g.rows();
+  for (int i0 = 0; i0 < n; i0 += kTile) {
+    const int i1 = std::min(n, i0 + kTile);
+    for (int j0 = i0; j0 < n; j0 += kTile) {
+      const int j1 = std::min(n, j0 + kTile);
+      for (int i = i0; i < i1; ++i) {
+        const double* row = g.RowPtr(i);
+        for (int j = std::max(i, j0); j < j1; ++j) {
+          if (!std::isfinite(row[j]) ||
+              std::bit_cast<std::uint64_t>(row[j]) !=
+                  std::bit_cast<std::uint64_t>(g(j, i))) {
+            return false;
+          }
+        }
+      }
+    }
+  }
+  return true;
+}
+
+/// out = G x for G = ⊗ factors, by the rows of the support of x when
+/// `by_support` (one factor that FiniteAndSymmetric accepts) and at most 3/4
+/// of x is non-zero, else by the full Kronecker product; both give the same
+/// bits. Past 3/4 the row sweep is the slower one: at n = 512 (one thread)
+/// it took 9 µs at 10% support, 47 µs at half and 87 µs at full support,
+/// against 65-68 µs for the full product at any support.
+void GramTimes(const std::vector<const Matrix*>& factors, bool by_support,
+               const Vector& x, Vector& out, Vector& scratch) {
+  const auto support = [&x] {
+    return static_cast<std::size_t>(
+        std::count_if(x.begin(), x.end(), [](double v) { return v != 0.0; }));
+  };
+  if (by_support && 4 * support() <= 3 * x.size()) {
+    MultiplyTVecInto(*factors[0], x, out);
+  } else {
+    KroneckerMatVecInto(factors, x, out, scratch);
+  }
 }
 
 /// G_FF for G = ⊗ factors, into `gff` (resized). With one factor, G_FF is a
@@ -252,8 +302,8 @@ class FreeOperator {
 /// true once the KKT residual is within tol, false when the step or PCG
 /// budget runs out or no arc lowers the objective.
 bool ProjectedNewton(const std::vector<const Matrix*>& factors,
-                     const Vector& rhs, double tol, int budget, Vector& x,
-                     WnnlsResult& result) {
+                     bool by_support, const Vector& rhs, double tol,
+                     int budget, Vector& x, WnnlsResult& result) {
   const std::size_t n = x.size();
   std::vector<int> free, digits;
   Vector grad(n), scratch, rhs_f, x_f, trial, step, gv, z, residual;
@@ -269,7 +319,7 @@ bool ProjectedNewton(const std::vector<const Matrix*>& factors,
   double eta = kForcingMax;
   double kkt_prev = 0.0;
   for (;;) {
-    KroneckerMatVecInto(factors, x, grad, scratch);
+    GramTimes(factors, by_support, x, grad, scratch);
     for (std::size_t i = 0; i < n; ++i) grad[i] = 2.0 * (grad[i] - rhs[i]);
     const double kkt = KktResidual(x, grad);
     if (kkt <= tol) return true;
@@ -378,15 +428,17 @@ WnnlsResult SolveWnnls(const std::vector<const Matrix*>& gram_factors,
   // Tolerance scaled to the problem: gradient entries are O(||r||_inf).
   const double tol = options.tolerance * std::max(1.0, MaxAbsVec(rhs));
 
+  const bool by_support =
+      gram_factors.size() == 1 && FiniteAndSymmetric(*gram_factors[0]);
   if (options.max_iterations > 0) {
-    result.converged = ProjectedNewton(gram_factors, rhs, tol,
+    result.converged = ProjectedNewton(gram_factors, by_support, rhs, tol,
                                        options.max_iterations, x, result);
     NewtonSteps().Add(result.iterations);
   }
 
   result.x = std::move(x);
   Vector grad, scratch;
-  KroneckerMatVecInto(gram_factors, result.x, grad, scratch);
+  GramTimes(gram_factors, by_support, result.x, grad, scratch);
   result.objective = Dot(result.x, grad) - 2.0 * Dot(rhs, result.x);
   for (std::size_t i = 0; i < n; ++i) grad[i] = 2.0 * (grad[i] - rhs[i]);
   result.kkt_residual = KktResidual(result.x, grad);

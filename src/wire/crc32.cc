@@ -69,9 +69,10 @@ WFM_PCLMUL inline __m128i Fold(__m128i x, __m128i k, __m128i block) {
 // message bytes. The fold constants are x^d mod P for the fold distances d
 // (the low qword multiplies the low half, the high qword the high half);
 // kMuPoly is the Barrett constant floor(x^64 / P) beside P itself.
-WFM_PCLMUL std::uint32_t CrcPclmul(const std::uint8_t* data,
+WFM_PCLMUL std::uint32_t CrcPclmul(std::uint32_t seed,
+                                   const std::uint8_t* data,
                                    std::size_t size) {
-  if (size < 16) return Portable(data, size);
+  if (size < 16) return Portable(seed, data, size);
   const __m128i k_fold512 = _mm_set_epi64x(0x1C6E41596, 0x154442BD4);
   const __m128i k_fold128 = _mm_set_epi64x(0x0CCAA009E, 0x1751997D0);
   const __m128i k_fold64 = _mm_set_epi64x(0, 0x163CD6124);
@@ -80,7 +81,9 @@ WFM_PCLMUL std::uint32_t CrcPclmul(const std::uint8_t* data,
 
   const std::uint8_t* p = data;
   std::size_t left = size;
-  __m128i x = _mm_xor_si128(Load(p), _mm_cvtsi32_si128(-1));
+  // The register enters as the first 32 bits of the message.
+  __m128i x =
+      _mm_xor_si128(Load(p), _mm_cvtsi32_si128(static_cast<int>(seed)));
   p += 16;
   left -= 16;
   if (left >= 48) {
@@ -129,9 +132,10 @@ WFM_PCLMUL std::uint32_t CrcPclmul(const std::uint8_t* data,
 
 }  // namespace
 
-std::uint32_t Portable(const std::uint8_t* data, std::size_t size) {
+std::uint32_t Portable(std::uint32_t seed, const std::uint8_t* data,
+                       std::size_t size) {
   const auto& tables = SliceTables();
-  std::uint32_t crc = 0xFFFFFFFFu;
+  std::uint32_t crc = seed;
   const std::uint8_t* p = data;
   std::size_t left = size;
   for (; left >= 8; p += 8, left -= 8) {
@@ -168,7 +172,7 @@ Crc32Fn Active() {
 namespace wfm {
 
 std::uint32_t WireCrc32(std::span<const std::uint8_t> data) {
-  return crc32::Active()(data.data(), data.size());
+  return crc32::Active()(crc32::kInitialRegister, data.data(), data.size());
 }
 
 }  // namespace wfm

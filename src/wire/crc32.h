@@ -13,9 +13,15 @@
 //     PCLMULQDQ and SSE4.1. Inputs shorter than 16 bytes use the portable
 //     loop.
 //
-// Both return the same CRC for the same bytes, so the wire bytes do not
-// depend on which one ran. Private to the tree (not installed): the
-// library calls WireCrc32, and tests and perf_suite reach each build here.
+// Both take a seed, the raw CRC register to start from, and return the
+// CRC with the final xor applied. WireCrc32(data) is the seed-0xFFFFFFFF
+// case; a caller that knows the register after a fixed prefix (a report
+// envelope's 8-byte header, wire_format.cc) continues from it over the
+// bytes after the prefix, since Fn(seed, b) ^ 0xFFFFFFFF is the register
+// after b. Both return the same CRC for the same seed and bytes, so the
+// wire bytes do not depend on which one ran. Private to the tree (not
+// installed): the library calls WireCrc32 and Active(), and tests and
+// perf_suite reach each build here.
 
 #ifndef WFM_WIRE_CRC32_H_
 #define WFM_WIRE_CRC32_H_
@@ -25,10 +31,16 @@
 
 namespace wfm::crc32 {
 
-using Crc32Fn = std::uint32_t (*)(const std::uint8_t* data, std::size_t size);
+/// The CRC of `size` bytes at `data` from the register `seed`.
+using Crc32Fn = std::uint32_t (*)(std::uint32_t seed, const std::uint8_t* data,
+                                  std::size_t size);
+
+/// The register CRC-32/IEEE starts from.
+inline constexpr std::uint32_t kInitialRegister = 0xFFFFFFFFu;
 
 /// Slicing-by-8.
-std::uint32_t Portable(const std::uint8_t* data, std::size_t size);
+std::uint32_t Portable(std::uint32_t seed, const std::uint8_t* data,
+                       std::size_t size);
 
 /// The PCLMULQDQ folding build, or nullptr where it is not compiled in or
 /// the running CPU lacks PCLMULQDQ or SSE4.1.

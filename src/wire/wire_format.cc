@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "core/factored.h"
 #include "wire/byte_order.h"
+#include "wire/crc32.h"
 
 namespace wfm {
 namespace {
@@ -91,6 +92,11 @@ void PutTrailer(WireBytes& out) {
   PutU32(out, WireCrc32(std::span<const std::uint8_t>(out.data(), out.size())));
 }
 
+Status CrcMismatch(const char* what) {
+  return Status::InvalidArgument(std::string(what) +
+                                 " CRC mismatch: payload corrupted");
+}
+
 /// Checks everything common to all envelopes: minimum size, magic, version,
 /// reserved bytes, and the CRC over the whole buffer. On success `kind` and
 /// `dim` hold the header fields and the payload spans
@@ -121,10 +127,7 @@ Status CheckEnvelope(std::span<const std::uint8_t> buffer,
   }
   const std::uint32_t stored_crc = GetU32(&buffer[buffer.size() - 4]);
   const std::uint32_t actual_crc = WireCrc32(buffer.first(buffer.size() - 4));
-  if (stored_crc != actual_crc) {
-    return Status::InvalidArgument(std::string(what) +
-                                   " CRC mismatch: payload corrupted");
-  }
+  if (stored_crc != actual_crc) return CrcMismatch(what);
   kind = buffer[5];
   dim = GetU32(&buffer[8]);
   return Status::Ok();
@@ -178,6 +181,44 @@ Status CheckPayloadSize(std::span<const std::uint8_t> buffer,
 
 // ---- report envelopes ----------------------------------------------------
 
+/// A report kind's first 8 envelope bytes (magic, version, kind, two zero
+/// reserved bytes) as one host-order word, and the CRC register after them,
+/// from which the envelope's CRC continues over bytes 8 onward.
+struct ReportHeader {
+  std::uint64_t bytes;
+  std::uint32_t crc_state;
+};
+
+constexpr ReportHeader MakeReportHeader(std::uint8_t kind) {
+  const std::array<std::uint8_t, 8> bytes = {
+      kReportMagic[0], kReportMagic[1], kReportMagic[2], kReportMagic[3],
+      kWireVersion,    kind,            0,               0};
+  std::uint32_t crc = crc32::kInitialRegister;
+  for (const std::uint8_t byte : bytes) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return {std::bit_cast<std::uint64_t>(bytes), crc};
+}
+
+// Indexed by kind byte.
+constexpr std::array<ReportHeader, 3> kReportHeaders = {
+    MakeReportHeader(kKindCategorical), MakeReportHeader(kKindDense),
+    MakeReportHeader(kKindPackedBits)};
+
+/// The kind whose header `buffer` starts with, or -1 when the buffer is
+/// shorter than an envelope or its first 8 bytes are no report header.
+int MatchReportHeader(std::span<const std::uint8_t> buffer) {
+  if (buffer.size() < kWireEnvelopeBytes) return -1;
+  const std::uint8_t kind = buffer[5];
+  if (static_cast<std::size_t>(kind) >= kReportHeaders.size()) return -1;
+  std::uint64_t head;
+  std::memcpy(&head, buffer.data(), sizeof(head));
+  return head == kReportHeaders[kind].bytes ? kind : -1;
+}
+
 /// Bytes a report's envelope occupies on the wire.
 std::size_t ReportWireSize(const Report& report) {
   if (report.is_bits()) {
@@ -187,16 +228,28 @@ std::size_t ReportWireSize(const Report& report) {
   return kWireEnvelopeBytes + 4;
 }
 
-/// Writes `report`'s envelope, ReportWireSize(report) bytes, at `envelope`.
-void WriteReport(const Report& report, std::uint8_t* envelope) {
+/// Writes `report`'s envelope at `envelope` and returns its size,
+/// ReportWireSize(report): the payload, then the kind's fixed header in one
+/// store, dim, and the CRC continued from the header's register.
+std::size_t WriteReport(const Report& report, std::uint8_t* envelope,
+                        crc32::Crc32Fn crc) {
+  std::uint8_t* payload = envelope + kWireHeaderBytes;
   std::uint8_t kind;
   std::uint32_t dim;
+  std::size_t payload_bytes;
   if (report.is_bits()) {
     kind = kKindPackedBits;
     dim = static_cast<std::uint32_t>(report.bits.size());
+    payload_bytes = (report.bits.size() + 7) / 8;
+    // PackedBits keeps its padding bits zero, so the payload is canonical.
+    WordsToBytes(report.bits.words(), payload, payload_bytes);
   } else if (report.is_dense()) {
     kind = kKindDense;
     dim = static_cast<std::uint32_t>(report.dense.size());
+    payload_bytes = 8 * report.dense.size();
+    for (std::size_t i = 0; i < report.dense.size(); ++i) {
+      StoreU64(payload + 8 * i, std::bit_cast<std::uint64_t>(report.dense[i]));
+    }
   } else {
     WFM_CHECK_GE(report.index, 0) << "encoding an unpopulated report";
     kind = kKindCategorical;
@@ -204,56 +257,41 @@ void WriteReport(const Report& report, std::uint8_t* envelope) {
     // its m, so dim is index + 1 (the tightest bound the client can assert —
     // the server validates the index against the deployment's m anyway).
     dim = static_cast<std::uint32_t>(report.index) + 1;
+    payload_bytes = 4;
+    StoreU32(payload, static_cast<std::uint32_t>(report.index));
   }
-  const std::size_t payload_bytes = ReportWireSize(report) - kWireEnvelopeBytes;
-  std::copy(kReportMagic.begin(), kReportMagic.end(), envelope);
-  envelope[4] = kWireVersion;
-  envelope[5] = kind;
-  envelope[6] = 0;  // reserved
-  envelope[7] = 0;  // reserved
+  const ReportHeader& header = kReportHeaders[kind];
+  std::memcpy(envelope, &header.bytes, sizeof(header.bytes));
   StoreU32(envelope + 8, dim);
-  std::uint8_t* payload = envelope + kWireHeaderBytes;
-  switch (kind) {
-    case kKindPackedBits:
-      // PackedBits keeps its padding bits zero, so the payload is canonical.
-      WordsToBytes(report.bits.words(), payload, payload_bytes);
-      break;
-    case kKindDense:
-      for (std::size_t i = 0; i < report.dense.size(); ++i) {
-        StoreU64(payload + 8 * i,
-                 std::bit_cast<std::uint64_t>(report.dense[i]));
-      }
-      break;
-    default:
-      StoreU32(payload, static_cast<std::uint32_t>(report.index));
-      break;
-  }
   StoreU32(payload + payload_bytes,
-           WireCrc32(std::span<const std::uint8_t>(
-               envelope, kWireHeaderBytes + payload_bytes)));
+           crc(header.crc_state, envelope + 8, 4 + payload_bytes));
+  return kWireEnvelopeBytes + payload_bytes;
 }
 
-}  // namespace
-
-void AppendReport(WireBytes& out, const Report& report) {
-  const std::size_t start = out.size();
-  out.resize(start + ReportWireSize(report));
-  WriteReport(report, out.data() + start);
-}
-
-WireBytes EncodeReport(const Report& report) {
-  WireBytes out;
-  AppendReport(out, report);
-  return out;
-}
-
-Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report) {
-  std::uint8_t kind = 0;
-  std::uint32_t dim = 0;
-  if (Status env = CheckEnvelope(buffer, kReportMagic, "report", kind, dim);
-      !env.ok()) {
-    return env;
+/// DecodeReportInto with the CRC build passed in, so a batch looks it up
+/// once.
+Status DecodeReportWith(std::span<const std::uint8_t> buffer, Report& report,
+                        crc32::Crc32Fn crc) {
+  const int kind = MatchReportHeader(buffer);
+  if (kind < 0) {
+    // Not one of the three report headers: the field-by-field checks name
+    // the defect, and a buffer that passes them all has an unknown kind.
+    std::uint8_t kind_byte = 0;
+    std::uint32_t dim = 0;
+    if (Status env =
+            CheckEnvelope(buffer, kReportMagic, "report", kind_byte, dim);
+        !env.ok()) {
+      return env;
+    }
+    return Status::InvalidArgument("unknown report kind byte " +
+                                   std::to_string(kind_byte));
   }
+  const std::size_t crc_end = buffer.size() - kWireTrailerBytes;
+  if (GetU32(buffer.data() + crc_end) !=
+      crc(kReportHeaders[kind].crc_state, buffer.data() + 8, crc_end - 8)) {
+    return CrcMismatch("report");
+  }
+  const std::uint32_t dim = GetU32(buffer.data() + 8);
   const std::uint8_t* payload = buffer.data() + kWireHeaderBytes;
   // Every check runs before the first write, so a rejected buffer leaves
   // `report` as it was. Storage of another shape or size is released (a
@@ -272,8 +310,8 @@ Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report) {
             " outside its declared alphabet of " + std::to_string(dim));
       }
       report.index = static_cast<int>(index);
-      report.dense = std::vector<double>();
-      report.bits = PackedBits();
+      if (report.dense.capacity() != 0) report.dense = std::vector<double>();
+      if (report.bits.words().data() != nullptr) report.bits = PackedBits();
       return Status::Ok();
     }
     case kKindDense: {
@@ -296,7 +334,7 @@ Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report) {
       }
       return Status::Ok();
     }
-    case kKindPackedBits: {
+    default: {  // kKindPackedBits
       if (dim == 0 || dim > static_cast<std::uint32_t>(INT32_MAX)) {
         return Status::InvalidArgument("bit-vector report dimension " +
                                        std::to_string(dim) + " out of range");
@@ -318,17 +356,32 @@ Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report) {
         }
       }
       report.index = -1;
-      report.dense = std::vector<double>();
+      if (report.dense.capacity() != 0) report.dense = std::vector<double>();
       if (report.bits.size() != dim) {
         report.bits = PackedBits::Zeros(static_cast<int>(dim));
       }
       BytesToWords(payload, packed_bytes, report.bits.mutable_words());
       return Status::Ok();
     }
-    default:
-      return Status::InvalidArgument("unknown report kind byte " +
-                                     std::to_string(kind));
   }
+}
+
+}  // namespace
+
+void AppendReport(WireBytes& out, const Report& report) {
+  const std::size_t start = out.size();
+  out.resize(start + ReportWireSize(report));
+  WriteReport(report, out.data() + start, crc32::Active());
+}
+
+WireBytes EncodeReport(const Report& report) {
+  WireBytes out;
+  AppendReport(out, report);
+  return out;
+}
+
+Status DecodeReportInto(std::span<const std::uint8_t> buffer, Report& report) {
+  return DecodeReportWith(buffer, report, crc32::Active());
 }
 
 StatusOr<Report> DecodeReport(std::span<const std::uint8_t> buffer) {
@@ -344,10 +397,10 @@ void AppendReportBatch(WireBytes& out, std::span<const Report> reports) {
   out.resize(at + size);
   StoreU32(out.data() + at, static_cast<std::uint32_t>(reports.size()));
   at += 4;
+  const crc32::Crc32Fn crc = crc32::Active();
   for (const Report& report : reports) {
-    const std::size_t length = ReportWireSize(report);
+    const std::size_t length = WriteReport(report, out.data() + at + 4, crc);
     StoreU32(out.data() + at, static_cast<std::uint32_t>(length));
-    WriteReport(report, out.data() + at + 4);
     at += 4 + length;
   }
 }
@@ -370,6 +423,7 @@ StatusOr<std::size_t> DecodeReportBatchInto(
         std::to_string(body.size()) + "-byte body can hold");
   }
   if (reports.size() < count) reports.resize(count);
+  const crc32::Crc32Fn crc = crc32::Active();
   std::size_t offset = 4;
   for (std::uint32_t i = 0; i < count; ++i) {
     if (body.size() - offset < 4) {
@@ -382,7 +436,8 @@ StatusOr<std::size_t> DecodeReportBatchInto(
       return Status::InvalidArgument("batch report " + std::to_string(i) +
                                      " overruns the frame");
     }
-    if (Status s = DecodeReportInto(body.subspan(offset, entry), reports[i]);
+    if (Status s = DecodeReportWith(body.subspan(offset, entry), reports[i],
+                                    crc);
         !s.ok()) {
       return Status::InvalidArgument("batch report " + std::to_string(i) +
                                      " rejected: " + s.message());

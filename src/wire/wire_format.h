@@ -32,6 +32,16 @@
 // Batches of reports (the body of a kAcceptBatch frame, wire/service.h) are
 // `u32 count | count x (u32 len | report envelope)`.
 //
+// A report envelope's first 8 bytes (magic, version, kind, reserved) are a
+// constant for each of the three kinds, so the codec handles them as one
+// 8-byte word: the encoder stores the kind's word, and the decoder compares
+// the buffer's first 8 bytes against the word of the kind byte it carries.
+// The CRC then runs over bytes 8 onward only, continued from the register
+// the constant header leaves (computed at compile time per kind), which
+// gives the CRC of the whole prefix as the layout above defines it. Only a
+// buffer whose first 8 bytes are no report header goes through the field by
+// field checks, which name the defective field.
+//
 // Reports are encoded and decoded in place, because ingest handles one per
 // user: AppendReport writes an envelope straight onto the end of a caller's
 // buffer (sized once, CRC written last), and DecodeReportInto parses one

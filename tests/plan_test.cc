@@ -281,9 +281,13 @@ TEST(PlanDeployTest, BitVectorReportsFlowThroughSessions) {
 // it — may be ingested.
 void ExpectRejected(PlanSession& session, const PlanClient& client,
                     const Report& bad) {
-  EXPECT_EQ(session.Accept(0, bad).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(session.AcceptBatch(0, std::vector<Report>{bad}).code(),
-            StatusCode::kInvalidArgument);
+  const Status alone = session.Accept(0, bad);
+  EXPECT_EQ(alone.code(), StatusCode::kInvalidArgument);
+  // A batch names the same defect as the report's own rejection.
+  const Status batch_of_one = session.AcceptBatch(0, std::vector<Report>{bad});
+  EXPECT_EQ(batch_of_one.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(batch_of_one.message(),
+            "report 0 of batch rejected: " + alone.message());
   Rng rng(4);
   std::vector<Report> batch;
   for (int i = 0; i < 20; ++i) {

@@ -6,12 +6,17 @@
 // rejected with kInvalidArgument, never a crash. Also covers durability:
 // SnapshotStore kill-and-recover serving identical estimates.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -31,6 +36,12 @@
 #include "wire/wire_format.h"
 #include "workload/histogram.h"
 #include "workload/prefix.h"
+
+// A libFuzzer target (defined at the end of this file) over the report and
+// batch decoders: decodes the input both ways and aborts when either
+// disagrees with the spec oracle.
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
+                                      std::size_t size);
 
 namespace wfm {
 namespace {
@@ -83,18 +94,19 @@ std::uint32_t ReferenceCrc32(std::span<const std::uint8_t> data) {
 
 TEST(WireCrcTest, MatchesTheStandardCheckValueAndABytewiseReference) {
   // WireCrc32 and every build compiled in and supported here (wire/crc32.h),
-  // not only the one this CPU picks.
+  // not only the one this CPU picks. The builds start from the standard
+  // register and, for a buffer of at least 8 bytes, from the register after
+  // its first 8 bytes (as a report envelope's fixed header is skipped).
   std::vector<std::pair<const char*, crc32::Crc32Fn>> builds = {
-      {"wire", [](const std::uint8_t* data, std::size_t size) {
-         return WireCrc32(std::span<const std::uint8_t>(data, size));
-       }},
       {"portable", &crc32::Portable}};
   if (crc32::Pclmul() != nullptr) builds.emplace_back("pclmul", crc32::Pclmul());
 
   const std::string check = "123456789";
+  const auto* check_bytes = reinterpret_cast<const std::uint8_t*>(check.data());
+  EXPECT_EQ(WireCrc32(std::span<const std::uint8_t>(check_bytes, check.size())),
+            0xCBF43926u);
   for (const auto& [name, crc] : builds) {
-    EXPECT_EQ(crc(reinterpret_cast<const std::uint8_t*>(check.data()),
-                  check.size()),
+    EXPECT_EQ(crc(crc32::kInitialRegister, check_bytes, check.size()),
               0xCBF43926u)
         << name;
   }
@@ -104,6 +116,7 @@ TEST(WireCrcTest, MatchesTheStandardCheckValueAndABytewiseReference) {
   // steps meet at every alignment and remainder. The reference runs along
   // each offset's prefixes one byte at a time.
   constexpr std::size_t kMaxLength = 4096;
+  constexpr std::size_t kSkipped = 8;
   Rng rng(17);
   std::vector<std::uint8_t> buffer(kMaxLength + 16);
   for (std::uint8_t& b : buffer) {
@@ -111,12 +124,24 @@ TEST(WireCrcTest, MatchesTheStandardCheckValueAndABytewiseReference) {
   }
   for (std::size_t offset = 0; offset < 16; ++offset) {
     const std::uint8_t* data = buffer.data() + offset;
-    std::uint32_t state = 0xFFFFFFFFu;
+    std::uint32_t state = crc32::kInitialRegister;
+    std::uint32_t skipped_state = state;
     for (std::size_t length = 0; length <= kMaxLength; ++length) {
       if (length > 0) state = ReferenceCrc32Step(state, data[length - 1]);
+      if (length == kSkipped) skipped_state = state;
+      ASSERT_EQ(WireCrc32(std::span<const std::uint8_t>(data, length)),
+                state ^ 0xFFFFFFFFu)
+          << "offset " << offset << " length " << length;
       for (const auto& [name, crc] : builds) {
-        ASSERT_EQ(crc(data, length), state ^ 0xFFFFFFFFu)
+        ASSERT_EQ(crc(crc32::kInitialRegister, data, length),
+                  state ^ 0xFFFFFFFFu)
             << name << " offset " << offset << " length " << length;
+        if (length >= kSkipped) {
+          ASSERT_EQ(crc(skipped_state, data + kSkipped, length - kSkipped),
+                    state ^ 0xFFFFFFFFu)
+              << name << " seeded, offset " << offset << " length "
+              << length;
+        }
       }
     }
   }
@@ -463,6 +488,538 @@ TEST(WireReportTest, UnknownKindByteIsRejected) {
   wire[5] = 7;
   RestampCrc(wire);
   EXPECT_EQ(DecodeReport(wire).status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---- The report decoders against a spec oracle -----------------------------
+//
+// OracleDecodeReport and OracleDecodeBatch read a buffer field by field as
+// wire_format.h lays it out, with a bytewise CRC, in the order the decoder
+// checks: envelope size, magic, version, reserved bytes, CRC, kind, then the
+// kind's dim, payload size, padding and index. DecoderMismatch decodes one
+// input both as a report envelope into a reused Report and as a batch body
+// into reused reports, and describes the first way either decoder disagrees
+// with the oracle: accept or reject, the field the message names (and the
+// entry, for a batch), the decoded reports bit for bit, a rejected report
+// left as it was, and no storage kept past the decoded report.
+
+/// The field a rejection names; kAccepted when there is none.
+enum class Field {
+  kAccepted,
+  kSize,
+  kMagic,
+  kVersion,
+  kReserved,
+  kCrc,
+  kKind,
+  kDim,
+  kPayloadSize,
+  kPadding,
+  kIndex,
+  kBatchShort,
+  kBatchEmpty,
+  kBatchCount,
+  kBatchTruncated,
+  kBatchOverrun,
+  kBatchEntry,
+  kBatchTrailing,
+};
+
+const char* FieldName(Field field) {
+  switch (field) {
+    case Field::kAccepted: return "accepted";
+    case Field::kSize: return "size";
+    case Field::kMagic: return "magic";
+    case Field::kVersion: return "version";
+    case Field::kReserved: return "reserved";
+    case Field::kCrc: return "crc";
+    case Field::kKind: return "kind";
+    case Field::kDim: return "dim";
+    case Field::kPayloadSize: return "payload size";
+    case Field::kPadding: return "padding";
+    case Field::kIndex: return "index";
+    case Field::kBatchShort: return "count missing";
+    case Field::kBatchEmpty: return "empty";
+    case Field::kBatchCount: return "count";
+    case Field::kBatchTruncated: return "length missing";
+    case Field::kBatchOverrun: return "overrun";
+    case Field::kBatchEntry: return "entry";
+    case Field::kBatchTrailing: return "trailing bytes";
+  }
+  return "?";
+}
+
+/// The field a decoder's rejection message names.
+Field NamedField(const std::string& message) {
+  const std::pair<const char*, Field> fragments[] = {
+      {"buffer truncated", Field::kSize},
+      {"wrong magic", Field::kMagic},
+      {"wire version", Field::kVersion},
+      {"reserved header bytes", Field::kReserved},
+      {"CRC mismatch", Field::kCrc},
+      {"unknown report kind byte", Field::kKind},
+      {"dimension", Field::kDim},
+      {"payload has", Field::kPayloadSize},
+      {"padding bits", Field::kPadding},
+      {"outside its declared alphabet", Field::kIndex},
+      {"too short for its count", Field::kBatchShort},
+      {"batch frame is empty", Field::kBatchEmpty},
+      {"reports a", Field::kBatchCount},
+      {"batch truncated before report", Field::kBatchTruncated},
+      {"overruns the frame", Field::kBatchOverrun},
+      {"trailing bytes", Field::kBatchTrailing},
+  };
+  for (const auto& [fragment, field] : fragments) {
+    if (message.find(fragment) != std::string::npos) return field;
+  }
+  return Field::kAccepted;  // Names nothing known: never equals a rejection.
+}
+
+std::uint32_t SpecU32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1])
+         << 8 | static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// CRC-32/IEEE one byte per table step, the table built from
+/// ReferenceCrc32Step.
+std::uint32_t SpecCrc32(const std::uint8_t* data, std::size_t size) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      t[b] = ReferenceCrc32Step(0, static_cast<std::uint8_t>(b));
+    }
+    return t;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+/// The spec's reading of one report envelope: the field it rejects, or
+/// kAccepted with the report in `out`.
+Field OracleDecodeReport(std::span<const std::uint8_t> b, Report& out) {
+  if (b.size() < 16) return Field::kSize;
+  if (b[0] != 'W' || b[1] != 'F' || b[2] != 'R' || b[3] != 'P') {
+    return Field::kMagic;
+  }
+  if (b[4] != 1) return Field::kVersion;
+  if (b[6] != 0 || b[7] != 0) return Field::kReserved;
+  if (SpecU32(&b[b.size() - 4]) != SpecCrc32(b.data(), b.size() - 4)) {
+    return Field::kCrc;
+  }
+  const std::uint32_t dim = SpecU32(&b[8]);
+  const std::size_t payload = b.size() - 16;
+  constexpr std::uint32_t kIntMax = 0x7FFFFFFF;
+  out = Report();
+  switch (b[5]) {
+    case 0: {
+      if (payload != 4) return Field::kPayloadSize;
+      const std::uint32_t index = SpecU32(&b[12]);
+      if (index >= dim || dim > kIntMax) return Field::kIndex;
+      out.index = static_cast<int>(index);
+      return Field::kAccepted;
+    }
+    case 1: {
+      if (dim == 0 || dim > kIntMax / 8) return Field::kDim;
+      if (payload != 8 * static_cast<std::size_t>(dim)) {
+        return Field::kPayloadSize;
+      }
+      out.dense.resize(dim);
+      for (std::uint32_t i = 0; i < dim; ++i) {
+        const std::uint64_t bits =
+            SpecU32(&b[12 + 8 * i]) |
+            static_cast<std::uint64_t>(SpecU32(&b[16 + 8 * i])) << 32;
+        std::memcpy(&out.dense[i], &bits, sizeof(bits));
+      }
+      return Field::kAccepted;
+    }
+    case 2: {
+      if (dim == 0 || dim > kIntMax) return Field::kDim;
+      if (payload != (static_cast<std::size_t>(dim) + 7) / 8) {
+        return Field::kPayloadSize;
+      }
+      std::vector<std::uint8_t> bits(dim);
+      for (std::uint32_t i = 0; i < dim; ++i) {
+        bits[i] = (b[12 + i / 8] >> (i % 8)) & 1;
+      }
+      for (std::size_t i = dim; i < 8 * payload; ++i) {
+        if ((b[12 + i / 8] >> (i % 8)) & 1) return Field::kPadding;
+      }
+      out.bits = PackedBits(bits);
+      return Field::kAccepted;
+    }
+    default:
+      return Field::kKind;
+  }
+}
+
+/// The spec's reading of a batch body `u32 count | count x (u32 len |
+/// envelope)`: the field it rejects (and in `entry`, the entry a per-entry
+/// rejection names, in `entry_field` what that entry's envelope rejects),
+/// or kAccepted with the reports in `out`.
+Field OracleDecodeBatch(std::span<const std::uint8_t> body,
+                        std::vector<Report>& out, std::uint32_t& entry,
+                        Field& entry_field) {
+  out.clear();
+  if (body.size() < 4) return Field::kBatchShort;
+  const std::uint32_t count = SpecU32(body.data());
+  if (count == 0) return Field::kBatchEmpty;
+  if (count > (body.size() - 4) / 20) return Field::kBatchCount;
+  std::size_t at = 4;
+  for (entry = 0; entry < count; ++entry) {
+    if (body.size() - at < 4) return Field::kBatchTruncated;
+    const std::uint32_t length = SpecU32(&body[at]);
+    at += 4;
+    if (body.size() - at < length) return Field::kBatchOverrun;
+    Report report;
+    entry_field = OracleDecodeReport(body.subspan(at, length), report);
+    if (entry_field != Field::kAccepted) return Field::kBatchEntry;
+    out.push_back(std::move(report));
+    at += length;
+  }
+  if (at != body.size()) return Field::kBatchTrailing;
+  return Field::kAccepted;
+}
+
+/// Same index, same shape, same bits (dense entries compared as bit
+/// patterns, so NaN payloads and -0.0 count).
+bool SameReport(const Report& a, const Report& b) {
+  return a.index == b.index && a.bits == b.bits &&
+         a.dense.size() == b.dense.size() &&
+         (a.dense.empty() || std::memcmp(a.dense.data(), b.dense.data(),
+                                         8 * a.dense.size()) == 0);
+}
+
+/// Storage past the report a Report carries.
+bool KeepsExtraStorage(const Report& r) {
+  return r.dense.capacity() != r.dense.size() ||
+         (r.bits.empty() && r.bits.words().data() != nullptr);
+}
+
+/// How often each verdict came up, keyed "report <field>" and "batch
+/// <field>[/<entry field>]", so the test can check its mutations reach every
+/// check.
+std::map<std::string, int>& VerdictCounts() {
+  static std::map<std::string, int> counts;
+  return counts;
+}
+
+/// Decodes `input` as one envelope into a Report and as a batch body into
+/// reports, both kept across calls, and returns the first disagreement with
+/// the oracle ("" when there is none).
+std::string DecoderMismatch(std::span<const std::uint8_t> input) {
+  static Report reused;
+  static std::vector<Report> reused_batch;
+
+  Report expected;
+  const Field want = OracleDecodeReport(input, expected);
+  const Report before = reused;
+  const Status got = DecodeReportInto(input, reused);
+  ++VerdictCounts()[std::string("report ") + FieldName(want)];
+  const Field named = got.ok() ? Field::kAccepted : NamedField(got.message());
+  if (named != want || got.ok() != (want == Field::kAccepted)) {
+    return std::string("report: oracle ") + FieldName(want) + ", decoder '" +
+           got.ToString() + "'";
+  }
+  if (!got.ok() && got.code() != StatusCode::kInvalidArgument) {
+    return "report: rejected with a code other than kInvalidArgument";
+  }
+  if (got.ok() ? !SameReport(reused, expected) : !SameReport(reused, before)) {
+    return got.ok() ? "report: decoded report differs from the oracle's"
+                    : "report: rejected buffer changed the target";
+  }
+  if (KeepsExtraStorage(reused)) return "report: storage kept past the report";
+
+  std::vector<Report> expected_batch;
+  std::uint32_t entry = 0;
+  Field entry_field = Field::kAccepted;
+  const Field want_batch =
+      OracleDecodeBatch(input, expected_batch, entry, entry_field);
+  const std::size_t size_before = reused_batch.size();
+  const StatusOr<std::size_t> count =
+      DecodeReportBatchInto(input, reused_batch);
+  std::string verdict = FieldName(want_batch);
+  if (want_batch == Field::kBatchEntry) {
+    verdict += std::string("/") + FieldName(entry_field);
+  }
+  ++VerdictCounts()["batch " + verdict];
+  if (count.ok() != (want_batch == Field::kAccepted)) {
+    return "batch: oracle " + verdict + ", decoder '" +
+           (count.ok() ? std::string("OK") : count.status().message()) + "'";
+  }
+  if (!count.ok()) {
+    const std::string& message = count.status().message();
+    const std::string entry_prefix =
+        "batch report " + std::to_string(entry) + " rejected: ";
+    const bool agrees =
+        want_batch == Field::kBatchEntry
+            ? message.rfind(entry_prefix, 0) == 0 &&
+                  NamedField(message.substr(entry_prefix.size())) ==
+                      entry_field
+            : NamedField(message) == want_batch;
+    if (!agrees) {
+      return "batch: oracle " + verdict + ", decoder '" + message + "'";
+    }
+    if (reused_batch.size() < size_before) return "batch: reports shrank";
+    return "";
+  }
+  if (count.value() != expected_batch.size() ||
+      reused_batch.size() != std::max(size_before, expected_batch.size())) {
+    return "batch: wrong count or reports size";
+  }
+  for (std::size_t i = 0; i < expected_batch.size(); ++i) {
+    if (!SameReport(reused_batch[i], expected_batch[i])) {
+      return "batch: report " + std::to_string(i) +
+             " differs from the oracle's";
+    }
+    if (KeepsExtraStorage(reused_batch[i])) {
+      return "batch: report " + std::to_string(i) + " keeps extra storage";
+    }
+  }
+  return "";
+}
+
+/// A uniform draw from [0, n).
+std::size_t Pick(Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(rng.UniformInt(static_cast<int>(n)));
+}
+
+/// Writes the CRC of all but the last 4 bytes into them (a buffer under 4
+/// bytes is left alone), so the mutation under test, not the checksum, is
+/// what the decoder sees.
+void SpecRestamp(WireBytes& b) {
+  if (b.size() < 4) return;
+  const std::uint32_t crc = SpecCrc32(b.data(), b.size() - 4);
+  for (int k = 0; k < 4; ++k) {
+    b[b.size() - 4 + k] = static_cast<std::uint8_t>(crc >> (8 * k));
+  }
+}
+
+void SpecStoreU32(std::uint8_t* p, std::uint32_t v) {
+  for (int k = 0; k < 4; ++k) p[k] = static_cast<std::uint8_t>(v >> (8 * k));
+}
+
+/// Dims and indices at the decoder's boundaries: zero, byte and word edges,
+/// the int and dense-size limits, and the top of u32.
+constexpr std::uint32_t kEdgeValues[] = {
+    0,          1,          2,          7,          8,          9,
+    12,         13,         63,         64,         65,         511,
+    512,        513,        0x0FFFFFFF, 0x10000000, 0x7FFFFFFE, 0x7FFFFFFF,
+    0x80000000, 0xFFFFFFFE, 0xFFFFFFFF};
+
+/// One structure-aware mutation of a report envelope: a bit flip, a byte
+/// overwrite, a truncation, appended bytes, a header byte (0-7) changed, a
+/// kind swap, an edge dim, an edge payload word, a set padding bit, or a
+/// payload grown or shrunk. All but the first four restamp the CRC.
+WireBytes MutateEnvelope(WireBytes b, Rng& rng) {
+  const auto pick = [&rng](std::size_t n) { return Pick(rng, n); };
+  switch (rng.UniformInt(10)) {
+    case 0:
+      b[pick(b.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
+      return b;
+    case 1:
+      b[pick(b.size())] = static_cast<std::uint8_t>(pick(256));
+      return b;
+    case 2:
+      b.resize(pick(b.size()));
+      return b;
+    case 3:
+      for (std::size_t k = 1 + pick(3); k > 0; --k) {
+        b.push_back(static_cast<std::uint8_t>(pick(256)));
+      }
+      return b;
+    case 4: {
+      const std::size_t at = pick(8);
+      const std::uint8_t header[] = {'W', 'F', 'R', 'P', kWireVersion, 0, 0, 0};
+      // Half the time a near miss: one bit off the byte's expected value.
+      b[at] = rng.UniformInt(2) == 0
+                  ? static_cast<std::uint8_t>(header[at] ^ (1u << pick(8)))
+                  : static_cast<std::uint8_t>(pick(256));
+      break;
+    }
+    case 5: {
+      constexpr std::uint8_t kKinds[] = {0, 1, 2, 3, 255};
+      b[5] = kKinds[pick(5)];
+      break;
+    }
+    case 6:
+      SpecStoreU32(&b[8], kEdgeValues[pick(std::size(kEdgeValues))]);
+      break;
+    case 7:
+      if (b.size() >= 20) {
+        std::uint32_t value = kEdgeValues[pick(std::size(kEdgeValues))];
+        // Indices next to the declared dim too.
+        if (rng.UniformInt(2) == 0) {
+          value = SpecU32(&b[8]) - 1 + static_cast<std::uint32_t>(pick(3));
+        }
+        SpecStoreU32(&b[12], value);
+      }
+      break;
+    case 8:
+      if (b.size() > 16) {
+        b[b.size() - 5] |= static_cast<std::uint8_t>(0x80u >> pick(8));
+      }
+      break;
+    default: {
+      // Grow or shrink the payload by up to 9 bytes, keeping the header.
+      const std::size_t change = 1 + pick(9);
+      if (rng.UniformInt(2) == 0 && b.size() - 4 > 12 + change) {
+        b.erase(b.end() - 4 - static_cast<std::ptrdiff_t>(change), b.end() - 4);
+      } else {
+        b.insert(b.end() - 4, change, static_cast<std::uint8_t>(pick(256)));
+      }
+      break;
+    }
+  }
+  SpecRestamp(b);
+  return b;
+}
+
+/// The (offset, length) of each entry's envelope in a well-formed body.
+std::vector<std::pair<std::size_t, std::size_t>> BatchEntries(
+    const WireBytes& body) {
+  std::vector<std::pair<std::size_t, std::size_t>> entries;
+  std::size_t at = 4;
+  for (std::uint32_t i = SpecU32(body.data()); i > 0; --i) {
+    const std::size_t length = SpecU32(&body[at]);
+    entries.emplace_back(at + 4, length);
+    at += 4 + length;
+  }
+  return entries;
+}
+
+/// One structure-aware mutation of a well-formed batch body: an entry's
+/// envelope mutated with its length fixed up or left stale, an edge count,
+/// an edge or off-by-one entry length, a truncation, trailing bytes, a bit
+/// flip, or nothing (a valid batch into reports that held another).
+WireBytes MutateBatch(const WireBytes& body, Rng& rng) {
+  const auto entries = BatchEntries(body);
+  const auto [offset, length] = entries[Pick(rng, entries.size())];
+  WireBytes b = body;
+  switch (rng.UniformInt(8)) {
+    case 0:
+    case 1: {
+      const WireBytes envelope(body.begin() + offset,
+                               body.begin() + offset + length);
+      const WireBytes mutated = MutateEnvelope(envelope, rng);
+      b.erase(b.begin() + offset, b.begin() + offset + length);
+      b.insert(b.begin() + offset, mutated.begin(), mutated.end());
+      if (rng.UniformInt(2) == 0) {
+        SpecStoreU32(&b[offset - 4],
+                     static_cast<std::uint32_t>(mutated.size()));
+      }
+      return b;
+    }
+    case 2: {
+      const std::uint32_t count = SpecU32(b.data());
+      const auto fits = static_cast<std::uint32_t>((b.size() - 4) / 20);
+      const std::uint32_t counts[] = {0,    1,        count - 1, count + 1,
+                                      fits, fits + 1, 0xFFFFFFFF};
+      SpecStoreU32(b.data(), counts[rng.UniformInt(7)]);
+      return b;
+    }
+    case 3: {
+      const std::uint32_t lengths[] = {
+          0, 15, 16, static_cast<std::uint32_t>(length) - 1,
+          static_cast<std::uint32_t>(length) + 1, 0xFFFFFFFF};
+      SpecStoreU32(&b[offset - 4], lengths[rng.UniformInt(6)]);
+      return b;
+    }
+    case 4:
+      b.resize(Pick(rng, b.size()));
+      return b;
+    case 5:
+      b.push_back(static_cast<std::uint8_t>(rng.UniformInt(256)));
+      return b;
+    case 6:
+      b[Pick(rng, b.size())] ^= static_cast<std::uint8_t>(1u << Pick(rng, 8));
+      return b;
+    default:
+      return b;
+  }
+}
+
+TEST(WireReportTest, DecodersAgreeWithTheSpecOracleUnderMutation) {
+  Rng rng(41);
+  const auto random_bits = [&rng](int n) {
+    std::vector<std::uint8_t> bits(n);
+    for (std::uint8_t& b : bits) b = static_cast<std::uint8_t>(Pick(rng, 2));
+    return BitsReport(bits);
+  };
+  std::vector<WireBytes> envelopes;
+  for (const int index : {0, 1, 41, 255, 65535, 0x7FFFFFFE}) {
+    envelopes.push_back(EncodeReport(CategoricalReport(index)));
+  }
+  for (const int n : {1, 3, 8}) {
+    Vector dense(n);
+    for (double& v : dense) v = rng.Normal();
+    dense[0] = -0.0;
+    if (n == 8) dense[7] = std::numeric_limits<double>::quiet_NaN();
+    envelopes.push_back(EncodeReport(DenseReport(dense)));
+  }
+  for (const int n : {1, 13, 64, 65, 512, 512, 512}) {
+    envelopes.push_back(EncodeReport(random_bits(n)));
+  }
+
+  // 256-report bodies: dense-prefix's categorical batch, rappor-prefix's
+  // 512-bit batch, and one of every kind.
+  std::vector<WireBytes> bodies(3);
+  std::vector<Report> categorical(256), bits(256), mixed(256);
+  for (int i = 0; i < 256; ++i) {
+    categorical[i].index = rng.UniformInt(256);
+    bits[i] = random_bits(512);
+    mixed[i] = i % 3 == 0   ? CategoricalReport(rng.UniformInt(1000))
+               : i % 3 == 1 ? DenseReport({rng.Normal(), rng.Normal()})
+                            : random_bits(1 + rng.UniformInt(100));
+  }
+  AppendReportBatch(bodies[0], categorical);
+  AppendReportBatch(bodies[1], bits);
+  AppendReportBatch(bodies[2], mixed);
+
+  // The libFuzzer entry point runs the same check (and aborts on a
+  // disagreement); the seeds pass it.
+  for (const WireBytes& input : envelopes) {
+    EXPECT_EQ(LLVMFuzzerTestOneInput(input.data(), input.size()), 0);
+  }
+  for (const WireBytes& input : bodies) {
+    EXPECT_EQ(LLVMFuzzerTestOneInput(input.data(), input.size()), 0);
+  }
+
+  VerdictCounts().clear();
+  constexpr int kEnvelopeMutations = 100000;
+  constexpr int kBatchMutations = 6000;
+  for (const WireBytes& envelope : envelopes) {
+    ASSERT_EQ(DecoderMismatch(envelope), "");
+  }
+  for (int t = 0; t < kEnvelopeMutations; ++t) {
+    const WireBytes input =
+        MutateEnvelope(envelopes[Pick(rng, envelopes.size())], rng);
+    ASSERT_EQ(DecoderMismatch(input), "") << "envelope mutation " << t;
+  }
+  for (int t = 0; t < kBatchMutations; ++t) {
+    const WireBytes input = MutateBatch(bodies[t % 3], rng);
+    ASSERT_EQ(DecoderMismatch(input), "") << "batch mutation " << t;
+  }
+
+  // Test premise: the mutations reach every check of both decoders.
+  std::string seen;
+  for (const auto& [verdict, n] : VerdictCounts()) {
+    seen += verdict + "=" + std::to_string(n) + " ";
+  }
+  for (const char* verdict :
+       {"report accepted", "report size", "report magic", "report version",
+        "report reserved", "report crc", "report kind", "report dim",
+        "report payload size", "report padding", "report index",
+        "batch accepted", "batch count missing", "batch empty",
+        "batch count", "batch length missing", "batch overrun",
+        "batch trailing bytes", "batch entry/size", "batch entry/magic",
+        "batch entry/version", "batch entry/reserved", "batch entry/crc",
+        "batch entry/kind", "batch entry/dim", "batch entry/payload size",
+        "batch entry/padding", "batch entry/index"}) {
+    EXPECT_GT(VerdictCounts()[verdict], 0) << verdict << "; seen: " << seen;
+  }
 }
 
 TEST(WireSnapshotTest, RoundTripsBitForBit) {
@@ -883,3 +1440,15 @@ TEST(SnapshotStoreTest, RefusesSnapshotsWithoutAnEpochId) {
 
 }  // namespace
 }  // namespace wfm
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
+                                      std::size_t size) {
+  const std::string mismatch =
+      wfm::DecoderMismatch(std::span<const std::uint8_t>(data, size));
+  if (!mismatch.empty()) {
+    std::fprintf(stderr, "decoder disagrees with the spec oracle: %s\n",
+                 mismatch.c_str());
+    std::abort();
+  }
+  return 0;
+}

@@ -3,6 +3,7 @@
 #include "estimation/wnnls.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -371,6 +372,52 @@ TEST(WnnlsTest, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(CounterValue("wfm_wnnls_fallback_total"), fallbacks + 2)
       << "test premise: the singular case takes the PCG fallback";
   EXPECT_GT(CounterValue("wfm_wnnls_cg_iterations_total"), cg_before);
+}
+
+/// FNV-1a over the bytes of `values`' bit patterns.
+std::uint64_t Fnv1a(const Vector& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const double v : values) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (bits >> (8 * b)) & 0xFF;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+TEST(WnnlsTest, RapporPrefixSolveIsPinnedBitForBit) {
+  // A solve shaped like rappor-prefix's: Prefix(512), 120,000 reports of
+  // RAPPOR at ε = 1, whose unbiased estimate has per-type noise of std
+  // √(N q(1-q)) / (p - q) ≈ 685 against a mean count of 234, so about a
+  // third of it is negative. The hashes were recorded with the gradient
+  // computed as a full G x product; computing it from the support of x
+  // (ascending rows of a symmetric G) must reproduce them bit for bit.
+  const int n = 512;
+  const Matrix g = PrefixWorkload(n).Gram();
+  const double f = 1.0 / (1.0 + std::exp(0.5));
+  const double p = 1.0 - f;
+  const double q = f;
+  const double users = 120000.0;
+  const double noise = std::sqrt(users * q * (1.0 - q)) / (p - q);
+  Rng rng(155);
+  Vector weights(n);
+  double total = 0.0;
+  for (int u = 0; u < n; ++u) {
+    weights[u] = 1.0 / (1.0 + u / 16.0);
+    total += weights[u];
+  }
+  Vector xhat(n);
+  for (int u = 0; u < n; ++u) {
+    xhat[u] = users * weights[u] / total + rng.Normal(0.0, noise);
+  }
+  const Vector rhs = MultiplyVec(g, xhat);
+  const WnnlsResult res = SolveWnnls({&g}, rhs, WnnlsOptions(), &xhat);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.iterations, 11);
+  EXPECT_EQ(Fnv1a(res.x), 0xf491e8b7cc62a41eull);
+  EXPECT_EQ(Fnv1a({res.objective}), 0x31fb9de7ca202087ull);
 }
 
 TEST(WnnlsTest, ZeroIterationBudgetReturnsClippedWarmStart) {
