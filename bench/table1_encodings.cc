@@ -18,10 +18,10 @@
 #include "mechanisms/fourier.h"
 #include "mechanisms/hadamard_response.h"
 #include "mechanisms/hierarchical.h"
-#include "mechanisms/oue.h"
-#include "mechanisms/rappor.h"
 #include "mechanisms/randomized_response.h"
+#include "mechanisms/registry.h"
 #include "mechanisms/subset_selection.h"
+#include "mechanisms/unary_encoding.h"
 #include "workload/histogram.h"
 
 int main(int argc, char** argv) {
@@ -39,6 +39,17 @@ int main(int argc, char** argv) {
   const wfm::WorkloadStats histogram =
       wfm::WorkloadStats::From(wfm::HistogramWorkload(n));
 
+  // RAPPOR and OUE are unary encodings UE(p, q); their registry entries map
+  // ε to (p, q).
+  const auto rappor_mechanism =
+      wfm::MechanismRegistry::Global().Create("RAPPOR", histogram, eps).value();
+  const auto oue_mechanism =
+      wfm::MechanismRegistry::Global().Create("OUE", histogram, eps).value();
+  const auto& rappor =
+      dynamic_cast<const wfm::UnaryEncodingMechanism&>(*rappor_mechanism);
+  const auto& oue =
+      dynamic_cast<const wfm::UnaryEncodingMechanism&>(*oue_mechanism);
+
   wfm::TablePrinter table({"mechanism", "outputs (m)", "valid LDP",
                            "min epsilon", "histogram sample complexity"});
 
@@ -52,7 +63,8 @@ int main(int argc, char** argv) {
   };
 
   add("Randomized Response", wfm::RandomizedResponseMechanism::BuildStrategy(n, eps));
-  add("RAPPOR (explicit)", wfm::RapporMechanism::BuildExplicitStrategy(n, eps));
+  add("RAPPOR (explicit)", wfm::UnaryEncodingMechanism::BuildExplicitStrategy(
+                               n, rappor.p(), rappor.q()));
   add("Hadamard", wfm::HadamardResponseMechanism::BuildStrategy(n, eps));
   const wfm::SubsetSelectionMechanism subset(n, eps);
   add("Subset Selection (d=" + std::to_string(subset.subset_size()) + ")",
@@ -60,7 +72,8 @@ int main(int argc, char** argv) {
                                                            subset.subset_size()));
   add("Hierarchical", wfm::HierarchicalMechanism::BuildStrategy(n, eps, 4));
   add("Fourier", wfm::FourierMechanism::BuildStrategy(n, eps, -1));
-  add("OUE (explicit, extension)", wfm::OueMechanism::BuildExplicitStrategy(n, eps));
+  add("OUE (explicit, extension)",
+      wfm::UnaryEncodingMechanism::BuildExplicitStrategy(n, oue.p(), oue.q()));
   table.Print();
 
   // Closed-form cross-checks.
@@ -81,11 +94,12 @@ int main(int argc, char** argv) {
                 fa.Profile().SampleComplexity(wfm::bench::kAlpha));
   }
   {
-    const wfm::RapporMechanism rappor(n, eps);
     const double closed =
         rappor.Analyze(histogram).SampleComplexity(wfm::bench::kAlpha);
     const wfm::FactorizationAnalysis fa(
-        wfm::RapporMechanism::BuildExplicitStrategy(n, eps), histogram);
+        wfm::UnaryEncodingMechanism::BuildExplicitStrategy(n, rappor.p(),
+                                                           rappor.q()),
+        histogram);
     std::printf("  RAPPOR: closed-form decoder %.4f vs optimal-V analysis of "
                 "the explicit strategy %.4f (optimal V can only be better)\n",
                 closed, fa.Profile().SampleComplexity(wfm::bench::kAlpha));

@@ -116,7 +116,7 @@ std::unique_ptr<PlanSession> Plan::StartSession(int num_shards) const {
   // pointer (server -> session), hence the unique_ptr.
   return std::unique_ptr<PlanSession>(new PlanSession(
       deployment_.decoder, workload_, num_shards, report_kind(),
-      DeployedStrategy(), epsilon_, stats_));
+      DeployedStrategy(), epsilon_, stats()));
 }
 
 PlanSession::PlanSession(ReportDecoder decoder,
@@ -262,7 +262,7 @@ StatusOr<Plan> PlanBuilder::Build() const {
   StatusOr<Deployment> deployment = mechanism->Deploy(stats);
   if (!deployment.ok()) return deployment.status();
 
-  return Plan(workload_, std::move(stats), epsilon_, std::move(mechanism),
+  return Plan(workload_, epsilon_, std::move(mechanism),
               std::move(deployment).value());
 }
 

@@ -209,7 +209,11 @@ class Plan {
   static PlanBuilder For(std::shared_ptr<const Workload> workload);
 
   const Workload& workload() const { return *workload_; }
-  const WorkloadStats& stats() const { return stats_; }
+  /// The workload statistics the deployment decodes against; the decoder
+  /// holds the plan's one copy.
+  const WorkloadStats& stats() const {
+    return deployment_.decoder.workload_stats();
+  }
   double epsilon() const { return epsilon_; }
 
   /// The resolved mechanism (name via mechanism().Name()).
@@ -242,18 +246,15 @@ class Plan {
 
  private:
   friend class PlanBuilder;
-  Plan(std::shared_ptr<const Workload> workload, WorkloadStats stats,
-       double epsilon, std::shared_ptr<const Mechanism> mechanism,
-       Deployment deployment)
+  Plan(std::shared_ptr<const Workload> workload, double epsilon,
+       std::shared_ptr<const Mechanism> mechanism, Deployment deployment)
       : workload_(std::move(workload)),
-        stats_(std::move(stats)),
         epsilon_(epsilon),
         mechanism_(std::move(mechanism)),
         mechanism_name_(mechanism_->Name()),
         deployment_(std::move(deployment)) {}
 
   std::shared_ptr<const Workload> workload_;
-  WorkloadStats stats_;
   double epsilon_ = 0.0;
   std::shared_ptr<const Mechanism> mechanism_;
   std::string mechanism_name_;

@@ -22,8 +22,10 @@
 // y, p = P(reported bit = 1 | true bit = 1) and q = P(reported bit = 1 |
 // true bit = 0). The formula applies exactly when every coordinate of the
 // report is an independent Bernoulli whose success probability depends only
-// on whether the one-hot bit is set (RAPPOR: p = 1−f, q = f with
-// f = 1/(1+e^{ε/2}); OUE: p = 1/2, q = 1/(e^ε+1)); it reduces to the linear
+// on whether the one-hot bit is set: unary encoding UE(p, q)
+// (mechanisms/unary_encoding.h), whose "RAPPOR" registry entry picks
+// p = 1−f, q = f with f = 1/(1+e^{ε/2}) and whose "OUE" entry picks p = 1/2,
+// q = 1/(e^ε+1). It reduces to the linear
 // x_hat = B y when q = 0. Because N enters the decode, the server must track
 // report counts alongside aggregates — EpochSnapshot::count carries exactly
 // that, and an affine ReportDecoder consumes it (estimation/decoder.h).

@@ -107,15 +107,13 @@ Report StrategyReporter::Respond(int user_type, Rng& rng) const {
          randomizers_[last].Respond(rest, rng);
 }
 
-BitVectorReporter::BitVectorReporter(int n, double prob_one_given_one,
-                                     double prob_one_given_zero)
-    : n_(n), p_(prob_one_given_one), q_(prob_one_given_zero) {
+BitVectorReporter::BitVectorReporter(int n, double p, double q) : n_(n) {
   WFM_CHECK_GT(n, 0);
-  WFM_CHECK(q_ >= 0.0 && q_ < p_ && p_ <= 1.0)
-      << "bit-vector reporter requires 0 <= q < p <= 1, got p =" << p_
-      << "q =" << q_;
-  p_threshold_ = Rng::BernoulliThreshold(p_);
-  q_threshold_ = Rng::BernoulliThreshold(q_);
+  WFM_CHECK(q >= 0.0 && q < p && p <= 1.0)
+      << "bit-vector reporter requires 0 <= q < p <= 1, got p =" << p
+      << "q =" << q;
+  p_threshold_ = Rng::BernoulliThreshold(p);
+  q_threshold_ = Rng::BernoulliThreshold(q);
 }
 
 Report BitVectorReporter::Respond(int user_type, Rng& rng) const {

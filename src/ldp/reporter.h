@@ -181,11 +181,11 @@ class StrategyReporter final : public Reporter {
 /// advances 64 coordinates. A threshold of 0 or 2^53 takes no draw.
 class BitVectorReporter final : public Reporter {
  public:
-  /// `prob_one_given_one` is p, `prob_one_given_zero` is q; unbiased
-  /// decoding requires p > q (RAPPOR: p = 1 - f, q = f; OUE: p = 1/2,
-  /// q = 1/(e^eps + 1)).
-  BitVectorReporter(int n, double prob_one_given_one,
-                    double prob_one_given_zero);
+  /// p = P(bit = 1 | true bit = 1), q = P(bit = 1 | true bit = 0);
+  /// unbiased decoding requires p > q. UnaryEncodingMechanism
+  /// (mechanisms/unary_encoding.h) deploys it with the (p, q) its "RAPPOR"
+  /// and "OUE" registry entries pick.
+  BitVectorReporter(int n, double p, double q);
 
   int num_outputs() const override { return n_; }  // m == n for bit vectors.
   int num_types() const override { return n_; }
@@ -193,13 +193,8 @@ class BitVectorReporter final : public Reporter {
   bool bit_vector_reports() const override { return true; }
   Report Respond(int user_type, Rng& rng) const override;
 
-  double prob_one_given_one() const { return p_; }
-  double prob_one_given_zero() const { return q_; }
-
  private:
   int n_;
-  double p_;
-  double q_;
   std::uint64_t p_threshold_;  ///< Rng::BernoulliThreshold(p).
   std::uint64_t q_threshold_;  ///< Rng::BernoulliThreshold(q).
 };

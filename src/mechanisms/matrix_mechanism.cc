@@ -59,6 +59,14 @@ bool CoversWorkload(const Matrix& a, const Matrix& gram) {
   return (gp - gram).MaxAbs() <= 1e-6 * scale;
 }
 
+/// Additive noise: every user type contributes the same variance.
+ErrorProfile ConstantProfile(int n, double unit_variance, int num_queries) {
+  ErrorProfile profile;
+  profile.phi.assign(n, unit_variance);
+  profile.num_queries = num_queries;
+  return profile;
+}
+
 }  // namespace
 
 MatrixMechanism::MatrixMechanism(int n, double eps, NoiseType type, double delta)
@@ -133,9 +141,9 @@ Matrix MatrixMechanism::HierarchicalTreeStrategy(int n) {
   return a;
 }
 
-MatrixMechanism::StrategyChoice MatrixMechanism::ChooseStrategy(
+StatusOr<MatrixMechanism::StrategyChoice> MatrixMechanism::ChooseStrategy(
     const WorkloadStats& workload) const {
-  WFM_CHECK_EQ(workload.n, n_);
+  if (Status s = RequireDenseStats(workload); !s.ok()) return s;
   struct Candidate {
     Matrix a;
     std::string description;
@@ -160,18 +168,24 @@ MatrixMechanism::StrategyChoice MatrixMechanism::ChooseStrategy(
       best.description = cand.description;
     }
   }
-  WFM_CHECK(std::isfinite(best.unit_variance))
-      << "no valid matrix mechanism strategy for workload" << workload.name;
+  if (!std::isfinite(best.unit_variance)) {
+    return Status::FailedPrecondition(
+        Name() + " has no valid strategy for workload " + workload.name);
+  }
   return best;
 }
 
+StatusOr<ErrorProfile> MatrixMechanism::TryAnalyze(
+    const WorkloadStats& workload) const {
+  StatusOr<StrategyChoice> choice = ChooseStrategy(workload);
+  if (!choice.ok()) return choice.status();
+  return ConstantProfile(n_, choice.value().unit_variance, workload.p);
+}
+
 StatusOr<Deployment> MatrixMechanism::Deploy(const WorkloadStats& workload) const {
-  if (workload.n != n_) {
-    return Status::InvalidArgument(
-        Name() + " was built for domain size " + std::to_string(n_) +
-        ", workload has " + std::to_string(workload.n));
-  }
-  const StrategyChoice choice = ChooseStrategy(workload);
+  StatusOr<StrategyChoice> chosen = ChooseStrategy(workload);
+  if (!chosen.ok()) return chosen.status();
+  const StrategyChoice& choice = chosen.value();
   const double sensitivity = type_ == NoiseType::kLaplaceL1
                                  ? L1Sensitivity(choice.a)
                                  : L2Sensitivity(choice.a);
@@ -181,22 +195,10 @@ StatusOr<Deployment> MatrixMechanism::Deploy(const WorkloadStats& workload) cons
   const double noise_scale = type_ == NoiseType::kLaplaceL1
                                  ? std::sqrt(variance / 2.0)
                                  : std::sqrt(variance);
-  ReportDecoder decoder({PseudoInverse(choice.a)}, workload);
-  ErrorProfile profile;  // Additive noise: constant over user types.
-  profile.phi.assign(n_, choice.unit_variance);
-  profile.num_queries = workload.p;
   return Deployment{
       std::make_shared<AdditiveNoiseReporter>(choice.a, type_, noise_scale),
-      std::move(decoder), std::move(profile)};
-}
-
-ErrorProfile MatrixMechanism::Analyze(const WorkloadStats& workload) const {
-  const StrategyChoice choice = ChooseStrategy(workload);
-  ErrorProfile profile;
-  // Additive noise: every user type contributes the same variance.
-  profile.phi.assign(n_, choice.unit_variance);
-  profile.num_queries = workload.p;
-  return profile;
+      ReportDecoder({PseudoInverse(choice.a)}, workload),
+      ConstantProfile(n_, choice.unit_variance, workload.p)};
 }
 
 }  // namespace wfm

@@ -45,12 +45,13 @@ class MatrixMechanism final : public Mechanism {
   int domain_size() const override { return n_; }
   double epsilon() const override { return eps_; }
 
-  ErrorProfile Analyze(const WorkloadStats& workload) const override;
+  /// Fails as ChooseStrategy does.
+  StatusOr<ErrorProfile> TryAnalyze(const WorkloadStats& workload) const override;
 
   /// Runnable end-to-end: each client reports its noisy strategy-query
   /// vector A e_u + xi (a dense report), the server sums reports and decodes
   /// with A†. Unbiased whenever rowspace(W) ⊆ rowspace(A), which
-  /// ChooseStrategy guarantees.
+  /// ChooseStrategy guarantees. Fails as ChooseStrategy does.
   StatusOr<Deployment> Deploy(const WorkloadStats& workload) const override;
 
   struct StrategyChoice {
@@ -62,8 +63,10 @@ class MatrixMechanism final : public Mechanism {
   };
 
   /// Evaluates the candidate library and returns the best strategy for the
-  /// workload (what Analyze uses internally).
-  StrategyChoice ChooseStrategy(const WorkloadStats& workload) const;
+  /// workload (what TryAnalyze and Deploy use). Fails as RequireDenseStats
+  /// does, and with kFailedPrecondition when no candidate has a positive
+  /// sensitivity (n = 1: no two types to tell apart).
+  StatusOr<StrategyChoice> ChooseStrategy(const WorkloadStats& workload) const;
 
   /// Exact pairwise sensitivities over strategy columns.
   static double L1Sensitivity(const Matrix& a);

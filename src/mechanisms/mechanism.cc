@@ -7,14 +7,31 @@
 
 namespace wfm {
 
-StatusOr<ErrorProfile> Mechanism::TryAnalyze(const WorkloadStats& workload) const {
-  return Analyze(workload);
+ErrorProfile Mechanism::Analyze(const WorkloadStats& workload) const {
+  StatusOr<ErrorProfile> profile = TryAnalyze(workload);
+  WFM_CHECK(profile.ok()) << profile.status().ToString();
+  return std::move(profile).value();
 }
 
 StatusOr<Deployment> Mechanism::Deploy(const WorkloadStats& workload) const {
   (void)workload;
   return Status::FailedPrecondition(
       Name() + " is analysis-only: it does not implement a deployment path");
+}
+
+Status Mechanism::RequireDenseStats(const WorkloadStats& workload) const {
+  const int n = domain_size();
+  if (workload.n != n) {
+    return Status::InvalidArgument(
+        Name() + " was built for domain size " + std::to_string(n) +
+        ", workload has " + std::to_string(workload.n));
+  }
+  if (workload.gram.rows() != n || workload.gram.cols() != n) {
+    return Status::FailedPrecondition(
+        Name() + " requires full workload statistics (Gram matrix); build "
+                 "the WorkloadStats with WorkloadStats::From");
+  }
+  return Status::Ok();
 }
 
 StrategyMechanism::StrategyMechanism(FactoredStrategy strategy, int n,
@@ -60,12 +77,6 @@ StatusOr<FactoredAnalysis> StrategyMechanism::TryAnalyzeStrategy(
         std::to_string(analysis.FactorizationResidual()) + ")");
   }
   return analysis;
-}
-
-ErrorProfile StrategyMechanism::Analyze(const WorkloadStats& workload) const {
-  StatusOr<ErrorProfile> profile = TryAnalyze(workload);
-  WFM_CHECK(profile.ok()) << profile.status().ToString();
-  return std::move(profile).value();
 }
 
 StatusOr<ErrorProfile> StrategyMechanism::TryAnalyze(

@@ -8,8 +8,8 @@
 // optimal reconstruction V of Theorem 3.10 — exactly how the paper evaluates
 // baselines on workloads they were not designed for (Section 6.1 runs the
 // same Q on every workload and re-derives V per workload). Additive-noise
-// mechanisms (the distributed Matrix Mechanism) compute their profile in
-// closed form.
+// mechanisms (the distributed Matrix Mechanism) and unary encoding (RAPPOR,
+// OUE) compute their profile in closed form.
 //
 // Beyond analysis, every runnable mechanism exposes Deploy(): the
 // client/server halves of the paper's one-round protocol — a Reporter that
@@ -56,19 +56,30 @@ class Mechanism {
   /// Privacy budget this instance was built for.
   virtual double epsilon() const = 0;
 
-  /// Error analysis against a workload (consumes no privacy budget).
-  /// Aborts when the mechanism cannot represent the workload — callers that
-  /// can hit that at runtime (cross-evaluation, AutoSelect) use TryAnalyze.
-  virtual ErrorProfile Analyze(const WorkloadStats& workload) const = 0;
+  /// Error analysis against a workload (consumes no privacy budget), the
+  /// one analysis every mechanism implements. Every failure is a Status,
+  /// never an abort: kInvalidArgument for stats of another domain size,
+  /// kFailedPrecondition when the stats lack what the analysis reads (a
+  /// shape-only WorkloadStats has no Gram) or the mechanism cannot produce
+  /// unbiased answers for the workload (W outside the strategy's row space).
+  virtual StatusOr<ErrorProfile> TryAnalyze(
+      const WorkloadStats& workload) const = 0;
 
-  /// Analyze with failures reported as Status instead of aborting:
-  /// kFailedPrecondition when the mechanism cannot produce unbiased answers
-  /// for this workload (W outside the strategy's row space).
-  virtual StatusOr<ErrorProfile> TryAnalyze(const WorkloadStats& workload) const;
+  /// TryAnalyze for callers that know the workload fits; CHECKs its Status.
+  /// Callers that can meet an unfit workload at runtime (cross-evaluation,
+  /// AutoSelect) use TryAnalyze.
+  ErrorProfile Analyze(const WorkloadStats& workload) const;
 
   /// Client/server halves for actually running this mechanism on `workload`.
   /// Base implementation: analysis-only mechanism, kFailedPrecondition.
   virtual StatusOr<Deployment> Deploy(const WorkloadStats& workload) const;
+
+ protected:
+  /// The precondition of the analyses that read the dense Gram:
+  /// kInvalidArgument for stats over another domain size than
+  /// domain_size(), kFailedPrecondition without the n x n Gram (shape-only
+  /// stats, as CreateBaseline builds them).
+  Status RequireDenseStats(const WorkloadStats& workload) const;
 };
 
 /// A mechanism fully described by a strategy Q = Q_0 ⊗ ... ⊗ Q_{k-1} with
@@ -97,7 +108,6 @@ class StrategyMechanism : public Mechanism {
   /// Analysis and deployment need the workload in the strategy's row space.
   /// A strategy with k > 1 factors also needs Kronecker stats whose factor
   /// domains match its own; one factor analyses any stats with a dense Gram.
-  ErrorProfile Analyze(const WorkloadStats& workload) const override;
   StatusOr<ErrorProfile> TryAnalyze(const WorkloadStats& workload) const override;
 
   /// The client is a StrategyReporter over the factors; the server decodes

@@ -1,5 +1,6 @@
 #include "mechanisms/registry.h"
 
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -9,9 +10,8 @@
 #include "mechanisms/hierarchical.h"
 #include "mechanisms/matrix_mechanism.h"
 #include "mechanisms/optimized.h"
-#include "mechanisms/oue.h"
 #include "mechanisms/randomized_response.h"
-#include "mechanisms/rappor.h"
+#include "mechanisms/unary_encoding.h"
 
 namespace wfm {
 namespace {
@@ -54,6 +54,20 @@ MechanismFactory BaselineFactory(std::string display_name, Extra... extra) {
     }
     return std::unique_ptr<Mechanism>(
         std::make_unique<MechanismT>(workload.n, eps, extra...));
+  };
+}
+
+/// A unary-encoding factory; `pq` maps ε to the protocol's (p, q).
+MechanismFactory UnaryEncodingFactory(std::string name,
+                                      std::pair<double, double> (*pq)(double)) {
+  return [name, pq](const WorkloadStats& workload, double eps,
+                    const MechanismOptions&)
+             -> StatusOr<std::unique_ptr<Mechanism>> {
+    if (Status s = ValidateShape(workload, eps); !s.ok()) return s;
+    if (Status s = RequireDenseDomain(workload, name); !s.ok()) return s;
+    const auto [p, q] = pq(eps);
+    return std::unique_ptr<Mechanism>(std::make_unique<UnaryEncodingMechanism>(
+        name, workload.n, eps, p, q));
   };
 }
 
@@ -112,7 +126,6 @@ void RegisterBuiltins(MechanismRegistry& registry) {
           // across factors; the per-factor PGD runs start from scratch.
           config.factor_config.seed_strategies.clear();
           config.factor_config.population.clear();
-          config.split_grid = options.factored_split_grid;
           FactoredOptimizerResult result =
               OptimizeFactoredStrategy(workload, eps, config);
           return std::unique_ptr<Mechanism>(
@@ -130,9 +143,15 @@ void RegisterBuiltins(MechanismRegistry& registry) {
       });
   // Unary-encoding frequency oracles: n-bit-vector reports, affine debias
   // decode. Registered after the Figure 1 field so the legend-order prefix
-  // of ListMechanisms() stays stable.
-  must_register("RAPPOR", BaselineFactory<RapporMechanism>("RAPPOR"));
-  must_register("OUE", BaselineFactory<OueMechanism>("OUE"));
+  // of ListMechanisms() stays stable. These two entries are the only places
+  // that turn ε into UE(p, q).
+  must_register("RAPPOR", UnaryEncodingFactory("RAPPOR", [](double eps) {
+                  const double f = 1.0 / (1.0 + std::exp(eps / 2.0));
+                  return std::pair{1.0 - f, f};
+                }));
+  must_register("OUE", UnaryEncodingFactory("OUE", [](double eps) {
+                  return std::pair{0.5, 1.0 / (std::exp(eps) + 1.0)};
+                }));
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // The global registry is pre-seeded with the paper's Section 6.1 field — the
 // six fixed competitors (Figure 1 legend order) plus "Optimized" (Algorithm
 // 2 run on the target workload) — and the two unary-encoding frequency
-// oracles "RAPPOR" and "OUE" (n-bit-vector reports, affine debias decode).
+// oracles "RAPPOR" and "OUE" (n-bit-vector reports, affine debias decode):
+// one UnaryEncodingMechanism (mechanisms/unary_encoding.h) whose two
+// registry entries are the only places that turn ε into its (p, q).
 // Downstream code can Register() additional mechanisms; api/Plan resolves
 // names through this registry, so a registered mechanism is immediately
 // deployable end-to-end. Every registered mechanism must pass
@@ -36,9 +38,6 @@ struct MechanismOptions {
   /// Kronecker-structured domains past the dense ceiling the same config
   /// drives the per-factor PGD runs (core/factored.h).
   OptimizerConfig optimizer;
-  /// Resolution of the ε split across factors for the factored "Optimized"
-  /// path (FactoredOptimizerConfig::split_grid).
-  int factored_split_grid = 8;
 };
 
 /// Builds a mechanism instance for the given workload and privacy budget.
@@ -52,7 +51,8 @@ class MechanismRegistry {
   /// An empty registry (for tests / custom mechanism sets).
   MechanismRegistry() = default;
 
-  /// Process-wide registry, seeded with the six baselines + "Optimized".
+  /// Process-wide registry, seeded with the six baselines, "Optimized",
+  /// "RAPPOR" and "OUE".
   static MechanismRegistry& Global();
 
   /// Registers a factory under a display name. kInvalidArgument if the name

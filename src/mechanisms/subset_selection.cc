@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/factored.h"
 #include "workload/marginals.h"
@@ -27,10 +28,15 @@ bool SubsetSelectionMechanism::SupportsAnalysis() const {
   return BinomialCoefficient(n_, d_) <= kMaxRowsForAnalysis;
 }
 
-ErrorProfile SubsetSelectionMechanism::Analyze(const WorkloadStats& workload) const {
-  WFM_CHECK(SupportsAnalysis())
-      << "subset selection strategy has C(" << n_ << "," << d_
-      << ") rows; too large to analyze (the paper excludes it for this reason)";
+StatusOr<ErrorProfile> SubsetSelectionMechanism::TryAnalyze(
+    const WorkloadStats& workload) const {
+  if (Status s = RequireDenseStats(workload); !s.ok()) return s;
+  if (!SupportsAnalysis()) {
+    return Status::FailedPrecondition(
+        "subset selection strategy has C(" + std::to_string(n_) + ", " +
+        std::to_string(d_) +
+        ") rows; too large to analyze (the paper excludes it for this reason)");
+  }
   return FactoredAnalysis(
              FactoredStrategy{{BuildExplicitStrategy(n_, eps_, d_)}, {eps_}},
              workload)

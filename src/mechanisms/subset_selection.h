@@ -30,11 +30,12 @@ class SubsetSelectionMechanism final : public Mechanism {
 
   int subset_size() const { return d_; }
 
-  /// Analysis materializes the C(n, d) x n strategy; requires
-  /// SupportsAnalysis(). The paper excludes this mechanism from figures for
-  /// the same exponential-size reason.
+  /// Analysis materializes the C(n, d) x n strategy, so it fails with
+  /// kFailedPrecondition unless SupportsAnalysis(). The paper excludes this
+  /// mechanism from figures for the same exponential-size reason. Otherwise
+  /// fails as RequireDenseStats does.
   bool SupportsAnalysis() const;
-  ErrorProfile Analyze(const WorkloadStats& workload) const override;
+  StatusOr<ErrorProfile> TryAnalyze(const WorkloadStats& workload) const override;
 
   /// Marginal probability that the report includes the true type:
   ///   d e^ε / (d e^ε + n - d).

@@ -66,11 +66,10 @@
 #include "mechanisms/matrix_mechanism.h"
 #include "mechanisms/mechanism.h"
 #include "mechanisms/optimized.h"
-#include "mechanisms/oue.h"
 #include "mechanisms/randomized_response.h"
-#include "mechanisms/rappor.h"
 #include "mechanisms/registry.h"
 #include "mechanisms/subset_selection.h"
+#include "mechanisms/unary_encoding.h"
 
 // estimation: report aggregate -> workload answers.
 #include "estimation/decoder.h"

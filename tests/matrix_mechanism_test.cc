@@ -73,7 +73,7 @@ TEST(MatrixMechanismTest, ChoosesCoveringStrategy) {
     for (auto type : {MatrixMechanism::NoiseType::kLaplaceL1,
                       MatrixMechanism::NoiseType::kGaussianL2}) {
       MatrixMechanism mm(16, 1.0, type);
-      const auto choice = mm.ChooseStrategy(stats);
+      const auto choice = mm.ChooseStrategy(stats).value();
       EXPECT_TRUE(std::isfinite(choice.unit_variance)) << name;
       EXPECT_GT(choice.unit_variance, 0.0) << name;
       EXPECT_FALSE(choice.description.empty());
@@ -87,7 +87,7 @@ TEST(MatrixMechanismTest, StrategySelectionNoWorseThanIdentity) {
   const auto w = CreateWorkload("Prefix", 16);
   const WorkloadStats stats = WorkloadStats::From(*w);
   MatrixMechanism mm(16, 1.0, MatrixMechanism::NoiseType::kLaplaceL1);
-  const auto choice = mm.ChooseStrategy(stats);
+  const auto choice = mm.ChooseStrategy(stats).value();
 
   const Matrix identity = Matrix::Identity(16);
   const double id_sens = MatrixMechanism::L1Sensitivity(identity);

@@ -17,6 +17,7 @@
 #include "mechanisms/optimized.h"
 #include "mechanisms/randomized_response.h"
 #include "mechanisms/registry.h"
+#include "mechanisms/subset_selection.h"
 #include "workload/kronecker.h"
 #include "workload/workload.h"
 
@@ -278,6 +279,74 @@ TEST(RegistryTest, AutoSelectSkipsMechanismsThatCannotRun) {
       MechanismRegistry::Global().AutoSelect(stats, 1.0, options);
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
   EXPECT_TRUE(MechanismRegistry::Global().Contains(selected.value()));
+}
+
+TEST(RegistryTest, StatsAMechanismCannotUseAreStatusesNotAborts) {
+  // Every registered mechanism, built at n = 8, meets stats of another
+  // domain size and shape-only stats (n without a Gram, as CreateBaseline
+  // builds them): analysis and deployment return a Status, never abort.
+  const WorkloadStats built_for =
+      WorkloadStats::From(*CreateWorkload("Histogram", 8));
+  const WorkloadStats wider =
+      WorkloadStats::From(*CreateWorkload("Histogram", 16));
+  const WorkloadStats shape_only = [] {
+    WorkloadStats stats;
+    stats.n = 8;
+    return stats;
+  }();
+  MechanismOptions options;
+  options.optimizer.iterations = 40;
+  options.optimizer.step_search_iterations = 10;
+  options.optimizer.seed = 3;
+  for (const std::string& name :
+       MechanismRegistry::Global().ListMechanisms()) {
+    SCOPED_TRACE(name);
+    const StatusOr<std::unique_ptr<Mechanism>> created =
+        MechanismRegistry::Global().Create(name, built_for, 1.0, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    const Mechanism& mechanism = *created.value();
+    for (const WorkloadStats* stats : {&wider, &shape_only}) {
+      EXPECT_FALSE(mechanism.TryAnalyze(*stats).ok()) << "n = " << stats->n;
+      EXPECT_FALSE(mechanism.Deploy(*stats).ok()) << "n = " << stats->n;
+    }
+    if (dynamic_cast<const StrategyMechanism*>(&mechanism) != nullptr) {
+      continue;  // Covered by StrategyMechanismTest below.
+    }
+    // Matrix Mechanism, RAPPOR and OUE read the dense Gram directly.
+    EXPECT_EQ(mechanism.TryAnalyze(wider).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(mechanism.TryAnalyze(shape_only).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+
+  // At n = 1 no Matrix Mechanism candidate has a positive sensitivity.
+  const WorkloadStats single =
+      WorkloadStats::From(*CreateWorkload("Histogram", 1));
+  for (const char* name : {"Matrix Mechanism (L1)", "Matrix Mechanism (L2)"}) {
+    EXPECT_EQ(CreateBaseline(name, 1, 1.0).value()->TryAnalyze(single)
+                  .status()
+                  .code(),
+              StatusCode::kFailedPrecondition)
+        << name;
+  }
+
+  const SubsetSelectionMechanism subset(8, 1.0);
+  ASSERT_TRUE(subset.TryAnalyze(built_for).ok());
+  EXPECT_EQ(subset.TryAnalyze(wider).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(subset.TryAnalyze(shape_only).status().code(),
+            StatusCode::kFailedPrecondition);
+  const SubsetSelectionMechanism too_many_subsets(40, 1.0);  // C(40, 11).
+  EXPECT_EQ(too_many_subsets
+                .TryAnalyze(WorkloadStats::From(*CreateWorkload("Histogram", 40)))
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+
+  // No entry can analyze shape-only stats, so AutoSelect finds none.
+  const StatusOr<std::string> selected =
+      MechanismRegistry::Global().AutoSelect(shape_only, 1.0, options);
+  EXPECT_EQ(selected.status().code(), StatusCode::kNotFound);
 }
 
 TEST(ErrorProfileTest, SummariesConsistent) {

@@ -1,44 +1,31 @@
-// Tests for the RAPPOR mechanism: Table 1 encoding, closed-form variance,
-// and simulation unbiasedness.
-//
-// All randomness flows from fixed-seed Rngs (deterministic across runs);
-// Monte-Carlo bands are sized in standard-error multiples, documented where
-// they are not literal 5σ expressions.
+// Tests for RAPPOR (Table 1), the "RAPPOR" registry entry: unary encoding
+// with symmetric flips p = 1 - f, q = f, f = 1/(1 + e^{ε/2}). The shared
+// unary encoding cases run for its (p, q); the cases below pin what is
+// RAPPOR's own: the Table 1 strategy form and its data-independent variance.
 
-#include "mechanisms/rappor.h"
+#include "unary_encoding_suite.h"
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
-#include "core/strategy.h"
-#include "workload/histogram.h"
+#include "workload/prefix.h"
 
 namespace wfm {
 namespace {
 
-TEST(RapporTest, FlipProbability) {
-  RapporMechanism r(8, 2.0);
-  EXPECT_NEAR(r.flip_probability(), 1.0 / (1.0 + std::exp(1.0)), 1e-12);
-}
+// 300 and 400 trials give a variance-of-variance relative SE of
+// ~sqrt(2/400) ~ 7%, so 35% is ~5 SE.
+constexpr UnaryCase kRappor{"RAPPOR", 110, 300, 400, 0.35};
 
-TEST(RapporTest, ExplicitStrategyIsValidLdp) {
-  // The 2^n-row strategy satisfies Proposition 2.6 at the advertised ε.
-  for (double eps : {0.5, 1.0, 2.0}) {
-    const Matrix q = RapporMechanism::BuildExplicitStrategy(4, eps);
-    EXPECT_EQ(q.rows(), 16);
-    const StrategyValidation v = ValidateStrategy(q, eps, 1e-9);
-    EXPECT_TRUE(v.valid) << "eps=" << eps << ": " << v.ToString();
-    // The bound is tight: min epsilon is exactly ε (two bit flips).
-    EXPECT_NEAR(v.min_epsilon, eps, 1e-9);
-  }
-}
+INSTANTIATE_UNARY_ENCODING_TESTS(kRappor);
 
 TEST(RapporTest, ExplicitStrategyMatchesTable1Form) {
   // Q[o][u] ∝ e^{(ε/2)(n - ||o - e_u||₁)}.
   const int n = 3;
   const double eps = 1.0;
-  const Matrix q = RapporMechanism::BuildExplicitStrategy(n, eps);
+  const auto [p, q] = ExpectedPq("RAPPOR", eps);
+  const Matrix strategy = UnaryEncodingMechanism::BuildExplicitStrategy(n, p, q);
   for (int o = 0; o < 8; ++o) {
     for (int u = 0; u < n; ++u) {
       int hamming = 0;
@@ -48,81 +35,22 @@ TEST(RapporTest, ExplicitStrategyMatchesTable1Form) {
         hamming += reported != truth;
       }
       const double expected_ratio = std::exp(eps / 2.0 * (n - hamming));
-      EXPECT_NEAR(q(o, u) / q((1 << u), u),
+      EXPECT_NEAR(strategy(o, u) / strategy((1 << u), u),
                   expected_ratio / std::exp(eps / 2.0 * n), 1e-9);
     }
   }
 }
 
-TEST(RapporTest, AnalysisMatchesClosedForm) {
-  const int n = 8;
+TEST(RapporTest, PhiIsTheClosedFormOnPrefix512) {
+  // RAPPOR's variance is data-independent, c ||W||²_F with
+  // c = f(1-f)/(1-2f)², and the analysis reproduces it bit for bit.
   const double eps = 1.0;
-  RapporMechanism r(n, eps);
-  const HistogramWorkload w(n);
-  const ErrorProfile profile = r.Analyze(WorkloadStats::From(w));
-  const double f = r.flip_probability();
-  const double expected = n * f * (1 - f) / ((1 - 2 * f) * (1 - 2 * f));
-  for (double phi : profile.phi) EXPECT_NEAR(phi, expected, 1e-9);
-}
-
-TEST(RapporTest, SampleReportBitMarginals) {
-  Rng rng(111);
-  const int n = 6;
-  RapporMechanism r(n, 1.0);
-  const int trials = 20000;
-  std::vector<int> ones(n, 0);
-  for (int t = 0; t < trials; ++t) {
-    const auto bits = r.SampleReport(2, rng);
-    for (int i = 0; i < n; ++i) ones[i] += bits[i];
-  }
-  const double f = r.flip_probability();
-  for (int i = 0; i < n; ++i) {
-    const double expect = (i == 2 ? 1.0 - f : f) * trials;
-    EXPECT_NEAR(ones[i], expect, 5.0 * std::sqrt(trials * f * (1 - f)) + 1.0)
-        << "bit " << i;
-  }
-}
-
-TEST(RapporTest, SimulatedEstimateIsUnbiased) {
-  Rng rng(112);
-  const int n = 5;
-  RapporMechanism r(n, 1.5);
-  const Vector x{100, 0, 50, 25, 25};
-  const int trials = 300;
-  Vector mean(n, 0.0);
-  for (int t = 0; t < trials; ++t) {
-    const Vector est = r.SimulateEstimate(x, rng);
-    for (int u = 0; u < n; ++u) mean[u] += est[u] / trials;
-  }
-  // Monte-Carlo band: std of the mean is sqrt(c*N/trials).
-  const double c = r.PerCoordinateUnitVariance();
-  const double band = 5.0 * std::sqrt(c * Sum(x) / trials);
-  for (int u = 0; u < n; ++u) EXPECT_NEAR(mean[u], x[u], band) << "type " << u;
-}
-
-TEST(RapporTest, SimulatedVarianceMatchesClosedForm) {
-  Rng rng(113);
-  const int n = 4;
-  RapporMechanism r(n, 1.0);
-  const Vector x{200, 100, 50, 150};
-  const int trials = 400;
-  const double num_users = Sum(x);
-  Vector sum(n, 0.0), sumsq(n, 0.0);
-  for (int t = 0; t < trials; ++t) {
-    const Vector est = r.SimulateEstimate(x, rng);
-    for (int u = 0; u < n; ++u) {
-      sum[u] += est[u];
-      sumsq[u] += est[u] * est[u];
-    }
-  }
-  const double expected = r.PerCoordinateUnitVariance() * num_users;
-  for (int u = 0; u < n; ++u) {
-    const double mean = sum[u] / trials;
-    const double var = sumsq[u] / trials - mean * mean;
-    // Variance of a variance estimate is large: 400 trials give relative
-    // SE ~sqrt(2/400) ~ 7%, so the 35% band is ~5 SE.
-    EXPECT_NEAR(var, expected, 0.35 * expected) << "type " << u;
-  }
+  const WorkloadStats stats = WorkloadStats::From(PrefixWorkload(512));
+  const double f = 1.0 / (1.0 + std::exp(eps / 2.0));
+  const double c = f * (1.0 - f) / ((1.0 - 2.0 * f) * (1.0 - 2.0 * f));
+  const ErrorProfile profile = Create("RAPPOR", stats, eps)->Analyze(stats);
+  ASSERT_EQ(profile.phi.size(), 512u);
+  for (double phi : profile.phi) EXPECT_EQ(phi, c * stats.frob_sq);
 }
 
 }  // namespace
