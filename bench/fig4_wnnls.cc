@@ -43,11 +43,12 @@ int main(int argc, char** argv) {
 
   for (const auto& wname : wfm::StandardWorkloadNames()) {
     const auto workload = wfm::CreateWorkload(wname, n);
-    const wfm::WorkloadStats stats = wfm::WorkloadStats::From(*workload);
-    const wfm::OptimizedMechanism mech(stats, eps,
+    const auto stats = std::make_shared<const wfm::WorkloadStats>(
+        wfm::WorkloadStats::From(*workload));
+    const wfm::OptimizedMechanism mech(*stats, eps,
                                        wfm::bench::BenchOptimizerConfig(flags));
     const wfm::FactorizationAnalysis analysis(mech.strategy().factors[0],
-                                              stats);
+                                              *stats);
     const wfm::ReportDecoder decoder({analysis.ReconstructionB()}, stats);
     const wfm::Vector truth = workload->Apply(data.histogram);
 
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
     }
     // Normalized variance (Definition 5.2): mean squared error per query on
     // the N-normalized data vector.
-    const double norm = static_cast<double>(trials) * stats.p *
+    const double norm = static_cast<double>(trials) * stats->p *
                         static_cast<double>(num_users) * num_users;
     const double v_default = err_default / norm;
     const double v_wnnls = err_wnnls / norm;

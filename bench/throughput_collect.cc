@@ -53,7 +53,7 @@ namespace {
 // One timed trial: T threads stream disjoint slices of `reports` into a
 // fresh session, then the epoch is sealed and one estimate is served.
 // Returns ingest seconds (seal/serve excluded from the rate).
-double RunTrial(const wfm::ReportDecoder& decoder,
+double RunTrial(const std::shared_ptr<const wfm::ReportDecoder>& decoder,
                 std::shared_ptr<const wfm::Workload> workload,
                 const std::vector<wfm::Report>& reports, int threads,
                 int shards, int batch) {
@@ -83,7 +83,7 @@ double RunTrial(const wfm::ReportDecoder& decoder,
   const wfm::WorkloadEstimate estimate =
       server.Serve(wfm::EstimatorKind::kUnbiased).value();
   WFM_CHECK_EQ(static_cast<std::int64_t>(estimate.query_answers.size()),
-               static_cast<std::int64_t>(decoder.n()));
+               static_cast<std::int64_t>(decoder->n()));
   WFM_CHECK_EQ(session.total_responses(),
                static_cast<std::int64_t>(reports.size()));
   return ingest_seconds;
@@ -177,10 +177,11 @@ int main(int argc, char** argv) {
   // Pre-randomize the report stream once through the real client path.
   const wfm::Matrix q = wfm::RandomizedResponseMechanism::BuildStrategy(n, eps);
   auto workload = std::make_shared<const wfm::HistogramWorkload>(n);
-  const wfm::FactorizationAnalysis analysis(
-      q, wfm::WorkloadStats::From(*workload));
-  const wfm::ReportDecoder decoder({analysis.ReconstructionB()},
-                                   analysis.workload());
+  const auto stats = std::make_shared<const wfm::WorkloadStats>(
+      wfm::WorkloadStats::From(*workload));
+  const wfm::FactorizationAnalysis analysis(q, *stats);
+  const auto decoder = std::make_shared<const wfm::ReportDecoder>(
+      std::vector<wfm::Matrix>{analysis.ReconstructionB()}, stats);
   const wfm::LocalRandomizer randomizer(q);
   wfm::Rng rng(7);
   std::vector<wfm::Report> reports(num_reports);

@@ -6,9 +6,9 @@
 // builds a bespoke workload — a weighted stack of the full CDF (Prefix) and
 // a handful of high-priority point queries — sweeps ε over the *whole
 // mechanism registry* (six baselines + Optimized), prints each entry's
-// sample complexity, and shows what MechanismRegistry::AutoSelect — the same
-// cross-evaluation Plan::For(...).Mechanism(wfm::Auto()) runs — would pick
-// at every privacy level.
+// sample complexity, and builds a plan with
+// Plan::For(...).Mechanism(wfm::Auto()) — the registry's Section 6.1
+// cross-evaluation — at every privacy level to show which entry it deploys.
 //
 // Build & run:  ./build/examples/mechanism_selection [--n=32]
 //               [--eps=0.5,1,2,4] [--mechanism=<registry name>]
@@ -47,12 +47,13 @@ int main(int argc, char** argv) {
   alerts(2, (3 * n) / 4) = 1.0;
   auto prefix = std::make_shared<wfm::PrefixWorkload>(n);
   auto alert_queries = std::make_shared<wfm::DenseWorkload>(alerts, "Alerts");
-  const wfm::StackedWorkload workload({prefix, alert_queries}, {1.0, 3.0},
-                                      "CDF+Alerts");
-  const wfm::WorkloadStats stats = wfm::WorkloadStats::From(workload);
+  const auto workload = std::make_shared<const wfm::StackedWorkload>(
+      std::vector<std::shared_ptr<const wfm::Workload>>{prefix, alert_queries},
+      std::vector<double>{1.0, 3.0}, "CDF+Alerts");
+  const wfm::WorkloadStats stats = wfm::WorkloadStats::From(*workload);
   std::printf("custom workload '%s': %lld queries over domain %d\n\n",
-              workload.Name().c_str(),
-              static_cast<long long>(workload.num_queries()), n);
+              workload->Name().c_str(),
+              static_cast<long long>(workload->num_queries()), n);
 
   // Keep the Optimized entries reproducible and fast across the sweep.
   wfm::MechanismOptions options;
@@ -82,15 +83,22 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  // --- What would Plan::Mechanism(Auto()) deploy? -------------------------
-  std::printf("\nAutoSelect (minimum worst-case variance, Section 6.1 "
-              "cross-evaluation):\n");
+  // --- What does Plan::Mechanism(Auto()) deploy? --------------------------
+  std::printf("\nPlan with Mechanism(Auto()) (minimum worst-case variance, "
+              "Section 6.1 cross-evaluation):\n");
   for (double eps : eps_list) {
-    const wfm::StatusOr<std::string> choice =
-        registry.AutoSelect(stats, eps, options);
+    const wfm::StatusOr<wfm::Plan> plan = wfm::Plan::For(workload)
+                                              .Epsilon(eps)
+                                              .Mechanism(wfm::Auto())
+                                              .Optimizer(options.optimizer)
+                                              .Build();
+    if (!plan.ok()) {
+      std::fprintf(stderr, "eps=%g: %s\n", eps,
+                   plan.status().ToString().c_str());
+      return 1;
+    }
     std::printf("  eps=%-4g -> %s\n", eps,
-                choice.ok() ? choice.value().c_str()
-                            : choice.status().ToString().c_str());
+                plan.value().mechanism_name().c_str());
   }
   std::printf("\nwith the workload-adaptive mechanism, one implementation "
               "covers every cell of this table.\n");

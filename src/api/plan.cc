@@ -114,20 +114,18 @@ const FactoredStrategy* Plan::DeployedStrategy() const {
 std::unique_ptr<PlanSession> Plan::StartSession(int num_shards) const {
   // PlanSession's constructor is private; the session pins an internal
   // pointer (server -> session), hence the unique_ptr.
-  return std::unique_ptr<PlanSession>(new PlanSession(
-      deployment_.decoder, workload_, num_shards, report_kind(),
-      DeployedStrategy(), epsilon_, stats()));
+  return std::unique_ptr<PlanSession>(
+      new PlanSession(deployment_.decoder, workload_, num_shards,
+                      report_kind(), DeployedStrategy(), epsilon_));
 }
 
-PlanSession::PlanSession(ReportDecoder decoder,
+PlanSession::PlanSession(std::shared_ptr<const ReportDecoder> decoder,
                          std::shared_ptr<const Workload> workload,
                          int num_shards, ReportKind kind,
-                         const FactoredStrategy* strategy, double epsilon,
-                         WorkloadStats stats)
+                         const FactoredStrategy* strategy, double epsilon)
     : session_(std::move(decoder), std::move(workload), num_shards, kind),
       server_(&session_),
-      epsilon_(epsilon),
-      stats_(std::move(stats)) {
+      epsilon_(epsilon) {
   if (strategy != nullptr) strategies_.emplace(0, *strategy);
 }
 
@@ -163,19 +161,23 @@ StatusOr<int> PlanSession::RollStrategy(FactoredStrategy strategy) {
       !valid.ok()) {
     return valid;
   }
+  // Every version decodes against the stats the plan built: the roll's
+  // decoder shares them with version 0.
+  const std::shared_ptr<const WorkloadStats>& stats =
+      session_.decoder().shared_stats();
   if (strategy.rows() != session_.num_outputs() ||
-      strategy.cols() != stats_.n) {
+      strategy.cols() != stats->n) {
     return Status::InvalidArgument(
         "rolled strategy is " + std::to_string(strategy.rows()) + " x " +
         std::to_string(strategy.cols()) + ", deployment requires " +
         std::to_string(session_.num_outputs()) + " x " +
-        std::to_string(stats_.n));
+        std::to_string(stats->n));
   }
   // The mechanism layer's deployability bar: the workload must lie in the
   // strategy's row space (else every decode under it would be biased), and
   // its factors must match the workload's.
   StatusOr<Deployment> deployment =
-      FixedStrategyMechanism(strategy, stats_.n, epsilon_).Deploy(stats_);
+      FixedStrategyMechanism(strategy, stats->n, epsilon_).Deploy(stats);
   if (!deployment.ok()) return deployment.status();
   std::lock_guard<std::mutex> lock(strategy_mutex_);
   const int version =
@@ -226,7 +228,11 @@ StatusOr<Plan> PlanBuilder::Build() const {
   }
   const MechanismRegistry& registry =
       registry_ != nullptr ? *registry_ : MechanismRegistry::Global();
-  WorkloadStats stats = WorkloadStats::From(*workload_);
+  // The plan's one copy of the statistics: the deployment's decoder, and
+  // through it every session and roll, shares it.
+  const std::shared_ptr<const WorkloadStats> shared_stats =
+      std::make_shared<const WorkloadStats>(WorkloadStats::From(*workload_));
+  const WorkloadStats& stats = *shared_stats;
 
   std::shared_ptr<const wfm::Mechanism> mechanism;
   if (!fixed_strategy_.factors.empty()) {
@@ -259,7 +265,7 @@ StatusOr<Plan> PlanBuilder::Build() const {
     mechanism = std::shared_ptr<const wfm::Mechanism>(std::move(created).value());
   }
 
-  StatusOr<Deployment> deployment = mechanism->Deploy(stats);
+  StatusOr<Deployment> deployment = mechanism->Deploy(shared_stats);
   if (!deployment.ok()) return deployment.status();
 
   return Plan(workload_, epsilon_, std::move(mechanism),

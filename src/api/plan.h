@@ -185,14 +185,14 @@ class PlanSession {
   friend class Plan;
   /// `strategy` is the deployed one, or nullptr for a deployment that is not
   /// strategy-based.
-  PlanSession(ReportDecoder decoder, std::shared_ptr<const Workload> workload,
-              int num_shards, ReportKind kind, const FactoredStrategy* strategy,
-              double epsilon, WorkloadStats stats);
+  PlanSession(std::shared_ptr<const ReportDecoder> decoder,
+              std::shared_ptr<const Workload> workload, int num_shards,
+              ReportKind kind, const FactoredStrategy* strategy,
+              double epsilon);
 
   CollectionSession session_;
   EstimateServer server_;
   double epsilon_ = 0.0;
-  WorkloadStats stats_;
 
   // Strategy by session version: version 0 is the plan's deployed strategy;
   // rolls insert theirs at stage time under the version StageRoll hands
@@ -209,10 +209,11 @@ class Plan {
   static PlanBuilder For(std::shared_ptr<const Workload> workload);
 
   const Workload& workload() const { return *workload_; }
-  /// The workload statistics the deployment decodes against; the decoder
-  /// holds the plan's one copy.
+  /// The workload statistics the deployment decodes against: built once by
+  /// Build and shared, never copied, by the plan's decoder, every session's
+  /// decoder history and every strategy roll.
   const WorkloadStats& stats() const {
-    return deployment_.decoder.workload_stats();
+    return deployment_.decoder->workload_stats();
   }
   double epsilon() const { return epsilon_; }
 

@@ -34,19 +34,21 @@ Counter& EpochsRestored() {
 
 }  // namespace
 
-CollectionSession::CollectionSession(ReportDecoder decoder,
-                                     std::shared_ptr<const Workload> workload,
-                                     int num_shards, ReportKind report_kind)
-    : decoder_(std::move(decoder)),
-      workload_(std::move(workload)),
+CollectionSession::CollectionSession(
+    std::shared_ptr<const ReportDecoder> decoder,
+    std::shared_ptr<const Workload> workload, int num_shards,
+    ReportKind report_kind)
+    : workload_(std::move(workload)),
+      num_outputs_(decoder != nullptr ? decoder->m() : 0),
       num_shards_(num_shards),
       report_kind_(report_kind) {
+  WFM_CHECK(decoder != nullptr);
   WFM_CHECK(workload_ != nullptr);
-  WFM_CHECK_EQ(workload_->domain_size(), decoder_.n());
+  WFM_CHECK_EQ(workload_->domain_size(), decoder->n());
   WFM_CHECK_GT(num_shards_, 0);
-  active_ = std::make_unique<ShardedAggregator>(decoder_.m(), num_shards_,
+  active_ = std::make_unique<ShardedAggregator>(num_outputs_, num_shards_,
                                                 report_kind_);
-  decoders_.push_back(std::make_shared<const ReportDecoder>(decoder_));
+  decoders_.push_back(std::move(decoder));
 }
 
 void CollectionSession::AcceptBatch(int shard,
@@ -57,7 +59,7 @@ void CollectionSession::AcceptBatch(int shard,
 
 EpochSnapshot CollectionSession::Seal() {
   ScopedTimer span(SealDuration());
-  auto fresh = std::make_unique<ShardedAggregator>(decoder_.m(), num_shards_,
+  auto fresh = std::make_unique<ShardedAggregator>(num_outputs_, num_shards_,
                                                    report_kind_);
   std::unique_ptr<ShardedAggregator> sealed;
   {
@@ -93,13 +95,14 @@ int CollectionSession::strategy_version() const {
   return active_version_;
 }
 
-int CollectionSession::StageRoll(ReportDecoder decoder) {
-  WFM_CHECK_EQ(decoder.m(), decoder_.m())
+int CollectionSession::StageRoll(std::shared_ptr<const ReportDecoder> decoder) {
+  WFM_CHECK(decoder != nullptr);
+  WFM_CHECK_EQ(decoder->m(), num_outputs_)
       << "rolled decoder must keep the session's report dimension";
-  WFM_CHECK_EQ(decoder.n(), decoder_.n())
+  WFM_CHECK_EQ(decoder->n(), workload_->domain_size())
       << "rolled decoder must keep the session's domain size";
   std::lock_guard<std::mutex> lock(snapshots_mutex_);
-  staged_decoder_ = std::make_shared<const ReportDecoder>(std::move(decoder));
+  staged_decoder_ = std::move(decoder);
   return static_cast<int>(decoders_.size());
 }
 
@@ -135,11 +138,11 @@ StatusOr<std::shared_ptr<const EpochSnapshot>> CollectionSession::Snapshot(
 
 StatusOr<int> CollectionSession::RestoreSealedEpoch(
     const EpochSnapshot& snapshot) {
-  if (static_cast<int>(snapshot.histogram.size()) != decoder_.m()) {
+  if (static_cast<int>(snapshot.histogram.size()) != num_outputs_) {
     return Status::InvalidArgument(
         "snapshot histogram has dimension " +
         std::to_string(snapshot.histogram.size()) +
-        ", session expects m = " + std::to_string(decoder_.m()));
+        ", session expects m = " + std::to_string(num_outputs_));
   }
   if (snapshot.count < 0) {
     return Status::InvalidArgument("snapshot report count is negative: " +
@@ -172,13 +175,13 @@ EpochSnapshot CollectionSession::WindowTotal(int last_k) const {
   WFM_CHECK_GT(last_k, 0);
   std::lock_guard<std::mutex> lock(snapshots_mutex_);
   EpochSnapshot total;
-  total.histogram.assign(decoder_.m(), 0.0);
+  total.histogram.assign(num_outputs_, 0.0);
   if (snapshots_.empty()) return total;
   const int end = static_cast<int>(snapshots_.size());
   const int begin = std::max(0, end - last_k);
   for (int e = begin; e < end; ++e) {
     const EpochSnapshot& snapshot = *snapshots_[e];
-    for (int o = 0; o < decoder_.m(); ++o) {
+    for (int o = 0; o < num_outputs_; ++o) {
       total.histogram[o] += snapshot.histogram[o];
     }
     total.count += snapshot.count;

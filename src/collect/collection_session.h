@@ -75,20 +75,21 @@ struct EpochSnapshot {
 
 class CollectionSession {
  public:
-  /// `decoder` is the offline-prepared server half of the deployment (its
+  /// `decoder` (non-null) is the offline-prepared server half of the
+  /// deployment, shared with the plan and every other session of it (its
   /// m() fixes the report dimension); `workload` is what estimates answer;
   /// `report_kind` must match what the deployment's Reporter emits.
-  CollectionSession(ReportDecoder decoder,
+  CollectionSession(std::shared_ptr<const ReportDecoder> decoder,
                     std::shared_ptr<const Workload> workload, int num_shards,
                     ReportKind report_kind = ReportKind::kCategorical);
 
   /// The session's initial (version 0) decoder. After a roll, per-version
   /// decode goes through DecoderForVersion(); this accessor stays pinned to
   /// version 0 so references held across rolls never dangle.
-  const ReportDecoder& decoder() const { return decoder_; }
+  const ReportDecoder& decoder() const { return *DecoderForVersion(0); }
   const Workload& workload() const { return *workload_; }
   int num_shards() const { return num_shards_; }
-  int num_outputs() const { return decoder_.m(); }
+  int num_outputs() const { return num_outputs_; }
   ReportKind report_kind() const { return report_kind_; }
 
   /// Ingests a batch of reports into the current epoch, counted per batch
@@ -150,14 +151,15 @@ class CollectionSession {
   /// Seal(): the epoch being ingested now still seals under the current
   /// version (its devices encoded with the current strategy), and ingestion
   /// after that seal is tagged with the returned new version. The staged
-  /// decoder must keep the session's report dimension m (aborts otherwise);
-  /// staging twice before a seal replaces the earlier staged decoder.
-  /// Returns the version the staged strategy will carry once active.
-  int StageRoll(ReportDecoder decoder);
+  /// decoder (non-null) must keep the session's report dimension m and
+  /// domain size (aborts otherwise); staging twice before a seal replaces
+  /// the earlier staged decoder. Returns the version the staged strategy
+  /// will carry once active.
+  int StageRoll(std::shared_ptr<const ReportDecoder> decoder);
 
   /// Decoder history: the decoder that was active for `version` (0 is the
-  /// construction-time decoder). nullptr for versions never activated or
-  /// not yet active.
+  /// construction-time decoder, the plan's own). nullptr for versions never
+  /// activated or not yet active.
   std::shared_ptr<const ReportDecoder> DecoderForVersion(int version) const;
 
   /// Reports accepted into the current (unsealed) epoch so far.
@@ -169,8 +171,8 @@ class CollectionSession {
   std::int64_t total_responses() const;
 
  private:
-  ReportDecoder decoder_;
   std::shared_ptr<const Workload> workload_;
+  int num_outputs_;
   int num_shards_;
   ReportKind report_kind_;
 
@@ -184,7 +186,8 @@ class CollectionSession {
   std::int64_t sealed_count_ = 0;  ///< Total reports across sealed epochs.
 
   // Rollover state, guarded by snapshots_mutex_. decoders_[v] is the decoder
-  // for version v; index 0 aliases decoder_. staged_decoder_ is non-null
+  // for version v; index 0 is the decoder the session was built with (for a
+  // PlanSession, the plan's deployment decoder). staged_decoder_ is non-null
   // between StageRoll() and the Seal() that activates it.
   std::vector<std::shared_ptr<const ReportDecoder>> decoders_;
   std::shared_ptr<const ReportDecoder> staged_decoder_;

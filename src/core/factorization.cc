@@ -55,11 +55,12 @@ double ErrorProfile::SampleComplexityOnData(const Vector& x, double alpha) const
 }
 
 FactorizationAnalysis::FactorizationAnalysis(Matrix q, const WorkloadStats& workload)
-    : q_(std::move(q)), workload_(workload) {
+    : q_(std::move(q)), n_(workload.n), p_(workload.p) {
   const int m = q_.rows();
   const int n = q_.cols();
-  WFM_CHECK_EQ(n, workload_.n) << "strategy domain mismatch";
-  WFM_CHECK_EQ(workload_.gram.rows(), n);
+  WFM_CHECK_EQ(n, n_) << "strategy domain mismatch";
+  const Matrix& gram = workload.gram;
+  WFM_CHECK_EQ(gram.rows(), n);
 
   // D⁻¹ with zero-mass rows treated as unused outputs.
   Vector d = q_.RowSums();
@@ -75,16 +76,16 @@ FactorizationAnalysis::FactorizationAnalysis(Matrix q, const WorkloadStats& work
   PsdSolver solver(a);
 
   // Objective L(Q) = tr(A† G).
-  const Matrix x = solver.Solve(workload_.gram);
+  const Matrix x = solver.Solve(gram);
   objective_ = x.Trace();
 
   // B = A† Qᵀ D⁻¹ = A† (D⁻¹Q)ᵀ  (n x m).
   b_ = solver.Solve(dq.Transpose());
 
   // c_o = [Bᵀ G B]_oo: columnwise inner products of B with GB.
-  const Matrix gb = Multiply(workload_.gram, b_);  // n x m.
+  const Matrix gb = Multiply(gram, b_);  // n x m.
   Vector c(m, 0.0);
-  for (int i = 0; i < workload_.n; ++i) {
+  for (int i = 0; i < n_; ++i) {
     const double* brow = b_.RowPtr(i);
     const double* gbrow = gb.RowPtr(i);
     for (int o = 0; o < m; ++o) c[o] += brow[o] * gbrow[o];
@@ -92,18 +93,18 @@ FactorizationAnalysis::FactorizationAnalysis(Matrix q, const WorkloadStats& work
 
   // P = B Q (n x n); psi_u = [Pᵀ G P]_uu.
   const Matrix p = Multiply(b_, q_);
-  const Matrix gp = Multiply(workload_.gram, p);
-  psi_.assign(workload_.n, 0.0);
-  for (int i = 0; i < workload_.n; ++i) {
+  const Matrix gp = Multiply(gram, p);
+  psi_.assign(n_, 0.0);
+  for (int i = 0; i < n_; ++i) {
     const double* prow = p.RowPtr(i);
     const double* gprow = gp.RowPtr(i);
-    for (int u = 0; u < workload_.n; ++u) psi_[u] += prow[u] * gprow[u];
+    for (int u = 0; u < n_; ++u) psi_[u] += prow[u] * gprow[u];
   }
 
   // phi_u = sum_o q_ou c_o - psi_u.
   t_ = MultiplyTVec(q_, c);
-  phi_.resize(workload_.n);
-  for (int u = 0; u < workload_.n; ++u) {
+  phi_.resize(n_);
+  for (int u = 0; u < n_; ++u) {
     // Guard round-off: variance contributions are non-negative by
     // construction (covariance of a multinomial is PSD).
     phi_[u] = std::max(0.0, t_[u] - psi_[u]);
@@ -113,17 +114,17 @@ FactorizationAnalysis::FactorizationAnalysis(Matrix q, const WorkloadStats& work
   // null(W), G(BQ - I) = 0 holds exactly when W(BQ - I) = 0, so G(BQ) = G
   // is equivalent to (WB)Q = W. GP was already computed above.
   double max_diff = 0.0;
-  for (int i = 0; i < workload_.n; ++i) {
-    for (int j = 0; j < workload_.n; ++j) {
-      max_diff = std::max(max_diff, std::abs(gp(i, j) - workload_.gram(i, j)));
+  for (int i = 0; i < n_; ++i) {
+    for (int j = 0; j < n_; ++j) {
+      max_diff = std::max(max_diff, std::abs(gp(i, j) - gram(i, j)));
     }
   }
-  const double gmax = workload_.gram.MaxAbs();
+  const double gmax = gram.MaxAbs();
   residual_ = gmax > 0 ? max_diff / gmax : max_diff;
 }
 
 Matrix FactorizationAnalysis::OptimalV(const Matrix& w_explicit) const {
-  WFM_CHECK_EQ(w_explicit.cols(), workload_.n);
+  WFM_CHECK_EQ(w_explicit.cols(), n_);
   return Multiply(w_explicit, b_);
 }
 

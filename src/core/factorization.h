@@ -67,13 +67,14 @@ struct ErrorProfile {
 class FactorizationAnalysis {
  public:
   /// Builds the analysis. `q` must be column-stochastic and non-negative;
-  /// rows with zero mass are tolerated (treated as unused outputs).
+  /// rows with zero mass are tolerated (treated as unused outputs). The
+  /// workload is read during construction only; nothing of it is kept but
+  /// n and p.
   FactorizationAnalysis(Matrix q, const WorkloadStats& workload);
 
-  int n() const { return workload_.n; }
+  int n() const { return n_; }
   int m() const { return q_.rows(); }
   const Matrix& q() const { return q_; }
-  const WorkloadStats& workload() const { return workload_; }
 
   /// Optimization objective L(Q) = tr[(Qᵀ D⁻¹ Q)† G] (Theorem 3.11).
   double Objective() const { return objective_; }
@@ -84,7 +85,7 @@ class FactorizationAnalysis {
 
   /// phi with the workload's query count: the worst-case, average-case,
   /// data-dependent variance and sample complexity all derive from it.
-  ErrorProfile Profile() const { return {phi_, workload_.p}; }
+  ErrorProfile Profile() const { return {phi_, p_}; }
 
   /// The two terms of phi_u = t_u − psi_u, exposed separately because they
   /// (not phi itself) are what multiplies across Kronecker factors:
@@ -117,7 +118,8 @@ class FactorizationAnalysis {
 
  private:
   Matrix q_;
-  WorkloadStats workload_;
+  int n_ = 0;
+  std::int64_t p_ = 0;  // Workload query count.
   Matrix b_;          // n x m.
   Vector phi_;        // Per-user unit variance.
   Vector t_;          // Second-moment term of phi.

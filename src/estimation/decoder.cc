@@ -21,13 +21,15 @@ Status CheckAggregateDimension(const Vector& aggregate, int m) {
 
 }  // namespace
 
-ReportDecoder::ReportDecoder(std::vector<Matrix> b_factors, WorkloadStats stats)
+ReportDecoder::ReportDecoder(std::vector<Matrix> b_factors,
+                             std::shared_ptr<const WorkloadStats> stats)
     : b_factors_(std::move(b_factors)), stats_(std::move(stats)) {
+  WFM_CHECK(stats_ != nullptr);
   WFM_CHECK(!b_factors_.empty()) << "linear decoder needs a decode factor";
   if (b_factors_.size() > 1) {
-    WFM_CHECK(stats_.factored())
+    WFM_CHECK(stats_->factored())
         << "Kronecker decoder needs Kronecker-structured workload stats";
-    WFM_CHECK_EQ(b_factors_.size(), stats_.factors.size())
+    WFM_CHECK_EQ(b_factors_.size(), stats_->factors.size())
         << "decode factor count mismatch";
   }
   std::int64_t m = 1;
@@ -36,21 +38,24 @@ ReportDecoder::ReportDecoder(std::vector<Matrix> b_factors, WorkloadStats stats)
     WFM_CHECK_GT(b_factors_[i].rows(), 0);
     WFM_CHECK_GT(b_factors_[i].cols(), 0);
     if (b_factors_.size() > 1) {
-      WFM_CHECK_EQ(b_factors_[i].rows(), stats_.factors[i].n)
+      WFM_CHECK_EQ(b_factors_[i].rows(), stats_->factors[i].n)
           << "decode factor" << i << "domain mismatch";
     }
     m = CheckedMulNonNegative(m, b_factors_[i].cols());
     n = CheckedMulNonNegative(n, b_factors_[i].rows());
   }
-  WFM_CHECK_EQ(n, stats_.n);
+  WFM_CHECK_EQ(n, stats_->n);
   WFM_CHECK_LE(m, std::numeric_limits<int>::max())
       << "composed output alphabet exceeds int";
   m_ = static_cast<int>(m);
 }
 
-ReportDecoder::ReportDecoder(AffineDebias debias, WorkloadStats stats)
-    : stats_(std::move(stats)), m_(stats_.n), affine_(debias) {
-  WFM_CHECK_GT(stats_.n, 0);
+ReportDecoder::ReportDecoder(AffineDebias debias,
+                             std::shared_ptr<const WorkloadStats> stats)
+    : stats_(std::move(stats)), affine_(debias) {
+  WFM_CHECK(stats_ != nullptr);
+  WFM_CHECK_GT(stats_->n, 0);
+  m_ = stats_->n;
   // Unbiased debiasing needs p > q (the map is not invertible at p == q) and
   // both must be probabilities.
   WFM_CHECK(affine_->q >= 0.0 && affine_->q < affine_->p && affine_->p <= 1.0)
@@ -73,9 +78,9 @@ std::vector<const Matrix*> ReportDecoder::DecodeFactors() const {
 std::vector<const Matrix*> ReportDecoder::gram_factors() const {
   std::vector<const Matrix*> grams;
   if (b_factors_.size() > 1) {
-    for (const WorkloadStats& f : stats_.factors) grams.push_back(&f.gram);
+    for (const WorkloadStats& f : stats_->factors) grams.push_back(&f.gram);
   } else {
-    grams.push_back(&stats_.gram);
+    grams.push_back(&stats_->gram);
   }
   return grams;
 }
@@ -115,7 +120,7 @@ StatusOr<Vector> ReportDecoder::EstimateVariance(
   for (int o = 0; o < m_; ++o) {
     pi[o] = std::clamp(aggregate[o] / count, 0.0, 1.0);
   }
-  const int n = stats_.n;
+  const int n = stats_->n;
   Vector variance(n);
   if (affine_) {
     const double gap = affine_->p - affine_->q;

@@ -15,9 +15,11 @@
 // The matching Gram factors — {G} for k = 1, {G_i} for k > 1, with
 // G = ⊗ G_i — drive consistent (WNNLS) estimation, so (decode factors,
 // WorkloadStats) is the complete server-side description of a deployment
-// and is what collect/CollectionSession carries. Decode and the WNNLS
-// iteration both run through linalg/kron.h, whose one-factor case is the
-// pooled dense matvec.
+// and is what collect/CollectionSession carries. The decoder shares the
+// stats (a shared_ptr to const) rather than owning a copy: a plan builds
+// them once, and every decoder of every session and strategy roll of that
+// plan reads the same Gram. Decode and the WNNLS iteration both run through
+// linalg/kron.h, whose one-factor case is the pooled dense matvec.
 //
 // Unary-encoding frequency oracles (RAPPOR, OUE) have no decode factors.
 // Their n-bit reports debias affinely, x_hat = (y - N q 1) / (p - q), with
@@ -29,6 +31,7 @@
 #define WFM_ESTIMATION_DECODER_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -52,21 +55,28 @@ class ReportDecoder {
   /// Linear decoder x_hat = (B_0 ⊗ ... ⊗ B_{k-1}) y. One factor {B} is the
   /// dense n x m decode factor. More factors need Kronecker-structured
   /// `stats` with as many factors, B_i being n_i x m_i in factor order;
-  /// m is Π m_i. `stats` supplies the Gram factors for WNNLS estimation.
-  ReportDecoder(std::vector<Matrix> b_factors, WorkloadStats stats);
+  /// m is Π m_i. `stats` (non-null, shared) supplies the Gram factors for
+  /// WNNLS estimation.
+  ReportDecoder(std::vector<Matrix> b_factors,
+                std::shared_ptr<const WorkloadStats> stats);
 
-  /// Affine decoder (m = n = stats.n): debiases n-bit-vector aggregates as
+  /// Affine decoder (m = n = stats->n): debiases n-bit-vector aggregates as
   /// x_hat = (y - N q 1)/(p - q), so decoding needs the true report count N.
-  ReportDecoder(AffineDebias debias, WorkloadStats stats);
+  ReportDecoder(AffineDebias debias,
+                std::shared_ptr<const WorkloadStats> stats);
 
-  int n() const { return stats_.n; }
+  int n() const { return stats_->n; }
   int m() const { return m_; }
   /// Decode factors {B} or {B_i}; empty for affine decoders.
   const std::vector<Matrix>& b_factors() const { return b_factors_; }
   /// Gram factors matching the decode: the per-factor {G_i} of a Kronecker
   /// decode, {G} otherwise. Pointers into workload_stats().
   std::vector<const Matrix*> gram_factors() const;
-  const WorkloadStats& workload_stats() const { return stats_; }
+  const WorkloadStats& workload_stats() const { return *stats_; }
+  /// The stats themselves, for deploying another decoder against them.
+  const std::shared_ptr<const WorkloadStats>& shared_stats() const {
+    return stats_;
+  }
 
   /// True when this decoder debiases affinely and therefore needs the report
   /// count N alongside the aggregate.
@@ -110,7 +120,7 @@ class ReportDecoder {
   std::vector<const Matrix*> DecodeFactors() const;
 
   std::vector<Matrix> b_factors_;  ///< Empty for affine decoders.
-  WorkloadStats stats_;
+  std::shared_ptr<const WorkloadStats> stats_;
   int m_ = 0;
   std::optional<AffineDebias> affine_;
 };

@@ -8,7 +8,8 @@
 // report count N behind the aggregate. Dense and Kronecker deployments are
 // both factor lists, and affine decoders (RAPPOR/OUE bit vectors) need N to
 // debias. A strategy factorization enters as the one-factor decoder
-// ReportDecoder({analysis.ReconstructionB()}, analysis.workload()).
+// ReportDecoder({analysis.ReconstructionB()}, stats), where `stats` is the
+// shared_ptr<const WorkloadStats> the analysis was built from.
 
 #ifndef WFM_ESTIMATION_ESTIMATOR_H_
 #define WFM_ESTIMATION_ESTIMATOR_H_

@@ -182,8 +182,9 @@ StatusOr<ErrorProfile> MatrixMechanism::TryAnalyze(
   return ConstantProfile(n_, choice.value().unit_variance, workload.p);
 }
 
-StatusOr<Deployment> MatrixMechanism::Deploy(const WorkloadStats& workload) const {
-  StatusOr<StrategyChoice> chosen = ChooseStrategy(workload);
+StatusOr<Deployment> MatrixMechanism::Deploy(
+    std::shared_ptr<const WorkloadStats> workload) const {
+  StatusOr<StrategyChoice> chosen = ChooseStrategy(*workload);
   if (!chosen.ok()) return chosen.status();
   const StrategyChoice& choice = chosen.value();
   const double sensitivity = type_ == NoiseType::kLaplaceL1
@@ -197,8 +198,9 @@ StatusOr<Deployment> MatrixMechanism::Deploy(const WorkloadStats& workload) cons
                                  : std::sqrt(variance);
   return Deployment{
       std::make_shared<AdditiveNoiseReporter>(choice.a, type_, noise_scale),
-      ReportDecoder({PseudoInverse(choice.a)}, workload),
-      ConstantProfile(n_, choice.unit_variance, workload.p)};
+      std::make_shared<const ReportDecoder>(
+          std::vector<Matrix>{PseudoInverse(choice.a)}, workload),
+      ConstantProfile(n_, choice.unit_variance, workload->p)};
 }
 
 }  // namespace wfm

@@ -52,7 +52,8 @@ class MatrixMechanism final : public Mechanism {
   /// vector A e_u + xi (a dense report), the server sums reports and decodes
   /// with A†. Unbiased whenever rowspace(W) ⊆ rowspace(A), which
   /// ChooseStrategy guarantees. Fails as ChooseStrategy does.
-  StatusOr<Deployment> Deploy(const WorkloadStats& workload) const override;
+  StatusOr<Deployment> Deploy(
+      std::shared_ptr<const WorkloadStats> workload) const override;
 
   struct StrategyChoice {
     Matrix a;

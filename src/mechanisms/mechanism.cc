@@ -6,6 +6,19 @@
 #include <vector>
 
 namespace wfm {
+namespace {
+
+/// kInvalidArgument unless `workload` is over the mechanism's domain.
+Status RequireDomain(const Mechanism& mechanism,
+                     const WorkloadStats& workload) {
+  if (workload.n == mechanism.domain_size()) return Status::Ok();
+  return Status::InvalidArgument(
+      mechanism.Name() + " was built for domain size " +
+      std::to_string(mechanism.domain_size()) + ", workload has " +
+      std::to_string(workload.n));
+}
+
+}  // namespace
 
 ErrorProfile Mechanism::Analyze(const WorkloadStats& workload) const {
   StatusOr<ErrorProfile> profile = TryAnalyze(workload);
@@ -13,19 +26,16 @@ ErrorProfile Mechanism::Analyze(const WorkloadStats& workload) const {
   return std::move(profile).value();
 }
 
-StatusOr<Deployment> Mechanism::Deploy(const WorkloadStats& workload) const {
+StatusOr<Deployment> Mechanism::Deploy(
+    std::shared_ptr<const WorkloadStats> workload) const {
   (void)workload;
   return Status::FailedPrecondition(
       Name() + " is analysis-only: it does not implement a deployment path");
 }
 
 Status Mechanism::RequireDenseStats(const WorkloadStats& workload) const {
+  if (Status s = RequireDomain(*this, workload); !s.ok()) return s;
   const int n = domain_size();
-  if (workload.n != n) {
-    return Status::InvalidArgument(
-        Name() + " was built for domain size " + std::to_string(n) +
-        ", workload has " + std::to_string(workload.n));
-  }
   if (workload.gram.rows() != n || workload.gram.cols() != n) {
     return Status::FailedPrecondition(
         Name() + " requires full workload statistics (Gram matrix); build "
@@ -45,12 +55,10 @@ StrategyMechanism::StrategyMechanism(FactoredStrategy strategy, int n,
 StatusOr<FactoredAnalysis> StrategyMechanism::TryAnalyzeStrategy(
     const WorkloadStats& workload) const {
   const std::size_t k = strategy_.factors.size();
-  if (k == 1 && (workload.n != n_ || workload.gram.rows() != n_)) {
-    return Status::FailedPrecondition(
-        Name() + " holds a dense strategy over n = " + std::to_string(n_) +
-        "; workload '" + workload.name + "' has no dense Gram of that size");
-  }
-  if (k > 1) {
+  if (k == 1) {
+    if (Status s = RequireDenseStats(workload); !s.ok()) return s;
+  } else {
+    if (Status s = RequireDomain(*this, workload); !s.ok()) return s;
     if (workload.factors.size() != k) {
       return Status::FailedPrecondition(
           Name() + " holds a strategy with " + std::to_string(k) +
@@ -87,8 +95,8 @@ StatusOr<ErrorProfile> StrategyMechanism::TryAnalyze(
 }
 
 StatusOr<Deployment> StrategyMechanism::Deploy(
-    const WorkloadStats& workload) const {
-  StatusOr<FactoredAnalysis> analysis = TryAnalyzeStrategy(workload);
+    std::shared_ptr<const WorkloadStats> workload) const {
+  StatusOr<FactoredAnalysis> analysis = TryAnalyzeStrategy(*workload);
   if (!analysis.ok()) return analysis.status();
   const FactoredAnalysis& fa = analysis.value();
   WFM_CHECK_LE(fa.m(), std::numeric_limits<int>::max());
@@ -96,7 +104,8 @@ StatusOr<Deployment> StrategyMechanism::Deploy(
   b_factors.reserve(strategy_.factors.size());
   for (const Matrix* b : fa.ReconstructionFactors()) b_factors.push_back(*b);
   return Deployment{std::make_shared<StrategyReporter>(strategy_.factors),
-                    ReportDecoder(std::move(b_factors), workload),
+                    std::make_shared<const ReportDecoder>(std::move(b_factors),
+                                                          std::move(workload)),
                     fa.Profile()};
 }
 

@@ -36,10 +36,11 @@ namespace wfm {
 /// The two halves of a runnable deployment for one (mechanism, workload)
 /// pair: what runs on each device and how the server decodes the aggregate,
 /// plus the error profile of that deployment on the workload (computed from
-/// the same analysis, so Deploy() callers never re-derive it).
+/// the same analysis, so Deploy() callers never re-derive it). Both halves
+/// are immutable and shared: every session of a plan holds the same decoder.
 struct Deployment {
   std::shared_ptr<const Reporter> reporter;
-  ReportDecoder decoder;
+  std::shared_ptr<const ReportDecoder> decoder;
   ErrorProfile profile;
 };
 
@@ -67,12 +68,15 @@ class Mechanism {
 
   /// TryAnalyze for callers that know the workload fits; CHECKs its Status.
   /// Callers that can meet an unfit workload at runtime (cross-evaluation,
-  /// AutoSelect) use TryAnalyze.
+  /// AutoSelectMechanism) use TryAnalyze.
   ErrorProfile Analyze(const WorkloadStats& workload) const;
 
-  /// Client/server halves for actually running this mechanism on `workload`.
-  /// Base implementation: analysis-only mechanism, kFailedPrecondition.
-  virtual StatusOr<Deployment> Deploy(const WorkloadStats& workload) const;
+  /// Client/server halves for actually running this mechanism on `workload`
+  /// (non-null), with TryAnalyze's Status on the same stats. The decoder
+  /// shares `workload` instead of copying it. Base implementation:
+  /// analysis-only mechanism, kFailedPrecondition.
+  virtual StatusOr<Deployment> Deploy(
+      std::shared_ptr<const WorkloadStats> workload) const;
 
  protected:
   /// The precondition of the analyses that read the dense Gram:
@@ -106,13 +110,15 @@ class StrategyMechanism : public Mechanism {
   const FactoredStrategy& strategy() const { return strategy_; }
 
   /// Analysis and deployment need the workload in the strategy's row space.
-  /// A strategy with k > 1 factors also needs Kronecker stats whose factor
-  /// domains match its own; one factor analyses any stats with a dense Gram.
+  /// One factor analyses any stats that meet RequireDenseStats. A strategy
+  /// with k > 1 factors needs stats over its domain (kInvalidArgument) that
+  /// are Kronecker with factor domains matching its own (kFailedPrecondition).
   StatusOr<ErrorProfile> TryAnalyze(const WorkloadStats& workload) const override;
 
   /// The client is a StrategyReporter over the factors; the server decodes
   /// through the per-factor Theorem 3.10 reconstructions.
-  StatusOr<Deployment> Deploy(const WorkloadStats& workload) const override;
+  StatusOr<Deployment> Deploy(
+      std::shared_ptr<const WorkloadStats> workload) const override;
 
  private:
   StatusOr<FactoredAnalysis> TryAnalyzeStrategy(

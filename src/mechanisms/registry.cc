@@ -30,7 +30,7 @@ Status ValidateShape(const WorkloadStats& workload, double eps) {
 
 /// Structured domains past the dense ceiling carry no n x n Gram, and the
 /// dense baselines would allocate O(n²) just to construct. They must bow out
-/// with a Status *before* construction so AutoSelect can skip them.
+/// with a Status *before* construction so AutoSelectMechanism can skip them.
 Status RequireDenseDomain(const WorkloadStats& workload,
                           const std::string& name) {
   if (workload.factored() && workload.gram.empty()) {
@@ -254,15 +254,6 @@ MechanismRegistry::AutoSelectMechanism(const WorkloadStats& workload,
                             workload.name + "'");
   }
   return best;
-}
-
-StatusOr<std::string> MechanismRegistry::AutoSelect(
-    const WorkloadStats& workload, double eps,
-    const MechanismOptions& options) const {
-  StatusOr<AutoSelection> selection =
-      AutoSelectMechanism(workload, eps, options);
-  if (!selection.ok()) return selection.status();
-  return std::move(selection.value().name);
 }
 
 std::vector<std::string> StandardBaselineNames() {

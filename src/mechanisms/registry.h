@@ -89,10 +89,6 @@ class MechanismRegistry {
       const WorkloadStats& workload, double eps,
       const MechanismOptions& options = {}) const;
 
-  /// Name-only convenience over AutoSelectMechanism.
-  StatusOr<std::string> AutoSelect(const WorkloadStats& workload, double eps,
-                                   const MechanismOptions& options = {}) const;
-
  private:
   mutable std::mutex mutex_;
   std::vector<std::pair<std::string, MechanismFactory>> factories_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "core/factored.h"
 #include "workload/marginals.h"
@@ -41,36 +42,6 @@ StatusOr<ErrorProfile> SubsetSelectionMechanism::TryAnalyze(
              FactoredStrategy{{BuildExplicitStrategy(n_, eps_, d_)}, {eps_}},
              workload)
       .Profile();
-}
-
-double SubsetSelectionMechanism::TrueInclusionProbability() const {
-  const double e = std::exp(eps_);
-  return d_ * e / (d_ * e + n_ - d_);
-}
-
-std::vector<int> SubsetSelectionMechanism::SampleReport(int u, Rng& rng) const {
-  WFM_CHECK(u >= 0 && u < n_);
-  // Conditioned on whether u is included, the report is a uniform subset of
-  // the remaining elements (all subsets on each side share one probability).
-  const bool include_true = rng.Bernoulli(TrueInclusionProbability());
-  const int others_needed = include_true ? d_ - 1 : d_;
-
-  // Partial Fisher-Yates over the n-1 other elements.
-  std::vector<int> pool;
-  pool.reserve(n_ - 1);
-  for (int i = 0; i < n_; ++i) {
-    if (i != u) pool.push_back(i);
-  }
-  std::vector<int> subset;
-  subset.reserve(d_);
-  if (include_true) subset.push_back(u);
-  for (int j = 0; j < others_needed; ++j) {
-    const int pick = j + rng.UniformInt(static_cast<int>(pool.size()) - j);
-    std::swap(pool[j], pool[pick]);
-    subset.push_back(pool[j]);
-  }
-  std::sort(subset.begin(), subset.end());
-  return subset;
 }
 
 Matrix SubsetSelectionMechanism::BuildExplicitStrategy(int n, double eps, int d) {

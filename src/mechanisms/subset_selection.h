@@ -4,17 +4,12 @@
 // subset size is d ≈ n/(e^ε + 1).
 //
 // The strategy matrix has C(n, d) rows, so — like the paper — we only
-// materialize it for analysis at small n. Sampling a report, however, takes
-// O(n) space at any size: flip whether the true type is included (the
-// marginal inclusion probability of the true type), then draw the remaining
-// elements uniformly.
+// materialize it for analysis at small n. The mechanism is analysis-only:
+// it is not registered and has no deployment.
 
 #ifndef WFM_MECHANISMS_SUBSET_SELECTION_H_
 #define WFM_MECHANISMS_SUBSET_SELECTION_H_
 
-#include <vector>
-
-#include "linalg/rng.h"
 #include "mechanisms/mechanism.h"
 
 namespace wfm {
@@ -36,13 +31,6 @@ class SubsetSelectionMechanism final : public Mechanism {
   /// fails as RequireDenseStats does.
   bool SupportsAnalysis() const;
   StatusOr<ErrorProfile> TryAnalyze(const WorkloadStats& workload) const override;
-
-  /// Marginal probability that the report includes the true type:
-  ///   d e^ε / (d e^ε + n - d).
-  double TrueInclusionProbability() const;
-
-  /// Samples a report (subset as a sorted index list) in O(n) time/space.
-  std::vector<int> SampleReport(int u, Rng& rng) const;
 
   /// Explicit strategy matrix over all C(n, d) subsets (small n only).
   static Matrix BuildExplicitStrategy(int n, double eps, int d);

@@ -32,11 +32,12 @@ StatusOr<ErrorProfile> UnaryEncodingMechanism::TryAnalyze(
 }
 
 StatusOr<Deployment> UnaryEncodingMechanism::Deploy(
-    const WorkloadStats& workload) const {
-  StatusOr<ErrorProfile> profile = TryAnalyze(workload);
+    std::shared_ptr<const WorkloadStats> workload) const {
+  StatusOr<ErrorProfile> profile = TryAnalyze(*workload);
   if (!profile.ok()) return profile.status();
   return Deployment{std::make_shared<BitVectorReporter>(n_, p_, q_),
-                    ReportDecoder(AffineDebias{p_, q_}, workload),
+                    std::make_shared<const ReportDecoder>(AffineDebias{p_, q_},
+                                                          std::move(workload)),
                     std::move(profile).value()};
 }
 

@@ -56,7 +56,8 @@ class UnaryEncodingMechanism final : public Mechanism {
 
   /// n-bit-vector reports through a BitVectorReporter(n, p, q), decoded with
   /// the report-count-aware AffineDebias{p, q}.
-  StatusOr<Deployment> Deploy(const WorkloadStats& workload) const override;
+  StatusOr<Deployment> Deploy(
+      std::shared_ptr<const WorkloadStats> workload) const override;
 
   /// The explicit 2^n x n strategy matrix, for validation at tiny n.
   static Matrix BuildExplicitStrategy(int n, double p, double q);

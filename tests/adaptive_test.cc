@@ -75,12 +75,15 @@ class DriftDetectorTest : public ::testing::Test {
   DriftDetectorTest()
       : q_(RandomizedResponseMechanism::BuildStrategy(kN, kEps)),
         workload_(std::make_shared<const PrefixWorkload>(kN)),
-        analysis_(q_, WorkloadStats::From(*workload_)),
-        decoder_({analysis_.ReconstructionB()}, analysis_.workload()),
+        stats_(std::make_shared<const WorkloadStats>(
+            WorkloadStats::From(*workload_))),
+        analysis_(q_, *stats_),
+        decoder_({analysis_.ReconstructionB()}, stats_),
         randomizer_(q_) {}
 
   Matrix q_;
   std::shared_ptr<const PrefixWorkload> workload_;
+  std::shared_ptr<const WorkloadStats> stats_;
   FactorizationAnalysis analysis_;
   ReportDecoder decoder_;
   LocalRandomizer randomizer_;
@@ -166,8 +169,8 @@ TEST_F(DriftDetectorTest, RejectsEmptyEpochsAndWrongDimensions) {
 // the same decoder built from the explicit KroneckerProduct, and the drift
 // detector must score factored deployments like dense ones.
 TEST(DriftDetectorKroneckerTest, FactoredVarianceMatchesComposedDecoder) {
-  const WorkloadStats stats =
-      WorkloadStats::From(*ParseWorkload("Prefix(3)xPrefix(4)"));
+  const auto stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(*ParseWorkload("Prefix(3)xPrefix(4)")));
   Rng rng(29);
   Matrix b0(3, 5);
   Matrix b1(4, 2);

@@ -71,10 +71,13 @@ Report BitsReport(std::vector<std::uint8_t> bits) {
 std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
-  const FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  ReportDecoder decoder({analysis.ReconstructionB()}, analysis.workload());
-  return std::make_unique<CollectionSession>(std::move(decoder),
-                                             std::move(workload), num_shards);
+  const auto stats =
+      std::make_shared<const WorkloadStats>(WorkloadStats::From(*workload));
+  const FactorizationAnalysis analysis(q, *stats);
+  return std::make_unique<CollectionSession>(
+      std::make_shared<const ReportDecoder>(
+          std::vector<Matrix>{analysis.ReconstructionB()}, stats),
+      std::move(workload), num_shards);
 }
 
 // Death tests first (gtest runs *DeathTest suites before the rest, while no
@@ -380,9 +383,11 @@ TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const PrefixWorkload>(n);
-  const FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  const ReportDecoder decoder({analysis.ReconstructionB()},
-                              analysis.workload());
+  const auto stats =
+      std::make_shared<const WorkloadStats>(WorkloadStats::From(*workload));
+  const FactorizationAnalysis analysis(q, *stats);
+  const auto decoder = std::make_shared<const ReportDecoder>(
+      std::vector<Matrix>{analysis.ReconstructionB()}, stats);
   CollectionSession session(decoder, workload, /*num_shards=*/2);
 
   const std::vector<Report> reports = MakeReports(n, 20000, /*seed=*/77);
@@ -394,7 +399,7 @@ TEST(EstimateServerTest, ServesTheSameAnswersAsTheOfflinePipeline) {
        {EstimatorKind::kUnbiased, EstimatorKind::kWnnls}) {
     const WorkloadEstimate served = server.Serve(kind).value();
     const WorkloadEstimate direct = EstimateWorkloadAnswers(
-        decoder, *workload, session.LatestSnapshot()->histogram,
+        *decoder, *workload, session.LatestSnapshot()->histogram,
         session.LatestSnapshot()->count, kind);
     EXPECT_EQ(served.data_vector, direct.data_vector);
     EXPECT_EQ(served.query_answers, direct.query_answers);
@@ -510,8 +515,10 @@ TEST(CollectionSessionTest, BitVectorEpochCountAccountingUnderConcurrentSeals) {
   const int reports_per_thread = 30000;
 
   auto workload = std::make_shared<const HistogramWorkload>(n);
+  const auto stats =
+      std::make_shared<const WorkloadStats>(WorkloadStats::From(*workload));
   CollectionSession session(
-      ReportDecoder(AffineDebias{0.75, 0.25}, WorkloadStats::From(*workload)),
+      std::make_shared<const ReportDecoder>(AffineDebias{0.75, 0.25}, stats),
       workload, kIngestThreads, ReportKind::kBitVector);
   ASSERT_EQ(session.report_kind(), ReportKind::kBitVector);
 
@@ -575,8 +582,10 @@ TEST(EstimateServerTest, AffineDecodeUsesPerEpochReportCounts) {
   const int n = 4;
   const double p = 0.75, q = 0.25;
   auto workload = std::make_shared<const HistogramWorkload>(n);
+  const auto stats =
+      std::make_shared<const WorkloadStats>(WorkloadStats::From(*workload));
   CollectionSession session(
-      ReportDecoder(AffineDebias{p, q}, WorkloadStats::From(*workload)),
+      std::make_shared<const ReportDecoder>(AffineDebias{p, q}, stats),
       workload, /*num_shards=*/1, ReportKind::kBitVector);
   EstimateServer server(&session);
 
@@ -628,10 +637,13 @@ TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
     }
   }
 
-  const FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  const ReportDecoder decoder({analysis.ReconstructionB()},
-                              analysis.workload());
-  CollectionSession session(decoder, workload, kIngestThreads);
+  const auto stats =
+      std::make_shared<const WorkloadStats>(WorkloadStats::From(*workload));
+  const FactorizationAnalysis analysis(q, *stats);
+  CollectionSession session(
+      std::make_shared<const ReportDecoder>(
+          std::vector<Matrix>{analysis.ReconstructionB()}, stats),
+      workload, kIngestThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kIngestThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -787,8 +799,10 @@ TEST(UnifiedIngestTest, ConcurrentAcceptBatchConservesEveryReport) {
   const int n = 8;
   const int per_thread = 400;
   auto workload = std::make_shared<const HistogramWorkload>(n);
+  const auto stats =
+      std::make_shared<const WorkloadStats>(WorkloadStats::From(*workload));
   CollectionSession session(
-      ReportDecoder(AffineDebias{0.75, 0.25}, WorkloadStats::From(*workload)),
+      std::make_shared<const ReportDecoder>(AffineDebias{0.75, 0.25}, stats),
       workload, kIngestThreads, ReportKind::kBitVector);
 
   std::vector<std::vector<Report>> streams(kIngestThreads);

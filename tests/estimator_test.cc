@@ -2,6 +2,8 @@
 
 #include "estimation/estimator.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/projection.h"
@@ -18,9 +20,10 @@ TEST(EstimatorTest, ShapesMatchWorkload) {
   const int n = 6;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   const PrefixWorkload workload(n);
-  const FactorizationAnalysis analysis(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder({analysis.ReconstructionB()},
-                              analysis.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(workload));
+  const FactorizationAnalysis analysis(q, *shared_stats);
+  const ReportDecoder decoder({analysis.ReconstructionB()}, shared_stats);
   Rng rng(161);
   const Vector y = SimulateResponseHistogram(q, {10, 20, 5, 0, 3, 2}, rng);
   for (auto kind : {EstimatorKind::kUnbiased, EstimatorKind::kWnnls}) {
@@ -38,9 +41,10 @@ TEST(EstimatorTest, WnnlsAnswersAreConsistent) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 0.5);
   const PrefixWorkload workload(n);
-  const FactorizationAnalysis analysis(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder({analysis.ReconstructionB()},
-                              analysis.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(workload));
+  const FactorizationAnalysis analysis(q, *shared_stats);
+  const ReportDecoder decoder({analysis.ReconstructionB()}, shared_stats);
   Rng rng(162);
   for (int trial = 0; trial < 10; ++trial) {
     const Vector y = SimulateResponseHistogram(q, {5, 0, 0, 3, 0, 0, 0, 2}, rng);
@@ -61,9 +65,10 @@ TEST(EstimatorTest, UnbiasedAnswersCanBeInconsistent) {
   const int n = 8;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 0.5);
   const HistogramWorkload workload(n);
-  const FactorizationAnalysis analysis(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder({analysis.ReconstructionB()},
-                              analysis.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(workload));
+  const FactorizationAnalysis analysis(q, *shared_stats);
+  const ReportDecoder decoder({analysis.ReconstructionB()}, shared_stats);
   Rng rng(163);
   bool saw_negative = false;
   for (int trial = 0; trial < 50 && !saw_negative; ++trial) {
@@ -80,10 +85,10 @@ TEST(EstimatorTest, UnbiasedAnswersCanBeInconsistent) {
 
 TEST(EstimatorDeathTest, WorkloadDomainMismatch) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(4, 1.0);
-  const FactorizationAnalysis analysis(
-      q, WorkloadStats::From(HistogramWorkload(4)));
-  const ReportDecoder decoder({analysis.ReconstructionB()},
-                              analysis.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(HistogramWorkload(4)));
+  const FactorizationAnalysis analysis(q, *shared_stats);
+  const ReportDecoder decoder({analysis.ReconstructionB()}, shared_stats);
   const PrefixWorkload other(5);
   const Vector y(4, 1.0);
   EXPECT_DEATH(

@@ -5,6 +5,7 @@
 #include "core/factorization.h"
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -207,8 +208,10 @@ TEST(FactorizationTest, EstimateDataVectorIsUnbiasedMap) {
   Rng rng(78);
   const int n = 5;
   const Matrix q = RandomStrategy(20, n, 1.0, rng);
-  FactorizationAnalysis fa(q, WorkloadStats::From(HistogramWorkload(n)));
-  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(HistogramWorkload(n)));
+  FactorizationAnalysis fa(q, *shared_stats);
+  const ReportDecoder decoder({fa.ReconstructionB()}, shared_stats);
   const Vector x{1, 2, 3, 4, 5};
   const Vector y = MultiplyVec(q, x);  // Expected response histogram.
   const Vector x_hat = decoder.EstimateDataVector(y, /*num_reports=*/15);

@@ -3,6 +3,7 @@
 // error against the analytic prediction — the complete deployment story.
 
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -34,7 +35,8 @@ TEST(IntegrationTest, OptimizeSimulateEstimatePrefix) {
 
   const OptimizedMechanism mech(stats, eps, TestConfig());
   const FactorizationAnalysis fa(mech.strategy().factors[0], stats);
-  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
+  const ReportDecoder decoder({fa.ReconstructionB()},
+                              std::make_shared<const WorkloadStats>(stats));
 
   const Dataset data = MakeSyntheticDataset("HEPTH", n, 20000);
   const Vector truth = workload->Apply(data.histogram);
@@ -142,7 +144,8 @@ TEST(IntegrationTest, WnnlsNeverIncreasesErrorMuchAndHelpsWhenSparse) {
   const WorkloadStats stats = WorkloadStats::From(*workload);
   const OptimizedMechanism mech(stats, eps, TestConfig());
   const FactorizationAnalysis fa(mech.strategy().factors[0], stats);
-  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
+  const ReportDecoder decoder({fa.ReconstructionB()},
+                              std::make_shared<const WorkloadStats>(stats));
 
   // Sparse low-N data: the regime where consistency helps (Figure 4).
   const Dataset data = SampleUsers(MakeSyntheticDataset("HEPTH", n, 100000), 500, 9);

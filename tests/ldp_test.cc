@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,8 +102,10 @@ TEST(ProtocolTest, UnbiasedWorkloadEstimates) {
   const int n = 5;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   const PrefixWorkload workload(n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(workload));
+  FactorizationAnalysis fa(q, *shared_stats);
+  const ReportDecoder decoder({fa.ReconstructionB()}, shared_stats);
   const Vector x{40, 10, 25, 5, 20};
   const Vector truth = workload.Apply(x);
 
@@ -128,8 +131,10 @@ TEST(ProtocolTest, EmpiricalVarianceMatchesTheorem34) {
   const double eps = 1.0;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, eps);
   const HistogramWorkload workload(n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(workload));
+  FactorizationAnalysis fa(q, *shared_stats);
+  const ReportDecoder decoder({fa.ReconstructionB()}, shared_stats);
   const Vector x{30, 50, 10, 10};
   const Vector truth = workload.Apply(x);
   const double analytic = fa.Profile().DataVariance(x);

@@ -90,6 +90,11 @@ OptimizerConfig SmallConfig(std::uint64_t seed) {
   return config;
 }
 
+std::shared_ptr<const WorkloadStats> HistogramStats(int n) {
+  return std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(HistogramWorkload(n)));
+}
+
 // Example 2.2-style skewed counts summing exactly to `total`.
 Vector SkewedTruth(int n, int total) {
   Vector truth(n, 0.0);
@@ -254,10 +259,11 @@ TEST(MechanismConformanceTest, FactoredDeploymentMatchesAnalyzedVariance) {
   ASSERT_EQ(result.strategy.factors.size(), 2u);
   const FixedStrategyMechanism mechanism(std::move(result.strategy), stats.n,
                                          fx.eps, "Optimized");
-  const StatusOr<Deployment> deployed = mechanism.Deploy(stats);
+  const StatusOr<Deployment> deployed =
+      mechanism.Deploy(std::make_shared<const WorkloadStats>(stats));
   ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
   const Deployment& deployment = deployed.value();
-  ASSERT_EQ(deployment.decoder.b_factors().size(), 2u);
+  ASSERT_EQ(deployment.decoder->b_factors().size(), 2u);
 
   const Vector truth = SkewedTruth(stats.n, fx.num_users);
   const double analytic = deployment.profile.DataVariance(truth);
@@ -280,7 +286,7 @@ TEST(MechanismConformanceTest, FactoredDeploymentMatchesAnalyzedVariance) {
       }
     }
     trial_answers.push_back(
-        EstimateWorkloadAnswers(deployment.decoder, *workload, y,
+        EstimateWorkloadAnswers(*deployment.decoder, *workload, y,
                                 fx.num_users, EstimatorKind::kUnbiased)
             .query_answers);
   }
@@ -311,8 +317,7 @@ TEST(AffineDebiasPropertyTest, NoiselessExpectedCountsInvertExactly) {
     Vector y(n);
     for (int u = 0; u < n; ++u) y[u] = q * num_users + (p - q) * x[u];
 
-    const ReportDecoder decoder(AffineDebias{p, q},
-                                WorkloadStats::From(HistogramWorkload(n)));
+    const ReportDecoder decoder(AffineDebias{p, q}, HistogramStats(n));
     ASSERT_TRUE(decoder.needs_report_count());
     const Vector x_hat = decoder.EstimateDataVector(y, count);
     for (int u = 0; u < n; ++u) {
@@ -342,8 +347,7 @@ TEST(AffineDebiasPropertyTest, MonteCarloUnbiasedOnRandomParameterGrid) {
     const double p = q + param_rng.Uniform(0.1, 0.5);
     ASSERT_LE(p, 1.0);
     const BitVectorReporter reporter(n, p, q);
-    const ReportDecoder decoder(AffineDebias{p, q},
-                                WorkloadStats::From(HistogramWorkload(n)));
+    const ReportDecoder decoder(AffineDebias{p, q}, HistogramStats(n));
     Rng rng(9000 + rep);
 
     Vector mean(n, 0.0);
@@ -374,8 +378,7 @@ TEST(AffineDebiasPropertyTest, MonteCarloUnbiasedOnRandomParameterGrid) {
 }
 
 TEST(AffineDebiasPropertyTest, DecoderRejectsMalformedInputsAsStatus) {
-  const ReportDecoder decoder(AffineDebias{0.75, 0.25},
-                              WorkloadStats::From(HistogramWorkload(4)));
+  const ReportDecoder decoder(AffineDebias{0.75, 0.25}, HistogramStats(4));
   // Wrong aggregate dimension: a runtime-reachable condition (mismatched
   // snapshot / report stream), so Status — not a CHECK abort.
   const StatusOr<Vector> wrong_dim =
@@ -390,7 +393,7 @@ TEST(AffineDebiasPropertyTest, DecoderRejectsMalformedInputsAsStatus) {
 
   // The same dimension check holds for linear decoders.
   const Matrix q = Matrix::Identity(4);
-  const ReportDecoder linear({q}, WorkloadStats::From(HistogramWorkload(4)));
+  const ReportDecoder linear({q}, HistogramStats(4));
   EXPECT_EQ(linear.TryEstimateDataVector(Vector(3, 0.0), /*num_reports=*/0)
                 .status()
                 .code(),

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,11 @@
 
 namespace wfm {
 namespace {
+
+/// Deploy takes the statistics it shares with the decoder it builds.
+std::shared_ptr<const WorkloadStats> Shared(const WorkloadStats& stats) {
+  return std::make_shared<const WorkloadStats>(stats);
+}
 
 struct GridCase {
   std::string mechanism;
@@ -256,19 +262,20 @@ TEST(RegistryTest, AutoSelectPicksTheMinimumVarianceEntry) {
 
   const auto histogram = CreateWorkload("Histogram", 16);
   const WorkloadStats stats = WorkloadStats::From(*histogram);
-  const auto selected = registry.AutoSelect(stats, 1.0);
+  const auto selected = registry.AutoSelectMechanism(stats, 1.0);
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
-  EXPECT_EQ(selected.value(), "RR");
+  EXPECT_EQ(selected.value().name, "RR");
 
   const auto prefix = CreateWorkload("Prefix", 16);
   const auto selected_prefix =
-      registry.AutoSelect(WorkloadStats::From(*prefix), 1.0);
+      registry.AutoSelectMechanism(WorkloadStats::From(*prefix), 1.0);
   ASSERT_TRUE(selected_prefix.ok());
-  EXPECT_EQ(selected_prefix.value(), "Hier");
+  EXPECT_EQ(selected_prefix.value().name, "Hier");
 }
 
 TEST(RegistryTest, AutoSelectSkipsMechanismsThatCannotRun) {
-  // n = 12: Fourier cannot construct; AutoSelect must not fail, just skip.
+  // n = 12: Fourier cannot construct; AutoSelectMechanism must not fail, just
+  // skip.
   const auto histogram = CreateWorkload("Histogram", 12);
   const WorkloadStats stats = WorkloadStats::From(*histogram);
   MechanismOptions options;
@@ -276,9 +283,9 @@ TEST(RegistryTest, AutoSelectSkipsMechanismsThatCannotRun) {
   options.optimizer.step_search_iterations = 10;
   options.optimizer.seed = 3;
   const auto selected =
-      MechanismRegistry::Global().AutoSelect(stats, 1.0, options);
+      MechanismRegistry::Global().AutoSelectMechanism(stats, 1.0, options);
   ASSERT_TRUE(selected.ok()) << selected.status().ToString();
-  EXPECT_TRUE(MechanismRegistry::Global().Contains(selected.value()));
+  EXPECT_TRUE(MechanismRegistry::Global().Contains(selected.value().name));
 }
 
 TEST(RegistryTest, StatsAMechanismCannotUseAreStatusesNotAborts) {
@@ -305,18 +312,16 @@ TEST(RegistryTest, StatsAMechanismCannotUseAreStatusesNotAborts) {
         MechanismRegistry::Global().Create(name, built_for, 1.0, options);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     const Mechanism& mechanism = *created.value();
-    for (const WorkloadStats* stats : {&wider, &shape_only}) {
-      EXPECT_FALSE(mechanism.TryAnalyze(*stats).ok()) << "n = " << stats->n;
-      EXPECT_FALSE(mechanism.Deploy(*stats).ok()) << "n = " << stats->n;
+    // One precondition for every family: another domain size is
+    // kInvalidArgument, stats without the Gram are kFailedPrecondition.
+    for (const auto& [stats, code] :
+         {std::pair{&wider, StatusCode::kInvalidArgument},
+          std::pair{&shape_only, StatusCode::kFailedPrecondition}}) {
+      EXPECT_EQ(mechanism.TryAnalyze(*stats).status().code(), code)
+          << "n = " << stats->n;
+      EXPECT_EQ(mechanism.Deploy(Shared(*stats)).status().code(), code)
+          << "n = " << stats->n;
     }
-    if (dynamic_cast<const StrategyMechanism*>(&mechanism) != nullptr) {
-      continue;  // Covered by StrategyMechanismTest below.
-    }
-    // Matrix Mechanism, RAPPOR and OUE read the dense Gram directly.
-    EXPECT_EQ(mechanism.TryAnalyze(wider).status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(mechanism.TryAnalyze(shape_only).status().code(),
-              StatusCode::kFailedPrecondition);
   }
 
   // At n = 1 no Matrix Mechanism candidate has a positive sensitivity.
@@ -343,9 +348,9 @@ TEST(RegistryTest, StatsAMechanismCannotUseAreStatusesNotAborts) {
                 .code(),
             StatusCode::kFailedPrecondition);
 
-  // No entry can analyze shape-only stats, so AutoSelect finds none.
-  const StatusOr<std::string> selected =
-      MechanismRegistry::Global().AutoSelect(shape_only, 1.0, options);
+  // No entry can analyze shape-only stats, so AutoSelectMechanism finds none.
+  const auto selected = MechanismRegistry::Global().AutoSelectMechanism(
+      shape_only, 1.0, options);
   EXPECT_EQ(selected.status().code(), StatusCode::kNotFound);
 }
 
@@ -398,14 +403,15 @@ TEST(OptimizedMechanismTest, NeverWorseThanBaselinesOnTargetWorkload) {
   }
 }
 
-TEST(StrategyMechanismTest, StatsTheStrategyDoesNotFitAreFailedPrecondition) {
-  // One factor needs a dense Gram over its own domain.
+TEST(StrategyMechanismTest, StatsOfAnotherDomainOrShapeAreStatuses) {
+  // One factor needs a dense Gram over its own domain; another domain size
+  // is kInvalidArgument, as for every mechanism.
   const RandomizedResponseMechanism dense(4, 1.0);
   const WorkloadStats wider = WorkloadStats::From(*CreateWorkload("Prefix", 8));
   EXPECT_EQ(dense.TryAnalyze(wider).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(dense.Deploy(wider).status().code(),
-            StatusCode::kFailedPrecondition);
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dense.Deploy(Shared(wider)).status().code(),
+            StatusCode::kInvalidArgument);
 
   // k > 1 factors need Kronecker stats with matching factors.
   const FixedStrategyMechanism mechanism(
@@ -416,7 +422,13 @@ TEST(StrategyMechanismTest, StatsTheStrategyDoesNotFitAreFailedPrecondition) {
   const WorkloadStats matching =
       WorkloadStats::From(*ParseWorkload("Prefix(4)xHistogram(2)"));
   ASSERT_TRUE(mechanism.TryAnalyze(matching).ok());
-  ASSERT_TRUE(mechanism.Deploy(matching).ok());
+  ASSERT_TRUE(mechanism.Deploy(Shared(matching)).ok());
+  const WorkloadStats wider_factors =
+      WorkloadStats::From(*ParseWorkload("Prefix(4)xHistogram(4)"));
+  EXPECT_EQ(mechanism.TryAnalyze(wider_factors).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(mechanism.Deploy(Shared(wider_factors)).status().code(),
+            StatusCode::kInvalidArgument);
 
   for (const char* spec : {
            "Prefix(8)",                             // Flat stats.
@@ -428,7 +440,7 @@ TEST(StrategyMechanismTest, StatsTheStrategyDoesNotFitAreFailedPrecondition) {
     EXPECT_EQ(mechanism.TryAnalyze(stats).status().code(),
               StatusCode::kFailedPrecondition)
         << spec;
-    EXPECT_EQ(mechanism.Deploy(stats).status().code(),
+    EXPECT_EQ(mechanism.Deploy(Shared(stats)).status().code(),
               StatusCode::kFailedPrecondition)
         << spec;
   }
@@ -458,11 +470,11 @@ TEST(StrategyMechanismTest, DenseStrategiesMatchTheOneFactorAnalysisExactly) {
     const FactorizationAnalysis fa(mechanism->strategy().factors[0], stats);
 
     EXPECT_EQ(mechanism->Analyze(stats).phi, fa.PerUserVariance());
-    const StatusOr<Deployment> deployment = mechanism->Deploy(stats);
+    const StatusOr<Deployment> deployment = mechanism->Deploy(Shared(stats));
     ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
     EXPECT_EQ(deployment.value().profile.phi, fa.PerUserVariance());
-    ASSERT_EQ(deployment.value().decoder.b_factors().size(), 1u);
-    const Matrix& b = deployment.value().decoder.b_factors()[0];
+    ASSERT_EQ(deployment.value().decoder->b_factors().size(), 1u);
+    const Matrix& b = deployment.value().decoder->b_factors()[0];
     const Matrix& b_dense = fa.ReconstructionB();
     ASSERT_EQ(b.rows(), b_dense.rows());
     ASSERT_EQ(b.cols(), b_dense.cols());

@@ -79,7 +79,7 @@ TEST(PlanParityTest, BitIdenticalToManualQuickstartWiring) {
     }
   }
   const ReportDecoder decoder({analysis.ReconstructionB()},
-                              analysis.workload());
+                              std::make_shared<const WorkloadStats>(stats));
   const WorkloadEstimate manual = EstimateWorkloadAnswers(
       decoder, *workload, histogram, num_users, EstimatorKind::kWnnls);
 
@@ -491,8 +491,8 @@ TEST(PlanBuilderTest, AutoSelectsTheRegistryArgmin) {
   MechanismOptions options;
   options.optimizer = SmallConfig(/*seed=*/5);
 
-  const StatusOr<std::string> expected =
-      MechanismRegistry::Global().AutoSelect(stats, eps, options);
+  const StatusOr<MechanismRegistry::AutoSelection> expected =
+      MechanismRegistry::Global().AutoSelectMechanism(stats, eps, options);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   const StatusOr<Plan> built = Plan::For(workload)
@@ -501,7 +501,7 @@ TEST(PlanBuilderTest, AutoSelectsTheRegistryArgmin) {
                                    .Optimizer(options.optimizer)
                                    .Build();
   ASSERT_TRUE(built.ok()) << built.status().ToString();
-  EXPECT_EQ(built.value().mechanism_name(), expected.value());
+  EXPECT_EQ(built.value().mechanism_name(), expected.value().name);
 }
 
 TEST(PlanSessionTest, WorkloadOutsideTheRowSpaceIsFailedPrecondition) {
@@ -519,7 +519,9 @@ TEST(PlanSessionTest, WorkloadOutsideTheRowSpaceIsFailedPrecondition) {
   const FixedStrategyMechanism mechanism(FactoredStrategy{{q}, {eps}}, 4, eps);
   EXPECT_EQ(mechanism.TryAnalyze(stats).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(mechanism.Deploy(stats).status().code(),
+  EXPECT_EQ(mechanism.Deploy(std::make_shared<const WorkloadStats>(stats))
+                .status()
+                .code(),
             StatusCode::kFailedPrecondition);
 
   const StatusOr<Plan> plan = Plan::For(workload)
@@ -603,6 +605,35 @@ TEST(PlanSessionTest, SnapshotAccessAndRestoreRoundTrip) {
   malformed.histogram = {1.0};  // Wrong dimension for this deployment.
   EXPECT_EQ(other->RestoreSealedEpoch(malformed).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(PlanSessionTest, SessionsAndRollsShareThePlansDecoderAndStats) {
+  // The plan builds its statistics once; every session decodes version 0
+  // with the plan's own decoder, and a roll deploys against the same stats.
+  const StatusOr<Plan> built =
+      Plan::For(std::make_shared<HistogramWorkload>(8))
+          .Epsilon(1.0)
+          .Mechanism("Randomized Response")
+          .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const Plan& plan = built.value();
+  std::unique_ptr<PlanSession> session = plan.StartSession(4);
+  std::unique_ptr<PlanSession> other = plan.StartSession(1);
+  const CollectionSession& collection = session->session();
+  EXPECT_EQ(&collection.decoder(), collection.DecoderForVersion(0).get());
+  EXPECT_EQ(&collection.decoder(), &other->session().decoder());
+  EXPECT_EQ(&collection.decoder().workload_stats(), &plan.stats());
+
+  ASSERT_NE(plan.DeployedStrategy(), nullptr);
+  const StatusOr<int> staged = session->RollStrategy(*plan.DeployedStrategy());
+  ASSERT_TRUE(staged.ok()) << staged.status().ToString();
+  EXPECT_EQ(staged.value(), 1);
+  session->Seal();
+  const std::shared_ptr<const ReportDecoder> rolled =
+      collection.DecoderForVersion(1);
+  ASSERT_NE(rolled, nullptr);
+  EXPECT_NE(rolled.get(), &collection.decoder());
+  EXPECT_EQ(&rolled->workload_stats(), &plan.stats());
 }
 
 }  // namespace

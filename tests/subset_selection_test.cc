@@ -3,7 +3,6 @@
 #include "mechanisms/subset_selection.h"
 
 #include <cmath>
-#include <set>
 
 #include <gtest/gtest.h>
 
@@ -32,51 +31,6 @@ TEST(SubsetSelectionTest, ExplicitStrategyIsValidLdp) {
     EXPECT_EQ(q.rows(), static_cast<int>(BinomialCoefficient(8, m.subset_size())));
     const StrategyValidation v = ValidateStrategy(q, eps, 1e-9);
     EXPECT_TRUE(v.valid) << "eps=" << eps << ": " << v.ToString();
-  }
-}
-
-TEST(SubsetSelectionTest, TrueInclusionProbabilityFormula) {
-  SubsetSelectionMechanism m(10, 1.0, 3);
-  const double e = std::exp(1.0);
-  EXPECT_NEAR(m.TrueInclusionProbability(), 3 * e / (3 * e + 7), 1e-12);
-}
-
-TEST(SubsetSelectionTest, SampleReportShape) {
-  Rng rng(121);
-  SubsetSelectionMechanism m(12, 1.0, 4);
-  for (int t = 0; t < 200; ++t) {
-    const auto subset = m.SampleReport(5, rng);
-    EXPECT_EQ(subset.size(), 4u);
-    std::set<int> unique(subset.begin(), subset.end());
-    EXPECT_EQ(unique.size(), 4u) << "duplicates in report";
-    for (int v : subset) {
-      EXPECT_GE(v, 0);
-      EXPECT_LT(v, 12);
-    }
-  }
-}
-
-TEST(SubsetSelectionTest, SamplerMatchesStrategyMatrixMarginals) {
-  // Empirical inclusion frequency of each element must match the column of
-  // the explicit strategy: P(u' in S | u) = sum over subsets containing u'.
-  Rng rng(122);
-  const int n = 6;
-  const double eps = 1.0;
-  SubsetSelectionMechanism m(n, eps);
-  const int d = m.subset_size();
-  const int u = 2;
-  const int trials = 40000;
-  std::vector<int> inclusion(n, 0);
-  for (int t = 0; t < trials; ++t) {
-    for (int v : m.SampleReport(u, rng)) ++inclusion[v];
-  }
-  const double p_true = m.TrueInclusionProbability();
-  // Non-true elements share the remaining d - p_true slots symmetrically.
-  const double p_other = (d - p_true) / (n - 1);
-  for (int v = 0; v < n; ++v) {
-    const double expect = (v == u ? p_true : p_other) * trials;
-    EXPECT_NEAR(inclusion[v], expect, 5.0 * std::sqrt(trials * 0.25) + 1)
-        << "element " << v;
   }
 }
 

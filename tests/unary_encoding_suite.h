@@ -61,6 +61,11 @@ std::unique_ptr<Mechanism> Create(const std::string& name,
   return std::move(created).value();
 }
 
+std::shared_ptr<const WorkloadStats> HistogramStats(int n) {
+  return std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(HistogramWorkload(n)));
+}
+
 const UnaryEncodingMechanism& AsUnary(const std::unique_ptr<Mechanism>& m) {
   return dynamic_cast<const UnaryEncodingMechanism&>(*m);
 }
@@ -79,7 +84,7 @@ Vector DeployedEstimate(const Deployment& deployment, const Vector& x,
       for (int i = 0; i < n; ++i) counts[i] += report.bits[i];
     }
   }
-  return EstimateWorkloadAnswers(deployment.decoder, HistogramWorkload(n),
+  return EstimateWorkloadAnswers(*deployment.decoder, HistogramWorkload(n),
                                  counts, num_users, EstimatorKind::kUnbiased)
       .data_vector;
 }
@@ -89,18 +94,18 @@ class UnaryEncodingTest : public ::testing::TestWithParam<UnaryCase> {};
 TEST_P(UnaryEncodingTest, RegistryPqAndDeploymentMatchThePublishedFormulas) {
   const std::string name = GetParam().name;
   const int n = 70;  // Two report words, the second one partial.
-  const WorkloadStats stats = WorkloadStats::From(HistogramWorkload(n));
+  const auto stats = HistogramStats(n);
   for (double eps : {0.5, 1.0, 2.0}) {
     const auto [p, q] = ExpectedPq(name, eps);
-    const std::unique_ptr<Mechanism> mechanism = Create(name, stats, eps);
+    const std::unique_ptr<Mechanism> mechanism = Create(name, *stats, eps);
     EXPECT_EQ(mechanism->Name(), name);
     EXPECT_EQ(AsUnary(mechanism).p(), p) << "eps " << eps;
     EXPECT_EQ(AsUnary(mechanism).q(), q) << "eps " << eps;
 
     const StatusOr<Deployment> deployment = mechanism->Deploy(stats);
     ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
-    EXPECT_EQ(deployment.value().decoder.affine_debias().p, p);
-    EXPECT_EQ(deployment.value().decoder.affine_debias().q, q);
+    EXPECT_EQ(deployment.value().decoder->affine_debias().p, p);
+    EXPECT_EQ(deployment.value().decoder->affine_debias().q, q);
     // The deployed reporter draws exactly what BitVectorReporter(n, p, q)
     // draws, so reports and wire bytes are those of these (p, q).
     const BitVectorReporter reference(n, p, q);
@@ -134,8 +139,9 @@ TEST_P(UnaryEncodingTest, AnalysisMatchesClosedFormOnHistogram) {
   const int n = 8;
   const double eps = 1.0;
   const auto [p, q] = ExpectedPq(GetParam().name, eps);
-  const WorkloadStats stats = WorkloadStats::From(HistogramWorkload(n));
-  const ErrorProfile profile = Create(GetParam().name, stats, eps)->Analyze(stats);
+  const auto stats = HistogramStats(n);
+  const ErrorProfile profile =
+      Create(GetParam().name, *stats, eps)->Analyze(*stats);
   const double expected =
       (q * (1 - q) * (n - 1) + p * (1 - p)) / ((p - q) * (p - q));
   ASSERT_EQ(profile.phi.size(), static_cast<std::size_t>(n));
@@ -147,9 +153,9 @@ TEST_P(UnaryEncodingTest, DeployedReportBitMarginals) {
   const int n = 6;
   const double eps = 1.0;
   const auto [p, q] = ExpectedPq(GetParam().name, eps);
-  const WorkloadStats stats = WorkloadStats::From(HistogramWorkload(n));
+  const auto stats = HistogramStats(n);
   const Deployment deployment =
-      Create(GetParam().name, stats, eps)->Deploy(stats).value();
+      Create(GetParam().name, *stats, eps)->Deploy(stats).value();
   const int trials = 20000;
   std::vector<int> ones(n, 0);
   for (int t = 0; t < trials; ++t) {
@@ -168,9 +174,9 @@ TEST_P(UnaryEncodingTest, DeployedEstimateIsUnbiased) {
   const int n = 5;
   const double eps = 1.0;
   const auto [p, q] = ExpectedPq(GetParam().name, eps);
-  const WorkloadStats stats = WorkloadStats::From(HistogramWorkload(n));
+  const auto stats = HistogramStats(n);
   const Deployment deployment =
-      Create(GetParam().name, stats, eps)->Deploy(stats).value();
+      Create(GetParam().name, *stats, eps)->Deploy(stats).value();
   const Vector x{100, 0, 50, 25, 25};
   const int trials = GetParam().unbiased_trials;
   Vector mean(n, 0.0);
@@ -190,8 +196,9 @@ TEST_P(UnaryEncodingTest, DeployedVarianceMatchesAnalysis) {
   const int n = 4;
   const double eps = 1.0;
   const auto [p, q] = ExpectedPq(GetParam().name, eps);
-  const WorkloadStats stats = WorkloadStats::From(HistogramWorkload(n));
-  const std::unique_ptr<Mechanism> mechanism = Create(GetParam().name, stats, eps);
+  const auto stats = HistogramStats(n);
+  const std::unique_ptr<Mechanism> mechanism =
+      Create(GetParam().name, *stats, eps);
   const Deployment deployment = mechanism->Deploy(stats).value();
   const Vector x{200, 100, 50, 150};
   const double num_users = Sum(x);
@@ -215,7 +222,7 @@ TEST_P(UnaryEncodingTest, DeployedVarianceMatchesAnalysis) {
     EXPECT_NEAR(sq_error[u], expected, GetParam().variance_band * expected)
         << "type " << u;
   }
-  EXPECT_NEAR(mechanism->Analyze(stats).DataVariance(x), total, 1e-9 * total);
+  EXPECT_NEAR(mechanism->Analyze(*stats).DataVariance(x), total, 1e-9 * total);
 }
 
 std::string UnaryCaseName(

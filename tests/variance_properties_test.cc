@@ -108,8 +108,10 @@ TEST(VariancePropertiesTest, HierarchicalSimulationUnbiased) {
   const int n = 8;
   const Matrix q = HierarchicalMechanism::BuildStrategy(n, 1.0, 2);
   const PrefixWorkload workload(n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(workload));
+  FactorizationAnalysis fa(q, *shared_stats);
+  const ReportDecoder decoder({fa.ReconstructionB()}, shared_stats);
   const Vector x{20, 10, 5, 15, 0, 30, 10, 10};
   const Vector truth = workload.Apply(x);
   Rng rng(171);
@@ -129,8 +131,10 @@ TEST(VariancePropertiesTest, FourierSimulationUnbiased) {
   const int n = 8;
   const Matrix q = FourierMechanism::BuildStrategy(n, 1.0, -1);
   const auto workload = CreateWorkload("AllMarginals", n);
-  FactorizationAnalysis fa(q, WorkloadStats::From(*workload));
-  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(*workload));
+  FactorizationAnalysis fa(q, *shared_stats);
+  const ReportDecoder decoder({fa.ReconstructionB()}, shared_stats);
   const Vector x{10, 20, 5, 0, 0, 15, 25, 25};
   const Vector truth = workload->Apply(x);
   Rng rng(172);
@@ -156,8 +160,10 @@ TEST(VariancePropertiesTest, EmpiricalVarianceMatchesAnalyticForHadamard) {
   ASSERT_NE(strat, nullptr);
   const auto workload = CreateWorkload("Histogram", n);
   const Matrix& q = strat->strategy().factors[0];
-  FactorizationAnalysis fa(q, WorkloadStats::From(*workload));
-  const ReportDecoder decoder({fa.ReconstructionB()}, fa.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(*workload));
+  FactorizationAnalysis fa(q, *shared_stats);
+  const ReportDecoder decoder({fa.ReconstructionB()}, shared_stats);
   const Vector x{20, 30, 10, 15, 15, 10};
   const Vector truth = workload->Apply(x);
   Rng rng(173);

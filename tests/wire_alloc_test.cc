@@ -13,7 +13,8 @@
 // 4 MiB retention cap is not kept by either side's frame buffer. Counting
 // a bit-vector or categorical batch into a shard allocates nothing at all,
 // and neither does a device's categorical report under a Kronecker-factored
-// strategy.
+// strategy. A new session of a plan adds no copy of the plan's workload
+// statistics.
 //
 // The client and an in-process server share the counter. Every allocation
 // the server makes for a request happens before it writes the response, so
@@ -331,6 +332,28 @@ TEST(WireAllocTest, IdleConnectionsDoNotKeepTheirLargestFrame) {
   EXPECT_EQ(sealed.value().count, 2 * kConnections * 2);
   clients.clear();
   server.Stop();
+#endif
+}
+
+TEST(WireAllocTest, SessionsShareThePlansWorkloadStats) {
+#if !WFM_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  // Prefix(512)'s Gram is 2 MB. A session shares the plan's decoder, and
+  // with it the plan's one copy of the statistics, so it adds only its
+  // shards and bookkeeping: a copy of the decoder or of the stats would
+  // add at least one more Gram.
+  constexpr std::int64_t kMaxSessionBytes = 512 * 1024;
+  StatusOr<Plan> plan = Plan::For(std::make_shared<const PrefixWorkload>(512))
+                            .Epsilon(1.0)
+                            .Mechanism("RAPPOR")
+                            .Build();
+  ASSERT_TRUE(plan.ok());
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  const std::unique_ptr<PlanSession> session = plan.value().StartSession(4);
+  const std::int64_t added =
+      g_live_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(added, kMaxSessionBytes);
 #endif
 }
 

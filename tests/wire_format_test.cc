@@ -1332,10 +1332,13 @@ TEST(WireEstimateTest, RoundTripsBitForBit) {
 std::unique_ptr<CollectionSession> MakeSession(int n, int num_shards) {
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 1.0);
   auto workload = std::make_shared<const HistogramWorkload>(n);
-  const FactorizationAnalysis analysis(q, WorkloadStats::From(*workload));
-  ReportDecoder decoder({analysis.ReconstructionB()}, analysis.workload());
-  return std::make_unique<CollectionSession>(std::move(decoder),
-                                             std::move(workload), num_shards);
+  const auto stats =
+      std::make_shared<const WorkloadStats>(WorkloadStats::From(*workload));
+  const FactorizationAnalysis analysis(q, *stats);
+  return std::make_unique<CollectionSession>(
+      std::make_shared<const ReportDecoder>(
+          std::vector<Matrix>{analysis.ReconstructionB()}, stats),
+      std::move(workload), num_shards);
 }
 
 TEST(SnapshotStoreTest, KillAndRecoverServesIdenticalEstimates) {

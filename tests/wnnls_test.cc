@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -444,9 +445,10 @@ TEST(WnnlsEstimateTest, ReducesErrorInLowSampleRegime) {
   const double eps = 0.5;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, eps);
   const PrefixWorkload workload(n);
-  const FactorizationAnalysis analysis(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder({analysis.ReconstructionB()},
-                              analysis.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(workload));
+  const FactorizationAnalysis analysis(q, *shared_stats);
+  const ReportDecoder decoder({analysis.ReconstructionB()}, shared_stats);
   const Vector x{40, 0, 0, 30, 0, 20, 0, 10};  // N = 100.
   const Vector truth = workload.Apply(x);
 
@@ -475,9 +477,10 @@ TEST(WnnlsEstimateTest, NoopWhenUnbiasedEstimateAlreadyFeasible) {
   const int n = 4;
   const Matrix q = RandomizedResponseMechanism::BuildStrategy(n, 3.0);
   const HistogramWorkload workload(n);
-  const FactorizationAnalysis analysis(q, WorkloadStats::From(workload));
-  const ReportDecoder decoder({analysis.ReconstructionB()},
-                              analysis.workload());
+  const auto shared_stats = std::make_shared<const WorkloadStats>(
+      WorkloadStats::From(workload));
+  const FactorizationAnalysis analysis(q, *shared_stats);
+  const ReportDecoder decoder({analysis.ReconstructionB()}, shared_stats);
   const Vector x{50000, 80000, 30000, 40000};
   const std::int64_t count = 200000;
   const Vector y = SimulateResponseHistogram(q, x, rng);
