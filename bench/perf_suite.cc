@@ -19,9 +19,10 @@
 // ns_per_op(ref) / ns_per_op(new) is the speedup this PR's acceptance
 // criteria track.
 //
-// The header names the GEMM/solve kernel build in use (linalg/kernels.h)
-// and the ingest kernel builds (wire/crc32.h, collect/bit_counts.h); the
-// crc32_ref and bit_counts_ref rows time their portable builds.
+// The header names the GEMM/solve kernel build in use (linalg/kernels.h),
+// which the projection follows, and the ingest kernel builds (wire/crc32.h,
+// collect/bit_counts.h); the project_ref, crc32_ref and bit_counts_ref rows
+// time their portable builds.
 //
 // Flags: --quick (smaller shapes + fewer reps; what the perf-smoke CI job
 // runs), --reps=N, --out=path.
@@ -153,7 +154,8 @@ int main(int argc, char** argv) {
       std::string("reps = ") + std::to_string(reps) +
           (quick ? ", --quick shapes" : ", full shapes") + ", " +
           std::to_string(wfm::ThreadPool::Global().num_threads()) +
-          " threads, " + wfm::kernels::ActiveKernels().name + " kernels, " +
+          " threads, " + wfm::kernels::ActiveKernels().name +
+          " kernels and projection, " +
           (wfm::crc32::Pclmul() != nullptr ? "pclmul" : "portable") +
           " crc32, " + wfm::bit_counts::Active().name + " bit counts");
 
@@ -497,15 +499,24 @@ int main(int argc, char** argv) {
     wfm::ProjectOntoLdpPolytope(r, z, eps, ws, out);  // Warm the buffers.
     // One projection is sub-millisecond; batch 20 per timed op.
     const int batch = 20;
-    const double t = TimeBest(reps, [&] {
-                       for (int i = 0; i < batch; ++i) {
-                         wfm::ProjectOntoLdpPolytope(r, z, eps, ws, out);
-                         sink += out.q(0, 0);
-                       }
-                     }) /
-                     batch;
+    const auto per_projection = [&] {
+      return TimeBest(reps, [&] {
+               for (int i = 0; i < batch; ++i) {
+                 wfm::ProjectOntoLdpPolytope(r, z, eps, ws, out);
+                 sink += out.q(0, 0);
+               }
+             }) /
+             batch;
+    };
+    // The projection follows the kernel build: project_ref forces the
+    // portable (two-lane) sweeps, project runs the active build.
+    wfm::kernels::SetActiveKernelsForTesting(&wfm::kernels::PortableKernels());
+    const double t_ref = per_projection();
+    wfm::kernels::SetActiveKernelsForTesting(nullptr);
+    const double t = per_projection();
     const std::string shape = std::to_string(m) + "x" + std::to_string(n);
-    record("project", shape, t, 0.0, 0.0);
+    record("project_ref", shape, t_ref, 0.0, 0.0);
+    record("project", shape, t, 0.0, t_ref);
   }
 
   // --- Full Optimize() run (the ablation_optimizer end-to-end path) --------

@@ -114,19 +114,25 @@ const FactoredStrategy* Plan::DeployedStrategy() const {
 std::unique_ptr<PlanSession> Plan::StartSession(int num_shards) const {
   // PlanSession's constructor is private; the session pins an internal
   // pointer (server -> session), hence the unique_ptr.
+  // Version 0 shares the plan's deployed strategy: an aliasing pointer into
+  // the mechanism that owns it, never a copy.
+  const FactoredStrategy* deployed = DeployedStrategy();
+  std::shared_ptr<const FactoredStrategy> strategy;
+  if (deployed != nullptr) strategy = {mechanism_, deployed};
   return std::unique_ptr<PlanSession>(
       new PlanSession(deployment_.decoder, workload_, num_shards,
-                      report_kind(), DeployedStrategy(), epsilon_));
+                      report_kind(), std::move(strategy), epsilon_));
 }
 
 PlanSession::PlanSession(std::shared_ptr<const ReportDecoder> decoder,
                          std::shared_ptr<const Workload> workload,
                          int num_shards, ReportKind kind,
-                         const FactoredStrategy* strategy, double epsilon)
+                         std::shared_ptr<const FactoredStrategy> strategy,
+                         double epsilon)
     : session_(std::move(decoder), std::move(workload), num_shards, kind),
       server_(&session_),
       epsilon_(epsilon) {
-  if (strategy != nullptr) strategies_.emplace(0, *strategy);
+  if (strategy != nullptr) strategies_.emplace(0, std::move(strategy));
 }
 
 StatusOr<StrategySnapshot> PlanSession::CurrentStrategy() const {
@@ -143,7 +149,7 @@ StatusOr<StrategySnapshot> PlanSession::CurrentStrategy() const {
   StrategySnapshot snapshot;
   snapshot.version = version;
   snapshot.epsilon = epsilon_;
-  snapshot.strategy = it->second;
+  snapshot.strategy = *it->second;
   return snapshot;
 }
 
@@ -182,7 +188,8 @@ StatusOr<int> PlanSession::RollStrategy(FactoredStrategy strategy) {
   std::lock_guard<std::mutex> lock(strategy_mutex_);
   const int version =
       session_.StageRoll(std::move(deployment.value().decoder));
-  strategies_[version] = std::move(strategy);
+  strategies_[version] =
+      std::make_shared<const FactoredStrategy>(std::move(strategy));
   return version;
 }
 

@@ -187,19 +187,20 @@ class PlanSession {
   /// strategy-based.
   PlanSession(std::shared_ptr<const ReportDecoder> decoder,
               std::shared_ptr<const Workload> workload, int num_shards,
-              ReportKind kind, const FactoredStrategy* strategy,
+              ReportKind kind, std::shared_ptr<const FactoredStrategy> strategy,
               double epsilon);
 
   CollectionSession session_;
   EstimateServer server_;
   double epsilon_ = 0.0;
 
-  // Strategy by session version: version 0 is the plan's deployed strategy;
-  // rolls insert theirs at stage time under the version StageRoll hands
-  // back, so the active version is always present. Empty for non-strategy
-  // deployments (which cannot roll).
+  // Strategy by session version: version 0 is the plan's deployed strategy,
+  // shared with the plan's mechanism (never copied); rolls insert theirs at
+  // stage time under the version StageRoll hands back, so the active version
+  // is always present. Empty for non-strategy deployments (which cannot
+  // roll).
   mutable std::mutex strategy_mutex_;
-  std::map<int, FactoredStrategy> strategies_;
+  std::map<int, std::shared_ptr<const FactoredStrategy>> strategies_;
 };
 
 /// An immutable, fully-resolved deployment plan. Copyable; hands out client

@@ -1,5 +1,6 @@
-// Two-lane selects for the clip sweeps (core/projection.cc) and the ∇_z
-// backprop through the clip pattern (core/optimizer.cc).
+// Two-lane vectors for the projection's column-lanes sweeps
+// (core/projection.cc, whose portable build runs on these types) and
+// selects for the ∇_z backprop through the clip pattern (core/optimizer.cc).
 //
 // Both decide each entry's contribution by data-dependent comparisons,
 // which a branch would mispredict. Written as scalar ternaries the compiler
@@ -14,29 +15,18 @@
 #define WFM_CORE_LANES_H_
 
 #include <cstdint>
-#include <cstring>
 
 namespace wfm::lanes {
 
 typedef double Lanes __attribute__((vector_size(16)));
 typedef std::int64_t Mask __attribute__((vector_size(16)));
 
-inline Lanes Load2(const double* p) {
-  Lanes v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-inline void Store2(double* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
-
 inline Lanes Broadcast2(double x) { return Lanes{x, x}; }
 
 inline Mask Splat2(std::int64_t x) { return Mask{x, x}; }
 
-// Lane-wise comparisons as all-ones/all-zeros masks. The casts name the mask
-// type, which GCC and Clang spell differently for a comparison's result.
-inline Mask Le2(Lanes a, Lanes b) { return (Mask)(a <= b); }
-inline Mask Ge2(Lanes a, Lanes b) { return (Mask)(a >= b); }
+// Lane-wise comparison as an all-ones/all-zeros mask. The cast names the
+// mask type, which GCC and Clang spell differently for a comparison's result.
 inline Mask Eq2(Mask a, Mask b) { return (Mask)(a == b); }
 
 /// Lane-wise `pick ? if_true : if_false`.

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <utility>
 
+#include "common/timer.h"
 #include "core/lanes.h"
 #include "core/objective.h"
 #include "linalg/thread_pool.h"
@@ -17,9 +19,10 @@ namespace {
 // Optimizer telemetry, recorded per PGD run (never per iteration, so the
 // allocation-free inner loop stays untouched): run/iteration/failure
 // totals, backtracked steps and iterations cut by the replay exit (the
-// objective's pseudo-inverse count goes through PublishPseudoInverses), full
-// Optimize() spans, the probe-iteration span behind the Figure 3c
-// scalability bench, and the last converged objective.
+// objective's pseudo-inverse count goes through PublishPseudoInverses), the
+// time spent projecting and evaluating the objective, full Optimize()
+// spans, the probe-iteration span behind the Figure 3c scalability bench,
+// and the last converged objective.
 Counter& OptimizerRuns() {
   static Counter& counter =
       MetricsRegistry::Global().GetCounter("wfm_optimizer_runs_total");
@@ -47,6 +50,18 @@ Counter& OptimizerFailedSteps() {
 Counter& OptimizerSkippedIterations() {
   static Counter& counter = MetricsRegistry::Global().GetCounter(
       "wfm_optimizer_skipped_iterations_total");
+  return counter;
+}
+
+Counter& OptimizerProjectionNanos() {
+  static Counter& counter = MetricsRegistry::Global().GetCounter(
+      "wfm_optimizer_projection_ns_total");
+  return counter;
+}
+
+Counter& OptimizerObjectiveNanos() {
+  static Counter& counter = MetricsRegistry::Global().GetCounter(
+      "wfm_optimizer_objective_ns_total");
   return counter;
 }
 
@@ -136,6 +151,22 @@ struct PgdWorkspace {
   ZGradientWorkspace gz_ws;
   Vector gz;  ///< Backpropagated ∇_z.
   Vector failed_z;  ///< z of the previous failed step (replay exit).
+  std::int64_t projection_ns = 0;  ///< Time in the projection this run.
+  std::int64_t objective_ns = 0;   ///< Time in the objective this run.
+
+  void Project(const Matrix& r, double eps) {
+    const Stopwatch watch;
+    ProjectOntoLdpPolytope(r, z, eps, proj_ws, proj);
+    projection_ns += watch.ElapsedNanos();
+  }
+
+  ObjectiveValue Evaluate(const Matrix& gram, const Vector& population) {
+    const Stopwatch watch;
+    const ObjectiveValue value =
+        EvalObjectiveAndGradient(proj.q, gram, population, obj);
+    objective_ns += watch.ElapsedNanos();
+    return value;
+  }
 };
 
 bool BitwiseEqual(const double* a, const double* b, std::size_t count) {
@@ -154,13 +185,12 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
     z = initial->z;
     m = initial->q.rows();
     // Re-projecting the seed records its clipping pattern for ∇_z.
-    ProjectOntoLdpPolytope(initial->q, z, eps, ws.proj_ws, proj);
+    ws.Project(initial->q, eps);
   } else {
     proj = RandomInitialStrategy(m, n, eps, rng, &z);
   }
 
-  ObjectiveValue eval =
-      EvalObjectiveAndGradient(proj.q, gram, config.population, ws.obj);
+  ObjectiveValue eval = ws.Evaluate(gram, config.population);
   run.initial_objective = eval.value;
   run.q = proj.q;
   run.z = z;
@@ -189,9 +219,9 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
       const double* grow = ws.obj.gradient.RowPtr(o);
       for (int u = 0; u < n; ++u) rrow[u] -= beta * grow[u];
     }
-    ProjectOntoLdpPolytope(ws.r, z, eps, ws.proj_ws, proj);
+    ws.Project(ws.r, eps);
 
-    eval = EvalObjectiveAndGradient(proj.q, gram, config.population, ws.obj);
+    eval = ws.Evaluate(gram, config.population);
     if (!std::isfinite(eval.value)) {
       ++failed_steps;
       // Replay exit. The previous step failed too, so this one started from
@@ -210,7 +240,7 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
       beta *= 0.5;
       proj.q = run.q;
       std::fill(proj.pattern.begin(), proj.pattern.end(), ClipState::kFree);
-      eval = EvalObjectiveAndGradient(proj.q, gram, config.population, ws.obj);
+      eval = ws.Evaluate(gram, config.population);
       if (replay) {
         skipped_iterations = iterations - t - 1;
         if (!eval.used_cholesky) run.cholesky_failures += skipped_iterations;
@@ -233,6 +263,8 @@ RunResult RunOnce(const Matrix& gram, double eps, const OptimizerConfig& config,
   OptimizerCholeskyFailures().Add(run.cholesky_failures);
   OptimizerFailedSteps().Add(failed_steps);
   OptimizerSkippedIterations().Add(skipped_iterations);
+  OptimizerProjectionNanos().Add(ws.projection_ns);
+  OptimizerObjectiveNanos().Add(ws.objective_ns);
   PublishPseudoInverses(ws.obj);
   return run;
 }

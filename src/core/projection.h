@@ -13,6 +13,16 @@
 // root and reads λ_u from that piece's formula, as the sorted sweep does.
 // A few passes suffice in practice, and never more than 2m + 1.
 //
+// The sweeps run with lanes across columns: each reads the row-major R in
+// place, a group of adjacent columns at a time with one vector lane per
+// column, so no transposed copy is made. Every lane keeps its own column's
+// search (its own t sequence and pass count; a lane whose column settled
+// idles until its group is done), and every sum and min/max runs in
+// ascending row order, so λ, q and the pattern do not depend on the group
+// width. The projection follows the linalg kernel build
+// (linalg/kernels.h): four lanes in the AVX2 build, two in the portable
+// one, with the same bits.
+//
 // The projection also records which entries ended at their lower/upper
 // bounds; the optimizer back-propagates ∇_Q L through this clipping pattern
 // to obtain ∇_z L (Algorithm 2).
@@ -43,11 +53,10 @@ struct ProjectionResult {
   }
 };
 
-/// Caller-owned scratch for the projection: the transposed input and the
-/// clamped bound vectors are reused across calls. With a warmed workspace
-/// and a same-shape `out`, the projection allocates nothing.
+/// Caller-owned scratch for the projection: the clamped bound vectors are
+/// reused across calls. With a warmed workspace and a same-shape `out`, the
+/// projection allocates nothing.
 struct ProjectionWorkspace {
-  Matrix rt;  ///< n x m transposed copy of the input, for contiguous columns.
   Vector lo;  ///< max(z, 0).
   Vector ub;  ///< e^ε · max(z, 0).
 };
@@ -68,10 +77,12 @@ void ProjectOntoLdpPolytope(const Matrix& r, const Vector& z, double eps,
                             ProjectionWorkspace& ws, ProjectionResult& out);
 
 /// The shift λ of one column `r` (length lo.size()): Σ_o clip(r_o + λ, lo_o,
-/// ub_o) = 1, for 0 <= lo <= ub with Σ lo <= 1 <= Σ ub. This is the exact
-/// piece search alone; the projection adds a column-sum check and a
-/// bisection polish on top. If `passes` is non-null it receives the number
-/// of linear sweeps over `r` the search made (at most 2m + 1).
+/// ub_o) = 1, for 0 <= lo <= ub with Σ lo <= 1 <= Σ ub. This is the
+/// projection's exact piece search run on one column (λ and pass count are
+/// those the projection's group search finds for that column); the
+/// projection adds a column-sum check and a bisection polish on top. If
+/// `passes` is non-null it receives the number of linear sweeps over `r`
+/// the search made (at most 2m + 1).
 double ProjectionShift(const double* r, const Vector& lo, const Vector& ub,
                        int* passes = nullptr);
 

@@ -12,6 +12,10 @@
 // the library keeps the baseline ISA, and ActiveKernels() picks it when
 // __builtin_cpu_supports("avx2") says the CPU has it.
 //
+// Algorithm 1's projection (core/projection.h) follows the same pick: its
+// column-lanes sweeps run four columns wide when ActiveKernels() is the AVX2
+// build and two wide otherwise.
+//
 // Both builds give bit-identical results. Every output element sees the same
 // operations in the same order, and the AVX2 build multiplies and adds
 // separately: its target enables AVX2 only, never FMA, so the compiler
@@ -90,8 +94,9 @@ bool CpuHasAvx2();
 /// portable. Decided on first use.
 const KernelSet& ActiveKernels();
 
-/// Test hook: makes ActiveKernels() return `set` (nullptr restores the run-
-/// time choice). Not for production use; the results are the same anyway.
+/// Test and bench hook: makes ActiveKernels() return `set` (nullptr restores
+/// the run-time choice), which also picks the projection's build. Not for
+/// production use; the results are the same anyway.
 void SetActiveKernelsForTesting(const KernelSet* set);
 
 }  // namespace wfm::kernels

@@ -14,6 +14,7 @@
 #include "core/lower_bound.h"
 #include "core/objective.h"
 #include "core/strategy.h"
+#include "linalg/kernels.h"
 #include "linalg/thread_pool.h"
 #include "mechanisms/optimized.h"
 #include "mechanisms/randomized_response.h"
@@ -186,6 +187,39 @@ TEST(OptimizerTest, ConcurrentRunsAreDeterministicAcrossThreadCounts) {
     EXPECT_EQ(results[0].cholesky_failures, results[i].cholesky_failures);
     EXPECT_EQ(skipped[0], skipped[i]);
   }
+}
+
+TEST(OptimizerTest, OptimizeIsBitIdenticalAcrossKernelBuilds) {
+  // The products, solves and projection each pick a portable or an AVX2
+  // build; every build gives the same bits, so the whole default build (its
+  // step search, restart and warm starts) does too.
+  if (!kernels::CpuHasAvx2()) GTEST_SKIP() << "CPU has no AVX2";
+  const WorkloadStats stats =
+      WorkloadStats::From(*CreateWorkload("Prefix", 32));
+  std::vector<OptimizerResult> results;
+  for (const kernels::KernelSet* set :
+       {&kernels::PortableKernels(), kernels::Avx2Kernels()}) {
+    kernels::SetActiveKernelsForTesting(set);
+    results.push_back(OptimizedMechanism(stats, 1.0).optimizer_result());
+    kernels::SetActiveKernelsForTesting(nullptr);
+  }
+  ASSERT_EQ(results[0].q.size(), results[1].q.size());
+  EXPECT_EQ(0, std::memcmp(results[0].q.data(), results[1].q.data(),
+                           results[0].q.size() * sizeof(double)));
+  EXPECT_EQ(results[0].objective, results[1].objective);
+  EXPECT_EQ(results[0].z, results[1].z);
+}
+
+TEST(OptimizerTest, PublishesProjectionAndObjectiveTimePerRun) {
+  const std::int64_t runs = CounterValue("wfm_optimizer_runs_total");
+  const std::int64_t projection =
+      CounterValue("wfm_optimizer_projection_ns_total");
+  const std::int64_t objective =
+      CounterValue("wfm_optimizer_objective_ns_total");
+  OptimizeStrategy(CreateWorkload("Prefix", 16)->Gram(), 1.0, FastConfig());
+  EXPECT_GT(CounterValue("wfm_optimizer_runs_total"), runs);
+  EXPECT_GT(CounterValue("wfm_optimizer_projection_ns_total"), projection);
+  EXPECT_GT(CounterValue("wfm_optimizer_objective_ns_total"), objective);
 }
 
 TEST(OptimizerTest, ReplayExitSkipsNothingWithoutFailedSteps) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/strategy.h"
+#include "linalg/kernels.h"
 #include "linalg/rng.h"
 #include "obs/metrics.h"
 
@@ -685,25 +686,71 @@ void ExpectBitIdenticalToBranchy(const Matrix& r, const Vector& z, double eps) {
                        got.pattern.size() * sizeof(ClipState)));
 }
 
-TEST(ProjectionBranchFreeTest, BitIdenticalOnRandomColumns) {
+/// Runs every case under one projection build. The projection follows the
+/// linalg kernel build: two column lanes in the portable build, four in the
+/// AVX2 build, whose leg skips on a CPU without AVX2.
+class ProjectionBranchFreeTest
+    : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    const kernels::KernelSet* set = &kernels::PortableKernels();
+    if (std::strcmp(GetParam(), "avx2") == 0) {
+      if (!kernels::CpuHasAvx2()) GTEST_SKIP() << "CPU has no AVX2";
+      set = kernels::Avx2Kernels();
+    }
+    kernels::SetActiveKernelsForTesting(set);
+  }
+  void TearDown() override { kernels::SetActiveKernelsForTesting(nullptr); }
+};
+
+INSTANTIATE_TEST_SUITE_P(KernelBuilds, ProjectionBranchFreeTest,
+                         ::testing::Values("portable", "avx2"),
+                         [](const auto& info) { return info.param; });
+
+TEST_P(ProjectionBranchFreeTest, BitIdenticalOnRandomColumns) {
+  // Every column count up to two four-lane groups and one past them, so
+  // each partial last group (of two and of four lanes) is covered.
   Rng rng(309);
   for (int m : {1, 2, 7, 64, 256}) {
     for (double eps : {0.05, 1.0, 4.0}) {
       const Vector z(m, (1.0 + std::exp(-eps)) / (2.0 * m));
-      for (double spread : {1.0 / m, 1.0, 1e9}) {
+      for (int n : {1, 2, 3, 4, 5, 7, 8, 9, 64}) {
+        for (double spread : {1.0 / m, 1.0, 1e9}) {
+          ExpectBitIdenticalToBranchy(
+              RandomMatrix(m, n, rng, -spread, 2 * spread), z, eps);
+        }
+        // Nonuniform bounds.
+        Vector lo, ub;
+        RandomBounds(m, eps, rng, lo, ub);
         ExpectBitIdenticalToBranchy(
-            RandomMatrix(m, 9, rng, -spread, 2 * spread), z, eps);
+            RandomMatrix(m, n, rng, -1.0 / m, 2.0 / m), lo, eps);
       }
-      // Nonuniform bounds.
-      Vector lo, ub;
-      RandomBounds(m, eps, rng, lo, ub);
-      ExpectBitIdenticalToBranchy(RandomMatrix(m, 9, rng, -1.0 / m, 2.0 / m),
-                                  lo, eps);
     }
   }
 }
 
-TEST(ProjectionBranchFreeTest, BitIdenticalWithSignedZeros) {
+TEST_P(ProjectionBranchFreeTest, BitIdenticalWhenSomeColumnsArePolished) {
+  // At |r| ~ 1e16 a column misses the column-sum check and is polished by
+  // bisection; its group's other lanes are not, and the group is written
+  // again with the polished λ.
+  Counter& polishes =
+      MetricsRegistry::Global().GetCounter("wfm_projection_polish_total");
+  Rng rng(313);
+  const int m = 64;
+  const double eps = 1.0;
+  const Vector z(m, (1.0 + std::exp(-eps)) / (2.0 * m));
+  for (int n : {1, 3, 4, 9}) {
+    Matrix r = RandomMatrix(m, n, rng, -1.0 / m, 2.0 / m);
+    for (int o = 0; o < m; ++o) {
+      for (int u = 0; u < n; u += 3) r(o, u) = rng.Normal(0.0, 1e16);
+    }
+    const std::int64_t before = polishes.value();
+    ExpectBitIdenticalToBranchy(r, z, eps);
+    EXPECT_GT(polishes.value(), before) << "test premise: a column polishes";
+  }
+}
+
+TEST_P(ProjectionBranchFreeTest, BitIdenticalWithSignedZeros) {
   // -0.0 in r and in z: an all-zero column, zeros mixed into a random one,
   // and zero bounds (a zero-width interval at -0.0).
   Rng rng(310);
@@ -724,7 +771,7 @@ TEST(ProjectionBranchFreeTest, BitIdenticalWithSignedZeros) {
   ExpectBitIdenticalToBranchy(r, z, eps);
 }
 
-TEST(ProjectionBranchFreeTest, BitIdenticalWithEntriesOnBreakpoints) {
+TEST_P(ProjectionBranchFreeTest, BitIdenticalWithEntriesOnBreakpoints) {
   // Re-projecting a projected strategy: its clipped entries sit exactly on
   // their bounds, so at λ = 0 (the first guess when Σr rounds to 1) t lies
   // exactly on their breakpoints.
@@ -746,7 +793,7 @@ TEST(ProjectionBranchFreeTest, BitIdenticalWithEntriesOnBreakpoints) {
   }
 }
 
-TEST(ProjectionBranchFreeTest, BitIdenticalOnAllClippedAndAllFreeColumns) {
+TEST_P(ProjectionBranchFreeTest, BitIdenticalOnAllClippedAndAllFreeColumns) {
   Rng rng(312);
   const int m = 32;
   // Σz = 1 exactly (1/32 each): every entry ends at its lower bound.

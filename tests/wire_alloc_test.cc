@@ -357,5 +357,33 @@ TEST(WireAllocTest, SessionsShareThePlansWorkloadStats) {
 #endif
 }
 
+TEST(WireAllocTest, SessionsShareThePlansStrategy) {
+#if !WFM_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  // An "Optimized" Prefix(64) plan deploys a 256 x 64 strategy, 128 KiB. A
+  // session serves the plan's strategy as its version 0 through a pointer
+  // into the plan's mechanism, so it adds only its shards and bookkeeping:
+  // a copy of the strategy would add the whole matrix.
+  constexpr std::int64_t kMaxSessionBytes = 32 * 1024;
+  OptimizerConfig config;
+  config.iterations = 20;
+  config.seed = 7;
+  StatusOr<Plan> plan = Plan::For(std::make_shared<const PrefixWorkload>(64))
+                            .Epsilon(1.0)
+                            .Mechanism("Optimized")
+                            .Optimizer(config)
+                            .Build();
+  ASSERT_TRUE(plan.ok());
+  ASSERT_NE(plan.value().DeployedStrategy(), nullptr);
+  ASSERT_EQ(plan.value().DeployedStrategy()->rows(), 256);
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  const std::unique_ptr<PlanSession> session = plan.value().StartSession(4);
+  const std::int64_t added =
+      g_live_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LT(added, kMaxSessionBytes);
+#endif
+}
+
 }  // namespace
 }  // namespace wfm
