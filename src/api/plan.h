@@ -105,9 +105,9 @@ class PlanClient {
   std::shared_ptr<const Reporter> reporter_;
 };
 
-/// The server half of a plan: a sharded CollectionSession (epoch sealing,
-/// windowed totals) plus a caching EstimateServer, wired to the plan's
-/// deployment. Create via Plan::StartSession.
+/// The server half of a plan: a sharded CollectionSession (epoch sealing)
+/// plus a caching EstimateServer over its latest sealed epoch, wired to the
+/// plan's deployment. Create via Plan::StartSession.
 class PlanSession {
  public:
   /// Ingests one report on the given shard; thread-safe. Reports arrive from
@@ -129,30 +129,22 @@ class PlanSession {
   /// Freezes the current epoch (see CollectionSession::Seal).
   EpochSnapshot Seal() { return session_.Seal(); }
 
-  /// Sealed-epoch snapshot by id; kNotFound when that epoch has not been
-  /// sealed (the wire layer's 404).
-  StatusOr<std::shared_ptr<const EpochSnapshot>> Snapshot(int epoch_id) const {
-    return session_.Snapshot(epoch_id);
-  }
-
-  /// Adopts a sealed epoch from a persisted store or another node; validated
-  /// like any untrusted input (see CollectionSession::RestoreSealedEpoch).
-  /// Returns the locally assigned epoch id.
+  /// Re-inserts a persisted sealed epoch on restart (wire/ Start() replays
+  /// its SnapshotStore through here), validated like any untrusted input.
+  /// The epoch keeps its persisted id, which must be above every id sealed
+  /// or restored so far (kInvalidArgument otherwise), and becomes the one
+  /// Estimate() answers from; the next Seal() numbers after it. See
+  /// CollectionSession::RestoreSealedEpoch.
   StatusOr<int> RestoreSealedEpoch(const EpochSnapshot& snapshot) {
     return session_.RestoreSealedEpoch(snapshot);
   }
 
-  /// Cached workload answers from the latest sealed epoch.
-  /// kFailedPrecondition until the first Seal().
+  /// Cached workload answers from the latest sealed epoch, decoded under the
+  /// strategy version that epoch carries. kFailedPrecondition until the
+  /// first Seal().
   StatusOr<WorkloadEstimate> Estimate(
       EstimatorKind kind = EstimatorKind::kWnnls) {
     return server_.Serve(kind);
-  }
-
-  /// Cached workload answers over the last `window` sealed epochs.
-  StatusOr<WorkloadEstimate> EstimateWindow(
-      int window, EstimatorKind kind = EstimatorKind::kWnnls) {
-    return server_.ServeWindow(window, kind);
   }
 
   /// The strategy clients should encode under right now, with any number of

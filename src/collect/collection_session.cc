@@ -1,6 +1,5 @@
 #include "collect/collection_session.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -13,7 +12,7 @@ namespace {
 
 // Epoch lifecycle telemetry. Seal() is rare (once per epoch) but its
 // duration is the serving-path stall everyone ingesting feels, so it gets
-// a full span; restores count epochs adopted from disk or the wire.
+// a full span; restores count epochs adopted from disk.
 Histogram& SealDuration() {
   static Histogram& histogram =
       MetricsRegistry::Global().GetHistogram("wfm_session_seal_duration_ns");
@@ -73,12 +72,13 @@ EpochSnapshot CollectionSession::Seal() {
   snapshot.count = sealed->num_responses();
   {
     std::lock_guard<std::mutex> lock(snapshots_mutex_);
-    snapshot.epoch_id = static_cast<int>(snapshots_.size());
+    snapshot.epoch_id = next_epoch_id_++;
     // The sealed epoch's reports were encoded under the version that was
     // active while they streamed in; any staged roll becomes active only
     // now, at the boundary, so no epoch is ever split across strategies.
     snapshot.strategy_version = active_version_;
-    snapshots_.push_back(std::make_shared<const EpochSnapshot>(snapshot));
+    latest_ = std::make_shared<const EpochSnapshot>(snapshot);
+    ++epochs_sealed_;
     sealed_count_ += snapshot.count;
     if (staged_decoder_ != nullptr) {
       active_version_ = static_cast<int>(decoders_.size());
@@ -117,23 +117,12 @@ std::shared_ptr<const ReportDecoder> CollectionSession::DecoderForVersion(
 
 int CollectionSession::epochs_sealed() const {
   std::lock_guard<std::mutex> lock(snapshots_mutex_);
-  return static_cast<int>(snapshots_.size());
+  return epochs_sealed_;
 }
 
 std::shared_ptr<const EpochSnapshot> CollectionSession::LatestSnapshot() const {
   std::lock_guard<std::mutex> lock(snapshots_mutex_);
-  return snapshots_.empty() ? nullptr : snapshots_.back();
-}
-
-StatusOr<std::shared_ptr<const EpochSnapshot>> CollectionSession::Snapshot(
-    int epoch_id) const {
-  std::lock_guard<std::mutex> lock(snapshots_mutex_);
-  if (epoch_id < 0 || epoch_id >= static_cast<int>(snapshots_.size())) {
-    return Status::NotFound("epoch " + std::to_string(epoch_id) +
-                            " has not been sealed (epochs sealed: " +
-                            std::to_string(snapshots_.size()) + ")");
-  }
-  return snapshots_[epoch_id];
+  return latest_;
 }
 
 StatusOr<int> CollectionSession::RestoreSealedEpoch(
@@ -154,51 +143,29 @@ StatusOr<int> CollectionSession::RestoreSealedEpoch(
         std::to_string(snapshot.strategy_version));
   }
   for (std::size_t o = 0; o < snapshot.histogram.size(); ++o) {
-    // A restored snapshot may arrive off the wire or disk; one NaN/Inf entry
-    // would poison every later windowed estimate.
+    // A restored snapshot arrives off disk; one NaN/Inf entry would poison
+    // every estimate served from it.
     if (!std::isfinite(snapshot.histogram[o])) {
       return Status::InvalidArgument(
           "snapshot histogram entry is not finite at coordinate " +
           std::to_string(o));
     }
   }
-  EpochSnapshot adopted = snapshot;
   std::lock_guard<std::mutex> lock(snapshots_mutex_);
-  adopted.epoch_id = static_cast<int>(snapshots_.size());
-  snapshots_.push_back(std::make_shared<const EpochSnapshot>(adopted));
-  sealed_count_ += adopted.count;
-  EpochsRestored().Increment();
-  return adopted.epoch_id;
-}
-
-EpochSnapshot CollectionSession::WindowTotal(int last_k) const {
-  WFM_CHECK_GT(last_k, 0);
-  std::lock_guard<std::mutex> lock(snapshots_mutex_);
-  EpochSnapshot total;
-  total.histogram.assign(num_outputs_, 0.0);
-  if (snapshots_.empty()) return total;
-  const int end = static_cast<int>(snapshots_.size());
-  const int begin = std::max(0, end - last_k);
-  for (int e = begin; e < end; ++e) {
-    const EpochSnapshot& snapshot = *snapshots_[e];
-    for (int o = 0; o < num_outputs_; ++o) {
-      total.histogram[o] += snapshot.histogram[o];
-    }
-    total.count += snapshot.count;
-    total.strategy_version = snapshot.strategy_version;
+  // Ids only grow: reusing one would let the next seal overwrite a
+  // persisted epoch that is still on disk.
+  if (snapshot.epoch_id < next_epoch_id_) {
+    return Status::InvalidArgument(
+        "snapshot epoch id " + std::to_string(snapshot.epoch_id) +
+        " is below the next free epoch id " +
+        std::to_string(next_epoch_id_));
   }
-  total.epoch_id = snapshots_.back()->epoch_id;
-  return total;
-}
-
-std::vector<std::shared_ptr<const EpochSnapshot>>
-CollectionSession::WindowSnapshots(int last_k) const {
-  WFM_CHECK_GT(last_k, 0);
-  std::lock_guard<std::mutex> lock(snapshots_mutex_);
-  const int end = static_cast<int>(snapshots_.size());
-  const int begin = std::max(0, end - last_k);
-  return std::vector<std::shared_ptr<const EpochSnapshot>>(
-      snapshots_.begin() + begin, snapshots_.begin() + end);
+  latest_ = std::make_shared<const EpochSnapshot>(snapshot);
+  ++epochs_sealed_;
+  next_epoch_id_ = snapshot.epoch_id + 1;
+  sealed_count_ += snapshot.count;
+  EpochsRestored().Increment();
+  return snapshot.epoch_id;
 }
 
 std::int64_t CollectionSession::pending_responses() const {

@@ -1,17 +1,15 @@
 // One live collection campaign: a deployed mechanism's server-side decoder,
 // its workload, a sharded aggregator for the reports currently streaming in,
-// and the sealed history of previous epochs.
+// and the latest sealed epoch.
 //
 // The paper's protocol is one-round — each user reports once, the server
 // aggregates, then reconstructs (ldp/protocol.h). A long-running service
 // repeats that round over time: reports for the current *epoch* stream into
 // fresh shards, and Seal() atomically freezes the epoch into an immutable
 // EpochSnapshot{histogram, count, epoch_id} while ingestion continues into a
-// new shard set. Per-epoch aggregates add (aggregation is linear), so an
-// estimate over any window of epochs is just the estimate on the summed
-// snapshots — the sliding-window analytics pattern ("last k hours") falls out
-// of WindowTotal() with no extra privacy cost, since each user's single
-// report participates in at most one epoch.
+// new shard set. The session keeps only the newest sealed snapshot (what
+// EstimateServer answers from) plus lifetime counters; a sealed epoch that
+// must outlive its successor goes to disk (wire/snapshot_store.h).
 //
 // A session ingests whatever report shape its mechanism emits
 // (ldp/reporter.h): categorical response indices for strategy mechanisms,
@@ -24,24 +22,24 @@
 // Each EpochSnapshot carries the exact report count of its epoch alongside
 // the histogram. For linear decoders the count is bookkeeping; for affine
 // decoders it is load-bearing — the debias x̂ = (y − N·q)/(p − q) needs the
-// N behind each aggregate, so the epoch cut must assign every report's
+// N behind the aggregate, so the epoch cut must assign every report's
 // histogram contribution and its count increment to the same epoch (which
 // the exclusive seal section guarantees).
 //
 // Concurrency contract: Accept() and AcceptBatch() may be called from any
 // number of threads (each worker passing its own shard id keeps shards
-// contention-free, but any shard id is safe); Seal(), snapshot accessors,
-// and WindowTotal() may run concurrently with ingestion. A reader/writer
-// lock around the active aggregator makes the epoch cut exact: Seal() waits
-// for in-flight batches, so every report lands in exactly one epoch.
+// contention-free, but any shard id is safe); Seal() and the snapshot
+// accessors may run concurrently with ingestion. A reader/writer lock
+// around the active aggregator makes the epoch cut exact: Seal() waits for
+// in-flight batches, so every report lands in exactly one epoch.
 //
 // Strategy rollover (adaptive/ serving): a session can roll to a new
 // deployment mid-stream. StageRoll(decoder) parks the new decoder; the next
 // Seal() — an epoch boundary — makes it active, so an epoch is never split
 // across strategies. Every EpochSnapshot carries the strategy_version that
 // was active while its reports streamed in, and DecoderForVersion() keeps
-// the whole decoder history alive, so windowed estimates spanning a roll
-// decode each epoch with exactly the strategy its devices used.
+// the whole decoder history alive, so each sealed epoch decodes with
+// exactly the strategy its devices used.
 
 #ifndef WFM_COLLECT_COLLECTION_SESSION_H_
 #define WFM_COLLECT_COLLECTION_SESSION_H_
@@ -65,7 +63,7 @@ namespace wfm {
 /// An immutable, sealed epoch: the report aggregate accumulated between two
 /// Seal() calls (or session start and the first Seal()).
 struct EpochSnapshot {
-  int epoch_id = -1;        ///< 0-based seal order; -1 means "no epoch".
+  int epoch_id = -1;        ///< Increasing seal order; -1 means "no epoch".
   std::int64_t count = 0;   ///< Reports in this epoch.
   int strategy_version = 0; ///< Strategy active while the epoch ingested.
   Vector histogram;         ///< m-dimensional report aggregate.
@@ -106,42 +104,28 @@ class CollectionSession {
   }
 
   /// Freezes the current epoch and starts a new one. Returns the sealed
-  /// snapshot (also retained in the session's history). Waits for in-flight
+  /// snapshot (also kept as the session's latest). Waits for in-flight
   /// Accept() batches, so the epoch cut is exact; new batches proceed into
   /// fresh shards as soon as the swap is done, before the O(shards x m)
   /// merge runs.
   EpochSnapshot Seal();
 
-  /// Number of epochs sealed so far.
+  /// Number of epochs sealed or restored so far.
   int epochs_sealed() const;
 
   /// Latest sealed snapshot, or nullptr if nothing has been sealed.
   std::shared_ptr<const EpochSnapshot> LatestSnapshot() const;
 
-  /// Snapshot of a sealed epoch (0 <= epoch_id < epochs_sealed()); kNotFound
-  /// when the epoch has not been sealed, which the wire layer maps to an
-  /// HTTP-style 404.
-  StatusOr<std::shared_ptr<const EpochSnapshot>> Snapshot(int epoch_id) const;
-
-  /// Re-inserts a sealed epoch into the history — crash recovery (replaying
-  /// a persisted store) or multi-node operation (adopting another node's
-  /// sealed epoch). The snapshot is validated like any cross-boundary input
-  /// (histogram dimension must equal num_outputs(), entries finite, count
-  /// non-negative → kInvalidArgument otherwise) and is assigned the next
-  /// local epoch id, which is returned. Thread-safe; counts toward
-  /// WindowTotal()/total_responses() exactly like a locally sealed epoch.
+  /// Re-inserts a persisted sealed epoch — crash recovery, replaying a
+  /// SnapshotStore in epoch order. The snapshot is validated like any
+  /// cross-boundary input (histogram dimension must equal num_outputs(),
+  /// entries finite, count and strategy version non-negative, epoch_id above
+  /// every epoch sealed or restored so far → kInvalidArgument otherwise). It
+  /// keeps its persisted epoch_id, which is returned, becomes the latest
+  /// snapshot, and the next Seal() takes the id after it, so a gap left by a
+  /// quarantined file is never reused. Thread-safe; counts toward
+  /// epochs_sealed()/total_responses() exactly like a locally sealed epoch.
   StatusOr<int> RestoreSealedEpoch(const EpochSnapshot& snapshot);
-
-  /// Sum of the last min(last_k, epochs_sealed()) sealed snapshots. The
-  /// returned epoch_id is the newest epoch included (-1 if none sealed yet,
-  /// with a zero histogram); its strategy_version is the newest included
-  /// version (meaningful to callers only when the window spans one version —
-  /// version-aware windows should use WindowSnapshots()).
-  EpochSnapshot WindowTotal(int last_k) const;
-
-  /// The last min(last_k, epochs_sealed()) sealed snapshots, oldest first.
-  std::vector<std::shared_ptr<const EpochSnapshot>> WindowSnapshots(
-      int last_k) const;
 
   /// Version of the strategy whose reports are currently streaming into the
   /// unsealed epoch (0 until the first roll takes effect).
@@ -182,7 +166,9 @@ class CollectionSession {
   std::unique_ptr<ShardedAggregator> active_;
 
   mutable std::mutex snapshots_mutex_;
-  std::vector<std::shared_ptr<const EpochSnapshot>> snapshots_;
+  std::shared_ptr<const EpochSnapshot> latest_;
+  int epochs_sealed_ = 0;
+  int next_epoch_id_ = 0;
   std::int64_t sealed_count_ = 0;  ///< Total reports across sealed epochs.
 
   // Rollover state, guarded by snapshots_mutex_. decoders_[v] is the decoder

@@ -7,7 +7,7 @@ namespace wfm {
 namespace {
 
 // Cache effectiveness across every EstimateServer in the process: hits are
-// served from the (window, kind) cache, misses pay a full decode + solve
+// served from the per-kind cache, misses pay a full decode + solve
 // whose latency the histogram records.
 Counter& CacheHits() {
   static Counter& counter =
@@ -35,29 +35,19 @@ EstimateServer::EstimateServer(const CollectionSession* session)
 }
 
 StatusOr<WorkloadEstimate> EstimateServer::Serve(EstimatorKind kind) {
-  return ServeWindow(/*window=*/1, kind);
-}
-
-StatusOr<WorkloadEstimate> EstimateServer::ServeWindow(int window,
-                                                       EstimatorKind kind) {
-  if (window <= 0) {
-    return Status::InvalidArgument("window must be positive, got " +
-                                   std::to_string(window));
-  }
-  const std::vector<std::shared_ptr<const EpochSnapshot>> snapshots =
-      session_->WindowSnapshots(window);
-  if (snapshots.empty()) {
+  const std::shared_ptr<const EpochSnapshot> snapshot =
+      session_->LatestSnapshot();
+  if (snapshot == nullptr) {
     return Status::FailedPrecondition("no sealed epoch to serve from");
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
   ++serves_;
-  if (snapshots.back()->epoch_id != cached_epoch_) {
+  if (snapshot->epoch_id != cached_epoch_) {
     cache_.clear();
-    cached_epoch_ = snapshots.back()->epoch_id;
+    cached_epoch_ = snapshot->epoch_id;
   }
-  const std::pair<int, int> key(window, static_cast<int>(kind));
-  const auto it = cache_.find(key);
+  const auto it = cache_.find(kind);
   if (it != cache_.end()) {
     CacheHits().Increment();
     return it->second;
@@ -66,55 +56,22 @@ StatusOr<WorkloadEstimate> EstimateServer::ServeWindow(int window,
   CacheMisses().Increment();
   ScopedTimer span(SolveDuration());
 
-  // Version-aware decode: consecutive epochs sealed under the same strategy
-  // version sum (aggregation is linear within a version) and decode with
-  // that version's decoder; groups then add in estimate space — data vectors
-  // and workload answers are both additive across disjoint report
-  // populations. A window that never saw a roll is one group, which makes
-  // this computation exactly the pre-rollover single-decode path.
-  WorkloadEstimate estimate;
-  std::size_t begin = 0;
-  while (begin < snapshots.size()) {
-    const int version = snapshots[begin]->strategy_version;
-    std::size_t end = begin + 1;
-    while (end < snapshots.size() &&
-           snapshots[end]->strategy_version == version) {
-      ++end;
-    }
-    EpochSnapshot group;
-    group.histogram = snapshots[begin]->histogram;
-    group.count = snapshots[begin]->count;
-    for (std::size_t e = begin + 1; e < end; ++e) {
-      for (std::size_t o = 0; o < group.histogram.size(); ++o) {
-        group.histogram[o] += snapshots[e]->histogram[o];
-      }
-      group.count += snapshots[e]->count;
-    }
-    const std::shared_ptr<const ReportDecoder> decoder =
-        session_->DecoderForVersion(version);
-    if (decoder == nullptr) {
-      return Status::FailedPrecondition(
-          "window spans strategy version " + std::to_string(version) +
-          " with no decoder in this session's history");
-    }
-    // The group total carries the exact report count of the summed epochs,
-    // which affine decoders (RAPPOR/OUE) need to debias the aggregate.
-    WorkloadEstimate part = EstimateWorkloadAnswers(
-        *decoder, session_->workload(), group.histogram, group.count, kind);
-    if (estimate.data_vector.empty()) {
-      estimate = std::move(part);
-    } else {
-      for (std::size_t i = 0; i < estimate.data_vector.size(); ++i) {
-        estimate.data_vector[i] += part.data_vector[i];
-      }
-      for (std::size_t i = 0; i < estimate.query_answers.size(); ++i) {
-        estimate.query_answers[i] += part.query_answers[i];
-      }
-    }
-    begin = end;
+  const std::shared_ptr<const ReportDecoder> decoder =
+      session_->DecoderForVersion(snapshot->strategy_version);
+  if (decoder == nullptr) {
+    return Status::FailedPrecondition(
+        "epoch " + std::to_string(snapshot->epoch_id) +
+        " was sealed under strategy version " +
+        std::to_string(snapshot->strategy_version) +
+        ", which has no decoder in this session's history");
   }
-  cache_.emplace(key, estimate);
-  return estimate;
+  // The snapshot carries its epoch's exact report count, which affine
+  // decoders (RAPPOR/OUE) need to debias the aggregate.
+  return cache_
+      .emplace(kind, EstimateWorkloadAnswers(*decoder, session_->workload(),
+                                             snapshot->histogram,
+                                             snapshot->count, kind))
+      .first->second;
 }
 
 std::int64_t EstimateServer::num_serves() const {

@@ -1,21 +1,18 @@
-// Serves workload answers from a CollectionSession's sealed epochs.
+// Serves workload answers from a CollectionSession's latest sealed epoch.
 //
 // Reconstruction is the expensive half of serving — WNNLS in particular runs
 // a projected solve per request — while sealed snapshots are immutable, so
-// between two Seal() calls every query over the same window and estimator
-// kind has the same answer. The server memoizes estimates per (window, kind)
-// and invalidates the whole cache when a newer epoch appears, giving
-// read-heavy traffic O(1) lookups with at most one solve per
-// (epoch, window, kind) triple.
+// between two Seal() calls every query of the same estimator kind has the
+// same answer. The server memoizes one estimate per kind and invalidates the
+// cache when a newer epoch appears, giving read-heavy traffic O(1) lookups
+// with at most one solve per (epoch, kind) pair.
 //
 // Serving before any epoch has been sealed is a recoverable service
 // condition ("no data yet"), reported as kFailedPrecondition — not a crash.
 //
-// Windows that span a strategy roll (adaptive serving) decode per version:
-// consecutive same-version epochs are summed and decoded with that version's
-// decoder, and the per-group estimates add. With no roll in the window this
-// degenerates to the single summed decode, bit-identical to a session that
-// never rolled.
+// The epoch decodes under the strategy version it carries
+// (CollectionSession::DecoderForVersion), so an epoch sealed before a roll
+// took effect still decodes with the strategy its devices used.
 
 #ifndef WFM_COLLECT_ESTIMATE_SERVER_H_
 #define WFM_COLLECT_ESTIMATE_SERVER_H_
@@ -23,7 +20,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <utility>
 
 #include "collect/collection_session.h"
 #include "common/status.h"
@@ -36,13 +32,10 @@ class EstimateServer {
   /// `session` must outlive the server.
   explicit EstimateServer(const CollectionSession* session);
 
-  /// Workload answers from the latest sealed epoch alone.
-  /// kFailedPrecondition if nothing has been sealed yet.
+  /// Workload answers from the latest sealed epoch. kFailedPrecondition if
+  /// nothing has been sealed yet, or if the epoch's strategy version has no
+  /// decoder in the session's history.
   StatusOr<WorkloadEstimate> Serve(EstimatorKind kind);
-
-  /// Workload answers over the last `window` sealed epochs summed — the
-  /// sliding-window scenario ("estimate over the last k epochs").
-  StatusOr<WorkloadEstimate> ServeWindow(int window, EstimatorKind kind);
 
   /// Requests answered (cache hits + solves).
   std::int64_t num_serves() const;
@@ -57,7 +50,7 @@ class EstimateServer {
   // concurrent identical requests collapse into a single solve.
   mutable std::mutex mutex_;
   int cached_epoch_ = -1;  ///< Latest epoch id the cache entries belong to.
-  std::map<std::pair<int, int>, WorkloadEstimate> cache_;  ///< (window, kind).
+  std::map<EstimatorKind, WorkloadEstimate> cache_;
   std::int64_t serves_ = 0;
   std::int64_t solves_ = 0;
 };

@@ -9,14 +9,14 @@
 namespace wfm {
 namespace {
 
-// Applies A (or Aᵀ) along the middle axis of a (left, n, right) row-major
-// tensor: out[l, r, t] = Σ_c A(r, c) · in[l, c, t]. The inner loop streams
-// `right` contiguous doubles per (r, c) pair, so locality is good even when
-// the factor matrices are tiny.
-void ContractMode(const Matrix& a, bool transpose, std::int64_t left,
-                  std::int64_t right, const double* in, Vector& out) {
-  const std::int64_t rows = transpose ? a.cols() : a.rows();
-  const std::int64_t cols = transpose ? a.rows() : a.cols();
+// Applies A along the middle axis of a (left, n, right) row-major tensor:
+// out[l, r, t] = Σ_c A(r, c) · in[l, c, t]. The inner loop streams `right`
+// contiguous doubles per (r, c) pair, so locality is good even when the
+// factor matrices are tiny.
+void ContractMode(const Matrix& a, std::int64_t left, std::int64_t right,
+                  const double* in, Vector& out) {
+  const std::int64_t rows = a.rows();
+  const std::int64_t cols = a.cols();
   const std::int64_t out_size =
       CheckedMulNonNegative(CheckedMulNonNegative(left, rows), right);
   out.assign(static_cast<std::size_t>(out_size), 0.0);
@@ -26,65 +26,13 @@ void ContractMode(const Matrix& a, bool transpose, std::int64_t left,
     for (std::int64_t r = 0; r < rows; ++r) {
       double* out_row = out_block + r * right;
       for (std::int64_t c = 0; c < cols; ++c) {
-        const double w = transpose
-                             ? a(static_cast<int>(c), static_cast<int>(r))
-                             : a(static_cast<int>(r), static_cast<int>(c));
+        const double w = a(static_cast<int>(r), static_cast<int>(c));
         if (w == 0.0) continue;
         const double* in_row = in_block + c * right;
         for (std::int64_t t = 0; t < right; ++t) out_row[t] += w * in_row[t];
       }
     }
   }
-}
-
-void MatVecImpl(const std::vector<const Matrix*>& factors, bool transpose,
-                const Vector& x, Vector& y, Vector& scratch) {
-  const std::size_t k = factors.size();
-  WFM_CHECK_GT(k, 0u) << "KroneckerMatVec needs at least one factor";
-  std::int64_t in_dim = 1;
-  for (const Matrix* f : factors) {
-    WFM_CHECK(f != nullptr);
-    in_dim = CheckedMulNonNegative(in_dim,
-                                   transpose ? f->rows() : f->cols());
-  }
-  WFM_CHECK_EQ(static_cast<std::int64_t>(x.size()), in_dim)
-      << "Kronecker operand length mismatch";
-
-  // One factor is a plain dense matvec: the pooled row-parallel kernels are
-  // several times faster than a single serial mode contraction.
-  if (k == 1) {
-    if (transpose) {
-      MultiplyTVecInto(*factors[0], x, y);
-    } else {
-      MultiplyVecInto(*factors[0], x, y);
-    }
-    return;
-  }
-
-  // Ping-pong between y and scratch; the first contraction reads x directly.
-  const double* src = x.data();
-  Vector* dst = &y;
-  Vector* other = &scratch;
-  std::int64_t left = 1;   // Π of already-contracted output dims.
-  std::int64_t right = 1;  // Π of not-yet-contracted input dims.
-  for (std::size_t j = 1; j < k; ++j) {
-    right = CheckedMulNonNegative(
-        right, transpose ? factors[j]->rows() : factors[j]->cols());
-  }
-  for (std::size_t i = 0; i < k; ++i) {
-    const Matrix& a = *factors[i];
-    ContractMode(a, transpose, left, right, src, *dst);
-    left = CheckedMulNonNegative(left, transpose ? a.cols() : a.rows());
-    if (i + 1 < k) {
-      const Matrix& next = *factors[i + 1];
-      const std::int64_t next_in = transpose ? next.rows() : next.cols();
-      WFM_CHECK_GT(next_in, 0);
-      right /= next_in;
-      src = dst->data();
-      std::swap(dst, other);
-    }
-  }
-  if (dst != &y) y = std::move(*dst);
 }
 
 }  // namespace
@@ -141,12 +89,40 @@ Vector KroneckerMatVec(const std::vector<const Matrix*>& factors,
 
 void KroneckerMatVecInto(const std::vector<const Matrix*>& factors,
                          const Vector& x, Vector& y, Vector& scratch) {
-  MatVecImpl(factors, /*transpose=*/false, x, y, scratch);
-}
+  const std::size_t k = factors.size();
+  WFM_CHECK_GT(k, 0u) << "KroneckerMatVec needs at least one factor";
+  WFM_CHECK_EQ(static_cast<std::int64_t>(x.size()), KroneckerCols(factors))
+      << "Kronecker operand length mismatch";
 
-void KroneckerMatTVecInto(const std::vector<const Matrix*>& factors,
-                          const Vector& x, Vector& y, Vector& scratch) {
-  MatVecImpl(factors, /*transpose=*/true, x, y, scratch);
+  // One factor is a plain dense matvec: the pooled row-parallel kernels are
+  // several times faster than a single serial mode contraction.
+  if (k == 1) {
+    MultiplyVecInto(*factors[0], x, y);
+    return;
+  }
+
+  // Ping-pong between y and scratch; the first contraction reads x directly.
+  const double* src = x.data();
+  Vector* dst = &y;
+  Vector* other = &scratch;
+  std::int64_t left = 1;   // Π of already-contracted output dims.
+  std::int64_t right = 1;  // Π of not-yet-contracted input dims.
+  for (std::size_t j = 1; j < k; ++j) {
+    right = CheckedMulNonNegative(right, factors[j]->cols());
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    const Matrix& a = *factors[i];
+    ContractMode(a, left, right, src, *dst);
+    left = CheckedMulNonNegative(left, a.rows());
+    if (i + 1 < k) {
+      const std::int64_t next_in = factors[i + 1]->cols();
+      WFM_CHECK_GT(next_in, 0);
+      right /= next_in;
+      src = dst->data();
+      std::swap(dst, other);
+    }
+  }
+  if (dst != &y) y = std::move(*dst);
 }
 
 std::int64_t KroneckerCols(const std::vector<const Matrix*>& factors) {

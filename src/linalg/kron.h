@@ -15,8 +15,8 @@
 // O(m·n) an explicit product would need. Cost is Σ_i left_i·m_i·n_i·right_i
 // flops, e.g. O(n · Σ m_i) for equal square factors instead of O(n·m).
 // A single factor is an ordinary dense matrix: the one-factor case runs the
-// pooled MultiplyVecInto / MultiplyTVecInto kernels, so dense callers pay
-// nothing for going through the Kronecker interface.
+// pooled MultiplyVecInto kernel, so dense callers pay nothing for going
+// through the Kronecker interface.
 
 #ifndef WFM_LINALG_KRON_H_
 #define WFM_LINALG_KRON_H_
@@ -46,12 +46,6 @@ Vector KroneckerMatVec(const std::vector<const Matrix*>& factors,
 /// calls. `x` must not alias either.
 void KroneckerMatVecInto(const std::vector<const Matrix*>& factors,
                          const Vector& x, Vector& y, Vector& scratch);
-
-/// y = (A_0 ⊗ ... ⊗ A_{k-1})ᵀ x = (A_0ᵀ ⊗ ... ⊗ A_{k-1}ᵀ) x without
-/// materializing any transpose. x.size() must equal Π rows(A_i). `y` and
-/// `scratch` are reused as in KroneckerMatVecInto.
-void KroneckerMatTVecInto(const std::vector<const Matrix*>& factors,
-                          const Vector& x, Vector& y, Vector& scratch);
 
 /// Π cols(A_i), checked against int64 overflow.
 std::int64_t KroneckerCols(const std::vector<const Matrix*>& factors);

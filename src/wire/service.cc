@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <set>
 #include <utility>
@@ -49,12 +50,21 @@ constexpr std::size_t kMaxRetainedFrameBytes = std::size_t{4} << 20;
 
 // ---- request telemetry ----------------------------------------------------
 
+// Telemetry slot names, indexed by request type byte. Byte 0 is no frame
+// type, so its slot counts unknown types; a byte with no name (the retired 4
+// and 5) counts there too.
+constexpr const char* kSlotNames[] = {
+    "unknown", "accept",   "seal",    "estimate",     nullptr,        nullptr,
+    "ping",    "shutdown", "metrics", "get_strategy", "accept_batch",
+};
+
 // Per-request accounting handles, resolved from the obs registry once (at
 // the first served connection) and reused as raw pointers thereafter so the
 // serving loop never touches the registry map.
 struct WireTelemetry {
-  /// One slot per WireMessageType (1..10) plus a trailing unknown slot.
-  static constexpr int kNumSlots = 11;
+  /// One slot per type byte in kSlotNames; the unnamed ones stay null and
+  /// are never indexed.
+  static constexpr int kNumSlots = static_cast<int>(std::size(kSlotNames));
 
   Counter* requests[kNumSlots];
   Histogram* latency[kNumSlots];
@@ -93,27 +103,16 @@ struct WireTelemetry {
 
 /// Telemetry slot for a (possibly unknown) request type byte.
 int RequestSlot(std::uint8_t type) {
-  return type >= 1 && type <= 10 ? type - 1 : WireTelemetry::kNumSlots - 1;
+  return type < WireTelemetry::kNumSlots && kSlotNames[type] != nullptr ? type
+                                                                        : 0;
 }
 
 const WireTelemetry& Telemetry() {
   static const WireTelemetry* const telemetry = [] {
-    static constexpr const char* kSlotNames[WireTelemetry::kNumSlots] = {
-        "accept",
-        "seal",
-        "estimate",
-        "get_snapshot",
-        "push_snapshot",
-        "ping",
-        "shutdown",
-        "metrics",
-        "get_strategy",
-        "accept_batch",
-        "unknown",
-    };
     auto* t = new WireTelemetry();
     MetricsRegistry& registry = MetricsRegistry::Global();
     for (int i = 0; i < WireTelemetry::kNumSlots; ++i) {
+      if (kSlotNames[i] == nullptr) continue;
       t->requests[i] = &registry.GetCounter(
           std::string("wfm_wire_requests_") + kSlotNames[i] + "_total");
       t->latency[i] = &registry.GetHistogram(
@@ -365,8 +364,9 @@ CollectionServer::~CollectionServer() { Stop(); }
 
 Status CollectionServer::Start() {
   WFM_CHECK(!running_.load()) << "Start() called twice";
-  // Replay persisted history before the socket opens, so the first estimate
-  // a client sees already covers every epoch sealed before the crash.
+  // Replay persisted epochs before the socket opens, so the first estimate
+  // a client sees is the last epoch sealed before the crash, and the next
+  // seal numbers after every epoch on disk.
   if (!options_.snapshot_dir.empty()) {
     SnapshotStore store(options_.snapshot_dir);
     StatusOr<std::vector<EpochSnapshot>> persisted = store.LoadAll();
@@ -708,30 +708,6 @@ WireResponse CollectionServer::HandleRequest(
       if (!estimate.ok()) return ErrorResponse(estimate.status());
       return OkResponse(EncodeEstimate(estimate.value()));
     }
-    case WireMessageType::kGetSnapshot: {
-      if (payload.size() != 4) {
-        return ErrorResponse(Status::InvalidArgument(
-            "snapshot request payload must be a u32 epoch id"));
-      }
-      const std::uint32_t epoch_id = GetU32(payload.data());
-      if (epoch_id > static_cast<std::uint32_t>(INT32_MAX)) {
-        return ErrorResponse(Status::NotFound(
-            "epoch " + std::to_string(epoch_id) + " out of range"));
-      }
-      StatusOr<std::shared_ptr<const EpochSnapshot>> snapshot =
-          session_->Snapshot(static_cast<int>(epoch_id));
-      if (!snapshot.ok()) return ErrorResponse(snapshot.status());
-      return OkResponse(EncodeSnapshot(*snapshot.value()));
-    }
-    case WireMessageType::kPushSnapshot: {
-      StatusOr<EpochSnapshot> snapshot = DecodeSnapshot(payload);
-      if (!snapshot.ok()) return ErrorResponse(snapshot.status());
-      StatusOr<int> restored = session_->RestoreSealedEpoch(snapshot.value());
-      if (!restored.ok()) return ErrorResponse(restored.status());
-      WireBytes assigned;
-      PutU32(assigned, static_cast<std::uint32_t>(restored.value()));
-      return OkResponse(std::move(assigned));
-    }
     case WireMessageType::kPing:
       return OkResponse();
     case WireMessageType::kShutdown:
@@ -1042,34 +1018,6 @@ StatusOr<WorkloadEstimate> CollectionClient::Estimate(EstimatorKind kind) {
   if (!response.ok()) return response.status();
   if (!response.value().ok()) return StatusFromResponse(response.value());
   return DecodeEstimate(response.value().payload);
-}
-
-StatusOr<EpochSnapshot> CollectionClient::GetSnapshot(int epoch_id) {
-  WireBytes payload;
-  PutU32(payload, static_cast<std::uint32_t>(epoch_id));
-  StatusOr<WireResponse> response = RetryingRequest(
-      static_cast<std::uint8_t>(WireMessageType::kGetSnapshot), payload);
-  if (!response.ok()) return response.status();
-  if (!response.value().ok()) return StatusFromResponse(response.value());
-  return DecodeSnapshot(response.value().payload);
-}
-
-StatusOr<int> CollectionClient::PushSnapshot(const EpochSnapshot& snapshot) {
-  // Never retried: adopting the same epoch twice is two local epochs.
-  if (fd_ < 0) {
-    if (Status reconnected = Reconnect(); !reconnected.ok()) {
-      return reconnected;
-    }
-  }
-  const WireBytes encoded = EncodeSnapshot(snapshot);
-  StatusOr<WireResponse> response = RawRequest(
-      static_cast<std::uint8_t>(WireMessageType::kPushSnapshot), encoded);
-  if (!response.ok()) return response.status();
-  if (!response.value().ok()) return StatusFromResponse(response.value());
-  if (response.value().payload.size() != 4) {
-    return Status::Internal("push-snapshot response payload malformed");
-  }
-  return static_cast<int>(GetU32(response.value().payload.data()));
 }
 
 StatusOr<std::string> CollectionClient::Metrics(MetricsFormat format) {

@@ -9,10 +9,8 @@
 //   kAccept        -> PlanSession::Accept        (ingest one wire report)
 //   kSeal          -> PlanSession::Seal          (freeze the epoch; returns
 //                                                 the sealed snapshot)
-//   kEstimate      -> PlanSession::Estimate      (serve the latest estimate)
-//   kGetSnapshot   -> PlanSession::Snapshot      (fetch a sealed epoch)
-//   kPushSnapshot  -> PlanSession::RestoreSealedEpoch
-//                                                (adopt another node's epoch)
+//   kEstimate      -> PlanSession::Estimate      (serve the latest sealed
+//                                                 epoch's answers)
 //   kPing          -> liveness probe
 //   kShutdown      -> stop accepting connections (drains, then exits)
 //   kMetrics       -> obs/MetricsRegistry::Global().Snapshot()
@@ -44,6 +42,9 @@
 // WITHOUT touching any counter. A retried batch therefore changes nothing —
 // the estimate stays bit-identical no matter how many times the network
 // re-delivers a frame.
+//
+// Type bytes 4 and 5 are retired (they once fetched and pushed sealed
+// epochs); like any unknown type they are answered 400.
 //
 // Response status is HTTP-flavored: 200 OK, 400 kInvalidArgument,
 // 404 kNotFound, 409 kFailedPrecondition, 500 kInternal, and 503
@@ -102,8 +103,9 @@
 // Durability: with ServiceOptions::snapshot_dir set, every sealed epoch
 // (kSeal) is appended to a SnapshotStore, and Start() replays the store
 // through RestoreSealedEpoch before accepting traffic — kill the process,
-// restart it on the same directory, and estimates over sealed history are
-// identical.
+// restart it on the same directory, and the estimate of the latest sealed
+// epoch is identical. Restored epochs keep their persisted ids, and the next
+// seal numbers after the largest, so no file on disk is ever overwritten.
 
 #ifndef WFM_WIRE_SERVICE_H_
 #define WFM_WIRE_SERVICE_H_
@@ -129,8 +131,7 @@ enum class WireMessageType : std::uint8_t {
   kAccept = 1,
   kSeal = 2,
   kEstimate = 3,
-  kGetSnapshot = 4,
-  kPushSnapshot = 5,
+  // 4 and 5 are retired: never reuse them for a new frame.
   kPing = 6,
   kShutdown = 7,
   /// Scrape the process-wide obs registry. Payload is one format byte (a
@@ -326,13 +327,13 @@ class CollectionServer {
 /// (use one client per thread — each connection gets its own server shard).
 ///
 /// With WireOptions::max_retries > 0, idempotent requests (Accept,
-/// AcceptBatch, Ping, Estimate, GetSnapshot, Metrics, GetStrategy) retry
+/// AcceptBatch, Ping, Estimate, Metrics, GetStrategy) retry
 /// transparently on transient failures — connection loss, expired deadlines,
 /// 503 sheds — reconnecting as needed with exponential backoff plus jitter,
 /// honoring the server's Retry-After hint. Ingest retries reuse the original
 /// (client_id, sequence) tag, so the server's dedup window makes delivery
-/// exactly-once no matter how often the transport fails. Seal, PushSnapshot,
-/// and Shutdown are NOT retried (sealing twice is two epochs, not one).
+/// exactly-once no matter how often the transport fails. Seal and Shutdown
+/// are NOT retried (sealing twice is two epochs, not one).
 class CollectionClient {
  public:
   /// Connects to 127.0.0.1:port. kInternal when the connection fails,
@@ -359,13 +360,6 @@ class CollectionClient {
   /// Fetches the estimate over the latest sealed epoch.
   StatusOr<WorkloadEstimate> Estimate(
       EstimatorKind kind = EstimatorKind::kWnnls);
-
-  /// Fetches one sealed epoch's snapshot (kNotFound when not sealed).
-  StatusOr<EpochSnapshot> GetSnapshot(int epoch_id);
-
-  /// Ships a sealed epoch to the server (multi-node merge); returns the
-  /// epoch id the server assigned locally. Never retried.
-  StatusOr<int> PushSnapshot(const EpochSnapshot& snapshot);
 
   /// Scrapes the server's metrics registry: the live /metrics surface.
   /// Returns the rendered exposition text (obs/exposition.h), byte-exact

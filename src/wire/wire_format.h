@@ -164,8 +164,8 @@ void AppendReportBatch(WireBytes& out, std::span<const Report> reports);
 StatusOr<std::size_t> DecodeReportBatchInto(std::span<const std::uint8_t> body,
                                             std::vector<Report>& reports);
 
-/// Serializes a sealed epoch snapshot (histogram + count + epoch id), the
-/// unit of cross-process shard merges and crash-recovery persistence.
+/// Serializes a sealed epoch snapshot (histogram + count + epoch id +
+/// strategy version): the kSeal response and the crash-recovery file.
 WireBytes EncodeSnapshot(const EpochSnapshot& snapshot);
 
 /// Parses an untrusted snapshot buffer; kInvalidArgument on any structural

@@ -278,38 +278,6 @@ void IngestEpoch(PlanSession& session, const LocalRandomizer& randomizer,
   }
 }
 
-// The degenerate-path guarantee: with no roll in the window, the
-// version-aware grouped decode IS the plain summed decode, bit for bit.
-TEST(RolloverTest, WindowDecodeBitIdenticalToSingleDecodeWithoutRoll) {
-  StatusOr<Plan> plan = MakeFixedStrategyPlan();
-  ASSERT_TRUE(plan.ok());
-  std::unique_ptr<PlanSession> session = plan.value().StartSession(2);
-  const LocalRandomizer randomizer(plan.value().DeployedStrategy()->factors[0]);
-  Rng rng(42);
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    IngestEpoch(*session, randomizer, UniformDistribution(kRollN), 3000, rng);
-    session->Seal();
-  }
-  const StatusOr<WorkloadEstimate> windowed =
-      session->EstimateWindow(3, EstimatorKind::kUnbiased);
-  ASSERT_TRUE(windowed.ok());
-
-  // Reference: one decode of the summed window, no grouping machinery.
-  const EpochSnapshot total = session->session().WindowTotal(3);
-  const WorkloadEstimate reference = EstimateWorkloadAnswers(
-      *session->session().DecoderForVersion(0), plan.value().workload(),
-      total.histogram, total.count, EstimatorKind::kUnbiased);
-  ASSERT_EQ(windowed.value().data_vector.size(),
-            reference.data_vector.size());
-  for (std::size_t i = 0; i < reference.data_vector.size(); ++i) {
-    EXPECT_EQ(windowed.value().data_vector[i], reference.data_vector[i])
-        << "coordinate " << i << " not bit-identical";
-  }
-  for (std::size_t i = 0; i < reference.query_answers.size(); ++i) {
-    EXPECT_EQ(windowed.value().query_answers[i], reference.query_answers[i]);
-  }
-}
-
 TEST(RolloverTest, EachEpochDecodesUnderItsOwnStrategy) {
   StatusOr<Plan> plan = MakeFixedStrategyPlan();
   ASSERT_TRUE(plan.ok());
@@ -325,10 +293,27 @@ TEST(RolloverTest, EachEpochDecodesUnderItsOwnStrategy) {
   Rng rng(7);
   const Vector distribution = UniformDistribution(kRollN);
 
+  // Estimate() after each seal must be that epoch's decode under its own
+  // version's decoder, bit for bit.
+  const auto expect_served_under = [&](const EpochSnapshot& epoch,
+                                       int version) {
+    ASSERT_EQ(epoch.strategy_version, version);
+    const StatusOr<WorkloadEstimate> served =
+        session->Estimate(EstimatorKind::kUnbiased);
+    ASSERT_TRUE(served.ok()) << served.status().message();
+    const WorkloadEstimate reference = EstimateWorkloadAnswers(
+        *session->session().DecoderForVersion(version),
+        plan.value().workload(), epoch.histogram, epoch.count,
+        EstimatorKind::kUnbiased);
+    EXPECT_EQ(served.value().data_vector, reference.data_vector)
+        << "epoch " << epoch.epoch_id;
+    EXPECT_EQ(served.value().query_answers, reference.query_answers)
+        << "epoch " << epoch.epoch_id;
+  };
+
   // Epoch 0 under v0.
   IngestEpoch(*session, randomize_v0, distribution, 4000, rng);
-  EpochSnapshot epoch0 = session->Seal();
-  EXPECT_EQ(epoch0.strategy_version, 0);
+  expect_served_under(session->Seal(), 0);
 
   // Stage the roll. It must not take effect mid-epoch: the session still
   // reports version 0 and epoch 1 is still encoded and tagged v0.
@@ -337,41 +322,20 @@ TEST(RolloverTest, EachEpochDecodesUnderItsOwnStrategy) {
   EXPECT_EQ(staged.value(), 1);
   EXPECT_EQ(session->session().strategy_version(), 0);
   IngestEpoch(*session, randomize_v0, distribution, 4000, rng);
-  EpochSnapshot epoch1 = session->Seal();
-  EXPECT_EQ(epoch1.strategy_version, 0);
+  expect_served_under(session->Seal(), 0);
   EXPECT_EQ(session->session().strategy_version(), 1);
 
   // Epoch 2's reports are encoded under the rolled strategy.
   IngestEpoch(*session, randomize_v1, distribution, 4000, rng);
-  EpochSnapshot epoch2 = session->Seal();
-  EXPECT_EQ(epoch2.strategy_version, 1);
-
-  // The windowed estimate must decode {epoch0 + epoch1} with v0's decoder
-  // and epoch2 with v1's, then add — reproduce that by hand, bitwise.
-  const StatusOr<WorkloadEstimate> windowed =
-      session->EstimateWindow(3, EstimatorKind::kUnbiased);
-  ASSERT_TRUE(windowed.ok()) << windowed.status().message();
-  EpochSnapshot v0_total = epoch0;
-  for (std::size_t o = 0; o < v0_total.histogram.size(); ++o) {
-    v0_total.histogram[o] += epoch1.histogram[o];
-  }
-  v0_total.count += epoch1.count;
-  const WorkloadEstimate part0 = EstimateWorkloadAnswers(
-      *session->session().DecoderForVersion(0), plan.value().workload(),
-      v0_total.histogram, v0_total.count, EstimatorKind::kUnbiased);
-  const WorkloadEstimate part1 = EstimateWorkloadAnswers(
-      *session->session().DecoderForVersion(1), plan.value().workload(),
-      epoch2.histogram, epoch2.count, EstimatorKind::kUnbiased);
-  for (std::size_t i = 0; i < part0.data_vector.size(); ++i) {
-    EXPECT_EQ(windowed.value().data_vector[i],
-              part0.data_vector[i] + part1.data_vector[i]);
-  }
+  expect_served_under(session->Seal(), 1);
 
   // And the estimate is still a sane unbiased decode: total mass near the
-  // true report count.
+  // epoch's true report count.
+  const WorkloadEstimate latest =
+      session->Estimate(EstimatorKind::kUnbiased).value();
   double mass = 0.0;
-  for (const double v : windowed.value().data_vector) mass += v;
-  EXPECT_NEAR(mass, 12000.0, 12000.0 * 0.25);
+  for (const double v : latest.data_vector) mass += v;
+  EXPECT_NEAR(mass, 4000.0, 4000.0 * 0.25);
 
   // CurrentStrategy now serves the rolled matrix under version 1.
   const StatusOr<StrategySnapshot> current = session->CurrentStrategy();

@@ -121,8 +121,6 @@ TEST(EstimateServerTest, ServingRequiresASealedEpoch) {
   EXPECT_EQ(estimate.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(estimate.status().message().find("no sealed epoch"),
             std::string::npos);
-  EXPECT_EQ(server.ServeWindow(0, EstimatorKind::kUnbiased).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedAggregatorTest, MergeMatchesSerialAggregation) {
@@ -319,14 +317,14 @@ TEST(CollectionSessionTest, SealUnderConcurrentIngestionConservesReports) {
   }
   // Seal epochs while ingestion runs (at least one seal always happens, and
   // in practice many land mid-flight).
-  int seals = 0;
+  std::vector<EpochSnapshot> sealed;
   do {
-    session->Seal();
-    ++seals;
+    sealed.push_back(session->Seal());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   } while (threads_done.load() < kIngestThreads);
   for (std::thread& t : threads) t.join();
-  session->Seal();  // Flush whatever the last mid-flight seal missed.
+  // Flush whatever the last mid-flight seal missed.
+  sealed.push_back(session->Seal());
 
   std::vector<Report> all_reports;
   for (const auto& stream : streams) {
@@ -334,27 +332,26 @@ TEST(CollectionSessionTest, SealUnderConcurrentIngestionConservesReports) {
   }
   Vector sealed_total(m, 0.0);
   std::int64_t sealed_count = 0;
-  for (int e = 0; e < session->epochs_sealed(); ++e) {
-    const auto snapshot = session->Snapshot(e).value();
-    EXPECT_EQ(snapshot->epoch_id, e);
-    EXPECT_EQ(Sum(snapshot->histogram), static_cast<double>(snapshot->count));
-    for (int o = 0; o < m; ++o) sealed_total[o] += snapshot->histogram[o];
-    sealed_count += snapshot->count;
+  for (std::size_t e = 0; e < sealed.size(); ++e) {
+    const EpochSnapshot& snapshot = sealed[e];
+    EXPECT_EQ(snapshot.epoch_id, static_cast<int>(e));
+    EXPECT_EQ(Sum(snapshot.histogram), static_cast<double>(snapshot.count));
+    for (int o = 0; o < m; ++o) sealed_total[o] += snapshot.histogram[o];
+    sealed_count += snapshot.count;
   }
   EXPECT_EQ(sealed_total, SerialHistogram(m, all_reports));
   EXPECT_EQ(sealed_count, static_cast<std::int64_t>(all_reports.size()));
+  EXPECT_EQ(session->epochs_sealed(), static_cast<int>(sealed.size()));
   EXPECT_EQ(session->total_responses(), sealed_count);
   EXPECT_EQ(session->pending_responses(), 0);
-  EXPECT_GE(seals, 1);
 }
 
-TEST(CollectionSessionTest, WindowTotalSumsTheLastKEpochs) {
+TEST(CollectionSessionTest, SealNumbersEpochsAndKeepsTheLatest) {
   const int n = 4;
   auto session = MakeSession(n, /*num_shards=*/2);
 
-  EXPECT_EQ(session->WindowTotal(3).epoch_id, -1);  // Nothing sealed yet.
-  EXPECT_EQ(session->WindowTotal(3).count, 0);
-  EXPECT_EQ(session->LatestSnapshot(), nullptr);
+  EXPECT_EQ(session->LatestSnapshot(), nullptr);  // Nothing sealed yet.
+  EXPECT_EQ(session->epochs_sealed(), 0);
 
   // Epoch e ingests exactly e+1 reports of type e (m = n for RR).
   for (int e = 0; e < 3; ++e) {
@@ -363,18 +360,10 @@ TEST(CollectionSessionTest, WindowTotalSumsTheLastKEpochs) {
     EXPECT_EQ(sealed.epoch_id, e);
     EXPECT_EQ(sealed.count, e + 1);
     EXPECT_EQ(sealed.histogram[e], static_cast<double>(e + 1));
+    EXPECT_EQ(*session->LatestSnapshot(), sealed);
   }
 
-  const EpochSnapshot last2 = session->WindowTotal(2);
-  EXPECT_EQ(last2.epoch_id, 2);
-  EXPECT_EQ(last2.count, 2 + 3);
-  EXPECT_EQ(last2.histogram, (Vector{0, 2, 3, 0}));
-
-  const EpochSnapshot all = session->WindowTotal(100);  // Clamped to history.
-  EXPECT_EQ(all.count, 1 + 2 + 3);
-  EXPECT_EQ(all.histogram, (Vector{1, 2, 3, 0}));
-
-  EXPECT_EQ(session->LatestSnapshot()->epoch_id, 2);
+  EXPECT_EQ(session->LatestSnapshot()->histogram, (Vector{0, 0, 3, 0}));
   EXPECT_EQ(session->epochs_sealed(), 3);
   EXPECT_EQ(session->total_responses(), 6);
 }
@@ -420,18 +409,18 @@ TEST(EstimateServerTest, CachesPerEpochAndInvalidatesOnSeal) {
   EXPECT_EQ(server.num_solves(), 1) << "second serve must hit the cache";
   EXPECT_EQ(a.query_answers, b.query_answers);
 
-  // A different estimator kind or window is a different cache entry.
+  // A different estimator kind is a different cache entry.
   server.Serve(EstimatorKind::kWnnls);
   EXPECT_EQ(server.num_solves(), 2);
-  server.ServeWindow(2, EstimatorKind::kUnbiased);
-  EXPECT_EQ(server.num_solves(), 3);
+  server.Serve(EstimatorKind::kWnnls);
+  EXPECT_EQ(server.num_solves(), 2);
 
   // Sealing a new epoch invalidates everything cached for the old one.
   const std::vector<Report> second = MakeReports(m, 5000, /*seed=*/52);
   session->AcceptBatch(1, second);
   session->Seal();
   const WorkloadEstimate c = server.Serve(EstimatorKind::kUnbiased).value();
-  EXPECT_EQ(server.num_solves(), 4) << "stale cache served after a new seal";
+  EXPECT_EQ(server.num_solves(), 3) << "stale cache served after a new seal";
   EXPECT_NE(a.data_vector, c.data_vector);
 
   // The fresh epoch's estimate reflects only the new epoch's reports.
@@ -550,23 +539,23 @@ TEST(CollectionSessionTest, BitVectorEpochCountAccountingUnderConcurrentSeals) {
       threads_done.fetch_add(1);
     });
   }
+  std::vector<EpochSnapshot> sealed;
   do {
-    session.Seal();
+    sealed.push_back(session.Seal());
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   } while (threads_done.load() < kIngestThreads);
   for (std::thread& t : threads) t.join();
-  session.Seal();  // Flush the tail.
+  sealed.push_back(session.Seal());  // Flush the tail.
 
   Vector sealed_total(n, 0.0);
   std::int64_t sealed_count = 0;
-  for (int e = 0; e < session.epochs_sealed(); ++e) {
-    const auto snapshot = session.Snapshot(e).value();
+  for (const EpochSnapshot& snapshot : sealed) {
     // The per-epoch invariant: count and histogram cut at the same boundary.
-    EXPECT_EQ(Sum(snapshot->histogram),
-              static_cast<double>(kBitsPerReport * snapshot->count))
-        << "epoch " << e << " split a report across the seal";
-    for (int o = 0; o < n; ++o) sealed_total[o] += snapshot->histogram[o];
-    sealed_count += snapshot->count;
+    EXPECT_EQ(Sum(snapshot.histogram),
+              static_cast<double>(kBitsPerReport * snapshot.count))
+        << "epoch " << snapshot.epoch_id << " split a report across the seal";
+    for (int o = 0; o < n; ++o) sealed_total[o] += snapshot.histogram[o];
+    sealed_count += snapshot.count;
   }
   EXPECT_EQ(sealed_total, expected_total);
   EXPECT_EQ(sealed_count,
@@ -577,7 +566,7 @@ TEST(CollectionSessionTest, BitVectorEpochCountAccountingUnderConcurrentSeals) {
 
 TEST(EstimateServerTest, AffineDecodeUsesPerEpochReportCounts) {
   // Two epochs with different report counts: the served unbiased estimate
-  // must debias each window against that window's own N — the count plumbing
+  // must debias each epoch against that epoch's own N — the count plumbing
   // from EpochSnapshot through EstimateServer into the affine decoder.
   const int n = 4;
   const double p = 0.75, q = 0.25;
@@ -606,17 +595,13 @@ TEST(EstimateServerTest, AffineDecodeUsesPerEpochReportCounts) {
   EXPECT_EQ(server.Serve(EstimatorKind::kUnbiased).value().data_vector,
             debias(first.histogram, first.count));
 
-  // Epoch 1: 1 report. Serving window 1 must use N = 1, window 2 N = 4.
+  // Epoch 1: 1 report. Serving it must use N = 1, not the lifetime N = 4.
   session.Accept(0, BitsReport({0, 0, 1, 1}));
   const EpochSnapshot second = session.Seal();
   ASSERT_EQ(second.count, 1);
+  EXPECT_EQ(session.total_responses(), 4);
   EXPECT_EQ(server.Serve(EstimatorKind::kUnbiased).value().data_vector,
             debias(second.histogram, second.count));
-  const EpochSnapshot window = session.WindowTotal(2);
-  ASSERT_EQ(window.count, 4);
-  EXPECT_EQ(
-      server.ServeWindow(2, EstimatorKind::kUnbiased).value().data_vector,
-      debias(window.histogram, window.count));
 }
 
 TEST(ResponseParityTest, ShardedSessionMatchesSerialReferenceEndToEnd) {
@@ -822,51 +807,62 @@ TEST(UnifiedIngestTest, ConcurrentAcceptBatchConservesEveryReport) {
   for (int t = 0; t < kIngestThreads; ++t) {
     threads.emplace_back([&, t] { session.AcceptBatch(t, streams[t]); });
   }
-  session.Seal();  // Race one cut against the in-flight batches.
+  // Race one cut against the in-flight batches.
+  const EpochSnapshot first = session.Seal();
   for (std::thread& t : threads) t.join();
-  session.Seal();
+  const EpochSnapshot second = session.Seal();
 
-  const EpochSnapshot total = session.WindowTotal(session.epochs_sealed());
-  EXPECT_EQ(total.histogram, expected);
-  EXPECT_EQ(total.count,
+  Vector total(n, 0.0);
+  for (int o = 0; o < n; ++o) {
+    total[o] = first.histogram[o] + second.histogram[o];
+  }
+  EXPECT_EQ(total, expected);
+  EXPECT_EQ(first.count + second.count,
             static_cast<std::int64_t>(kIngestThreads) * per_thread);
 }
 
-// ---- snapshot restore (crash recovery / multi-node) -----------------------
+// ---- snapshot restore (crash recovery) ------------------------------------
 
-TEST(SnapshotRestoreTest, SnapshotIsNotFoundUntilSealed) {
+TEST(SnapshotRestoreTest, LatestSnapshotIsNullUntilSealed) {
   auto session = MakeSession(/*n=*/4, /*num_shards=*/1);
-  const auto missing = session->Snapshot(0);
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(session->LatestSnapshot(), nullptr);
   session->Accept(0, CategoricalReport(1));
   session->Seal();
-  const auto found = session->Snapshot(0);
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found.value()->count, 1);
-  EXPECT_EQ(session->Snapshot(-1).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(session->Snapshot(1).status().code(), StatusCode::kNotFound);
+  const auto found = session->LatestSnapshot();
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->count, 1);
 }
 
-TEST(SnapshotRestoreTest, RestoredEpochsCountLikeLocallySealedOnes) {
+TEST(SnapshotRestoreTest, RestoredEpochsKeepTheirIdsAndCountLikeSealedOnes) {
+  // A persisted history with a gap: epoch 1 was lost (its file quarantined),
+  // so recovery restores 0 and 2.
   auto source = MakeSession(/*n=*/4, /*num_shards=*/1);
-  source->AcceptBatch(0, std::vector<Report>{
-                               CategoricalReport(0), CategoricalReport(1),
-                               CategoricalReport(1), CategoricalReport(2)});
-  const EpochSnapshot sealed = source->Seal();
+  std::vector<EpochSnapshot> history;
+  for (int e = 0; e < 3; ++e) {
+    for (int j = 0; j <= e; ++j) source->Accept(0, CategoricalReport(e));
+    history.push_back(source->Seal());
+  }
 
   auto target = MakeSession(/*n=*/4, /*num_shards=*/1);
-  target->Accept(0, CategoricalReport(3));
-  target->Seal();
-  const StatusOr<int> restored = target->RestoreSealedEpoch(sealed);
-  ASSERT_TRUE(restored.ok());
-  // The adopted epoch gets the next *local* id — remote ids are bookkeeping.
-  EXPECT_EQ(restored.value(), 1);
+  ASSERT_EQ(target->RestoreSealedEpoch(history[0]).value(), 0);
+  ASSERT_EQ(target->RestoreSealedEpoch(history[2]).value(), 2);
   EXPECT_EQ(target->epochs_sealed(), 2);
-  EXPECT_EQ(target->total_responses(), 5);
-  const EpochSnapshot window = target->WindowTotal(2);
-  EXPECT_EQ(window.count, 5);
-  EXPECT_EQ(window.histogram, (Vector{1, 2, 1, 1}));
+  EXPECT_EQ(target->total_responses(), 1 + 3);
+  EXPECT_EQ(*target->LatestSnapshot(), history[2]);
+
+  // Ids only grow: the gap and a repeat are both refused, adopting nothing.
+  EXPECT_EQ(target->RestoreSealedEpoch(history[1]).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(target->RestoreSealedEpoch(history[2]).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(target->epochs_sealed(), 2);
+
+  // The next seal numbers after the largest restored id, never into the gap.
+  target->Accept(0, CategoricalReport(3));
+  const EpochSnapshot sealed = target->Seal();
+  EXPECT_EQ(sealed.epoch_id, 3);
+  EXPECT_EQ(target->epochs_sealed(), 3);
+  EXPECT_EQ(target->total_responses(), 1 + 3 + 1);
 }
 
 TEST(SnapshotRestoreTest, RejectsMalformedSnapshots) {
@@ -877,15 +873,22 @@ TEST(SnapshotRestoreTest, RejectsMalformedSnapshots) {
             StatusCode::kInvalidArgument);
 
   EpochSnapshot negative;
+  negative.epoch_id = 0;
   negative.histogram.assign(session->num_outputs(), 0.0);
   negative.count = -1;
   EXPECT_EQ(session->RestoreSealedEpoch(negative).status().code(),
             StatusCode::kInvalidArgument);
 
   EpochSnapshot poisoned;
+  poisoned.epoch_id = 0;
   poisoned.histogram.assign(session->num_outputs(), 0.0);
   poisoned.histogram[1] = std::numeric_limits<double>::infinity();
   EXPECT_EQ(session->RestoreSealedEpoch(poisoned).status().code(),
+            StatusCode::kInvalidArgument);
+
+  EpochSnapshot unnumbered;  // epoch_id -1: "no epoch".
+  unnumbered.histogram.assign(session->num_outputs(), 0.0);
+  EXPECT_EQ(session->RestoreSealedEpoch(unnumbered).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(session->epochs_sealed(), 0);  // Nothing was adopted.
 }

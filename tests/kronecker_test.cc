@@ -85,32 +85,6 @@ TEST(KronKernels, MatVecMatchesDenseKronecker) {
   }
 }
 
-TEST(KronKernels, MatTVecMatchesDenseTranspose) {
-  Rng rng(12);
-  const Matrix a = RandomMatrix(3, 4, rng);
-  const Matrix b = RandomMatrix(5, 2, rng);
-  const std::vector<const Matrix*> factors{&a, &b};
-  const Matrix dense = KroneckerProduct(a, b);
-
-  const Vector y = RandomData(dense.rows(), rng);
-  Vector fast, scratch;
-  KroneckerMatTVecInto(factors, y, fast, scratch);
-  const Vector ref = MultiplyVec(dense.Transpose(), y);
-  ASSERT_EQ(fast.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_NEAR(fast[i], ref[i], 1e-9) << "row " << i;
-  }
-
-  for (const auto& [rows, cols] : kOneFactorShapes) {
-    const Matrix single = RandomMatrix(rows, cols, rng);
-    const Vector v = RandomData(rows, rng);
-    const Vector expected = MultiplyTVec(single, v);
-    Vector into;
-    KroneckerMatTVecInto({&single}, v, into, scratch);
-    EXPECT_EQ(into, expected) << rows << "x" << cols;
-  }
-}
-
 // --- workload algebra, standard names and Kronecker compositions ----------
 
 class WorkloadAlgebra : public ::testing::TestWithParam<std::string> {

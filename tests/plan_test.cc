@@ -573,10 +573,10 @@ TEST(PlanSessionTest, BatchIngestValidatesAtomically) {
   EXPECT_EQ(sealed.count, 5);
 }
 
-TEST(PlanSessionTest, SnapshotAccessAndRestoreRoundTrip) {
-  // The PlanSession surface the wire service maps GET/PUSH snapshot onto:
-  // kNotFound before sealing, the sealed epoch after, and restore adopting a
-  // foreign epoch into local history.
+TEST(PlanSessionTest, RestoreRoundTripServesTheSameEstimate) {
+  // The PlanSession surface the wire service's restart replay maps onto: no
+  // snapshot before sealing, the sealed epoch after, and restore adopting a
+  // persisted epoch under its own id.
   auto workload = std::make_shared<HistogramWorkload>(4);
   const StatusOr<Plan> built = Plan::For(workload)
                                    .Epsilon(1.0)
@@ -584,24 +584,24 @@ TEST(PlanSessionTest, SnapshotAccessAndRestoreRoundTrip) {
                                    .Build();
   ASSERT_TRUE(built.ok());
   std::unique_ptr<PlanSession> session = built.value().StartSession(1);
-  EXPECT_EQ(session->Snapshot(0).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(session->session().LatestSnapshot(), nullptr);
 
   Report r;
   r.index = 1;
   ASSERT_TRUE(session->Accept(0, r).ok());
   const EpochSnapshot sealed = session->Seal();
-  const auto fetched = session->Snapshot(0);
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ(*fetched.value(), sealed);
+  ASSERT_NE(session->session().LatestSnapshot(), nullptr);
+  EXPECT_EQ(*session->session().LatestSnapshot(), sealed);
 
   std::unique_ptr<PlanSession> other = built.value().StartSession(1);
   const StatusOr<int> adopted = other->RestoreSealedEpoch(sealed);
   ASSERT_TRUE(adopted.ok());
-  EXPECT_EQ(adopted.value(), 0);
+  EXPECT_EQ(adopted.value(), sealed.epoch_id);
   EXPECT_EQ(other->Estimate().value().query_answers,
             session->Estimate().value().query_answers);
 
   EpochSnapshot malformed;
+  malformed.epoch_id = sealed.epoch_id + 1;
   malformed.histogram = {1.0};  // Wrong dimension for this deployment.
   EXPECT_EQ(other->RestoreSealedEpoch(malformed).status().code(),
             StatusCode::kInvalidArgument);

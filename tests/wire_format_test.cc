@@ -1362,8 +1362,7 @@ TEST(SnapshotStoreTest, KillAndRecoverServesIdenticalEstimates) {
       ASSERT_TRUE(store.Append(session->Seal()).ok());
     }
     EstimateServer server(session.get());
-    const WorkloadEstimate before =
-        server.ServeWindow(3, EstimatorKind::kWnnls).value();
+    const WorkloadEstimate before = server.Serve(EstimatorKind::kWnnls).value();
     expected_data = before.data_vector;
     expected_answers = before.query_answers;
     expected_count = session->total_responses();
@@ -1379,9 +1378,10 @@ TEST(SnapshotStoreTest, KillAndRecoverServesIdenticalEstimates) {
     ASSERT_TRUE(recovered->RestoreSealedEpoch(snapshot).ok());
   }
   EXPECT_EQ(recovered->total_responses(), expected_count);
+  EXPECT_EQ(recovered->epochs_sealed(), 3);
+  EXPECT_EQ(recovered->LatestSnapshot()->epoch_id, 2);
   EstimateServer server(recovered.get());
-  const WorkloadEstimate after =
-      server.ServeWindow(3, EstimatorKind::kWnnls).value();
+  const WorkloadEstimate after = server.Serve(EstimatorKind::kWnnls).value();
   EXPECT_EQ(after.data_vector, expected_data);
   EXPECT_EQ(after.query_answers, expected_answers);
 }

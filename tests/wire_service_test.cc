@@ -2,8 +2,8 @@
 // bit-identical to the in-process PlanSession it fronts, survive malformed
 // and hostile frames with HTTP-flavored error codes (a bad client can never
 // crash collection), spread concurrent clients over the sharded aggregator
-// without losing a report, merge snapshots pushed from other nodes, and
-// recover sealed history from its snapshot directory across a restart.
+// without losing a report, and recover sealed epochs from its snapshot
+// directory across a restart.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -68,6 +69,22 @@ WireBytes Untagged(const WireBytes& body) {
   WireBytes framed(16 + body.size(), 0);
   std::copy(body.begin(), body.end(), framed.begin() + 16);
   return framed;
+}
+
+// Extracts one counter's sample value from Prometheus exposition text.
+// Anchored to line starts so "name " never matches inside a # TYPE line.
+// A counter absent from the text has simply never been touched: 0.
+std::int64_t PrometheusCounter(const std::string& text,
+                               const std::string& name) {
+  const std::string needle = name + " ";
+  std::size_t pos = 0;
+  while ((pos = text.find(needle, pos)) != std::string::npos) {
+    if (pos == 0 || text[pos - 1] == '\n') {
+      return std::atoll(text.c_str() + pos + needle.size());
+    }
+    pos += needle.size();
+  }
+  return 0;
 }
 
 TEST(WireServiceTest, StartsOnAnEphemeralPortAndAnswersPing) {
@@ -180,10 +197,26 @@ TEST(WireServiceTest, MalformedPayloadsGet400AndTheConnectionSurvives) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().status, kWireStatusBadRequest);
 
-  // An unknown frame type.
-  response = client.RawRequest(/*type=*/99, {});
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response.value().status, kWireStatusBadRequest);
+  // Unknown frame types, the retired 4 and 5 among them: 400, counted in
+  // the unknown slot.
+  const StatusOr<std::string> baseline = client.Metrics();
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const std::uint8_t kUnknownTypes[] = {4, 5, 99};
+  for (const std::uint8_t type : kUnknownTypes) {
+    response = client.RawRequest(type, {});
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response.value().status, kWireStatusBadRequest);
+    const std::string message(response.value().payload.begin(),
+                              response.value().payload.end());
+    EXPECT_NE(message.find("unknown request type"), std::string::npos)
+        << "type " << int{type} << ": " << message;
+  }
+  const StatusOr<std::string> scraped = client.Metrics();
+  ASSERT_TRUE(scraped.ok()) << scraped.status().ToString();
+  EXPECT_EQ(
+      PrometheusCounter(scraped.value(), "wfm_wire_requests_unknown_total") -
+          PrometheusCounter(baseline.value(), "wfm_wire_requests_unknown_total"),
+      3);
 
   // The connection is still serving, and nothing was ingested.
   EXPECT_TRUE(client.Ping().ok());
@@ -204,63 +237,6 @@ TEST(WireServiceTest, EstimateBeforeAnySealIs409) {
   server.Stop();
 }
 
-TEST(WireServiceTest, MissingSnapshotIs404) {
-  CollectionServer server(MakePlan(8), EphemeralOptions());
-  ASSERT_TRUE(server.Start().ok());
-  StatusOr<CollectionClient> client = CollectionClient::Connect(server.port());
-  ASSERT_TRUE(client.ok());
-  const StatusOr<EpochSnapshot> snapshot = client.value().GetSnapshot(0);
-  ASSERT_FALSE(snapshot.ok());
-  EXPECT_EQ(snapshot.status().code(), StatusCode::kNotFound);
-  server.Stop();
-}
-
-TEST(WireServiceTest, PushedSnapshotsMergeIntoWindowedEstimates) {
-  // Node B seals an epoch locally and ships it to node A; A's windowed
-  // estimate then covers both nodes' reports, exactly as if A ingested all.
-  const Plan plan = MakePlan(6);
-  CollectionServer node_a(plan, EphemeralOptions());
-  ASSERT_TRUE(node_a.Start().ok());
-  StatusOr<CollectionClient> connected =
-      CollectionClient::Connect(node_a.port());
-  ASSERT_TRUE(connected.ok());
-  CollectionClient& client = connected.value();
-
-  const PlanClient device = plan.Client();
-  std::unique_ptr<PlanSession> reference = plan.StartSession(1);
-  std::unique_ptr<PlanSession> node_b = plan.StartSession(1);
-  Rng rng(7);
-  for (int u = 0; u < 3000; ++u) {
-    const Report report = device.Respond(u % 6, rng);
-    if (u % 2 == 0) {
-      ASSERT_TRUE(client.Accept(report).ok());  // Lands on node A.
-    } else {
-      ASSERT_TRUE(node_b->Accept(0, report).ok());  // Lands on node B.
-    }
-    ASSERT_TRUE(reference->Accept(0, report).ok());
-  }
-  ASSERT_TRUE(client.Seal().ok());
-  const StatusOr<int> pushed = client.PushSnapshot(node_b->Seal());
-  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
-  EXPECT_EQ(pushed.value(), 1);  // A's own epoch was 0.
-
-  reference->Seal();
-  const WorkloadEstimate expected =
-      reference->Estimate(EstimatorKind::kWnnls).value();
-  const WorkloadEstimate merged =
-      node_a.session().EstimateWindow(2, EstimatorKind::kWnnls).value();
-  EXPECT_EQ(merged.query_answers, expected.query_answers);
-
-  // A pushed snapshot is untrusted: wrong dimension -> 400, not adopted.
-  EpochSnapshot wrong_dim;
-  wrong_dim.epoch_id = 0;
-  wrong_dim.histogram = {1.0};
-  const StatusOr<int> rejected = client.PushSnapshot(wrong_dim);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  node_a.Stop();
-}
-
 TEST(WireServiceTest, RecoversSealedHistoryAcrossRestart) {
   const std::string dir =
       (std::filesystem::path(::testing::TempDir()) / "wfm_service_recover")
@@ -272,7 +248,7 @@ TEST(WireServiceTest, RecoversSealedHistoryAcrossRestart) {
   ServiceOptions options = EphemeralOptions();
   options.snapshot_dir = dir;
 
-  Vector before_answers;
+  WorkloadEstimate before;
   {
     CollectionServer server(plan, options);
     ASSERT_TRUE(server.Start().ok());
@@ -286,10 +262,7 @@ TEST(WireServiceTest, RecoversSealedHistoryAcrossRestart) {
       }
       ASSERT_TRUE(client.value().Seal().ok());
     }
-    before_answers = server.session()
-                         .EstimateWindow(2, EstimatorKind::kWnnls)
-                         .value()
-                         .query_answers;
+    before = client.value().Estimate(EstimatorKind::kWnnls).value();
     server.Stop();  // "Kill" the process.
   }
 
@@ -300,31 +273,14 @@ TEST(WireServiceTest, RecoversSealedHistoryAcrossRestart) {
   StatusOr<CollectionClient> client =
       CollectionClient::Connect(revived.port());
   ASSERT_TRUE(client.ok());
-  const StatusOr<EpochSnapshot> epoch0 = client.value().GetSnapshot(0);
-  ASSERT_TRUE(epoch0.ok()) << epoch0.status().ToString();
-  EXPECT_EQ(epoch0.value().count, 2000);
-  EXPECT_EQ(revived.session()
-                .EstimateWindow(2, EstimatorKind::kWnnls)
-                .value()
-                .query_answers,
-            before_answers);
+  const StatusOr<WorkloadEstimate> after =
+      client.value().Estimate(EstimatorKind::kWnnls);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().data_vector, before.data_vector);
+  EXPECT_EQ(after.value().query_answers, before.query_answers);
+  EXPECT_EQ(revived.session().session().epochs_sealed(), 2);
+  EXPECT_EQ(revived.session().session().total_responses(), 4000);
   revived.Stop();
-}
-
-// Extracts one counter's sample value from Prometheus exposition text.
-// Anchored to line starts so "name " never matches inside a # TYPE line.
-// A counter absent from the text has simply never been touched: 0.
-std::int64_t PrometheusCounter(const std::string& text,
-                               const std::string& name) {
-  const std::string needle = name + " ";
-  std::size_t pos = 0;
-  while ((pos = text.find(needle, pos)) != std::string::npos) {
-    if (pos == 0 || text[pos - 1] == '\n') {
-      return std::atoll(text.c_str() + pos + needle.size());
-    }
-    pos += needle.size();
-  }
-  return 0;
 }
 
 TEST(WireServiceTest, MetricsScrapeCountsThePinnedRequestSequence) {
@@ -1111,10 +1067,12 @@ TEST(WireServiceTest, CorruptSnapshotFileIsQuarantinedNotFatal) {
   StatusOr<CollectionClient> client =
       CollectionClient::Connect(revived.port());
   ASSERT_TRUE(client.ok());
-  const StatusOr<EpochSnapshot> epoch0 = client.value().GetSnapshot(0);
-  ASSERT_TRUE(epoch0.ok()) << epoch0.status().ToString();
-  EXPECT_EQ(epoch0.value().count, 100);
-  EXPECT_FALSE(client.value().GetSnapshot(1).ok());
+  EXPECT_TRUE(client.value().Estimate().ok());
+  const CollectionSession& recovered = revived.session().session();
+  EXPECT_EQ(recovered.epochs_sealed(), 1);
+  ASSERT_NE(recovered.LatestSnapshot(), nullptr);
+  EXPECT_EQ(recovered.LatestSnapshot()->epoch_id, 0);
+  EXPECT_EQ(recovered.LatestSnapshot()->count, 100);
 
   EXPECT_FALSE(std::filesystem::exists(bad));
   EXPECT_TRUE(std::filesystem::exists(
@@ -1126,6 +1084,70 @@ TEST(WireServiceTest, CorruptSnapshotFileIsQuarantinedNotFatal) {
           PrometheusCounter(before, "wfm_snapshots_quarantined_total"),
       1);
   revived.Stop();
+}
+
+TEST(WireServiceTest, SealAfterAQuarantineGapNeverOverwritesAHealthyEpoch) {
+  // Epochs 0, 1 and 2 hold 100, 200 and 300 reports; epoch 1's file is
+  // corrupted. After a restart the next seal must number after epoch 2, not
+  // reuse id 2 and overwrite its file.
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "wfm_quarantine_gap")
+          .string();
+  std::filesystem::remove_all(dir);
+  const Plan plan = MakePlan(8);
+  const PlanClient device = plan.Client();
+  ServiceOptions options = EphemeralOptions();
+  options.snapshot_dir = dir;
+  Rng rng(67);
+  const auto ingest_and_seal = [&](CollectionServer& server, int reports) {
+    StatusOr<CollectionClient> client =
+        CollectionClient::Connect(server.port());
+    ASSERT_TRUE(client.ok());
+    for (int u = 0; u < reports; ++u) {
+      ASSERT_TRUE(client.value().Accept(device.Respond(u % 8, rng)).ok());
+    }
+    ASSERT_TRUE(client.value().Seal().ok());
+  };
+  const auto read_file = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+
+  {
+    CollectionServer server(plan, options);
+    ASSERT_TRUE(server.Start().ok());
+    for (const int reports : {100, 200, 300}) ingest_and_seal(server, reports);
+    server.Stop();
+  }
+  {
+    std::ofstream out(std::filesystem::path(dir) / "epoch-00000001.wfmsnap",
+                      std::ios::binary | std::ios::trunc);
+    const char garbage[] = "not a snapshot";
+    out.write(garbage, sizeof(garbage));
+  }
+  const std::filesystem::path healthy =
+      std::filesystem::path(dir) / "epoch-00000002.wfmsnap";
+  const std::string healthy_bytes = read_file(healthy);
+  ASSERT_FALSE(healthy_bytes.empty());
+
+  {
+    CollectionServer revived(plan, options);
+    ASSERT_TRUE(revived.Start().ok());
+    EXPECT_EQ(revived.session().session().total_responses(), 100 + 300);
+    ingest_and_seal(revived, 400);
+    EXPECT_EQ(revived.session().session().LatestSnapshot()->epoch_id, 3);
+    revived.Stop();
+  }
+  EXPECT_TRUE(read_file(healthy) == healthy_bytes)
+      << "the seal after the restart overwrote a healthy epoch";
+
+  CollectionServer again(plan, options);
+  ASSERT_TRUE(again.Start().ok());
+  EXPECT_EQ(again.session().session().epochs_sealed(), 3);
+  EXPECT_EQ(again.session().session().total_responses(), 100 + 300 + 400);
+  EXPECT_EQ(again.session().session().LatestSnapshot()->count, 400);
+  again.Stop();
 }
 
 TEST(WireServiceTest, ShutdownFrameStopsTheServer) {
